@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race check docs-check bench bench-json benchgate quality figures examples ops-smoke fuzz-short crash-test clean
+.PHONY: all build vet test race check docs-check bench bench-smoke bench-json benchgate quality figures examples ops-smoke fuzz-short crash-test clean
 
 all: build check
 
 # check is the gate the default flow runs: static analysis (go vet over
 # every package, internal/obs included), the documentation gate, the full
 # test suite under the race detector (WAL and collector included), the
-# kill -9 recovery gate, a bounded fuzzing pass over the wire-format and
-# WAL decoders, and an advisory benchmark comparison against the committed
-# baseline.
-check: vet docs-check race crash-test fuzz-short benchgate
+# nested benchmark module's own smoke tests, the kill -9 recovery gate, a
+# bounded fuzzing pass over the wire-format, WAL and checkpoint decoders,
+# and an advisory benchmark comparison against the committed baseline.
+check: vet docs-check race bench-smoke crash-test fuzz-short benchgate
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -32,6 +32,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke builds and runs the pipeline benchmark's own tests (the tiny
+# traced pass of all four workloads plus the BENCHMARK.json consistency
+# check) under the race detector, ~70 s. bench/ is a nested module with
+# `replace mcorr => ../`, so build/test/race above never compile it: this
+# is the target that catches an API break against it.
+bench-smoke:
+	cd bench && $(GO) test -race ./...
 
 # Run the scoring hot-path benchmarks and record them as JSON for diffing.
 # ObsCounterHotPath tracks the metric-instrumentation overhead (must stay
@@ -99,6 +107,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchOps$$' -fuzztime $(FUZZTIME) ./internal/discover
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelateRequest$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s .
 
 # crash-test is the durability gate: build mcdetect, SIGKILL it mid-stream,
 # restart from the same -data-dir, and require the per-step fitness

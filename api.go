@@ -393,6 +393,18 @@ func (t *Tenant) Correlate(q correlateQuery) (*correlateResponse, error) {
 	}
 	step := t.mon.step
 	cursor := t.mon.cursor
+	// Ingest steps the fleet — and, across a discovery round boundary,
+	// rewrites the admitted set — under t.mu, so the fleet and discovery
+	// snapshots (small copies) are taken here, not after the unlock.
+	fleet := t.mon.Fleet()
+	means := fleet.MeasurementMeans()
+	var admission map[Pair]float64
+	var disc *correlateDiscovery
+	if df := t.mon.Discovery(); df != nil {
+		admission = df.AdmissionScores()
+		admitted, budget, cands := df.BudgetInfo()
+		disc = &correlateDiscovery{Admitted: admitted, Budget: budget, Candidates: cands}
+	}
 	t.mu.Unlock()
 
 	// Resolve the window onto the store grid.
@@ -402,7 +414,7 @@ func (t *Tenant) Correlate(q correlateQuery) (*correlateResponse, error) {
 	start, end := q.start, q.end
 	rows := q.last
 	if q.last > 0 {
-		if cursor.IsZero() || t.mon.Fleet().Steps() == 0 {
+		if cursor.IsZero() || fleet.Steps() == 0 {
 			// No row ever scored: the trailing window ends at a cursor
 			// that nothing has streamed up to, so it rounds to zero
 			// samples instead of a real [start, end) range.
@@ -459,16 +471,6 @@ func (t *Tenant) Correlate(q correlateQuery) (*correlateResponse, error) {
 	anchorVals, err := gridValues(t.mon.store, anchorID, start, rows, step)
 	if err != nil {
 		return nil, err
-	}
-
-	fleet := t.mon.Fleet()
-	means := fleet.MeasurementMeans()
-	var admission map[Pair]float64
-	var disc *correlateDiscovery
-	if df := t.mon.Discovery(); df != nil {
-		admission = df.AdmissionScores()
-		admitted, budget, cands := df.BudgetInfo()
-		disc = &correlateDiscovery{Admitted: admitted, Budget: budget, Candidates: cands}
 	}
 
 	results := make([]correlateResult, len(candIDs))

@@ -349,3 +349,81 @@ func TestCorrelateTrailingWindowBeforeFirstRow(t *testing.T) {
 			resp.StatusCode, code, msg)
 	}
 }
+
+// TestCorrelateConcurrentWithIngest runs correlate queries beside an
+// ingest stream in which every second row ends a discovery round, where
+// the discoverer rewrites its admitted set and scores. Correlate must take
+// its fleet and discovery snapshots under the tenant lock; read after the
+// unlock they race with the round end, and `go test -race` reports it
+// here. The fleet is wide (48 measurements) and the budget small so that a
+// query's unlocked part and a row's locked part take about as long, and
+// the stream runs unpaced so one is always under way beside the other.
+func TestCorrelateConcurrentWithIngest(t *testing.T) {
+	const l, warmRows, roundRows = 48, 24, 2
+	const days = 3
+	rng := rand.New(rand.NewSource(7))
+	ds := timeseries.NewDataset()
+	for m := 0; m < l; m++ {
+		s, err := timeseries.NewSeries(
+			timeseries.MeasurementID{Machine: fmt.Sprintf("m%02d", m/8), Metric: fmt.Sprintf("k%d", m%8)},
+			timeseries.MonitoringStart, timeseries.SampleStep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < days*timeseries.SamplesPerDay; i++ {
+			s.Append(rng.NormFloat64())
+		}
+		ds.Add(s)
+	}
+	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	reg := mcorr.NewTenantRegistry("")
+	t.Cleanup(func() { reg.Close() })
+	tn, err := reg.CreateTenant(mcorr.TenantConfig{
+		Name:    mcorr.DefaultTenant,
+		History: ds.Slice(timeseries.MonitoringStart, day1),
+		Options: []mcorr.MonitorOption{mcorr.WithDiscovery(mcorr.DiscoveryConfig{Budget: 8, RoundRows: roundRows})},
+	})
+	if err != nil {
+		t.Fatalf("CreateTenant: %v", err)
+	}
+	batches := make([][]mcorr.Sample, (days-1)*timeseries.SamplesPerDay)
+	for k := range batches {
+		batches[k] = rowBatch(t, ds, day1.Add(time.Duration(k)*timeseries.SampleStep))
+	}
+	for k := 0; k < warmRows; k++ {
+		if _, err := tn.Ingest(batches[k]...); err != nil {
+			t.Fatalf("ingest row %d: %v", k, err)
+		}
+	}
+	srv := httptest.NewServer(mcorr.NewTenantAPI(reg))
+	t.Cleanup(srv.Close)
+
+	// The stream crosses (len(batches)-warmRows)/roundRows = 228 round
+	// boundaries while the loop below keeps a query in flight.
+	done := make(chan error, 1)
+	go func() {
+		for k := warmRows; k < len(batches); k++ {
+			if _, err := tn.Ingest(batches[k]...); err != nil {
+				done <- fmt.Errorf("ingest row %d: %w", k, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for queries := 0; ; queries++ {
+		resp := postCorrelate(t, srv, `{"anchor":"k0@m00","window":{"last":20}}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("correlate during ingest: status %d", resp.StatusCode)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d queries beside %d rows", queries+1, len(batches)-warmRows)
+			return
+		default:
+		}
+	}
+}

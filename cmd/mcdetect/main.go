@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -211,7 +212,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		mgr, err := manager.LoadManager(mf, sink)
+		mgr, err := manager.LoadManager(bufio.NewReader(mf), sink)
 		if cerr := mf.Close(); err == nil {
 			err = cerr
 		}
@@ -364,7 +365,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		err = mgr.Save(f)
+		bw := bufio.NewWriter(f)
+		if err = mgr.Save(bw); err == nil {
+			err = bw.Flush()
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -35,9 +35,13 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // DurabilityConfig locates and tunes the on-disk state of a durable
 // pipeline. Layout under DataDir:
 //
-//	DataDir/checkpoint             versioned gob snapshot (fleet + store + cursor)
+//	DataDir/checkpoint             record-stream snapshot (cursor + store + fleet)
 //	DataDir/wal/                   segmented write-ahead log of acked samples
 //	DataDir/shard-<k>/checkpoint-<epoch>   shard k's model fleet (sharded mode)
+//
+// A checkpoint file is a magic, then CRC32C-framed numbered records in
+// sections (DESIGN.md §10), written and read one record (≤ 1 MiB) at a
+// time; any other format is refused with ErrCheckpointFormat.
 //
 // In sharded mode the root checkpoint holds the coordinator state and an
 // epoch number; the per-shard files carrying that epoch hold the models.
@@ -162,10 +166,6 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 	for _, opt := range opts {
 		opt(&o) // shard count comes from the checkpoint; WithShards is ignored here
 	}
-	ck, err := manager.ReadCheckpointFile(cfg.checkpointPath())
-	if err != nil {
-		return nil, nil, err
-	}
 	var diag *DiagnosisEngine
 	if o.diagnosis != nil {
 		// The engine and its sink wrapper exist before the fleet so the
@@ -176,16 +176,23 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 		diag = diagnose.NewEngine(*o.diagnosis)
 		sink = diag.WrapSink(sink)
 	}
-	fleet, coord, err := recoverFleet(cfg, ck, sink)
+	ck := &checkpointState{}
+	cr, err := manager.OpenCheckpointFile(cfg.checkpointPath(), &ck.meta)
 	if err != nil {
 		return nil, nil, err
 	}
+	err = ck.decode(cr, cfg, sink)
+	cr.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	fleet, coord, store := ck.fleet, ck.coord, ck.store
 	if o.discovery != nil {
 		// The discovery wrapper goes on before diagnosis attaches so the
 		// topology API sees the discovery views, and before replay so the
 		// re-scored rows drive the sketches (and any round boundaries)
 		// exactly like the pre-crash run.
-		df, derr := wrapRecoveredFleet(fleet, *o.discovery, ck.Discover)
+		df, derr := wrapRecoveredFleet(fleet, *o.discovery, ck.discover)
 		if derr != nil {
 			fleet.Close()
 			return nil, nil, fmt.Errorf("recover discovery: %w", derr)
@@ -194,8 +201,8 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 	}
 	var api *diagnose.API
 	if diag != nil {
-		if len(ck.Diagnose) > 0 {
-			if err := diag.UnmarshalState(ck.Diagnose); err != nil {
+		if len(ck.diagnose) > 0 {
+			if err := diag.UnmarshalState(ck.diagnose); err != nil {
 				fleet.Close()
 				return nil, nil, fmt.Errorf("recover diagnosis: %w", err)
 			}
@@ -205,12 +212,7 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 			obs.RegisterOpsHandler("/api/v1/", api)
 		}
 	}
-	store, err := tsdb.Restore(bytes.NewReader(ck.Store))
-	if err != nil {
-		fleet.Close()
-		return nil, nil, fmt.Errorf("recover store: %w", err)
-	}
-	applied, skipped, err := store.ReplayWAL(cfg.walDir(), ck.WALSeq)
+	applied, skipped, err := store.ReplayWAL(cfg.walDir(), ck.meta.WALSeq)
 	if err != nil {
 		fleet.Close()
 		return nil, nil, err
@@ -221,11 +223,11 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 		return nil, nil, err
 	}
 	store.AttachWAL(log)
-	mon := &Monitor{store: store, fleet: fleet, coord: coord, step: store.Step(), cursor: ck.Cursor, ids: fleet.IDs(), scoreQueue: o.scoreQueue, diag: diag, api: api}
-	d := &DurableMonitor{mon: mon, log: log, cfg: cfg, epoch: ck.Epoch,
+	mon := &Monitor{store: store, fleet: fleet, coord: coord, step: store.Step(), cursor: ck.meta.Cursor, ids: fleet.IDs(), scoreQueue: o.scoreQueue, diag: diag, api: api}
+	d := &DurableMonitor{mon: mon, log: log, cfg: cfg, epoch: ck.meta.Epoch,
 		cadence:       manager.Cadence{EverySteps: cfg.CheckpointEvery, Interval: cfg.CheckpointInterval},
 		replayApplied: applied, replaySkipped: skipped}
-	manager.RecordCheckpointEpoch(ck.Epoch)
+	manager.RecordCheckpointEpoch(ck.meta.Epoch)
 
 	// Re-score everything the store holds beyond the checkpoint cursor.
 	// WAL records are whole ingest batches (CRC-framed, torn tails
@@ -246,37 +248,102 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 	return d, recovered, nil
 }
 
-// recoverFleet restores the scoring fleet a checkpoint describes: the
-// single manager blob for the classic layout, or the coordinator state
-// plus every shard-<k>/checkpoint-<epoch> file for the sharded layout.
-func recoverFleet(cfg DurabilityConfig, ck *manager.Checkpoint, sink AlarmSink) (Fleet, *ShardCoordinator, error) {
-	if ck.Shards == 0 {
-		mgr, err := manager.LoadManager(bytes.NewReader(ck.Manager), sink)
-		if err != nil {
-			return nil, nil, fmt.Errorf("recover manager: %w", err)
-		}
-		return mgr, nil, nil
-	}
-	files := make([]*os.File, 0, ck.Shards)
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	blobs := make([]io.Reader, ck.Shards)
-	for k := 0; k < ck.Shards; k++ {
-		f, err := os.Open(cfg.shardCheckpointPath(k, ck.Epoch))
-		if err != nil {
-			return nil, nil, fmt.Errorf("recover shard %d (epoch %d): %w", k, ck.Epoch, err)
-		}
-		files = append(files, f)
-		blobs[k] = f
-	}
-	coord, err := shard.Load(bytes.NewReader(ck.Coord), blobs, sink)
+// checkpointState is a decoded pipeline checkpoint: the store and the
+// scoring fleet, live, and the diagnosis and discovery blobs still to be
+// installed into their engines.
+type checkpointState struct {
+	meta     manager.CheckpointMeta
+	store    *Store
+	fleet    Fleet
+	coord    *ShardCoordinator // fleet, when sharded
+	diagnose []byte
+	discover []byte
+}
+
+// readStoreSection decodes the store section, which follows meta in every
+// pipeline and store-only checkpoint.
+func readStoreSection(cr *manager.CheckpointReader) (*Store, error) {
+	body, err := cr.Section(manager.SectionStore)
 	if err != nil {
-		return nil, nil, fmt.Errorf("recover sharded fleet: %w", err)
+		return nil, err
 	}
-	return coord, coord, nil
+	store, err := tsdb.Restore(body)
+	if err != nil {
+		return nil, manager.CorruptCheckpoint(manager.SectionStore, err)
+	}
+	return store, nil
+}
+
+// decode reads the sections after meta in file order, straight from the
+// open stream: the store, the small engine blobs, then the fleet one model
+// at a time (sharded: from the shard files the coord section points at).
+// It yields a whole state or a typed error (ErrCheckpointCorrupt) — never
+// a fleet with fewer pairs than were saved.
+func (st *checkpointState) decode(cr *manager.CheckpointReader, cfg DurabilityConfig, sink AlarmSink) (err error) {
+	if st.store, err = readStoreSection(cr); err != nil {
+		return err
+	}
+	if st.diagnose, err = cr.Blob(manager.SectionDiagnose); err != nil {
+		return err
+	}
+	if st.discover, err = cr.Blob(manager.SectionDiscover); err != nil {
+		return err
+	}
+	coordState, err := cr.Blob(manager.SectionCoord)
+	if err != nil {
+		return err
+	}
+	if st.meta.Shards > 0 {
+		if st.coord, err = recoverShards(cfg, st.meta, coordState, sink); err != nil {
+			return manager.CorruptCheckpoint(manager.SectionCoord, err)
+		}
+		st.fleet = st.coord
+	} else {
+		body, err := cr.Section(manager.SectionManager)
+		if err != nil {
+			return err
+		}
+		mgr, err := manager.LoadManager(body, sink)
+		if err != nil {
+			return manager.CorruptCheckpoint(manager.SectionManager, err)
+		}
+		st.fleet = mgr
+	}
+	if err = cr.End(); err != nil {
+		st.fleet.Close()
+		st.fleet, st.coord = nil, nil
+	}
+	return err
+}
+
+// recoverShards restores a sharded fleet: the coordinator state from the
+// root checkpoint's coord blob plus the manager section of every
+// shard-<k>/checkpoint-<epoch> file, each streamed one model at a time.
+func recoverShards(cfg DurabilityConfig, meta manager.CheckpointMeta, coordState []byte, sink AlarmSink) (*ShardCoordinator, error) {
+	readers := make([]*manager.CheckpointReader, meta.Shards)
+	bodies := make([]io.Reader, meta.Shards)
+	for k := range readers {
+		cr, err := manager.OpenCheckpointFile(cfg.shardCheckpointPath(k, meta.Epoch), &manager.CheckpointMeta{})
+		if err != nil {
+			return nil, fmt.Errorf("recover shard %d (epoch %d): %w", k, meta.Epoch, err)
+		}
+		defer cr.Close()
+		if bodies[k], err = cr.Section(manager.SectionManager); err != nil {
+			return nil, fmt.Errorf("recover shard %d (epoch %d): %w", k, meta.Epoch, err)
+		}
+		readers[k] = cr
+	}
+	coord, err := shard.Load(bytes.NewReader(coordState), bodies, sink)
+	if err != nil {
+		return nil, fmt.Errorf("recover sharded fleet: %w", err)
+	}
+	for k, cr := range readers {
+		if err := cr.End(); err != nil {
+			coord.Close()
+			return nil, fmt.Errorf("recover shard %d (epoch %d): %w", k, meta.Epoch, err)
+		}
+	}
+	return coord, nil
 }
 
 // Monitor exposes the underlying monitor.
@@ -387,72 +454,79 @@ func (d *DurableMonitor) checkpointLocked() error {
 	// versions the per-shard files); the committed value lands on the
 	// mcorr_checkpoint_epoch gauge below.
 	epoch := d.epoch + 1
-	ck := &manager.Checkpoint{
+	meta := manager.CheckpointMeta{
 		CreatedAt: time.Now(),
 		Cursor:    d.mon.cursor,
 		WALSeq:    seq,
 		Steps:     d.mon.fleet.Steps(),
 		Epoch:     epoch,
 	}
-	if coord := d.mon.coord; coord != nil {
+	coord := d.mon.coord
+	if coord != nil {
 		// Sharded layout: per-shard model files carry the next epoch; they
 		// are all durable before the root checkpoint (written last, below)
 		// makes that epoch authoritative.
-		n := coord.NumShards()
-		for k := 0; k < n; k++ {
+		meta.Shards = coord.NumShards()
+		for k := 0; k < meta.Shards; k++ {
 			if err := os.MkdirAll(d.cfg.shardDir(k), 0o755); err != nil {
 				return fmt.Errorf("checkpoint shard %d: %w", k, err)
 			}
-			path := d.cfg.shardCheckpointPath(k, epoch)
-			if err := manager.AtomicWrite(path, func(f *os.File) error {
-				return coord.SaveShard(k, f)
+			smeta := manager.CheckpointMeta{CreatedAt: meta.CreatedAt, Shards: meta.Shards, Epoch: epoch}
+			if err := manager.WriteCheckpointFile(d.cfg.shardCheckpointPath(k, epoch), &smeta, func(cw *manager.CheckpointWriter) error {
+				return cw.Stream(manager.SectionManager, func(w io.Writer) error { return coord.SaveShard(k, w) })
 			}); err != nil {
 				return fmt.Errorf("checkpoint shard %d: %w", k, err)
 			}
 		}
-		var cbuf bytes.Buffer
+	}
+	// The store and the fleet stream straight into the file, one record at
+	// a time; only the small engine states pass through a blob (empty when
+	// the engine is absent).
+	var diagnose, discover, coordState []byte
+	var err error
+	if d.mon.diag != nil {
+		if diagnose, err = d.mon.diag.MarshalState(); err != nil {
+			return fmt.Errorf("checkpoint diagnosis: %w", err)
+		}
+	}
+	if df, ok := d.mon.fleet.(*discoveryFleet); ok {
+		if discover, err = df.MarshalDiscoveryState(); err != nil {
+			return fmt.Errorf("checkpoint discovery: %w", err)
+		}
+	}
+	if coord != nil {
+		var cbuf bytes.Buffer // topology + aggregator accumulators only
 		if err := coord.SaveState(&cbuf); err != nil {
 			return fmt.Errorf("checkpoint coordinator: %w", err)
 		}
-		ck.Shards = n
-		ck.Coord = cbuf.Bytes()
-	} else {
-		var mbuf bytes.Buffer
-		if err := d.mon.Manager().Save(&mbuf); err != nil {
-			return fmt.Errorf("checkpoint manager: %w", err)
+		coordState = cbuf.Bytes()
+	}
+	if err := manager.WriteCheckpointFile(d.cfg.checkpointPath(), &meta, func(cw *manager.CheckpointWriter) error {
+		err := cw.Stream(manager.SectionStore, d.mon.store.Snapshot)
+		if err == nil {
+			err = cw.Blob(manager.SectionDiagnose, diagnose)
 		}
-		ck.Manager = mbuf.Bytes()
-	}
-	if d.mon.diag != nil {
-		blob, err := d.mon.diag.MarshalState()
-		if err != nil {
-			return fmt.Errorf("checkpoint diagnosis: %w", err)
+		if err == nil {
+			err = cw.Blob(manager.SectionDiscover, discover)
 		}
-		ck.Diagnose = blob
-	}
-	if df, ok := d.mon.fleet.(*discoveryFleet); ok {
-		blob, err := df.MarshalDiscoveryState()
-		if err != nil {
-			return fmt.Errorf("checkpoint discovery: %w", err)
+		if err == nil {
+			err = cw.Blob(manager.SectionCoord, coordState)
 		}
-		ck.Discover = blob
-	}
-	var sbuf bytes.Buffer
-	if err := d.mon.store.Snapshot(&sbuf); err != nil {
-		return fmt.Errorf("checkpoint store: %w", err)
-	}
-	ck.Store = sbuf.Bytes()
-	if err := manager.WriteCheckpointFile(d.cfg.checkpointPath(), ck); err != nil {
+		if err == nil && coord == nil {
+			err = cw.Stream(manager.SectionManager, d.mon.Manager().Save)
+		}
+		return err
+	}); err != nil {
 		return err
 	}
-	d.epoch = ck.Epoch
-	manager.RecordCheckpointEpoch(ck.Epoch)
+	d.epoch = epoch
+	manager.RecordCheckpointEpoch(epoch)
 	d.cadence.Mark(d.rows, time.Now())
 	if err := d.log.TruncateBefore(seq); err != nil {
 		return fmt.Errorf("wal retention: %w", err)
 	}
-	if ck.Shards > 0 {
-		d.gcShardEpochs(ck.Shards, ck.Epoch)
+	if meta.Shards > 0 {
+		d.gcShardEpochs(meta.Shards, epoch)
 	}
 	return nil
 }
@@ -521,14 +595,17 @@ func OpenDurableStore(dataDir string, step time.Duration, retention int, policy 
 		store *Store
 		after uint64
 	)
-	ck, err := manager.ReadCheckpointFile(cfg.checkpointPath())
+	var meta manager.CheckpointMeta
+	cr, err := manager.OpenCheckpointFile(cfg.checkpointPath(), &meta)
 	switch {
 	case err == nil:
-		store, err = tsdb.Restore(bytes.NewReader(ck.Store))
+		// The store section comes first: reading stops before any models.
+		store, err = readStoreSection(cr)
+		cr.Close()
 		if err != nil {
 			return nil, 0, fmt.Errorf("durable store recover: %w", err)
 		}
-		after = ck.WALSeq
+		after = meta.WALSeq
 	case errors.Is(err, manager.ErrNoCheckpoint):
 		store, err = tsdb.NewStore(step, retention)
 		if err != nil {
@@ -549,7 +626,7 @@ func OpenDurableStore(dataDir string, step time.Duration, retention int, policy 
 	return store, applied, nil
 }
 
-// CheckpointStore writes a store-only checkpoint (no manager blob) for a
+// CheckpointStore writes a store-only checkpoint (no fleet section) for a
 // store opened with OpenDurableStore and truncates the WAL segments the
 // snapshot covers. Safe to call while appends are in flight: the sequence
 // is read before the snapshot, so concurrent appends stay replayable.
@@ -559,14 +636,12 @@ func CheckpointStore(dataDir string, s *Store) error {
 		return fmt.Errorf("durable store checkpoint: store has no WAL attached")
 	}
 	seq := log.LastSeq()
-	var sbuf bytes.Buffer
-	if err := s.Snapshot(&sbuf); err != nil {
-		return fmt.Errorf("durable store checkpoint: %w", err)
-	}
-	ck := &manager.Checkpoint{CreatedAt: time.Now(), WALSeq: seq, Store: sbuf.Bytes()}
+	meta := manager.CheckpointMeta{CreatedAt: time.Now(), WALSeq: seq}
 	cfg := DurabilityConfig{DataDir: dataDir}
-	if err := manager.WriteCheckpointFile(cfg.checkpointPath(), ck); err != nil {
-		return err
+	if err := manager.WriteCheckpointFile(cfg.checkpointPath(), &meta, func(cw *manager.CheckpointWriter) error {
+		return cw.Stream(manager.SectionStore, s.Snapshot)
+	}); err != nil {
+		return fmt.Errorf("durable store checkpoint: %w", err)
 	}
 	if err := log.TruncateBefore(seq); err != nil {
 		return fmt.Errorf("durable store wal retention: %w", err)

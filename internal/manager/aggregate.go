@@ -366,6 +366,8 @@ func (g *Aggregator) state() (entries []accEntry, sys [3]float64, steps int) {
 		an, amean, am2 := acc.State()
 		entries = append(entries, accEntry{ID: id, State: [3]float64{float64(an), amean, am2}})
 	}
+	// Map order is random; saved state must not be.
+	sort.Slice(entries, func(i, j int) bool { return entries[i].ID.Less(entries[j].ID) })
 	return entries, sys, g.steps
 }
 

@@ -1,73 +1,81 @@
 package manager
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
+
+	"mcorr/internal/wal"
 )
 
-// CheckpointVersion is the current checkpoint file format version.
-// Version 1: gob of Checkpoint{Version, CreatedAt, Cursor, WALSeq, Steps,
-// Manager, Store}.
-const CheckpointVersion = 1
+// checkpointMagic opens every checkpoint file; checkpointBuffer sizes the
+// buffered writer and reader the file is streamed through.
+const (
+	checkpointMagic  = "MCORCKP2"
+	checkpointBuffer = 1 << 20
+)
 
-// ErrNoCheckpoint is returned by ReadCheckpointFile when no checkpoint
-// exists yet — the caller should cold-start instead of recovering.
-var ErrNoCheckpoint = errors.New("manager: no checkpoint")
+// Checkpoint errors.
+var (
+	// ErrNoCheckpoint: no checkpoint exists yet — cold-start instead.
+	ErrNoCheckpoint = errors.New("manager: no checkpoint")
+	// ErrCheckpointFormat: the file does not open with the magic — in
+	// practice it was written by a release that predates the record
+	// format. Nothing of it is read; finish (or retrain) with that release.
+	ErrCheckpointFormat = errors.New("manager: checkpoint is not in the record format")
+	// ErrCheckpointCorrupt: a record-format checkpoint fails to decode — a
+	// damaged, missing, repeated or reordered record, a file that stops
+	// before its end section, contents that contradict their own headers.
+	// Recovery never proceeds from a partial decode.
+	ErrCheckpointCorrupt = errors.New("manager: corrupt checkpoint")
+)
 
-// Checkpoint is the durable snapshot of a running monitoring pipeline: the
-// manager's full model fleet (the versioned gob produced by Manager.Save),
-// the time-series store it was scoring from, the cursor of the next row to
-// score, and the WAL sequence number the snapshot reflects. Recovery =
-// restore both blobs, replay WAL records with Seq > WALSeq into the store,
-// and resume scoring at Cursor; PR 1's deterministic scoring then
-// reproduces the exact fitness trajectory of the uninterrupted run.
-type Checkpoint struct {
-	Version   int
+// CheckpointMeta is the meta section of a pipeline checkpoint. Recovery =
+// restore the store and fleet sections, replay WAL records with Seq >
+// WALSeq into the store, and resume scoring at Cursor; deterministic
+// scoring then reproduces the exact fitness trajectory of the
+// uninterrupted run.
+type CheckpointMeta struct {
 	CreatedAt time.Time
 	// Cursor is the timestamp of the next row to score after recovery.
 	Cursor time.Time
 	// WALSeq is the last WAL sequence number whose samples are reflected
-	// in Store (and therefore in the manager's accumulators).
+	// in the store section (and therefore in the fleet's accumulators).
 	WALSeq uint64
-	// Steps mirrors Manager.Steps at snapshot time (diagnostic only; the
-	// authoritative copy is inside Manager).
+	// Steps mirrors the fleet's step count (diagnostic only).
 	Steps int
-	// Manager is the gob snapshot written by Manager.Save.
-	Manager []byte
-	// Store is the tsdb gob snapshot (may be empty for manager-only
-	// checkpoints).
-	Store []byte
-
-	// Shards is the shard count of a sharded fleet; 0 (or 1 with a
-	// Manager blob) means the single-manager layout. Older checkpoints
-	// decode with Shards == 0, so the field doubles as the layout switch.
+	// Shards is the shard count of a sharded fleet; 0 means the
+	// single-manager layout (a manager section in this file).
 	Shards int
-	// Epoch versions the per-shard snapshot files that pair with this
-	// checkpoint: shard k's models live in shard-<k>/checkpoint-<Epoch>.
-	// Shard files are written first and the coordinator checkpoint —
-	// which alone makes an epoch authoritative — is renamed into place
-	// last, so a crash mid-checkpoint leaves the previous epoch intact.
+	// Epoch versions the per-shard files that pair with this checkpoint:
+	// shard k's models live in shard-<k>/checkpoint-<Epoch>. Shard files
+	// are written first and the root checkpoint — which alone makes an
+	// epoch authoritative — is renamed into place last, so a crash
+	// mid-checkpoint leaves the previous epoch intact.
 	Epoch uint64
-	// Coord is the coordinator state blob (shard topology + central
-	// aggregator) when Shards > 0.
-	Coord []byte
-
-	// Diagnose is the diagnosis engine's state blob (fitness histories,
-	// baselines, open/closed incidents) when the pipeline runs with
-	// diagnosis attached; empty otherwise. Older checkpoints decode with
-	// a nil slice, so the field is backward-compatible within Version 1.
-	Diagnose []byte
-
-	// Discover is the discovery tier's state blob (admitted sketches,
-	// probe batch, round position, training history rings) when the
-	// pipeline runs a bounded pair graph; empty otherwise. Like Diagnose,
-	// older checkpoints decode with a nil slice within Version 1.
-	Discover []byte
 }
+
+// Section names, in file order (DESIGN.md §10 has the table). A section
+// opens with a record holding sectionMark + name, so a decoder out of step
+// with its stream cannot mistake data for a boundary. The layout is fixed:
+// a pipeline checkpoint has them all but manager (sharded) — blobs of
+// absent engines are empty — and a store-only one stops after store.
+const (
+	SectionMeta     = "meta"
+	SectionStore    = "store"
+	SectionDiagnose = "diagnose"
+	SectionDiscover = "discover"
+	SectionCoord    = "coord"
+	SectionManager  = "manager"
+	sectionEnd      = "end"
+	sectionMark     = "#"
+)
 
 // AtomicWrite writes a file crash-atomically: the payload goes to a
 // temporary file in the destination directory, is fsynced, renamed over
@@ -105,33 +113,84 @@ func AtomicWrite(path string, write func(w *os.File) error) (err error) {
 	return nil
 }
 
-// WriteCheckpointFile atomically persists a checkpoint: the gob is written
-// to a temporary file in the same directory, fsynced, renamed over path,
-// and the directory is fsynced — a crash at any point leaves either the
-// old checkpoint or the new one, never a torn file.
-func WriteCheckpointFile(path string, ck *Checkpoint) (err error) {
+// CheckpointWriter writes the sections of one checkpoint file straight
+// into its record stream: nothing but the current record is buffered.
+type CheckpointWriter struct {
+	rw *wal.RecordWriter
+}
+
+// Stream writes a section whose body save streams (Store.Snapshot,
+// Manager.Save).
+func (cw *CheckpointWriter) Stream(name string, save func(io.Writer) error) error {
+	_, err := cw.rw.Write([]byte(sectionMark + name))
+	if err == nil && save != nil {
+		err = save(cw.rw)
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint section %s: %w", name, err)
+	}
+	return nil
+}
+
+// Blob writes a section whose body is one small opaque value.
+func (cw *CheckpointWriter) Blob(name string, p []byte) error {
+	return cw.Stream(name, func(io.Writer) error { return cw.rw.WriteBlob(p) })
+}
+
+// WriteCheckpointFile atomically persists a checkpoint: the magic, a meta
+// section holding the gob of meta, the sections body writes and the end
+// section, streamed through a buffered writer under AtomicWrite — a crash
+// at any point leaves either the old checkpoint or the new one.
+func WriteCheckpointFile(path string, meta any, body func(*CheckpointWriter) error) error {
 	start := time.Now()
 	defer func() { obsCheckpointSeconds.Observe(time.Since(start).Seconds()) }()
-	if ck.Version == 0 {
-		ck.Version = CheckpointVersion
+	var mbuf bytes.Buffer // the meta value only
+	if err := gob.NewEncoder(&mbuf).Encode(meta); err != nil {
+		return fmt.Errorf("checkpoint meta: %w", err)
 	}
+	var size int64
 	if err := AtomicWrite(path, func(f *os.File) error {
-		if err := gob.NewEncoder(f).Encode(ck); err != nil {
-			return fmt.Errorf("checkpoint encode: %w", err)
+		bw := bufio.NewWriterSize(f, checkpointBuffer)
+		cw := &CheckpointWriter{rw: wal.NewRecordWriter(bw)}
+		_, err := bw.WriteString(checkpointMagic)
+		if err == nil {
+			err = cw.Blob(SectionMeta, mbuf.Bytes())
 		}
-		return nil
+		if err == nil && body != nil {
+			err = body(cw)
+		}
+		if err == nil {
+			err = cw.Stream(sectionEnd, nil)
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err == nil {
+			size, err = f.Seek(0, io.SeekCurrent)
+		}
+		return err
 	}); err != nil {
 		return err
 	}
 	obsCheckpoints.Inc()
+	obsCheckpointBytes.Set(float64(size))
 	return nil
 }
 
-// ReadCheckpointFile loads a checkpoint written by WriteCheckpointFile.
-// A missing file is ErrNoCheckpoint; an unreadable or version-mismatched
-// file is a hard error (recovering from a half-understood snapshot would
-// silently fork the trajectory).
-func ReadCheckpointFile(path string) (*Checkpoint, error) {
+// CheckpointReader reads a checkpoint file section by section, in file
+// order, never holding more than the record being decoded.
+type CheckpointReader struct {
+	rr *wal.RecordReader
+	f  *os.File // nil over a plain reader
+}
+
+// OpenCheckpointFile opens a checkpoint written by WriteCheckpointFile and
+// decodes its meta section into meta. A missing file is ErrNoCheckpoint, a
+// file without the magic ErrCheckpointFormat, anything else that fails to
+// decode ErrCheckpointCorrupt — recovering from a half-understood snapshot
+// would silently fork the trajectory. A reader may stop before End (a
+// store-only reader never touches the models); Close when done.
+func OpenCheckpointFile(path string, meta any) (*CheckpointReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -139,15 +198,77 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 		}
 		return nil, fmt.Errorf("checkpoint read: %w", err)
 	}
-	defer f.Close()
-	var ck Checkpoint
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("checkpoint decode: %w", err)
+	cr, err := NewCheckpointReader(bufio.NewReaderSize(f, checkpointBuffer), meta)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+	cr.f = f
+	return cr, nil
+}
+
+// NewCheckpointReader is OpenCheckpointFile over an already open stream.
+func NewCheckpointReader(r io.Reader, meta any) (*CheckpointReader, error) {
+	var magic [len(checkpointMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != checkpointMagic {
+		return nil, ErrCheckpointFormat
 	}
-	return &ck, nil
+	cr := &CheckpointReader{rr: wal.NewRecordReader(r)}
+	blob, err := cr.Blob(SectionMeta)
+	if err != nil {
+		return nil, err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(meta); err != nil {
+		return nil, CorruptCheckpoint(SectionMeta, err)
+	}
+	return cr, nil
+}
+
+// CorruptCheckpoint wraps a section's decode failure as
+// ErrCheckpointCorrupt, keeping the cause matchable.
+func CorruptCheckpoint(section string, err error) error {
+	return fmt.Errorf("%w: section %s: %w", ErrCheckpointCorrupt, section, err)
+}
+
+// Section reads the record that opens the named section — the next one of
+// the fixed layout — and returns the stream its body is read from: hand it
+// to tsdb.Restore or LoadManager and wrap their error with
+// CorruptCheckpoint. A file that stops or holds anything else is corrupt.
+func (cr *CheckpointReader) Section(name string) (io.Reader, error) {
+	rec, err := cr.rr.Next()
+	if err == nil && string(rec) != sectionMark+name {
+		err = fmt.Errorf("record %q where the section was due", rec[:min(len(rec), 32)])
+	}
+	if err != nil {
+		return nil, CorruptCheckpoint(name, err)
+	}
+	return cr.rr, nil
+}
+
+// Blob reads the named section when its body is one opaque value.
+func (cr *CheckpointReader) Blob(name string) ([]byte, error) {
+	if _, err := cr.Section(name); err != nil {
+		return nil, err
+	}
+	p, err := cr.rr.ReadBlob()
+	if err != nil {
+		return nil, CorruptCheckpoint(name, err)
+	}
+	return p, nil
+}
+
+// End reads the end section, which closes every checkpoint file.
+func (cr *CheckpointReader) End() error {
+	_, err := cr.Section(sectionEnd)
+	return err
+}
+
+// Close releases the underlying file, if any.
+func (cr *CheckpointReader) Close() error {
+	if cr.f == nil {
+		return nil
+	}
+	return cr.f.Close()
 }
 
 // Cadence decides when the next automatic checkpoint is due: after

@@ -13,9 +13,26 @@ import (
 	"mcorr/internal/timeseries"
 )
 
+// writeTestCheckpoint writes meta plus, when mgr is non-nil, a store-less
+// file with a diagnose blob and the manager section.
+func writeTestCheckpoint(t *testing.T, path string, meta CheckpointMeta, mgr *Manager) {
+	t.Helper()
+	err := WriteCheckpointFile(path, &meta, func(cw *CheckpointWriter) error {
+		if mgr == nil {
+			return nil
+		}
+		if err := cw.Blob(SectionDiagnose, []byte("engine-blob")); err != nil {
+			return err
+		}
+		return cw.Stream(SectionManager, mgr.Save)
+	})
+	if err != nil {
+		t.Fatalf("WriteCheckpointFile: %v", err)
+	}
+}
+
 func TestCheckpointFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "checkpoint")
+	path := filepath.Join(t.TempDir(), "checkpoint")
 
 	mgr, ds, _ := trainedManager(t, Config{}, 2)
 	defer mgr.Close()
@@ -23,37 +40,40 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if _, err := mgr.Run(ds.Slice(trainEnd, trainEnd.Add(2*time.Hour)), trainEnd, trainEnd.Add(2*time.Hour)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := mgr.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
 	cursor := time.Date(2008, time.June, 1, 12, 0, 0, 0, time.UTC)
-	ck := &Checkpoint{
-		Cursor:  cursor,
-		WALSeq:  42,
-		Steps:   mgr.Steps(),
-		Manager: buf.Bytes(),
-		Store:   []byte("store-blob"),
-	}
-	if err := WriteCheckpointFile(path, ck); err != nil {
-		t.Fatalf("WriteCheckpointFile: %v", err)
-	}
+	writeTestCheckpoint(t, path, CheckpointMeta{Cursor: cursor, WALSeq: 42, Steps: mgr.Steps()}, mgr)
 
-	got, err := ReadCheckpointFile(path)
+	var got CheckpointMeta
+	cr, err := OpenCheckpointFile(path, &got)
 	if err != nil {
-		t.Fatalf("ReadCheckpointFile: %v", err)
+		t.Fatalf("OpenCheckpointFile: %v", err)
 	}
-	if got.Version != CheckpointVersion || got.WALSeq != 42 || !got.Cursor.Equal(cursor) {
-		t.Fatalf("checkpoint = %+v", got)
+	defer cr.Close()
+	if got.WALSeq != 42 || !got.Cursor.Equal(cursor) || got.Steps != mgr.Steps() {
+		t.Fatalf("meta = %+v", got)
 	}
-	if string(got.Store) != "store-blob" {
-		t.Fatalf("store blob = %q", got.Store)
+	if _, err := cr.Section(SectionManager); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("asking for the manager section where diagnose is due: %v, want ErrCheckpointCorrupt", err)
 	}
-	restored, err := LoadManager(bytes.NewReader(got.Manager), nil)
+	if cr, err = OpenCheckpointFile(path, &got); err != nil {
+		t.Fatalf("OpenCheckpointFile: %v", err)
+	}
+	defer cr.Close()
+	if blob, err := cr.Blob(SectionDiagnose); err != nil || string(blob) != "engine-blob" {
+		t.Fatalf("diagnose blob = %q, %v", blob, err)
+	}
+	body, err := cr.Section(SectionManager)
+	if err != nil {
+		t.Fatalf("manager section: %v", err)
+	}
+	restored, err := LoadManager(body, nil)
 	if err != nil {
 		t.Fatalf("LoadManager from checkpoint: %v", err)
 	}
 	defer restored.Close()
+	if err := cr.End(); err != nil {
+		t.Fatalf("after the manager section: %v, want the end section", err)
+	}
 	if restored.Steps() != mgr.Steps() {
 		t.Fatalf("restored steps = %d, want %d", restored.Steps(), mgr.Steps())
 	}
@@ -63,36 +83,39 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadCheckpointFileMissing(t *testing.T) {
-	_, err := ReadCheckpointFile(filepath.Join(t.TempDir(), "nope"))
+func TestOpenCheckpointFileMissing(t *testing.T) {
+	_, err := OpenCheckpointFile(filepath.Join(t.TempDir(), "nope"), &CheckpointMeta{})
 	if !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("missing file = %v, want ErrNoCheckpoint", err)
 	}
 }
 
-func TestReadCheckpointFileVersionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint")
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Checkpoint{Version: CheckpointVersion + 99}); err != nil {
+// A checkpoint from before the record format (one gob value, no magic) is
+// refused outright, as is anything else that does not open with the magic.
+func TestOpenCheckpointFileRefusesOtherFormats(t *testing.T) {
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(struct {
+		Version int
+		Manager []byte
+	}{1, []byte("models")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpointFile(path); err == nil {
-		t.Fatal("future version: want error")
+	for name, data := range map[string][]byte{"legacy gob": legacy.Bytes(), "text": []byte("not a checkpoint"), "empty": nil} {
+		path := filepath.Join(t.TempDir(), "checkpoint")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenCheckpointFile(path, &CheckpointMeta{}); !errors.Is(err, ErrCheckpointFormat) {
+			t.Errorf("%s: %v, want ErrCheckpointFormat", name, err)
+		}
 	}
 }
 
 func TestWriteCheckpointFileIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint")
-	if err := WriteCheckpointFile(path, &Checkpoint{WALSeq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCheckpointFile(path, &Checkpoint{WALSeq: 2}); err != nil {
-		t.Fatal(err)
-	}
+	writeTestCheckpoint(t, path, CheckpointMeta{WALSeq: 1}, nil)
+	writeTestCheckpoint(t, path, CheckpointMeta{WALSeq: 2}, nil)
 	// No temp litter survives a successful write.
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
@@ -102,20 +125,46 @@ func TestWriteCheckpointFileIsAtomic(t *testing.T) {
 		}
 		t.Fatalf("directory has %v, want just the checkpoint", names)
 	}
-	got, err := ReadCheckpointFile(path)
+	var got CheckpointMeta
+	cr, err := OpenCheckpointFile(path, &got)
 	if err != nil || got.WALSeq != 2 {
 		t.Fatalf("read = %+v, %v; want WALSeq 2", got, err)
 	}
+	cr.Close()
 }
 
-func TestReadCheckpointFileCorrupt(t *testing.T) {
+// Damage behind the magic is ErrCheckpointCorrupt wherever it sits: in the
+// meta section (refused at open) or in a later record (refused when read).
+func TestCheckpointFileCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "checkpoint")
-	if err := os.WriteFile(path, []byte("not a gob"), 0o644); err != nil {
+	writeTestCheckpoint(t, path, CheckpointMeta{WALSeq: 7}, nil)
+	whole, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpointFile(path); err == nil || errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("corrupt file = %v, want a hard decode error", err)
+	for name, data := range map[string][]byte{
+		"flipped meta byte": flipByte(whole, len(checkpointMagic)+40),
+		"truncated meta":    whole[:len(checkpointMagic)+20],
+		"no end section":    whole[:len(whole)-16-len(sectionMark+sectionEnd)],
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cr, err := OpenCheckpointFile(path, &CheckpointMeta{})
+		if err == nil {
+			err = cr.End()
+			cr.Close()
+		}
+		if !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: %v, want ErrCheckpointCorrupt", name, err)
+		}
 	}
+}
+
+func flipByte(b []byte, at int) []byte {
+	out := bytes.Clone(b)
+	out[at] ^= 0xff
+	return out
 }
 
 func TestCadence(t *testing.T) {

@@ -27,10 +27,18 @@
 //
 // # Persistence
 //
-// Save/LoadManager round-trip the full fleet (models + accumulators) as
-// versioned gob; Aggregator.Save/LoadAggregator do the same for a
-// standalone aggregator. Checkpoint and WriteCheckpointFile/
-// ReadCheckpointFile define the crash-atomic on-disk checkpoint format
-// shared by the durable pipeline, including the sharded layout's epoch
-// fields; Cadence decides when automatic checkpoints are due.
+// Save/LoadManager stream the full fleet as one record stream (see
+// wal.RecordWriter): a small gob header — config, ids, the pair list in
+// canonical order, accumulators — then one core.Model record group per
+// pair, each encoded or decoded straight to or from the caller's writer
+// or reader, so the fleet is never held a second time and two saves of
+// one state are byte-identical. Aggregator.Save/LoadAggregator gob a
+// standalone aggregator (small). WriteCheckpointFile and
+// OpenCheckpointFile define the crash-atomic checkpoint file shared by
+// the durable pipeline and the shardnet workers — a magic, then
+// CRC-framed numbered records grouped into sections (meta, store,
+// diagnose, discover, coord, manager, end) — with CheckpointMeta carrying
+// the cursor, the WAL mark and the sharded layout's epoch fields;
+// ErrCheckpointFormat and ErrCheckpointCorrupt are its typed failures.
+// Cadence decides when automatic checkpoints are due.
 package manager

@@ -29,6 +29,10 @@ var (
 	obsCheckpointSeconds = obs.Default().Histogram("mcorr_checkpoint_seconds",
 		"Latency of writing one durable checkpoint (snapshot encode + fsync + rename).",
 		obs.TimeBuckets())
+	obsCheckpointBytes = obs.Default().Gauge("mcorr_checkpoint_bytes",
+		"Size of the last checkpoint file committed (in sharded mode the root file, written last).")
+	obsCheckpointModels = obs.Default().Counter("mcorr_checkpoint_models_total",
+		"Pair models streamed out by Manager.Save: checkpoints, shard state transfers and -save-models.")
 	obsCheckpoints = obs.Default().Counter("mcorr_checkpoints_written_total",
 		"Checkpoints durably written.")
 	obsCheckpointEpoch = obs.Default().Gauge("mcorr_checkpoint_epoch",

@@ -10,17 +10,19 @@ import (
 	"mcorr/internal/core"
 	"mcorr/internal/mathx"
 	"mcorr/internal/timeseries"
+	"mcorr/internal/wal"
 )
 
-// managerSnapshot is the gob wire form of a Manager. The alarm sink is a
-// live object and is not serialized; LoadManager re-attaches one. Running
-// accumulators are persisted so localization state survives a restart.
-type managerSnapshot struct {
+// managerHeader is the small gob head of a saved Manager: configuration,
+// measurement universe, the pair list in canonical order and the running
+// accumulators (so localization state survives a restart). One model
+// record group per pair follows it, in Pairs order. The alarm sink is a
+// live object and is not serialized; LoadManager re-attaches one.
+type managerHeader struct {
 	Version int
 	Config  persistedConfig
 	IDs     []timeseries.MeasurementID
 	Pairs   []Pair
-	Models  [][]byte
 	Acc     []accEntry
 	SysAcc  [3]float64 // n, mean, m2
 	Steps   int
@@ -40,51 +42,77 @@ type persistedConfig struct {
 	FullRescore          bool
 }
 
+func persistConfig(c Config) persistedConfig {
+	return persistedConfig{
+		Model:                c.Model,
+		Workers:              c.Workers,
+		MeasurementThreshold: c.MeasurementThreshold,
+		SystemThreshold:      c.SystemThreshold,
+		ProbDelta:            c.ProbDelta,
+		KeepPairScores:       c.KeepPairScores,
+		TrackPairMeans:       c.TrackPairMeans,
+		FullRescore:          c.FullRescore,
+	}
+}
+
+func (p persistedConfig) config(sink alarm.Sink) Config {
+	return Config{
+		Model:                p.Model,
+		Workers:              p.Workers,
+		MeasurementThreshold: p.MeasurementThreshold,
+		SystemThreshold:      p.SystemThreshold,
+		ProbDelta:            p.ProbDelta,
+		KeepPairScores:       p.KeepPairScores,
+		TrackPairMeans:       p.TrackPairMeans,
+		FullRescore:          p.FullRescore,
+		Sink:                 sink,
+	}
+}
+
 type accEntry struct {
 	ID    timeseries.MeasurementID
 	State [3]float64 // n, mean, m2
 }
 
-const managerSnapshotVersion = 1
+// managerFormat versions the saved-manager stream. Version 2 is the first
+// record format; version 1 was one gob value and is no longer readable.
+const managerFormat = 2
 
-// Save serializes the manager and all its trained pair models.
+// maxWorkers bounds the worker count a saved manager may ask for.
+const maxWorkers = 1 << 12
+
+// Save streams the manager to w as records (see wal.RecordWriter; a
+// *wal.RecordWriter continues its caller's stream): the header, then every
+// trained pair model in canonical pair order, each encoded under its own
+// lock straight into w — the fleet is never copied, and two saves of one
+// state are byte-identical. Wrap a file or socket in a bufio.Writer.
 func (m *Manager) Save(w io.Writer) error {
+	rw := wal.NewRecordWriter(w)
 	m.mu.Lock()
-	snap := managerSnapshot{
-		Version: managerSnapshotVersion,
-		Config: persistedConfig{
-			Model:                m.cfg.Model,
-			Workers:              m.cfg.Workers,
-			MeasurementThreshold: m.cfg.MeasurementThreshold,
-			SystemThreshold:      m.cfg.SystemThreshold,
-			ProbDelta:            m.cfg.ProbDelta,
-			KeepPairScores:       m.cfg.KeepPairScores,
-			TrackPairMeans:       m.cfg.TrackPairMeans,
-			FullRescore:          m.cfg.FullRescore,
-		},
-		IDs: append([]timeseries.MeasurementID(nil), m.ids...),
+	hdr := managerHeader{
+		Version: managerFormat,
+		Config:  persistConfig(m.cfg),
+		IDs:     m.ids,
+		Pairs:   m.pairs,
 	}
-	models := make(map[Pair]*core.Model, len(m.models))
-	for p, model := range m.models {
-		models[p] = model
-	}
+	models := m.modelAt
 	agg := m.agg
 	m.mu.Unlock()
-	snap.Acc, snap.SysAcc, snap.Steps = agg.state()
+	hdr.Acc, hdr.SysAcc, hdr.Steps = agg.state()
 
-	// Serialize models outside the manager lock (each model locks
-	// itself).
-	for p, model := range models {
-		var buf bytes.Buffer
-		if err := model.Save(&buf); err != nil {
-			return fmt.Errorf("manager save %s: %w", p, err)
-		}
-		snap.Pairs = append(snap.Pairs, p)
-		snap.Models = append(snap.Models, buf.Bytes())
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
+	var buf bytes.Buffer // the header only
+	if err := gob.NewEncoder(&buf).Encode(&hdr); err != nil {
 		return fmt.Errorf("manager save: %w", err)
 	}
+	if err := rw.WriteBlob(buf.Bytes()); err != nil {
+		return fmt.Errorf("manager save: %w", err)
+	}
+	for i, model := range models {
+		if err := model.Save(rw); err != nil {
+			return fmt.Errorf("manager save %s: %w", hdr.Pairs[i], err)
+		}
+	}
+	obsCheckpointModels.Add(uint64(len(models)))
 	return nil
 }
 
@@ -99,47 +127,46 @@ func restoreAccumulators(entries []accEntry) map[timeseries.MeasurementID]*mathx
 	return out
 }
 
-// LoadManager restores a manager saved by Save, attaching the given alarm
-// sink (nil discards alarms).
+// LoadManager restores a manager saved by Save, reading exactly its
+// records from r and decoding one model at a time, and attaches the given
+// alarm sink (nil discards alarms). Decode failures wrap wal.ErrCorrupt.
 func LoadManager(r io.Reader, sink alarm.Sink) (*Manager, error) {
-	var snap managerSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	rr := wal.NewRecordReader(r)
+	blob, err := rr.ReadBlob()
+	if err != nil {
 		return nil, fmt.Errorf("manager load: %w", err)
 	}
-	if snap.Version != managerSnapshotVersion {
-		return nil, fmt.Errorf("manager load: snapshot version %d, want %d", snap.Version, managerSnapshotVersion)
+	var hdr managerHeader
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&hdr); err != nil {
+		return nil, fmt.Errorf("manager load: header: %v: %w", err, wal.ErrCorrupt)
 	}
-	if len(snap.Pairs) != len(snap.Models) {
-		return nil, fmt.Errorf("manager load: %d pairs but %d models", len(snap.Pairs), len(snap.Models))
+	if hdr.Version != managerFormat {
+		return nil, fmt.Errorf("manager load: stream format %d, want %d: %w", hdr.Version, managerFormat, wal.ErrCorrupt)
 	}
-	cfg := Config{
-		Model:                snap.Config.Model,
-		Workers:              snap.Config.Workers,
-		MeasurementThreshold: snap.Config.MeasurementThreshold,
-		SystemThreshold:      snap.Config.SystemThreshold,
-		ProbDelta:            snap.Config.ProbDelta,
-		KeepPairScores:       snap.Config.KeepPairScores,
-		TrackPairMeans:       snap.Config.TrackPairMeans,
-		FullRescore:          snap.Config.FullRescore,
-		Sink:                 sink,
-	}.withDefaults()
+	if hdr.Config.Workers > maxWorkers {
+		// The pool is spawned from this number; it must not be a stream's to inflate.
+		return nil, fmt.Errorf("manager load: %d workers: %w", hdr.Config.Workers, wal.ErrCorrupt)
+	}
 	m := &Manager{
-		cfg:    cfg,
-		ids:    snap.IDs,
-		models: make(map[Pair]*core.Model, len(snap.Pairs)),
+		cfg:    hdr.Config.config(sink).withDefaults(),
+		ids:    hdr.IDs,
+		models: make(map[Pair]*core.Model, len(hdr.Pairs)),
 	}
-	for i, p := range snap.Pairs {
-		model, err := core.LoadModel(bytes.NewReader(snap.Models[i]))
+	for _, p := range hdr.Pairs {
+		model, err := core.LoadModel(rr)
 		if err != nil {
 			return nil, fmt.Errorf("manager load %s: %w", p, err)
 		}
 		m.models[p] = model
 	}
+	if len(m.models) != len(hdr.Pairs) {
+		return nil, fmt.Errorf("manager load: %d pairs name %d models: %w", len(hdr.Pairs), len(m.models), wal.ErrCorrupt)
+	}
 	// Rebuild the derived step-path state (sorted pairs, scratch buffers,
 	// a fresh aggregator) and start a fresh worker pool, then install the
 	// persisted accumulator state into the aggregator.
 	m.initRuntime()
-	m.agg.restore(snap.Acc, snap.SysAcc, snap.Steps)
+	m.agg.restore(hdr.Acc, hdr.SysAcc, hdr.Steps)
 	return m, nil
 }
 
@@ -162,20 +189,10 @@ type aggSnapshot struct {
 // Manager persistence.
 func (g *Aggregator) Save(w io.Writer) error {
 	g.mu.Lock()
-	cfg := g.cfg
 	snap := aggSnapshot{
-		Version: managerSnapshotVersion,
-		Config: persistedConfig{
-			Model:                cfg.Model,
-			Workers:              cfg.Workers,
-			MeasurementThreshold: cfg.MeasurementThreshold,
-			SystemThreshold:      cfg.SystemThreshold,
-			ProbDelta:            cfg.ProbDelta,
-			KeepPairScores:       cfg.KeepPairScores,
-			TrackPairMeans:       cfg.TrackPairMeans,
-			FullRescore:          cfg.FullRescore,
-		},
-		IDs: append([]timeseries.MeasurementID(nil), g.ids...),
+		Version: managerFormat,
+		Config:  persistConfig(g.cfg),
+		IDs:     append([]timeseries.MeasurementID(nil), g.ids...),
 	}
 	g.mu.Unlock()
 	snap.Acc, snap.SysAcc, snap.Steps = g.state()
@@ -192,21 +209,10 @@ func LoadAggregator(r io.Reader, sink alarm.Sink) (*Aggregator, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("aggregator load: %w", err)
 	}
-	if snap.Version != managerSnapshotVersion {
-		return nil, fmt.Errorf("aggregator load: snapshot version %d, want %d", snap.Version, managerSnapshotVersion)
+	if snap.Version != managerFormat {
+		return nil, fmt.Errorf("aggregator load: snapshot version %d, want %d", snap.Version, managerFormat)
 	}
-	cfg := Config{
-		Model:                snap.Config.Model,
-		Workers:              snap.Config.Workers,
-		MeasurementThreshold: snap.Config.MeasurementThreshold,
-		SystemThreshold:      snap.Config.SystemThreshold,
-		ProbDelta:            snap.Config.ProbDelta,
-		KeepPairScores:       snap.Config.KeepPairScores,
-		TrackPairMeans:       snap.Config.TrackPairMeans,
-		FullRescore:          snap.Config.FullRescore,
-		Sink:                 sink,
-	}
-	g := NewAggregator(snap.IDs, cfg)
+	g := NewAggregator(snap.IDs, snap.Config.config(sink))
 	g.restore(snap.Acc, snap.SysAcc, snap.Steps)
 	return g, nil
 }

@@ -2,12 +2,15 @@ package manager
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
 	"mcorr/internal/alarm"
+	"mcorr/internal/core"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
+	"mcorr/internal/wal"
 )
 
 // smallManager trains a manager over a 10-measurement subset (45 pair
@@ -105,5 +108,62 @@ func TestManagerLoadAttachesSink(t *testing.T) {
 func TestLoadManagerRejectsGarbage(t *testing.T) {
 	if _, err := LoadManager(bytes.NewBufferString("nope"), nil); err == nil {
 		t.Error("garbage: want error")
+	}
+}
+
+// Two saves of one state are byte-identical (pairs and accumulators go
+// out sorted, not in map order), a saved stream reloads to a manager that
+// saves the same bytes again, and a reader is left exactly at the end of
+// the manager's records.
+func TestManagerSaveIsDeterministic(t *testing.T) {
+	mgr, ds := smallManager(t, Config{Model: core.Config{Adaptive: true}})
+	defer mgr.Close()
+	from := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	if _, err := mgr.Run(ds, from, from.Add(40*timeseries.SampleStep)); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	save := func(m *Manager) []byte {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		return buf.Bytes()
+	}
+	first := save(mgr)
+	if second := save(mgr); !bytes.Equal(first, second) {
+		t.Fatal("two saves of one state differ")
+	}
+	r := bytes.NewReader(append(bytes.Clone(first), "next section"...))
+	restored, err := LoadManager(r, nil)
+	if err != nil {
+		t.Fatalf("LoadManager: %v", err)
+	}
+	defer restored.Close()
+	if r.Len() != len("next section") {
+		t.Fatalf("LoadManager left %d bytes unread, want exactly the %d that follow the manager", r.Len(), len("next section"))
+	}
+	if again := save(restored); !bytes.Equal(first, again) {
+		t.Fatal("save → load → save changed the bytes")
+	}
+}
+
+// Damage anywhere in a saved manager is an error wrapping wal.ErrCorrupt,
+// never a manager with fewer pairs.
+func TestLoadManagerRejectsDamage(t *testing.T) {
+	mgr, _ := smallManager(t, Config{})
+	defer mgr.Close()
+	var buf bytes.Buffer
+	if err := mgr.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	whole := buf.Bytes()
+	for name, data := range map[string][]byte{
+		"flipped model byte": flipByte(whole, len(whole)/2),
+		"truncated":          whole[:len(whole)-1000],
+		"last model missing": whole[:len(whole)/2],
+	} {
+		if m, err := LoadManager(bytes.NewReader(data), nil); !errors.Is(err, wal.ErrCorrupt) {
+			t.Errorf("%s: manager %v, error %v; want wal.ErrCorrupt", name, m != nil, err)
+		}
 	}
 }

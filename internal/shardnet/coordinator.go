@@ -7,16 +7,19 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
 	"time"
 
 	"mcorr/internal/collector"
+	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
 	"mcorr/internal/shard"
 	"mcorr/internal/timeseries"
+	"mcorr/internal/wal"
 )
 
 // Tunables for the coordinator's control plane.
@@ -92,7 +95,7 @@ type Coordinator struct {
 	localIdx    [][]int
 	conns       []*workerConn
 	lastDial    []time.Time
-	baseState   [][]byte
+	baseState   []*manager.Manager // trained shards awaiting hand-off; nil once streaming began
 	pendInstall map[manager.Pair]pendingModel
 	latGauges   []*obs.Gauge
 	ring        ringState
@@ -111,7 +114,7 @@ type Coordinator struct {
 // retained until its recipient confirms a checkpoint that contains it.
 type pendingModel struct {
 	owner int
-	blob  []byte
+	model *core.Model
 }
 
 // collectState tracks the in-flight row's outcome assembly.
@@ -194,23 +197,10 @@ func (wc *workerConn) awaitDone(timeout time.Duration) error {
 	return nil
 }
 
-// awaitBlob assembles a chunked reply of the wanted type.
-func (wc *workerConn) awaitBlob(want collector.MsgType, timeout time.Duration) ([]byte, error) {
-	var acc bytes.Buffer
-	for {
-		f, err := wc.await(want, timeout)
-		if err != nil {
-			return nil, err
-		}
-		last, err := appendBlobChunk(&acc, f.Payload)
-		if err != nil {
-			wc.markDead(err)
-			return nil, err
-		}
-		if last {
-			return acc.Bytes(), nil
-		}
-	}
+// stream returns the reader over a chunked reply of the wanted type, so
+// the reply is decoded while its chunks arrive.
+func (wc *workerConn) stream(want collector.MsgType, timeout time.Duration) *chunkReader {
+	return &chunkReader{next: func() (collector.Frame, error) { return wc.await(want, timeout) }}
 }
 
 // New trains the pair graph, partitions it across the configured workers
@@ -233,8 +223,8 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	}
 
 	// Train every shard's subset locally — the same keepFor partition the
-	// in-process fabric uses — then serialize and release the local
-	// copies; from here on the workers own the live models.
+	// in-process fabric uses — then stream each to its worker and release
+	// the local copies; from then on the workers own the live models.
 	mgrs := make([]*manager.Manager, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -276,7 +266,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		owner:       make(map[manager.Pair]int),
 		conns:       make([]*workerConn, n),
 		lastDial:    make([]time.Time, n),
-		baseState:   make([][]byte, n),
+		baseState:   mgrs,
 		pendInstall: make(map[manager.Pair]pendingModel),
 		notify:      make(chan struct{}, 1),
 		applied:     make([]uint64, n),
@@ -288,12 +278,6 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		for _, p := range m.Pairs() {
 			c.owner[p] = k
 		}
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			return nil, fmt.Errorf("shardnet: serialize shard %d: %w", k, err)
-		}
-		c.baseState[k] = buf.Bytes()
-		m.Close()
 	}
 	for k := range c.latGauges {
 		c.latGauges[k] = obsShardLatency.With(strconv.Itoa(k))
@@ -302,6 +286,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 
 	srv, err := collector.NewServerWithLogger(&outcomeSink{c: c}, cfg.Logger)
 	if err != nil {
+		c.Close()
 		return nil, err
 	}
 	srv.SetFlow(collector.FlowConfig{})
@@ -311,6 +296,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	}
 	addr, err := srv.Listen(listen)
 	if err != nil {
+		c.Close()
 		return nil, fmt.Errorf("shardnet: outcome listener: %w", err)
 	}
 	c.srv = srv
@@ -330,11 +316,20 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 			time.Sleep(redialInterval)
 		}
 	}
-	// Every worker holds an epoch-zero checkpoint now; the trained blobs
+	// Every worker holds an epoch-zero checkpoint now; the trained copies
 	// are no longer needed.
-	c.baseState = nil
+	c.releaseBase()
 	obsWorkerCount.Set(float64(n))
 	return c, nil
+}
+
+// releaseBase drops the locally trained shard managers (and their worker
+// pools). Callers hold c.mu or are constructing the coordinator.
+func (c *Coordinator) releaseBase() {
+	for _, m := range c.baseState {
+		m.Close()
+	}
+	c.baseState = nil
 }
 
 // advertiseAddr resolves the outcome address announced to workers: an
@@ -437,10 +432,10 @@ func (c *Coordinator) connectLocked(k int) error {
 		return err
 	}
 	if !ready.HaveState {
-		if c.baseState == nil || c.baseState[k] == nil {
+		if c.baseState == nil {
 			return fail(fmt.Errorf("shardnet: shard %d lost all state after streaming began", k))
 		}
-		if err := writeBlob(conn, MsgShardState, c.baseState[k]); err != nil {
+		if err := sendStream(conn, MsgShardState, c.baseState[k].Save); err != nil {
 			return fail(err)
 		}
 		if ready, err = c.awaitReady(wc); err != nil {
@@ -464,15 +459,12 @@ func (c *Coordinator) connectLocked(k int) error {
 		}
 	}
 	if len(missing) > 0 {
-		models := make([]pairModel, 0, len(missing))
 		for _, p := range missing {
-			pend, ok := c.pendInstall[p]
-			if !ok || pend.owner != k {
+			if pend, ok := c.pendInstall[p]; !ok || pend.owner != k {
 				return fail(fmt.Errorf("shardnet: shard %d is missing pair %s with no migration copy", k, p))
 			}
-			models = append(models, pairModel{Pair: p, Blob: pend.blob})
 		}
-		if err := sendInstall(conn, installMsg{PlanVersion: c.planVersion, Models: models}); err != nil {
+		if err := c.sendInstall(conn, installMsg{PlanVersion: c.planVersion, Pairs: missing}); err != nil {
 			return fail(err)
 		}
 		if err := wc.awaitDone(handshakeTimeout); err != nil {
@@ -554,13 +546,25 @@ func (c *Coordinator) wake() {
 	}
 }
 
-// sendInstall ships a chunked install command.
-func sendInstall(conn net.Conn, m installMsg) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+// sendInstall streams an install command: the header, then the migration
+// copy of every pair it names. Callers hold c.mu.
+func (c *Coordinator) sendInstall(conn net.Conn, m installMsg) error {
+	var hdr bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(&m); err != nil {
 		return err
 	}
-	return writeBlob(conn, MsgShardInstall, buf.Bytes())
+	return sendStream(conn, MsgShardInstall, func(cw io.Writer) error {
+		rw := wal.NewRecordWriter(cw)
+		if err := rw.WriteBlob(hdr.Bytes()); err != nil {
+			return err
+		}
+		for _, p := range m.Pairs {
+			if err := c.pendInstall[p].model.Save(rw); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // diffPairs splits have into (extras not in want, missing from have).

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"time"
@@ -36,8 +37,8 @@ const (
 	// transfer: gob readyMsg reporting the worker's recovered state.
 	MsgShardReady collector.MsgType = 17
 	// MsgShardState (coordinator → worker) carries one chunk of a trained
-	// manager blob (manager.Save bytes); the first payload byte flags the
-	// last chunk.
+	// manager's record stream (manager.Save), decoded as it arrives; the
+	// first payload byte flags the last chunk.
 	MsgShardState collector.MsgType = 18
 	// MsgShardRow (coordinator → worker) is one synchronized row in the
 	// compact binary layout of appendRowFrame.
@@ -46,16 +47,18 @@ const (
 	// it no longer owns (gob pruneMsg); the worker checkpoints and
 	// answers MsgShardDone.
 	MsgShardPrune collector.MsgType = 20
-	// MsgShardExtract (coordinator → worker) asks for serialized models of
-	// the named pairs (gob extractMsg) without removing them; the worker
+	// MsgShardExtract (coordinator → worker) asks for the models of the
+	// named pairs (gob extractMsg) without removing them; the worker
 	// answers with MsgShardModels chunks.
 	MsgShardExtract collector.MsgType = 21
-	// MsgShardModels (worker → coordinator) carries chunked gob modelSet
-	// bytes answering an extract.
+	// MsgShardModels (worker → coordinator) carries the chunked record
+	// stream answering an extract: one model (core.Model.Save) per
+	// requested pair, in request order.
 	MsgShardModels collector.MsgType = 22
-	// MsgShardInstall (coordinator → worker) carries chunked gob
-	// installMsg bytes: models migrating onto this worker. The worker
-	// installs, checkpoints and answers MsgShardDone.
+	// MsgShardInstall (coordinator → worker) carries a chunked record
+	// stream: a gob installMsg blob, then one model per named pair —
+	// models migrating onto this worker. The worker installs, checkpoints
+	// and answers MsgShardDone.
 	MsgShardInstall collector.MsgType = 23
 	// MsgShardPlan (coordinator → worker) announces a new plan version
 	// after a rebalance (gob planMsg); the worker adopts it for subsequent
@@ -121,19 +124,10 @@ type extractMsg struct {
 	Pairs []manager.Pair
 }
 
-// pairModel is one serialized model in flight between workers.
-type pairModel struct {
-	Pair manager.Pair
-	Blob []byte
-}
-
-type modelSet struct {
-	Models []pairModel
-}
-
+// installMsg heads an install stream; one model per pair follows it.
 type installMsg struct {
 	PlanVersion uint64
-	Models      []pairModel
+	Pairs       []manager.Pair
 }
 
 type planMsg struct {
@@ -161,38 +155,104 @@ func decodeGob(payload []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
-// writeBlob streams data as MsgShardState/MsgShardModels/MsgShardInstall
-// chunks: each frame's first payload byte flags the final chunk.
-func writeBlob(conn net.Conn, msgType collector.MsgType, data []byte) error {
-	for {
-		n := len(data)
-		last := byte(0)
-		if n <= blobChunk {
-			last = 1
-		} else {
-			n = blobChunk
-		}
-		chunk := make([]byte, 1+n)
-		chunk[0] = last
-		copy(chunk[1:], data[:n])
-		if err := collector.WriteFrame(conn, collector.Frame{Type: msgType, Payload: chunk}); err != nil {
-			return err
-		}
-		data = data[n:]
-		if last == 1 {
-			return nil
-		}
-	}
+// chunkWriter streams bytes as MsgShardState/MsgShardModels/
+// MsgShardInstall frames of at most blobChunk bytes: each frame's first
+// payload byte flags the final chunk, which sendStream sends last. One
+// frame buffer is reused for the whole transfer, and it is the only copy
+// of the stream the sender ever holds.
+type chunkWriter struct {
+	conn    io.Writer
+	msgType collector.MsgType
+	buf     []byte // flag byte + pending chunk
 }
 
-// appendBlobChunk accumulates one received chunk; it reports whether the
-// chunk was the blob's last.
-func appendBlobChunk(acc *bytes.Buffer, payload []byte) (last bool, err error) {
-	if len(payload) < 1 {
-		return false, fmt.Errorf("shardnet: empty blob chunk")
+func (cw *chunkWriter) Write(p []byte) (int, error) {
+	for off := 0; off < len(p); {
+		n := copy(cw.buf[len(cw.buf):cap(cw.buf)], p[off:])
+		cw.buf = cw.buf[:len(cw.buf)+n]
+		off += n
+		if len(cw.buf) == cap(cw.buf) {
+			if err := cw.flush(0); err != nil {
+				return off, err
+			}
+		}
 	}
-	acc.Write(payload[1:])
-	return payload[0] == 1, nil
+	return len(p), nil
+}
+
+func (cw *chunkWriter) flush(last byte) error {
+	cw.buf[0] = last
+	err := collector.WriteFrame(cw.conn, collector.Frame{Type: cw.msgType, Payload: cw.buf})
+	cw.buf = cw.buf[:1]
+	return err
+}
+
+// sendStream runs one chunked transfer: whatever save writes, then the
+// final chunk.
+func sendStream(conn io.Writer, msgType collector.MsgType, save func(io.Writer) error) error {
+	cw := &chunkWriter{conn: conn, msgType: msgType, buf: make([]byte, 1, 1+blobChunk)}
+	if err := save(cw); err != nil {
+		return err
+	}
+	return cw.flush(1)
+}
+
+// chunkReader is the receiving end of a chunkWriter: an io.Reader over the
+// transfer's frames, so the stream is decoded while chunks arrive instead
+// of after they have been assembled. next delivers the frames in order
+// and checks their type.
+type chunkReader struct {
+	next func() (collector.Frame, error)
+	rest []byte
+	last bool
+}
+
+// push installs one received frame as the current chunk.
+func (cr *chunkReader) push(f collector.Frame) error {
+	if len(f.Payload) < 1 {
+		return fmt.Errorf("shardnet: empty stream chunk")
+	}
+	cr.last, cr.rest = f.Payload[0] == 1, f.Payload[1:]
+	return nil
+}
+
+func (cr *chunkReader) Read(p []byte) (int, error) {
+	for len(cr.rest) == 0 {
+		if cr.last {
+			return 0, io.EOF
+		}
+		f, err := cr.next()
+		if err == nil {
+			err = cr.push(f)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, cr.rest)
+	cr.rest = cr.rest[n:]
+	return n, nil
+}
+
+// finish consumes the final chunk once the stream's decoder is done; bytes
+// the decoder did not ask for are a protocol error.
+func (cr *chunkReader) finish() error {
+	n, err := io.Copy(io.Discard, cr)
+	if err == nil && n != 0 {
+		err = fmt.Errorf("shardnet: %d stray bytes after a stream", n)
+	}
+	return err
+}
+
+// frameSource reads a transfer's frames straight off a connection.
+func frameSource(conn io.Reader, msgType collector.MsgType) func() (collector.Frame, error) {
+	return func() (collector.Frame, error) {
+		f, err := collector.ReadFrame(conn)
+		if err == nil && f.Type != msgType {
+			err = fmt.Errorf("shardnet: expected type %d chunk, got %d", byte(msgType), byte(f.Type))
+		}
+		return f, err
+	}
 }
 
 // Row frame layout: u64 seq, i64 unix-nanos, u32 count, then count ×

@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"mcorr/internal/collector"
+	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
 	"mcorr/internal/timeseries"
 	"mcorr/internal/tsdb"
+	"mcorr/internal/wal"
 )
 
 // Step fans one synchronized row out to every worker, waits for all
@@ -273,26 +275,27 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 		donor.markDead(err)
 		return 0, err
 	}
-	blob, err := donor.awaitBlob(MsgShardModels, handshakeTimeout)
-	if err != nil {
-		return 0, err
+	// The donor answers with one model per pair, in request order; each is
+	// decoded as its chunks arrive and held until the recipient confirms.
+	cr := donor.stream(MsgShardModels, handshakeTimeout)
+	rr := wal.NewRecordReader(cr)
+	for i, p := range moving {
+		model, err := core.LoadModel(rr)
+		if err != nil {
+			donor.markDead(err)
+			c.clearPending(moving[:i])
+			return 0, fmt.Errorf("shardnet: extract %s from shard %d: %w", p, from, err)
+		}
+		c.pendInstall[p] = pendingModel{owner: to, model: model}
 	}
-	var set modelSet
-	if err := decodeGob(blob, &set); err != nil {
+	if err := cr.finish(); err != nil {
 		donor.markDead(err)
+		c.clearPending(moving)
 		return 0, err
 	}
-	if len(set.Models) != n {
-		err := fmt.Errorf("shardnet: extract returned %d models, want %d", len(set.Models), n)
-		donor.markDead(err)
-		return 0, err
-	}
-	for _, pm := range set.Models {
-		c.pendInstall[pm.Pair] = pendingModel{owner: to, blob: pm.Blob}
-	}
-	if err := sendInstall(recip.conn, installMsg{PlanVersion: newPV, Models: set.Models}); err != nil {
+	if err := c.sendInstall(recip.conn, installMsg{PlanVersion: newPV, Pairs: moving}); err != nil {
 		recip.markDead(err)
-		c.clearPending(set.Models)
+		c.clearPending(moving)
 		return 0, err
 	}
 	if err := recip.awaitDone(handshakeTimeout); err != nil {
@@ -308,7 +311,7 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 	}
 	c.planVersion = newPV
 	c.rebuild()
-	c.clearPending(set.Models)
+	c.clearPending(moving)
 	if err := writeGob(donor.conn, MsgShardPrune, pruneMsg{PlanVersion: newPV, Pairs: moving}); err == nil {
 		if err := donor.awaitDone(handshakeTimeout); err != nil {
 			c.log.Info("donor prune unacknowledged; handshake will reconcile", "shard", from, "err", err)
@@ -336,9 +339,9 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 
 // clearPending drops migration copies once their recipient has durably
 // confirmed them (or the migration was abandoned before install).
-func (c *Coordinator) clearPending(models []pairModel) {
-	for _, pm := range models {
-		delete(c.pendInstall, pm.Pair)
+func (c *Coordinator) clearPending(pairs []manager.Pair) {
+	for _, p := range pairs {
+		delete(c.pendInstall, p)
 	}
 }
 
@@ -518,6 +521,7 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	conns := c.conns
+	c.releaseBase()
 	c.mu.Unlock()
 	for _, wc := range conns {
 		if wc == nil {

@@ -1,8 +1,6 @@
 package shardnet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,12 +18,15 @@ import (
 	"mcorr/internal/obs"
 	"mcorr/internal/timeseries"
 	"mcorr/internal/tsdb"
+	"mcorr/internal/wal"
 )
 
-// checkpointVersion guards the worker checkpoint blob layout.
-const checkpointVersion = 1
+// checkpointVersion guards the worker checkpoint layout. Version 2 is the
+// record-format file: this struct as the meta section, then the shard's
+// models as a manager section (see manager.WriteCheckpointFile).
+const checkpointVersion = 2
 
-// workerCheckpoint is the durable state a worker persists under
+// workerCheckpoint heads the durable state a worker persists under
 // data-dir/shard-<k>/: enough to rejoin the fabric after a SIGKILL with
 // the merged trajectory unchanged. AppliedSeq only ever names rows whose
 // outcomes the coordinator has acknowledged, so recovery re-scores
@@ -36,7 +37,6 @@ type workerCheckpoint struct {
 	K, N        int
 	PlanVersion uint64
 	AppliedSeq  uint64
-	Manager     []byte
 }
 
 // WorkerConfig configures a shard worker process.
@@ -267,7 +267,7 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 			}
 			w.st = st
 			w.log.Info("recovered from checkpoint", "shard", a.K, "seq", ck.AppliedSeq)
-		} else if !errors.Is(err, os.ErrNotExist) {
+		} else if !errors.Is(err, manager.ErrNoCheckpoint) {
 			w.log.Info("checkpoint unusable", "shard", a.K, "err", err)
 		}
 	}
@@ -278,11 +278,14 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 		if err := writeGob(sess.conn, MsgShardReady, readyMsg{HaveState: false}); err != nil {
 			return nil, err
 		}
-		blob, err := w.readBlob(sess.conn, MsgShardState)
-		if err != nil {
-			return nil, err
+		// The models are decoded one at a time while their chunks arrive.
+		cr := &chunkReader{next: frameSource(sess.conn, MsgShardState)}
+		mgr, err := manager.LoadManager(cr, nil)
+		if err == nil {
+			if err = cr.finish(); err != nil {
+				mgr.Close()
+			}
 		}
-		mgr, err := manager.LoadManager(bytes.NewReader(blob), nil)
 		if err != nil {
 			return nil, fmt.Errorf("shardnet: load shard state: %w", err)
 		}
@@ -326,35 +329,37 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 
 // loadCheckpoint reads and validates the shard-k checkpoint for this run.
 func (w *Worker) loadCheckpoint(a assignMsg) (*workerCheckpoint, *manager.Manager, error) {
-	f, err := os.Open(w.checkpointPath(a.K))
+	var ck workerCheckpoint
+	cr, err := manager.OpenCheckpointFile(w.checkpointPath(a.K), &ck)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	var ck workerCheckpoint
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return nil, nil, fmt.Errorf("decode: %w", err)
-	}
+	defer cr.Close()
 	if ck.Version != checkpointVersion {
 		return nil, nil, fmt.Errorf("checkpoint version %d", ck.Version)
 	}
 	if ck.RunID != a.RunID || ck.K != a.K {
 		return nil, nil, fmt.Errorf("checkpoint is for run %q shard %d", ck.RunID, ck.K)
 	}
-	mgr, err := manager.LoadManager(bytes.NewReader(ck.Manager), nil)
+	body, err := cr.Section(manager.SectionManager)
+	if err != nil {
+		return nil, nil, err
+	}
+	mgr, err := manager.LoadManager(body, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("load manager: %w", err)
+	}
+	if err := cr.End(); err != nil {
+		mgr.Close()
+		return nil, nil, err
 	}
 	return &ck, mgr, nil
 }
 
-// checkpoint atomically persists the shard's models and applied sequence.
+// checkpoint atomically persists the shard's models and applied sequence,
+// streaming the models straight into the file.
 func (w *Worker) checkpoint(st *shardState) error {
 	if err := os.MkdirAll(w.shardDir(st.k), 0o755); err != nil {
-		return err
-	}
-	var mblob bytes.Buffer
-	if err := st.mgr.Save(&mblob); err != nil {
 		return err
 	}
 	ck := workerCheckpoint{
@@ -364,10 +369,9 @@ func (w *Worker) checkpoint(st *shardState) error {
 		N:           st.n,
 		PlanVersion: st.planVersion,
 		AppliedSeq:  st.ackedSeq,
-		Manager:     mblob.Bytes(),
 	}
-	err := manager.AtomicWrite(w.checkpointPath(st.k), func(f *os.File) error {
-		return gob.NewEncoder(f).Encode(&ck)
+	err := manager.WriteCheckpointFile(w.checkpointPath(st.k), &ck, func(cw *manager.CheckpointWriter) error {
+		return cw.Stream(manager.SectionManager, st.mgr.Save)
 	})
 	if err != nil {
 		return err
@@ -375,27 +379,6 @@ func (w *Worker) checkpoint(st *shardState) error {
 	st.rowsSinceCkpt = 0
 	obsWorkerCheckpoints.Add(1)
 	return nil
-}
-
-// readBlob collects a chunked transfer of the given frame type.
-func (w *Worker) readBlob(conn net.Conn, msgType collector.MsgType) ([]byte, error) {
-	var acc bytes.Buffer
-	for {
-		f, err := collector.ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != msgType {
-			return nil, fmt.Errorf("shardnet: expected type %d chunk, got %d", byte(msgType), byte(f.Type))
-		}
-		last, err := appendBlobChunk(&acc, f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if last {
-			return acc.Bytes(), nil
-		}
-	}
 }
 
 // dispatch handles one post-handshake control frame. Callers hold w.smu.
@@ -408,40 +391,54 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 		if err := decodeGob(f.Payload, &m); err != nil {
 			return err
 		}
-		set := modelSet{Models: make([]pairModel, 0, len(m.Pairs))}
-		for _, p := range m.Pairs {
-			model := st.mgr.Model(p.A, p.B)
-			if model == nil {
+		models := make([]*core.Model, len(m.Pairs))
+		for i, p := range m.Pairs {
+			if models[i] = st.mgr.Model(p.A, p.B); models[i] == nil {
 				return w.done(sess, st, fmt.Sprintf("extract: pair %s not owned", p))
 			}
-			var buf bytes.Buffer
-			if err := model.Save(&buf); err != nil {
-				return err
-			}
-			set.Models = append(set.Models, pairModel{Pair: p, Blob: buf.Bytes()})
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&set); err != nil {
+		return sendStream(sess.conn, MsgShardModels, func(cw io.Writer) error {
+			rw := wal.NewRecordWriter(cw)
+			for _, model := range models {
+				if err := model.Save(rw); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	case MsgShardInstall:
+		cr := &chunkReader{next: frameSource(sess.conn, MsgShardInstall)}
+		if err := cr.push(f); err != nil {
 			return err
 		}
-		return writeBlob(sess.conn, MsgShardModels, buf.Bytes())
-	case MsgShardInstall:
-		blob, err := w.readBlobFirst(sess.conn, MsgShardInstall, f)
+		rr := wal.NewRecordReader(cr)
+		blob, err := rr.ReadBlob()
 		if err != nil {
 			return err
 		}
 		var m installMsg
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&m); err != nil {
+		if err := decodeGob(blob, &m); err != nil {
 			return err
 		}
-		for _, pm := range m.Models {
-			model, err := core.LoadModel(bytes.NewReader(pm.Blob))
+		var failed string
+		for _, p := range m.Pairs {
+			// A model that fails to install still has to be read off the
+			// stream before the failure can be answered.
+			model, err := core.LoadModel(rr)
 			if err != nil {
-				return w.done(sess, st, fmt.Sprintf("install %s: %v", pm.Pair, err))
+				return err
 			}
-			if err := st.mgr.AddModel(pm.Pair, model); err != nil {
-				return w.done(sess, st, fmt.Sprintf("install %s: %v", pm.Pair, err))
+			if failed == "" {
+				if err := st.mgr.AddModel(p, model); err != nil {
+					failed = fmt.Sprintf("install %s: %v", p, err)
+				}
 			}
+		}
+		if err := cr.finish(); err != nil {
+			return err
+		}
+		if failed != "" {
+			return w.done(sess, st, failed)
 		}
 		st.planVersion = m.PlanVersion
 		if err := w.checkpoint(st); err != nil {
@@ -486,29 +483,6 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 	default:
 		return fmt.Errorf("shardnet: unexpected control frame type %d", byte(f.Type))
 	}
-}
-
-// readBlobFirst collects a chunked transfer whose first frame was already
-// read.
-func (w *Worker) readBlobFirst(conn net.Conn, msgType collector.MsgType, first collector.Frame) ([]byte, error) {
-	var acc bytes.Buffer
-	last, err := appendBlobChunk(&acc, first.Payload)
-	if err != nil {
-		return nil, err
-	}
-	for !last {
-		f, err := collector.ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != msgType {
-			return nil, fmt.Errorf("shardnet: expected type %d chunk, got %d", byte(msgType), byte(f.Type))
-		}
-		if last, err = appendBlobChunk(&acc, f.Payload); err != nil {
-			return nil, err
-		}
-	}
-	return acc.Bytes(), nil
 }
 
 func (w *Worker) done(sess *session, st *shardState, errMsg string) error {

@@ -1,11 +1,12 @@
 package tsdb
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -266,46 +267,107 @@ func (s *Store) LoadDataset(ds *timeseries.Dataset) error {
 	return nil
 }
 
-// snapshot is the gob wire form of the store.
-type snapshot struct {
-	Step      time.Duration
-	Retention int
-	Entries   []snapshotEntry
-}
+// storeFormat versions the snapshot stream.
+const storeFormat = 2
 
-type snapshotEntry struct {
-	ID     timeseries.MeasurementID
-	Start  time.Time
-	Values []float64
-}
-
-// Snapshot serializes the store to w (gob).
+// Snapshot streams the store to w as records (see wal.RecordWriter; a
+// *wal.RecordWriter continues its caller's stream): a header with the
+// format, step, retention and series count, then per series in sorted-ID
+// order one record naming it — machine, metric, start — and its values as
+// raw float records. Sorted order makes two snapshots of one state
+// byte-identical. The store's read lock is held for the duration, so w
+// should be buffered.
 func (s *Store) Snapshot(w io.Writer) error {
+	rw := wal.NewRecordWriter(w)
 	s.mu.RLock()
-	snap := snapshot{Step: s.step, Retention: s.retention}
-	for id, e := range s.series {
-		snap.Entries = append(snap.Entries, snapshotEntry{ID: id, Start: e.start, Values: append([]float64(nil), e.values...)})
+	defer s.mu.RUnlock()
+	ids := make([]timeseries.MeasurementID, 0, len(s.series))
+	for id := range s.series {
+		ids = append(ids, id)
 	}
-	s.mu.RUnlock()
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	hdr := binary.LittleEndian.AppendUint64(nil, storeFormat)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.step))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.retention))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(ids)))
+	if _, err := rw.Write(hdr); err != nil {
 		return fmt.Errorf("tsdb snapshot: %w", err)
+	}
+	var rec []byte // series record scratch
+	for _, id := range ids {
+		e := s.series[id]
+		start, err := e.start.MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("tsdb snapshot %s: %w", id, err)
+		}
+		rec = binary.LittleEndian.AppendUint64(rec[:0], uint64(len(e.values)))
+		for _, f := range [][]byte{[]byte(id.Machine), []byte(id.Metric), start} {
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(len(f)))
+			rec = append(rec, f...)
+		}
+		if _, err := rw.Write(rec); err != nil {
+			return fmt.Errorf("tsdb snapshot %s: %w", id, err)
+		}
+		if err := rw.WriteFloats(e.values, 0); err != nil {
+			return fmt.Errorf("tsdb snapshot %s: %w", id, err)
+		}
 	}
 	return nil
 }
 
-// Restore reads a snapshot written by Snapshot and returns the store it
-// describes.
+// Restore reads exactly one snapshot written by Snapshot from r and returns
+// the store it describes. Decode failures wrap wal.ErrCorrupt.
 func Restore(r io.Reader) (*Store, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("tsdb restore: %w", err)
-	}
-	s, err := NewStore(snap.Step, snap.Retention)
+	s, err := restore(wal.NewRecordReader(r))
 	if err != nil {
 		return nil, fmt.Errorf("tsdb restore: %w", err)
 	}
-	for _, e := range snap.Entries {
-		s.series[e.ID] = &entry{start: e.Start, values: e.Values}
+	return s, nil
+}
+
+func restore(rr *wal.RecordReader) (*Store, error) {
+	hdr, err := rr.Next()
+	if err != nil {
+		return nil, err
+	}
+	if len(hdr) != 32 || binary.LittleEndian.Uint64(hdr) != storeFormat {
+		return nil, fmt.Errorf("snapshot header: %w", wal.ErrCorrupt)
+	}
+	count := binary.LittleEndian.Uint64(hdr[24:])
+	s, err := NewStore(time.Duration(binary.LittleEndian.Uint64(hdr[8:])), int(int64(binary.LittleEndian.Uint64(hdr[16:]))))
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", err, wal.ErrCorrupt)
+	}
+	for i := uint64(0); i < count; i++ {
+		rec, err := rr.Next()
+		if err != nil {
+			return nil, err
+		}
+		if len(rec) < 8 {
+			return nil, fmt.Errorf("series record of %d bytes: %w", len(rec), wal.ErrCorrupt)
+		}
+		n := binary.LittleEndian.Uint64(rec)
+		var fields [3][]byte
+		rec = rec[8:]
+		for f := range fields {
+			if len(rec) < 4 || uint64(len(rec)-4) < uint64(binary.LittleEndian.Uint32(rec)) {
+				return nil, fmt.Errorf("series record field %d: %w", f, wal.ErrCorrupt)
+			}
+			l := int(binary.LittleEndian.Uint32(rec))
+			fields[f], rec = rec[4:4+l], rec[4+l:]
+		}
+		id := timeseries.MeasurementID{Machine: string(fields[0]), Metric: string(fields[1])}
+		e := &entry{}
+		if err := e.start.UnmarshalBinary(fields[2]); err != nil || n > math.MaxInt32 {
+			return nil, fmt.Errorf("series %s: %w", id, wal.ErrCorrupt)
+		}
+		if e.values, err = rr.ReadFloats(int(n)); err != nil {
+			return nil, fmt.Errorf("series %s: %w", id, err)
+		}
+		if _, dup := s.series[id]; dup {
+			return nil, fmt.Errorf("series %s twice: %w", id, wal.ErrCorrupt)
+		}
+		s.series[id] = e
 		obsSeries.Inc()
 	}
 	return s, nil

@@ -34,23 +34,33 @@ func ReadSegmentHeader(r io.Reader) (uint64, error) {
 // clean record boundary and ErrCorrupt (possibly wrapped) for a torn or
 // damaged frame; it never panics and never allocates more than
 // MaxRecordSize for hostile input.
-func ReadRecord(r io.Reader) (Record, error) {
+func ReadRecord(r io.Reader) (Record, error) { return readRecordInto(r, nil, MaxRecordSize) }
+
+// readRecordInto is ReadRecord decoding into a caller-owned buffer: the
+// returned Data aliases buf (regrown only when the payload exceeds its
+// capacity) and is valid until the buffer's next use, so a reader that
+// hands each record's Data back as the next buf holds one record at a
+// time. Payloads longer than max are corruption.
+func readRecordInto(r io.Reader, buf []byte, max int) (Record, error) {
 	var hdr [recordHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Record{}, io.EOF // clean boundary
 		}
-		return Record{}, fmt.Errorf("record header: %w", ErrCorrupt)
+		return Record{}, fmt.Errorf("record header: %v: %w", err, ErrCorrupt)
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n > MaxRecordSize {
+	n := int(binary.BigEndian.Uint32(hdr[0:4]))
+	if n > max {
 		return Record{}, fmt.Errorf("record of %d bytes: %w", n, ErrCorrupt)
 	}
 	want := binary.BigEndian.Uint32(hdr[4:8])
 	seq := binary.BigEndian.Uint64(hdr[8:16])
-	payload := make([]byte, n)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, fmt.Errorf("record payload: %w", ErrCorrupt)
+		return Record{}, fmt.Errorf("record payload: %v: %w", err, ErrCorrupt)
 	}
 	crc := crc32.Update(0, castagnoli, hdr[8:16])
 	crc = crc32.Update(crc, castagnoli, payload)

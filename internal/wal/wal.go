@@ -246,18 +246,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		}
 	}
 	seq := l.seq + 1
-	binary.BigEndian.PutUint32(l.hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(l.hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, l.hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.BigEndian.PutUint32(l.hdr[4:8], crc)
-	if _, err := l.f.Write(l.hdr[:]); err != nil {
+	if err := writeRecord(l.f, &l.hdr, seq, payload); err != nil {
 		return 0, fmt.Errorf("wal append: %w", err)
-	}
-	if len(payload) > 0 {
-		if _, err := l.f.Write(payload); err != nil {
-			return 0, fmt.Errorf("wal append: %w", err)
-		}
 	}
 	l.seq = seq
 	l.size += int64(recordHeaderSize + len(payload))
@@ -368,6 +358,28 @@ func (l *Log) TruncateBefore(seq uint64) error {
 	l.segs = kept
 	obsSegments.Set(float64(len(l.segs)))
 	return firstErr
+}
+
+// writeRecord frames payload as one [len][crc][seq][payload] record on w —
+// the writer twin of ReadRecord, shared by Log.Append and RecordWriter.
+// hdr is caller-owned scratch, so a stream of records allocates nothing.
+func writeRecord(w io.Writer, hdr *[recordHeaderSize]byte, seq uint64, payload []byte) error {
+	if len(payload) > MaxRecordSize {
+		return fmt.Errorf("record of %d bytes: %w", len(payload), ErrTooBig)
+	}
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint64(hdr[8:16], seq)
+	crc := crc32.Update(0, castagnoli, hdr[8:16])
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.BigEndian.PutUint32(hdr[4:8], crc)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	if len(payload) == 0 {
+		return nil
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 // Close syncs and closes the log.

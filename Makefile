@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race check docs-check bench bench-smoke bench-json benchgate quality figures examples ops-smoke fuzz-short crash-test clean
+.PHONY: all build vet test race check docs-check bench bench-smoke quality figures examples ops-smoke fuzz-short crash-test clean
 
 all: build check
 
 # check is the gate the default flow runs: static analysis (go vet over
 # every package, internal/obs included), the documentation gate, the full
 # test suite under the race detector (WAL and collector included), the
-# nested benchmark module's own smoke tests, the kill -9 recovery gate, a
-# bounded fuzzing pass over the wire-format, WAL and checkpoint decoders,
-# and an advisory benchmark comparison against the committed baseline.
-check: vet docs-check race bench-smoke crash-test fuzz-short benchgate
+# nested benchmark module's own smoke tests, the kill -9 recovery gate and
+# a bounded fuzzing pass over the wire-format, WAL and checkpoint decoders.
+# Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
+check: vet docs-check race bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -40,25 +40,6 @@ bench:
 # is the target that catches an API break against it.
 bench-smoke:
 	cd bench && $(GO) test -race ./...
-
-# Run the scoring hot-path benchmarks and record them as JSON for diffing.
-# ObsCounterHotPath tracks the metric-instrumentation overhead (must stay
-# allocation-free and < 50ns per manager step sample).
-BENCH_SCORING = '^Benchmark(Observe|RowInto|Prob|FitnessHotPath|ModelStepAdaptive|ModelStepOffline|ManagerStep|ManagerStepSharded|ManagerStepIncremental|ManagerStepBudget|DiscoverStep|ObsCounterHotPath|ShardNetStep)$$'
-bench-json:
-	$(GO) test -run '^$$' -bench $(BENCH_SCORING) -benchmem . \
-		| $(GO) run ./cmd/benchjson > BENCH_scoring.json
-
-# benchgate reruns the scoring benchmarks (short benchtime — this is a
-# drift tripwire, not a precision measurement) and compares them against
-# the committed BENCH_scoring.json. Advisory: regressions are printed but
-# never fail the build, because shared hardware is noisy. Tune with e.g.
-# BENCHGATE_FLAGS='-tolerance 0.5' or '-strict'.
-BENCHGATE_FLAGS ?=
-benchgate:
-	$(GO) test -run '^$$' -bench $(BENCH_SCORING) -benchtime 250ms -benchmem . \
-		| $(GO) run ./cmd/benchjson > /tmp/mcorr-bench-fresh.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_scoring.json -fresh /tmp/mcorr-bench-fresh.json $(BENCHGATE_FLAGS)
 
 # ops-smoke boots the live pipeline demo with the ops server — two
 # tenants on one collector — scrapes /metrics and /healthz while rows
@@ -106,6 +87,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchOps$$' -fuzztime $(FUZZTIME) ./internal/discover
+	$(GO) test -run '^$$' -fuzz '^FuzzShardFrames$$' -fuzztime $(FUZZTIME) ./internal/shardnet
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelateRequest$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s .
 

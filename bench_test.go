@@ -366,8 +366,9 @@ func benchManagerStepSharded(b *testing.B, machines, shards int) {
 
 // BenchmarkManagerStepSharded records the sharded step latency at the
 // paper's small scale (l=12) and a large fleet (l=48, 1128 pairs) for
-// shard counts 1/2/4. Recorded in BENCH_scoring.json by `make
-// bench-json`; parallel speedup at shards>1 requires spare cores.
+// shard counts 1/2/4 (`make bench`; the gated numbers for the same layers
+// come from `bash bench/run.sh --trace 1`). Parallel speedup at shards>1
+// requires spare cores.
 func BenchmarkManagerStepSharded(b *testing.B) {
 	for _, sc := range []struct{ machines, l int }{{2, 12}, {8, 48}} {
 		for _, n := range []int{1, 2, 4} {
@@ -409,9 +410,9 @@ func startBenchShardWorker(b *testing.B, bin, dir string) string {
 }
 
 // benchShardNetStep is benchManagerStepSharded with the shards moved out
-// of process: `workers` real mcshard processes score over TCP and return
-// outcomes through the collector's exactly-once path, while the central
-// aggregator merges. Process spawn, training, state transfer, and warm-up
+// of process: `workers` real mcshard processes score over TCP and answer
+// each row with their outcome frames on the control connection, while the
+// central aggregator merges. Process spawn, training, state transfer, and warm-up
 // all happen outside the timer; checkpointing is pushed past the horizon
 // so the loop measures pure fan-out/score/merge.
 func benchShardNetStep(b *testing.B, machines, workers int) {
@@ -455,12 +456,13 @@ func benchShardNetStep(b *testing.B, machines, workers int) {
 
 // BenchmarkShardNetStep records the networked multi-process step latency
 // at l=48 (1128 pairs) across 4 worker processes — the distributed
-// counterpart of BenchmarkManagerStepSharded/l=48/shards=4. Recorded in
-// BENCH_scoring.json by `make bench-json`. Beating the in-process number
+// counterpart of BenchmarkManagerStepSharded/l=48/shards=4 (the gated
+// comparison is shardnet.step_over_local_ratio from `bash bench/run.sh
+// --workload shardnet48 --trace 1`). Beating the in-process number
 // requires at least one spare core per worker: on a single-core host the
 // fan-out serializes onto the same CPU as in-process scoring and the
-// wire/wakeup overhead is pure loss, so compare the two entries with the
-// recording host's core count in mind.
+// wire/wakeup overhead is pure loss, so compare the two with the host's
+// core count in mind.
 func BenchmarkShardNetStep(b *testing.B) {
 	b.Run("l=48/workers=4", func(b *testing.B) { benchShardNetStep(b, 8, 4) })
 }

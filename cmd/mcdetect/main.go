@@ -64,8 +64,7 @@ func run() error {
 
 		shards = flag.Int("shards", 1, "partition the pair graph across this many manager shards (1 = unsharded; trajectories are bit-identical for any value)")
 
-		shardWorkers = flag.String("shard-workers", "", "comma-separated mcshard control addresses: fan scoring out to networked worker processes (batch mode; trajectories are bit-identical to in-process runs)")
-		shardListen  = flag.String("shard-listen", "127.0.0.1:0", "outcome-return listen address for -shard-workers (must be dialable from the workers)")
+		shardWorkers = flag.String("shard-workers", "", "comma-separated mcshard control addresses: fan scoring out to networked worker processes, which only this process needs to reach (batch mode; trajectories are bit-identical to in-process runs)")
 		printSteps   = flag.Bool("print-steps", false, "batch mode: print one STEP line per scored row, as durable mode does")
 		dataDir      = flag.String("data-dir", "", "durable mode: keep WAL + checkpoints here and recover from them on restart")
 		ckptEvery    = flag.Int("checkpoint-every", 240, "durable mode: checkpoint after this many scored rows")
@@ -245,10 +244,9 @@ func run() error {
 			}
 		} else if *shardWorkers != "" {
 			workers := strings.Split(*shardWorkers, ",")
-			fmt.Printf("fanning out to %d networked shard workers (outcome listener %s)\n", len(workers), *shardListen)
+			fmt.Printf("fanning out to %d networked shard workers\n", len(workers))
 			fleet, err = mcorr.NewShardNetFleet(watched.Slice(start, trainEnd), mcorr.ShardNetConfig{
 				Workers:         workers,
-				Listen:          *shardListen,
 				Manager:         mcfg,
 				CheckpointEvery: *ckptEvery,
 			})
@@ -286,7 +284,7 @@ func run() error {
 			}
 			r := fleet.Step(row)
 			if *printSteps {
-				printStep(r)
+				printStep(r, "")
 			}
 			reports = append(reports, r)
 		}
@@ -294,7 +292,7 @@ func run() error {
 		return err
 	}
 	elapsed := time.Since(started)
-	printDiscover(fleet)
+	printDiscover(fleet, "")
 	if diag != nil {
 		// Batch mode scores the whole window first; the engine replays the
 		// report stream afterwards — same digests, off the scoring path.
@@ -354,7 +352,7 @@ func run() error {
 		}
 	}
 	fmt.Printf("\nalarms: %d (deduped, holdoff %v)\n", memory.Len(), *holdoff)
-	printIncidents(diag)
+	printIncidents(diag, "")
 
 	if *saveTo != "" {
 		mgr, ok := fleet.(*manager.Manager)
@@ -460,7 +458,7 @@ func runDurable(ds *timeseries.Dataset, start, trainEnd, end time.Time, mcfg man
 		fmt.Printf("recovered from %s: %d WAL samples replayed (%d skipped), %d rows re-scored, %d shards, resuming at %s\n",
 			dcfg.dataDir, applied, skipped, len(recovered), dm.Monitor().Shards(), dm.Cursor().Format(time.RFC3339))
 		for _, r := range recovered {
-			printStep(r)
+			printStep(r, "")
 		}
 	} else {
 		selected := eval.SelectMeasurements(ds, start, trainEnd, eval.SelectionCriteria{Max: dcfg.maxMeas, MinCV: 0.01})
@@ -512,12 +510,12 @@ func runDurable(ds *timeseries.Dataset, start, trainEnd, end time.Time, mcfg man
 			return err
 		}
 		for _, r := range reports {
-			printStep(r)
+			printStep(r, "")
 		}
 		for _, r := range forced {
-			printStep(r)
+			printStep(r, "")
 		}
-		printDiscover(dm.Fleet())
+		printDiscover(dm.Fleet(), "")
 	}
 
 	fleet := dm.Fleet()
@@ -526,24 +524,35 @@ func runDurable(ds *timeseries.Dataset, start, trainEnd, end time.Time, mcfg man
 		fmt.Printf("worst machine: %s Q=%.4f\n", loc.Machines[0].Machine, loc.Machines[0].Score)
 	}
 	fmt.Printf("alarms: %d\n", memory.Len())
-	printIncidents(dm.Diagnosis())
+	printIncidents(dm.Diagnosis(), "")
 	if _, ok := dm.Fleet().(mcorr.DiscoveryFleet); ok {
-		printPairGraph(dm.Fleet().Pairs())
+		printPairGraph(dm.Fleet().Pairs(), "")
 	}
 	return dm.Close()
+}
+
+// tenantSuffix is what tenant mode appends to every deterministic line
+// (STEP, DISCOVER, INCIDENT, PAIRGRAPH): " tenant=<name>", and nothing in
+// the single-system modes, whose lines the print functions below leave
+// byte for byte as they were before tenants existed.
+func tenantSuffix(tenant string) string {
+	if tenant == "" {
+		return ""
+	}
+	return " tenant=" + tenant
 }
 
 // printDiscover emits one deterministic line per discovery round that
 // changed the pair graph. Like STEP lines, these compare bit for bit
 // between an uninterrupted durable run and a crash-recovered one.
-func printDiscover(f mcorr.Fleet) {
+func printDiscover(f mcorr.Fleet, tenant string) {
 	df, ok := f.(mcorr.DiscoveryFleet)
 	if !ok {
 		return
 	}
 	for _, ev := range df.DrainDiscoveryEvents() {
-		fmt.Printf("DISCOVER %s round=%d admitted=%d evicted=%d pairs=%d\n",
-			ev.Time.Format(time.RFC3339), ev.Round, len(ev.Admitted), len(ev.Evicted), ev.Pairs)
+		fmt.Printf("DISCOVER %s round=%d admitted=%d evicted=%d pairs=%d%s\n",
+			ev.Time.Format(time.RFC3339), ev.Round, len(ev.Admitted), len(ev.Evicted), ev.Pairs, tenantSuffix(tenant))
 	}
 }
 
@@ -551,26 +560,26 @@ func printDiscover(f mcorr.Fleet) {
 // the canonically sorted pair list. The crash-recovery test compares the
 // line against an uninterrupted baseline to prove both runs converged on
 // the identical graph.
-func printPairGraph(pairs []mcorr.Pair) {
+func printPairGraph(pairs []mcorr.Pair, tenant string) {
 	manager.SortPairs(pairs)
 	h := fnv.New64a()
 	for _, p := range pairs {
 		h.Write([]byte(p.String()))
 		h.Write([]byte{'\n'})
 	}
-	fmt.Printf("PAIRGRAPH pairs=%d hash=%016x\n", len(pairs), h.Sum64())
+	fmt.Printf("PAIRGRAPH pairs=%d hash=%016x%s\n", len(pairs), h.Sum64(), tenantSuffix(tenant))
 }
 
 // printIncidents emits one deterministic line per incident digest. Like
 // the STEP lines, these compare bit for bit between an uninterrupted
 // durable run and one recovered after a crash: incident IDs, impact
 // times and rankings are functions of the replayed trajectory.
-func printIncidents(eng *mcorr.DiagnosisEngine) {
+func printIncidents(eng *mcorr.DiagnosisEngine, tenant string) {
 	if eng == nil {
 		return
 	}
 	digests := eng.Incidents()
-	fmt.Printf("incidents: %d\n", len(digests))
+	fmt.Printf("incidents: %d%s\n", len(digests), tenantSuffix(tenant))
 	for _, d := range digests {
 		suspect, top := d.Suspect, "-"
 		if suspect == "" {
@@ -579,15 +588,15 @@ func printIncidents(eng *mcorr.DiagnosisEngine) {
 		if len(d.Candidates) > 0 {
 			top = d.Candidates[0].Measurement
 		}
-		fmt.Printf("INCIDENT %s state=%s severity=%s impact=%s low=%.17g broken=%d suspect=%s top=%s\n",
-			d.ID, d.State, d.Severity, d.ImpactTime.Format(time.RFC3339), d.SystemLow, d.Broken, suspect, top)
+		fmt.Printf("INCIDENT %s state=%s severity=%s impact=%s low=%.17g broken=%d suspect=%s top=%s%s\n",
+			d.ID, d.State, d.Severity, d.ImpactTime.Format(time.RFC3339), d.SystemLow, d.Broken, suspect, top, tenantSuffix(tenant))
 	}
 }
 
 // printStep emits one row's fitness with full float precision; the crash-
 // recovery test compares these lines bit for bit across runs.
-func printStep(r mcorr.StepReport) {
-	fmt.Printf("STEP %s Q=%.17g scored=%d\n", r.Time.Format(time.RFC3339), r.System, r.ScoredPairs)
+func printStep(r mcorr.StepReport, tenant string) {
+	fmt.Printf("STEP %s Q=%.17g scored=%d%s\n", r.Time.Format(time.RFC3339), r.System, r.ScoredPairs, tenantSuffix(tenant))
 }
 
 // tenantSpec names one tenant and the monitoring CSV it streams.
@@ -770,9 +779,7 @@ func runTenants(specs []tenantSpec, p tenantParams) error {
 			Durable:    durable,
 			Durability: dcfg,
 			Options:    opts,
-			OnReport: func(tenant string, r mcorr.StepReport) {
-				printStepTenant(r, tenant)
-			},
+			OnReport:   func(tenant string, r mcorr.StepReport) { printStep(r, tenant) },
 		})
 		if err != nil {
 			return err
@@ -826,7 +833,7 @@ func runTenants(specs []tenantSpec, p tenantParams) error {
 			if _, err := rs.t.FlushUpTo(tm.Add(step)); err != nil {
 				return fmt.Errorf("tenant %s: %w", rs.name, err)
 			}
-			printDiscoverTenant(rs.t.Fleet(), rs.name)
+			printDiscover(rs.t.Fleet(), rs.name)
 		}
 	}
 
@@ -836,58 +843,10 @@ func runTenants(specs []tenantSpec, p tenantParams) error {
 		if loc := fleet.Localize(); len(loc.Machines) > 0 {
 			fmt.Printf("worst machine: %s Q=%.4f tenant=%s\n", loc.Machines[0].Machine, loc.Machines[0].Score, rs.name)
 		}
-		printIncidentsTenant(rs.t.Diagnosis(), rs.name)
+		printIncidents(rs.t.Diagnosis(), rs.name)
 		if _, ok := fleet.(mcorr.DiscoveryFleet); ok {
-			printPairGraphTenant(fleet.Pairs(), rs.name)
+			printPairGraph(fleet.Pairs(), rs.name)
 		}
 	}
 	return reg.Close()
-}
-
-// printStepTenant is printStep with the tenant suffix used in tenant mode.
-func printStepTenant(r mcorr.StepReport, tenant string) {
-	fmt.Printf("STEP %s Q=%.17g scored=%d tenant=%s\n", r.Time.Format(time.RFC3339), r.System, r.ScoredPairs, tenant)
-}
-
-// printDiscoverTenant is printDiscover with the tenant suffix.
-func printDiscoverTenant(f mcorr.Fleet, tenant string) {
-	df, ok := f.(mcorr.DiscoveryFleet)
-	if !ok {
-		return
-	}
-	for _, ev := range df.DrainDiscoveryEvents() {
-		fmt.Printf("DISCOVER %s round=%d admitted=%d evicted=%d pairs=%d tenant=%s\n",
-			ev.Time.Format(time.RFC3339), ev.Round, len(ev.Admitted), len(ev.Evicted), ev.Pairs, tenant)
-	}
-}
-
-// printIncidentsTenant is printIncidents with the tenant suffix.
-func printIncidentsTenant(eng *mcorr.DiagnosisEngine, tenant string) {
-	if eng == nil {
-		return
-	}
-	digests := eng.Incidents()
-	fmt.Printf("incidents: %d tenant=%s\n", len(digests), tenant)
-	for _, d := range digests {
-		suspect, top := d.Suspect, "-"
-		if suspect == "" {
-			suspect = "-"
-		}
-		if len(d.Candidates) > 0 {
-			top = d.Candidates[0].Measurement
-		}
-		fmt.Printf("INCIDENT %s state=%s severity=%s impact=%s low=%.17g broken=%d suspect=%s top=%s tenant=%s\n",
-			d.ID, d.State, d.Severity, d.ImpactTime.Format(time.RFC3339), d.SystemLow, d.Broken, suspect, top, tenant)
-	}
-}
-
-// printPairGraphTenant is printPairGraph with the tenant suffix.
-func printPairGraphTenant(pairs []mcorr.Pair, tenant string) {
-	manager.SortPairs(pairs)
-	h := fnv.New64a()
-	for _, p := range pairs {
-		h.Write([]byte(p.String()))
-		h.Write([]byte{'\n'})
-	}
-	fmt.Printf("PAIRGRAPH pairs=%d hash=%016x tenant=%s\n", len(pairs), h.Sum64(), tenant)
 }

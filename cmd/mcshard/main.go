@@ -2,15 +2,16 @@
 // one shard of the pair-model fleet. An mcdetect coordinator started with
 // -shard-workers dials the address printed on the first stdout line
 // (LISTEN <addr>), streams the shard's trained models plus one row frame
-// per monitoring step, and receives the shard's outcome sets back through
-// the collector's exactly-once delivery path.
+// per monitoring step over that connection, and reads the shard's outcome
+// set for each row back on it. The worker only listens: it never dials
+// the coordinator, and both binaries must come from the same build.
 //
 // The worker checkpoints its models and applied sequence under
 // -data-dir/shard-<k>/ on the coordinator-announced cadence, so a
 // SIGKILLed worker restarted with the same -data-dir and address rejoins
 // the fabric with the merged Q^a/Q trajectory unchanged: the coordinator
-// replays the rows since the checkpoint from its ring and filters the
-// re-sent outcomes.
+// replays the rows since the checkpoint from its ring and drops the
+// answers it had already merged.
 //
 // Usage:
 //

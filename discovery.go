@@ -132,26 +132,38 @@ func NewDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 	return newDiscoveryFleet(history, cfg, dcfg, shards)
 }
 
+// graphFleet is what discovery needs of the fleet it bounds: the scoring
+// surface, the graph-mutation primitives, the effective configuration to
+// train admitted pairs with, and the topology views the diagnosis API
+// reads through the wrapper. *Manager and *ShardCoordinator satisfy it.
+type graphFleet interface {
+	Fleet
+	AddModel(Pair, *Model) error
+	RemovePair(Pair) bool
+	Config() ManagerConfig
+	PairStates() []manager.PairState
+	PairMeans() map[Pair]float64
+	WorstPairs(k int) []manager.PairScore
+}
+
 // discoveryFleet wraps a scoring fleet with the discovery tier: every
 // scored row also feeds the correlation sketches, and round boundaries
 // mutate the live pair graph (train+admit, evict) through the fleet's
 // graph-mutation primitives. Steps and graph mutations happen on the
 // caller's goroutine in row order, so trajectories and the graph itself
-// are deterministic functions of the row stream.
+// are deterministic functions of the row stream. Everything but Step and
+// Run is the embedded fleet's own method.
 type discoveryFleet struct {
-	inner Fleet
-	mgr   *Manager          // non-nil iff unsharded
-	coord *ShardCoordinator // non-nil iff sharded
-	disc  *discover.Discoverer
-	model ModelConfig // training config for admitted pairs
+	graphFleet
+	disc *discover.Discoverer
 
 	events []DiscoveryEvent
 }
 
-// Interface proofs: the wrapper must expose the scoring surface plus the
-// diagnosis topology and discovery views (interface embedding would not
-// promote these across the Fleet interface).
+// Interface proofs: the wrapper and both fleets it can wrap.
 var (
+	_ graphFleet             = (*Manager)(nil)
+	_ graphFleet             = (*ShardCoordinator)(nil)
 	_ Fleet                  = (*discoveryFleet)(nil)
 	_ diagnose.FleetView     = (*discoveryFleet)(nil)
 	_ diagnose.DiscoveryView = (*discoveryFleet)(nil)
@@ -181,20 +193,18 @@ func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 		if err != nil {
 			return nil, err
 		}
-		d.inner, d.coord = coord, coord
-		d.model = coord.Aggregator().Config().Model
+		d.graphFleet = coord
 	} else {
 		mgr, err := manager.NewSubset(history, cfg, keepFn)
 		if err != nil {
 			return nil, err
 		}
-		d.inner, d.mgr = mgr, mgr
-		d.model = mgr.Config().Model
+		d.graphFleet = mgr
 	}
 	// Some admitted candidates may have no trainable overlap; resync the
 	// discoverer to the pairs that actually carry a model so the graph,
 	// the checkpoint, and the budget occupancy agree.
-	if got := d.inner.Pairs(); len(got) != len(admitted) {
+	if got := d.Pairs(); len(got) != len(admitted) {
 		disc.SyncAdmitted(got)
 	}
 	return d, nil
@@ -206,21 +216,15 @@ func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 // admitted set is resynced from the recovered pair graph with fresh
 // sketches.
 func wrapRecoveredFleet(fleet Fleet, dcfg DiscoveryConfig, state []byte) (*discoveryFleet, error) {
+	gf, ok := fleet.(graphFleet)
+	if !ok {
+		return nil, fmt.Errorf("discovery: unsupported fleet %T", fleet)
+	}
 	disc, err := discover.New(fleet.IDs(), dcfg)
 	if err != nil {
 		return nil, err
 	}
-	d := &discoveryFleet{inner: fleet, disc: disc}
-	switch f := fleet.(type) {
-	case *Manager:
-		d.mgr = f
-		d.model = f.Config().Model
-	case *ShardCoordinator:
-		d.coord = f
-		d.model = f.Aggregator().Config().Model
-	default:
-		return nil, fmt.Errorf("discovery: unsupported fleet %T", fleet)
-	}
+	d := &discoveryFleet{graphFleet: gf, disc: disc}
 	if len(state) > 0 {
 		if err := disc.UnmarshalState(state); err != nil {
 			return nil, err
@@ -259,7 +263,7 @@ func datasetEnd(ds *Dataset) time.Time {
 // model from the discoverer's retained history window and graft it in
 // without touching neighbors.
 func (d *discoveryFleet) Step(row Row) StepReport {
-	report := d.inner.Step(row)
+	report := d.graphFleet.Step(row)
 	ch := d.disc.Observe(row)
 	if !ch.Empty() {
 		d.apply(row.Time, ch)
@@ -271,27 +275,20 @@ func (d *discoveryFleet) Step(row Row) StepReport {
 // the event for DrainDiscoveryEvents.
 func (d *discoveryFleet) apply(t time.Time, ch discover.Changes) {
 	for _, p := range ch.Evict {
-		if d.coord != nil {
-			d.coord.RemovePair(p)
-		} else {
-			d.mgr.RemovePair(p)
-		}
+		d.RemovePair(p)
 	}
 	var admitted []Pair
+	modelCfg := d.Config().Model // the fleet's effective settings, defaults applied
 	for _, p := range ch.Admit {
 		pts := d.disc.TrainingPoints(p)
 		if pts == nil {
 			continue // not enough joint history yet; the sketch stays live
 		}
-		model, err := core.Train(pts, d.model)
+		model, err := core.Train(pts, modelCfg)
 		if err != nil {
 			continue // degenerate window (e.g. constant); retry next round
 		}
-		if d.coord != nil {
-			if d.coord.AddModel(p, model) != nil {
-				continue
-			}
-		} else if d.mgr.AddModel(p, model) != nil {
+		if d.AddModel(p, model) != nil {
 			continue
 		}
 		admitted = append(admitted, p)
@@ -301,7 +298,7 @@ func (d *discoveryFleet) apply(t time.Time, ch discover.Changes) {
 		Round:    ch.Round,
 		Admitted: admitted,
 		Evicted:  append([]Pair(nil), ch.Evict...),
-		Pairs:    len(d.inner.Pairs()),
+		Pairs:    len(d.Pairs()),
 	})
 }
 
@@ -316,57 +313,7 @@ func (d *discoveryFleet) DrainDiscoveryEvents() []DiscoveryEvent {
 // Run replays a dataset through Step in time order (the discovery mirror
 // of Manager.Run — the graph may change between rows).
 func (d *discoveryFleet) Run(ds *Dataset, from, to time.Time) ([]StepReport, error) {
-	rows, err := manager.BuildRows(ds, from, to)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]StepReport, 0, len(rows))
-	for _, row := range rows {
-		reports = append(reports, d.Step(row))
-	}
-	return reports, nil
-}
-
-// Fleet surface, delegated to the wrapped fleet.
-
-func (d *discoveryFleet) IDs() []MeasurementID { return d.inner.IDs() }
-func (d *discoveryFleet) Pairs() []Pair        { return d.inner.Pairs() }
-func (d *discoveryFleet) Steps() int           { return d.inner.Steps() }
-func (d *discoveryFleet) SystemMean() float64  { return d.inner.SystemMean() }
-func (d *discoveryFleet) MeasurementMeans() map[MeasurementID]float64 {
-	return d.inner.MeasurementMeans()
-}
-func (d *discoveryFleet) Localize() Localization { return d.inner.Localize() }
-func (d *discoveryFleet) ResetAccumulators()     { d.inner.ResetAccumulators() }
-func (d *discoveryFleet) SetAdaptive(on bool)    { d.inner.SetAdaptive(on) }
-func (d *discoveryFleet) ResetChains()           { d.inner.ResetChains() }
-func (d *discoveryFleet) Close()                 { d.inner.Close() }
-
-// Diagnosis topology surface (diagnose.FleetView), delegated to the
-// concrete fleet.
-
-// PairStates returns every link's live scheduler state.
-func (d *discoveryFleet) PairStates() []manager.PairState {
-	if d.coord != nil {
-		return d.coord.PairStates()
-	}
-	return d.mgr.PairStates()
-}
-
-// PairMeans returns the accumulated mean fitness per link.
-func (d *discoveryFleet) PairMeans() map[Pair]float64 {
-	if d.coord != nil {
-		return d.coord.PairMeans()
-	}
-	return d.mgr.PairMeans()
-}
-
-// WorstPairs returns the k links with the lowest mean fitness.
-func (d *discoveryFleet) WorstPairs(k int) []manager.PairScore {
-	if d.coord != nil {
-		return d.coord.WorstPairs(k)
-	}
-	return d.mgr.WorstPairs(k)
+	return manager.Replay(ds, from, to, d.Step)
 }
 
 // Discovery surface (diagnose.DiscoveryView).

@@ -205,7 +205,7 @@ func (g *Aggregator) IDs() []timeseries.MeasurementID {
 }
 
 // MeasurementMeans returns the running mean Q^a per measurement since the
-// last Reset.
+// last ResetAccumulators.
 func (g *Aggregator) MeasurementMeans() map[timeseries.MeasurementID]float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -230,8 +230,9 @@ func (g *Aggregator) Steps() int {
 	return g.steps
 }
 
-// Reset clears the running means without touching any model state.
-func (g *Aggregator) Reset() {
+// ResetAccumulators clears the running means (e.g. between experiment
+// phases) without touching any model state.
+func (g *Aggregator) ResetAccumulators() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.acc = make(map[timeseries.MeasurementID]*mathx.Online)
@@ -241,7 +242,7 @@ func (g *Aggregator) Reset() {
 }
 
 // PairMeans returns the accumulated mean fitness per link since the last
-// Reset (nil unless Config.TrackPairMeans).
+// ResetAccumulators (nil unless Config.TrackPairMeans).
 func (g *Aggregator) PairMeans() map[Pair]float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -256,8 +257,9 @@ func (g *Aggregator) PairMeans() map[Pair]float64 {
 }
 
 // WorstPairs returns the k links with the lowest mean fitness since the
-// last Reset — the paper's Q^{a,b} drill-down. Requires
-// Config.TrackPairMeans; otherwise nil.
+// last ResetAccumulators — the paper's Q^{a,b} drill-down ("all the links
+// leading to a measurement have problems ⇒ that measurement is the
+// source"). Requires Config.TrackPairMeans; otherwise nil.
 func (g *Aggregator) WorstPairs(k int) []PairScore {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -132,12 +132,17 @@ type StepReport struct {
 // Manager owns the model fleet. All methods are safe for concurrent use,
 // but rows must be fed in time order.
 type Manager struct {
+	// Aggregator is the manager's aggregation layer — the running means,
+	// localization, drill-down, thresholds and effective Config are its
+	// methods. Shard managers built with NewSubset never feed theirs; the
+	// sharded coordinators embed a separate one.
+	*Aggregator
+
 	cfg Config
 	ids []timeseries.MeasurementID
 
 	mu     sync.Mutex
 	models map[Pair]*core.Model
-	agg    *Aggregator
 
 	// Step-path state, built once by initRuntime: the stable sorted pair
 	// slice (chunked identically every step, so work distribution and any
@@ -278,8 +283,8 @@ func (m *Manager) initRuntime() {
 	m.okBuf = make([]bool, len(m.ids))
 	m.rangeFn = m.scoreRange
 	m.scatterFn = m.scatterRange
-	if m.agg == nil {
-		m.agg = NewAggregator(m.ids, m.cfg)
+	if m.Aggregator == nil {
+		m.Aggregator = NewAggregator(m.ids, m.cfg)
 	}
 	if m.pool == nil {
 		m.pool = newWorkerPool(m.cfg.Workers)
@@ -404,11 +409,6 @@ func FromModels(ids []timeseries.MeasurementID, models map[Pair]*core.Model, cfg
 	return m, nil
 }
 
-// IDs returns the measurements the manager watches.
-func (m *Manager) IDs() []timeseries.MeasurementID {
-	return append([]timeseries.MeasurementID(nil), m.ids...)
-}
-
 // Pairs returns the trained links in stable order.
 func (m *Manager) Pairs() []Pair {
 	m.mu.Lock()
@@ -444,11 +444,6 @@ func (m *Manager) Models() map[Pair]*core.Model {
 	return out
 }
 
-// Config returns the manager's effective (defaulted) configuration — what
-// discovery needs to train a model for a newly admitted pair with the
-// exact settings of the existing fleet.
-func (m *Manager) Config() Config { return m.cfg }
-
 // AddModel grafts an already-trained model into the live pair graph
 // without touching any neighbor: the step-path state is rebuilt all-dirty
 // (the same invariant reshard and recovery rely on), so surviving pairs'
@@ -481,11 +476,6 @@ func (m *Manager) RemovePair(p Pair) bool {
 	return true
 }
 
-// Aggregator exposes the manager's aggregation layer (running means,
-// localization, alarm thresholds). Shard managers built with NewSubset
-// never feed theirs; the sharded coordinator owns a separate one.
-func (m *Manager) Aggregator() *Aggregator { return m.agg }
-
 // Step scores one synchronized row across every link, updates the running
 // accumulators, and publishes alarms. The fan-out runs on the persistent
 // worker pool over the cached sorted pair slice — identical chunking every
@@ -515,7 +505,7 @@ func (m *Manager) Step(row Row) StepReport {
 	// Aggregator — the exact code the sharded coordinator runs, which is
 	// what keeps the two modes bit-identical.
 	sp.Phase("aggregate")
-	report := m.agg.Aggregate(row.Time, m.pairs, m.pairIdx, m.outcomes, sp)
+	report := m.Aggregate(row.Time, m.pairs, m.pairIdx, m.outcomes, sp)
 	sp.End()
 	obsStepSeconds.Observe(time.Since(stepStart).Seconds())
 	return report
@@ -700,20 +690,25 @@ func (m *Manager) PairStates() []PairState {
 // returns the per-step reports. The dataset's series must share the
 // sampling grid.
 func (m *Manager) Run(ds *timeseries.Dataset, from, to time.Time) ([]StepReport, error) {
+	return Replay(ds, from, to, m.Step)
+}
+
+// Replay feeds the rows of ds over [from, to) through step in time order
+// and returns the reports — the one body behind every fleet's Run.
+func Replay(ds *timeseries.Dataset, from, to time.Time, step func(Row) StepReport) ([]StepReport, error) {
 	rows, err := BuildRows(ds, from, to)
 	if err != nil {
 		return nil, err
 	}
 	reports := make([]StepReport, 0, len(rows))
 	for _, row := range rows {
-		reports = append(reports, m.Step(row))
+		reports = append(reports, step(row))
 	}
 	return reports, nil
 }
 
 // BuildRows materializes the synchronized rows of a dataset over
-// [from, to) at the dataset's sampling step — the replay input shared by
-// Manager.Run and the sharded coordinator's Run.
+// [from, to) at the dataset's sampling step — Replay's input.
 func BuildRows(ds *timeseries.Dataset, from, to time.Time) ([]Row, error) {
 	ids := ds.IDs()
 	if len(ids) == 0 {
@@ -734,45 +729,12 @@ func BuildRows(ds *timeseries.Dataset, from, to time.Time) ([]Row, error) {
 	return rows, nil
 }
 
-// MeasurementMeans returns the running mean Q^a per measurement since the
-// last ResetAccumulators.
-func (m *Manager) MeasurementMeans() map[timeseries.MeasurementID]float64 {
-	return m.agg.MeasurementMeans()
-}
-
-// SystemMean returns the running mean system fitness Q.
-func (m *Manager) SystemMean() float64 { return m.agg.SystemMean() }
-
-// Steps returns how many rows produced a system score.
-func (m *Manager) Steps() int { return m.agg.Steps() }
-
-// ResetAccumulators clears the running means (e.g. between experiment
-// phases) without touching the models.
-func (m *Manager) ResetAccumulators() { m.agg.Reset() }
-
 // PairScore is one link's accumulated mean fitness.
 type PairScore struct {
 	Pair  Pair
 	Score float64
 	// Samples is how many scored transitions contributed.
 	Samples int
-}
-
-// WorstPairs returns the k links with the lowest mean fitness since the
-// last ResetAccumulators — the paper's Q^{a,b} drill-down ("all the links
-// leading to a measurement have problems ⇒ that measurement is the
-// source"). It requires Config.TrackPairMeans; otherwise it returns nil.
-func (m *Manager) WorstPairs(k int) []PairScore { return m.agg.WorstPairs(k) }
-
-// PairMeans returns the accumulated mean fitness per link since the last
-// ResetAccumulators (nil unless Config.TrackPairMeans).
-func (m *Manager) PairMeans() map[Pair]float64 { return m.agg.PairMeans() }
-
-// WorstPairDrops ranks links by how far their current mean fitness fell
-// below a baseline captured earlier with PairMeans (see
-// Aggregator.WorstPairDrops).
-func (m *Manager) WorstPairDrops(baseline map[Pair]float64, k int) []PairScore {
-	return m.agg.WorstPairDrops(baseline, k)
 }
 
 // MachineScore is one machine's average fitness (the paper's Figure 14).
@@ -797,11 +759,6 @@ func (l Localization) Suspect() string {
 	}
 	return l.Machines[0].Machine
 }
-
-// Localize rolls the accumulated per-measurement means up to machines and
-// ranks them worst-first (the paper's drill-down from Q to the problem
-// source).
-func (m *Manager) Localize() Localization { return m.agg.Localize() }
 
 // SetAdaptive flips online updating on every model (offline vs adaptive
 // comparison runs).

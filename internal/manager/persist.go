@@ -96,9 +96,8 @@ func (m *Manager) Save(w io.Writer) error {
 		Pairs:   m.pairs,
 	}
 	models := m.modelAt
-	agg := m.agg
 	m.mu.Unlock()
-	hdr.Acc, hdr.SysAcc, hdr.Steps = agg.state()
+	hdr.Acc, hdr.SysAcc, hdr.Steps = m.state()
 
 	var buf bytes.Buffer // the header only
 	if err := gob.NewEncoder(&buf).Encode(&hdr); err != nil {
@@ -166,7 +165,7 @@ func LoadManager(r io.Reader, sink alarm.Sink) (*Manager, error) {
 	// a fresh aggregator) and start a fresh worker pool, then install the
 	// persisted accumulator state into the aggregator.
 	m.initRuntime()
-	m.agg.restore(hdr.Acc, hdr.SysAcc, hdr.Steps)
+	m.restore(hdr.Acc, hdr.SysAcc, hdr.Steps)
 	return m, nil
 }
 
@@ -217,9 +216,11 @@ func LoadAggregator(r io.Reader, sink alarm.Sink) (*Aggregator, error) {
 	return g, nil
 }
 
-// Config returns the aggregator's effective configuration (with defaults
-// applied) — the sharded coordinator reads it back after recovery to size
-// its shard managers consistently.
+// Config returns the effective configuration (with defaults applied) of
+// the aggregator and of the fleet embedding it — what the sharded
+// coordinator reads back after recovery to size its shard managers, and
+// what discovery needs to train a newly admitted pair with the exact
+// settings of the existing fleet.
 func (g *Aggregator) Config() Config {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -43,11 +43,15 @@ type Config struct {
 // All methods are safe for concurrent use; rows must be fed in time
 // order. The zero value is not usable — construct with New or Load.
 type Coordinator struct {
+	// Aggregator is the central aggregation layer every shard's outcomes
+	// fold through; the running means, localization and drill-down are its
+	// methods.
+	*manager.Aggregator
+
 	mu     sync.Mutex
 	cfg    manager.Config // as supplied (Workers = total budget)
 	ids    []timeseries.MeasurementID
 	shards []*manager.Manager
-	agg    *manager.Aggregator
 	closed bool
 
 	// Derived fan-out state, rebuilt by rebuild() after construction and
@@ -72,9 +76,36 @@ func perShardWorkers(budget, n int) int {
 	return per
 }
 
-// keepFor returns the pair filter selecting shard k of n.
-func keepFor(k, n int) func(manager.Pair) bool {
-	return func(p manager.Pair) bool { return Assign(p.String(), n) == k }
+// Train trains the n shard managers of a fleet concurrently, each on its
+// own pool: shard k gets exactly the pairs rendezvous hashing assigns it
+// that keep (nil keeps all) also accepts. It is the one partitioned
+// training loop behind the in-process and the networked fabric. On a
+// failure the shards already trained are closed.
+func Train(history *timeseries.Dataset, n int, mcfg manager.Config, keep func(manager.Pair) bool) ([]*manager.Manager, error) {
+	shards := make([]*manager.Manager, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for k := range shards {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			shards[k], errs[k] = manager.NewSubset(history, mcfg, func(p manager.Pair) bool {
+				return Assign(p.String(), n) == k && (keep == nil || keep(p))
+			})
+		}(k)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			for _, s := range shards {
+				if s != nil {
+					s.Close()
+				}
+			}
+			return nil, fmt.Errorf("train shard %d: %w", k, err)
+		}
+	}
+	return shards, nil
 }
 
 // New trains a sharded fleet from the history dataset: shard k trains
@@ -92,36 +123,14 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	}
 	mcfg := cfg.Manager
 	mcfg.Workers = perShardWorkers(cfg.Manager.Workers, n)
-	shards := make([]*manager.Manager, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k := range shards {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			keep := keepFor(k, n)
-			if extra := cfg.Keep; extra != nil {
-				inner := keep
-				keep = func(p manager.Pair) bool { return inner(p) && extra(p) }
-			}
-			shards[k], errs[k] = manager.NewSubset(history, mcfg, keep)
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, s := range shards {
-				if s != nil {
-					s.Close()
-				}
-			}
-			return nil, err
-		}
+	shards, err := Train(history, n, mcfg, cfg.Keep)
+	if err != nil {
+		return nil, err
 	}
 	c := &Coordinator{
-		cfg: cfg.Manager,
-		ids: ids,
-		agg: manager.NewAggregator(ids, cfg.Manager),
+		Aggregator: manager.NewAggregator(ids, cfg.Manager),
+		cfg:        cfg.Manager,
+		ids:        ids,
 	}
 	c.rebuild(shards)
 	// A non-nil Keep tolerates an empty initial graph (mirroring
@@ -238,7 +247,7 @@ func (c *Coordinator) Step(row manager.Row) manager.StepReport {
 	}
 	manager.RecordDirtyPairs(dirty)
 	sp.Phase("aggregate")
-	report := c.agg.Aggregate(row.Time, c.pairs, c.pairIdx, c.outcomes, sp)
+	report := c.Aggregate(row.Time, c.pairs, c.pairIdx, c.outcomes, sp)
 	sp.End()
 	obsStepSeconds.Observe(time.Since(start).Seconds())
 	return report
@@ -247,20 +256,7 @@ func (c *Coordinator) Step(row manager.Row) manager.StepReport {
 // Run replays a dataset through Step row by row over [from, to) and
 // returns the per-step reports (the sharded mirror of Manager.Run).
 func (c *Coordinator) Run(ds *timeseries.Dataset, from, to time.Time) ([]manager.StepReport, error) {
-	rows, err := manager.BuildRows(ds, from, to)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]manager.StepReport, 0, len(rows))
-	for _, row := range rows {
-		reports = append(reports, c.Step(row))
-	}
-	return reports, nil
-}
-
-// IDs returns the measurements the coordinator watches.
-func (c *Coordinator) IDs() []timeseries.MeasurementID {
-	return append([]timeseries.MeasurementID(nil), c.ids...)
+	return manager.Replay(ds, from, to, c.Step)
 }
 
 // Pairs returns every trained link across all shards in the global
@@ -314,42 +310,6 @@ func (c *Coordinator) Model(a, b timeseries.MeasurementID) *core.Model {
 	k := Assign(p.String(), len(c.shards))
 	return c.shards[k].Model(a, b)
 }
-
-// Aggregator exposes the coordinator's central aggregation layer.
-func (c *Coordinator) Aggregator() *manager.Aggregator { return c.agg }
-
-// Steps returns how many rows produced a system score.
-func (c *Coordinator) Steps() int { return c.agg.Steps() }
-
-// SystemMean returns the running mean system fitness Q.
-func (c *Coordinator) SystemMean() float64 { return c.agg.SystemMean() }
-
-// MeasurementMeans returns the running mean Q^a per measurement since the
-// last ResetAccumulators.
-func (c *Coordinator) MeasurementMeans() map[timeseries.MeasurementID]float64 {
-	return c.agg.MeasurementMeans()
-}
-
-// PairMeans returns the accumulated mean fitness per link (nil unless
-// Config.TrackPairMeans).
-func (c *Coordinator) PairMeans() map[manager.Pair]float64 { return c.agg.PairMeans() }
-
-// WorstPairs returns the k links with the lowest mean fitness — the
-// paper's Q^{a,b} drill-down (requires Config.TrackPairMeans).
-func (c *Coordinator) WorstPairs(k int) []manager.PairScore { return c.agg.WorstPairs(k) }
-
-// WorstPairDrops ranks links by fitness drop against a PairMeans baseline
-// (see Aggregator.WorstPairDrops).
-func (c *Coordinator) WorstPairDrops(baseline map[manager.Pair]float64, k int) []manager.PairScore {
-	return c.agg.WorstPairDrops(baseline, k)
-}
-
-// Localize rolls the accumulated per-measurement means up to machines and
-// ranks them worst-first.
-func (c *Coordinator) Localize() manager.Localization { return c.agg.Localize() }
-
-// ResetAccumulators clears the running means without touching any model.
-func (c *Coordinator) ResetAccumulators() { c.agg.Reset() }
 
 // SetAdaptive flips online updating on every model of every shard.
 func (c *Coordinator) SetAdaptive(adaptive bool) {

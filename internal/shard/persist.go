@@ -31,7 +31,7 @@ func (c *Coordinator) SaveState(w io.Writer) error {
 	n := len(c.shards)
 	c.mu.Unlock()
 	var buf bytes.Buffer
-	if err := c.agg.Save(&buf); err != nil {
+	if err := c.Aggregator.Save(&buf); err != nil {
 		return fmt.Errorf("shard state save: %w", err)
 	}
 	snap := coordSnapshot{Version: coordSnapshotVersion, Shards: n, Agg: buf.Bytes()}
@@ -91,9 +91,9 @@ func Load(state io.Reader, shardBlobs []io.Reader, sink alarm.Sink) (*Coordinato
 		shards[k] = m
 	}
 	c := &Coordinator{
-		cfg: agg.Config(),
-		ids: agg.IDs(),
-		agg: agg,
+		Aggregator: agg,
+		cfg:        agg.Config(),
+		ids:        agg.IDs(),
 	}
 	c.rebuild(shards)
 	return c, nil

@@ -26,25 +26,19 @@ import (
 const (
 	defaultCheckpointEvery = 240
 	dialTimeout            = 500 * time.Millisecond
-	handshakeTimeout       = 30 * time.Second
-	redialInterval         = 150 * time.Millisecond
-	awaitTick              = 100 * time.Millisecond
-	latencyAlpha           = 0.2
+	// handshakeTimeout bounds the wait for any one reply frame — a ready,
+	// a done, a stream chunk or a row's outcomes — as a read deadline.
+	handshakeTimeout = 30 * time.Second
+	redialInterval   = 150 * time.Millisecond
+	latencyAlpha     = 0.2
 )
 
 // Config configures a networked shard coordinator.
 type Config struct {
 	// Workers lists the control addresses of the shard worker processes;
-	// position is the shard index. Required, at least one.
+	// position is the shard index. Required, at least one. The coordinator
+	// dials them and needs no listener of its own.
 	Workers []string
-	// Listen is the outcome-return listen address (default
-	// "127.0.0.1:0"). Workers dial the resolved address back, so it must
-	// be reachable from every worker host; see Advertise.
-	Listen string
-	// Advertise overrides the outcome-return address announced to
-	// workers when the listen address is not directly dialable (e.g.
-	// an unspecified host).
-	Advertise string
 	// Manager is the shared fleet configuration, exactly as for the
 	// in-process fabric.
 	Manager manager.Config
@@ -69,23 +63,27 @@ type Config struct {
 }
 
 // Coordinator drives shard workers over the network while keeping the
-// authoritative Aggregator — and therefore the merged Q^a/Q trajectory —
-// in this process. It satisfies the same fleet surface as the in-process
-// Manager and shard Coordinator and produces bit-identical reports.
+// authoritative Aggregator — embedded, so the running means, localization
+// and drill-down are its own methods — and therefore the merged Q^a/Q
+// trajectory in this process. It satisfies the same fleet surface as the
+// in-process Manager and shard Coordinator and produces bit-identical
+// reports.
 type Coordinator struct {
-	cfg     Config
-	log     *obs.Logger
-	runID   string
-	ids     []timeseries.MeasurementID
-	agg     *manager.Aggregator
-	srv     *collector.Server
-	retAddr string
+	*manager.Aggregator
+
+	cfg   Config
+	log   *obs.Logger
+	runID string
+	ids   []timeseries.MeasurementID
 
 	// mu is the step/control lock: Step, rebalance, reconnection and
-	// Close serialize on it.
+	// Close serialize on it. Step holds it for a whole round, so one row
+	// is in flight per fabric and every exchange on a control connection
+	// is request/response.
 	mu          sync.Mutex
 	closed      bool
 	seq         uint64
+	sent        time.Time // start of row seq's fan-out, the latency EWMAs' origin
 	planVersion uint64
 	pairs       []manager.Pair
 	pairIdx     [][2]int
@@ -94,20 +92,12 @@ type Coordinator struct {
 	localPairs  [][]manager.Pair
 	localIdx    [][]int
 	conns       []*workerConn
-	lastDial    []time.Time
 	baseState   []*manager.Manager // trained shards awaiting hand-off; nil once streaming began
 	pendInstall map[manager.Pair]pendingModel
+	lat         []float64
+	latSet      []bool
 	latGauges   []*obs.Gauge
 	ring        ringState
-
-	// pmu guards the outcome-collection state shared with the collector
-	// sink goroutines.
-	pmu     sync.Mutex
-	notify  chan struct{}
-	applied []uint64
-	collect collectState
-	lat     []float64
-	latSet  []bool
 }
 
 // pendingModel is a model mid-migration: extracted from its donor and
@@ -117,100 +107,101 @@ type pendingModel struct {
 	model *core.Model
 }
 
-// collectState tracks the in-flight row's outcome assembly.
-type collectState struct {
-	seq      uint64
-	pv       uint64
-	t0       time.Time
-	got      []bool
-	received []int
-	seen     []map[int]bool
-	complete bool
-}
-
-// workerConn is one live control connection; a background reader routes
-// worker replies and flags death.
+// workerConn is one control connection. The protocol is request/response,
+// so a failed or timed-out exchange leaves nothing to resynchronise on:
+// send and read close the connection on any error, and Step redials,
+// re-handshakes and replays.
 type workerConn struct {
-	k        int
-	conn     net.Conn
-	replies  chan collector.Frame
-	dead     chan struct{}
-	deadOnce sync.Once
-	err      error
+	k    int
+	conn net.Conn
+	dead bool
 }
 
-func (wc *workerConn) markDead(err error) {
-	wc.deadOnce.Do(func() {
-		wc.err = err
-		close(wc.dead)
+// fail closes the connection and hands err back.
+func (wc *workerConn) fail(err error) error {
+	if !wc.dead {
+		wc.dead = true
 		wc.conn.Close()
-	})
-}
-
-func (wc *workerConn) isDead() bool {
-	select {
-	case <-wc.dead:
-		return true
-	default:
-		return false
 	}
+	return err
 }
 
-// await returns the next routed reply of the wanted type.
-func (wc *workerConn) await(want collector.MsgType, timeout time.Duration) (collector.Frame, error) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	select {
-	case f := <-wc.replies:
-		if f.Type != want {
-			err := fmt.Errorf("shardnet: shard %d answered type %d, want %d", wc.k, byte(f.Type), byte(want))
-			wc.markDead(err)
-			return collector.Frame{}, err
-		}
-		return f, nil
-	case <-wc.dead:
-		return collector.Frame{}, fmt.Errorf("shardnet: shard %d connection lost: %w", wc.k, wc.err)
-	case <-deadline.C:
-		err := fmt.Errorf("shardnet: shard %d reply timeout", wc.k)
-		wc.markDead(err)
-		return collector.Frame{}, err
+// send writes one frame.
+func (wc *workerConn) send(msgType collector.MsgType, payload []byte) error {
+	if err := collector.WriteFrame(wc.conn, collector.Frame{Type: msgType, Payload: payload}); err != nil {
+		return wc.fail(err)
 	}
+	return nil
 }
 
-// awaitDone reads a command acknowledgement and surfaces worker-side
-// failures.
-func (wc *workerConn) awaitDone(timeout time.Duration) error {
-	f, err := wc.await(MsgShardDone, timeout)
+// sendGob writes one gob-encoded command.
+func (wc *workerConn) sendGob(msgType collector.MsgType, v any) error {
+	if err := writeGob(wc.conn, msgType, v); err != nil {
+		return wc.fail(err)
+	}
+	return nil
+}
+
+// read returns the worker's next frame, which must arrive within
+// handshakeTimeout and be of the wanted type.
+func (wc *workerConn) read(want collector.MsgType) (collector.Frame, error) {
+	_ = wc.conn.SetReadDeadline(time.Now().Add(handshakeTimeout)) // fails only on a closed connection, which the read reports
+	f, err := collector.ReadFrame(wc.conn)
+	if err == nil && f.Type != want {
+		err = fmt.Errorf("shardnet: shard %d answered type %d, want %d", wc.k, byte(f.Type), byte(want))
+	}
+	if err != nil {
+		return collector.Frame{}, wc.fail(err)
+	}
+	return f, nil
+}
+
+// readGob reads a reply of the wanted type and decodes it into v.
+func (wc *workerConn) readGob(want collector.MsgType, v any) error {
+	f, err := wc.read(want)
 	if err != nil {
 		return err
 	}
+	if err := decodeGob(f.Payload, v); err != nil {
+		return wc.fail(err)
+	}
+	return nil
+}
+
+// readDone reads a command acknowledgement and surfaces worker-side
+// failures.
+func (wc *workerConn) readDone() error {
 	var d doneMsg
-	if err := decodeGob(f.Payload, &d); err != nil {
-		wc.markDead(err)
+	if err := wc.readGob(MsgShardDone, &d); err != nil {
 		return err
 	}
 	if d.Err != "" {
-		err := fmt.Errorf("shardnet: shard %d: %s", wc.k, d.Err)
-		wc.markDead(err)
-		return err
+		return wc.fail(fmt.Errorf("shardnet: shard %d: %s", wc.k, d.Err))
 	}
 	return nil
 }
 
 // stream returns the reader over a chunked reply of the wanted type, so
 // the reply is decoded while its chunks arrive.
-func (wc *workerConn) stream(want collector.MsgType, timeout time.Duration) *chunkReader {
-	return &chunkReader{next: func() (collector.Frame, error) { return wc.await(want, timeout) }}
+func (wc *workerConn) stream(want collector.MsgType) *chunkReader {
+	return &chunkReader{next: func() (collector.Frame, error) { return wc.read(want) }}
 }
 
+// errNoWorker marks a failed dial: nothing is listening yet, which New
+// waits out; a worker that answers and then refuses the handshake is not.
+var errNoWorker = errors.New("shardnet: worker unreachable")
+
 // New trains the pair graph, partitions it across the configured workers
-// by rendezvous hashing, ships each worker its shard's models, and
-// starts the outcome-return collector. It blocks until every worker has
+// by rendezvous hashing, and ships each worker its shard's models over
+// the control connection it dials. It blocks until every worker has
 // installed its state and persisted the epoch-zero checkpoint.
 func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	n := len(cfg.Workers)
 	if n < 1 {
 		return nil, errors.New("shardnet: at least one worker address required")
+	}
+	if l := len(history.IDs()); l > maxMeasurements {
+		return nil, fmt.Errorf("shardnet: %d measurements, a row frame addresses at most %d", l, maxMeasurements)
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -222,35 +213,12 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		cfg.RebalanceFactor = 1.5
 	}
 
-	// Train every shard's subset locally — the same keepFor partition the
-	// in-process fabric uses — then stream each to its worker and release
+	// Train every shard's subset locally — the partition and the loop of
+	// the in-process fabric — then stream each to its worker and release
 	// the local copies; from then on the workers own the live models.
-	mgrs := make([]*manager.Manager, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			keep := func(p manager.Pair) bool {
-				if shard.Assign(p.String(), n) != k {
-					return false
-				}
-				return cfg.Keep == nil || cfg.Keep(p)
-			}
-			mgrs[k], errs[k] = manager.NewSubset(history, cfg.Manager, keep)
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			for _, m := range mgrs {
-				if m != nil {
-					m.Close()
-				}
-			}
-			return nil, fmt.Errorf("shardnet: train shard %d: %w", k, err)
-		}
+	mgrs, err := shard.Train(history, n, cfg.Manager, cfg.Keep)
+	if err != nil {
+		return nil, fmt.Errorf("shardnet: %w", err)
 	}
 
 	var idb [8]byte
@@ -258,18 +226,15 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
+		Aggregator:  manager.NewAggregator(mgrs[0].IDs(), cfg.Manager),
 		cfg:         cfg,
 		log:         cfg.Logger.With("component", "shardnet"),
 		runID:       hex.EncodeToString(idb[:]),
 		ids:         mgrs[0].IDs(),
-		agg:         manager.NewAggregator(mgrs[0].IDs(), cfg.Manager),
 		owner:       make(map[manager.Pair]int),
 		conns:       make([]*workerConn, n),
-		lastDial:    make([]time.Time, n),
 		baseState:   mgrs,
 		pendInstall: make(map[manager.Pair]pendingModel),
-		notify:      make(chan struct{}, 1),
-		applied:     make([]uint64, n),
 		lat:         make([]float64, n),
 		latSet:      make([]bool, n),
 		latGauges:   make([]*obs.Gauge, n),
@@ -284,32 +249,16 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	}
 	c.rebuild()
 
-	srv, err := collector.NewServerWithLogger(&outcomeSink{c: c}, cfg.Logger)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	srv.SetFlow(collector.FlowConfig{})
-	listen := cfg.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	addr, err := srv.Listen(listen)
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("shardnet: outcome listener: %w", err)
-	}
-	c.srv = srv
-	c.retAddr = advertiseAddr(addr, cfg.Advertise)
-
 	// Connect every worker; allow a grace window for processes still
 	// starting up.
 	deadline := time.Now().Add(handshakeTimeout)
 	for k := 0; k < n; k++ {
 		for {
-			if err := c.connectLocked(k); err == nil {
+			err := c.connectLocked(k)
+			if err == nil {
 				break
-			} else if time.Now().After(deadline) {
+			}
+			if !errors.Is(err, errNoWorker) || time.Now().After(deadline) {
 				c.Close()
 				return nil, fmt.Errorf("shardnet: worker %d (%s): %w", k, cfg.Workers[k], err)
 			}
@@ -332,22 +281,6 @@ func (c *Coordinator) releaseBase() {
 	c.baseState = nil
 }
 
-// advertiseAddr resolves the outcome address announced to workers: an
-// explicit override wins; an unspecified listen host is rewritten to
-// loopback, which is correct for same-host workers.
-func advertiseAddr(addr net.Addr, override string) string {
-	if override != "" {
-		return override
-	}
-	s := addr.String()
-	if host, port, err := net.SplitHostPort(s); err == nil {
-		if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-			return net.JoinHostPort("127.0.0.1", port)
-		}
-	}
-	return s
-}
-
 // rebuild recomputes the canonical global pair order and the per-shard
 // scatter tables from the current ownership plan. Callers hold c.mu (or
 // are constructing the coordinator).
@@ -358,21 +291,16 @@ func (c *Coordinator) rebuild() {
 		pairs = append(pairs, p)
 	}
 	manager.SortPairs(pairs)
-	pairIdx := manager.BuildPairIndex(c.ids, pairs)
-	localPairs := make([][]manager.Pair, n)
-	localIdx := make([][]int, n)
+	c.pairs = pairs
+	c.pairIdx = manager.BuildPairIndex(c.ids, pairs)
+	c.outcomes = make([]manager.Outcome, len(pairs))
+	c.localPairs = make([][]manager.Pair, n)
+	c.localIdx = make([][]int, n)
 	for i, p := range pairs {
 		k := c.owner[p]
-		localPairs[k] = append(localPairs[k], p)
-		localIdx[k] = append(localIdx[k], i)
+		c.localPairs[k] = append(c.localPairs[k], p)
+		c.localIdx[k] = append(c.localIdx[k], i)
 	}
-	c.pmu.Lock()
-	c.pairs = pairs
-	c.pairIdx = pairIdx
-	c.outcomes = make([]manager.Outcome, len(pairs))
-	c.localPairs = localPairs
-	c.localIdx = localIdx
-	c.pmu.Unlock()
 }
 
 // ringCap bounds the replay ring: enough rows to re-feed any worker
@@ -400,160 +328,122 @@ func (r *ringState) push(seq uint64, frame []byte, capRows int) {
 }
 
 // connectLocked dials worker k, reconciles its recovered state against
-// the current plan, and replays any rows it missed. Callers hold c.mu.
+// the current plan, and replays any rows it missed — inside Step, that
+// includes collecting the row in flight. Callers hold c.mu.
 func (c *Coordinator) connectLocked(k int) error {
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.Dial("tcp", c.cfg.Workers[k])
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", errNoWorker, err)
 	}
-	wc := &workerConn{k: k, conn: conn, replies: make(chan collector.Frame, 8), dead: make(chan struct{})}
-	go c.readLoop(wc)
+	wc := &workerConn{k: k, conn: conn}
+	if err := c.handshakeLocked(wc); err != nil {
+		return wc.fail(fmt.Errorf("shardnet: shard %d handshake: %w", k, err))
+	}
+	if c.conns[k] != nil {
+		obsReconnects.Add(1)
+	}
+	c.conns[k] = wc
+	c.updateConnected()
+	return nil
+}
 
-	fail := func(err error) error {
-		wc.markDead(err)
-		return err
-	}
+// handshakeLocked runs the session opening on a fresh connection: assign,
+// state transfer if the worker has none, ownership reconciliation, replay.
+func (c *Coordinator) handshakeLocked(wc *workerConn) error {
+	k := wc.k
 	assign := assignMsg{
 		RunID:           c.runID,
 		K:               k,
 		N:               len(c.cfg.Workers),
 		PlanVersion:     c.planVersion,
-		ReturnAddr:      c.retAddr,
 		CheckpointEvery: c.cfg.CheckpointEvery,
 		IDs:             c.ids,
 		Pairs:           c.localPairs[k],
 	}
-	if err := writeGob(conn, MsgShardAssign, assign); err != nil {
-		return fail(err)
-	}
-	ready, err := c.awaitReady(wc)
-	if err != nil {
+	if err := wc.sendGob(MsgShardAssign, assign); err != nil {
 		return err
+	}
+	var ready readyMsg
+	if err := wc.readGob(MsgShardReady, &ready); err != nil {
+		return fmt.Errorf("assign refused (mcdetect and mcshard must come from the same build): %w", err)
 	}
 	if !ready.HaveState {
 		if c.baseState == nil {
-			return fail(fmt.Errorf("shardnet: shard %d lost all state after streaming began", k))
+			return errors.New("lost all state after streaming began")
 		}
-		if err := sendStream(conn, MsgShardState, c.baseState[k].Save); err != nil {
-			return fail(err)
+		if err := sendStream(wc.conn, MsgShardState, c.baseState[k].Save); err != nil {
+			return err
 		}
-		if ready, err = c.awaitReady(wc); err != nil {
+		if err := wc.readGob(MsgShardReady, &ready); err != nil {
 			return err
 		}
 		if !ready.HaveState {
-			return fail(fmt.Errorf("shardnet: shard %d rejected state transfer", k))
+			return errors.New("rejected state transfer")
 		}
 	}
 
 	// Reconcile ownership: a crash mid-migration can leave a worker with
 	// models it no longer owns (pruned here) or without models the plan
-	// says it holds (re-installed from the migration buffer).
+	// says it holds (re-installed from the migration buffer). Every
+	// failure that can leave such a difference also closes the worker's
+	// connection, so a worker that needs reconciling was cut off before
+	// the row in flight was sent: none of the rows it scored is still
+	// unmerged, which is what lets it checkpoint on these commands.
 	extras, missing := diffPairs(ready.Pairs, c.localPairs[k])
 	if len(extras) > 0 {
-		if err := writeGob(conn, MsgShardPrune, pruneMsg{PlanVersion: c.planVersion, Pairs: extras}); err != nil {
-			return fail(err)
+		if err := wc.sendGob(MsgShardPrune, pruneMsg{PlanVersion: c.planVersion, Pairs: extras}); err != nil {
+			return err
 		}
-		if err := wc.awaitDone(handshakeTimeout); err != nil {
+		if err := wc.readDone(); err != nil {
 			return err
 		}
 	}
 	if len(missing) > 0 {
 		for _, p := range missing {
 			if pend, ok := c.pendInstall[p]; !ok || pend.owner != k {
-				return fail(fmt.Errorf("shardnet: shard %d is missing pair %s with no migration copy", k, p))
+				return fmt.Errorf("missing pair %s with no migration copy", p)
 			}
 		}
-		if err := c.sendInstall(conn, installMsg{PlanVersion: c.planVersion, Pairs: missing}); err != nil {
-			return fail(err)
+		if err := c.sendInstall(wc, installMsg{PlanVersion: c.planVersion, Pairs: missing}); err != nil {
+			return err
 		}
-		if err := wc.awaitDone(handshakeTimeout); err != nil {
+		if err := wc.readDone(); err != nil {
 			return err
 		}
 	}
 
-	// Replay the rows the worker has not acked yet.
+	// Replay the rows the worker does not know were merged, one exchange
+	// at a time: the worker answers every row, and rows and answers share
+	// this one connection, so a ring written ahead of its answers would
+	// fill both socket buffers and stop.
 	if ready.AppliedSeq > c.seq {
-		return fail(fmt.Errorf("shardnet: shard %d is ahead of the coordinator (%d > %d)", k, ready.AppliedSeq, c.seq))
+		return fmt.Errorf("ahead of the coordinator (%d > %d)", ready.AppliedSeq, c.seq)
 	}
-	if replay := c.seq - ready.AppliedSeq; replay > 0 {
-		first := ready.AppliedSeq + 1
-		if first < c.ring.ringBase {
-			return fail(fmt.Errorf("shardnet: shard %d checkpoint too old to replay (needs row %d, ring starts at %d)", k, first, c.ring.ringBase))
+	first := ready.AppliedSeq + 1
+	if first <= c.seq && first < c.ring.ringBase {
+		return fmt.Errorf("checkpoint too old to replay (needs row %d, ring starts at %d)", first, c.ring.ringBase)
+	}
+	for s := first; s <= c.seq; s++ {
+		if err := wc.send(MsgShardRow, c.ring.frames[s-c.ring.ringBase]); err != nil {
+			return err
 		}
-		for s := first; s <= c.seq; s++ {
-			frame := c.ring.frames[s-c.ring.ringBase]
-			if err := collector.WriteFrame(conn, collector.Frame{Type: MsgShardRow, Payload: frame}); err != nil {
-				return fail(err)
-			}
+		if err := c.readOutcomes(wc, s); err != nil {
+			return err
 		}
-		obsReplayedRows.Add(uint64(replay))
 	}
-
-	if old := c.conns[k]; old != nil {
-		old.markDead(errors.New("superseded"))
-		obsReconnects.Add(1)
-	}
-	c.conns[k] = wc
-	c.pmu.Lock()
-	// A restarted worker reverts to its checkpoint; rows between the
-	// checkpoint and the merge floor will be re-delivered and must pass
-	// the exactly-once filter again from the worker's applied position.
-	if ready.AppliedSeq < c.applied[k] {
-		c.applied[k] = ready.AppliedSeq
-	}
-	c.pmu.Unlock()
-	c.updateConnected()
+	obsReplayedRows.Add(c.seq - ready.AppliedSeq)
 	return nil
-}
-
-// awaitReady reads a readyMsg reply.
-func (c *Coordinator) awaitReady(wc *workerConn) (readyMsg, error) {
-	f, err := wc.await(MsgShardReady, handshakeTimeout)
-	if err != nil {
-		return readyMsg{}, err
-	}
-	var ready readyMsg
-	if err := decodeGob(f.Payload, &ready); err != nil {
-		wc.markDead(err)
-		return readyMsg{}, err
-	}
-	return ready, nil
-}
-
-// readLoop routes worker replies until the connection dies.
-func (c *Coordinator) readLoop(wc *workerConn) {
-	for {
-		f, err := collector.ReadFrame(wc.conn)
-		if err != nil {
-			wc.markDead(err)
-			c.wake()
-			return
-		}
-		select {
-		case wc.replies <- f:
-		case <-wc.dead:
-			return
-		}
-	}
-}
-
-// wake nudges a Step blocked in awaitOutcomes.
-func (c *Coordinator) wake() {
-	select {
-	case c.notify <- struct{}{}:
-	default:
-	}
 }
 
 // sendInstall streams an install command: the header, then the migration
 // copy of every pair it names. Callers hold c.mu.
-func (c *Coordinator) sendInstall(conn net.Conn, m installMsg) error {
+func (c *Coordinator) sendInstall(wc *workerConn, m installMsg) error {
 	var hdr bytes.Buffer
 	if err := gob.NewEncoder(&hdr).Encode(&m); err != nil {
 		return err
 	}
-	return sendStream(conn, MsgShardInstall, func(cw io.Writer) error {
+	err := sendStream(wc.conn, MsgShardInstall, func(cw io.Writer) error {
 		rw := wal.NewRecordWriter(cw)
 		if err := rw.WriteBlob(hdr.Bytes()); err != nil {
 			return err
@@ -565,6 +455,10 @@ func (c *Coordinator) sendInstall(conn net.Conn, m installMsg) error {
 		}
 		return nil
 	})
+	if err != nil {
+		return wc.fail(err)
+	}
+	return nil
 }
 
 // diffPairs splits have into (extras not in want, missing from have).

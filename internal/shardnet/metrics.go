@@ -8,7 +8,7 @@ import "mcorr/internal/obs"
 // mcorr_shardnet_worker_* families on their own ops surface.
 var (
 	obsStepSeconds = obs.Default().Histogram("mcorr_shardnet_step_seconds",
-		"Latency of one networked Step: broadcast, remote scoring on every worker, and central merge.",
+		"Latency of one networked Step: fan-out, remote scoring on every worker, and central merge.",
 		obs.TimeBuckets())
 	obsRows = obs.Default().Counter("mcorr_shardnet_rows_total",
 		"Rows fanned out to networked shard workers.")
@@ -21,15 +21,15 @@ var (
 	obsReplayedRows = obs.Default().Counter("mcorr_shardnet_replayed_rows_total",
 		"Rows re-sent from the coordinator's replay ring during recovery.")
 	obsDupOutcomes = obs.Default().Counter("mcorr_shardnet_duplicate_outcomes_total",
-		"Outcome sets dropped by the coordinator's exactly-once filter (retries of already-merged rows).")
+		"Outcome frames drained and dropped during a replay: answers to rows merged before the connection was lost.")
 	obsStaleOutcomes = obs.Default().Counter("mcorr_shardnet_stale_outcomes_total",
-		"Outcome sets dropped for carrying an outdated rebalance plan version.")
+		"Outcome frames refused for carrying another rebalance plan version or pair count.")
 	obsRebalances = obs.Default().Counter("mcorr_shardnet_rebalances_total",
 		"Completed work-stealing rebalances between workers.")
 	obsPairsStolen = obs.Default().Counter("mcorr_shardnet_pairs_stolen_total",
 		"Pair models migrated between workers across all rebalances.")
 	obsShardLatency = obs.Default().GaugeVec("mcorr_shardnet_shard_latency_seconds",
-		"Exponentially weighted round-trip per shard: row broadcast to outcome arrival (label: shard index).",
+		"Exponentially weighted round-trip per shard: start of the row's fan-out to the shard's last outcome frame (label: shard index).",
 		"shard")
 
 	obsWorkerRows = obs.Default().Counter("mcorr_shardnet_worker_rows_total",

@@ -1,9 +1,12 @@
 // Package shardnet runs the sharded scoring fabric across processes: a
-// coordinator owning the authoritative Aggregator fans synchronized rows
-// out to shard workers over the collector wire protocol, and the workers
-// return their per-pair outcomes through the collector's ReliableAgent
-// exactly-once delivery machinery. The merged Q^a/Q trajectory is
-// bit-identical (Float64bits) to the in-process fabric for any worker
+// coordinator owning the authoritative Aggregator dials one control
+// connection per shard worker and everything travels over it in the
+// collector's frame format — the trained models, one row frame per step,
+// the worker's per-pair outcomes as a native binary frame in reply, and
+// the rebalance commands. Every exchange is request/response under the
+// coordinator's step lock, so only coordinator → worker reachability is
+// needed and one row is in flight per fabric. The merged Q^a/Q trajectory
+// is bit-identical (Float64bits) to the in-process fabric for any worker
 // count: scoring advances the same models in the same canonical pair
 // order, and aggregation happens once, centrally, through the exact
 // Aggregate call the in-process Manager and shard Coordinator use.
@@ -16,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"time"
 
 	"mcorr/internal/collector"
@@ -28,11 +30,13 @@ import (
 // The collector reserves types below 16 for agent traffic; ReadFrame
 // passes unknown types through untouched, so both protocols share one
 // header, magic and size limit.
+//
+// Type 16 was the assign of the builds whose workers dialled a second
+// connection back to the coordinator to return outcomes. It stays retired:
+// a peer from such a build answers "expected assign" and the handshake
+// fails at once, instead of a Step waiting for outcomes on a connection
+// nobody writes them to.
 const (
-	// MsgShardAssign (coordinator → worker) opens a control session: gob
-	// assignMsg naming the worker's shard, the fabric run, the outcome
-	// return address and the expected pair set.
-	MsgShardAssign collector.MsgType = 16
 	// MsgShardReady (worker → coordinator) answers an assign or a state
 	// transfer: gob readyMsg reporting the worker's recovered state.
 	MsgShardReady collector.MsgType = 17
@@ -41,7 +45,8 @@ const (
 	// first payload byte flags the last chunk.
 	MsgShardState collector.MsgType = 18
 	// MsgShardRow (coordinator → worker) is one synchronized row in the
-	// compact binary layout of appendRowFrame.
+	// compact binary layout of encodeRowFrame; the worker answers with the
+	// row's MsgShardOutcomes.
 	MsgShardRow collector.MsgType = 19
 	// MsgShardPrune (coordinator → worker) orders the worker to drop pairs
 	// it no longer owns (gob pruneMsg); the worker checkpoints and
@@ -73,6 +78,14 @@ const (
 	// MsgShardResetChains (coordinator → worker) clears every model's
 	// Markov position; answered with MsgShardDone.
 	MsgShardResetChains collector.MsgType = 27
+	// MsgShardAssign (coordinator → worker) opens a control session: gob
+	// assignMsg naming the worker's shard, the fabric run and the expected
+	// pair set.
+	MsgShardAssign collector.MsgType = 28
+	// MsgShardOutcomes (worker → coordinator) answers a row with the
+	// shard's outcome set in the binary layout of appendOutcomeFrames —
+	// one frame, more only when the set would exceed the frame size limit.
+	MsgShardOutcomes collector.MsgType = 29
 )
 
 // blobChunk bounds one state/model transfer chunk, comfortably under the
@@ -89,9 +102,6 @@ type assignMsg struct {
 	K, N int
 	// PlanVersion is the coordinator's current ownership-plan epoch.
 	PlanVersion uint64
-	// ReturnAddr is the coordinator's outcome collector address the
-	// worker's ReliableAgent dials back to.
-	ReturnAddr string
 	// CheckpointEvery is the worker checkpoint cadence in rows.
 	CheckpointEvery int
 	// IDs is the fleet's canonical measurement order; row frames index
@@ -106,8 +116,8 @@ type readyMsg struct {
 	// HaveState is false when the worker holds no usable model state for
 	// this run and needs a MsgShardState transfer.
 	HaveState bool
-	// AppliedSeq is the last row sequence whose outcome the coordinator
-	// has acknowledged; replay must resume at AppliedSeq+1.
+	// AppliedSeq is the last row sequence the worker knows the coordinator
+	// merged; replay must resume at AppliedSeq+1.
 	AppliedSeq uint64
 	// PlanVersion is the plan epoch the worker recovered with.
 	PlanVersion uint64
@@ -142,7 +152,7 @@ type doneMsg struct {
 }
 
 // writeGob frames one gob-encoded control message.
-func writeGob(conn net.Conn, msgType collector.MsgType, v any) error {
+func writeGob(conn io.Writer, msgType collector.MsgType, v any) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return fmt.Errorf("shardnet: encode %d: %w", byte(msgType), err)
@@ -255,6 +265,11 @@ func frameSource(conn io.Reader, msgType collector.MsgType) func() (collector.Fr
 	}
 }
 
+// maxMeasurements is how many measurements a row frame can address: its
+// measurement index is a u16, so New refuses a wider fleet instead of
+// letting measurement 65 536 alias measurement 0 on the workers.
+const maxMeasurements = 1 << 16
+
 // Row frame layout: u64 seq, i64 unix-nanos, u32 count, then count ×
 // {u16 measurement index, u64 value bits}. Only present measurements are
 // encoded; absent ones are monitoring gaps.
@@ -267,8 +282,8 @@ type rowFrame struct {
 }
 
 // encodeRowFrame packs one row against the fleet's canonical measurement
-// order. The same bytes are broadcast to every worker and retained for
-// replay.
+// order (at most maxMeasurements long). The same bytes are broadcast to
+// every worker and retained for replay.
 func encodeRowFrame(seq uint64, row manager.Row, ids []timeseries.MeasurementID) []byte {
 	buf := make([]byte, 20, 20+10*len(row.Values))
 	binary.BigEndian.PutUint64(buf[0:], seq)
@@ -279,10 +294,8 @@ func encodeRowFrame(seq uint64, row manager.Row, ids []timeseries.MeasurementID)
 		if !ok {
 			continue
 		}
-		var cell [10]byte
-		binary.BigEndian.PutUint16(cell[0:], uint16(i))
-		binary.BigEndian.PutUint64(cell[2:], math.Float64bits(v))
-		buf = append(buf, cell[:]...)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(i))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 		n++
 	}
 	binary.BigEndian.PutUint32(buf[16:], uint32(n))
@@ -311,17 +324,16 @@ func decodeRowFrame(payload []byte, f *rowFrame) error {
 	return nil
 }
 
-// Outcome payloads travel inside tsdb samples through the collector: one
-// sample per (row, chunk), Machine "shard-<k>", Value the row sequence,
-// Metric the packed bytes below. Layout: u64 plan version, u32 total
-// outcome count, u32 chunk offset, u32 chunk count, then count × 17
-// bytes {u64 fitness bits, u64 prob bits, flags}.
+// Outcome frame layout: u64 row seq, u64 plan version, u32 total outcome
+// count of the shard, u32 offset and u32 count of this frame's slice of
+// them, then count × 17 bytes {u64 fitness bits, u64 prob bits, flags},
+// in the shard's canonical local pair order.
 const (
-	outcomeHeader = 20
+	outcomeHeader = 28
 	outcomeSize   = 17
-	// maxOutcomesPerChunk keeps each packed payload under the wire
-	// format's 64 KiB string limit.
-	maxOutcomesPerChunk = 3500
+	// maxOutcomesPerFrame is what fits under the collector's frame limit:
+	// 61 679 pairs, so a shard's set is one frame in any fleet seen so far.
+	maxOutcomesPerFrame = (collector.MaxFrameSize - outcomeHeader) / outcomeSize
 
 	flagScored byte = 1 << 0
 	flagGap    byte = 1 << 1
@@ -329,32 +341,24 @@ const (
 	flagSteady byte = 1 << 3
 )
 
-// packOutcomes encodes a worker's local outcome slice (canonical local
-// pair order) into one or more sample payload strings. scratch is an
-// optional reusable build buffer (each chunk still becomes its own
-// immutable string); the grown buffer is returned for the next call.
-func packOutcomes(scratch []byte, planVersion uint64, outs []manager.Outcome) ([]string, []byte) {
-	total := len(outs)
-	chunks := make([]string, 0, 1+total/maxOutcomesPerChunk)
-	for off := 0; off < total || off == 0; off += maxOutcomesPerChunk {
-		n := total - off
-		if n > maxOutcomesPerChunk {
-			n = maxOutcomesPerChunk
+// appendOutcomeFrames encodes a worker's outcome set for one row (local
+// canonical pair order) as MsgShardOutcomes payloads laid back to back in
+// buf[:0] — an empty shard still answers with one empty frame. The worker
+// keeps the returned buffer until the next row is scored, both to reuse
+// it and to answer a replay of the row without re-stepping a model.
+func appendOutcomeFrames(buf []byte, seq, planVersion uint64, outs []manager.Outcome) []byte {
+	buf = buf[:0]
+	for off := 0; ; off += maxOutcomesPerFrame {
+		chunk := outs[off:]
+		if len(chunk) > maxOutcomesPerFrame {
+			chunk = chunk[:maxOutcomesPerFrame]
 		}
-		need := outcomeHeader + outcomeSize*n
-		if cap(scratch) < need {
-			scratch = make([]byte, need)
-		}
-		buf := scratch[:need]
-		binary.BigEndian.PutUint64(buf[0:], planVersion)
-		binary.BigEndian.PutUint32(buf[8:], uint32(total))
-		binary.BigEndian.PutUint32(buf[12:], uint32(off))
-		binary.BigEndian.PutUint32(buf[16:], uint32(n))
-		for i := 0; i < n; i++ {
-			o := outs[off+i]
-			cell := buf[outcomeHeader+outcomeSize*i:]
-			binary.BigEndian.PutUint64(cell[0:], math.Float64bits(o.Fitness))
-			binary.BigEndian.PutUint64(cell[8:], math.Float64bits(o.Prob))
+		buf = binary.BigEndian.AppendUint64(buf, seq)
+		buf = binary.BigEndian.AppendUint64(buf, planVersion)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(outs)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(off))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(chunk)))
+		for _, o := range chunk {
 			var flags byte
 			if o.Scored {
 				flags |= flagScored
@@ -368,52 +372,75 @@ func packOutcomes(scratch []byte, planVersion uint64, outs []manager.Outcome) ([
 			if o.Steady {
 				flags |= flagSteady
 			}
-			cell[16] = flags
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(o.Fitness))
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(o.Prob))
+			buf = append(buf, flags)
 		}
-		chunks = append(chunks, string(buf))
-		if total == 0 {
-			break
+		if off+len(chunk) == len(outs) {
+			return buf
 		}
 	}
-	return chunks, scratch
 }
 
-// outcomeChunk is one decoded packed payload.
-type outcomeChunk struct {
-	PlanVersion uint64
-	Total       int
-	Offset      int
-	Outcomes    []manager.Outcome
-}
-
-// unpackOutcomes decodes one packed payload string.
-func unpackOutcomes(payload string, ch *outcomeChunk) error {
-	if len(payload) < outcomeHeader {
-		return fmt.Errorf("shardnet: outcome payload too short (%d bytes)", len(payload))
-	}
-	b := []byte(payload)
-	ch.PlanVersion = binary.BigEndian.Uint64(b[0:])
-	ch.Total = int(binary.BigEndian.Uint32(b[8:]))
-	ch.Offset = int(binary.BigEndian.Uint32(b[12:]))
-	n := int(binary.BigEndian.Uint32(b[16:]))
-	if len(b) != outcomeHeader+outcomeSize*n {
-		return fmt.Errorf("shardnet: outcome payload length %d does not match count %d", len(b), n)
-	}
-	if ch.Offset < 0 || ch.Total < 0 || ch.Offset+n > ch.Total {
-		return fmt.Errorf("shardnet: outcome chunk [%d, %d) exceeds total %d", ch.Offset, ch.Offset+n, ch.Total)
-	}
-	ch.Outcomes = ch.Outcomes[:0]
-	for i := 0; i < n; i++ {
-		cell := b[outcomeHeader+outcomeSize*i:]
-		flags := cell[16]
-		ch.Outcomes = append(ch.Outcomes, manager.Outcome{
-			Fitness: math.Float64frombits(binary.BigEndian.Uint64(cell[0:])),
-			Prob:    math.Float64frombits(binary.BigEndian.Uint64(cell[8:])),
-			Scored:  flags&flagScored != 0,
-			Gap:     flags&flagGap != 0,
-			Grown:   flags&flagGrown != 0,
-			Steady:  flags&flagSteady != 0,
-		})
+// writeOutcomeFrames sends the payloads appendOutcomeFrames laid out in
+// buf, one frame each.
+func writeOutcomeFrames(w io.Writer, buf []byte) error {
+	for len(buf) > 0 {
+		n := outcomeHeader + outcomeSize*int(binary.BigEndian.Uint32(buf[24:]))
+		if err := collector.WriteFrame(w, collector.Frame{Type: MsgShardOutcomes, Payload: buf[:n]}); err != nil {
+			return err
+		}
+		buf = buf[n:]
 	}
 	return nil
+}
+
+// outcomeFrame is one decoded MsgShardOutcomes payload: the validated
+// header and the undecoded cells, which At reads in place.
+type outcomeFrame struct {
+	Seq, PlanVersion     uint64
+	Total, Offset, Count int
+	cells                []byte
+}
+
+// decodeOutcomeFrame validates one outcome payload. Nothing is allocated
+// or indexed from its counts: the payload length must match Count, and
+// Offset+Count must fit Total — empty only for an empty shard, so a reader
+// summing counts up to Total always advances — before any caller touches
+// a cell.
+func decodeOutcomeFrame(payload []byte) (outcomeFrame, error) {
+	if len(payload) < outcomeHeader {
+		return outcomeFrame{}, fmt.Errorf("shardnet: outcome frame too short (%d bytes)", len(payload))
+	}
+	total := binary.BigEndian.Uint32(payload[16:])
+	offset := binary.BigEndian.Uint32(payload[20:])
+	count := binary.BigEndian.Uint32(payload[24:])
+	if uint64(len(payload)) != outcomeHeader+outcomeSize*uint64(count) {
+		return outcomeFrame{}, fmt.Errorf("shardnet: outcome frame length %d does not match count %d", len(payload), count)
+	}
+	if uint64(offset)+uint64(count) > uint64(total) || (count == 0 && total != 0) {
+		return outcomeFrame{}, fmt.Errorf("shardnet: outcome frame [%d, %d) of total %d", offset, uint64(offset)+uint64(count), total)
+	}
+	return outcomeFrame{
+		Seq:         binary.BigEndian.Uint64(payload[0:]),
+		PlanVersion: binary.BigEndian.Uint64(payload[8:]),
+		Total:       int(total),
+		Offset:      int(offset),
+		Count:       int(count),
+		cells:       payload[outcomeHeader:],
+	}, nil
+}
+
+// At decodes the frame's i-th outcome, 0 ≤ i < Count.
+func (f outcomeFrame) At(i int) manager.Outcome {
+	cell := f.cells[outcomeSize*i:]
+	flags := cell[16]
+	return manager.Outcome{
+		Fitness: math.Float64frombits(binary.BigEndian.Uint64(cell[0:])),
+		Prob:    math.Float64frombits(binary.BigEndian.Uint64(cell[8:])),
+		Scored:  flags&flagScored != 0,
+		Gap:     flags&flagGap != 0,
+		Grown:   flags&flagGrown != 0,
+		Steady:  flags&flagSteady != 0,
+	}
 }

@@ -1,6 +1,7 @@
 package shardnet
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -57,8 +58,30 @@ func TestRowFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeOutcomes reads back every frame appendOutcomeFrames laid out in
+// buf, the way writeOutcomeFrames walks them.
+func decodeOutcomes(t *testing.T, buf []byte) (frames []outcomeFrame, merged []manager.Outcome) {
+	t.Helper()
+	for len(buf) > 0 {
+		n := outcomeHeader + outcomeSize*int(binary.BigEndian.Uint32(buf[24:]))
+		f, err := decodeOutcomeFrame(buf[:n])
+		if err != nil {
+			t.Fatalf("decode frame %d: %v", len(frames), err)
+		}
+		if f.Offset != len(merged) {
+			t.Fatalf("frame %d at offset %d, want %d", len(frames), f.Offset, len(merged))
+		}
+		for i := 0; i < f.Count; i++ {
+			merged = append(merged, f.At(i))
+		}
+		frames = append(frames, f)
+		buf = buf[n:]
+	}
+	return frames, merged
+}
+
 func TestOutcomePackingRoundTrip(t *testing.T) {
-	outs := make([]manager.Outcome, 2*maxOutcomesPerChunk+17)
+	outs := make([]manager.Outcome, 2*maxOutcomesPerFrame+17)
 	for i := range outs {
 		outs[i] = manager.Outcome{
 			Fitness: float64(i) * 0.001,
@@ -69,44 +92,53 @@ func TestOutcomePackingRoundTrip(t *testing.T) {
 			Steady:  i%7 == 0,
 		}
 	}
-	chunks, scratch := packOutcomes(nil, 42, outs)
-	if len(chunks) != 3 {
-		t.Fatalf("chunks = %d, want 3", len(chunks))
-	}
-	merged := make([]manager.Outcome, len(outs))
-	seen := 0
-	var ch outcomeChunk
-	for _, c := range chunks {
-		if err := unpackOutcomes(c, &ch); err != nil {
-			t.Fatalf("unpack: %v", err)
-		}
-		if ch.PlanVersion != 42 {
-			t.Fatalf("plan version = %d", ch.PlanVersion)
-		}
-		if ch.Total != len(outs) {
-			t.Fatalf("total = %d, want %d", ch.Total, len(outs))
-		}
-		copy(merged[ch.Offset:], ch.Outcomes)
-		seen += len(ch.Outcomes)
-	}
-	if seen != len(outs) {
-		t.Fatalf("merged %d outcomes, want %d", seen, len(outs))
-	}
-	for i, o := range outs {
-		if merged[i] != o {
-			t.Fatalf("outcome %d: %+v != %+v", i, merged[i], o)
-		}
+	for _, tc := range []struct {
+		name   string
+		seq    uint64
+		outs   []manager.Outcome
+		frames int
+	}{
+		{"three frames", 42, outs, 3},
+		{"exactly one full frame", 43, outs[:maxOutcomesPerFrame], 1},
+		{"empty shard still answers", 7, nil, 1},
+		// A float64 holds integers exactly only up to 2^53; the row
+		// sequence is a u64 on the wire and must survive beyond it.
+		{"seq above 2^53", 1<<53 + 1, outs[:3], 1},
+		{"seq at the top of the range", math.MaxUint64, outs[:1], 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := appendOutcomeFrames(nil, tc.seq, tc.seq^0x5a5a, tc.outs)
+			frames, merged := decodeOutcomes(t, buf)
+			if len(frames) != tc.frames {
+				t.Fatalf("frames = %d, want %d", len(frames), tc.frames)
+			}
+			for _, f := range frames {
+				if f.Seq != tc.seq || f.PlanVersion != tc.seq^0x5a5a || f.Total != len(tc.outs) {
+					t.Fatalf("header = %+v, want seq %d plan %d total %d", f, tc.seq, tc.seq^0x5a5a, len(tc.outs))
+				}
+			}
+			if len(merged) != len(tc.outs) {
+				t.Fatalf("merged %d outcomes, want %d", len(merged), len(tc.outs))
+			}
+			for i, o := range tc.outs {
+				if merged[i] != o {
+					t.Fatalf("outcome %d: %+v != %+v", i, merged[i], o)
+				}
+			}
+		})
 	}
 
-	empty, _ := packOutcomes(scratch, 7, nil)
-	if len(empty) != 1 {
-		t.Fatalf("empty shard must still emit one chunk, got %d", len(empty))
-	}
-	if err := unpackOutcomes(empty[0], &ch); err != nil || ch.Total != 0 || ch.PlanVersion != 7 {
-		t.Fatalf("empty chunk: %+v err %v", ch, err)
-	}
-	if err := unpackOutcomes("bogus", &ch); err == nil {
-		t.Fatal("malformed chunk unpacked")
+	good := appendOutcomeFrames(nil, 9, 1, outs[:4])
+	for name, bad := range map[string][]byte{
+		"bogus":                []byte("bogus"),
+		"truncated cell":       good[:len(good)-1],
+		"count beyond payload": binary.BigEndian.AppendUint32(append([]byte(nil), good[:24]...), 5),
+		"offset past total": append(binary.BigEndian.AppendUint32(append([]byte(nil), good[:20]...), 1),
+			good[24:]...),
+	} {
+		if _, err := decodeOutcomeFrame(bad); err == nil {
+			t.Errorf("%s: malformed frame decoded", name)
+		}
 	}
 }
 
@@ -124,16 +156,5 @@ func TestDiffPairs(t *testing.T) {
 	}
 	if len(missing) != 2 {
 		t.Fatalf("missing = %v", missing)
-	}
-}
-
-func TestShardOf(t *testing.T) {
-	if k, ok := shardOf("shard-3"); !ok || k != 3 {
-		t.Fatalf("shard-3 -> %d %v", k, ok)
-	}
-	for _, bad := range []string{"shard-", "shard--1", "worker-3", "3"} {
-		if _, ok := shardOf(bad); ok {
-			t.Fatalf("%q parsed", bad)
-		}
 	}
 }

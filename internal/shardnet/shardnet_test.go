@@ -2,13 +2,18 @@ package shardnet
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"mcorr/internal/collector"
 	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/simulator"
+	"mcorr/internal/testkit"
 	"mcorr/internal/timeseries"
 )
 
@@ -17,7 +22,7 @@ import (
 func fixtures(t *testing.T, machines int, hours int) (*timeseries.Dataset, []manager.Row) {
 	t.Helper()
 	ds, _, err := simulator.Generate(simulator.GroupConfig{
-		Name: "N", Machines: machines, Days: 2, Seed: 43,
+		Name: "N", Machines: machines, Days: 2 + hours/24, Seed: 43,
 		Faults: []simulator.Fault{{
 			ID: "f1", Machine: simulator.MachineName("N", 1), Kind: simulator.FaultLevelShift,
 			Start: timeseries.MonitoringStart.AddDate(0, 0, 1).Add(1 * time.Hour),
@@ -81,14 +86,18 @@ func startFabric(t *testing.T, n int) *fabric {
 		f.dirs[k] = t.TempDir()
 		f.start(k, "127.0.0.1:0")
 	}
-	t.Cleanup(func() {
-		for _, w := range f.workers {
-			if w != nil {
-				w.Close()
-			}
-		}
-	})
+	t.Cleanup(f.close)
 	return f
+}
+
+// close stops every worker still running.
+func (f *fabric) close() {
+	for k, w := range f.workers {
+		if w != nil {
+			w.Close()
+			f.workers[k] = nil
+		}
+	}
 }
 
 // start launches (or relaunches) worker k on addr, reusing its data dir.
@@ -146,6 +155,8 @@ func TestShardNetBitIdenticalToManager(t *testing.T) {
 			want := referenceRun(t, history, mcfg, rows)
 			for _, n := range []int{1, 3} {
 				t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+					leaked := testkit.GoroutineLeakCheck(t)
+					sessions := obsWorkerSessions.Value()
 					f := startFabric(t, n)
 					c, err := New(history, Config{Workers: f.addrs, Manager: mcfg})
 					if err != nil {
@@ -159,6 +170,14 @@ func TestShardNetBitIdenticalToManager(t *testing.T) {
 					if c.Steps() != want.steps {
 						t.Fatalf("Steps = %d, want %d", c.Steps(), want.steps)
 					}
+					// One wire: an undisturbed run is one connection per
+					// worker, dialled by the coordinator, and nothing else.
+					if got := obsWorkerSessions.Value() - sessions; got != uint64(n) {
+						t.Fatalf("workers accepted %d connections, want %d", got, n)
+					}
+					c.Close()
+					f.close()
+					leaked()
 				})
 			}
 		})
@@ -174,6 +193,7 @@ func TestShardNetWorkerRestartMidStream(t *testing.T) {
 	history, rows := fixtures(t, 3, 5)
 	want := referenceRun(t, history, mcfg, rows).reports
 
+	leaked := testkit.GoroutineLeakCheck(t)
 	f := startFabric(t, 2)
 	c, err := New(history, Config{Workers: f.addrs, Manager: mcfg, CheckpointEvery: 7})
 	if err != nil {
@@ -190,6 +210,120 @@ func TestShardNetWorkerRestartMidStream(t *testing.T) {
 		}
 		compareReports(t, i, c.Step(row), want[i])
 	}
+	c.Close()
+	f.close()
+	leaked()
+}
+
+// TestShardNetLongReplay restarts a worker whose only checkpoint is epoch
+// zero after enough rows that its answers to the replay exceed 16 MiB —
+// more than any default socket buffer. Rows and answers share one
+// connection, so a coordinator that wrote the ring ahead of reading the
+// answers would stop with both buffers full; the next Step must complete
+// and the trajectory stay bit-identical to manager.New.
+func TestShardNetLongReplay(t *testing.T) {
+	mcfg := manager.Config{Model: core.Config{Grid: core.GridConfig{MaxIntervals: 4}}}
+	history, rows := fixtures(t, 8, 92)
+	want := referenceRun(t, history, mcfg, rows).reports
+
+	f := startFabric(t, 1)
+	c, err := New(history, Config{Workers: f.addrs, Manager: mcfg, CheckpointEvery: len(rows) + 1})
+	if err != nil {
+		t.Fatalf("shardnet.New: %v", err)
+	}
+	defer c.Close()
+
+	crashAt := len(rows) - 3
+	perRow := outcomeHeader + outcomeSize*len(c.Pairs())
+	if replayed := crashAt * perRow; replayed <= 16<<20 {
+		t.Fatalf("fixture too small: %d rows × %d bytes = %d replayed bytes, want > 16 MiB", crashAt, perRow, replayed)
+	}
+	replays := obsReplayedRows.Value()
+	for i, row := range rows {
+		if i == crashAt {
+			addr := f.addrs[0]
+			f.kill(0)
+			f.start(0, addr)
+		}
+		compareReports(t, i, c.Step(row), want[i])
+	}
+	if got := obsReplayedRows.Value() - replays; got != uint64(crashAt+1) {
+		t.Fatalf("replayed %d rows, want %d", got, crashAt+1)
+	}
+}
+
+// TestNewRejectsWideFleet pins the row frame's u16 measurement index: a
+// fleet it cannot address is refused up front, not aliased on the workers.
+func TestNewRejectsWideFleet(t *testing.T) {
+	ds := timeseries.NewDataset()
+	for i := 0; i <= maxMeasurements; i++ {
+		s, err := timeseries.NewSeries(mid(fmt.Sprintf("m%d", i), "cpu"), timeseries.MonitoringStart, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.Add(s)
+	}
+	_, err := New(ds, Config{Workers: []string{"127.0.0.1:1"}})
+	if err == nil || !strings.Contains(err.Error(), "65536") {
+		t.Fatalf("New over %d measurements: %v, want a refusal naming the 65536 limit", maxMeasurements+1, err)
+	}
+}
+
+// TestHandshakeRefusesOtherBuild covers both mixed-build pairings with the
+// retired back-channel protocol: each must fail the handshake at once and
+// say why, never leave a Step waiting for outcomes.
+func TestHandshakeRefusesOtherBuild(t *testing.T) {
+	history, _ := fixtures(t, 3, 1)
+	mcfg := manager.Config{Model: tinyModel(false)}
+
+	t.Run("old worker", func(t *testing.T) {
+		// An old worker reads the assign, finds a type it does not expect
+		// and drops the connection.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				collector.ReadFrame(conn)
+				conn.Close()
+			}
+		}()
+		start := time.Now()
+		c, err := New(history, Config{Workers: []string{ln.Addr().String()}, Manager: mcfg})
+		if err == nil {
+			c.Close()
+			t.Fatal("New succeeded against a worker that refused the assign")
+		}
+		if !strings.Contains(err.Error(), "same build") {
+			t.Fatalf("New: %v, want the upgrade-together hint", err)
+		}
+		if d := time.Since(start); d > handshakeTimeout/2 {
+			t.Fatalf("New took %v to give up on a refused handshake", d)
+		}
+	})
+
+	t.Run("old coordinator", func(t *testing.T) {
+		f := startFabric(t, 1)
+		conn, err := net.Dial("tcp", f.addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		const retiredAssign = 16
+		if err := writeGob(conn, retiredAssign, assignMsg{RunID: "old", N: 1}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := collector.ReadFrame(conn); err != io.EOF {
+			t.Fatalf("worker answered a retired assign with %v, want the connection closed", err)
+		}
+	})
 }
 
 // TestShardNetRebalancePreservesBits migrates pairs between live workers

@@ -2,8 +2,7 @@ package shardnet
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"mcorr/internal/collector"
@@ -11,44 +10,47 @@ import (
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
 	"mcorr/internal/timeseries"
-	"mcorr/internal/tsdb"
 	"mcorr/internal/wal"
 )
 
-// Step fans one synchronized row out to every worker, waits for all
-// shards' outcome sets through the exactly-once return path, and merges
-// them through the authoritative Aggregator — the same Aggregate call,
-// in the same canonical pair order, as the in-process fabric, which is
-// what keeps the trajectory bit-identical. A worker that dies mid-row is
-// redialed and replayed from the ring; Step blocks until every shard's
-// outcome for this row has arrived.
+// Step fans one synchronized row out to every worker, reads each worker's
+// outcome set back off its control connection into that shard's indices
+// of the global outcome slice, and merges them through the authoritative
+// Aggregator — the same Aggregate call, in the same canonical pair order,
+// as the in-process fabric, which is what keeps the trajectory
+// bit-identical. A worker that dies or stalls mid-row is redialed and
+// replayed from the ring; Step blocks until every shard's outcome for
+// this row has arrived.
 func (c *Coordinator) Step(row manager.Row) manager.StepReport {
 	start := time.Now()
 	sp := obs.StartSpan("shardnet.step")
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	sp.Phase("broadcast")
 	c.seq++
 	frame := encodeRowFrame(c.seq, row, c.ids)
 	c.ring.push(c.seq, frame, c.ringCap())
-	c.pmu.Lock()
-	c.resetCollectLocked(c.seq)
-	c.pmu.Unlock()
-	for _, wc := range c.conns {
-		if wc == nil || wc.isDead() {
-			continue
-		}
-		if err := collector.WriteFrame(wc.conn, collector.Frame{Type: MsgShardRow, Payload: frame}); err != nil {
-			wc.markDead(err)
-		}
-	}
 
+	// One exchange per worker, in the shape of shard.Coordinator.Step:
+	// every worker at once, worker 0 on the calling goroutine, each
+	// touching only its own connection, latency slot and disjoint indices
+	// of c.outcomes.
 	sp.Phase("score")
-	c.awaitOutcomesLocked()
+	c.sent = time.Now()
+	var wg sync.WaitGroup
+	for _, wc := range c.conns[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.exchange(wc, frame)
+		}()
+	}
+	c.exchange(c.conns[0], frame)
+	wg.Wait()
+	c.reviveLocked()
 
 	sp.Phase("aggregate")
-	report := c.agg.Aggregate(row.Time, c.pairs, c.pairIdx, c.outcomes, sp)
+	report := c.Aggregate(row.Time, c.pairs, c.pairIdx, c.outcomes, sp)
 	sp.End()
 	obsRows.Add(1)
 	obsStepSeconds.Observe(time.Since(start).Seconds())
@@ -59,184 +61,109 @@ func (c *Coordinator) Step(row manager.Row) manager.StepReport {
 	return report
 }
 
-// resetCollectLocked arms outcome collection for seq. Callers hold both
-// c.mu and c.pmu.
-func (c *Coordinator) resetCollectLocked(seq uint64) {
-	n := len(c.cfg.Workers)
-	if c.collect.got == nil {
-		c.collect.got = make([]bool, n)
-		c.collect.received = make([]int, n)
-		c.collect.seen = make([]map[int]bool, n)
+// exchange sends the row in flight to one live worker and reads its
+// answer. A failure has closed the connection, which reviveLocked then
+// repairs, replaying the row.
+func (c *Coordinator) exchange(wc *workerConn, frame []byte) {
+	if wc.dead {
+		return
 	}
-	c.collect.seq = seq
-	c.collect.pv = c.planVersion
-	c.collect.t0 = time.Now()
-	c.collect.complete = false
-	for k := 0; k < n; k++ {
-		c.collect.got[k] = false
-		c.collect.received[k] = 0
-		c.collect.seen[k] = nil
+	err := wc.send(MsgShardRow, frame)
+	if err == nil {
+		err = c.readOutcomes(wc, c.seq)
+	}
+	if err != nil {
+		c.log.Info("worker connection lost", "shard", wc.k, "seq", c.seq, "err", err)
 	}
 }
 
-// awaitOutcomesLocked blocks until every shard's outcome set for the
-// current row has been scattered, redialing dead workers as needed.
-// Callers hold c.mu.
-func (c *Coordinator) awaitOutcomesLocked() {
+// readOutcomes reads worker wc.k's answer to row seq — one frame, more
+// only when the set exceeds the frame limit — validating every frame
+// before it indexes anything. The answer to the row being collected is
+// scattered into the shard's plan indices of c.outcomes; the answers to
+// replayed earlier rows were merged before the connection was lost, so
+// they are only drained and counted. Callers hold c.mu; Step runs one
+// call per worker concurrently.
+func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
+	idx := c.localIdx[wc.k]
+	for got := 0; ; {
+		f, err := wc.read(MsgShardOutcomes)
+		if err != nil {
+			return err
+		}
+		h, err := decodeOutcomeFrame(f.Payload)
+		switch {
+		case err != nil:
+		case h.Seq != seq:
+			err = fmt.Errorf("shardnet: shard %d answered row %d with the outcomes of row %d", wc.k, seq, h.Seq)
+		case seq != c.seq:
+			obsDupOutcomes.Add(1)
+		case h.PlanVersion != c.planVersion || h.Total != len(idx):
+			// One answer per row: a stale one cannot be followed by a
+			// current one, so the exchange has failed.
+			obsStaleOutcomes.Add(1)
+			err = fmt.Errorf("shardnet: shard %d answered with %d outcomes under plan %d, want %d under plan %d",
+				wc.k, h.Total, h.PlanVersion, len(idx), c.planVersion)
+		case h.Offset != got:
+			err = fmt.Errorf("shardnet: shard %d outcome frame at offset %d, want %d", wc.k, h.Offset, got)
+		default:
+			for i := 0; i < h.Count; i++ {
+				c.outcomes[idx[got+i]] = h.At(i)
+			}
+		}
+		if err != nil {
+			return wc.fail(err)
+		}
+		if got += h.Count; got >= h.Total {
+			break
+		}
+	}
+	if seq == c.seq {
+		dt := time.Since(c.sent).Seconds()
+		if c.latSet[wc.k] {
+			c.lat[wc.k] += latencyAlpha * (dt - c.lat[wc.k])
+		} else {
+			c.lat[wc.k], c.latSet[wc.k] = dt, true
+		}
+		c.latGauges[wc.k].Set(c.lat[wc.k])
+	}
+	return nil
+}
+
+// reviveLocked redials every worker whose connection is gone until each
+// is back: handshaken and replayed, which inside Step includes collecting
+// the row in flight. Callers hold c.mu.
+func (c *Coordinator) reviveLocked() {
 	for {
-		c.pmu.Lock()
-		done := c.collect.complete
-		c.pmu.Unlock()
-		if done {
+		down := 0
+		for k, wc := range c.conns {
+			if !wc.dead {
+				continue
+			}
+			if err := c.connectLocked(k); err != nil {
+				c.log.Info("worker redial failed", "shard", k, "err", err)
+				down++
+				continue
+			}
+			c.log.Info("worker reconnected", "shard", k, "seq", c.seq)
+		}
+		if down == 0 {
 			return
 		}
-		c.reviveLocked()
-		select {
-		case <-c.notify:
-		case <-time.After(awaitTick):
-		}
+		c.updateConnected()
+		time.Sleep(redialInterval)
 	}
-}
-
-// reviveLocked redials any dead worker connection, rate-limited per
-// shard. Callers hold c.mu.
-func (c *Coordinator) reviveLocked() {
-	for k, wc := range c.conns {
-		if wc != nil && !wc.isDead() {
-			continue
-		}
-		if time.Since(c.lastDial[k]) < redialInterval {
-			continue
-		}
-		c.lastDial[k] = time.Now()
-		if err := c.connectLocked(k); err != nil {
-			c.log.Info("worker redial failed", "shard", k, "err", err)
-			continue
-		}
-		obsReconnects.Add(1)
-		c.log.Info("worker reconnected", "shard", k, "seq", c.seq)
-	}
-	c.updateConnected()
 }
 
 // updateConnected refreshes the live-connection gauge.
 func (c *Coordinator) updateConnected() {
 	live := 0
 	for _, wc := range c.conns {
-		if wc != nil && !wc.isDead() {
+		if wc != nil && !wc.dead {
 			live++
 		}
 	}
 	obsConnected.Set(float64(live))
-}
-
-// outcomeSink receives worker outcome batches from the collector server.
-// Each sample carries one packed chunk; the sink deduplicates retries by
-// (shard, sequence), discards stale plan versions, scatters outcomes
-// into the coordinator's global buffer at the shard's plan indices, and
-// wakes the blocked Step when the row is complete. Returning nil acks
-// the batch, which is what lets the workers' ReliableAgents retire their
-// buffers — the exactly-once contract lives here.
-type outcomeSink struct {
-	c *Coordinator
-}
-
-// AppendBatch implements collector.Sink.
-func (s *outcomeSink) AppendBatch(batch []tsdb.Sample) error {
-	c := s.c
-	var ch outcomeChunk
-	for _, sample := range batch {
-		k, ok := shardOf(sample.ID.Machine)
-		if !ok || k >= len(c.applied) {
-			obsStaleOutcomes.Add(1)
-			continue
-		}
-		seq := uint64(sample.Value)
-		c.pmu.Lock()
-		switch {
-		case seq <= c.applied[k]:
-			// A retry of an already-merged row: ack and drop.
-			obsDupOutcomes.Add(1)
-		case c.collect.complete || seq != c.collect.seq:
-			// Not the row being collected; only retries can land here.
-			obsDupOutcomes.Add(1)
-		default:
-			if err := unpackOutcomes(sample.ID.Metric, &ch); err != nil {
-				// Ack malformed chunks anyway: returning an error would make
-				// the worker's ReliableAgent retry the same poison payload
-				// forever, wedging the fabric.
-				obsStaleOutcomes.Add(1)
-				c.log.Info("dropping malformed outcome chunk", "shard", k, "err", err)
-			} else {
-				s.mergeLocked(k, seq, &ch)
-			}
-		}
-		c.pmu.Unlock()
-	}
-	return nil
-}
-
-// mergeLocked folds one validated chunk into the collection state.
-// Callers hold c.pmu.
-func (s *outcomeSink) mergeLocked(k int, seq uint64, ch *outcomeChunk) {
-	c := s.c
-	if ch.PlanVersion != c.collect.pv {
-		obsStaleOutcomes.Add(1)
-		return
-	}
-	if ch.Total != len(c.localIdx[k]) {
-		obsStaleOutcomes.Add(1)
-		return
-	}
-	if c.collect.seen[k] == nil {
-		c.collect.seen[k] = make(map[int]bool, 1)
-	}
-	if c.collect.seen[k][ch.Offset] {
-		obsDupOutcomes.Add(1)
-		return
-	}
-	c.collect.seen[k][ch.Offset] = true
-	idx := c.localIdx[k]
-	for i, o := range ch.Outcomes {
-		c.outcomes[idx[ch.Offset+i]] = o
-	}
-	c.collect.received[k] += len(ch.Outcomes)
-	if !c.collect.got[k] && c.collect.received[k] >= ch.Total {
-		c.collect.got[k] = true
-		c.applied[k] = seq
-		dt := time.Since(c.collect.t0).Seconds()
-		if c.latSet[k] {
-			c.lat[k] += latencyAlpha * (dt - c.lat[k])
-		} else {
-			c.lat[k] = dt
-			c.latSet[k] = true
-		}
-		c.latGauges[k].Set(c.lat[k])
-		all := true
-		for _, g := range c.collect.got {
-			if !g {
-				all = false
-				break
-			}
-		}
-		if all {
-			c.collect.complete = true
-			c.wake()
-		}
-	}
-}
-
-// shardOf parses a worker outcome machine label ("shard-<k>").
-func shardOf(machine string) (int, bool) {
-	rest, ok := strings.CutPrefix(machine, "shard-")
-	if !ok {
-		return 0, false
-	}
-	k, err := strconv.Atoi(rest)
-	if err != nil || k < 0 {
-		return 0, false
-	}
-	return k, true
 }
 
 // Rebalance migrates n pairs from one worker to another without
@@ -264,41 +191,37 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 		return 0, nil
 	}
 	donor, recip := c.conns[from], c.conns[to]
-	if donor == nil || donor.isDead() || recip == nil || recip.isDead() {
+	if donor.dead || recip.dead {
 		return 0, fmt.Errorf("shardnet: rebalance %d -> %d: worker unavailable", from, to)
 	}
 	moving := avail[len(avail)-n:]
 	newPV := c.planVersion + 1
 
 	// Phase 1 — copy: extract without removing, install on the recipient.
-	if err := writeGob(donor.conn, MsgShardExtract, extractMsg{Pairs: moving}); err != nil {
-		donor.markDead(err)
+	if err := donor.sendGob(MsgShardExtract, extractMsg{Pairs: moving}); err != nil {
 		return 0, err
 	}
 	// The donor answers with one model per pair, in request order; each is
 	// decoded as its chunks arrive and held until the recipient confirms.
-	cr := donor.stream(MsgShardModels, handshakeTimeout)
+	cr := donor.stream(MsgShardModels)
 	rr := wal.NewRecordReader(cr)
 	for i, p := range moving {
 		model, err := core.LoadModel(rr)
 		if err != nil {
-			donor.markDead(err)
 			c.clearPending(moving[:i])
-			return 0, fmt.Errorf("shardnet: extract %s from shard %d: %w", p, from, err)
+			return 0, donor.fail(fmt.Errorf("shardnet: extract %s from shard %d: %w", p, from, err))
 		}
 		c.pendInstall[p] = pendingModel{owner: to, model: model}
 	}
 	if err := cr.finish(); err != nil {
-		donor.markDead(err)
+		c.clearPending(moving)
+		return 0, donor.fail(err)
+	}
+	if err := c.sendInstall(recip, installMsg{PlanVersion: newPV, Pairs: moving}); err != nil {
 		c.clearPending(moving)
 		return 0, err
 	}
-	if err := c.sendInstall(recip.conn, installMsg{PlanVersion: newPV, Pairs: moving}); err != nil {
-		recip.markDead(err)
-		c.clearPending(moving)
-		return 0, err
-	}
-	if err := recip.awaitDone(handshakeTimeout); err != nil {
+	if err := recip.readDone(); err != nil {
 		// The recipient may still have installed and checkpointed; keep
 		// the pending copies so its handshake can reconcile either way.
 		return 0, err
@@ -312,29 +235,32 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 	c.planVersion = newPV
 	c.rebuild()
 	c.clearPending(moving)
-	if err := writeGob(donor.conn, MsgShardPrune, pruneMsg{PlanVersion: newPV, Pairs: moving}); err == nil {
-		if err := donor.awaitDone(handshakeTimeout); err != nil {
-			c.log.Info("donor prune unacknowledged; handshake will reconcile", "shard", from, "err", err)
-		}
-	} else {
-		donor.markDead(err)
-	}
+	c.commandLocked(donor, MsgShardPrune, pruneMsg{PlanVersion: newPV, Pairs: moving})
 	for k, wc := range c.conns {
-		if k == from || k == to || wc == nil || wc.isDead() {
-			continue
-		}
-		if err := writeGob(wc.conn, MsgShardPlan, planMsg{PlanVersion: newPV}); err != nil {
-			wc.markDead(err)
-			continue
-		}
-		if err := wc.awaitDone(handshakeTimeout); err != nil {
-			c.log.Info("plan fan-out unacknowledged; handshake will reconcile", "shard", k, "err", err)
+		if k != from && k != to {
+			c.commandLocked(wc, MsgShardPlan, planMsg{PlanVersion: newPV})
 		}
 	}
 	obsRebalances.Add(1)
 	obsPairsStolen.Add(uint64(n))
 	c.log.Info("rebalanced", "moved", n, "from", from, "to", to, "plan", newPV)
 	return n, nil
+}
+
+// commandLocked runs one acknowledged command on a live worker. A worker
+// that is down, or does not acknowledge, has lost its connection; its next
+// handshake carries the current plan and reconciles. Callers hold c.mu.
+func (c *Coordinator) commandLocked(wc *workerConn, msgType collector.MsgType, v any) {
+	if wc.dead {
+		return
+	}
+	err := wc.sendGob(msgType, v)
+	if err == nil {
+		err = wc.readDone()
+	}
+	if err != nil {
+		c.log.Info("command unacknowledged; handshake will reconcile", "type", byte(msgType), "shard", wc.k, "err", err)
+	}
 }
 
 // clearPending drops migration copies once their recipient has durably
@@ -374,21 +300,20 @@ func (c *Coordinator) autoRebalanceLocked() {
 	}
 }
 
-// Latencies returns the per-shard round-trip EWMAs in seconds (zero for
-// shards that have not reported yet).
+// Latencies returns the per-shard round-trip EWMAs in seconds — start of
+// a row's fan-out to that worker's last outcome frame — zero for shards
+// that have not reported yet.
 func (c *Coordinator) Latencies() []float64 {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	out := make([]float64, len(c.lat))
-	copy(out, c.lat)
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]float64(nil), c.lat...)
 }
 
 // SetLatencyHint seeds a shard's round-trip EWMA, letting operators (and
 // tests) steer the work-stealing policy before organic signal builds up.
 func (c *Coordinator) SetLatencyHint(k int, seconds float64) {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if k < 0 || k >= len(c.lat) {
 		return
 	}
@@ -399,27 +324,14 @@ func (c *Coordinator) SetLatencyHint(k int, seconds float64) {
 // Run replays a dataset through Step in time order, exactly like the
 // in-process fleets.
 func (c *Coordinator) Run(ds *timeseries.Dataset, from, to time.Time) ([]manager.StepReport, error) {
-	rows, err := manager.BuildRows(ds, from, to)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]manager.StepReport, 0, len(rows))
-	for _, row := range rows {
-		reports = append(reports, c.Step(row))
-	}
-	return reports, nil
+	return manager.Replay(ds, from, to, c.Step)
 }
-
-// IDs returns the monitored measurements.
-func (c *Coordinator) IDs() []timeseries.MeasurementID { return c.agg.IDs() }
 
 // Pairs returns every trained link in canonical order.
 func (c *Coordinator) Pairs() []manager.Pair {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]manager.Pair, len(c.pairs))
-	copy(out, c.pairs)
-	return out
+	return append([]manager.Pair(nil), c.pairs...)
 }
 
 // NumShards returns the worker count.
@@ -432,9 +344,7 @@ func (c *Coordinator) ShardPairs(k int) []manager.Pair {
 	if k < 0 || k >= len(c.localPairs) {
 		return nil
 	}
-	out := make([]manager.Pair, len(c.localPairs[k]))
-	copy(out, c.localPairs[k])
-	return out
+	return append([]manager.Pair(nil), c.localPairs[k]...)
 }
 
 // PlanVersion returns the current ownership-plan epoch.
@@ -444,46 +354,15 @@ func (c *Coordinator) PlanVersion() uint64 {
 	return c.planVersion
 }
 
-// Steps counts rows that produced a system score.
-func (c *Coordinator) Steps() int { return c.agg.Steps() }
-
-// SystemMean is the running mean system fitness Q.
-func (c *Coordinator) SystemMean() float64 { return c.agg.SystemMean() }
-
-// MeasurementMeans is the running mean Q^a per measurement.
-func (c *Coordinator) MeasurementMeans() map[timeseries.MeasurementID]float64 {
-	return c.agg.MeasurementMeans()
-}
-
-// PairMeans returns the running mean fitness per link (requires
-// Manager.TrackPairMeans).
-func (c *Coordinator) PairMeans() map[manager.Pair]float64 { return c.agg.PairMeans() }
-
-// WorstPairs returns the k weakest links by mean fitness.
-func (c *Coordinator) WorstPairs(k int) []manager.PairScore { return c.agg.WorstPairs(k) }
-
-// WorstPairDrops ranks links by drop against a healthy baseline.
-func (c *Coordinator) WorstPairDrops(baseline map[manager.Pair]float64, k int) []manager.PairScore {
-	return c.agg.WorstPairDrops(baseline, k)
-}
-
-// Localize ranks machines by mean fitness, worst first.
-func (c *Coordinator) Localize() manager.Localization { return c.agg.Localize() }
-
-// Aggregator exposes the authoritative aggregator (shared with the
-// serving tier).
-func (c *Coordinator) Aggregator() *manager.Aggregator { return c.agg }
-
-// ResetAccumulators clears the running means.
-func (c *Coordinator) ResetAccumulators() { c.agg.Reset() }
-
 // SetAdaptive toggles online model updating on every connected worker.
 // Workers that are down miss the toggle until their next restart with a
 // fresh assign; toggle only while the fabric is healthy.
 func (c *Coordinator) SetAdaptive(adaptive bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.broadcastLocked(MsgShardAdaptive, adaptive)
+	for _, wc := range c.conns {
+		c.commandLocked(wc, MsgShardAdaptive, adaptive)
+	}
 }
 
 // ResetChains clears every model's Markov position on every connected
@@ -491,47 +370,26 @@ func (c *Coordinator) SetAdaptive(adaptive bool) {
 func (c *Coordinator) ResetChains() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.broadcastLocked(MsgShardResetChains, struct{}{})
-}
-
-// broadcastLocked sends one acknowledged control command to every live
-// worker. Callers hold c.mu.
-func (c *Coordinator) broadcastLocked(msgType collector.MsgType, v any) {
 	for _, wc := range c.conns {
-		if wc == nil || wc.isDead() {
-			continue
-		}
-		if err := writeGob(wc.conn, msgType, v); err != nil {
-			wc.markDead(err)
-			continue
-		}
-		if err := wc.awaitDone(handshakeTimeout); err != nil {
-			c.log.Info("broadcast unacknowledged", "type", byte(msgType), "shard", wc.k, "err", err)
-		}
+		c.commandLocked(wc, MsgShardResetChains, struct{}{})
 	}
 }
 
-// Close tears the fabric down: control connections, the outcome
-// collector, and the latency gauges. Workers keep their checkpoints.
+// Close tears the fabric down: a goodbye on every control connection,
+// then the connections themselves. Workers keep their checkpoints.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	conns := c.conns
 	c.releaseBase()
-	c.mu.Unlock()
-	for _, wc := range conns {
-		if wc == nil {
-			continue
+	for _, wc := range c.conns {
+		if wc != nil && !wc.dead {
+			_ = wc.send(collector.MsgBye, nil) // a courtesy; the close below ends the session either way
+			_ = wc.fail(nil)
 		}
-		_ = collector.WriteFrame(wc.conn, collector.Frame{Type: collector.MsgBye})
-		wc.markDead(fmt.Errorf("shardnet: coordinator closed"))
-	}
-	if c.srv != nil {
-		c.srv.Close()
 	}
 	obsConnected.Set(0)
 }

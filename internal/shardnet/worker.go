@@ -10,14 +10,12 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mcorr/internal/collector"
 	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
 	"mcorr/internal/timeseries"
-	"mcorr/internal/tsdb"
 	"mcorr/internal/wal"
 )
 
@@ -28,9 +26,10 @@ const checkpointVersion = 2
 
 // workerCheckpoint heads the durable state a worker persists under
 // data-dir/shard-<k>/: enough to rejoin the fabric after a SIGKILL with
-// the merged trajectory unchanged. AppliedSeq only ever names rows whose
-// outcomes the coordinator has acknowledged, so recovery re-scores
-// exactly the replayed suffix and never skips or double-advances a model.
+// the merged trajectory unchanged. AppliedSeq only ever names a row the
+// coordinator is known to have merged, with the models exactly as that
+// row left them, so recovery re-scores exactly the replayed suffix and
+// never skips or double-advances a model.
 type workerCheckpoint struct {
 	Version     int
 	RunID       string
@@ -52,10 +51,10 @@ type WorkerConfig struct {
 }
 
 // Worker is a networked shard scorer: it owns one shard's trained models,
-// scores rows the coordinator streams over the control connection, and
-// returns outcome sets through a ReliableAgent to the coordinator's
-// collector. Model state survives control-session churn in memory and
-// SIGKILL through per-epoch checkpoints.
+// scores the rows the coordinator streams over the control connection, and
+// answers each on that connection with the shard's outcome set. Model
+// state survives control-session churn in memory and SIGKILL through
+// per-epoch checkpoints.
 type Worker struct {
 	cfg WorkerConfig
 	log *obs.Logger
@@ -66,8 +65,8 @@ type Worker struct {
 	sess   *session
 
 	// smu serializes all shard-state access across control sessions: a
-	// superseded session may still be draining a send when its
-	// replacement starts handling rows.
+	// superseded session may still be scoring a row when its replacement
+	// starts its handshake.
 	smu sync.Mutex
 	st  *shardState
 }
@@ -86,24 +85,20 @@ type shardState struct {
 	planVersion uint64
 	ids         []timeseries.MeasurementID
 	mgr         *manager.Manager
-	agent       *collector.ReliableAgent
-	returnAddr  string
-	machine     string // outcome sample machine label, "shard-<k>"
 
-	// ackedSeq is the last row whose outcome the coordinator acked;
-	// scoredSeq is the last row scored. They differ by at most one row
-	// (the one whose send a session swap may have interrupted), whose
-	// packed payload is kept for resend so the model is never re-stepped.
-	ackedSeq   uint64
-	scoredSeq  uint64
-	lastPacked []string
-	lastTime   time.Time
+	// scoredSeq is the last row scored; ackedSeq is the last row the
+	// coordinator is known to have merged. The ack is implicit: Step holds
+	// the coordinator's lock for a whole round, so whatever it sends after
+	// row s other than a replay of s — row s+1, a command — it sent after
+	// merging s. The two differ by at most that one row, whose encoded
+	// answer outBuf keeps so a replay never re-steps a model.
+	ackedSeq  uint64
+	scoredSeq uint64
+	outBuf    []byte // appendOutcomeFrames of scoredSeq; reused row to row
 
 	dst           []manager.Outcome
 	values        map[timeseries.MeasurementID]float64
 	frame         rowFrame
-	packBuf       []byte        // reusable packOutcomes build buffer
-	sampleBuf     []tsdb.Sample // reusable outcome sample slice
 	ckptEvery     int
 	rowsSinceCkpt int
 }
@@ -166,7 +161,7 @@ func (w *Worker) Serve() error {
 }
 
 // Close stops the worker: the listener, the active session and the
-// outcome agent.
+// shard's scoring pool.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -183,9 +178,6 @@ func (w *Worker) Close() error {
 	}
 	w.smu.Lock()
 	if w.st != nil {
-		if w.st.agent != nil {
-			w.st.agent.Close()
-		}
 		w.st.mgr.Close()
 		w.st = nil
 	}
@@ -203,7 +195,7 @@ func (w *Worker) checkpointPath(k int) string {
 }
 
 // handle runs one control session. All shard-state mutation happens under
-// w.smu so a superseded session draining its last send cannot race its
+// w.smu so a superseded session finishing its last row cannot race its
 // replacement.
 func (w *Worker) handle(sess *session) error {
 	f, err := collector.ReadFrame(sess.conn)
@@ -211,7 +203,8 @@ func (w *Worker) handle(sess *session) error {
 		return err
 	}
 	if f.Type != MsgShardAssign {
-		return fmt.Errorf("shardnet: expected assign, got type %d", byte(f.Type))
+		return fmt.Errorf("shardnet: expected assign (type %d), got type %d: mcdetect and mcshard must come from the same build",
+			byte(MsgShardAssign), byte(f.Type))
 	}
 	var a assignMsg
 	if err := decodeGob(f.Payload, &a); err != nil {
@@ -249,9 +242,6 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 	st := w.st
 	if st != nil && (st.runID != a.RunID || st.k != a.K) {
 		// A different run (or role) retires the old shard entirely.
-		if st.agent != nil {
-			st.agent.Close()
-		}
 		st.mgr.Close()
 		st, w.st = nil, nil
 	}
@@ -294,7 +284,6 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 	}
 	st.planVersion = a.PlanVersion
 	st.ids = a.IDs
-	st.machine = fmt.Sprintf("shard-%d", st.k)
 	st.ckptEvery = a.CheckpointEvery
 	if w.cfg.CheckpointEvery > 0 {
 		st.ckptEvery = w.cfg.CheckpointEvery
@@ -305,19 +294,12 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 	if st.values == nil {
 		st.values = make(map[timeseries.MeasurementID]float64, len(st.ids))
 	}
-	if st.agent == nil || st.returnAddr != a.ReturnAddr {
-		if st.agent != nil {
-			st.agent.Close()
+	// A shard that outlived its session may hold a scored row it cannot
+	// yet know was merged; its file from the last acked boundary stands.
+	if st.scoredSeq == st.ackedSeq {
+		if err := w.checkpoint(st); err != nil {
+			return nil, err
 		}
-		st.returnAddr = a.ReturnAddr
-		st.agent = collector.NewReliableAgent(a.ReturnAddr, st.machine, collector.ReliableConfig{
-			MaxAttempts: 4,
-			Backoff:     25 * time.Millisecond,
-			MaxBackoff:  250 * time.Millisecond,
-		})
-	}
-	if err := w.checkpoint(st); err != nil {
-		return nil, err
 	}
 	return st, writeGob(sess.conn, MsgShardReady, readyMsg{
 		HaveState:   true,
@@ -357,7 +339,8 @@ func (w *Worker) loadCheckpoint(a assignMsg) (*workerCheckpoint, *manager.Manage
 }
 
 // checkpoint atomically persists the shard's models and applied sequence,
-// streaming the models straight into the file.
+// streaming the models straight into the file. Callers are at an acked
+// boundary: the models are as row ackedSeq left them.
 func (w *Worker) checkpoint(st *shardState) error {
 	if err := os.MkdirAll(w.shardDir(st.k), 0o755); err != nil {
 		return err
@@ -383,9 +366,14 @@ func (w *Worker) checkpoint(st *shardState) error {
 
 // dispatch handles one post-handshake control frame. Callers hold w.smu.
 func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) error {
-	switch f.Type {
-	case MsgShardRow:
+	if f.Type == MsgShardRow {
 		return w.handleRow(sess, st, f.Payload)
+	}
+	// A command follows a merged row (see shardState.ackedSeq; a handshake
+	// reconciles pairs only with a worker cut off before the row in flight
+	// was sent), so the checkpoints below are at an acked boundary.
+	st.ack()
+	switch f.Type {
 	case MsgShardExtract:
 		var m extractMsg
 		if err := decodeGob(f.Payload, &m); err != nil {
@@ -440,11 +428,7 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 		if failed != "" {
 			return w.done(sess, st, failed)
 		}
-		st.planVersion = m.PlanVersion
-		if err := w.checkpoint(st); err != nil {
-			return err
-		}
-		return w.done(sess, st, "")
+		return w.commit(sess, st, m.PlanVersion)
 	case MsgShardPrune:
 		var m pruneMsg
 		if err := decodeGob(f.Payload, &m); err != nil {
@@ -453,21 +437,13 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 		for _, p := range m.Pairs {
 			st.mgr.RemovePair(p)
 		}
-		st.planVersion = m.PlanVersion
-		if err := w.checkpoint(st); err != nil {
-			return err
-		}
-		return w.done(sess, st, "")
+		return w.commit(sess, st, m.PlanVersion)
 	case MsgShardPlan:
 		var m planMsg
 		if err := decodeGob(f.Payload, &m); err != nil {
 			return err
 		}
-		st.planVersion = m.PlanVersion
-		if err := w.checkpoint(st); err != nil {
-			return err
-		}
-		return w.done(sess, st, "")
+		return w.commit(sess, st, m.PlanVersion)
 	case MsgShardAdaptive:
 		var adaptive bool
 		if err := decodeGob(f.Payload, &adaptive); err != nil {
@@ -485,13 +461,33 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 	}
 }
 
+// commit adopts the plan version a change of pairs or plan came with and
+// persists the result before acknowledging it: the coordinator flips
+// ownership on the strength of that answer.
+func (w *Worker) commit(sess *session, st *shardState, planVersion uint64) error {
+	st.planVersion = planVersion
+	if err := w.checkpoint(st); err != nil {
+		return err
+	}
+	return w.done(sess, st, "")
+}
+
 func (w *Worker) done(sess *session, st *shardState, errMsg string) error {
 	return writeGob(sess.conn, MsgShardDone, doneMsg{PlanVersion: st.planVersion, Err: errMsg})
 }
 
-// handleRow scores one streamed row and returns its packed outcome set
-// through the reliable agent. Rows arrive in sequence; a replay of the
-// single possibly-unacked row re-sends its cached payload instead of
+// ack records that the coordinator merged the last scored row.
+func (st *shardState) ack() {
+	if st.ackedSeq != st.scoredSeq {
+		st.ackedSeq = st.scoredSeq
+		st.rowsSinceCkpt++
+	}
+}
+
+// handleRow scores one streamed row and answers it with the shard's
+// outcome frames. Rows arrive in sequence, and the arrival of the next one
+// acks the last (checkpointing on the cadence, before any model moves on);
+// a replay of the last scored row re-sends its cached answer instead of
 // re-stepping the models, which is what keeps the merged trajectory
 // bit-identical across reconnects.
 func (w *Worker) handleRow(sess *session, st *shardState, payload []byte) error {
@@ -500,14 +496,15 @@ func (w *Worker) handleRow(sess *session, st *shardState, payload []byte) error 
 	}
 	seq := st.frame.Seq
 	switch {
-	case seq <= st.ackedSeq:
-		// Already merged by the coordinator; nothing to do.
-		return nil
-	case seq == st.scoredSeq && st.lastPacked != nil:
-		// Scored but possibly unacked: resend the cached payload.
-		return w.sendOutcome(sess, st, seq, st.lastTime, st.lastPacked)
+	case seq == st.scoredSeq && len(st.outBuf) > 0:
+		return writeOutcomeFrames(sess.conn, st.outBuf)
 	case seq != st.scoredSeq+1:
-		return fmt.Errorf("shardnet: row gap: got seq %d, applied %d", seq, st.scoredSeq)
+		return fmt.Errorf("shardnet: row gap: got seq %d, scored %d", seq, st.scoredSeq)
+	}
+	if st.ack(); st.rowsSinceCkpt >= st.ckptEvery {
+		if err := w.checkpoint(st); err != nil {
+			return err
+		}
 	}
 
 	clear(st.values)
@@ -526,45 +523,7 @@ func (w *Worker) handleRow(sess *session, st *shardState, payload []byte) error 
 	st.mgr.ScoreInto(row, nil, st.dst)
 	obsWorkerRows.Add(1)
 
-	var packed []string
-	packed, st.packBuf = packOutcomes(st.packBuf, st.planVersion, st.dst)
 	st.scoredSeq = seq
-	st.lastPacked = packed
-	st.lastTime = st.frame.Time
-	return w.sendOutcome(sess, st, seq, st.frame.Time, packed)
-}
-
-// sendOutcome delivers one row's packed outcome chunks, retrying until
-// the coordinator acks or the session is superseded. A nil return means
-// the row is acked and safe to checkpoint past.
-func (w *Worker) sendOutcome(sess *session, st *shardState, seq uint64, t time.Time, packed []string) error {
-	if cap(st.sampleBuf) < len(packed) {
-		st.sampleBuf = make([]tsdb.Sample, len(packed))
-	}
-	samples := st.sampleBuf[:len(packed)]
-	for i, chunk := range packed {
-		samples[i] = tsdb.Sample{
-			ID:    timeseries.MeasurementID{Machine: st.machine, Metric: chunk},
-			Time:  t,
-			Value: float64(seq),
-		}
-	}
-	err := st.agent.Send(samples)
-	for err != nil || st.agent.Pending() > 0 {
-		if sess.gone.Load() {
-			return fmt.Errorf("shardnet: session superseded with row %d in flight", seq)
-		}
-		if err != nil {
-			w.log.Info("outcome delivery retrying", "seq", seq, "err", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-		err = st.agent.Flush()
-	}
-	st.ackedSeq = seq
-	st.lastPacked = nil
-	st.rowsSinceCkpt++
-	if st.rowsSinceCkpt >= st.ckptEvery {
-		return w.checkpoint(st)
-	}
-	return nil
+	st.outBuf = appendOutcomeFrames(st.outBuf, seq, st.planVersion, st.dst)
+	return writeOutcomeFrames(sess.conn, st.outBuf)
 }

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +205,28 @@ type SlowSink struct {
 func (s *SlowSink) AppendBatch(batch []tsdb.Sample) error {
 	time.Sleep(s.Delay)
 	return s.Next.AppendBatch(batch)
+}
+
+// GoroutineLeakCheck records the goroutine count and returns a function
+// that fails the test unless the count is back at or below that baseline
+// within five seconds. Call it before starting what must not leak and the
+// returned function after stopping it: goroutines exit a moment after the
+// Close that ends them, so one reading straight away would flake.
+func GoroutineLeakCheck(t testing.TB) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("testkit: %d goroutines, %d before the test started them:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 }
 
 func splitLines(s string) []string {

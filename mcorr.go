@@ -125,9 +125,10 @@ type (
 	// bit-identical Q^a/Q aggregation (see WithShards).
 	ShardCoordinator = shard.Coordinator
 	// ShardNetCoordinator is the networked scoring fabric: the same
-	// partition fanned out to worker processes over TCP, with outcomes
-	// returned through the collector's exactly-once delivery and merged
-	// by the same central aggregator (see NewShardNetFleet).
+	// partition fanned out to worker processes over one coordinator-dialled
+	// control connection each, the workers' outcomes read back on it as
+	// native frames and merged by the same central aggregator (see
+	// NewShardNetFleet).
 	ShardNetCoordinator = shardnet.Coordinator
 	// ShardNetConfig configures the networked fabric.
 	ShardNetConfig = shardnet.Config
@@ -139,9 +140,9 @@ type (
 
 // NewShardNetFleet trains the pair graph, partitions it across the
 // configured worker processes (same rendezvous assignment as WithShards),
-// ships each worker its models, and returns the coordinator. The merged
-// Q^a/Q trajectory is bit-identical to the in-process fabrics for any
-// worker count.
+// dials each worker and ships it its models, and returns the coordinator.
+// Only the workers listen. The merged Q^a/Q trajectory is bit-identical
+// to the in-process fabrics for any worker count.
 func NewShardNetFleet(history *Dataset, cfg ShardNetConfig) (*ShardNetCoordinator, error) {
 	return shardnet.New(history, cfg)
 }
@@ -153,10 +154,12 @@ func ListenShardNetWorker(addr string, cfg ShardNetWorkerConfig) (*ShardNetWorke
 	return shardnet.ListenWorker(addr, cfg)
 }
 
-// Fleet is the scoring surface shared by the single Manager and the
-// sharded ShardCoordinator: everything a monitor needs to score rows,
-// read the three-level fitness state, and localize problems. Both
-// implementations produce bit-identical trajectories over the same rows.
+// Fleet is the scoring surface shared by the single Manager, the sharded
+// ShardCoordinator and the networked ShardNetCoordinator: everything a
+// monitor needs to score rows, read the three-level fitness state, and
+// localize problems. Each embeds its *manager.Aggregator, whose methods
+// are the read half of this interface; all produce bit-identical
+// trajectories over the same rows.
 type Fleet interface {
 	// Step scores one synchronized row across every trained link.
 	Step(Row) StepReport
@@ -184,7 +187,7 @@ type Fleet interface {
 	Close()
 }
 
-// Compile-time proof that both fleet shapes satisfy the interface.
+// Compile-time proof that every fleet shape satisfies the interface.
 var (
 	_ Fleet = (*Manager)(nil)
 	_ Fleet = (*ShardCoordinator)(nil)
@@ -403,7 +406,8 @@ func NewMonitor(history *Dataset, cfg ManagerConfig, opts ...MonitorOption) (*Mo
 		if err != nil {
 			return nil, err
 		}
-		fleet, coord = df, df.coord
+		fleet = df
+		coord, _ = df.graphFleet.(*ShardCoordinator)
 	} else if fleet, coord, err = newFleet(history, cfg, o.shards); err != nil {
 		return nil, err
 	}
@@ -437,12 +441,10 @@ func (m *Monitor) Fleet() Fleet { return m.fleet }
 func (m *Monitor) Manager() *Manager {
 	f := m.fleet
 	if df, ok := f.(*discoveryFleet); ok {
-		f = df.inner
+		f = df.graphFleet
 	}
-	if mgr, ok := f.(*Manager); ok {
-		return mgr
-	}
-	return nil
+	mgr, _ := f.(*Manager)
+	return mgr
 }
 
 // Discovery exposes the discovery-bounded fleet surface, or nil when the

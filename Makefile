@@ -90,6 +90,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardFrames$$' -fuzztime $(FUZZTIME) ./internal/shardnet
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelateRequest$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core
 
 # crash-test is the durability gate: build mcdetect, SIGKILL it mid-stream,
 # restart from the same -data-dir, and require the per-step fitness

@@ -505,9 +505,11 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkRowInto contrasts the clean path (cached normalized row is
-// copied out) with the dirty path (each read renormalizes after an
-// Observe invalidates the row).
+// BenchmarkRowInto reads one whole normalized row three ways: a stored row
+// whose normalizer is cached (n exponentials, nothing else), a stored row
+// each read finds changed by an Observe (the log-sum-exp again first), and
+// a row no transition was observed out of, on a grid that has grown three
+// times, which is first replayed from the prior into the scratch buffer.
 func BenchmarkRowInto(b *testing.B) {
 	b.Run("clean", func(b *testing.B) {
 		tm := benchMatrix(b)
@@ -532,6 +534,35 @@ func BenchmarkRowInto(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := tm.RowInto(dst, 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unobserved", func(b *testing.B) {
+		kernel, err := core.NewKernel(core.KernelHarmonic, 2, 12, 12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nx, ny := 12, 12
+		grid, _ := core.UniformGrid(0, 100, nx, 0, 100, ny)
+		tm, err := core.NewTransitionMatrix(grid, kernel, core.UpdateKernelBayes, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, gr := range []core.Growth{{XHigh: 1}, {YLow: 2}, {XLow: 1, YHigh: 1}} {
+			nx, ny = nx+gr.XLow+gr.XHigh, ny+gr.YLow+gr.YHigh
+			grid, _ = core.UniformGrid(0, 100, nx, 0, 100, ny)
+			if err := tm.Grow(grid, gr); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Cell (5,5) of the first grid, now (6,7) of 14×15: all three
+		// growths are replayed.
+		const cell = 6*15 + 7
+		dst := make([]float64, tm.NumCells())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tm.RowInto(dst, cell); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -47,7 +47,9 @@ func tinyCheckpoint(f *testing.F, opts ...MonitorOption) []byte {
 // every allocation by what the input actually holds (record lengths by
 // wal.ChunkSize, slabs by their header's dims only as data arrives), and
 // must either decode a whole state or fail with ErrCheckpointFormat or
-// ErrCheckpointCorrupt — never hand back part of a fleet.
+// ErrCheckpointCorrupt — never hand back part of a fleet. A state that
+// decodes must also work: its fleet scores the last stored row, twice so
+// that the second time every chain makes a transition.
 func FuzzCheckpointRecords(f *testing.F) {
 	whole := tinyCheckpoint(f)
 	f.Add(whole)
@@ -57,7 +59,7 @@ func FuzzCheckpointRecords(f *testing.F) {
 	flipped := bytes.Clone(whole)
 	flipped[len(flipped)-200] ^= 0xff // inside the last model
 	f.Add(flipped)
-	f.Add([]byte("MCORCKP2"))
+	f.Add([]byte(manager.CheckpointMagic))
 
 	dir := f.TempDir() // empty: a coord section finds no shard files
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,6 +72,17 @@ func FuzzCheckpointRecords(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decode failed (%v) but left a fleet of %d pairs behind", err, len(st.fleet.Pairs()))
 			}
+			step := st.store.Step()
+			last := st.store.QueryAll(st.meta.Cursor.Add(-step), st.meta.Cursor)
+			row := Row{Time: st.meta.Cursor, Values: map[MeasurementID]float64{}}
+			for _, id := range st.fleet.IDs() {
+				if s := last.Get(id); s != nil && s.Len() > 0 {
+					row.Values[id] = s.Values[0]
+				}
+			}
+			st.fleet.Step(row)
+			row.Time = row.Time.Add(step)
+			st.fleet.Step(row)
 			st.fleet.Close()
 		}
 		if err == nil && st.store == nil {

@@ -199,24 +199,24 @@ func TestOpenDurableMonitorRejectsDamagedCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointBoundedAllocation pins the "one record resident"
-// invariant without the benchmark: checkpointing a 66-pair fleet may
+// invariant without the benchmark: checkpointing a 120-pair fleet may
 // allocate at most a quarter of the file it writes (plus 4 MiB for the
 // buffers), and recovering it at most 1.5 × the file (the live weights and
 // series are 1 × on their own). Materialising the fleet even once more on
 // either path — a model clone, a blob per model, a whole-section buffer —
 // breaks the bound.
 func TestCheckpointBoundedAllocation(t *testing.T) {
-	sub, history, day1 := checkpointFixture(t, 12)
+	sub, history, day1 := checkpointFixture(t, 16)
 	dcfg := mcorr.DurabilityConfig{DataDir: t.TempDir(), CheckpointEvery: 1 << 30, Fsync: mcorr.SyncNone}
 	dm, err := mcorr.NewDurableMonitor(history, mcorr.ManagerConfig{Model: mcorr.ModelConfig{Adaptive: true}}, dcfg)
 	if err != nil {
 		t.Fatalf("NewDurableMonitor: %v", err)
 	}
 	pairs := len(dm.Fleet().Pairs())
-	if pairs < 60 {
-		t.Fatalf("fixture has %d pairs, want at least 60", pairs)
+	if pairs < 120 {
+		t.Fatalf("fixture has %d pairs, want at least 120", pairs)
 	}
-	feedRows(t, dm, sub, day1, 20)
+	feedRows(t, dm, sub, day1, 80)
 
 	const slack = 4 << 20
 	allocated := func(f func()) uint64 {

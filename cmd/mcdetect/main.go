@@ -9,7 +9,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -207,14 +206,7 @@ func run() error {
 		if *pairBudget != "" {
 			return fmt.Errorf("-load-models cannot combine with -pair-budget (discovery state persists via -data-dir checkpoints)")
 		}
-		mf, err := os.Open(*loadFrom)
-		if err != nil {
-			return err
-		}
-		mgr, err := manager.LoadManager(bufio.NewReader(mf), sink)
-		if cerr := mf.Close(); err == nil {
-			err = cerr
-		}
+		mgr, err := loadModels(*loadFrom, sink)
 		if err != nil {
 			return err
 		}
@@ -359,23 +351,39 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("-save-models requires -shards=1 (sharded fleets persist via -data-dir checkpoints)")
 		}
-		f, err := os.Create(*saveTo)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(f)
-		if err = mgr.Save(bw); err == nil {
-			err = bw.Flush()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		// The same container as a checkpoint, holding the manager section
+		// only: a file from another release is refused by its magic.
+		meta := manager.CheckpointMeta{CreatedAt: time.Now().UTC(), Steps: mgr.Steps()}
+		if err := manager.WriteCheckpointFile(*saveTo, &meta, func(cw *manager.CheckpointWriter) error {
+			return cw.Stream(manager.SectionManager, mgr.Save)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("saved %d pair models to %s\n", len(mgr.Pairs()), *saveTo)
 	}
 	return nil
+}
+
+// loadModels restores the manager a -save-models run wrote.
+func loadModels(path string, sink alarm.Sink) (*manager.Manager, error) {
+	cr, err := manager.OpenCheckpointFile(path, &manager.CheckpointMeta{})
+	if err != nil {
+		return nil, err
+	}
+	defer cr.Close()
+	body, err := cr.Section(manager.SectionManager)
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := manager.LoadManager(body, sink)
+	if err != nil {
+		return nil, manager.CorruptCheckpoint(manager.SectionManager, err)
+	}
+	if err := cr.End(); err != nil {
+		mgr.Close()
+		return nil, err
+	}
+	return mgr, nil
 }
 
 // worstPairs reads the pair-level drill-down from either fleet shape.

@@ -2,8 +2,9 @@
 
 // gen_checkpoint_corpus regenerates the checked-in seed corpus of
 // FuzzCheckpointRecords under testdata/fuzz: a real (tiny) checkpoint with
-// valid CRCs, torn and damaged variants of it, and hand-built streams whose
-// headers claim far more than the input holds. Run from this directory:
+// valid CRCs, torn and damaged variants of it, hand-built streams whose
+// headers claim far more than the input holds, and copies of the real one
+// whose first model record contradicts itself. Run from this directory:
 //
 //	go run gen_checkpoint_corpus.go
 package main
@@ -18,12 +19,80 @@ import (
 	"path/filepath"
 
 	"mcorr"
+	"mcorr/internal/manager"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 	"mcorr/internal/wal"
 )
 
-const magic = "MCORCKP2"
+const magic = manager.CheckpointMagic
+
+// Where core's model record keeps what the hostile seeds change. The
+// record layout is core's own; a header of another size stops the run
+// instead of patching the wrong field.
+const (
+	modelHeaderSize = 228
+	modelHeaderNX   = 4   // uint32, NY follows
+	modelHeaderPrev = 142 // int64
+)
+
+// payloads splits the record stream after the magic into its payloads.
+func payloads(data []byte) [][]byte {
+	var out [][]byte
+	for data = data[len(magic):]; len(data) > 0; {
+		n := int(binary.BigEndian.Uint32(data))
+		out = append(out, data[16:16+n])
+		data = data[16+n:]
+	}
+	return out
+}
+
+// hostileModel returns whole with the first model of its manager section
+// changed by edit, every record re-framed with a good CRC. edit gets the
+// model's header record and its matrix index as uint32 words (nx0, ny0,
+// growths, four words a growth, then the stored row indices) and returns
+// the index to write.
+func hostileModel(whole []byte, edit func(hdr []byte, index []uint32, rows int) []uint32) []byte {
+	recs := payloads(whole)
+	at := 0
+	for string(recs[at]) != "#manager" {
+		at++
+	}
+	// #manager, the manager header blob (length + body), then the model:
+	// header, x edges, y edges, index blob (length + body), rows.
+	hdr, index := bytes.Clone(recs[at+3]), recs[at+7]
+	if len(hdr) != modelHeaderSize {
+		log.Fatalf("model header is %d bytes, not %d: update the offsets above", len(hdr), modelHeaderSize)
+	}
+	words := make([]uint32, len(index)/4)
+	for k := range words {
+		words[k] = binary.LittleEndian.Uint32(index[4*k:])
+	}
+	rows := 3 + 4*int(words[2])
+	if len(words) < rows+2 {
+		log.Fatalf("first model stores %d rows; the seeds need two", len(words)-rows)
+	}
+	words = edit(hdr, words, rows)
+	var blob []byte
+	for _, w := range words {
+		blob = binary.LittleEndian.AppendUint32(blob, w)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	rw := wal.NewRecordWriter(&buf)
+	for k, rec := range recs {
+		switch k {
+		case at + 3:
+			rw.Write(hdr)
+		case at + 6:
+			rw.WriteBlob(blob)
+		case at + 7:
+		default:
+			rw.Write(rec)
+		}
+	}
+	return buf.Bytes()
+}
 
 func main() {
 	full, _, err := simulator.Generate(simulator.GroupConfig{Name: "Z", Machines: 1, Days: 1, Seed: 5})
@@ -100,6 +169,27 @@ func main() {
 		rw.Write(u64(1 << 62)) // a 2^62-byte blob
 	})
 
+	rowCount := hostileModel(whole, func(hdr []byte, index []uint32, rows int) []uint32 {
+		n := binary.LittleEndian.Uint32(hdr[modelHeaderNX:]) * binary.LittleEndian.Uint32(hdr[modelHeaderNX+4:])
+		index = index[:rows]
+		for i := uint32(0); i <= n; i++ { // one row more than the matrix has cells
+			index = append(index, i)
+		}
+		return index
+	})
+	descending := hostileModel(whole, func(_ []byte, index []uint32, rows int) []uint32 {
+		index[rows], index[rows+1] = index[rows+1], index[rows]
+		return index
+	})
+	epochs := hostileModel(whole, func(_ []byte, index []uint32, _ int) []uint32 {
+		index[0]++ // initial dims + growths no longer add up to NX×NY
+		return index
+	})
+	prev := hostileModel(whole, func(hdr []byte, index []uint32, _ int) []uint32 {
+		binary.LittleEndian.PutUint64(hdr[modelHeaderPrev:], 1<<40)
+		return index
+	})
+
 	write := func(name string, data []byte) {
 		d := filepath.Join("testdata", "fuzz", "FuzzCheckpointRecords")
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -119,5 +209,9 @@ func main() {
 	write("seed_huge_series_count", hugeStore)
 	write("seed_huge_value_count", hugeSeries)
 	write("seed_huge_blob", hugeBlob)
+	write("seed_model_row_count", rowCount)
+	write("seed_model_descending_rows", descending)
+	write("seed_model_epochs_do_not_add_up", epochs)
+	write("seed_model_prev_out_of_range", prev)
 	fmt.Println("wrote fuzz corpus to testdata/fuzz/FuzzCheckpointRecords/")
 }

@@ -36,7 +36,9 @@ func (d Diagnostics) String() string {
 }
 
 // Diagnostics computes the model's current internal summary. Cost is
-// O(cells²).
+// O(cells²) — times the number of grid growths for the rows no transition
+// was observed out of, which are replayed for the read and not stored: the
+// sweep leaves the model's memory as it found it.
 func (m *Model) Diagnostics() Diagnostics {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -10,6 +10,12 @@
 // observation, the transition probability and the rank-based fitness score
 // Q = 1 − (π(c_h) − 1)/s used for problem determination (§5).
 //
+// The matrix stores a row only for a cell a transition has been observed
+// out of — about 30 % of them for a correlated pair — and reproduces every
+// other row on demand, bit for bit, by replaying the prior through the
+// grid's growth history; Model.Save writes the stored rows and that
+// history, nothing else (see TransitionMatrix).
+//
 // Model.Step is deterministic: the same training history and observation
 // sequence always produces bit-identical fitness values, which is what the
 // crash-recovery and sharding layers build their exactness guarantees on.

@@ -61,7 +61,7 @@ func NewKernel(kind KernelKind, w float64, nx, ny int) (*Kernel, error) {
 	default:
 		return nil, fmt.Errorf("unknown kernel kind %d", int(kind))
 	}
-	if w <= 1 && kind != KernelUniform {
+	if !(w > 1) && kind != KernelUniform { // NaN included
 		return nil, fmt.Errorf("kernel decay w = %g: must be > 1", w)
 	}
 	if nx < 1 || ny < 1 {

@@ -418,6 +418,15 @@ func (m *Model) NumCells() int {
 	return m.tm.NumCells()
 }
 
+// MatrixBytes returns the memory the matrix's stored rows take — 8 bytes ×
+// NumCells for every cell a transition has been observed out of — which is
+// also, to within a few percent, what Save writes for the model.
+func (m *Model) MatrixBytes() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return 8 * m.tm.n * m.tm.ObservedRows()
+}
+
 // Stats returns a snapshot of the model's online counters.
 func (m *Model) Stats() Stats {
 	m.mu.Lock()

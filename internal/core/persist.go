@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"mcorr/internal/wal"
 )
@@ -15,9 +16,9 @@ import (
 // continues exactly where the saved one stopped. A run live at checkpoint
 // time is persisted verbatim and NOT flushed by Save, or the matrix
 // trajectory would depend on checkpoint cadence and recovery would fork
-// from an uninterrupted run. The grid edges and the weights follow as raw
-// float records; the row-normalization caches (probs/norm/clean) are
-// derived state and stay out of the file.
+// from an uninterrupted run. The grid edges, the matrix index and the
+// stored rows follow (see Save); the row normalizers are derived state and
+// stay out of the file.
 type modelHeader struct {
 	Version uint32
 	NX, NY  uint32
@@ -42,23 +43,35 @@ type modelHeader struct {
 	RunCell                                      int64
 }
 
-// modelFormat versions the model record. Version 3 is the first record
-// format; versions 1 and 2 were gob and are no longer readable.
-const modelFormat = 3
+// modelFormat versions the model record. Version 4 stores only the rows a
+// pair has observed; version 3 stored all n² weights and versions 1 and 2
+// were gob. None of the older ones is readable, and the checkpoint
+// container's magic changed with each, so an older file is refused as
+// another release's before a model record is ever reached.
+const modelFormat = 4
 
 // modelHeaderSize is the header record's exact length.
 var modelHeaderSize = binary.Size(modelHeader{})
 
-// maxAxis bounds a decoded axis so nx·ny and its square stay far inside an
-// int; the weights themselves are only allocated as their records arrive.
-const maxAxis = 1 << 15
+// maxAxis bounds a decoded axis so nx·ny stays far inside an int and a
+// uint32. A matrix costs a few words per cell beyond its rows (the row
+// table, the kernel's tables): maxUnobservedCells is the largest grid a
+// record may claim without one stored row, so beyond it those tables are
+// only built once a row's n floats have arrived.
+const (
+	maxAxis            = 1 << 15
+	maxUnobservedCells = 1 << 16
+)
 
 // Save writes the model as one self-delimiting group of records: the
-// header, the x and y grid edges, and the weights in row-aligned chunks of
-// at most wal.ChunkSize. Nothing is cloned: the model is encoded under its
-// own lock, chunk by chunk, into w — wrap a file or socket in a
-// bufio.Writer. When w is a *wal.RecordWriter the records continue its
-// stream, which is how a manager saves its fleet.
+// header, the x and y grid edges, the matrix index as a blob (see
+// appendIndex) and then each stored row, ascending, as one float record
+// (more when a row exceeds wal.ChunkSize). Rows no transition was observed
+// out of are not written — LoadModel reproduces them from the index's
+// growth history exactly as the live matrix does. Nothing is cloned: the
+// model is encoded under its own lock, row by row, into w — wrap a file or
+// socket in a bufio.Writer. When w is a *wal.RecordWriter the records
+// continue its stream, which is how a manager saves its fleet.
 func (m *Model) Save(w io.Writer) error {
 	rw := wal.NewRecordWriter(w)
 	m.mu.Lock()
@@ -87,7 +100,12 @@ func (m *Model) Save(w io.Writer) error {
 		err = rw.WriteFloats(m.grid.Y.Edges, 0)
 	}
 	if err == nil {
-		err = rw.WriteFloats(m.tm.weights, m.tm.n)
+		err = rw.WriteBlob(m.tm.appendIndex(nil))
+	}
+	for _, row := range m.tm.rows {
+		if row != nil && err == nil {
+			err = rw.WriteFloats(row, 0)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("model save: %w", err)
@@ -95,15 +113,124 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
+// appendIndex appends the matrix index to b as little-endian uint32s: the
+// dims the matrix was built with, the number of growths, each growth's
+// XLow, XHigh, YLow, YHigh oldest first, then the ascending indices of the
+// stored rows.
+func (tm *TransitionMatrix) appendIndex(b []byte) []byte {
+	nx0, ny0 := tm.nx, tm.ny
+	for _, gr := range tm.growths {
+		nx0 -= gr.XLow + gr.XHigh
+		ny0 -= gr.YLow + gr.YHigh
+	}
+	for _, v := range [...]int{nx0, ny0, len(tm.growths)} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	for _, gr := range tm.growths {
+		for _, v := range [...]int{gr.XLow, gr.XHigh, gr.YLow, gr.YHigh} {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	for i, row := range tm.rows {
+		if row != nil {
+			b = binary.LittleEndian.AppendUint32(b, uint32(i))
+		}
+	}
+	return b
+}
+
+// parseIndex decodes appendIndex's output for an nx×ny matrix, rejecting
+// whatever a matrix could not have written: growths that add nothing, do
+// not lead from the initial dims to nx×ny or outnumber the intervals they
+// added, and row indices that repeat, descend or leave the matrix.
+func parseIndex(b []byte, nx, ny int) (growths []Growth, rows []int, err error) {
+	if len(b) < 12 || len(b)%4 != 0 {
+		return nil, nil, fmt.Errorf("%d-byte matrix index: %w", len(b), wal.ErrCorrupt)
+	}
+	// int64 holds any sum of the index's uint32 words whatever int is.
+	words := int64(len(b) / 4)
+	word := func(k int64) int64 { return int64(binary.LittleEndian.Uint32(b[4*k:])) }
+	cx, cy, g := word(0), word(1), word(2)
+	if cx < 1 || cy < 1 || cx > int64(nx) || cy > int64(ny) || g > int64(nx)-cx+int64(ny)-cy || words < 3+4*g {
+		return nil, nil, fmt.Errorf("matrix index: %d growths from %dx%d to %dx%d in %d words: %w", g, cx, cy, nx, ny, words, wal.ErrCorrupt)
+	}
+	growths = make([]Growth, g)
+	for k := range growths {
+		w := 3 + 4*int64(k)
+		xlo, xhi, ylo, yhi := word(w), word(w+1), word(w+2), word(w+3)
+		cx, cy = cx+xlo+xhi, cy+ylo+yhi
+		if xlo+xhi+ylo+yhi == 0 || cx > int64(nx) || cy > int64(ny) {
+			return nil, nil, fmt.Errorf("matrix index: growth %d reaches %dx%d of %dx%d: %w", k, cx, cy, nx, ny, wal.ErrCorrupt)
+		}
+		growths[k] = Growth{XLow: int(xlo), XHigh: int(xhi), YLow: int(ylo), YHigh: int(yhi)}
+	}
+	if cx != int64(nx) || cy != int64(ny) {
+		return nil, nil, fmt.Errorf("matrix index: growths end at %dx%d, header says %dx%d: %w", cx, cy, nx, ny, wal.ErrCorrupt)
+	}
+	n, stored := int64(nx)*int64(ny), words-3-4*g
+	if stored > n {
+		return nil, nil, fmt.Errorf("matrix index: %d rows of a %d-cell matrix: %w", stored, n, wal.ErrCorrupt)
+	}
+	rows = make([]int, stored)
+	for k := range rows {
+		i := word(3 + 4*g + int64(k))
+		if i >= n || (k > 0 && i <= int64(rows[k-1])) {
+			return nil, nil, fmt.Errorf("matrix index: row %d at position %d of a %d-cell matrix: %w", i, k, n, wal.ErrCorrupt)
+		}
+		rows[k] = int(i)
+	}
+	return growths, rows, nil
+}
+
 // LoadModel restores a model saved by Save, reading exactly its records
 // from r (a *wal.RecordReader continues its caller's stream). Every decode
-// failure wraps wal.ErrCorrupt.
+// failure wraps wal.ErrCorrupt, a record that contradicts itself included:
+// a CRC only proves the bytes are the ones written.
 func LoadModel(r io.Reader) (*Model, error) {
 	m, err := loadModel(wal.NewRecordReader(r))
 	if err != nil {
 		return nil, fmt.Errorf("model load: %w", err)
 	}
 	return m, nil
+}
+
+// validate checks the header's scalars against an n-cell matrix: the chain
+// position and the frozen run must name cells that exist, and no counter
+// runs backwards.
+func (h *modelHeader) validate(n int64) error {
+	bad := func(what string, v any) error { return fmt.Errorf("%s %v: %w", what, v, wal.ErrCorrupt) }
+	switch {
+	case h.Prev < -1 || h.Prev >= n, h.Armed && h.Prev < 0:
+		return bad("chain position", h.Prev)
+	case h.RunCell < -1 || h.RunCell >= n:
+		return bad("frozen-run cell", h.RunCell)
+	case h.RunLen < 0:
+		return bad("frozen-run length", h.RunLen)
+	case h.Observed < 0:
+		return bad("observed count", h.Observed)
+	case !(h.XAvgWidth > 0) || !(h.YAvgWidth > 0) || math.IsInf(h.XAvgWidth, 0) || math.IsInf(h.YAvgWidth, 0):
+		return bad("average interval widths", [2]float64{h.XAvgWidth, h.YAvgWidth})
+	case !(h.Lambda <= maxAxis):
+		// Lambda bounds how many intervals one observation may add.
+		return bad("lambda", h.Lambda)
+	}
+	for _, v := range h.Stats {
+		if v < 0 {
+			return bad("stats", h.Stats)
+		}
+	}
+	return nil
+}
+
+// validEdges reports whether an axis's edges are finite and strictly
+// ascending — what Axis.Locate's binary search assumes.
+func validEdges(edges []float64) bool {
+	for i, e := range edges {
+		if math.IsNaN(e) || math.IsInf(e, 0) || (i > 0 && e <= edges[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 func loadModel(rr *wal.RecordReader) (*Model, error) {
@@ -126,6 +253,9 @@ func loadModel(rr *wal.RecordReader) (*Model, error) {
 	}
 	nx, ny := int(h.NX), int(h.NY)
 	n := nx * ny
+	if err := h.validate(int64(n)); err != nil {
+		return nil, err
+	}
 	xEdges, err := rr.ReadFloats(nx + 1)
 	if err != nil {
 		return nil, err
@@ -134,9 +264,19 @@ func loadModel(rr *wal.RecordReader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights, err := rr.ReadFloats(n * n)
+	if !validEdges(xEdges) || !validEdges(yEdges) {
+		return nil, fmt.Errorf("grid edges not finite and ascending: %w", wal.ErrCorrupt)
+	}
+	index, err := rr.ReadBlob()
 	if err != nil {
 		return nil, err
+	}
+	growths, at, err := parseIndex(index, nx, ny)
+	if err != nil {
+		return nil, err
+	}
+	if len(at) == 0 && n > maxUnobservedCells {
+		return nil, fmt.Errorf("%d cells and no stored row: %w", n, wal.ErrCorrupt)
 	}
 	cfg := Config{
 		Grid: GridConfig{
@@ -146,8 +286,22 @@ func loadModel(rr *wal.RecordReader) (*Model, error) {
 		Kernel: KernelKind(h.Kernel), DecayW: h.DecayW, Lambda: h.Lambda, Adaptive: h.Adaptive,
 		UpdateRule: UpdateRule(h.UpdateRule), DirichletStrength: h.DirichletStrength, OmitProbs: h.OmitProbs,
 	}.withDefaults()
-	// The kernel's tables are nx·ny entries: built only now that n² weights
-	// have actually arrived, so a hostile header cannot size them.
+	if cfg.UpdateRule != UpdateKernelBayes && cfg.UpdateRule != UpdateDirichlet {
+		return nil, fmt.Errorf("update rule %d: %w", int(cfg.UpdateRule), wal.ErrCorrupt)
+	}
+	stored := make([][]float64, len(at))
+	for k := range stored {
+		if stored[k], err = rr.ReadFloats(n); err != nil {
+			return nil, err
+		}
+	}
+	// The row table and the kernel's tables are n entries each: built only
+	// now that every stored row — n floats each — has arrived, so a hostile
+	// header cannot size them.
+	rows := make([][]float64, n)
+	for k, i := range at {
+		rows[i] = stored[k]
+	}
 	kernel, err := NewKernel(cfg.Kernel, cfg.DecayW, nx, ny)
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", err, wal.ErrCorrupt)
@@ -157,7 +311,7 @@ func loadModel(rr *wal.RecordReader) (*Model, error) {
 		grid: &Grid{X: Axis{Edges: xEdges, AvgWidth: h.XAvgWidth}, Y: Axis{Edges: yEdges, AvgWidth: h.YAvgWidth}},
 		tm: &TransitionMatrix{
 			nx: nx, ny: ny, n: n, kernel: kernel, rule: cfg.UpdateRule,
-			weights: weights, strength: h.Strength, observed: int(h.Observed),
+			rows: rows, growths: growths, strength: h.Strength, observed: int(h.Observed),
 		},
 		prev:     int(h.Prev),
 		armed:    h.Armed,

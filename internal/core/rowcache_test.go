@@ -199,9 +199,9 @@ func TestProbColumnRangeChecked(t *testing.T) {
 	}
 }
 
-// TestRowIntoCleanPathReusesCache: two consecutive reads of an untouched
-// row return identical values and the second read must not renormalize
-// (observable as the clean bit staying set).
+// TestRowIntoCleanPathReusesCache: consecutive reads of an untouched row
+// return identical values off one normalizer computation, and an Observe
+// changes — and renormalizes — its own row only.
 func TestRowIntoCleanPathReusesCache(t *testing.T) {
 	grid, _ := UniformGrid(0, 3, 3, 0, 3, 3)
 	kernel, _ := NewKernel(KernelHarmonic, 2, 3, 3)
@@ -210,10 +210,11 @@ func TestRowIntoCleanPathReusesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tm.rowClean(4) {
-		t.Fatal("row 4 should be clean after a read")
+	if !tm.normOK[4] {
+		t.Fatal("row 4's normalizer should be cached after a read")
 	}
-	if _, err := tm.RowInto(nil, 5); err != nil {
+	other, err := tm.RowInto(nil, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	second, err := tm.RowInto(nil, 4)
@@ -222,27 +223,44 @@ func TestRowIntoCleanPathReusesCache(t *testing.T) {
 	}
 	for j := range first {
 		if first[j] != second[j] {
-			t.Fatalf("clean re-read diverged at %d", j)
+			t.Fatalf("re-read of an untouched row diverged at %d", j)
 		}
+	}
+	// Poison the cached normalizer: exp(x − ∞) = 0, so a read that reuses
+	// it returns zeros and one that recomputes it does not.
+	tm.norm[4] = math.Inf(1)
+	if p, err := tm.Prob(4, 4); err != nil || p != 0 {
+		t.Fatalf("Prob(4, 4) = %g, %v: an untouched row's normalizer was recomputed", p, err)
 	}
 	if err := tm.Observe(4, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tm.rowClean(4) {
-		t.Fatal("Observe(4, ...) must dirty row 4")
+	if tm.normOK[4] {
+		t.Fatal("Observe(4, ...) must drop row 4's normalizer")
 	}
-	if !tm.rowClean(5) {
-		t.Fatal("Observe(4, ...) must not dirty row 5")
+	if !tm.normOK[5] {
+		t.Fatal("Observe(4, ...) must not drop row 5's normalizer")
 	}
 	after, err := tm.RowInto(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, p := range after {
+	changed := false
+	for j, p := range after {
 		sum += p
+		changed = changed || p != first[j]
 	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("post-observe row sums to %g", sum)
+	if !changed || math.Abs(sum-1) > 1e-12 {
+		t.Fatalf("post-observe row: changed=%v, sums to %g", changed, sum)
+	}
+	again, err := tm.RowInto(nil, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range other {
+		if again[j] != other[j] {
+			t.Fatalf("Observe(4, ...) changed row 5 at col %d", j)
+		}
 	}
 }

@@ -35,48 +35,56 @@ func (r UpdateRule) String() string {
 }
 
 // TransitionMatrix is the paper's s×s matrix V with V[i][j] = P(c_i → c_j),
-// stored row-wise as unnormalized log weights (kernel-Bayes) or counts
-// (Dirichlet). Rows are normalized on read, with the normalization cached
-// per row behind dirty bits: Observe and Grow invalidate, the first read of
-// a dirty row recomputes its normalizer (log-sum-exp for kernel-Bayes, the
-// count sum for Dirichlet) and materialized probability row, and every
-// subsequent read is a lookup. Repeated reads of an unchanged row — the
-// offline scoring pattern — are therefore amortized O(1) per entry.
+// kept row-wise as unnormalized log weights (kernel-Bayes) or counts
+// (Dirichlet) and normalized on read.
 //
-// TransitionMatrix is not safe for concurrent use; the Model guards it.
+// A correlated pair walks a thin part of its grid (the paper's census: 412
+// of 701 transitions stay in their cell, 280 reach a nearest neighbour), so
+// most rows are never the source of an observed transition. The matrix
+// therefore stores a row iff Observe or ObserveRun has written it. Every
+// other row is a pure function of the grid's history — the prior at the
+// dims the cell was born under, pushed through every later Grow — and is
+// produced on demand into one scratch buffer, bit for bit what a dense
+// matrix would hold, by replaying that history (priorRow). Reads never
+// store, so which rows exist depends on the observation history alone and
+// not on who looked at the matrix: a checkpoint, a reshard or an operator's
+// Diagnostics sweep all leave it as it was.
+//
+// Each row's normalizer (log-sum-exp for kernel-Bayes, the count sum for
+// Dirichlet) is cached behind a dirty bit that Observe and Grow clear;
+// fitness ranks the raw row and needs no normalizer at all.
+//
+// TransitionMatrix is not safe for concurrent use, reads included; the
+// Model guards it.
 type TransitionMatrix struct {
 	nx, ny int
 	n      int
 	kernel *Kernel
 	rule   UpdateRule
-	// weights holds n rows of n entries. For UpdateKernelBayes the
-	// entries are log weights (softmax-normalized on read); for
-	// UpdateDirichlet they are nonnegative pseudo-counts (sum-normalized
-	// on read).
-	weights []float64
-	// Two caches, both invalidated per row by Observe/ObserveRun/Grow and
-	// allocated lazily so freshly built or deserialized matrices pay
-	// nothing until they are actually read:
-	//
-	//   norm/normOK — each row's normalizer (log-sum-exp for kernel-Bayes,
-	//   the count sum for Dirichlet). This is all the scoring hot path
-	//   needs: fitness ranks the raw row directly and a single probability
-	//   is one exp against the cached normalizer.
-	//
-	//   probs/clean — fully materialized probability rows, kept only for
-	//   bulk readers (RowInto) that want the whole distribution.
-	probs  []float64
+	// rows[i] is row i's n raw entries — log weights for UpdateKernelBayes
+	// (softmax-normalized on read), nonnegative pseudo-counts for
+	// UpdateDirichlet (sum-normalized on read) — or nil while no
+	// transition out of cell i has been observed.
+	rows [][]float64
+	// growths lists every Grow the matrix has lived through, oldest first;
+	// with the current dims it gives the dims of every past epoch, which is
+	// what replaying an unobserved row needs.
+	growths []Growth
+	// scratch receives the unobserved row a read asks for; the slice row
+	// returns stays valid until the next read of an unobserved row.
+	scratch []float64
+	// norm/normOK cache each row's normalizer, allocated on first use.
 	norm   []float64
 	normOK []bool
-	clean  []bool
 	// strength is the prior pseudo-count mass per row for UpdateDirichlet.
 	strength float64
 	observed int
 }
 
 // NewTransitionMatrix builds the prior matrix over the grid's cells using
-// the kernel's spatial-closeness weights. For the Dirichlet rule, strength
-// is the prior's total pseudo-count mass per row (≤ 0 selects 10).
+// the kernel's spatial-closeness weights: no row is stored until a
+// transition out of it is observed. For the Dirichlet rule, strength is the
+// prior's total pseudo-count mass per row (≤ 0 selects 10).
 func NewTransitionMatrix(g *Grid, kernel *Kernel, rule UpdateRule, strength float64) (*TransitionMatrix, error) {
 	if kernel == nil {
 		return nil, fmt.Errorf("new transition matrix: nil kernel")
@@ -91,36 +99,115 @@ func NewTransitionMatrix(g *Grid, kernel *Kernel, rule UpdateRule, strength floa
 	}
 	nx, ny := g.Dims()
 	kernel.resize(nx, ny)
-	tm := &TransitionMatrix{nx: nx, ny: ny, n: nx * ny, kernel: kernel, rule: rule, strength: strength}
-	tm.weights = make([]float64, tm.n*tm.n)
-	for i := 0; i < tm.n; i++ {
-		tm.initPriorRow(tm.row(i), i)
-	}
-	return tm, nil
+	n := nx * ny
+	return &TransitionMatrix{nx: nx, ny: ny, n: n, kernel: kernel, rule: rule, strength: strength, rows: make([][]float64, n)}, nil
 }
 
-// row returns the backing slice of row i.
-func (tm *TransitionMatrix) row(i int) []float64 { return tm.weights[i*tm.n : (i+1)*tm.n] }
+// row returns row i's raw entries for reading: the stored row, or the
+// scratch buffer filled with the row an unobserved cell holds.
+func (tm *TransitionMatrix) row(i int) []float64 {
+	if r := tm.rows[i]; r != nil {
+		return r
+	}
+	if cap(tm.scratch) < tm.n {
+		tm.scratch = make([]float64, tm.n)
+	}
+	tm.scratch = tm.scratch[:tm.n]
+	tm.priorRow(tm.scratch, i)
+	return tm.scratch
+}
+
+// writableRow returns row i's stored entries, storing the row first if this
+// is the first observed transition out of cell i.
+func (tm *TransitionMatrix) writableRow(i int) []float64 {
+	if tm.rows[i] == nil {
+		r := make([]float64, tm.n)
+		tm.priorRow(r, i)
+		tm.rows[i] = r
+	}
+	if tm.normOK != nil {
+		tm.normOK[i] = false
+	}
+	return tm.rows[i]
+}
 
 // coords converts a cell index to (xi, yi) under the matrix's current dims.
 func (tm *TransitionMatrix) coords(c int) (int, int) { return c / tm.ny, c % tm.ny }
 
-// initPriorRow fills dst with the prior for transitions out of cell i.
-func (tm *TransitionMatrix) initPriorRow(dst []float64, i int) {
+// priorRow fills dst (len n) with what row i holds while no transition out
+// of cell i has been observed. It replays the row's history instead of
+// deriving it: walk the cell's coordinates back through the growths to the
+// epoch it first existed in, fill the prior at that epoch's dims, then
+// apply each later growth's extrapolation in turn, in place. Floats leave
+// no shortcut — (v − e₁·p) − e₂·p is not v − (e₁+e₂)·p, and the prior of a
+// grown grid is not the grown prior of a small one.
+func (tm *TransitionMatrix) priorRow(dst []float64, i int) {
 	xi, yi := tm.coords(i)
+	nx, ny := tm.nx, tm.ny
+	born := len(tm.growths)
+	for ; born > 0; born-- {
+		gr := tm.growths[born-1]
+		ox, oy := xi-gr.XLow, yi-gr.YLow
+		onx, ony := nx-gr.XLow-gr.XHigh, ny-gr.YLow-gr.YHigh
+		if ox < 0 || ox >= onx || oy < 0 || oy >= ony {
+			break // this growth created the cell
+		}
+		xi, yi, nx, ny = ox, oy, onx, ony
+	}
+	tm.initPriorRow(dst[:nx*ny], xi, yi, nx, ny)
+	for _, gr := range tm.growths[born:] {
+		onx, ony := nx, ny
+		nx, ny = nx+gr.XLow+gr.XHigh, ny+gr.YLow+gr.YHigh
+		tm.growRow(dst[:nx*ny], dst[:onx*ony], onx, ony, gr)
+	}
+}
+
+// initPriorRow fills dst with the prior for transitions out of cell
+// (xi, yi) of an nx×ny grid.
+func (tm *TransitionMatrix) initPriorRow(dst []float64, xi, yi, nx, ny int) {
 	if tm.rule == UpdateKernelBayes {
-		tm.kernel.FillLogRow(dst, xi, yi, tm.nx, tm.ny)
+		tm.kernel.FillLogRow(dst, xi, yi, nx, ny)
 		return
 	}
 	// Dirichlet: normalized prior scaled to the pseudo-count mass.
 	var sum float64
-	for j := range dst {
-		xj, yj := tm.coords(j)
-		dst[j] = tm.kernel.Weight(xi-xj, yi-yj)
-		sum += dst[j]
+	j := 0
+	for x := 0; x < nx; x++ {
+		for y := 0; y < ny; y++ {
+			dst[j] = tm.kernel.Weight(xi-x, yi-y)
+			sum += dst[j]
+			j++
+		}
 	}
 	for j := range dst {
 		dst[j] *= tm.strength / sum
+	}
+}
+
+// growRow writes into dst the row src of an oldNx×oldNy grid after growth
+// gr: existing columns keep their value, new columns are extrapolated from
+// their nearest pre-existing cell with one kernel step penalty per extra
+// cell of distance (for the Dirichlet rule the clamped cell's count is
+// copied with geometric decay). dst may start at the same address as src:
+// a column's source never lies after it, so the backward walk reads every
+// old value before overwriting it.
+func (tm *TransitionMatrix) growRow(dst, src []float64, oldNx, oldNy int, gr Growth) {
+	nx, ny := oldNx+gr.XLow+gr.XHigh, oldNy+gr.YLow+gr.YHigh
+	penalty := tm.kernel.StepPenalty()
+	for x := nx - 1; x >= 0; x-- {
+		ox := x - gr.XLow
+		cx := clampInt(ox, 0, oldNx-1)
+		for y := ny - 1; y >= 0; y-- {
+			oy := y - gr.YLow
+			cy := clampInt(oy, 0, oldNy-1)
+			extra := absInt(ox-cx) + absInt(oy-cy)
+			v := src[cx*oldNy+cy]
+			if tm.rule == UpdateKernelBayes {
+				dst[x*ny+y] = v - float64(extra)*penalty
+			} else {
+				dst[x*ny+y] = v * math.Exp(-float64(extra)*penalty)
+			}
+		}
 	}
 }
 
@@ -139,8 +226,7 @@ func (tm *TransitionMatrix) Observe(i, h int) error {
 		return fmt.Errorf("observe transition %d→%d in %d-cell matrix: out of range", i, h, tm.n)
 	}
 	tm.observed++
-	tm.invalidateRow(i)
-	row := tm.row(i)
+	row := tm.writableRow(i)
 	if tm.rule == UpdateDirichlet {
 		row[h]++
 		return nil
@@ -173,8 +259,7 @@ func (tm *TransitionMatrix) ObserveRun(c, count int) error {
 		return nil
 	}
 	tm.observed += count
-	tm.invalidateRow(c)
-	row := tm.row(c)
+	row := tm.writableRow(c)
 	if tm.rule == UpdateDirichlet {
 		row[c] += float64(count)
 		return nil
@@ -187,39 +272,15 @@ func (tm *TransitionMatrix) ObserveRun(c, count int) error {
 	return nil
 }
 
-// invalidateRow marks row i's cached normalizer stale.
-func (tm *TransitionMatrix) invalidateRow(i int) {
-	if tm.clean != nil {
-		tm.clean[i] = false
-	}
-	if tm.normOK != nil {
-		tm.normOK[i] = false
-	}
-}
-
-// rowClean reports whether row i's cache entries are valid.
-func (tm *TransitionMatrix) rowClean(i int) bool { return tm.clean != nil && tm.clean[i] }
-
-// probRow returns the cached normalized row i, refreshing it first if a
-// mutation dirtied it. The returned slice aliases the cache; callers must
-// not retain or mutate it.
-func (tm *TransitionMatrix) probRow(i int) []float64 {
-	if !tm.rowClean(i) {
-		tm.refreshRow(i)
-	}
-	return tm.probs[i*tm.n : (i+1)*tm.n]
-}
-
-// ensureNorm computes and caches row i's normalizer if it is stale, and
-// returns it: the log-sum-exp of the raw row for kernel-Bayes, the count
-// sum for Dirichlet.
-func (tm *TransitionMatrix) ensureNorm(i int) float64 {
+// ensureNorm returns row i's normalizer — the log-sum-exp of raw for
+// kernel-Bayes, the count sum for Dirichlet — computing and caching it if
+// the row changed since the last read. raw is row(i).
+func (tm *TransitionMatrix) ensureNorm(i int, raw []float64) float64 {
 	if tm.normOK == nil {
 		tm.norm = make([]float64, tm.n)
 		tm.normOK = make([]bool, tm.n)
 	}
 	if !tm.normOK[i] {
-		raw := tm.row(i)
 		if tm.rule == UpdateKernelBayes {
 			tm.norm[i] = mathx.LogSumExp(raw)
 		} else {
@@ -230,71 +291,51 @@ func (tm *TransitionMatrix) ensureNorm(i int) float64 {
 	return tm.norm[i]
 }
 
-// probAt returns the single normalized probability P(c_i → c_h) from the
-// cached normalizer — one exp (kernel-Bayes) or one multiply (Dirichlet)
-// per read. The arithmetic is the per-entry expression of refreshRow, so
-// the value is bit-for-bit what the materialized row holds, including the
-// uniform fallback for degenerate rows.
-func (tm *TransitionMatrix) probAt(i, h int) float64 {
-	norm := tm.ensureNorm(i)
-	raw := tm.row(i)
+// normalizeInto writes the normalized form of the raw entries src into dst
+// (same length; dst may be src's tail or a single entry) given the row's
+// normalizer: one exp (kernel-Bayes) or one multiply (Dirichlet) per entry.
+// The arithmetic mirrors mathx.SoftmaxInto / mathx.Normalize exactly,
+// including their uniform fallback for degenerate rows, so every read —
+// whole row or single probability — returns the same bits.
+func (tm *TransitionMatrix) normalizeInto(dst, src []float64, norm float64) {
 	if tm.rule == UpdateKernelBayes {
 		if math.IsInf(norm, -1) {
-			return 1 / float64(tm.n)
+			uniformFill(dst, tm.n)
+			return
 		}
-		return math.Exp(raw[h] - norm)
+		for j, x := range src {
+			dst[j] = math.Exp(x - norm)
+		}
+		return
 	}
 	if norm <= 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
-		return 1 / float64(tm.n)
+		uniformFill(dst, tm.n)
+		return
 	}
 	inv := 1 / norm
-	return raw[h] * inv
+	for j, x := range src {
+		dst[j] = x * inv
+	}
 }
 
-// refreshRow materializes row i's probability cache from the cached
-// normalizer. The arithmetic mirrors mathx.SoftmaxInto / mathx.Normalize
-// exactly (including their uniform fallback for degenerate rows) so cached
-// reads are bit-for-bit identical to the uncached normalize-on-read path.
-func (tm *TransitionMatrix) refreshRow(i int) {
-	if tm.clean == nil {
-		tm.probs = make([]float64, tm.n*tm.n)
-		tm.clean = make([]bool, tm.n)
-	}
-	raw := tm.row(i)
-	dst := tm.probs[i*tm.n : (i+1)*tm.n]
-	norm := tm.ensureNorm(i)
-	if tm.rule == UpdateKernelBayes {
-		if math.IsInf(norm, -1) {
-			uniformFill(dst)
-		} else {
-			for j, x := range raw {
-				dst[j] = math.Exp(x - norm)
-			}
-		}
-	} else {
-		if norm <= 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
-			uniformFill(dst)
-		} else {
-			inv := 1 / norm
-			for j, x := range raw {
-				dst[j] = x * inv
-			}
-		}
-	}
-	tm.clean[i] = true
-}
-
-func uniformFill(dst []float64) {
-	u := 1 / float64(len(dst))
+func uniformFill(dst []float64, n int) {
+	u := 1 / float64(n)
 	for j := range dst {
 		dst[j] = u
 	}
 }
 
+// probAt returns the single normalized probability P(c_i → c_h) of the raw
+// row i, bit for bit the entry RowInto writes.
+func (tm *TransitionMatrix) probAt(i, h int, raw []float64) float64 {
+	var p [1]float64
+	tm.normalizeInto(p[:], raw[h:h+1], tm.ensureNorm(i, raw))
+	return p[0]
+}
+
 // RowInto writes the normalized transition distribution out of cell i into
-// dst (allocating when dst is too small) and returns it. A clean row is a
-// straight copy of the cached normalization; a dirty row pays one
-// recomputation and leaves the cache clean.
+// dst (allocating when dst is too small) and returns it. Nothing is kept
+// but the row's normalizer, so a sweep over every row costs no memory.
 func (tm *TransitionMatrix) RowInto(dst []float64, i int) ([]float64, error) {
 	if i < 0 || i >= tm.n {
 		return nil, fmt.Errorf("row %d of %d-cell matrix: out of range", i, tm.n)
@@ -303,13 +344,13 @@ func (tm *TransitionMatrix) RowInto(dst []float64, i int) ([]float64, error) {
 		dst = make([]float64, tm.n)
 	}
 	dst = dst[:tm.n]
-	copy(dst, tm.probRow(i))
+	raw := tm.row(i)
+	tm.normalizeInto(dst, raw, tm.ensureNorm(i, raw))
 	return dst, nil
 }
 
-// Prob returns P(c_i → c_j) from the cached row normalizer — amortized
-// O(1): only the first read after a mutation of row i renormalizes, and a
-// single probability never materializes the full row.
+// Prob returns P(c_i → c_j) from the cached row normalizer: only the first
+// read after a mutation of row i renormalizes.
 func (tm *TransitionMatrix) Prob(i, j int) (float64, error) {
 	if i < 0 || i >= tm.n {
 		return 0, fmt.Errorf("row %d of %d-cell matrix: out of range", i, tm.n)
@@ -317,7 +358,7 @@ func (tm *TransitionMatrix) Prob(i, j int) (float64, error) {
 	if j < 0 || j >= tm.n {
 		return 0, fmt.Errorf("column %d of %d-cell matrix: out of range", j, tm.n)
 	}
-	return tm.probAt(i, j), nil
+	return tm.probAt(i, j, tm.row(i)), nil
 }
 
 // ScoreTransition returns P(c_i → c_h) and the rank-based fitness score Q
@@ -325,11 +366,11 @@ func (tm *TransitionMatrix) Prob(i, j int) (float64, error) {
 // softmax (kernel-Bayes) and count normalization (Dirichlet) are strictly
 // monotonic per row, so the raw rank is the normalized rank without
 // computing a single exponential; ties, including raw-weight ties, break by
-// lower index exactly as RankInRow does on a materialized row. The
+// lower index exactly as RankInRow does on a normalized row. The
 // probability comes from the cached normalizer (one exp), bit-identical to
-// the materialized entry.
+// the entry RowInto writes.
 //
-// Note the one deliberate divergence from ranking a materialized row:
+// Note the one deliberate divergence from ranking a normalized row:
 // softmax can collapse raw weights that differ only in their last ulps into
 // exact probability ties. Ranking the raw row keeps such cells distinct.
 // Every scoring path ranks the same way, so trajectories remain
@@ -338,7 +379,8 @@ func (tm *TransitionMatrix) ScoreTransition(i, h int) (prob, fitness float64, er
 	if i < 0 || i >= tm.n || h < 0 || h >= tm.n {
 		return 0, 0, fmt.Errorf("score transition %d→%d in %d-cell matrix: out of range", i, h, tm.n)
 	}
-	return tm.probAt(i, h), FitnessFromRow(tm.row(i), h), nil
+	raw := tm.row(i)
+	return tm.probAt(i, h, raw), FitnessFromRow(raw, h), nil
 }
 
 // FitnessAt returns only the fitness score for the transition i→h — the
@@ -354,13 +396,28 @@ func (tm *TransitionMatrix) FitnessAt(i, h int) (float64, error) {
 	return FitnessFromRow(tm.row(i), h), nil
 }
 
-// Grow remaps the matrix after the grid grew from oldGrid dims to the
-// current dims of g, as described by gr. Existing transition mass is
-// preserved; new rows start at the prior; new columns of existing rows are
-// extrapolated from their nearest pre-existing cell with one kernel step
-// penalty per extra cell of distance (for the Dirichlet rule the clamped
-// cell's count is copied with geometric decay).
+// ObservedRows returns how many rows the matrix stores: the cells that have
+// been the source of at least one observed transition. Memory and
+// checkpoint size are 8·NumCells() bytes for each.
+func (tm *TransitionMatrix) ObservedRows() int {
+	stored := 0
+	for _, r := range tm.rows {
+		if r != nil {
+			stored++
+		}
+	}
+	return stored
+}
+
+// Grow remaps the matrix after the grid grew from its previous dims to the
+// current dims of g, as described by gr. Stored rows keep their transition
+// mass (growRow extrapolates their new columns); rows of brand-new cells,
+// like every unobserved row, are not stored — recording gr is all it takes
+// for priorRow to produce them.
 func (tm *TransitionMatrix) Grow(g *Grid, gr Growth) error {
+	if gr.XLow < 0 || gr.XHigh < 0 || gr.YLow < 0 || gr.YHigh < 0 {
+		return fmt.Errorf("grow by %+v: negative growth", gr)
+	}
 	nx := tm.nx + gr.XLow + gr.XHigh
 	ny := tm.ny + gr.YLow + gr.YHigh
 	if gnx, gny := g.Dims(); gnx != nx || gny != ny {
@@ -370,39 +427,21 @@ func (tm *TransitionMatrix) Grow(g *Grid, gr Growth) error {
 		return nil
 	}
 	tm.kernel.resize(nx, ny)
-	old := tm.weights
-	oldNx, oldNy, oldN := tm.nx, tm.ny, tm.n
+	old := tm.rows
+	oldNx, oldNy := tm.nx, tm.ny
 	tm.nx, tm.ny, tm.n = nx, ny, nx*ny
-	tm.weights = make([]float64, tm.n*tm.n)
+	tm.growths = append(tm.growths, gr)
+	tm.rows = make([][]float64, tm.n)
 	// Every cached normalizer is sized for the old dims; drop them all and
 	// let the next read rebuild lazily.
-	tm.probs, tm.clean = nil, nil
 	tm.norm, tm.normOK = nil, nil
-
-	penalty := tm.kernel.StepPenalty()
-	for i := 0; i < tm.n; i++ {
-		xi, yi := tm.coords(i)
-		oxi, oyi := xi-gr.XLow, yi-gr.YLow
-		dst := tm.row(i)
-		if oxi < 0 || oxi >= oldNx || oyi < 0 || oyi >= oldNy {
-			// Transitions out of a brand-new cell: fresh prior.
-			tm.initPriorRow(dst, i)
+	for oi, src := range old {
+		if src == nil {
 			continue
 		}
-		src := old[(oxi*oldNy+oyi)*oldN : (oxi*oldNy+oyi+1)*oldN]
-		for j := 0; j < tm.n; j++ {
-			xj, yj := tm.coords(j)
-			oxj, oyj := xj-gr.XLow, yj-gr.YLow
-			cxj := clampInt(oxj, 0, oldNx-1)
-			cyj := clampInt(oyj, 0, oldNy-1)
-			extra := absInt(oxj-cxj) + absInt(oyj-cyj)
-			v := src[cxj*oldNy+cyj]
-			if tm.rule == UpdateKernelBayes {
-				dst[j] = v - float64(extra)*penalty
-			} else {
-				dst[j] = v * math.Exp(-float64(extra)*penalty)
-			}
-		}
+		dst := make([]float64, tm.n)
+		tm.growRow(dst, src, oldNx, oldNy, gr)
+		tm.rows[(oi/oldNy+gr.XLow)*ny+oi%oldNy+gr.YLow] = dst
 	}
 	return nil
 }

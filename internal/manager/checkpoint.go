@@ -14,20 +14,24 @@ import (
 	"mcorr/internal/wal"
 )
 
-// checkpointMagic opens every checkpoint file; checkpointBuffer sizes the
-// buffered writer and reader the file is streamed through.
-const (
-	checkpointMagic  = "MCORCKP2"
-	checkpointBuffer = 1 << 20
-)
+// CheckpointMagic opens every checkpoint file — root, shard, worker and
+// -save-models alike. Its last digit moves whenever a record inside the
+// container changes shape (3: core's model record format 4, which stores
+// observed rows only), so a file from another release is refused whole as
+// ErrCheckpointFormat instead of failing somewhere inside as corrupt.
+const CheckpointMagic = "MCORCKP3"
+
+// checkpointBuffer sizes the buffered writer and reader the file is
+// streamed through.
+const checkpointBuffer = 1 << 20
 
 // Checkpoint errors.
 var (
 	// ErrNoCheckpoint: no checkpoint exists yet — cold-start instead.
 	ErrNoCheckpoint = errors.New("manager: no checkpoint")
-	// ErrCheckpointFormat: the file does not open with the magic — in
-	// practice it was written by a release that predates the record
-	// format. Nothing of it is read; finish (or retrain) with that release.
+	// ErrCheckpointFormat: the file does not open with CheckpointMagic — in
+	// practice it was written by another release. Nothing of it is read;
+	// finish (or retrain) with that release.
 	ErrCheckpointFormat = errors.New("manager: checkpoint is not in the record format")
 	// ErrCheckpointCorrupt: a record-format checkpoint fails to decode — a
 	// damaged, missing, repeated or reordered record, a file that stops
@@ -152,7 +156,7 @@ func WriteCheckpointFile(path string, meta any, body func(*CheckpointWriter) err
 	if err := AtomicWrite(path, func(f *os.File) error {
 		bw := bufio.NewWriterSize(f, checkpointBuffer)
 		cw := &CheckpointWriter{rw: wal.NewRecordWriter(bw)}
-		_, err := bw.WriteString(checkpointMagic)
+		_, err := bw.WriteString(CheckpointMagic)
 		if err == nil {
 			err = cw.Blob(SectionMeta, mbuf.Bytes())
 		}
@@ -209,8 +213,8 @@ func OpenCheckpointFile(path string, meta any) (*CheckpointReader, error) {
 
 // NewCheckpointReader is OpenCheckpointFile over an already open stream.
 func NewCheckpointReader(r io.Reader, meta any) (*CheckpointReader, error) {
-	var magic [len(checkpointMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != checkpointMagic {
+	var magic [len(CheckpointMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != CheckpointMagic {
 		return nil, ErrCheckpointFormat
 	}
 	cr := &CheckpointReader{rr: wal.NewRecordReader(r)}

@@ -143,8 +143,8 @@ func TestCheckpointFileCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{
-		"flipped meta byte": flipByte(whole, len(checkpointMagic)+40),
-		"truncated meta":    whole[:len(checkpointMagic)+20],
+		"flipped meta byte": flipByte(whole, len(CheckpointMagic)+40),
+		"truncated meta":    whole[:len(CheckpointMagic)+20],
 		"no end section":    whole[:len(whole)-16-len(sectionMark+sectionEnd)],
 	} {
 		if err := os.WriteFile(path, data, 0o644); err != nil {

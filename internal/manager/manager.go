@@ -182,6 +182,8 @@ type Manager struct {
 	// lastDirty is the dirty (re-scored) pair count of the last row, for
 	// the ops gauge (the coordinator sums it across shards).
 	lastDirty int
+	// modelBytes is this manager's share of mcorr_manager_model_bytes.
+	modelBytes float64
 }
 
 // workerPool is the manager's persistent scoring pool: a fixed set of
@@ -260,6 +262,31 @@ func (m *Manager) Close() {
 	if m.pool != nil {
 		m.pool.close()
 	}
+	m.mu.Lock()
+	m.publishModelBytesLocked(0)
+	m.mu.Unlock()
+}
+
+// refreshModelBytes re-measures the fleet's stored matrix rows for the
+// mcorr_manager_model_bytes gauge. It runs where the models are visited
+// anyway — after training, a load or a reshard and on every Save — so the
+// Step path never pays for it.
+func (m *Manager) refreshModelBytes() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	total := 0
+	for _, model := range m.modelAt {
+		total += model.MatrixBytes()
+	}
+	m.publishModelBytesLocked(float64(total))
+}
+
+// publishModelBytesLocked moves the process-wide gauge by the change in
+// this manager's share, so several managers in one process (a sharded
+// fleet) add up. Callers hold m.mu.
+func (m *Manager) publishModelBytesLocked(v float64) {
+	obsModelBytes.Add(v - m.modelBytes)
+	m.modelBytes = v
 }
 
 // initRuntime builds the step-path state. The models map must be final.
@@ -384,6 +411,7 @@ func NewSubset(history *timeseries.Dataset, cfg Config, keep func(Pair) bool) (*
 		return nil, fmt.Errorf("manager: no trainable pairs: %w", core.ErrNoData)
 	}
 	m.initRuntime()
+	m.refreshModelBytes()
 	return m, nil
 }
 
@@ -406,6 +434,7 @@ func FromModels(ids []timeseries.MeasurementID, models map[Pair]*core.Model, cfg
 		m.models[p] = model
 	}
 	m.initRuntime()
+	m.refreshModelBytes()
 	return m, nil
 }
 

@@ -112,6 +112,7 @@ func (m *Manager) Save(w io.Writer) error {
 		}
 	}
 	obsCheckpointModels.Add(uint64(len(models)))
+	m.refreshModelBytes()
 	return nil
 }
 
@@ -166,6 +167,7 @@ func LoadManager(r io.Reader, sink alarm.Sink) (*Manager, error) {
 	// persisted accumulator state into the aggregator.
 	m.initRuntime()
 	m.restore(hdr.Acc, hdr.SysAcc, hdr.Steps)
+	m.refreshModelBytes()
 	return m, nil
 }
 

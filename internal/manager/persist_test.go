@@ -167,3 +167,56 @@ func TestLoadManagerRejectsDamage(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetStoresObservedRowsOnly is the fleet-level size check on
+// deterministic counts (no heap measurement): an l=16 full graph on the
+// benchmark's settings — simulator seed 9, MaxIntervals 12, trained on day
+// 0, stepped through the next 480 rows — stores at most 40 % of its
+// matrices' rows, saves within 10 % of 8 bytes per stored entry, and says
+// so on mcorr_manager_model_bytes.
+func TestFleetStoresObservedRowsOnly(t *testing.T) {
+	ds, _, err := simulator.Generate(simulator.GroupConfig{Name: "L", Machines: 2, Days: 3, Seed: 9})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	mgr, err := New(ds.Slice(timeseries.MonitoringStart, day1),
+		Config{Model: core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 12}}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	others := obsModelBytes.Value() - mgr.modelBytes // managers of earlier tests
+	if len(mgr.IDs()) != 16 || mgr.modelBytes <= 0 {
+		t.Fatalf("fixture: %d measurements, %v model bytes after training", len(mgr.IDs()), mgr.modelBytes)
+	}
+	reports, err := mgr.Run(ds, day1, day1.Add(480*timeseries.SampleStep))
+	if err != nil || len(reports) != 480 {
+		t.Fatalf("Run: %d reports, %v", len(reports), err)
+	}
+
+	var cells, rows, entries int
+	for _, model := range mgr.Models() {
+		tm := model.Matrix()
+		cells += tm.NumCells()
+		rows += tm.ObservedRows()
+		entries += tm.NumCells() * tm.ObservedRows()
+	}
+	t.Logf("%d pairs: %d of %d rows stored (%.1f %%), %d entries", len(mgr.Pairs()), rows, cells, 100*float64(rows)/float64(cells), entries)
+	if 10*rows > 4*cells {
+		t.Errorf("%d of %d rows stored: more than 40 %%", rows, cells)
+	}
+	var buf bytes.Buffer
+	if err := mgr.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if want := 8 * entries; buf.Len() < want || buf.Len() > want+want/10 {
+		t.Errorf("saved manager is %d bytes for %d bytes of stored rows: not within 10 %%", buf.Len(), want)
+	}
+	if got := obsModelBytes.Value() - others; got != float64(8*entries) {
+		t.Errorf("mcorr_manager_model_bytes reports %v for this fleet after Save, want %d", got, 8*entries)
+	}
+	mgr.Close()
+	if got := obsModelBytes.Value(); got != others {
+		t.Errorf("mcorr_manager_model_bytes is %v after Close, want the other managers' %v", got, others)
+	}
+}

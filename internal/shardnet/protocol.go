@@ -31,11 +31,12 @@ import (
 // passes unknown types through untouched, so both protocols share one
 // header, magic and size limit.
 //
-// Type 16 was the assign of the builds whose workers dialled a second
-// connection back to the coordinator to return outcomes. It stays retired:
-// a peer from such a build answers "expected assign" and the handshake
-// fails at once, instead of a Step waiting for outcomes on a connection
-// nobody writes them to.
+// Types 16 and 28 were the assigns of earlier builds: 16 of those whose
+// workers dialled a second connection back to the coordinator to return
+// outcomes, 28 of those whose model records held all n² weights (record
+// format 3). Both stay retired: a peer from such a build answers "expected
+// assign" and the handshake fails at once — before a state transfer it
+// could not decode, or a Step waiting for outcomes nobody writes.
 const (
 	// MsgShardReady (worker → coordinator) answers an assign or a state
 	// transfer: gob readyMsg reporting the worker's recovered state.
@@ -81,7 +82,7 @@ const (
 	// MsgShardAssign (coordinator → worker) opens a control session: gob
 	// assignMsg naming the worker's shard, the fabric run and the expected
 	// pair set.
-	MsgShardAssign collector.MsgType = 28
+	MsgShardAssign collector.MsgType = 30
 	// MsgShardOutcomes (worker → coordinator) answers a row with the
 	// shard's outcome set in the binary layout of appendOutcomeFrames —
 	// one frame, more only when the set would exceed the frame size limit.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -269,16 +270,27 @@ func TestNewRejectsWideFleet(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherBuild covers both mixed-build pairings with the
-// retired back-channel protocol: each must fail the handshake at once and
-// say why, never leave a Step waiting for outcomes.
+// retiredAssigns are the assign types of earlier builds: the back-channel
+// protocol's and the dense model record's.
+var retiredAssigns = []collector.MsgType{16, 28}
+
+// TestHandshakeRefusesOtherBuild covers both mixed-build pairings with
+// every retired protocol: each must fail the handshake at once and say
+// why, before any model state moves — never leave a worker decoding
+// records of another format or a Step waiting for outcomes.
 func TestHandshakeRefusesOtherBuild(t *testing.T) {
 	history, _ := fixtures(t, 3, 1)
 	mcfg := manager.Config{Model: tinyModel(false)}
 
 	t.Run("old worker", func(t *testing.T) {
 		// An old worker reads the assign, finds a type it does not expect
-		// and drops the connection.
+		// and drops the connection: it sees nothing else, the state
+		// transfer waits for the ready it never sends.
+		for _, old := range retiredAssigns {
+			if MsgShardAssign == old {
+				t.Fatalf("the assign still has type %d, which a retired build accepts", old)
+			}
+		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -310,18 +322,23 @@ func TestHandshakeRefusesOtherBuild(t *testing.T) {
 
 	t.Run("old coordinator", func(t *testing.T) {
 		f := startFabric(t, 1)
-		conn, err := net.Dial("tcp", f.addrs[0])
-		if err != nil {
-			t.Fatal(err)
+		for _, old := range retiredAssigns {
+			conn, err := net.Dial("tcp", f.addrs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeGob(conn, old, assignMsg{RunID: "old", N: 1}); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_, err = collector.ReadFrame(conn)
+			conn.Close()
+			if err != io.EOF {
+				t.Fatalf("worker answered retired assign %d with %v, want the connection closed", old, err)
+			}
 		}
-		defer conn.Close()
-		const retiredAssign = 16
-		if err := writeGob(conn, retiredAssign, assignMsg{RunID: "old", N: 1}); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := collector.ReadFrame(conn); err != io.EOF {
-			t.Fatalf("worker answered a retired assign with %v, want the connection closed", err)
+		if _, err := os.Stat(f.workers[0].checkpointPath(0)); !os.IsNotExist(err) {
+			t.Fatalf("a refused assign left a worker checkpoint behind (stat: %v)", err)
 		}
 	})
 }

@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: all build vet test race check docs-check bench bench-smoke quality figures examples ops-smoke fuzz-short crash-test clean
+.PHONY: all build vet test race check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short crash-test clean
 
 all: build check
 
 # check is the gate the default flow runs: static analysis (go vet over
 # every package, internal/obs included), the documentation gate, the full
 # test suite under the race detector (WAL and collector included), the
-# nested benchmark module's own smoke tests, the kill -9 recovery gate and
-# a bounded fuzzing pass over the wire-format, WAL and checkpoint decoders.
+# nested benchmark module's own smoke tests, one iteration of the row-path
+# micro-benchmarks, the kill -9 recovery gate and a bounded fuzzing pass
+# over the wire-format, WAL and checkpoint decoders.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
-check: vet docs-check race bench-smoke crash-test fuzz-short
+check: vet docs-check race bench-rowpath bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -32,6 +33,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-rowpath runs the row-path micro-benchmarks once each — one ingested
+# row at l=48 and l=600, one row read beside its QueryAll yardstick, one
+# append at the retention cap — so they keep compiling and running (~10 s,
+# most of it training the l=600 fleet). For numbers, drop -benchtime.
+bench-rowpath:
+	$(GO) test -run '^$$' -bench '^BenchmarkMonitorIngest$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkStore(RowAt|AppendAtRetention)$$' -benchtime=1x -benchmem ./internal/tsdb
 
 # bench-smoke builds and runs the pipeline benchmark's own tests (the tiny
 # traced pass of all four workloads plus the BENCHMARK.json consistency

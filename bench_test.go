@@ -769,9 +769,14 @@ func BenchmarkDiscoverStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			d.Bootstrap(rows)
+			dense := make([][]float64, len(rows))
+			for i, row := range rows {
+				dense[i] = make([]float64, l)
+				row.FillValues(ids, dense[i])
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Observe(rows[i%len(rows)])
+				d.Observe(dense[i%len(dense)])
 			}
 		})
 	}

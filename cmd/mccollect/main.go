@@ -59,7 +59,6 @@ func run() error {
 		agentRate  = flag.Float64("agent-rate", 0, "flow control: per-agent rate limit in samples/s (0 = off)")
 		agentBurst = flag.Int("agent-burst", 0, "flow control: per-agent token-bucket burst in samples (0 = auto)")
 		writeTO    = flag.Duration("write-timeout", 0, "flow control: ack write deadline (0 = match the read idle timeout)")
-		scoreQueue = flag.Int("score-queue", 0, "bounded row queue depth between ingest and scoring (0 = score inline)")
 
 		incident     = flag.Bool("incident", true, "run the incident diagnosis engine per tenant (digests under /api/v1/incidents?tenant=<name>)")
 		incOpenBelow = flag.Float64("incident-open-below", 0.8, "open an incident when a tenant's system Q stays below this")
@@ -94,7 +93,7 @@ func run() error {
 		log.Printf("ops server on http://%s (metrics, healthz, statusz, api/v1, pprof)", ops.Addr())
 	}
 
-	monOpts := []mcorr.MonitorOption{mcorr.WithShards(*shards), mcorr.WithScoreQueue(*scoreQueue)}
+	monOpts := []mcorr.MonitorOption{mcorr.WithShards(*shards)}
 	if *incident {
 		monOpts = append(monOpts, mcorr.WithDiagnosis(mcorr.DiagnosisConfig{OpenBelow: *incOpenBelow}))
 	}

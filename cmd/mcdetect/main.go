@@ -70,7 +70,6 @@ func run() error {
 		ckptIvl      = flag.Duration("checkpoint-interval", 0, "durable mode: also checkpoint after this much wall time (0 = off)")
 		fsync        = flag.String("fsync", "batch", "durable mode: WAL fsync policy (always, batch, none)")
 		pace         = flag.Duration("pace", 0, "sleep between streamed rows (durable mode, and batch mode with -print-steps)")
-		scoreQ       = flag.Int("score-queue", 0, "durable mode: bounded row queue depth between ingest and scoring (0 = score inline; any depth is trajectory-identical)")
 
 		incident     = flag.Bool("incident", false, "run the incident diagnosis engine and print root-cause digests (INCIDENT lines)")
 		incOpenBelow = flag.Float64("incident-open-below", 0.8, "open an incident when system Q stays below this")
@@ -140,7 +139,7 @@ func run() error {
 			threshold: *threshold, sysThresh: *sysThresh, delta: *delta,
 			holdoff: *holdoff, maxMeas: *maxMeas, shards: *shards,
 			dataDir: *dataDir, every: *ckptEvery, interval: *ckptIvl,
-			fsync: *fsync, pace: *pace, scoreQueue: *scoreQ,
+			fsync: *fsync, pace: *pace,
 			incident: *incident, incidentCfg: diagCfg,
 			pairBudget: *pairBudget, discCfg: discCfg,
 		})
@@ -191,7 +190,7 @@ func run() error {
 		dcfg := durableConfig{
 			dataDir: *dataDir, every: *ckptEvery, interval: *ckptIvl,
 			fsync: *fsync, pace: *pace, maxMeas: *maxMeas, shards: *shards,
-			scoreQueue: *scoreQ, incident: *incident, incidentCfg: diagCfg,
+			incident: *incident, incidentCfg: diagCfg,
 			pairBudget: *pairBudget, discCfg: discCfg,
 		}
 		return runDurable(ds, start, trainEnd, end, mcfg, dcfg, memory)
@@ -411,7 +410,6 @@ type durableConfig struct {
 	pace        time.Duration
 	maxMeas     int
 	shards      int
-	scoreQueue  int
 	incident    bool
 	incidentCfg mcorr.DiagnosisConfig
 
@@ -438,7 +436,7 @@ func runDurable(ds *timeseries.Dataset, start, trainEnd, end time.Time, mcfg man
 		CheckpointInterval: dcfg.interval,
 		Fsync:              policy,
 	}
-	opts := []mcorr.MonitorOption{mcorr.WithScoreQueue(dcfg.scoreQueue)}
+	var opts []mcorr.MonitorOption
 	if dcfg.incident {
 		opts = append(opts, mcorr.WithDiagnosis(dcfg.incidentCfg))
 	}
@@ -648,21 +646,20 @@ func parseTenantArg(arg, dataPath string) ([]tenantSpec, error) {
 
 // tenantParams carries the flag family into runTenants.
 type tenantParams struct {
-	trainDays  int
-	adaptive   bool
-	threshold  float64
-	sysThresh  float64
-	delta      float64
-	holdoff    time.Duration
-	maxMeas    int
-	shards     int
-	dataDir    string
-	every      int
-	interval   time.Duration
-	fsync      string
-	pace       time.Duration
-	scoreQueue int
-	incident   bool
+	trainDays int
+	adaptive  bool
+	threshold float64
+	sysThresh float64
+	delta     float64
+	holdoff   time.Duration
+	maxMeas   int
+	shards    int
+	dataDir   string
+	every     int
+	interval  time.Duration
+	fsync     string
+	pace      time.Duration
+	incident  bool
 
 	incidentCfg mcorr.DiagnosisConfig
 	pairBudget  string
@@ -742,7 +739,7 @@ func runTenants(specs []tenantSpec, p tenantParams) error {
 			Sink:                 alarm.NewDeduper(alarm.Multi{memory, logSink}, p.holdoff),
 			TrackPairMeans:       true,
 		}
-		opts := []mcorr.MonitorOption{mcorr.WithScoreQueue(p.scoreQueue)}
+		var opts []mcorr.MonitorOption
 		if p.incident {
 			opts = append(opts, mcorr.WithDiagnosis(p.incidentCfg))
 		}

@@ -151,13 +151,21 @@ type graphFleet interface {
 // mutate the live pair graph (train+admit, evict) through the fleet's
 // graph-mutation primitives. Steps and graph mutations happen on the
 // caller's goroutine in row order, so trajectories and the graph itself
-// are deterministic functions of the row stream. Everything but Step and
-// Run is the embedded fleet's own method.
+// are deterministic functions of the row stream. Everything but Step,
+// StepValues and Run is the embedded fleet's own method.
 type discoveryFleet struct {
 	graphFleet
 	disc *discover.Discoverer
+	rows *manager.MapRows // Step(Row) and Run over this wrapper's StepValues
 
 	events []DiscoveryEvent
+}
+
+// wrapFleet attaches a discoverer built over the fleet's IDs() to it.
+func wrapFleet(gf graphFleet, disc *discover.Discoverer) *discoveryFleet {
+	d := &discoveryFleet{graphFleet: gf, disc: disc}
+	d.rows = manager.NewMapRows(gf.IDs(), d.StepValues)
+	return d
 }
 
 // Interface proofs: the wrapper and both fleets it can wrap.
@@ -187,20 +195,16 @@ func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 		keep[p] = true
 	}
 	keepFn := func(p Pair) bool { return keep[p] }
-	d := &discoveryFleet{disc: disc}
+	var gf graphFleet
 	if shards > 1 {
-		coord, err := shard.New(history, shard.Config{Shards: shards, Manager: cfg, Keep: keepFn})
-		if err != nil {
-			return nil, err
-		}
-		d.graphFleet = coord
+		gf, err = shard.New(history, shard.Config{Shards: shards, Manager: cfg, Keep: keepFn})
 	} else {
-		mgr, err := manager.NewSubset(history, cfg, keepFn)
-		if err != nil {
-			return nil, err
-		}
-		d.graphFleet = mgr
+		gf, err = manager.NewSubset(history, cfg, keepFn)
 	}
+	if err != nil {
+		return nil, err
+	}
+	d := wrapFleet(gf, disc)
 	// Some admitted candidates may have no trainable overlap; resync the
 	// discoverer to the pairs that actually carry a model so the graph,
 	// the checkpoint, and the budget occupancy agree.
@@ -224,7 +228,7 @@ func wrapRecoveredFleet(fleet Fleet, dcfg DiscoveryConfig, state []byte) (*disco
 	if err != nil {
 		return nil, err
 	}
-	d := &discoveryFleet{graphFleet: gf, disc: disc}
+	d := wrapFleet(gf, disc)
 	if len(state) > 0 {
 		if err := disc.UnmarshalState(state); err != nil {
 			return nil, err
@@ -257,16 +261,19 @@ func datasetEnd(ds *Dataset) time.Time {
 	return t
 }
 
-// Step scores the row on the wrapped fleet, feeds it to the discovery
+// Step scores one map row through StepValues, so the fleet and the
+// discoverer read the same dense conversion of it.
+func (d *discoveryFleet) Step(row Row) StepReport { return d.rows.Step(row) }
+
+// StepValues scores the row on the wrapped fleet, feeds it to the discovery
 // sketches, and applies any round-boundary graph changes before the next
 // row: evictions free the model (and its shard slot), admissions train a
 // model from the discoverer's retained history window and graft it in
 // without touching neighbors.
-func (d *discoveryFleet) Step(row Row) StepReport {
-	report := d.graphFleet.Step(row)
-	ch := d.disc.Observe(row)
-	if !ch.Empty() {
-		d.apply(row.Time, ch)
+func (d *discoveryFleet) StepValues(t time.Time, vals []float64) StepReport {
+	report := d.graphFleet.StepValues(t, vals)
+	if ch := d.disc.Observe(vals); !ch.Empty() {
+		d.apply(t, ch)
 	}
 	return report
 }
@@ -313,7 +320,7 @@ func (d *discoveryFleet) DrainDiscoveryEvents() []DiscoveryEvent {
 // Run replays a dataset through Step in time order (the discovery mirror
 // of Manager.Run — the graph may change between rows).
 func (d *discoveryFleet) Run(ds *Dataset, from, to time.Time) ([]StepReport, error) {
-	return manager.Replay(ds, from, to, d.Step)
+	return d.rows.Run(ds, from, to)
 }
 
 // Discovery surface (diagnose.DiscoveryView).

@@ -101,13 +101,12 @@ func HasCheckpoint(dataDir string) bool {
 // recovered rows — reproducing the exact fitness trajectory of an
 // uninterrupted run (scoring is deterministic).
 //
-// Flow control composes with durability: WithScoreQueue only pipelines
-// row assembly against scoring — a full queue blocks the producer, rows
-// are scored by a single consumer in time order, and nothing between the
-// WAL and the scorer ever sheds data — so trajectories stay bit-identical
-// with any queue depth, including across crash recovery. Overload
-// shedding is allowed only at the collector boundary, before a sample is
-// acked into the WAL (see CollectorServer.SetFlow).
+// Flow control composes with durability: rows are scored inline, in time
+// order, on the ingesting goroutine, so a slow fleet blocks ingest and
+// nothing between the WAL and the scorer ever sheds data — trajectories
+// stay bit-identical, including across crash recovery. Overload shedding is
+// allowed only at the collector boundary, before a sample is acked into the
+// WAL (see CollectorServer.SetFlow).
 type DurableMonitor struct {
 	mu      sync.Mutex
 	mon     *Monitor
@@ -186,7 +185,7 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 	if err != nil {
 		return nil, nil, err
 	}
-	fleet, coord, store := ck.fleet, ck.coord, ck.store
+	fleet, store := ck.fleet, ck.store
 	if o.discovery != nil {
 		// The discovery wrapper goes on before diagnosis attaches so the
 		// topology API sees the discovery views, and before replay so the
@@ -223,7 +222,7 @@ func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOpt
 		return nil, nil, err
 	}
 	store.AttachWAL(log)
-	mon := &Monitor{store: store, fleet: fleet, coord: coord, step: store.Step(), cursor: ck.meta.Cursor, ids: fleet.IDs(), scoreQueue: o.scoreQueue, diag: diag, api: api}
+	mon := newMonitor(store, fleet, ck.meta.Cursor, diag, api)
 	d := &DurableMonitor{mon: mon, log: log, cfg: cfg, epoch: ck.meta.Epoch,
 		cadence:       manager.Cadence{EverySteps: cfg.CheckpointEvery, Interval: cfg.CheckpointInterval},
 		replayApplied: applied, replaySkipped: skipped}
@@ -255,7 +254,6 @@ type checkpointState struct {
 	meta     manager.CheckpointMeta
 	store    *Store
 	fleet    Fleet
-	coord    *ShardCoordinator // fleet, when sharded
 	diagnose []byte
 	discover []byte
 }
@@ -294,10 +292,11 @@ func (st *checkpointState) decode(cr *manager.CheckpointReader, cfg DurabilityCo
 		return err
 	}
 	if st.meta.Shards > 0 {
-		if st.coord, err = recoverShards(cfg, st.meta, coordState, sink); err != nil {
+		coord, err := recoverShards(cfg, st.meta, coordState, sink)
+		if err != nil {
 			return manager.CorruptCheckpoint(manager.SectionCoord, err)
 		}
-		st.fleet = st.coord
+		st.fleet = coord
 	} else {
 		body, err := cr.Section(manager.SectionManager)
 		if err != nil {
@@ -311,7 +310,7 @@ func (st *checkpointState) decode(cr *manager.CheckpointReader, cfg DurabilityCo
 	}
 	if err = cr.End(); err != nil {
 		st.fleet.Close()
-		st.fleet, st.coord = nil, nil
+		st.fleet = nil
 	}
 	return err
 }
@@ -461,7 +460,7 @@ func (d *DurableMonitor) checkpointLocked() error {
 		Steps:     d.mon.fleet.Steps(),
 		Epoch:     epoch,
 	}
-	coord := d.mon.coord
+	coord := d.mon.Coordinator()
 	if coord != nil {
 		// Sharded layout: per-shard model files carry the next epoch; they
 		// are all durable before the root checkpoint (written last, below)

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	"mcorr"
@@ -73,6 +74,8 @@ func run() error {
 	// Stream the first 10 hours of day 2 (100 rows), one timestamp at a
 	// time, through the sockets and into the monitor.
 	ids := ds.IDs()
+	reader := store.Rows(ids) // the collected rows, one slice each in ids order
+	vals := make([]float64, len(ids))
 	rows := 100
 	anomalies := 0
 	for k := 0; k < rows; k++ {
@@ -92,12 +95,12 @@ func run() error {
 				return err
 			}
 		}
-		// Hand the freshly collected row to the monitor.
-		row := store.QueryAll(tm, tm.Add(timeseries.SampleStep))
+		// Hand the freshly collected row to the monitor (NaN = no sample).
+		reader.ReadRow(tm, vals)
 		var samples []mcorr.Sample
-		for _, id := range row.IDs() {
-			if s := row.Get(id); s.Len() > 0 {
-				samples = append(samples, mcorr.Sample{ID: id, Time: tm, Value: s.Values[0]})
+		for i, id := range ids {
+			if !math.IsNaN(vals[i]) {
+				samples = append(samples, mcorr.Sample{ID: id, Time: tm, Value: vals[i]})
 			}
 		}
 		reports, err := mon.Ingest(samples...)

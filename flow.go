@@ -1,14 +1,12 @@
 package mcorr
 
-import (
-	"mcorr/internal/collector"
-	"mcorr/internal/obs"
-)
+import "mcorr/internal/collector"
 
 // Flow-control surface. The collector's overload-protection layer
 // (admission queue, shed policies, per-agent rate limits, ack throttle
-// hints) is configured through CollectorServer.SetFlow with these types;
-// the monitor's bounded row queue is configured with WithScoreQueue.
+// hints) is configured through CollectorServer.SetFlow with these types.
+// Past the collector nothing queues: a monitor scores each completed row
+// inline, so a slow fleet holds Ingest — and through it the agent's ack.
 type (
 	// FlowConfig tunes the collector server's flow-control layer (see
 	// CollectorServer.SetFlow). The zero value disables it.
@@ -29,14 +27,3 @@ const (
 
 // ParseShedPolicy parses "block", "drop-oldest" or "reject".
 func ParseShedPolicy(s string) (ShedPolicy, error) { return collector.ParseShedPolicy(s) }
-
-// Monitor-side flow metrics: the bounded row queue between ingest and
-// scoring. Shedding never happens here — a full queue blocks the
-// producer (explicit backpressure) so DurableMonitor trajectories stay
-// bit-identical; only the collector boundary is allowed to drop data.
-var (
-	obsFlowRowDepth = obs.Default().Gauge("mcorr_flow_row_queue_depth",
-		"Rows currently buffered between ingest and the scoring fleet.")
-	obsFlowRowBlocked = obs.Default().Counter("mcorr_flow_row_queue_blocked_total",
-		"Times the ingest side blocked on a full row queue (backpressure).")
-)

@@ -163,6 +163,7 @@ type Discoverer struct {
 
 	ids      []timeseries.MeasurementID // sorted ascending
 	idIdx    map[timeseries.MeasurementID]int
+	col      []int // col[i] = position of ids[i] in the list New was given: its column in a dense row
 	rowStart []int // rowStart[i] = first candidate index with A==ids[i]
 	numCand  int
 
@@ -182,13 +183,13 @@ type Discoverer struct {
 	histHead int
 	histLen  int
 
-	rowVals  []float64 // scratch: raw values for the current row
 	feedVals []float64 // scratch: sketch feed (raw or ranked)
 }
 
 // New builds a Discoverer over the given fleet of measurement IDs. The ID
 // list is sorted internally; candidate order (and therefore every
 // admission tie-break) is the canonical pair order over the sorted IDs.
+// The order given is the column order of the dense rows Observe reads.
 func New(ids []timeseries.MeasurementID, cfg Config) (*Discoverer, error) {
 	cfg = cfg.withDefaults()
 	if len(ids) < 2 {
@@ -205,6 +206,10 @@ func New(ids []timeseries.MeasurementID, cfg Config) (*Discoverer, error) {
 		idIdx[id] = i
 	}
 	l := len(sorted)
+	col := make([]int, l)
+	for pos, id := range ids {
+		col[idIdx[id]] = pos
+	}
 	rowStart := make([]int, l)
 	for i := 1; i < l; i++ {
 		rowStart[i] = rowStart[i-1] + (l - i)
@@ -213,11 +218,11 @@ func New(ids []timeseries.MeasurementID, cfg Config) (*Discoverer, error) {
 		cfg:      cfg,
 		ids:      sorted,
 		idIdx:    idIdx,
+		col:      col,
 		rowStart: rowStart,
 		numCand:  l * (l - 1) / 2,
 		deg:      make([]int, l),
 		hist:     make([][]float64, l),
-		rowVals:  make([]float64, l),
 		feedVals: make([]float64, l),
 	}
 	for i := range d.hist {
@@ -384,8 +389,16 @@ func (d *Discoverer) Bootstrap(rows []manager.Row) []manager.Pair {
 	if len(tail) > d.cfg.TrainWindow {
 		tail = tail[len(tail)-d.cfg.TrainWindow:]
 	}
+	dense := make([]float64, l)
 	for _, row := range tail {
-		d.ingest(row)
+		for i, id := range d.ids {
+			v, has := row.Values[id]
+			if !has {
+				v = math.NaN()
+			}
+			dense[d.col[i]] = v
+		}
+		d.ingest(dense)
 		d.updateSketches(d.admitted, nil)
 	}
 	manager.SortPairs(admittedPairs)
@@ -393,21 +406,20 @@ func (d *Discoverer) Bootstrap(rows []manager.Row) []manager.Pair {
 	return admittedPairs
 }
 
-// ingest loads one row into the scratch buffers, pushes it into the
-// history rings, and computes the sketch feed values (raw for Pearson,
-// windowed fractional ranks for Spearman). Missing or non-finite values
+// ingest loads one dense row (see Observe) into the scratch buffers, pushes
+// it into the history rings, and computes the sketch feed values (raw for
+// Pearson, windowed fractional ranks for Spearman). Non-finite values
 // become NaN, which the sketches treat as gaps.
-func (d *Discoverer) ingest(row manager.Row) {
+func (d *Discoverer) ingest(vals []float64) {
 	d.histHead = (d.histHead + 1) % d.cfg.TrainWindow
 	if d.histLen < d.cfg.TrainWindow {
 		d.histLen++
 	}
-	for i, id := range d.ids {
-		v, has := row.Values[id]
-		if !has || !finite(v) {
+	for i, c := range d.col {
+		v := vals[c]
+		if !finite(v) {
 			v = math.NaN()
 		}
-		d.rowVals[i] = v
 		d.hist[i][d.histHead] = v
 		if d.cfg.Method == Spearman {
 			d.feedVals[i] = d.rankOf(i, v)
@@ -485,14 +497,16 @@ func (d *Discoverer) selectProbes() {
 	d.probeCursor = c
 }
 
-// Observe feeds one scored row into discovery. At round boundaries it
-// returns the admissions and evictions the round decided; otherwise the
-// zero Changes. The caller applies the changes to the pair graph.
-func (d *Discoverer) Observe(row manager.Row) Changes {
+// Observe feeds one scored row into discovery: vals[i] is the value of the
+// i-th measurement New was given, NaN for a gap — the fleet's own dense
+// row, read only until Observe returns. At round boundaries it returns the
+// admissions and evictions the round decided; otherwise the zero Changes.
+// The caller applies the changes to the pair graph.
+func (d *Discoverer) Observe(vals []float64) Changes {
 	if d.probe == nil && d.rowsInRound == 0 {
 		d.selectProbes()
 	}
-	d.ingest(row)
+	d.ingest(vals)
 	t := sketchTimer()
 	d.updateSketches(d.admitted, d.probe)
 	t.observe()

@@ -25,6 +25,14 @@ func testIDs(machines, metrics int) []timeseries.MeasurementID {
 	return ids
 }
 
+// dense renders a map row as the slice Observe reads: one value per id, in
+// the order New was given, NaN where the row has none.
+func dense(ids []timeseries.MeasurementID, row manager.Row) []float64 {
+	vals := make([]float64, len(ids))
+	row.FillValues(ids, vals)
+	return vals
+}
+
 // corrRows synthesizes rows where all series share one latent driver (so
 // every pair is correlated) plus per-series noise.
 func corrRows(ids []timeseries.MeasurementID, n int, seed uint64, noise float64) []manager.Row {
@@ -163,7 +171,7 @@ func TestObserveAdmitsEmergingCorrelation(t *testing.T) {
 	rows := corrRows(ids, 200, 19, 0.02)
 	var admitted int
 	for _, row := range rows {
-		admitted += len(d.Observe(row).Admit)
+		admitted += len(d.Observe(dense(ids, row)).Admit)
 	}
 	after, _, _ := d.BudgetInfo()
 	if admitted == 0 || after == 0 {
@@ -177,7 +185,7 @@ func TestObserveAdmitsEmergingCorrelation(t *testing.T) {
 	ctl.Bootstrap(nil)
 	var noise int
 	for _, row := range indepRows(ids, 200, 21) {
-		noise += len(ctl.Observe(row).Admit)
+		noise += len(ctl.Observe(dense(ids, row)).Admit)
 	}
 	if noise != 0 {
 		t.Fatalf("independent stream admitted %d pairs over the 0.6 floor", noise)
@@ -196,7 +204,7 @@ func TestObserveEvictsFlatLinedPairs(t *testing.T) {
 	}
 	var evicted int
 	for _, row := range indepRows(ids, 300, 29) {
-		ch := d.Observe(row)
+		ch := d.Observe(dense(ids, row))
 		evicted += len(ch.Evict)
 	}
 	if evicted == 0 {
@@ -218,7 +226,7 @@ func TestObserveDeterministicAcrossInstances(t *testing.T) {
 		d.Bootstrap(boot)
 		var all []Changes
 		for _, row := range stream {
-			if ch := d.Observe(row); !ch.Empty() {
+			if ch := d.Observe(dense(ids, row)); !ch.Empty() {
 				all = append(all, ch)
 			}
 		}
@@ -257,11 +265,11 @@ func TestStateRoundTripContinuesIdentically(t *testing.T) {
 	cut := 110
 	var refCh, subCh []Changes
 	for i, row := range stream {
-		if ch := ref.Observe(row); !ch.Empty() {
+		if ch := ref.Observe(dense(ids, row)); !ch.Empty() {
 			refCh = append(refCh, ch)
 		}
 		if i < cut {
-			if ch := sub.Observe(row); !ch.Empty() {
+			if ch := sub.Observe(dense(ids, row)); !ch.Empty() {
 				subCh = append(subCh, ch)
 			}
 		}
@@ -278,7 +286,7 @@ func TestStateRoundTripContinuesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range stream[cut:] {
-		if ch := restored.Observe(row); !ch.Empty() {
+		if ch := restored.Observe(dense(ids, row)); !ch.Empty() {
 			subCh = append(subCh, ch)
 		}
 	}
@@ -379,7 +387,7 @@ func TestSpearmanMonotoneInvariance(t *testing.T) {
 	}
 	d.Bootstrap(rows[:100])
 	for _, row := range rows[100:] {
-		d.Observe(row)
+		d.Observe(dense(ids, row))
 	}
 	scores := d.AdmissionScores()
 	p := manager.MakePair(ids[0], ids[1])

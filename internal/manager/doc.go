@@ -6,20 +6,27 @@
 //
 // # Scoring path
 //
-// Manager.Step scores one Row: a persistent worker pool fans the sorted
-// pair list out in fixed chunks (stable order → reproducible tie-breaks),
-// each pair's model produces an Outcome, and an Aggregator folds the
-// outcomes — always in canonical pair order — into per-measurement and
-// system accumulators, raising alarms through the configured sink. The
-// fold order is what makes trajectories bit-reproducible: the same rows
-// always produce the same float64s, whatever the worker count.
+// The row that is scored is a dense slice: vals[i] is IDs()[i]'s value and
+// NaN is a gap. Manager.StepValues scores one: a persistent worker pool
+// fans the sorted pair list out in fixed chunks (stable order →
+// reproducible tie-breaks), each pair reads its two values by index and its
+// model produces an Outcome, and an Aggregator folds the outcomes — always
+// in canonical pair order — into per-measurement and system accumulators,
+// raising alarms through the configured sink. The fold order is what makes
+// trajectories bit-reproducible: the same rows always produce the same
+// float64s, whatever the worker count. The slice stays the caller's — it is
+// read until the call returns and never kept. The map Row is the boundary
+// form (external callers, Run, BuildRows): MapRows, which every fleet
+// embeds, is Step(Row) and Run — it converts the row once with
+// Row.FillValues, absent becoming NaN, which scoring never told apart, and
+// calls StepValues.
 //
 // # Split score/aggregate surface
 //
 // The scoring and aggregation halves are usable separately, which is how
 // the shard package composes them: Manager.ScoreInto scores a subset of
-// the global pair list directly into a shared Outcome slice at caller-
-// chosen indices, and a standalone Aggregator (NewAggregator, or
+// the global pair list, from the same dense row, directly into a shared
+// Outcome slice at caller-chosen indices, and a standalone Aggregator (NewAggregator, or
 // Manager.Aggregator for the built-in one) folds any such slice with the
 // exact same code path Step uses. NewSubset trains a manager over a
 // filtered pair set; FromModels rebuilds one around already-trained

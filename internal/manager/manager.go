@@ -104,10 +104,65 @@ func (c Config) withDefaults() Config {
 }
 
 // Row is one synchronized observation of every measurement at one time.
-// Missing measurements (gaps) are simply absent from the map.
+// Missing measurements (gaps) are simply absent from the map. It is the
+// boundary form of a row — what external callers and the offline entry
+// points hand a fleet; MapRows converts it into the dense slice StepValues
+// scores.
 type Row struct {
 	Time   time.Time
 	Values map[timeseries.MeasurementID]float64
+}
+
+// FillValues writes the row as a dense slice: dst[i] is ids[i]'s value, NaN
+// where the row has none. Scoring treats an absent measurement and a NaN one
+// as the same gap, so nothing is lost; measurements not in ids are dropped.
+func (r Row) FillValues(ids []timeseries.MeasurementID, dst []float64) {
+	for i, id := range ids {
+		v, ok := r.Values[id]
+		if !ok {
+			v = math.NaN()
+		}
+		dst[i] = v
+	}
+}
+
+// MapRows is the map-row half of a fleet's scoring surface, written once
+// for every fleet shape: a fleet embeds one built over its own IDs() order
+// and StepValues, and gets Step and Run — each row converted once into the
+// adapter's dense buffer and scored from it.
+type MapRows struct {
+	mu   sync.Mutex // guards buf; taken before the fleet's own step lock
+	ids  []timeseries.MeasurementID
+	buf  []float64
+	step func(time.Time, []float64) StepReport
+}
+
+// NewMapRows adapts step, a fleet's StepValues over ids, to map rows.
+func NewMapRows(ids []timeseries.MeasurementID, step func(time.Time, []float64) StepReport) *MapRows {
+	return &MapRows{ids: ids, buf: make([]float64, len(ids)), step: step}
+}
+
+// Step scores one synchronized map row (see the fleet's StepValues).
+func (r *MapRows) Step(row Row) StepReport {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	row.FillValues(r.ids, r.buf)
+	return r.step(row.Time, r.buf)
+}
+
+// Run replays a dataset through Step row by row over [from, to) and
+// returns the per-step reports. The dataset's series must share the
+// sampling grid.
+func (r *MapRows) Run(ds *timeseries.Dataset, from, to time.Time) ([]StepReport, error) {
+	rows, err := BuildRows(ds, from, to)
+	if err != nil {
+		return nil, err
+	}
+	reports := make([]StepReport, 0, len(rows))
+	for _, row := range rows {
+		reports = append(reports, r.Step(row))
+	}
+	return reports, nil
 }
 
 // StepReport is the outcome of scoring one row.
@@ -137,6 +192,8 @@ type Manager struct {
 	// methods. Shard managers built with NewSubset never feed theirs; the
 	// sharded coordinators embed a separate one.
 	*Aggregator
+	// MapRows is Step(Row) and Run over StepValues.
+	*MapRows
 
 	cfg Config
 	ids []timeseries.MeasurementID
@@ -153,7 +210,7 @@ type Manager struct {
 	pairIdx   [][2]int      // pairs[i] → indices into ids
 	modelAt   []*core.Model // pairs[i]'s model, so the hot loop never hashes a Pair
 	outcomes  []Outcome     // reused every step; doubles as the carry-forward cache
-	curRow    Row           // row being scored, read by pool workers
+	curVals   []float64     // row being scored (the caller's, in ids order), read by pool workers
 	curDst    []Outcome     // ScoreInto destination, read by pool workers
 	curIdx    []int         // ScoreInto local→global index map
 	rangeFn   func(lo, hi int)
@@ -171,11 +228,6 @@ type Manager struct {
 	// the first row and the caches repopulate deterministically.
 	steadyOK []bool
 	steadyB  []float64
-	// valBuf/okBuf hold the current row's values indexed by measurement
-	// position in ids, filled once per row so the per-pair hot loop reads
-	// slices instead of hashing the row map twice per pair.
-	valBuf []float64
-	okBuf  []bool
 	// stepSkipped counts skipped pairs of the row being scored; workers add
 	// atomically per chunk, Step/ScoreInto read it after the pool drains.
 	stepSkipped uint64
@@ -306,12 +358,11 @@ func (m *Manager) initRuntime() {
 	// which is what lets reshard and recovery skip persisting these caches.
 	m.steadyOK = make([]bool, len(m.pairs))
 	m.steadyB = make([]float64, 4*len(m.pairs))
-	m.valBuf = make([]float64, len(m.ids))
-	m.okBuf = make([]bool, len(m.ids))
 	m.rangeFn = m.scoreRange
 	m.scatterFn = m.scatterRange
 	if m.Aggregator == nil {
 		m.Aggregator = NewAggregator(m.ids, m.cfg)
+		m.MapRows = NewMapRows(m.ids, m.StepValues)
 	}
 	if m.pool == nil {
 		m.pool = newWorkerPool(m.cfg.Workers)
@@ -505,75 +556,70 @@ func (m *Manager) RemovePair(p Pair) bool {
 	return true
 }
 
-// Step scores one synchronized row across every link, updates the running
-// accumulators, and publishes alarms. The fan-out runs on the persistent
-// worker pool over the cached sorted pair slice — identical chunking every
-// step — and the aggregation scratch is reused, so a step allocates
-// nothing beyond the returned report's maps. The phases (score →
-// aggregate → alarm) are traced via obs.StartSpan and the step latency,
-// gap/growth counts and fitness distributions land on the ops surface.
-func (m *Manager) Step(row Row) StepReport {
+// StepValues scores one synchronized row across every link, updates the
+// running accumulators, and publishes alarms. vals is the row in IDs()
+// order with NaN for a gap; it is only read, and only until StepValues
+// returns. The fan-out runs on the persistent worker pool over the cached
+// sorted pair slice — identical chunking every step — and the aggregation
+// scratch is reused, so a step allocates nothing beyond the returned
+// report's maps. The phases (score → aggregate → alarm) are traced via
+// obs.StartSpan and the step latency, gap/growth counts and fitness
+// distributions land on the ops surface.
+func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {
 	stepStart := time.Now()
 	sp := obs.StartSpan("manager.step")
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
 	// Fan the links out over the persistent pool. The happens-before edges
-	// of the task channel and the wait group order the curRow/outcomes
+	// of the task channel and the wait group order the curVals/outcomes
 	// accesses between this goroutine and the workers.
 	sp.Phase("score")
-	m.curRow = row
-	m.prefetchRow(row)
-	atomic.StoreUint64(&m.stepSkipped, 0)
-	m.pool.run(len(m.pairs), m.cfg.Workers, m.rangeFn)
-	m.curRow = Row{}
-	m.noteDirty(int(atomic.LoadUint64(&m.stepSkipped)))
+	m.scoreLocked(vals, m.rangeFn)
 	obsDirtyPairs.Set(float64(m.lastDirty))
 
 	// Aggregate Q^{a,b} → Q^a → Q and publish alarms through the shared
 	// Aggregator — the exact code the sharded coordinator runs, which is
 	// what keeps the two modes bit-identical.
 	sp.Phase("aggregate")
-	report := m.Aggregate(row.Time, m.pairs, m.pairIdx, m.outcomes, sp)
+	report := m.Aggregate(t, m.pairs, m.pairIdx, m.outcomes, sp)
 	sp.End()
 	obsStepSeconds.Observe(time.Since(stepStart).Seconds())
 	return report
 }
 
-// ScoreInto scores every trained pair against row on the manager's own
-// worker pool, writing local pair i's outcome into dst[globalIdx[i]]
-// (dst[i] when globalIdx is nil). It advances model state exactly like
-// Step but performs no aggregation, accumulator updates or alarms — the
-// sharded coordinator scatters several managers' outcomes into one global
-// slice this way and aggregates them centrally. Distinct managers may
-// ScoreInto the same dst concurrently as long as their index sets are
-// disjoint.
-func (m *Manager) ScoreInto(row Row, globalIdx []int, dst []Outcome) {
+// ScoreInto scores every trained pair against the dense row vals (see
+// StepValues) on the manager's own worker pool, writing local pair i's
+// outcome into dst[globalIdx[i]] (dst[i] when globalIdx is nil). It
+// advances model state exactly like Step but performs no aggregation,
+// accumulator updates or alarms — the sharded coordinator scatters several
+// managers' outcomes into one global slice this way and aggregates them
+// centrally. Distinct managers may ScoreInto the same dst, from the same
+// vals, concurrently as long as their index sets are disjoint.
+func (m *Manager) ScoreInto(vals []float64, globalIdx []int, dst []Outcome) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.curRow = row
-	m.curDst = dst
-	m.curIdx = globalIdx
-	m.prefetchRow(row)
-	atomic.StoreUint64(&m.stepSkipped, 0)
-	m.pool.run(len(m.pairs), m.cfg.Workers, m.scatterFn)
-	m.curRow, m.curDst, m.curIdx = Row{}, nil, nil
+	m.curDst, m.curIdx = dst, globalIdx
 	// The dirty-pair gauge is left to the coordinator, which sums
 	// LastDirtyPairs across shards after the fan-out; per-shard Set calls
 	// would race each other to a meaningless value.
-	m.noteDirty(int(atomic.LoadUint64(&m.stepSkipped)))
+	m.scoreLocked(vals, m.scatterFn)
+	m.curDst, m.curIdx = nil, nil
 }
 
-// prefetchRow loads the row's values into the index-addressed buffers the
-// scoring hot loop reads (two slice loads per pair instead of two map
-// hashes). Callers hold m.mu; the worker pool's happens-before edges
-// publish the buffers to the chunk workers.
-func (m *Manager) prefetchRow(row Row) {
-	for i, id := range m.ids {
-		v, ok := row.Values[id]
-		m.valBuf[i] = v
-		m.okBuf[i] = ok
+// scoreLocked runs fn over every pair of the row on the pool and records
+// the dirty/skipped split. A row of the wrong width is a caller's bug and
+// would otherwise surface as an index panic on a pool goroutine. Callers
+// hold m.mu.
+func (m *Manager) scoreLocked(vals []float64, fn func(lo, hi int)) {
+	if len(vals) != len(m.ids) {
+		panic(fmt.Sprintf("manager: row of %d values for %d measurements", len(vals), len(m.ids)))
 	}
+	m.curVals = vals
+	atomic.StoreUint64(&m.stepSkipped, 0)
+	m.pool.run(len(m.pairs), m.cfg.Workers, fn)
+	m.curVals = nil
+	m.noteDirty(int(atomic.LoadUint64(&m.stepSkipped)))
 }
 
 // noteDirty records the last row's dirty/skipped split and feeds the
@@ -597,10 +643,10 @@ func (m *Manager) LastDirtyPairs() int {
 // buffer; it is the unit of work executed by pool workers (and by Step
 // itself for the first chunk).
 func (m *Manager) scoreRange(lo, hi int) {
-	row := m.curRow
+	vals := m.curVals
 	skipped := uint64(0)
 	for i := lo; i < hi; i++ {
-		m.outcomes[i] = m.stepPairAt(i, row, &skipped)
+		m.outcomes[i] = m.stepPairAt(i, vals, &skipped)
 	}
 	if skipped > 0 {
 		atomic.AddUint64(&m.stepSkipped, skipped)
@@ -611,10 +657,10 @@ func (m *Manager) scoreRange(lo, hi int) {
 // buffer at translated global indices (and, like every scored row, in the
 // local carry-forward cache).
 func (m *Manager) scatterRange(lo, hi int) {
-	row, dst, idx := m.curRow, m.curDst, m.curIdx
+	vals, dst, idx := m.curVals, m.curDst, m.curIdx
 	skipped := uint64(0)
 	for i := lo; i < hi; i++ {
-		out := m.stepPairAt(i, row, &skipped)
+		out := m.stepPairAt(i, vals, &skipped)
 		m.outcomes[i] = out
 		if idx == nil {
 			dst[i] = out
@@ -627,38 +673,33 @@ func (m *Manager) scatterRange(lo, hi int) {
 	}
 }
 
-// stepPairAt scores link i for the row — or skips it. A missing or
-// non-finite value on either side is a monitoring gap: the link's chain
-// resets unscored. The skip test is the incremental scheduler's core: a
-// steady pair whose two values stayed inside the cached cell bounds
-// provably repeats the cached outcome bit-for-bit (the half-open
-// comparisons replicate core Axis.Locate, so NaN and boundary crossings
-// always fall through to a real re-score), and the model only needs to be
-// told the run continued. NoteSkipped returning false means the model was
-// reset or mutated behind the cache (e.g. SetAdaptive); the pair then
-// re-scores late-dirty, which is always safe.
-func (m *Manager) stepPairAt(i int, row Row, skipped *uint64) Outcome {
-	p := m.pairs[i]
+// stepPairAt scores link i for the row — or skips it. A NaN on either side
+// is a monitoring gap: the link's chain resets unscored. So is an endpoint
+// outside the manager's measurement universe (FromModels with a narrower id
+// set; no constructor in the tree passes one): the row has no column for
+// it, and the aggregation already leaves such a link out of every Q^a. The
+// skip test is the incremental scheduler's core: a steady pair whose two
+// values stayed inside the cached cell bounds provably repeats the cached
+// outcome bit-for-bit (the half-open comparisons replicate core
+// Axis.Locate, so NaN and boundary crossings always fall through to a real
+// re-score), and the model only needs to be told the run continued.
+// NoteSkipped returning false means the model was reset or mutated behind
+// the cache (e.g. SetAdaptive); the pair then re-scores late-dirty, which
+// is always safe.
+func (m *Manager) stepPairAt(i int, vals []float64, skipped *uint64) Outcome {
 	model := m.modelAt[i]
-	var va, vb float64
-	var oka, okb bool
+	va, vb := math.NaN(), math.NaN()
 	if idx := m.pairIdx[i]; idx[0] >= 0 && idx[1] >= 0 {
-		va, oka = m.valBuf[idx[0]], m.okBuf[idx[0]]
-		vb, okb = m.valBuf[idx[1]], m.okBuf[idx[1]]
-	} else {
-		// An endpoint outside the manager's measurement universe (possible
-		// after FromModels with a narrower id set) falls back to the map.
-		va, oka = row.Values[p.A]
-		vb, okb = row.Values[p.B]
+		va, vb = vals[idx[0]], vals[idx[1]]
 	}
-	if m.steadyOK[i] && !m.cfg.FullRescore && oka && okb {
+	if m.steadyOK[i] && !m.cfg.FullRescore {
 		b := m.steadyB[4*i : 4*i+4 : 4*i+4]
 		if va >= b[0] && va < b[1] && vb >= b[2] && vb < b[3] && model.NoteSkipped() {
 			*skipped++
 			return m.outcomes[i]
 		}
 	}
-	if !oka || !okb || math.IsNaN(va) || math.IsNaN(vb) {
+	if math.IsNaN(va) || math.IsNaN(vb) {
 		model.Reset()
 		m.steadyOK[i] = false
 		return Outcome{Gap: true}
@@ -715,29 +756,8 @@ func (m *Manager) PairStates() []PairState {
 	return out
 }
 
-// Run replays a dataset through Step row by row over [from, to) and
-// returns the per-step reports. The dataset's series must share the
-// sampling grid.
-func (m *Manager) Run(ds *timeseries.Dataset, from, to time.Time) ([]StepReport, error) {
-	return Replay(ds, from, to, m.Step)
-}
-
-// Replay feeds the rows of ds over [from, to) through step in time order
-// and returns the reports — the one body behind every fleet's Run.
-func Replay(ds *timeseries.Dataset, from, to time.Time, step func(Row) StepReport) ([]StepReport, error) {
-	rows, err := BuildRows(ds, from, to)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]StepReport, 0, len(rows))
-	for _, row := range rows {
-		reports = append(reports, step(row))
-	}
-	return reports, nil
-}
-
 // BuildRows materializes the synchronized rows of a dataset over
-// [from, to) at the dataset's sampling step — Replay's input.
+// [from, to) at the dataset's sampling step — Run's input.
 func BuildRows(ds *timeseries.Dataset, from, to time.Time) ([]Row, error) {
 	ids := ds.IDs()
 	if len(ids) == 0 {

@@ -47,6 +47,8 @@ type Coordinator struct {
 	// fold through; the running means, localization and drill-down are its
 	// methods.
 	*manager.Aggregator
+	// MapRows is Step(Row) and Run over StepValues.
+	*manager.MapRows
 
 	mu     sync.Mutex
 	cfg    manager.Config // as supplied (Workers = total budget)
@@ -132,6 +134,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		cfg:        cfg.Manager,
 		ids:        ids,
 	}
+	c.MapRows = manager.NewMapRows(ids, c.StepValues)
 	c.rebuild(shards)
 	// A non-nil Keep tolerates an empty initial graph (mirroring
 	// NewSubset): discovery may admit pairs later.
@@ -205,38 +208,39 @@ func (c *Coordinator) rebuild(shards []*manager.Manager) {
 	obsShardCount.Set(float64(len(shards)))
 }
 
-// scoreShard runs shard k's scoring fan-out for row, scattering outcomes
-// into the global buffer, and records the shard's scoring latency.
-func (c *Coordinator) scoreShard(k int, row manager.Row) {
+// scoreShard runs shard k's scoring fan-out for the row, scattering
+// outcomes into the global buffer, and records the shard's scoring latency.
+func (c *Coordinator) scoreShard(k int, vals []float64) {
 	start := time.Now()
-	c.shards[k].ScoreInto(row, c.localIdx[k], c.outcomes)
+	c.shards[k].ScoreInto(vals, c.localIdx[k], c.outcomes)
 	c.scoreHist[k].Observe(time.Since(start).Seconds())
 }
 
-// Step scores one synchronized row: every shard scores its pair subset in
-// parallel (shard 0 on the calling goroutine), the outcomes land in one
+// StepValues scores one synchronized row — vals in IDs() order, NaN for a
+// gap, read only until the call returns: every shard scores its pair subset
+// in parallel (shard 0 on the calling goroutine), the outcomes land in one
 // global buffer in canonical pair order, and the shared Aggregator folds
-// them into Q^{a,b} → Q^a → Q and publishes alarms — the same code, in
-// the same order, as the single-manager path. The phases (score →
-// aggregate → alarm) are traced as span "shard.step".
-func (c *Coordinator) Step(row manager.Row) manager.StepReport {
+// them into Q^{a,b} → Q^a → Q and publishes alarms — the same code, in the
+// same order, as the single-manager path. The phases (score → aggregate →
+// alarm) are traced as span "shard.step".
+func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport {
 	start := time.Now()
 	sp := obs.StartSpan("shard.step")
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sp.Phase("score")
 	if len(c.shards) == 1 {
-		c.scoreShard(0, row)
+		c.scoreShard(0, vals)
 	} else {
 		var wg sync.WaitGroup
 		for k := 1; k < len(c.shards); k++ {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				c.scoreShard(k, row)
+				c.scoreShard(k, vals)
 			}(k)
 		}
-		c.scoreShard(0, row)
+		c.scoreShard(0, vals)
 		wg.Wait()
 	}
 	// Publish the fleet-wide dirty-pair count: each shard tracks its own
@@ -247,16 +251,10 @@ func (c *Coordinator) Step(row manager.Row) manager.StepReport {
 	}
 	manager.RecordDirtyPairs(dirty)
 	sp.Phase("aggregate")
-	report := c.Aggregate(row.Time, c.pairs, c.pairIdx, c.outcomes, sp)
+	report := c.Aggregate(t, c.pairs, c.pairIdx, c.outcomes, sp)
 	sp.End()
 	obsStepSeconds.Observe(time.Since(start).Seconds())
 	return report
-}
-
-// Run replays a dataset through Step row by row over [from, to) and
-// returns the per-step reports (the sharded mirror of Manager.Run).
-func (c *Coordinator) Run(ds *timeseries.Dataset, from, to time.Time) ([]manager.StepReport, error) {
-	return manager.Replay(ds, from, to, c.Step)
 }
 
 // Pairs returns every trained link across all shards in the global

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"mcorr/internal/alarm"
 	"mcorr/internal/manager"
@@ -75,11 +76,18 @@ func Load(state io.Reader, shardBlobs []io.Reader, sink alarm.Sink) (*Coordinato
 	if err != nil {
 		return nil, fmt.Errorf("shard state load: %w", err)
 	}
+	ids := agg.IDs()
 	shards := make([]*manager.Manager, snap.Shards)
 	for k, r := range shardBlobs {
 		// Shard managers carry no alarm sink: the central aggregator is
 		// the only alarm source in a sharded fleet.
 		m, err := manager.LoadManager(r, nil)
+		if err == nil && !slices.Equal(m.IDs(), ids) {
+			// A row is one slice in the coordinator's measurement order,
+			// read by every shard.
+			m.Close()
+			err = fmt.Errorf("measurements differ from the coordinator's")
+		}
 		if err != nil {
 			for _, s := range shards {
 				if s != nil {
@@ -93,8 +101,9 @@ func Load(state io.Reader, shardBlobs []io.Reader, sink alarm.Sink) (*Coordinato
 	c := &Coordinator{
 		Aggregator: agg,
 		cfg:        agg.Config(),
-		ids:        agg.IDs(),
+		ids:        ids,
 	}
+	c.MapRows = manager.NewMapRows(ids, c.StepValues)
 	c.rebuild(shards)
 	return c, nil
 }

@@ -70,6 +70,8 @@ type Config struct {
 // reports.
 type Coordinator struct {
 	*manager.Aggregator
+	// MapRows is Step(Row) and Run over StepValues.
+	*manager.MapRows
 
 	cfg   Config
 	log   *obs.Logger
@@ -239,6 +241,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		latSet:      make([]bool, n),
 		latGauges:   make([]*obs.Gauge, n),
 	}
+	c.MapRows = manager.NewMapRows(c.ids, c.StepValues)
 	for k, m := range mgrs {
 		for _, p := range m.Pairs() {
 			c.owner[p] = k

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"strconv"
 	"testing"
 	"time"
 
 	"mcorr/internal/manager"
-	"mcorr/internal/timeseries"
 )
 
 // FuzzShardFrames drives the two binary decoders a peer's bytes reach —
@@ -21,14 +19,19 @@ import (
 func FuzzShardFrames(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Hostile row payload.
-		var rf rowFrame
-		if err := decodeRowFrame(data, &rf); err == nil {
-			if len(rf.Idx) != len(rf.Bits) || 20+10*len(rf.Idx) != len(data) {
-				t.Fatalf("row frame of %d bytes decoded to %d indices, %d values", len(data), len(rf.Idx), len(rf.Bits))
+		// Hostile row payload, decoded into a row too narrow for most
+		// indices: a frame is either refused or every cell of it landed
+		// inside the row.
+		var narrow [8]float64
+		if _, _, err := decodeRowFrame(data, narrow[:]); err == nil {
+			if (len(data)-20)%10 != 0 || int(binary.BigEndian.Uint32(data[16:])) != (len(data)-20)/10 {
+				t.Fatalf("row frame of %d bytes decoded with count %d", len(data), binary.BigEndian.Uint32(data[16:]))
 			}
-		} else if cap(rf.Idx) > len(data) || cap(rf.Bits) > len(data) {
-			t.Fatalf("refused row frame of %d bytes sized a slice of %d", len(data), cap(rf.Idx))
+			for cell := data[20:]; len(cell) > 0; cell = cell[10:] {
+				if idx := binary.BigEndian.Uint16(cell); int(idx) >= len(narrow) {
+					t.Fatalf("row frame addressing measurement %d decoded into a row of %d", idx, len(narrow))
+				}
+			}
 		}
 
 		// Hostile outcome payload.
@@ -72,31 +75,31 @@ func FuzzShardFrames(f *testing.F) {
 			}
 		}
 
-		ids := make([]timeseries.MeasurementID, len(cells))
-		row := manager.Row{Time: time.Unix(0, int64(second)).UTC(), Values: map[timeseries.MeasurementID]float64{}}
-		var wantIdx []uint16
-		var wantBits []uint64
+		// A row round-trips bit for bit, except that every NaN — whatever its
+		// payload — and every absent measurement is the one gap.
+		tm := time.Unix(0, int64(second)).UTC()
+		vals := make([]float64, len(cells))
 		for i, c := range cells {
-			ids[i] = timeseries.MeasurementID{Machine: "m", Metric: strconv.Itoa(i)}
-			if c[8]&1 != 0 { // the rest are monitoring gaps
-				row.Values[ids[i]] = math.Float64frombits(binary.BigEndian.Uint64(c))
-				wantIdx = append(wantIdx, uint16(i))
-				wantBits = append(wantBits, binary.BigEndian.Uint64(c))
+			vals[i] = math.NaN() // the rest are monitoring gaps
+			if c[8]&1 != 0 {
+				vals[i] = math.Float64frombits(binary.BigEndian.Uint64(c))
 			}
 		}
-		frame := encodeRowFrame(seq, row, ids)
-		if err := decodeRowFrame(frame, &rf); err != nil {
+		frame := encodeRowFrame(seq, tm, vals)
+		got := make([]float64, len(vals))
+		gotSeq, gotTime, err := decodeRowFrame(frame, got)
+		if err != nil {
 			t.Fatalf("decode of an encoded row: %v", err)
 		}
-		if rf.Seq != seq || !rf.Time.Equal(row.Time) || len(rf.Idx) != len(wantIdx) {
-			t.Fatalf("row header seq %d time %v with %d cells, want %d %v %d", rf.Seq, rf.Time, len(rf.Idx), seq, row.Time, len(wantIdx))
+		if gotSeq != seq || !gotTime.Equal(tm) {
+			t.Fatalf("row header seq %d time %v, want %d %v", gotSeq, gotTime, seq, tm)
 		}
-		for i := range wantIdx {
-			if rf.Idx[i] != wantIdx[i] || rf.Bits[i] != wantBits[i] {
-				t.Fatalf("row cell %d: (%d, %x), want (%d, %x)", i, rf.Idx[i], rf.Bits[i], wantIdx[i], wantBits[i])
+		for i, v := range vals {
+			if math.Float64bits(got[i]) != math.Float64bits(v) && !(math.IsNaN(v) && math.IsNaN(got[i])) {
+				t.Fatalf("row value %d: %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(v))
 			}
 		}
-		if again := encodeRowFrame(seq, row, ids); !bytes.Equal(again, frame) {
+		if again := encodeRowFrame(seq, tm, vals); !bytes.Equal(again, frame) {
 			t.Fatal("two encodings of one row differ")
 		}
 	})

@@ -272,57 +272,52 @@ func frameSource(conn io.Reader, msgType collector.MsgType) func() (collector.Fr
 const maxMeasurements = 1 << 16
 
 // Row frame layout: u64 seq, i64 unix-nanos, u32 count, then count ×
-// {u16 measurement index, u64 value bits}. Only present measurements are
-// encoded; absent ones are monitoring gaps.
-type rowFrame struct {
-	Seq  uint64
-	Time time.Time
-	// Idx/Bits are parallel: Idx[i] indexes assignMsg.IDs.
-	Idx  []uint16
-	Bits []uint64
-}
+// {u16 measurement index, u64 value bits}, the index into assignMsg.IDs.
+// Only measurements with a value are encoded; the rest — absent or NaN, one
+// and the same to scoring — are the row's monitoring gaps.
 
-// encodeRowFrame packs one row against the fleet's canonical measurement
-// order (at most maxMeasurements long). The same bytes are broadcast to
-// every worker and retained for replay.
-func encodeRowFrame(seq uint64, row manager.Row, ids []timeseries.MeasurementID) []byte {
-	buf := make([]byte, 20, 20+10*len(row.Values))
+// encodeRowFrame packs one dense row (vals in the fleet's canonical
+// measurement order, at most maxMeasurements long, NaN for a gap). The same
+// bytes are broadcast to every worker and retained for replay.
+func encodeRowFrame(seq uint64, t time.Time, vals []float64) []byte {
+	buf := make([]byte, 20, 20+10*len(vals))
 	binary.BigEndian.PutUint64(buf[0:], seq)
-	binary.BigEndian.PutUint64(buf[8:], uint64(row.Time.UnixNano()))
-	n := 0
-	for i, id := range ids {
-		v, ok := row.Values[id]
-		if !ok {
+	binary.BigEndian.PutUint64(buf[8:], uint64(t.UnixNano()))
+	for i, v := range vals {
+		if v != v { // NaN
 			continue
 		}
 		buf = binary.BigEndian.AppendUint16(buf, uint16(i))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-		n++
 	}
-	binary.BigEndian.PutUint32(buf[16:], uint32(n))
+	binary.BigEndian.PutUint32(buf[16:], uint32((len(buf)-20)/10))
 	return buf
 }
 
-// decodeRowFrame unpacks a row frame. Slices are reused across calls via
-// the caller-owned frame.
-func decodeRowFrame(payload []byte, f *rowFrame) error {
+// decodeRowFrame unpacks a row frame into the caller's dense row: vals[i]
+// is measurement i's value, NaN where the frame has none. Every index is
+// checked against len(vals) before it is used.
+func decodeRowFrame(payload []byte, vals []float64) (seq uint64, t time.Time, err error) {
 	if len(payload) < 20 {
-		return fmt.Errorf("shardnet: row frame too short (%d bytes)", len(payload))
+		return 0, time.Time{}, fmt.Errorf("shardnet: row frame too short (%d bytes)", len(payload))
 	}
-	f.Seq = binary.BigEndian.Uint64(payload[0:])
-	f.Time = time.Unix(0, int64(binary.BigEndian.Uint64(payload[8:]))).UTC()
+	seq = binary.BigEndian.Uint64(payload[0:])
+	t = time.Unix(0, int64(binary.BigEndian.Uint64(payload[8:]))).UTC()
 	n := int(binary.BigEndian.Uint32(payload[16:]))
 	if len(payload) != 20+10*n {
-		return fmt.Errorf("shardnet: row frame length %d does not match count %d", len(payload), n)
+		return 0, time.Time{}, fmt.Errorf("shardnet: row frame length %d does not match count %d", len(payload), n)
 	}
-	f.Idx = f.Idx[:0]
-	f.Bits = f.Bits[:0]
-	for i := 0; i < n; i++ {
-		cell := payload[20+10*i:]
-		f.Idx = append(f.Idx, binary.BigEndian.Uint16(cell[0:]))
-		f.Bits = append(f.Bits, binary.BigEndian.Uint64(cell[2:]))
+	for i := range vals {
+		vals[i] = math.NaN()
 	}
-	return nil
+	for cell := payload[20:]; len(cell) > 0; cell = cell[10:] {
+		idx := int(binary.BigEndian.Uint16(cell))
+		if idx >= len(vals) {
+			return 0, time.Time{}, fmt.Errorf("shardnet: row measurement index %d out of range", idx)
+		}
+		vals[idx] = math.Float64frombits(binary.BigEndian.Uint64(cell[2:]))
+	}
+	return seq, t, nil
 }
 
 // Outcome frame layout: u64 row seq, u64 plan version, u32 total outcome

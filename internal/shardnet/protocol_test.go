@@ -26,35 +26,42 @@ func TestRowFrameRoundTrip(t *testing.T) {
 			ids[3]: -1e300,
 		},
 	}
-	frame := encodeRowFrame(77, row, ids)
-	var f rowFrame
-	if err := decodeRowFrame(frame, &f); err != nil {
+	vals := make([]float64, len(ids))
+	row.FillValues(ids, vals)
+	frame := encodeRowFrame(77, row.Time, vals)
+	// The absent measurement and the NaN one are the same gap: neither is
+	// on the wire.
+	if want := 20 + 2*10; len(frame) != want {
+		t.Fatalf("frame of %d bytes, want %d", len(frame), want)
+	}
+	got := []float64{1, 2, 3, 4} // stale values the decode must overwrite
+	seq, tm, err := decodeRowFrame(frame, got)
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if f.Seq != 77 {
-		t.Fatalf("seq = %d", f.Seq)
+	if seq != 77 {
+		t.Fatalf("seq = %d", seq)
 	}
-	if !f.Time.Equal(row.Time) {
-		t.Fatalf("time = %v", f.Time)
+	if !tm.Equal(row.Time) {
+		t.Fatalf("time = %v", tm)
 	}
-	if len(f.Idx) != 3 || len(f.Bits) != 3 {
-		t.Fatalf("got %d idx, %d bits", len(f.Idx), len(f.Bits))
-	}
-	got := make(map[timeseries.MeasurementID]float64, len(f.Idx))
-	for i, ix := range f.Idx {
-		got[ids[ix]] = math.Float64frombits(f.Bits[i])
-	}
-	for id, v := range row.Values {
-		g, ok := got[id]
-		if !ok {
-			t.Fatalf("missing %v", id)
+	for i, id := range ids {
+		want, ok := row.Values[id]
+		if !ok || math.IsNaN(want) {
+			if !math.IsNaN(got[i]) {
+				t.Fatalf("%v: gap decoded as %v", id, got[i])
+			}
+			continue
 		}
-		if math.Float64bits(g) != math.Float64bits(v) {
-			t.Fatalf("%v: %x != %x", id, math.Float64bits(g), math.Float64bits(v))
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("%v: %x != %x", id, math.Float64bits(got[i]), math.Float64bits(want))
 		}
 	}
-	if err := decodeRowFrame(frame[:10], &f); err == nil {
+	if _, _, err := decodeRowFrame(frame[:10], got); err == nil {
 		t.Fatal("truncated frame decoded")
+	}
+	if _, _, err := decodeRowFrame(frame, got[:3]); err == nil {
+		t.Fatal("frame addressing measurement 3 decoded into a row of 3")
 	}
 }
 

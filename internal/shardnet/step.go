@@ -9,26 +9,29 @@ import (
 	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
-	"mcorr/internal/timeseries"
 	"mcorr/internal/wal"
 )
 
-// Step fans one synchronized row out to every worker, reads each worker's
-// outcome set back off its control connection into that shard's indices
-// of the global outcome slice, and merges them through the authoritative
-// Aggregator — the same Aggregate call, in the same canonical pair order,
-// as the in-process fabric, which is what keeps the trajectory
+// StepValues fans one synchronized row — vals in IDs() order, NaN for a
+// gap, read only until the call returns — out to every worker, reads each
+// worker's outcome set back off its control connection into that shard's
+// indices of the global outcome slice, and merges them through the
+// authoritative Aggregator — the same Aggregate call, in the same canonical
+// pair order, as the in-process fabric, which is what keeps the trajectory
 // bit-identical. A worker that dies or stalls mid-row is redialed and
-// replayed from the ring; Step blocks until every shard's outcome for
+// replayed from the ring; StepValues blocks until every shard's outcome for
 // this row has arrived.
-func (c *Coordinator) Step(row manager.Row) manager.StepReport {
+func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport {
 	start := time.Now()
 	sp := obs.StartSpan("shardnet.step")
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(vals) != len(c.ids) {
+		panic(fmt.Sprintf("shardnet: row of %d values for %d measurements", len(vals), len(c.ids)))
+	}
 
 	c.seq++
-	frame := encodeRowFrame(c.seq, row, c.ids)
+	frame := encodeRowFrame(c.seq, t, vals)
 	c.ring.push(c.seq, frame, c.ringCap())
 
 	// One exchange per worker, in the shape of shard.Coordinator.Step:
@@ -50,7 +53,7 @@ func (c *Coordinator) Step(row manager.Row) manager.StepReport {
 	c.reviveLocked()
 
 	sp.Phase("aggregate")
-	report := c.Aggregate(row.Time, c.pairs, c.pairIdx, c.outcomes, sp)
+	report := c.Aggregate(t, c.pairs, c.pairIdx, c.outcomes, sp)
 	sp.End()
 	obsRows.Add(1)
 	obsStepSeconds.Observe(time.Since(start).Seconds())
@@ -319,12 +322,6 @@ func (c *Coordinator) SetLatencyHint(k int, seconds float64) {
 	}
 	c.lat[k] = seconds
 	c.latSet[k] = true
-}
-
-// Run replays a dataset through Step in time order, exactly like the
-// in-process fleets.
-func (c *Coordinator) Run(ds *timeseries.Dataset, from, to time.Time) ([]manager.StepReport, error) {
-	return manager.Replay(ds, from, to, c.Step)
 }
 
 // Pairs returns every trained link in canonical order.

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +15,6 @@ import (
 	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
-	"mcorr/internal/timeseries"
 	"mcorr/internal/wal"
 )
 
@@ -83,7 +82,6 @@ type shardState struct {
 	runID       string
 	k, n        int
 	planVersion uint64
-	ids         []timeseries.MeasurementID
 	mgr         *manager.Manager
 
 	// scoredSeq is the last row scored; ackedSeq is the last row the
@@ -97,8 +95,7 @@ type shardState struct {
 	outBuf    []byte // appendOutcomeFrames of scoredSeq; reused row to row
 
 	dst           []manager.Outcome
-	values        map[timeseries.MeasurementID]float64
-	frame         rowFrame
+	vals          []float64 // the row being scored, decoded in the manager's measurement order
 	ckptEvery     int
 	rowsSinceCkpt int
 }
@@ -282,17 +279,19 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 		st = &shardState{runID: a.RunID, k: a.K, n: a.N, mgr: mgr}
 		w.st = st
 	}
+	// A row frame indexes the assign's measurement order and is decoded
+	// straight into the slice the manager scores, so the two must agree.
+	if !slices.Equal(a.IDs, st.mgr.IDs()) {
+		return nil, errors.New("shardnet: assigned measurements differ from the shard's")
+	}
 	st.planVersion = a.PlanVersion
-	st.ids = a.IDs
+	st.vals = make([]float64, len(a.IDs))
 	st.ckptEvery = a.CheckpointEvery
 	if w.cfg.CheckpointEvery > 0 {
 		st.ckptEvery = w.cfg.CheckpointEvery
 	}
 	if st.ckptEvery <= 0 {
 		st.ckptEvery = 240
-	}
-	if st.values == nil {
-		st.values = make(map[timeseries.MeasurementID]float64, len(st.ids))
 	}
 	// A shard that outlived its session may hold a scored row it cannot
 	// yet know was merged; its file from the last acked boundary stands.
@@ -491,10 +490,10 @@ func (st *shardState) ack() {
 // re-stepping the models, which is what keeps the merged trajectory
 // bit-identical across reconnects.
 func (w *Worker) handleRow(sess *session, st *shardState, payload []byte) error {
-	if err := decodeRowFrame(payload, &st.frame); err != nil {
+	seq, _, err := decodeRowFrame(payload, st.vals)
+	if err != nil {
 		return err
 	}
-	seq := st.frame.Seq
 	switch {
 	case seq == st.scoredSeq && len(st.outBuf) > 0:
 		return writeOutcomeFrames(sess.conn, st.outBuf)
@@ -507,20 +506,12 @@ func (w *Worker) handleRow(sess *session, st *shardState, payload []byte) error 
 		}
 	}
 
-	clear(st.values)
-	for i, idx := range st.frame.Idx {
-		if int(idx) >= len(st.ids) {
-			return fmt.Errorf("shardnet: row measurement index %d out of range", idx)
-		}
-		st.values[st.ids[idx]] = math.Float64frombits(st.frame.Bits[i])
-	}
-	row := manager.Row{Time: st.frame.Time, Values: st.values}
 	n := st.mgr.PairCount()
 	if cap(st.dst) < n {
 		st.dst = make([]manager.Outcome, n)
 	}
 	st.dst = st.dst[:n]
-	st.mgr.ScoreInto(row, nil, st.dst)
+	st.mgr.ScoreInto(st.vals, nil, st.dst)
 	obsWorkerRows.Add(1)
 
 	st.scoredSeq = seq

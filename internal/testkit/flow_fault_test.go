@@ -108,10 +108,9 @@ func TestSlowSinkShedsWithoutStalling(t *testing.T) {
 }
 
 // TestCrashRecoveryWithFlowControl reruns the durability acceptance test
-// with the monitor's bounded row queue enabled: SIGKILL mid-stream,
-// recover, and require the trajectory to be bit-identical to an
-// uninterrupted baseline that scored inline — proving the flow-control
-// layer never reorders or sheds between WAL and scorer.
+// on a paced stream: SIGKILL mid-stream, recover, and require the
+// trajectory to be bit-identical to an uninterrupted, unpaced baseline —
+// proving nothing reorders or sheds between WAL and scorer.
 func TestCrashRecoveryWithFlowControl(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real binaries; skipped in -short")
@@ -135,14 +134,15 @@ func TestCrashRecoveryWithFlowControl(t *testing.T) {
 		return append(base, extra...)
 	}
 
-	// Baseline scores inline; the crash run uses a row queue of 8.
+	// The baseline runs unpaced; the crash run is paced so the kill lands
+	// mid-stream.
 	baseline := testkit.StepMap(testkit.Run(t, mcdetect, args(filepath.Join(dir, "base"), "0")...))
 	if len(baseline) == 0 {
 		t.Fatal("baseline run produced no STEP lines")
 	}
 	crashDir := filepath.Join(dir, "crash")
-	killed := testkit.RunKillAfterSteps(t, mcdetect, 60, args(crashDir, "2ms", "-score-queue", "8")...)
-	resumed := testkit.Run(t, mcdetect, args(crashDir, "0", "-score-queue", "8")...)
+	killed := testkit.RunKillAfterSteps(t, mcdetect, 60, args(crashDir, "2ms")...)
+	resumed := testkit.Run(t, mcdetect, args(crashDir, "0")...)
 
 	got := testkit.StepMap(append(append([]string(nil), killed...), resumed...))
 	if diffs := testkit.DiffStepMaps(baseline, got); len(diffs) > 0 {

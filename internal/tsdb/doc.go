@@ -3,6 +3,13 @@
 // models read from. Samples are kept on a fixed sampling grid per
 // measurement, with optional ring retention and record-stream snapshot/restore.
 //
+// There are two ways to read. Query and QueryAll answer an ad-hoc window
+// with copies (the correlate API, offline tools). A streaming monitor
+// instead binds a RowReader to its ordered measurement list once
+// (Store.Rows): Ready says up to when rows are complete and ReadRow fills
+// the caller's slice with the row at t, NaN for "no sample" — one read
+// lock, no hashing, no allocation, whatever the fleet's width.
+//
 // A store can be made durable by attaching a wal.Log (AttachWAL): every
 // appended batch is then logged before the append is acknowledged, and
 // ReplayWAL reconstructs post-checkpoint state after a crash. Appends,

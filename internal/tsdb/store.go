@@ -161,9 +161,12 @@ func (s *Store) appendLocked(sm Sample) error {
 		e.values = append(e.values, sm.Value)
 	}
 	if s.retention > 0 && len(e.values) > s.retention {
+		// Re-slice instead of moving the series down: the dropped prefix is
+		// left behind the slice and freed when append next reallocates,
+		// which copies retention values once per capacity, not per sample.
 		drop := len(e.values) - s.retention
 		e.start = e.start.Add(time.Duration(drop) * s.step)
-		e.values = append(e.values[:0], e.values[drop:]...)
+		e.values = e.values[drop:]
 	}
 	return nil
 }
@@ -212,11 +215,18 @@ func (s *Store) QueryAll(from, to time.Time) *timeseries.Dataset {
 func (s *Store) IDs() []timeseries.MeasurementID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ds := timeseries.NewDataset()
-	for id, e := range s.series {
-		ds.Add(&timeseries.Series{ID: id, Start: e.start, Step: s.step})
+	return s.sortedIDsLocked()
+}
+
+// sortedIDsLocked returns the stored IDs in MeasurementID.Less order.
+// Callers hold s.mu.
+func (s *Store) sortedIDsLocked() []timeseries.MeasurementID {
+	ids := make([]timeseries.MeasurementID, 0, len(s.series))
+	for id := range s.series {
+		ids = append(ids, id)
 	}
-	return ds.IDs()
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	return ids
 }
 
 // Len returns the number of stored samples for id (0 when unknown).
@@ -252,13 +262,17 @@ func (s *Store) LoadDataset(ds *timeseries.Dataset) error {
 		}
 		vals := make([]float64, len(src.Values))
 		copy(vals, src.Values)
-		if _, exists := s.series[id]; !exists {
+		// An existing series is overwritten in place: a RowReader holds the
+		// entry, so entries are never replaced.
+		e, exists := s.series[id]
+		if !exists {
+			e = &entry{}
+			s.series[id] = e
 			obsSeries.Inc()
 		}
 		obsAppended.Add(uint64(len(vals)))
-		s.series[id] = &entry{start: src.Start, values: vals}
+		e.start, e.values = src.Start, vals
 		if s.retention > 0 && len(vals) > s.retention {
-			e := s.series[id]
 			drop := len(vals) - s.retention
 			e.start = e.start.Add(time.Duration(drop) * s.step)
 			e.values = vals[drop:]
@@ -281,11 +295,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 	rw := wal.NewRecordWriter(w)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ids := make([]timeseries.MeasurementID, 0, len(s.series))
-	for id := range s.series {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	ids := s.sortedIDsLocked()
 	hdr := binary.LittleEndian.AppendUint64(nil, storeFormat)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.step))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.retention))

@@ -161,8 +161,14 @@ func ListenShardNetWorker(addr string, cfg ShardNetWorkerConfig) (*ShardNetWorke
 // are the read half of this interface; all produce bit-identical
 // trajectories over the same rows.
 type Fleet interface {
-	// Step scores one synchronized row across every trained link.
+	// Step scores one synchronized row across every trained link. It is the
+	// boundary form (manager.MapRows): the row is converted once into the
+	// dense slice that StepValues scores.
 	Step(Row) StepReport
+	// StepValues scores the row whose i-th value is IDs()[i]'s, NaN for a
+	// gap. vals stays the caller's: the fleet reads it until the call
+	// returns and keeps no reference.
+	StepValues(t time.Time, vals []float64) StepReport
 	// Run replays a dataset through Step in time order.
 	Run(ds *Dataset, from, to time.Time) ([]StepReport, error)
 	// IDs returns the monitored measurements.
@@ -310,10 +316,9 @@ func DialCollectorTenant(addr, agentName, tenant string) (*CollectorAgent, error
 type MonitorOption func(*monitorOptions)
 
 type monitorOptions struct {
-	shards     int
-	scoreQueue int
-	diagnosis  *DiagnosisConfig
-	discovery  *DiscoveryConfig
+	shards    int
+	diagnosis *DiagnosisConfig
+	discovery *DiscoveryConfig
 	// tenantOwned suppresses the monitor-level /api/v1/ registration: a
 	// tenant's monitor must not shadow the registry-wide TenantAPI that
 	// dispatches to every tenant by name.
@@ -334,45 +339,36 @@ func WithShards(n int) MonitorOption {
 	return func(o *monitorOptions) { o.shards = n }
 }
 
-// WithScoreQueue bounds a row queue of the given depth between ingest and
-// the scoring fleet, so row assembly (store queries) overlaps with
-// scoring. A full queue blocks ingest — explicit backpressure, never
-// shedding — and a single consumer scores rows in time order, so fitness
-// trajectories are bit-identical to the unqueued path. depth <= 0 keeps
-// the inline path.
-func WithScoreQueue(depth int) MonitorOption {
-	return func(o *monitorOptions) { o.scoreQueue = depth }
-}
-
 // Monitor glues a store and a scoring fleet together for streaming use:
 // ingest samples as they arrive, and complete rows are scored
-// automatically in time order.
+// automatically in time order. A row travels from the store to the pair
+// loop as one slice in the fleet's measurement order: read out of the store
+// into rowBuf, scored from it, then overwritten by the next row.
 type Monitor struct {
-	store      *Store
-	fleet      Fleet
-	coord      *ShardCoordinator // non-nil iff the fleet is sharded
-	step       time.Duration
-	cursor     time.Time
-	ids        []MeasurementID
-	scoreQueue int              // bounded row-queue depth (0 = score inline)
-	diag       *DiagnosisEngine // non-nil iff built with WithDiagnosis
-	api        *diagnose.API    // per-fleet API (nil unless diagnosis is on)
+	store  *Store
+	fleet  Fleet
+	step   time.Duration
+	cursor time.Time
+	ids    []MeasurementID  // fleet.IDs(): the row's column order
+	rows   *tsdb.RowReader  // the store, read in ids order
+	rowBuf []float64        // the row being scored
+	diag   *DiagnosisEngine // non-nil iff built with WithDiagnosis
+	api    *diagnose.API    // per-fleet API (nil unless diagnosis is on)
+}
+
+// newMonitor binds a store and a fleet into a monitor scoring from cursor.
+func newMonitor(store *Store, fleet Fleet, cursor time.Time, diag *DiagnosisEngine, api *diagnose.API) *Monitor {
+	ids := fleet.IDs()
+	return &Monitor{store: store, fleet: fleet, step: store.Step(), cursor: cursor, ids: ids,
+		rows: store.Rows(ids), rowBuf: make([]float64, len(ids)), diag: diag, api: api}
 }
 
 // newFleet trains either a single manager or a sharded coordinator.
-func newFleet(history *Dataset, cfg ManagerConfig, shards int) (Fleet, *ShardCoordinator, error) {
+func newFleet(history *Dataset, cfg ManagerConfig, shards int) (Fleet, error) {
 	if shards > 1 {
-		coord, err := shard.New(history, shard.Config{Shards: shards, Manager: cfg})
-		if err != nil {
-			return nil, nil, err
-		}
-		return coord, coord, nil
+		return shard.New(history, shard.Config{Shards: shards, Manager: cfg})
 	}
-	mgr, err := manager.New(history, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mgr, nil, nil
+	return manager.New(history, cfg)
 }
 
 // NewMonitor trains a scoring fleet on history and returns a monitor
@@ -397,18 +393,14 @@ func NewMonitor(history *Dataset, cfg ManagerConfig, opts ...MonitorOption) (*Mo
 	}
 	var (
 		fleet Fleet
-		coord *ShardCoordinator
 		err   error
 	)
 	if o.discovery != nil {
-		var df *discoveryFleet
-		df, err = newDiscoveryFleet(history, cfg, *o.discovery, o.shards)
-		if err != nil {
-			return nil, err
-		}
-		fleet = df
-		coord, _ = df.graphFleet.(*ShardCoordinator)
-	} else if fleet, coord, err = newFleet(history, cfg, o.shards); err != nil {
+		fleet, err = newDiscoveryFleet(history, cfg, *o.discovery, o.shards)
+	} else {
+		fleet, err = newFleet(history, cfg, o.shards)
+	}
+	if err != nil {
 		return nil, err
 	}
 	var api *diagnose.API
@@ -429,7 +421,7 @@ func NewMonitor(history *Dataset, cfg ManagerConfig, opts ...MonitorOption) (*Mo
 			cursor = end
 		}
 	}
-	return &Monitor{store: store, fleet: fleet, coord: coord, step: step, cursor: cursor, ids: ids, scoreQueue: o.scoreQueue, diag: diag, api: api}, nil
+	return newMonitor(store, fleet, cursor, diag, api), nil
 }
 
 // Fleet exposes the scoring fleet (a *Manager or a *ShardCoordinator).
@@ -439,12 +431,17 @@ func (m *Monitor) Fleet() Fleet { return m.fleet }
 // unsharded; it returns nil for a sharded monitor (use Fleet, or
 // Coordinator for the shard-specific surface).
 func (m *Monitor) Manager() *Manager {
-	f := m.fleet
-	if df, ok := f.(*discoveryFleet); ok {
-		f = df.graphFleet
-	}
-	mgr, _ := f.(*Manager)
+	mgr, _ := m.modelFleet().(*Manager)
 	return mgr
+}
+
+// modelFleet returns the fleet that owns the models: the monitor's own, or
+// the one its discovery tier bounds.
+func (m *Monitor) modelFleet() Fleet {
+	if df, ok := m.fleet.(*discoveryFleet); ok {
+		return df.graphFleet
+	}
+	return m.fleet
 }
 
 // Discovery exposes the discovery-bounded fleet surface, or nil when the
@@ -457,7 +454,10 @@ func (m *Monitor) Discovery() DiscoveryFleet {
 }
 
 // Coordinator exposes the sharded fabric, or nil when unsharded.
-func (m *Monitor) Coordinator() *ShardCoordinator { return m.coord }
+func (m *Monitor) Coordinator() *ShardCoordinator {
+	coord, _ := m.modelFleet().(*ShardCoordinator)
+	return coord
+}
 
 // Diagnosis exposes the incident diagnosis engine, or nil when the
 // monitor was built without WithDiagnosis.
@@ -465,8 +465,8 @@ func (m *Monitor) Diagnosis() *DiagnosisEngine { return m.diag }
 
 // Shards returns the monitor's current shard count (1 when unsharded).
 func (m *Monitor) Shards() int {
-	if m.coord != nil {
-		return m.coord.NumShards()
+	if coord := m.Coordinator(); coord != nil {
+		return coord.NumShards()
 	}
 	return 1
 }
@@ -476,10 +476,11 @@ func (m *Monitor) Shards() int {
 // ShardCoordinator.Reshard). It returns the number of pair models that
 // changed owner, and an error on an unsharded monitor.
 func (m *Monitor) Reshard(n int) (int, error) {
-	if m.coord == nil {
+	coord := m.Coordinator()
+	if coord == nil {
 		return 0, fmt.Errorf("monitor: not sharded; construct with WithShards to reshard")
 	}
-	return m.coord.Reshard(n)
+	return coord.Reshard(n)
 }
 
 // Cursor returns the timestamp of the next row the monitor will score.
@@ -499,15 +500,9 @@ func (m *Monitor) Ingest(samples ...Sample) ([]StepReport, error) {
 	}
 	sp.Phase("score")
 	// Rows are complete up to the minimum last-sample time.
-	var ready time.Time
-	for i, id := range m.ids {
-		last, ok := m.store.LastTime(id)
-		if !ok {
-			return nil, nil // some measurement has no data yet
-		}
-		if i == 0 || last.Before(ready) {
-			ready = last
-		}
+	ready, ok := m.rows.Ready()
+	if !ok {
+		return nil, nil // some measurement has no data yet
 	}
 	return m.flushUntil(ready.Add(m.step)), nil
 }
@@ -518,64 +513,20 @@ func (m *Monitor) FlushUpTo(deadline time.Time) []StepReport {
 	return m.flushUntil(deadline)
 }
 
-// scoreRow steps the fleet and, when diagnosis is attached, feeds the
-// finished report to the engine — after scoring, never inside it, so the
+// flushUntil scores every row from the cursor up to until, in time order
+// on the calling goroutine: each is read out of the store into rowBuf,
+// stepped through the fleet and, when diagnosis is attached, its finished
+// report fed to the engine — after scoring, never inside it, so the
 // diagnosis layer stays off the Manager.Step hot path.
-func (m *Monitor) scoreRow(row Row) StepReport {
-	report := m.fleet.Step(row)
-	if m.diag != nil {
-		m.diag.Observe(report)
-	}
-	return report
-}
-
 func (m *Monitor) flushUntil(until time.Time) []StepReport {
-	if m.scoreQueue <= 0 {
-		var reports []StepReport
-		for m.cursor.Before(until) {
-			reports = append(reports, m.scoreRow(m.nextRow()))
+	var reports []StepReport
+	for ; m.cursor.Before(until); m.cursor = m.cursor.Add(m.step) {
+		m.rows.ReadRow(m.cursor, m.rowBuf)
+		report := m.fleet.StepValues(m.cursor, m.rowBuf)
+		if m.diag != nil {
+			m.diag.Observe(report)
 		}
-		return reports
+		reports = append(reports, report)
 	}
-	// Pipelined path: row assembly (store queries) runs ahead of scoring
-	// through a bounded queue. A single consumer scores in time order —
-	// exactly the inline order, so trajectories stay bit-identical — and
-	// a full queue blocks this producer rather than dropping rows.
-	rows := make(chan Row, m.scoreQueue)
-	done := make(chan []StepReport, 1)
-	go func() {
-		var reports []StepReport
-		for row := range rows {
-			reports = append(reports, m.scoreRow(row))
-		}
-		done <- reports
-	}()
-	for m.cursor.Before(until) {
-		row := m.nextRow()
-		select {
-		case rows <- row:
-		default:
-			obsFlowRowBlocked.Inc()
-			rows <- row // backpressure: wait for the scorer, never shed
-		}
-		obsFlowRowDepth.Set(float64(len(rows)))
-	}
-	close(rows)
-	reports := <-done
-	obsFlowRowDepth.Set(0)
 	return reports
-}
-
-// nextRow assembles the row at the cursor from the store and advances
-// the cursor one step.
-func (m *Monitor) nextRow() Row {
-	ds := m.store.QueryAll(m.cursor, m.cursor.Add(m.step))
-	row := Row{Time: m.cursor, Values: make(map[MeasurementID]float64, len(m.ids))}
-	for _, id := range m.ids {
-		if s := ds.Get(id); s != nil && s.Len() > 0 {
-			row.Values[id] = s.Values[0]
-		}
-	}
-	m.cursor = m.cursor.Add(m.step)
-	return row
 }

@@ -124,58 +124,6 @@ func TestMonitorPartialRowsWaitThenFlush(t *testing.T) {
 	}
 }
 
-func TestMonitorScoreQueueBitIdentical(t *testing.T) {
-	ds, _, err := simulator.Generate(simulator.GroupConfig{
-		Name: "F", Machines: 2, Days: 2, Seed: 31,
-	})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
-	history := ds.Slice(timeseries.MonitoringStart, day1)
-	inline, err := mcorr.NewMonitor(history, mcorr.ManagerConfig{})
-	if err != nil {
-		t.Fatalf("NewMonitor inline: %v", err)
-	}
-	queued, err := mcorr.NewMonitor(history, mcorr.ManagerConfig{}, mcorr.WithScoreQueue(4))
-	if err != nil {
-		t.Fatalf("NewMonitor queued: %v", err)
-	}
-	ids := ds.IDs()
-	for k := 0; k < 40; k++ {
-		tm := day1.Add(time.Duration(k) * timeseries.SampleStep)
-		var batch []mcorr.Sample
-		for _, id := range ids {
-			s := ds.Get(id)
-			if i, ok := s.IndexOf(tm); ok {
-				batch = append(batch, mcorr.Sample{ID: id, Time: tm, Value: s.Values[i]})
-			}
-		}
-		a, err := inline.Ingest(batch...)
-		if err != nil {
-			t.Fatalf("inline Ingest: %v", err)
-		}
-		b, err := queued.Ingest(batch...)
-		if err != nil {
-			t.Fatalf("queued Ingest: %v", err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("row %d: inline scored %d, queued scored %d", k, len(a), len(b))
-		}
-		for i := range a {
-			// Bit-for-bit: the row queue only pipelines, never reorders.
-			if math.Float64bits(a[i].System) != math.Float64bits(b[i].System) ||
-				a[i].ScoredPairs != b[i].ScoredPairs || !a[i].Time.Equal(b[i].Time) {
-				t.Fatalf("row %d diverged: inline %+v vs queued %+v", k, a[i], b[i])
-			}
-		}
-	}
-	if inline.Fleet().SystemMean() != queued.Fleet().SystemMean() {
-		t.Errorf("running means diverged: %v vs %v",
-			inline.Fleet().SystemMean(), queued.Fleet().SystemMean())
-	}
-}
-
 func TestNewMonitorValidation(t *testing.T) {
 	if _, err := mcorr.NewMonitor(mcorr.NewDataset(), mcorr.ManagerConfig{}); err == nil {
 		t.Error("empty history: want error")

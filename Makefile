@@ -6,12 +6,13 @@ all: build check
 
 # check is the gate the default flow runs: static analysis (go vet over
 # every package, internal/obs included), the documentation gate, the full
-# test suite under the race detector (WAL and collector included), the
-# nested benchmark module's own smoke tests, one iteration of the row-path
-# micro-benchmarks, the kill -9 recovery gate and a bounded fuzzing pass
-# over the wire-format, WAL and checkpoint decoders.
+# test suite under the race detector (WAL and collector included), the four
+# example programs run end to end, the nested benchmark module's own smoke
+# tests, one iteration of the row-path micro-benchmarks, the kill -9
+# recovery gate and a bounded fuzzing pass over the wire-format, WAL and
+# checkpoint decoders.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
-check: vet docs-check race bench-rowpath bench-smoke crash-test fuzz-short
+check: vet docs-check race examples bench-rowpath bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -120,6 +121,10 @@ quality:
 figures:
 	$(GO) run ./cmd/mcfigures
 
+# examples runs the four example programs (~4 s): `go build ./...` compiles
+# them, but only running them shows that the public constructors they call
+# still work — examples/streaming is the one caller of NewMonitor outside
+# cmd/ and the tests.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/datacenter

@@ -81,7 +81,7 @@ func (a *TenantAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				"unknown tenant "+name)
 			return
 		}
-		t.api.ServeHTTP(w, r)
+		t.mon.api.ServeHTTP(w, r)
 	default:
 		obs.WriteJSONError(w, http.StatusNotFound, "not_found",
 			"unknown endpoint; see /api/v1/tenants /api/v1/correlate /api/v1/incidents /api/v1/fitness /api/v1/topology")
@@ -155,7 +155,7 @@ func (a *TenantAPI) serveTenants(w http.ResponseWriter, r *http.Request) {
 		fleet := t.mon.Fleet()
 		info := tenantInfo{
 			Name:         t.name,
-			Durable:      t.dur != nil,
+			Durable:      t.mon.durable(),
 			Measurements: len(fleet.IDs()),
 			Pairs:        len(fleet.Pairs()),
 			Steps:        fleet.Steps(),
@@ -392,7 +392,7 @@ func (t *Tenant) Correlate(q correlateQuery) (*correlateResponse, error) {
 		return nil, &httpError{http.StatusNotFound, "unknown_tenant", "tenant " + t.name + " closed"}
 	}
 	step := t.mon.step
-	cursor := t.mon.cursor
+	cursor := t.mon.Cursor()
 	// Ingest steps the fleet — and, across a discovery round boundary,
 	// rewrites the admitted set — under t.mu, so the fleet and discovery
 	// snapshots (small copies) are taken here, not after the unlock.

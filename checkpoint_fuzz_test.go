@@ -63,7 +63,7 @@ func FuzzCheckpointRecords(f *testing.F) {
 
 	dir := f.TempDir() // empty: a coord section finds no shard files
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st := &checkpointState{}
+		st := &pipelineState{}
 		cr, err := manager.NewCheckpointReader(bytes.NewReader(data), &st.meta)
 		if err == nil {
 			err = st.decode(cr, DurabilityConfig{DataDir: dir}, nil)

@@ -246,7 +246,7 @@ func TestCheckpointBoundedAllocation(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	var re *mcorr.DurableMonitor
+	var re *mcorr.Monitor
 	read := allocated(func() {
 		if re, _, err = mcorr.OpenDurableMonitor(dcfg, nil); err != nil {
 			t.Fatalf("OpenDurableMonitor: %v", err)

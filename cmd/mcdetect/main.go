@@ -130,71 +130,33 @@ func run() error {
 			return fmt.Errorf("-shard-workers cannot combine with -tenant, -data-dir, -load-models, -save-models or -pair-budget")
 		}
 	}
+	p := runParams{
+		trainDays: *trainDays, adaptive: *adaptive,
+		threshold: *threshold, sysThresh: *sysThresh, delta: *delta,
+		holdoff: *holdoff, maxMeas: *maxMeas, shards: *shards,
+		dataDir: *dataDir, every: *ckptEvery, interval: *ckptIvl,
+		fsync: *fsync, pace: *pace,
+		incident: *incident, incidentCfg: diagCfg,
+		pairBudget: *pairBudget, discCfg: discCfg,
+	}
 	if specs != nil {
 		if *loadFrom != "" || *saveTo != "" || *truthPath != "" {
 			return fmt.Errorf("-tenant cannot combine with -load-models, -save-models or -truth")
 		}
-		return runTenants(specs, tenantParams{
-			trainDays: *trainDays, adaptive: *adaptive,
-			threshold: *threshold, sysThresh: *sysThresh, delta: *delta,
-			holdoff: *holdoff, maxMeas: *maxMeas, shards: *shards,
-			dataDir: *dataDir, every: *ckptEvery, interval: *ckptIvl,
-			fsync: *fsync, pace: *pace,
-			incident: *incident, incidentCfg: diagCfg,
-			pairBudget: *pairBudget, discCfg: discCfg,
-		})
+		return runTenants(specs, p)
 	}
-	f, err := os.Open(*dataPath)
+	ds, err := loadCSV(*dataPath)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	ds, err := timeseries.ReadCSV(f)
+	start, trainEnd, end, err := p.window(ds)
 	if err != nil {
 		return err
 	}
-	ids := ds.IDs()
-	if len(ids) == 0 {
-		return fmt.Errorf("empty dataset")
-	}
-	start := ds.Get(ids[0]).Start
-	end := ds.Get(ids[0]).End()
-	for _, id := range ids {
-		s := ds.Get(id)
-		if s.Start.Before(start) {
-			start = s.Start
-		}
-		if s.End().After(end) {
-			end = s.End()
-		}
-	}
-	trainEnd := start.AddDate(0, 0, *trainDays)
-	if !trainEnd.Before(end) {
-		return fmt.Errorf("training window (%d days) covers the whole file", *trainDays)
-	}
-
-	memory := &alarm.MemorySink{}
-	logSink := &alarm.LogSink{Logger: log.New(os.Stdout, "ALARM ", 0)}
-	sink := alarm.NewDeduper(alarm.Multi{memory, logSink}, *holdoff)
-
-	mcfg := manager.Config{
-		Model:                core.Config{Adaptive: *adaptive, Grid: core.GridConfig{MaxIntervals: 12}},
-		MeasurementThreshold: *threshold,
-		SystemThreshold:      *sysThresh,
-		ProbDelta:            *delta,
-		Sink:                 sink,
-		TrackPairMeans:       true,
-	}
-
 	if *dataDir != "" {
-		dcfg := durableConfig{
-			dataDir: *dataDir, every: *ckptEvery, interval: *ckptIvl,
-			fsync: *fsync, pace: *pace, maxMeas: *maxMeas, shards: *shards,
-			incident: *incident, incidentCfg: diagCfg,
-			pairBudget: *pairBudget, discCfg: discCfg,
-		}
-		return runDurable(ds, start, trainEnd, end, mcfg, dcfg, memory)
+		return runDurable(ds, start, trainEnd, end, p)
 	}
+	mcfg, memory := p.managerConfig()
 
 	var fleet mcorr.Fleet
 	var watched *timeseries.Dataset
@@ -205,7 +167,7 @@ func run() error {
 		if *pairBudget != "" {
 			return fmt.Errorf("-load-models cannot combine with -pair-budget (discovery state persists via -data-dir checkpoints)")
 		}
-		mgr, err := loadModels(*loadFrom, sink)
+		mgr, err := loadModels(*loadFrom, mcfg.Sink)
 		if err != nil {
 			return err
 		}
@@ -213,25 +175,19 @@ func run() error {
 		watched = eval.Subset(ds, mgr.IDs())
 		fmt.Printf("restored %d pair models from %s\n", len(mgr.Pairs()), *loadFrom)
 	} else {
-		selected := eval.SelectMeasurements(ds, start, trainEnd, eval.SelectionCriteria{Max: *maxMeas, MinCV: 0.01})
-		if len(selected) < 2 {
-			return fmt.Errorf("fewer than 2 measurements pass the variance filter")
+		if watched, err = p.selectWatched(ds, start, trainEnd); err != nil {
+			return err
 		}
-		watched = eval.Subset(ds, selected)
+		l := watched.Len()
 		fmt.Printf("training on %s .. %s (%d measurements, %d pairs, %d shards)\n",
-			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339),
-			len(selected), len(selected)*(len(selected)-1)/2, *shards)
+			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), l, l*(l-1)/2, *shards)
 		if *pairBudget != "" {
-			dcfg, derr := discCfg(len(selected))
+			dcfg, derr := discCfg(l)
 			if derr != nil {
 				return derr
 			}
-			var df mcorr.DiscoveryFleet
-			df, err = mcorr.NewDiscoveryFleet(watched.Slice(start, trainEnd), mcfg, dcfg, *shards)
-			if err == nil {
-				admitted, budget, candidates := df.BudgetInfo()
-				fmt.Printf("pair budget: %d admitted of %d candidates (budget %d)\n", admitted, candidates, budget)
-				fleet = df
+			if fleet, err = mcorr.NewDiscoveryFleet(watched.Slice(start, trainEnd), mcfg, dcfg, *shards); err == nil {
+				printBudget(fleet, "")
 			}
 		} else if *shardWorkers != "" {
 			workers := strings.Split(*shardWorkers, ",")
@@ -401,140 +357,247 @@ func max(a, b int) int {
 	return b
 }
 
-// durableConfig carries the -data-dir flag family into runDurable.
-type durableConfig struct {
-	dataDir     string
-	every       int
-	interval    time.Duration
-	fsync       string
-	pace        time.Duration
-	maxMeas     int
-	shards      int
-	incident    bool
-	incidentCfg mcorr.DiagnosisConfig
+// runParams carries the flags the modes share: the training window, the
+// fleet configuration and — for the two streaming modes — durability,
+// diagnosis and discovery.
+type runParams struct {
+	trainDays int
+	adaptive  bool
+	threshold float64
+	sysThresh float64
+	delta     float64
+	holdoff   time.Duration
+	maxMeas   int
+	shards    int
+	dataDir   string
+	every     int
+	interval  time.Duration
+	fsync     string
+	pace      time.Duration
+	incident  bool
 
+	incidentCfg mcorr.DiagnosisConfig
 	// pairBudget is the raw -pair-budget value ("" = discovery off);
 	// discCfg resolves it against a fleet size (percentages need l).
 	pairBudget string
 	discCfg    func(l int) (mcorr.DiscoveryConfig, error)
 }
 
-// runDurable is the crash-safe streaming mode: a DurableMonitor fed row by
+// loadCSV reads a monitoring CSV.
+func loadCSV(path string) (*timeseries.Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := timeseries.ReadCSV(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && ds.Len() == 0 {
+		err = fmt.Errorf("empty dataset")
+	}
+	return ds, err
+}
+
+// window returns the span of the dataset and the end of its training prefix.
+func (p runParams) window(ds *timeseries.Dataset) (start, trainEnd, end time.Time, err error) {
+	ids := ds.IDs()
+	start, end = ds.Get(ids[0]).Start, ds.Get(ids[0]).End()
+	for _, id := range ids {
+		s := ds.Get(id)
+		if s.Start.Before(start) {
+			start = s.Start
+		}
+		if s.End().After(end) {
+			end = s.End()
+		}
+	}
+	trainEnd = start.AddDate(0, 0, p.trainDays)
+	if !trainEnd.Before(end) {
+		err = fmt.Errorf("training window (%d days) covers the whole file", p.trainDays)
+	}
+	return start, trainEnd, end, err
+}
+
+// managerConfig is the fleet configuration over a fresh alarm pipeline:
+// deduped alarms are logged to stdout and counted in the memory sink.
+func (p runParams) managerConfig() (manager.Config, *alarm.MemorySink) {
+	memory := &alarm.MemorySink{}
+	logSink := &alarm.LogSink{Logger: log.New(os.Stdout, "ALARM ", 0)}
+	return manager.Config{
+		Model:                core.Config{Adaptive: p.adaptive, Grid: core.GridConfig{MaxIntervals: 12}},
+		MeasurementThreshold: p.threshold,
+		SystemThreshold:      p.sysThresh,
+		ProbDelta:            p.delta,
+		Sink:                 alarm.NewDeduper(alarm.Multi{memory, logSink}, p.holdoff),
+		TrackPairMeans:       true,
+	}, memory
+}
+
+// selectWatched keeps the highest-variance measurements of the training
+// window, up to -max-measurements.
+func (p runParams) selectWatched(ds *timeseries.Dataset, start, trainEnd time.Time) (*timeseries.Dataset, error) {
+	selected := eval.SelectMeasurements(ds, start, trainEnd, eval.SelectionCriteria{Max: p.maxMeas, MinCV: 0.01})
+	if len(selected) < 2 {
+		return nil, fmt.Errorf("fewer than 2 measurements pass the variance filter")
+	}
+	return eval.Subset(ds, selected), nil
+}
+
+// durability resolves the -data-dir flag family for a pipeline kept in dir.
+func (p runParams) durability(dir string) (mcorr.DurabilityConfig, error) {
+	policy, err := mcorr.ParseSyncPolicy(p.fsync)
+	return mcorr.DurabilityConfig{
+		DataDir:            dir,
+		CheckpointEvery:    p.every,
+		CheckpointInterval: p.interval,
+		Fsync:              policy,
+	}, err
+}
+
+// source decides what a streaming pipeline kept in dir ("" = in memory)
+// starts from and with which monitor options. A checkpoint in dir wins: the
+// history comes back nil, and the checkpoint's recorded topology and
+// discovery config are authoritative (like -shards, the -pair-budget value
+// then only marks discovery as enabled, so percentages resolve against the
+// measurement cap rather than the not-yet-known fleet). Otherwise the
+// history is the training window of the selected measurements, announced
+// with a "training on" line ending in where.
+func (p runParams) source(ds *timeseries.Dataset, start, trainEnd time.Time, dir, where string) (*timeseries.Dataset, []mcorr.MonitorOption, error) {
+	var opts []mcorr.MonitorOption
+	if p.incident {
+		opts = append(opts, mcorr.WithDiagnosis(p.incidentCfg))
+	}
+	var history *timeseries.Dataset
+	l := p.maxMeas
+	if dir == "" || !mcorr.HasCheckpoint(dir) {
+		watched, err := p.selectWatched(ds, start, trainEnd)
+		if err != nil {
+			return nil, nil, err
+		}
+		history, l = watched.Slice(start, trainEnd), watched.Len()
+		fmt.Printf("training on %s .. %s (%d measurements, %d shards)%s\n",
+			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), l, p.shards, where)
+		opts = append(opts, mcorr.WithShards(p.shards))
+	}
+	if p.pairBudget != "" {
+		disc, err := p.discCfg(l)
+		if err != nil {
+			return nil, nil, err
+		}
+		opts = append(opts, mcorr.WithDiscovery(disc))
+	}
+	return history, opts, nil
+}
+
+// pipeline is what the streaming loop drives: the *mcorr.Monitor of the
+// legacy -data-dir mode or a *mcorr.Tenant.
+type pipeline interface {
+	Fleet() mcorr.Fleet
+	Diagnosis() *mcorr.DiagnosisEngine
+	Ingest(samples ...mcorr.Sample) ([]mcorr.StepReport, error)
+	FlushUpTo(deadline time.Time) ([]mcorr.StepReport, error)
+}
+
+// streamRow feeds the pipeline the samples the CSV holds at t, forces the
+// row so a gap cannot stall the stream, and prints what was scored.
+func streamRow(pl pipeline, ds *timeseries.Dataset, t time.Time, step time.Duration, tenant string) error {
+	var batch []mcorr.Sample
+	for _, id := range pl.Fleet().IDs() {
+		s := ds.Get(id)
+		if s == nil {
+			continue
+		}
+		if idx, ok := s.IndexOf(t); ok {
+			batch = append(batch, mcorr.Sample{ID: id, Time: t, Value: s.Values[idx]})
+		}
+	}
+	reports, err := pl.Ingest(batch...)
+	if err != nil {
+		return err
+	}
+	forced, err := pl.FlushUpTo(t.Add(step))
+	if err != nil {
+		return err
+	}
+	printSteps(append(reports, forced...), tenant)
+	printDiscover(pl.Fleet(), tenant)
+	return nil
+}
+
+// printSummary closes a streaming run: the fitness mean, the worst machine,
+// the alarm count (legacy mode only), incidents and the pair-graph hash.
+func printSummary(pl pipeline, tenant string, alarms *alarm.MemorySink) {
+	fleet := pl.Fleet()
+	fmt.Printf("mean system fitness Q = %.4f over %d rows%s\n", fleet.SystemMean(), fleet.Steps(), tenantSuffix(tenant))
+	if loc := fleet.Localize(); len(loc.Machines) > 0 {
+		fmt.Printf("worst machine: %s Q=%.4f%s\n", loc.Machines[0].Machine, loc.Machines[0].Score, tenantSuffix(tenant))
+	}
+	if alarms != nil {
+		fmt.Printf("alarms: %d\n", alarms.Len())
+	}
+	printIncidents(pl.Diagnosis(), tenant)
+	if _, ok := fleet.(mcorr.DiscoveryFleet); ok {
+		printPairGraph(fleet.Pairs(), tenant)
+	}
+}
+
+// printRecovery is the banner of a pipeline recovered from dir.
+func printRecovery(dir string, mon *mcorr.Monitor, rescored int, tenant string) {
+	applied, skipped := mon.RecoveryStats()
+	fmt.Printf("recovered from %s: %d WAL samples replayed (%d skipped), %d rows re-scored, %d shards, resuming at %s%s\n",
+		dir, applied, skipped, rescored, mon.Shards(), mon.Cursor().Format(time.RFC3339), tenantSuffix(tenant))
+}
+
+// printBudget reports the discovery tier's occupancy, when there is one.
+func printBudget(f mcorr.Fleet, tenant string) {
+	if df, ok := f.(mcorr.DiscoveryFleet); ok {
+		admitted, budget, candidates := df.BudgetInfo()
+		fmt.Printf("pair budget: %d admitted of %d candidates (budget %d)%s\n", admitted, candidates, budget, tenantSuffix(tenant))
+	}
+}
+
+// runDurable is the crash-safe streaming mode: a durable monitor fed row by
 // row from the CSV, with every acked batch in the WAL before the next row
 // and automatic checkpoints on the configured cadence. Restarted with the
 // same -data-dir it recovers from checkpoint + WAL replay and continues
 // where it left off; the per-step fitness lines (STEP <time> Q=<score>)
 // are bit-identical to an uninterrupted run.
-func runDurable(ds *timeseries.Dataset, start, trainEnd, end time.Time, mcfg manager.Config, dcfg durableConfig, memory *alarm.MemorySink) error {
-	policy, err := mcorr.ParseSyncPolicy(dcfg.fsync)
+func runDurable(ds *timeseries.Dataset, start, trainEnd, end time.Time, p runParams) error {
+	dcfg, err := p.durability(p.dataDir)
 	if err != nil {
 		return err
 	}
-	cfg := mcorr.DurabilityConfig{
-		DataDir:            dcfg.dataDir,
-		CheckpointEvery:    dcfg.every,
-		CheckpointInterval: dcfg.interval,
-		Fsync:              policy,
+	mcfg, memory := p.managerConfig()
+	history, opts, err := p.source(ds, start, trainEnd, p.dataDir, ", durable state in "+p.dataDir)
+	if err != nil {
+		return err
 	}
-	var opts []mcorr.MonitorOption
-	if dcfg.incident {
-		opts = append(opts, mcorr.WithDiagnosis(dcfg.incidentCfg))
-	}
-	var dm *mcorr.DurableMonitor
-	if mcorr.HasCheckpoint(dcfg.dataDir) {
-		// The checkpoint's recorded topology wins over -shards: recovery
-		// must reopen the shard files the checkpoint references.
-		if dcfg.pairBudget != "" {
-			// The checkpointed discovery config is authoritative on
-			// recovery (like shard topology); the flag value here only
-			// marks discovery as enabled, so resolve percentages against
-			// the measurement cap rather than the not-yet-known fleet.
-			disc, derr := dcfg.discCfg(dcfg.maxMeas)
-			if derr != nil {
-				return derr
-			}
-			opts = append(opts, mcorr.WithDiscovery(disc))
-		}
+	var mon *mcorr.Monitor
+	if history == nil {
 		var recovered []mcorr.StepReport
-		dm, recovered, err = mcorr.OpenDurableMonitor(cfg, mcfg.Sink, opts...)
-		if err != nil {
+		if mon, recovered, err = mcorr.OpenDurableMonitor(dcfg, mcfg.Sink, opts...); err != nil {
 			return err
 		}
-		applied, skipped := dm.RecoveryStats()
-		fmt.Printf("recovered from %s: %d WAL samples replayed (%d skipped), %d rows re-scored, %d shards, resuming at %s\n",
-			dcfg.dataDir, applied, skipped, len(recovered), dm.Monitor().Shards(), dm.Cursor().Format(time.RFC3339))
-		for _, r := range recovered {
-			printStep(r, "")
-		}
+		printRecovery(p.dataDir, mon, len(recovered), "")
+		printSteps(recovered, "")
 	} else {
-		selected := eval.SelectMeasurements(ds, start, trainEnd, eval.SelectionCriteria{Max: dcfg.maxMeas, MinCV: 0.01})
-		if len(selected) < 2 {
-			return fmt.Errorf("fewer than 2 measurements pass the variance filter")
-		}
-		watched := eval.Subset(ds, selected)
-		fmt.Printf("training on %s .. %s (%d measurements, %d shards), durable state in %s\n",
-			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), len(selected), dcfg.shards, dcfg.dataDir)
-		if dcfg.pairBudget != "" {
-			disc, derr := dcfg.discCfg(len(selected))
-			if derr != nil {
-				return derr
-			}
-			opts = append(opts, mcorr.WithDiscovery(disc))
-		}
-		dm, err = mcorr.NewDurableMonitor(watched.Slice(start, trainEnd), mcfg, cfg,
-			append(opts, mcorr.WithShards(dcfg.shards))...)
-		if err != nil {
+		if mon, err = mcorr.NewDurableMonitor(history, mcfg, dcfg, opts...); err != nil {
 			return err
 		}
-		if df, ok := dm.Fleet().(mcorr.DiscoveryFleet); ok {
-			admitted, budget, candidates := df.BudgetInfo()
-			fmt.Printf("pair budget: %d admitted of %d candidates (budget %d)\n", admitted, candidates, budget)
-		}
+		printBudget(mon.Fleet(), "")
 	}
-	ids := dm.Fleet().IDs()
-	step := ds.Get(ids[0]).Step
-	for t := dm.Cursor(); t.Before(end); t = t.Add(step) {
-		if dcfg.pace > 0 {
-			time.Sleep(dcfg.pace)
+	step := ds.Get(ds.IDs()[0]).Step
+	for t := mon.Cursor(); t.Before(end); t = t.Add(step) {
+		if p.pace > 0 {
+			time.Sleep(p.pace)
 		}
-		var batch []mcorr.Sample
-		for _, id := range ids {
-			s := ds.Get(id)
-			if s == nil {
-				continue
-			}
-			if idx, ok := s.IndexOf(t); ok {
-				batch = append(batch, mcorr.Sample{ID: id, Time: t, Value: s.Values[idx]})
-			}
-		}
-		reports, err := dm.Ingest(batch...)
-		if err != nil {
+		if err := streamRow(mon, ds, t, step, ""); err != nil {
 			return err
 		}
-		forced, err := dm.FlushUpTo(t.Add(step))
-		if err != nil {
-			return err
-		}
-		for _, r := range reports {
-			printStep(r, "")
-		}
-		for _, r := range forced {
-			printStep(r, "")
-		}
-		printDiscover(dm.Fleet(), "")
 	}
-
-	fleet := dm.Fleet()
-	fmt.Printf("mean system fitness Q = %.4f over %d rows\n", fleet.SystemMean(), fleet.Steps())
-	if loc := fleet.Localize(); len(loc.Machines) > 0 {
-		fmt.Printf("worst machine: %s Q=%.4f\n", loc.Machines[0].Machine, loc.Machines[0].Score)
-	}
-	fmt.Printf("alarms: %d\n", memory.Len())
-	printIncidents(dm.Diagnosis(), "")
-	if _, ok := dm.Fleet().(mcorr.DiscoveryFleet); ok {
-		printPairGraph(dm.Fleet().Pairs(), "")
-	}
-	return dm.Close()
+	printSummary(mon, "", memory)
+	return mon.Close()
 }
 
 // tenantSuffix is what tenant mode appends to every deterministic line
@@ -605,6 +668,12 @@ func printStep(r mcorr.StepReport, tenant string) {
 	fmt.Printf("STEP %s Q=%.17g scored=%d%s\n", r.Time.Format(time.RFC3339), r.System, r.ScoredPairs, tenantSuffix(tenant))
 }
 
+func printSteps(reports []mcorr.StepReport, tenant string) {
+	for _, r := range reports {
+		printStep(r, tenant)
+	}
+}
+
 // tenantSpec names one tenant and the monitoring CSV it streams.
 type tenantSpec struct {
 	name string
@@ -644,28 +713,6 @@ func parseTenantArg(arg, dataPath string) ([]tenantSpec, error) {
 	return specs, nil
 }
 
-// tenantParams carries the flag family into runTenants.
-type tenantParams struct {
-	trainDays int
-	adaptive  bool
-	threshold float64
-	sysThresh float64
-	delta     float64
-	holdoff   time.Duration
-	maxMeas   int
-	shards    int
-	dataDir   string
-	every     int
-	interval  time.Duration
-	fsync     string
-	pace      time.Duration
-	incident  bool
-
-	incidentCfg mcorr.DiagnosisConfig
-	pairBudget  string
-	discCfg     func(l int) (mcorr.DiscoveryConfig, error)
-}
-
 // tenantRun is one tenant's streaming state inside runTenants.
 type tenantRun struct {
 	name string
@@ -680,125 +727,49 @@ type tenantRun struct {
 // on a merged clock. Every deterministic line (STEP, DISCOVER, INCIDENT,
 // PAIRGRAPH) carries a tenant= suffix so per-tenant trajectories can be
 // compared bit for bit across runs and process layouts.
-func runTenants(specs []tenantSpec, p tenantParams) error {
-	durable := p.dataDir != ""
-	var dcfg mcorr.DurabilityConfig
-	if durable {
-		policy, err := mcorr.ParseSyncPolicy(p.fsync)
-		if err != nil {
-			return err
-		}
-		dcfg = mcorr.DurabilityConfig{
-			CheckpointEvery:    p.every,
-			CheckpointInterval: p.interval,
-			Fsync:              policy,
-		}
+func runTenants(specs []tenantSpec, p runParams) error {
+	dcfg, err := p.durability("") // the registry derives each tenant's DataDir
+	if err != nil {
+		return err
 	}
 	reg := mcorr.NewTenantRegistry(p.dataDir)
 	defer reg.Close()
 
-	logSink := &alarm.LogSink{Logger: log.New(os.Stdout, "ALARM ", 0)}
 	runs := make([]tenantRun, 0, len(specs))
 	for _, spec := range specs {
-		f, err := os.Open(spec.csv)
+		name, dir := spec.name, ""
+		if p.dataDir != "" {
+			dir = mcorr.TenantDir(p.dataDir, name)
+		}
+		ds, err := loadCSV(spec.csv)
 		if err != nil {
-			return err
+			return fmt.Errorf("tenant %s: %w", name, err)
 		}
-		ds, err := timeseries.ReadCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		start, trainEnd, end, err := p.window(ds)
 		if err != nil {
-			return fmt.Errorf("tenant %s: %w", spec.name, err)
+			return fmt.Errorf("tenant %s: %w", name, err)
 		}
-		ids := ds.IDs()
-		if len(ids) == 0 {
-			return fmt.Errorf("tenant %s: empty dataset", spec.name)
+		history, opts, err := p.source(ds, start, trainEnd, dir, tenantSuffix(name))
+		if err != nil {
+			return fmt.Errorf("tenant %s: %w", name, err)
 		}
-		start, end := ds.Get(ids[0]).Start, ds.Get(ids[0]).End()
-		for _, id := range ids {
-			s := ds.Get(id)
-			if s.Start.Before(start) {
-				start = s.Start
-			}
-			if s.End().After(end) {
-				end = s.End()
-			}
-		}
-		trainEnd := start.AddDate(0, 0, p.trainDays)
-		if !trainEnd.Before(end) {
-			return fmt.Errorf("tenant %s: training window (%d days) covers the whole file", spec.name, p.trainDays)
-		}
-
-		memory := &alarm.MemorySink{}
-		mcfg := manager.Config{
-			Model:                core.Config{Adaptive: p.adaptive, Grid: core.GridConfig{MaxIntervals: 12}},
-			MeasurementThreshold: p.threshold,
-			SystemThreshold:      p.sysThresh,
-			ProbDelta:            p.delta,
-			Sink:                 alarm.NewDeduper(alarm.Multi{memory, logSink}, p.holdoff),
-			TrackPairMeans:       true,
-		}
-		var opts []mcorr.MonitorOption
-		if p.incident {
-			opts = append(opts, mcorr.WithDiagnosis(p.incidentCfg))
-		}
-
-		recovering := durable && mcorr.HasCheckpoint(mcorr.TenantDir(p.dataDir, spec.name))
-		var history *timeseries.Dataset
-		if recovering {
-			// The checkpoint's recorded topology and discovery config win
-			// on recovery; the flags only mark discovery as enabled, so
-			// percentages resolve against the measurement cap.
-			if p.pairBudget != "" {
-				disc, derr := p.discCfg(p.maxMeas)
-				if derr != nil {
-					return derr
-				}
-				opts = append(opts, mcorr.WithDiscovery(disc))
-			}
-		} else {
-			selected := eval.SelectMeasurements(ds, start, trainEnd, eval.SelectionCriteria{Max: p.maxMeas, MinCV: 0.01})
-			if len(selected) < 2 {
-				return fmt.Errorf("tenant %s: fewer than 2 measurements pass the variance filter", spec.name)
-			}
-			watched := eval.Subset(ds, selected)
-			history = watched.Slice(start, trainEnd)
-			fmt.Printf("training on %s .. %s (%d measurements, %d shards) tenant=%s\n",
-				start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), len(selected), p.shards, spec.name)
-			if p.pairBudget != "" {
-				disc, derr := p.discCfg(len(selected))
-				if derr != nil {
-					return derr
-				}
-				opts = append(opts, mcorr.WithDiscovery(disc))
-			}
-			opts = append(opts, mcorr.WithShards(p.shards))
-		}
-
-		name := spec.name
+		mcfg, _ := p.managerConfig()
 		t, err := reg.CreateTenant(mcorr.TenantConfig{
 			Name:       name,
 			History:    history,
 			Manager:    mcfg,
-			Durable:    durable,
+			Durable:    dir != "",
 			Durability: dcfg,
 			Options:    opts,
-			OnReport:   func(tenant string, r mcorr.StepReport) { printStep(r, tenant) },
 		})
 		if err != nil {
 			return err
 		}
-		if recovering {
-			applied, skipped := t.Durable().RecoveryStats()
-			fmt.Printf("recovered from %s: %d WAL samples replayed (%d skipped), %d rows re-scored, %d shards, resuming at %s tenant=%s\n",
-				mcorr.TenantDir(p.dataDir, name), applied, skipped, len(t.Recovered()),
-				t.Monitor().Shards(), t.Monitor().Cursor().Format(time.RFC3339), name)
+		if history == nil {
+			printSteps(t.Recovered(), name)
+			printRecovery(dir, t.Monitor(), len(t.Recovered()), name)
 		}
-		if df, ok := t.Fleet().(mcorr.DiscoveryFleet); ok {
-			admitted, budget, candidates := df.BudgetInfo()
-			fmt.Printf("pair budget: %d admitted of %d candidates (budget %d) tenant=%s\n", admitted, candidates, budget, name)
-		}
+		printBudget(t.Fleet(), name)
 		runs = append(runs, tenantRun{name: name, t: t, ds: ds, end: end})
 	}
 
@@ -822,36 +793,14 @@ func runTenants(specs []tenantSpec, p tenantParams) error {
 			if tm.Before(rs.t.Monitor().Cursor()) || !tm.Before(rs.end) {
 				continue
 			}
-			var batch []mcorr.Sample
-			for _, id := range rs.t.Fleet().IDs() {
-				s := rs.ds.Get(id)
-				if s == nil {
-					continue
-				}
-				if idx, ok := s.IndexOf(tm); ok {
-					batch = append(batch, mcorr.Sample{ID: id, Time: tm, Value: s.Values[idx]})
-				}
-			}
-			if _, err := rs.t.Ingest(batch...); err != nil {
+			if err := streamRow(rs.t, rs.ds, tm, step, rs.name); err != nil {
 				return fmt.Errorf("tenant %s: %w", rs.name, err)
 			}
-			if _, err := rs.t.FlushUpTo(tm.Add(step)); err != nil {
-				return fmt.Errorf("tenant %s: %w", rs.name, err)
-			}
-			printDiscover(rs.t.Fleet(), rs.name)
 		}
 	}
 
 	for _, rs := range runs {
-		fleet := rs.t.Fleet()
-		fmt.Printf("mean system fitness Q = %.4f over %d rows tenant=%s\n", fleet.SystemMean(), fleet.Steps(), rs.name)
-		if loc := fleet.Localize(); len(loc.Machines) > 0 {
-			fmt.Printf("worst machine: %s Q=%.4f tenant=%s\n", loc.Machines[0].Machine, loc.Machines[0].Score, rs.name)
-		}
-		printIncidents(rs.t.Diagnosis(), rs.name)
-		if _, ok := fleet.(mcorr.DiscoveryFleet); ok {
-			printPairGraph(fleet.Pairs(), rs.name)
-		}
+		printSummary(rs.t, rs.name, nil)
 	}
 	return reg.Close()
 }

@@ -61,7 +61,7 @@ func TestDiagnosisBlamesInjectedFault(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewMonitor: %v", err)
 			}
-			defer mon.Fleet().Close()
+			defer mon.Close()
 			diag := mon.Diagnosis()
 			if diag == nil {
 				t.Fatal("Diagnosis() = nil despite WithDiagnosis")

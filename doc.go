@@ -43,15 +43,17 @@
 // owns its models and worker pool — while a coordinator merges every
 // shard's per-pair outcomes through one central aggregation path, so the
 // Q^a/Q trajectories stay bit-identical to an unsharded run for any shard
-// count. Monitor.Reshard (and DurableMonitor.Reshard) repartitions a live
-// fleet without retraining or disturbing the trajectory. The Fleet
-// interface abstracts over both shapes.
+// count. Monitor.Reshard repartitions a live fleet without retraining or
+// disturbing the trajectory (and, on a durable monitor, checkpoints the new
+// topology at once). The Fleet interface abstracts over both shapes.
 //
 // # Durability
 //
-// NewDurableMonitor/OpenDurableMonitor wrap the monitor in a write-ahead
-// log plus crash-atomic checkpoints under a data directory. Every acked
-// sample batch is logged before ingestion returns; recovery restores the
+// A Monitor is one type in every mode. NewDurableMonitor/OpenDurableMonitor
+// build it with a write-ahead log plus crash-atomic checkpoints under a data
+// directory; NewMonitor builds the same pipeline in memory, where Checkpoint
+// is a no-op and Close only releases the fleet. Every acked sample batch
+// is logged before ingestion returns; recovery restores the
 // last checkpoint, replays the WAL tail and re-scores the recovered rows,
 // reproducing the pre-crash fitness trajectory exactly. Sharded fleets
 // checkpoint one epoch-versioned file per shard plus a root checkpoint

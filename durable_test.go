@@ -14,7 +14,7 @@ import (
 
 // feedRows streams n full rows starting at from into the durable monitor,
 // mirroring mcdetect's durable loop (Ingest + forced flush per row).
-func feedRows(t *testing.T, dm *mcorr.DurableMonitor, ds *timeseries.Dataset, from time.Time, n int) []mcorr.StepReport {
+func feedRows(t *testing.T, dm *mcorr.Monitor, ds *timeseries.Dataset, from time.Time, n int) []mcorr.StepReport {
 	t.Helper()
 	var out []mcorr.StepReport
 	for k := 0; k < n; k++ {
@@ -168,56 +168,5 @@ func TestOpenDurableMonitorWithoutCheckpoint(t *testing.T) {
 	_, _, err := mcorr.OpenDurableMonitor(mcorr.DurabilityConfig{DataDir: t.TempDir()}, nil)
 	if !errors.Is(err, manager.ErrNoCheckpoint) {
 		t.Fatalf("empty dir = %v, want ErrNoCheckpoint", err)
-	}
-}
-
-func TestOpenDurableStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	id := timeseries.MeasurementID{Machine: "m1", Metric: "cpu"}
-	t0 := time.Date(2026, time.March, 1, 0, 0, 0, 0, time.UTC)
-
-	s, replayed, err := mcorr.OpenDurableStore(dir, time.Minute, 0, mcorr.SyncBatch)
-	if err != nil {
-		t.Fatalf("OpenDurableStore: %v", err)
-	}
-	if replayed != 0 {
-		t.Fatalf("fresh dir replayed %d samples", replayed)
-	}
-	for i := 0; i < 4; i++ {
-		if err := s.Append(mcorr.Sample{ID: id, Time: t0.Add(time.Duration(i) * time.Minute), Value: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mcorr.CheckpointStore(dir, s); err != nil {
-		t.Fatalf("CheckpointStore: %v", err)
-	}
-	for i := 4; i < 7; i++ {
-		if err := s.Append(mcorr.Sample{ID: id, Time: t0.Add(time.Duration(i) * time.Minute), Value: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mcorr.CloseDurableStore(s); err != nil {
-		t.Fatalf("CloseDurableStore: %v", err)
-	}
-
-	s2, replayed, err := mcorr.OpenDurableStore(dir, time.Minute, 0, mcorr.SyncBatch)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer mcorr.CloseDurableStore(s2)
-	if replayed != 3 {
-		t.Errorf("replayed %d samples, want 3 (the tail past the checkpoint)", replayed)
-	}
-	if got := s2.Len(id); got != 7 {
-		t.Errorf("recovered store has %d samples, want 7", got)
-	}
-	series, err := s2.Query(id, t0, t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range series.Values {
-		if v != float64(i) {
-			t.Errorf("value %d = %v, want %d", i, v, i)
-		}
 	}
 }

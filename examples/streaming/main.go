@@ -42,6 +42,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer mon.Close()
 
 	// Stand up the collector and connect one TCP agent per machine.
 	store, err := mcorr.NewStore(timeseries.SampleStep, 0)

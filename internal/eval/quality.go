@@ -168,8 +168,8 @@ func runQualityScenario(budget string, kind simulator.FaultKind) (FaultQuality, 
 	if err != nil {
 		return fq, 0, 0, err
 	}
+	defer mon.Close()
 	fleet := mon.Fleet()
-	defer fleet.Close()
 
 	candidates := len(selected) * (len(selected) - 1) / 2
 	pairs := len(fleet.Pairs())

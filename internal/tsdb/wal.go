@@ -106,14 +106,6 @@ func (s *Store) AttachWAL(l *wal.Log) {
 	s.mu.Unlock()
 }
 
-// WAL returns the attached write-ahead log (nil when the store is purely
-// in-memory).
-func (s *Store) WAL() *wal.Log {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wal
-}
-
 // walAppendLocked logs the applied prefix of a batch. Caller holds s.mu.
 func (s *Store) walAppendLocked(applied []Sample) error {
 	payload, err := EncodeWALBatch(applied)

@@ -1,8 +1,11 @@
 package mcorr
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
+	"sync"
 	"time"
 
 	"mcorr/internal/alarm"
@@ -16,6 +19,7 @@ import (
 	"mcorr/internal/shardnet"
 	"mcorr/internal/timeseries"
 	"mcorr/internal/tsdb"
+	"mcorr/internal/wal"
 )
 
 // Core model surface.
@@ -321,14 +325,8 @@ type monitorOptions struct {
 	discovery *DiscoveryConfig
 	// tenantOwned suppresses the monitor-level /api/v1/ registration: a
 	// tenant's monitor must not shadow the registry-wide TenantAPI that
-	// dispatches to every tenant by name.
+	// dispatches to every tenant by name (see ownedByTenant).
 	tenantOwned bool
-}
-
-// withTenantOwnedAPI marks the monitor as owned by a Tenant, which
-// mounts the API surface itself (through the registry's TenantAPI).
-func withTenantOwnedAPI() MonitorOption {
-	return func(o *monitorOptions) { o.tenantOwned = true }
 }
 
 // WithShards partitions the monitor's pair graph across n manager shards
@@ -339,92 +337,195 @@ func WithShards(n int) MonitorOption {
 	return func(o *monitorOptions) { o.shards = n }
 }
 
-// Monitor glues a store and a scoring fleet together for streaming use:
-// ingest samples as they arrive, and complete rows are scored
-// automatically in time order. A row travels from the store to the pair
-// loop as one slice in the fleet's measurement order: read out of the store
-// into rowBuf, scored from it, then overwritten by the next row.
+// Monitor is the streaming pipeline of one monitored system, the same type
+// in every mode: a store, a row reader over it, a scoring fleet and its
+// cursor, optionally a diagnosis engine and — when durable — a write-ahead
+// log with checkpoints. Ingest samples as they arrive, and complete rows are
+// scored automatically in time order. A row travels from the store to the
+// pair loop as one slice in the fleet's measurement order: read out of the
+// store into rowBuf, scored from it, then overwritten by the next row.
+//
+// A durable monitor (NewDurableMonitor, OpenDurableMonitor) survives crashes:
+// every acked sample batch is in the write-ahead log before Ingest returns,
+// and the whole pipeline (model fleet, store, scoring cursor) is checkpointed
+// atomically on a step/time cadence. After a crash, OpenDurableMonitor
+// restores the last checkpoint, replays the WAL tail, and re-scores the
+// recovered rows — reproducing the exact fitness trajectory of an
+// uninterrupted run (scoring is deterministic).
+//
+// Flow control composes with durability: rows are scored inline, in time
+// order, on the ingesting goroutine, so a slow fleet blocks ingest and
+// nothing between the WAL and the scorer ever sheds data — trajectories
+// stay bit-identical, including across crash recovery. Overload shedding is
+// allowed only at the collector boundary, before a sample is acked into the
+// WAL (see CollectorServer.SetFlow).
+//
+// A Monitor is safe for concurrent use: its methods serialize on one lock,
+// and every one that feeds or changes it fails once it is closed.
 type Monitor struct {
-	store  *Store
-	fleet  Fleet
-	step   time.Duration
-	cursor time.Time
-	ids    []MeasurementID  // fleet.IDs(): the row's column order
-	rows   *tsdb.RowReader  // the store, read in ids order
-	rowBuf []float64        // the row being scored
-	diag   *DiagnosisEngine // non-nil iff built with WithDiagnosis
-	api    *diagnose.API    // per-fleet API (nil unless diagnosis is on)
+	store *Store
+	fleet Fleet
+	step  time.Duration
+	ids   []MeasurementID  // fleet.IDs(): the row's column order
+	rows  *tsdb.RowReader  // the store, read in ids order
+	diag  *DiagnosisEngine // non-nil iff built with WithDiagnosis
+	api   *diagnose.API    // per-fleet API (nil unless diagnosis is on or a tenant owns the monitor)
+	// The durable half, zero in memory: the monitor is durable iff log is
+	// non-nil.
+	log *wal.Log
+	cfg DurabilityConfig
+
+	mu      sync.Mutex // guards everything below
+	closed  bool
+	cursor  time.Time
+	rowBuf  []float64       // the row being scored
+	scored  int             // cumulative scored rows, the cadence's progress counter
+	cadence manager.Cadence // never due in memory
+	epoch   uint64          // last committed checkpoint epoch
+
+	replayApplied, replaySkipped int // what OpenDurableMonitor read out of the WAL
 }
 
-// newMonitor binds a store and a fleet into a monitor scoring from cursor.
-func newMonitor(store *Store, fleet Fleet, cursor time.Time, diag *DiagnosisEngine, api *diagnose.API) *Monitor {
-	ids := fleet.IDs()
-	return &Monitor{store: store, fleet: fleet, step: store.Step(), cursor: cursor, ids: ids,
-		rows: store.Rows(ids), rowBuf: make([]float64, len(ids)), diag: diag, api: api}
-}
+var errMonitorClosed = errors.New("monitor: closed")
 
-// newFleet trains either a single manager or a sharded coordinator.
-func newFleet(history *Dataset, cfg ManagerConfig, shards int) (Fleet, error) {
-	if shards > 1 {
-		return shard.New(history, shard.Config{Shards: shards, Manager: cfg})
-	}
-	return manager.New(history, cfg)
-}
+// durable reports whether the monitor keeps a WAL and checkpoints.
+func (m *Monitor) durable() bool { return m.log != nil }
 
-// NewMonitor trains a scoring fleet on history and returns a monitor
-// whose cursor starts at the end of the history window. By default the
-// fleet is one Manager; WithShards(n) partitions it across n shards.
+// NewMonitor trains a scoring fleet on history and returns an in-memory
+// monitor whose cursor starts at the end of the history window. By default
+// the fleet is one Manager; WithShards(n) partitions it across n shards.
 func NewMonitor(history *Dataset, cfg ManagerConfig, opts ...MonitorOption) (*Monitor, error) {
+	m, _, err := assemble(history, cfg, nil, opts)
+	return m, err
+}
+
+// assemble is the one constructor behind NewMonitor, NewDurableMonitor and
+// OpenDurableMonitor, and so behind every Tenant. A non-nil history trains
+// the fleet; a nil one recovers it from dur's checkpoint and returns the
+// rows re-scored out of the WAL tail. A nil dur keeps the pipeline in memory.
+func assemble(history *Dataset, mcfg ManagerConfig, dur *DurabilityConfig, opts []MonitorOption) (*Monitor, []StepReport, error) {
 	var o monitorOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ids := history.IDs()
-	if len(ids) < 2 {
-		return nil, fmt.Errorf("monitor needs at least 2 measurements, got %d", len(ids))
+	m := &Monitor{}
+	if dur != nil {
+		m.cfg = *dur
+		m.cadence = manager.Cadence{EverySteps: dur.CheckpointEvery, Interval: dur.CheckpointInterval}
+		if dur.CheckpointEvery == 0 && dur.CheckpointInterval == 0 {
+			m.cadence.EverySteps = 240 // the documented default: one simulated day
+		}
+		if history != nil {
+			// Fresh state: an unusable directory fails now, not after training.
+			if dur.DataDir == "" {
+				return nil, nil, fmt.Errorf("durable monitor: DataDir is required")
+			}
+			if err := os.MkdirAll(dur.DataDir, 0o755); err != nil {
+				return nil, nil, fmt.Errorf("durable monitor: %w", err)
+			}
+		}
 	}
-	step := history.Get(ids[0]).Step
-	var diag *DiagnosisEngine
 	if o.diagnosis != nil {
-		// The engine wraps the alarm sink before the fleet exists so it
-		// sees the full stream from the first scored row.
-		diag = diagnose.NewEngine(*o.diagnosis)
-		cfg.Sink = diag.WrapSink(cfg.Sink)
+		// The engine wraps the alarm sink before the fleet exists so it sees
+		// the full stream from the first scored — or replayed — row.
+		m.diag = diagnose.NewEngine(*o.diagnosis)
+		mcfg.Sink = m.diag.WrapSink(mcfg.Sink)
 	}
-	var (
-		fleet Fleet
-		err   error
-	)
-	if o.discovery != nil {
-		fleet, err = newDiscoveryFleet(history, cfg, *o.discovery, o.shards)
+	st := &pipelineState{}
+	var err error
+	if history != nil {
+		err = st.train(history, mcfg, o)
 	} else {
-		fleet, err = newFleet(history, cfg, o.shards)
+		err = st.load(m.cfg, mcfg.Sink, o)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var api *diagnose.API
-	if diag != nil {
-		api = wireDiagnosis(diag, fleet)
+	m.store, m.fleet, m.cursor, m.epoch = st.store, st.fleet, st.meta.Cursor, st.meta.Epoch
+	m.step, m.ids = m.store.Step(), m.fleet.IDs()
+	m.rows, m.rowBuf = m.store.Rows(m.ids), make([]float64, len(m.ids))
+	fail := func(err error) (*Monitor, []StepReport, error) {
+		if m.log != nil {
+			m.log.Close()
+		}
+		m.fleet.Close()
+		return nil, nil, err
+	}
+	if m.diag != nil && len(st.diagnose) > 0 {
+		// The checkpointed engine state goes in before any row replays: the
+		// replay then continues the incident state machine exactly where the
+		// pre-crash run left it (same IDs, same rankings).
+		if err := m.diag.UnmarshalState(st.diagnose); err != nil {
+			return fail(fmt.Errorf("recover diagnosis: %w", err))
+		}
+	}
+	if m.diag != nil || o.tenantOwned {
+		// A tenant without an engine still serves topology through its API.
+		m.api = wireDiagnosis(m.diag, m.fleet)
 		if !o.tenantOwned {
-			obs.RegisterOpsHandler("/api/v1/", api)
+			obs.RegisterOpsHandler("/api/v1/", m.api)
 		}
 	}
-	store, err := tsdb.NewStore(step, 0)
-	if err != nil {
-		fleet.Close()
-		return nil, err
+	if dur == nil {
+		return m, nil, nil
 	}
-	cursor := time.Time{}
-	for _, id := range ids {
-		if end := history.Get(id).End(); end.After(cursor) {
-			cursor = end
+	if history == nil {
+		if m.replayApplied, m.replaySkipped, err = m.store.ReplayWAL(m.cfg.walDir(), st.meta.WALSeq); err != nil {
+			return fail(err)
 		}
 	}
-	return newMonitor(store, fleet, cursor, diag, api), nil
+	if m.log, err = wal.Open(m.cfg.walDir(), wal.Options{Sync: m.cfg.Fsync}); err != nil {
+		return fail(err)
+	}
+	m.store.AttachWAL(m.log)
+	if history != nil {
+		// An initial checkpoint of the freshly trained fleet, so even an
+		// immediate crash recovers to the trained state.
+		if err := m.checkpointLocked(); err != nil {
+			return fail(err)
+		}
+		return m, nil, nil
+	}
+	manager.RecordCheckpointEpoch(m.epoch)
+	// Re-score everything the store holds beyond the checkpoint cursor.
+	// WAL records are whole ingest batches (CRC-framed, torn tails
+	// dropped), so the store only ever recovers complete rows; forcing
+	// the flush here replays the fleet's steps in the original order and
+	// reproduces the pre-crash trajectory bit for bit.
+	var last time.Time
+	for _, id := range m.ids {
+		if t, ok := m.store.LastTime(id); ok && t.After(last) {
+			last = t
+		}
+	}
+	return m, m.scoreLocked(last.Add(m.step)), nil
 }
 
-// Fleet exposes the scoring fleet (a *Manager or a *ShardCoordinator).
+// train fills st with a fresh pipeline's starting state: a fleet trained on
+// history — one manager, n shards, or the pairs discovery admits — an empty
+// store on history's grid and the cursor at the end of the window.
+func (st *pipelineState) train(history *Dataset, cfg ManagerConfig, o monitorOptions) (err error) {
+	ids := history.IDs()
+	if len(ids) < 2 {
+		return fmt.Errorf("monitor needs at least 2 measurements, got %d", len(ids))
+	}
+	if st.store, err = tsdb.NewStore(history.Get(ids[0]).Step, 0); err != nil {
+		return err
+	}
+	switch {
+	case o.discovery != nil:
+		st.fleet, err = newDiscoveryFleet(history, cfg, *o.discovery, o.shards)
+	case o.shards > 1:
+		st.fleet, err = shard.New(history, shard.Config{Shards: o.shards, Manager: cfg})
+	default:
+		st.fleet, err = manager.New(history, cfg)
+	}
+	st.meta.Cursor = datasetEnd(history)
+	return err
+}
+
+// Fleet exposes the scoring fleet (a *Manager or a *ShardCoordinator,
+// behind the discovery wrapper when one is configured).
 func (m *Monitor) Fleet() Fleet { return m.fleet }
 
 // Manager exposes the underlying model fleet when the monitor is
@@ -474,51 +575,93 @@ func (m *Monitor) Shards() int {
 // Reshard repartitions a sharded monitor across n shards without
 // retraining or disturbing the fitness trajectory (see
 // ShardCoordinator.Reshard). It returns the number of pair models that
-// changed owner, and an error on an unsharded monitor.
+// changed owner, and an error on an unsharded monitor. A durable monitor
+// immediately checkpoints the new topology (the checkpoint-split): the new
+// epoch's shard files are written before the root checkpoint flips, so a
+// crash during resharding recovers the old topology and a crash after it
+// recovers the new one — never a mix.
 func (m *Monitor) Reshard(n int) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return 0, errMonitorClosed
+	}
 	coord := m.Coordinator()
 	if coord == nil {
 		return 0, fmt.Errorf("monitor: not sharded; construct with WithShards to reshard")
 	}
-	return coord.Reshard(n)
+	moved, err := coord.Reshard(n)
+	if err != nil {
+		return moved, err
+	}
+	return moved, m.checkpointLocked()
 }
 
-// Cursor returns the timestamp of the next row the monitor will score.
-func (m *Monitor) Cursor() time.Time { return m.cursor }
+// Cursor returns the timestamp of the next row the monitor will score —
+// after recovery, the point a feeder should resume streaming from.
+func (m *Monitor) Cursor() time.Time {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cursor
+}
+
+// RecoveryStats reports how many WAL samples OpenDurableMonitor applied and
+// skipped (zero for a monitor that was not recovered).
+func (m *Monitor) RecoveryStats() (applied, skipped int) {
+	return m.replayApplied, m.replaySkipped
+}
 
 // Ingest stores the samples and scores every row that became complete
 // (all monitored measurements present) up to the newest common timestamp.
 // It returns the reports for the rows scored by this call. The ingest →
 // score pipeline is traced (span "monitor.ingest" on the default obs
-// tracer, visible at /statusz of an ops server).
+// tracer, visible at /statusz of an ops server). On a durable monitor the
+// applied samples are in the WAL before Ingest returns, and a checkpoint is
+// written whenever the configured cadence comes due.
 func (m *Monitor) Ingest(samples ...Sample) ([]StepReport, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, errMonitorClosed
+	}
 	sp := obs.StartSpan("monitor.ingest")
-	defer sp.End()
 	sp.Phase("ingest")
-	if err := m.store.AppendBatch(samples); err != nil {
-		return nil, err
+	err := m.store.AppendBatch(samples)
+	var reports []StepReport
+	if err == nil {
+		sp.Phase("score")
+		// Rows are complete up to the minimum last-sample time — none is
+		// while some measurement has no data yet.
+		if ready, ok := m.rows.Ready(); ok {
+			reports = m.scoreLocked(ready.Add(m.step))
+		}
 	}
-	sp.Phase("score")
-	// Rows are complete up to the minimum last-sample time.
-	ready, ok := m.rows.Ready()
-	if !ok {
-		return nil, nil // some measurement has no data yet
+	sp.End()
+	if err == nil {
+		err = m.checkpointIfDueLocked()
 	}
-	return m.flushUntil(ready.Add(m.step)), nil
+	return reports, err
 }
 
 // FlushUpTo forces scoring of all rows before deadline even if some
-// measurements are missing samples (gaps reset the affected links).
-func (m *Monitor) FlushUpTo(deadline time.Time) []StepReport {
-	return m.flushUntil(deadline)
+// measurements are missing samples (gaps reset the affected links), then
+// applies the checkpoint cadence like Ingest.
+func (m *Monitor) FlushUpTo(deadline time.Time) ([]StepReport, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, errMonitorClosed
+	}
+	reports := m.scoreLocked(deadline)
+	return reports, m.checkpointIfDueLocked()
 }
 
-// flushUntil scores every row from the cursor up to until, in time order
+// scoreLocked scores every row from the cursor up to until, in time order
 // on the calling goroutine: each is read out of the store into rowBuf,
 // stepped through the fleet and, when diagnosis is attached, its finished
 // report fed to the engine — after scoring, never inside it, so the
 // diagnosis layer stays off the Manager.Step hot path.
-func (m *Monitor) flushUntil(until time.Time) []StepReport {
+func (m *Monitor) scoreLocked(until time.Time) []StepReport {
 	var reports []StepReport
 	for ; m.cursor.Before(until); m.cursor = m.cursor.Add(m.step) {
 		m.rows.ReadRow(m.cursor, m.rowBuf)
@@ -528,5 +671,46 @@ func (m *Monitor) flushUntil(until time.Time) []StepReport {
 		}
 		reports = append(reports, report)
 	}
+	m.scored += len(reports)
 	return reports
+}
+
+// checkpointIfDueLocked writes a durable monitor's checkpoint when its
+// cadence has come due.
+func (m *Monitor) checkpointIfDueLocked() error {
+	if !m.durable() || !m.cadence.Due(m.scored, time.Now()) {
+		return nil
+	}
+	return m.checkpointLocked()
+}
+
+// Checkpoint forces an immediate checkpoint regardless of cadence; an
+// in-memory monitor has nothing to write and returns nil.
+func (m *Monitor) Checkpoint() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return errMonitorClosed
+	}
+	return m.checkpointLocked()
+}
+
+// Close releases the fleet's worker pools; a durable monitor first writes a
+// final checkpoint and closes the WAL, so it recovers instantly (empty WAL
+// tail). Closing twice is a no-op.
+func (m *Monitor) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil
+	}
+	m.closed = true
+	err := m.checkpointLocked()
+	if m.durable() {
+		if cerr := m.log.Close(); err == nil {
+			err = cerr
+		}
+	}
+	m.fleet.Close()
+	return err
 }

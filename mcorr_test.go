@@ -115,7 +115,10 @@ func TestMonitorPartialRowsWaitThenFlush(t *testing.T) {
 		t.Errorf("incomplete row should not be scored, got %d reports", len(rep))
 	}
 	// Force it: FlushUpTo scores the partial row (links with gaps reset).
-	forced := mon.FlushUpTo(day1.Add(timeseries.SampleStep))
+	forced, err := mon.FlushUpTo(day1.Add(timeseries.SampleStep))
+	if err != nil {
+		t.Fatalf("FlushUpTo: %v", err)
+	}
 	if len(forced) != 1 {
 		t.Fatalf("FlushUpTo scored %d rows", len(forced))
 	}

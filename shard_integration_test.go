@@ -54,7 +54,7 @@ func TestMonitorWithShardsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
-	defer plain.Fleet().Close()
+	defer plain.Close()
 	if plain.Manager() == nil || plain.Coordinator() != nil || plain.Shards() != 1 {
 		t.Fatal("unsharded monitor accessors inconsistent")
 	}
@@ -66,7 +66,7 @@ func TestMonitorWithShardsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMonitor(WithShards): %v", err)
 	}
-	defer shardedMon.Fleet().Close()
+	defer shardedMon.Close()
 	if shardedMon.Manager() != nil {
 		t.Error("sharded monitor: Manager() should be nil")
 	}
@@ -157,8 +157,8 @@ func TestDurableMonitorShardedRecovery(t *testing.T) {
 		t.Fatalf("OpenDurableMonitor: %v", err)
 	}
 	defer dm.Close()
-	if dm.Coordinator() == nil || dm.Monitor().Shards() != 3 {
-		t.Fatalf("recovered topology: coord=%v shards=%d", dm.Coordinator(), dm.Monitor().Shards())
+	if dm.Coordinator() == nil || dm.Shards() != 3 {
+		t.Fatalf("recovered topology: coord=%v shards=%d", dm.Coordinator(), dm.Shards())
 	}
 	// Rows 10..16 were past the last checkpoint: recovery re-scores them.
 	if len(recovered) != 7 {
@@ -193,8 +193,8 @@ func TestDurableMonitorShardedRecovery(t *testing.T) {
 	if len(replayed) != 0 {
 		t.Errorf("clean close should replay 0 rows, got %d", len(replayed))
 	}
-	if again.Monitor().Shards() != 2 {
-		t.Errorf("reopened shards = %d, want 2", again.Monitor().Shards())
+	if again.Shards() != 2 {
+		t.Errorf("reopened shards = %d, want 2", again.Shards())
 	}
 	if _, err := os.Stat(filepath.Join(dir, "shard-2")); !os.IsNotExist(err) {
 		t.Errorf("shard-2 dir should be garbage-collected after shrink, stat err=%v", err)

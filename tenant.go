@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mcorr/internal/collector"
-	"mcorr/internal/diagnose"
 	"mcorr/internal/obs"
 	"mcorr/internal/tsdb"
 )
@@ -92,8 +91,6 @@ type Tenant struct {
 
 	mu        sync.Mutex
 	mon       *Monitor
-	dur       *DurableMonitor // non-nil iff durable
-	api       *diagnose.API
 	seen      map[MeasurementID]bool
 	onReport  func(string, StepReport)
 	recovered []StepReport
@@ -165,6 +162,9 @@ type Registry struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
+	// pending holds the names CreateTenant is still building: taken, but
+	// not yet open to lookups and routing.
+	pending map[string]bool
 	// collectors are the collector servers routing through this registry
 	// (registered by NewTenantCollectorServer); closing a tenant tears
 	// its per-tenant/per-agent flow series and limiter state out of each.
@@ -176,7 +176,7 @@ type Registry struct {
 // durable tenants ("" = in-memory tenants only; creating a durable
 // tenant then fails).
 func NewTenantRegistry(dataDir string) *Registry {
-	r := &Registry{dataDir: dataDir, tenants: make(map[string]*Tenant)}
+	r := &Registry{dataDir: dataDir, tenants: make(map[string]*Tenant), pending: make(map[string]bool)}
 	obs.RegisterOpsHandler("/api/v1/", NewTenantAPI(r))
 	return r
 }
@@ -184,7 +184,9 @@ func NewTenantRegistry(dataDir string) *Registry {
 // CreateTenant creates (or, for a durable tenant with an existing
 // checkpoint, recovers) a tenant and registers it for routing. The
 // returned tenant's Recovered reports hold the re-scored post-crash rows
-// when recovery happened.
+// when recovery happened. The name is reserved before anything is trained
+// or opened, so of two concurrent calls for one name the second fails
+// without touching the tenant's directory.
 func (r *Registry) CreateTenant(cfg TenantConfig) (*Tenant, error) {
 	name := cfg.Name
 	if name == "" {
@@ -198,104 +200,82 @@ func (r *Registry) CreateTenant(cfg TenantConfig) (*Tenant, error) {
 		r.mu.Unlock()
 		return nil, errors.New("mcorr: tenant registry closed")
 	}
-	if _, dup := r.tenants[name]; dup {
+	if _, dup := r.tenants[name]; dup || r.pending[name] {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("mcorr: tenant %q already exists", name)
 	}
+	r.pending[name] = true
 	r.mu.Unlock()
 
 	t, err := buildTenant(r.dataDir, name, cfg)
-	if err != nil {
-		return nil, err
-	}
 
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		t.Close()
-		return nil, errors.New("mcorr: tenant registry closed")
+	delete(r.pending, name)
+	if err == nil && r.closed {
+		err = errors.New("mcorr: tenant registry closed")
 	}
-	if _, dup := r.tenants[name]; dup {
-		r.mu.Unlock()
-		t.Close()
-		return nil, fmt.Errorf("mcorr: tenant %q already exists", name)
+	if err == nil {
+		r.tenants[name] = t
 	}
-	r.tenants[name] = t
 	n := len(r.tenants)
 	r.mu.Unlock()
+	if err != nil {
+		if t != nil {
+			t.Close()
+		}
+		return nil, err
+	}
 	obsTenantCount.Set(float64(n))
 	return t, nil
 }
 
-// buildTenant constructs the tenant's monitor (fresh or recovered) and
-// wraps it with quota state and the per-tenant API.
-func buildTenant(dataDir, name string, cfg TenantConfig) (*Tenant, error) {
-	opts := append(append([]MonitorOption{}, cfg.Options...), withTenantOwnedAPI())
-	var probe monitorOptions
-	for _, opt := range opts {
-		opt(&probe)
-	}
-	if cfg.Quota.MaxPairs > 0 && probe.discovery != nil {
-		if probe.discovery.Budget == 0 || probe.discovery.Budget > cfg.Quota.MaxPairs {
-			clamped := *probe.discovery
-			clamped.Budget = cfg.Quota.MaxPairs
-			opts = append(opts, WithDiscovery(clamped))
+// ownedByTenant marks the monitor as a Tenant's, which serves the API
+// surface itself (through the registry's TenantAPI), and clamps the
+// discovery budget to the tenant's MaxPairs quota. buildTenant applies it
+// after the caller's options, so it sees the discovery config they settled on.
+func ownedByTenant(maxPairs int) MonitorOption {
+	return func(o *monitorOptions) {
+		o.tenantOwned = true
+		if d := o.discovery; d != nil && maxPairs > 0 && (d.Budget == 0 || d.Budget > maxPairs) {
+			d.Budget = maxPairs // o's own copy, as WithPairBudget treats it
 		}
 	}
+}
 
-	var (
-		mon       *Monitor
-		dur       *DurableMonitor
-		recovered []StepReport
-		err       error
-	)
+// buildTenant constructs the tenant's monitor (fresh or recovered) and
+// wraps it with quota state.
+func buildTenant(dataDir, name string, cfg TenantConfig) (*Tenant, error) {
+	opts := append(append([]MonitorOption{}, cfg.Options...), ownedByTenant(cfg.Quota.MaxPairs))
+	history, dur := cfg.History, (*DurabilityConfig)(nil)
 	switch {
 	case cfg.Durable && dataDir == "":
 		return nil, fmt.Errorf("mcorr: tenant %q is durable but the registry has no data dir", name)
 	case cfg.Durable:
 		dcfg := cfg.Durability
 		dcfg.DataDir = TenantDir(dataDir, name)
+		dur = &dcfg
 		if HasCheckpoint(dcfg.DataDir) {
-			dur, recovered, err = OpenDurableMonitor(dcfg, cfg.Manager.Sink, opts...)
-		} else {
-			if cfg.History == nil {
-				return nil, fmt.Errorf("mcorr: tenant %q has no checkpoint to recover and no history to train on", name)
-			}
-			dur, err = NewDurableMonitor(cfg.History, cfg.Manager, dcfg, opts...)
+			history = nil // recover: the checkpoint wins over cfg.History
+		} else if history == nil {
+			return nil, fmt.Errorf("mcorr: tenant %q has no checkpoint to recover and no history to train on", name)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("mcorr: tenant %q: %w", name, err)
-		}
-		mon = dur.Monitor()
-	default:
-		if cfg.History == nil {
-			return nil, fmt.Errorf("mcorr: tenant %q needs History (in-memory tenants cannot recover)", name)
-		}
-		mon, err = NewMonitor(cfg.History, cfg.Manager, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("mcorr: tenant %q: %w", name, err)
-		}
+	case history == nil:
+		return nil, fmt.Errorf("mcorr: tenant %q needs History (in-memory tenants cannot recover)", name)
+	}
+	mon, recovered, err := assemble(history, cfg.Manager, dur, opts)
+	if err != nil {
+		return nil, fmt.Errorf("mcorr: tenant %q: %w", name, err)
 	}
 
-	if cfg.Quota.MaxPairs > 0 && probe.discovery == nil {
+	if cfg.Quota.MaxPairs > 0 && mon.Discovery() == nil {
 		l := len(mon.ids)
 		if full := l * (l - 1) / 2; full > cfg.Quota.MaxPairs {
-			if dur != nil {
-				dur.Close()
-			} else {
-				mon.fleet.Close()
-			}
+			mon.Close()
 			return nil, fmt.Errorf("mcorr: tenant %q: full pair graph %d exceeds MaxPairs %d (enable discovery with WithPairBudget, or raise the quota)",
 				name, full, cfg.Quota.MaxPairs)
 		}
 	}
 
-	api := mon.api
-	if api == nil {
-		// No diagnosis engine: the tenant still serves topology (and
-		// correlate, which reads the store directly).
-		api = wireDiagnosis(nil, mon.fleet)
-	}
 	seen := make(map[MeasurementID]bool, len(mon.ids))
 	for _, id := range mon.ids {
 		seen[id] = true
@@ -309,20 +289,11 @@ func buildTenant(dataDir, name string, cfg TenantConfig) (*Tenant, error) {
 		name:      name,
 		quota:     cfg.Quota,
 		mon:       mon,
-		dur:       dur,
-		api:       api,
 		seen:      seen,
 		onReport:  cfg.OnReport,
 		recovered: recovered,
 	}
-	if t.onReport != nil {
-		for _, rep := range recovered {
-			t.onReport(name, rep)
-		}
-	}
-	if len(recovered) > 0 {
-		obsTenantRows.With(name).Add(uint64(len(recovered)))
-	}
+	t.noteReportsLocked(recovered) // nobody else holds t yet
 	return t, nil
 }
 
@@ -336,13 +307,11 @@ func (r *Registry) Tenant(name string) (*Tenant, bool) {
 
 // Names returns the open tenants' names, sorted.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.tenants))
-	for n := range r.tenants {
-		names = append(names, n)
+	tenants := r.Tenants()
+	names := make([]string, len(tenants))
+	for i, t := range tenants {
+		names[i] = t.name
 	}
-	r.mu.RUnlock()
-	sort.Strings(names)
 	return names
 }
 
@@ -461,9 +430,6 @@ func (t *Tenant) Quota() TenantQuota { return t.quota }
 // Monitor exposes the tenant's monitor.
 func (t *Tenant) Monitor() *Monitor { return t.mon }
 
-// Durable exposes the durable wrapper, or nil for an in-memory tenant.
-func (t *Tenant) Durable() *DurableMonitor { return t.dur }
-
 // Fleet exposes the tenant's scoring fleet.
 func (t *Tenant) Fleet() Fleet { return t.mon.Fleet() }
 
@@ -499,11 +465,7 @@ func (t *Tenant) Ingest(samples ...Sample) ([]StepReport, error) {
 		err     error
 	)
 	if len(admitted) > 0 {
-		if t.dur != nil {
-			reports, err = t.dur.Ingest(admitted...)
-		} else {
-			reports, err = t.mon.Ingest(admitted...)
-		}
+		reports, err = t.mon.Ingest(admitted...)
 	}
 	t.noteReportsLocked(reports)
 	if err != nil {
@@ -525,15 +487,7 @@ func (t *Tenant) FlushUpTo(deadline time.Time) ([]StepReport, error) {
 	if t.closed {
 		return nil, fmt.Errorf("mcorr: tenant %q closed", t.name)
 	}
-	var (
-		reports []StepReport
-		err     error
-	)
-	if t.dur != nil {
-		reports, err = t.dur.FlushUpTo(deadline)
-	} else {
-		reports = t.mon.FlushUpTo(deadline)
-	}
+	reports, err := t.mon.FlushUpTo(deadline)
 	t.noteReportsLocked(reports)
 	return reports, err
 }
@@ -581,10 +535,10 @@ func (t *Tenant) admitLocked(samples []Sample) ([]Sample, error) {
 func (t *Tenant) Checkpoint() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.dur == nil || t.closed {
+	if t.closed {
 		return nil
 	}
-	return t.dur.Checkpoint()
+	return t.mon.Checkpoint()
 }
 
 // Close releases the tenant: a final checkpoint and WAL close for a
@@ -597,12 +551,7 @@ func (t *Tenant) Close() error {
 		return nil
 	}
 	t.closed = true
-	var err error
-	if t.dur != nil {
-		err = t.dur.Close()
-	} else {
-		t.mon.fleet.Close()
-	}
+	err := t.mon.Close()
 	obsTenantRows.Delete(t.name)
 	obsTenantOpenIncidents.Delete(t.name)
 	obsTenantQuotaRejected.Delete(t.name)

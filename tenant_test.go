@@ -73,7 +73,7 @@ func TestTenantIsolationBitIdentical(t *testing.T) {
 			t.Fatalf("baseline %s scored %d rows, want %d", name, len(reports), rows)
 		}
 		baseline[name] = bits(reports)
-		mon.Fleet().Close()
+		mon.Close()
 	}
 
 	reg := mcorr.NewTenantRegistry("")
@@ -327,7 +327,7 @@ func TestTenantDurableRecovery(t *testing.T) {
 		base = append(base, rep...)
 	}
 	want := bits(base)
-	mon.Fleet().Close()
+	mon.Close()
 
 	dir := t.TempDir()
 	reg := mcorr.NewTenantRegistry(dir)

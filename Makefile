@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: all build vet test race check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short crash-test clean
+.PHONY: all build vet fmt-check test race check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short crash-test clean
 
 all: build check
 
-# check is the gate the default flow runs: static analysis (go vet over
-# every package, internal/obs included), the documentation gate, the full
-# test suite under the race detector (WAL and collector included), the four
-# example programs run end to end, the nested benchmark module's own smoke
-# tests, one iteration of the row-path micro-benchmarks, the kill -9
-# recovery gate and a bounded fuzzing pass over the wire-format, WAL and
+# check is the gate the default flow runs: formatting and static analysis
+# (gofmt, as CI enforces it; go vet over every package, internal/obs
+# included), the documentation gate, the full test suite under the race
+# detector (WAL and collector included), the four example programs run end
+# to end, the nested benchmark module's own smoke tests, one iteration of
+# the row-path and sharded-fabric micro-benchmarks, the kill -9 recovery
+# gate and a bounded fuzzing pass over the wire-format, WAL and
 # checkpoint decoders.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
-check: vet docs-check race examples bench-rowpath bench-smoke crash-test fuzz-short
+check: fmt-check vet docs-check race examples bench-rowpath bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -26,6 +27,10 @@ build:
 vet:
 	$(GO) vet ./...
 
+# fmt-check fails, naming the files, when gofmt would change any.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -37,10 +42,12 @@ bench:
 
 # bench-rowpath runs the row-path micro-benchmarks once each — one ingested
 # row at l=48 and l=600, one row read beside its QueryAll yardstick, one
-# append at the retention cap — so they keep compiling and running (~10 s,
-# most of it training the l=600 fleet). For numbers, drop -benchtime.
+# append at the retention cap, and one round of each sharded fabric (the
+# in-process one has no BENCHMARK.json workload, so these are its only
+# numbers) — so they keep compiling and running (~15 s, most of it training
+# fleets). For numbers, drop -benchtime.
 bench-rowpath:
-	$(GO) test -run '^$$' -bench '^BenchmarkMonitorIngest$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(MonitorIngest|ManagerStepSharded|ShardNetStep)$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkStore(RowAt|AppendAtRetention)$$' -benchtime=1x -benchmem ./internal/tsdb
 
 # bench-smoke builds and runs the pipeline benchmark's own tests (the tiny

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mcorr"
+	"mcorr/internal/cliflags"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 )
@@ -50,9 +51,9 @@ func run() error {
 		tenantRate = flag.Float64("tenant-rate", 0, "per-tenant collector ingest rate limit in samples/s (0 = off)")
 		tenantMeas = flag.Int("tenant-measurements", 0, "per-tenant distinct-measurement quota (0 = unlimited)")
 
-		dataDir   = flag.String("data-dir", "", "durable mode: per-tenant WAL + checkpoints under here (tenants/<name>); restart recovers every tenant")
-		fsync     = flag.String("fsync", "batch", "durable mode: WAL fsync policy (always, batch, none)")
-		ckptEvery = flag.Int("checkpoint-every", 50, "durable mode: checkpoint a tenant after this many scored rows")
+		dataDir, durability = cliflags.Durability(flag.CommandLine,
+			"durable mode: per-tenant WAL + checkpoints under here (tenants/<name>); restart recovers every tenant",
+			50, "durable mode: checkpoint a tenant after this many scored rows")
 
 		flowQueue  = flag.Int("flow-queue", 0, "flow control: admission queue depth in batches between handlers and the stores (0 = append inline)")
 		shedPolicy = flag.String("shed", "block", "flow control: full-queue policy (block, drop-oldest, reject)")
@@ -63,11 +64,7 @@ func run() error {
 		incident     = flag.Bool("incident", true, "run the incident diagnosis engine per tenant (digests under /api/v1/incidents?tenant=<name>)")
 		incOpenBelow = flag.Float64("incident-open-below", 0.8, "open an incident when a tenant's system Q stays below this")
 
-		pairBudget = flag.String("pair-budget", "", "bound each tenant's modeled pair graph and enable streaming discovery: \"full\", \"N%\" of l(l-1)/2, or an absolute pair count (empty = full graph, discovery off)")
-		discTopK   = flag.Int("discover-top-k", 8, "discovery: admission prefers up to this many pairs per measurement")
-		discEvict  = flag.Float64("discover-evict-below", 0.15, "discovery: evict an admitted pair whose |correlation| stays below this across rounds")
-		discRound  = flag.Int("discover-round", 120, "discovery: rows per probe round (graph changes apply at round boundaries)")
-		discLags   = flag.Int("discover-lags", 4, "discovery: scan correlation lags in [-L, L] sample steps (0 = lag 0 only)")
+		pairBudget, discovery = cliflags.Discovery(flag.CommandLine, "each tenant's")
 	)
 	flag.Parse()
 	mcorr.RegisterBuildInfo(version, *shards)
@@ -101,19 +98,18 @@ func run() error {
 		// Resolved against the per-tenant measurement count below; the
 		// budget string is validated here against a placeholder so typos
 		// fail before any tenant is built.
-		if _, err := mcorr.ParsePairBudget(*pairBudget, 2); err != nil {
+		if _, err := discovery(2); err != nil {
 			return err
 		}
 	}
 
-	durCfg := mcorr.DurabilityConfig{CheckpointEvery: *ckptEvery}
+	durCfg, err := durability("") // the registry derives each tenant's DataDir
 	if *dataDir != "" {
-		policy, err := mcorr.ParseSyncPolicy(*fsync)
+		// -fsync is read, and so refused, in durable mode only.
 		if err != nil {
 			return err
 		}
-		durCfg.Fsync = policy
-		log.Printf("durable tenants under %s (fsync=%s, checkpoint every %d rows)", *dataDir, policy, *ckptEvery)
+		log.Printf("durable tenants under %s (fsync=%s, checkpoint every %d rows)", *dataDir, durCfg.Fsync, durCfg.CheckpointEvery)
 	}
 
 	reg := mcorr.NewTenantRegistry(*dataDir)
@@ -137,21 +133,11 @@ func run() error {
 		datasets[name] = ds
 		opts := monOpts
 		if *pairBudget != "" {
-			budget, err := mcorr.ParsePairBudget(*pairBudget, ds.Len())
+			disc, err := discovery(ds.Len())
 			if err != nil {
 				return err
 			}
-			lags := *discLags
-			if lags <= 0 {
-				lags = -1 // negative = lag 0 only; 0 would mean "default"
-			}
-			opts = append(append([]mcorr.MonitorOption{}, monOpts...), mcorr.WithDiscovery(mcorr.DiscoveryConfig{
-				Budget:     budget,
-				TopK:       *discTopK,
-				EvictBelow: *discEvict,
-				RoundRows:  *discRound,
-				Lags:       lags,
-			}))
+			opts = append(append([]mcorr.MonitorOption{}, monOpts...), mcorr.WithDiscovery(disc))
 		}
 		log.Printf("tenant %s: training monitor on day 1 (%d measurements, %d shards)", name, ds.Len(), *shards)
 		t, err := reg.CreateTenant(mcorr.TenantConfig{

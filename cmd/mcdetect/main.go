@@ -20,6 +20,7 @@ import (
 
 	"mcorr"
 	"mcorr/internal/alarm"
+	"mcorr/internal/cliflags"
 	"mcorr/internal/core"
 	"mcorr/internal/eval"
 	"mcorr/internal/manager"
@@ -65,10 +66,7 @@ func run() error {
 
 		shardWorkers = flag.String("shard-workers", "", "comma-separated mcshard control addresses: fan scoring out to networked worker processes, which only this process needs to reach (batch mode; trajectories are bit-identical to in-process runs)")
 		printSteps   = flag.Bool("print-steps", false, "batch mode: print one STEP line per scored row, as durable mode does")
-		dataDir      = flag.String("data-dir", "", "durable mode: keep WAL + checkpoints here and recover from them on restart")
-		ckptEvery    = flag.Int("checkpoint-every", 240, "durable mode: checkpoint after this many scored rows")
 		ckptIvl      = flag.Duration("checkpoint-interval", 0, "durable mode: also checkpoint after this much wall time (0 = off)")
-		fsync        = flag.String("fsync", "batch", "durable mode: WAL fsync policy (always, batch, none)")
 		pace         = flag.Duration("pace", 0, "sleep between streamed rows (durable mode, and batch mode with -print-steps)")
 
 		incident     = flag.Bool("incident", false, "run the incident diagnosis engine and print root-cause digests (INCIDENT lines)")
@@ -76,11 +74,10 @@ func run() error {
 		incOpenAfter = flag.Int("incident-open-after", 2, "consecutive below-threshold rows before an incident opens (1 = open on first dip)")
 		incBreak     = flag.Float64("incident-break", 0.5, "a measurement counts as broken below this Q^a during root-cause analysis")
 
-		pairBudget = flag.String("pair-budget", "", "bound the modeled pair graph and enable streaming discovery: \"full\", \"N%\" of l(l-1)/2, or an absolute pair count (empty = full graph, discovery off)")
-		discTopK   = flag.Int("discover-top-k", 8, "discovery: admission prefers up to this many pairs per measurement")
-		discEvict  = flag.Float64("discover-evict-below", 0.15, "discovery: evict an admitted pair whose |correlation| stays below this across rounds")
-		discRound  = flag.Int("discover-round", 120, "discovery: rows per probe round (graph changes apply at round boundaries)")
-		discLags   = flag.Int("discover-lags", 4, "discovery: scan correlation lags in [-L, L] sample steps (0 = lag 0 only)")
+		pairBudget, discCfg = cliflags.Discovery(flag.CommandLine, "the")
+		dataDir, durCfg     = cliflags.Durability(flag.CommandLine,
+			"durable mode: keep WAL + checkpoints here and recover from them on restart",
+			240, "durable mode: checkpoint after this many scored rows")
 
 		tenantArg = flag.String("tenant", "", "tenant mode: a single tenant name (streams -data as that tenant, durable state under data-dir/tenants/<name>) or name=csv[,name2=csv2,...] for several isolated tenants in one process; STEP/INCIDENT/DISCOVER/PAIRGRAPH lines gain a tenant= suffix (empty = legacy single-system mode)")
 	)
@@ -105,23 +102,6 @@ func run() error {
 			defer time.Sleep(*linger)
 		}
 	}
-	discCfg := func(l int) (mcorr.DiscoveryConfig, error) {
-		budget, err := mcorr.ParsePairBudget(*pairBudget, l)
-		if err != nil {
-			return mcorr.DiscoveryConfig{}, err
-		}
-		lags := *discLags
-		if lags <= 0 {
-			lags = -1 // discover.Config treats 0 as "default"; negative means lag 0 only
-		}
-		return mcorr.DiscoveryConfig{
-			Budget:     budget,
-			TopK:       *discTopK,
-			EvictBelow: *discEvict,
-			RoundRows:  *discRound,
-			Lags:       lags,
-		}, nil
-	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
@@ -134,8 +114,7 @@ func run() error {
 		trainDays: *trainDays, adaptive: *adaptive,
 		threshold: *threshold, sysThresh: *sysThresh, delta: *delta,
 		holdoff: *holdoff, maxMeas: *maxMeas, shards: *shards,
-		dataDir: *dataDir, every: *ckptEvery, interval: *ckptIvl,
-		fsync: *fsync, pace: *pace,
+		dataDir: *dataDir, durCfg: durCfg, interval: *ckptIvl, pace: *pace,
 		incident: *incident, incidentCfg: diagCfg,
 		pairBudget: *pairBudget, discCfg: discCfg,
 	}
@@ -192,10 +171,11 @@ func run() error {
 		} else if *shardWorkers != "" {
 			workers := strings.Split(*shardWorkers, ",")
 			fmt.Printf("fanning out to %d networked shard workers\n", len(workers))
+			dur, _ := durCfg("") // the workers' cadence is all this mode reads; it opens no WAL
 			fleet, err = mcorr.NewShardNetFleet(watched.Slice(start, trainEnd), mcorr.ShardNetConfig{
 				Workers:         workers,
 				Manager:         mcfg,
-				CheckpointEvery: *ckptEvery,
+				CheckpointEvery: dur.CheckpointEvery,
 			})
 		} else if *shards > 1 {
 			fleet, err = shard.New(watched.Slice(start, trainEnd), shard.Config{Shards: *shards, Manager: mcfg})
@@ -370,9 +350,7 @@ type runParams struct {
 	maxMeas   int
 	shards    int
 	dataDir   string
-	every     int
 	interval  time.Duration
-	fsync     string
 	pace      time.Duration
 	incident  bool
 
@@ -381,6 +359,8 @@ type runParams struct {
 	// discCfg resolves it against a fleet size (percentages need l).
 	pairBudget string
 	discCfg    func(l int) (mcorr.DiscoveryConfig, error)
+	// durCfg resolves -fsync and -checkpoint-every for a pipeline kept in dir.
+	durCfg func(dir string) (mcorr.DurabilityConfig, error)
 }
 
 // loadCSV reads a monitoring CSV.
@@ -446,13 +426,9 @@ func (p runParams) selectWatched(ds *timeseries.Dataset, start, trainEnd time.Ti
 
 // durability resolves the -data-dir flag family for a pipeline kept in dir.
 func (p runParams) durability(dir string) (mcorr.DurabilityConfig, error) {
-	policy, err := mcorr.ParseSyncPolicy(p.fsync)
-	return mcorr.DurabilityConfig{
-		DataDir:            dir,
-		CheckpointEvery:    p.every,
-		CheckpointInterval: p.interval,
-		Fsync:              policy,
-	}, err
+	cfg, err := p.durCfg(dir)
+	cfg.CheckpointInterval = p.interval
+	return cfg, err
 }
 
 // source decides what a streaming pipeline kept in dir ("" = in memory)

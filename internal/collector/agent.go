@@ -45,12 +45,6 @@ func DialTenant(addr, name, tenant string) (*Agent, error) {
 	return a, nil
 }
 
-// NewAgentConn wraps an existing connection (e.g. one end of net.Pipe in
-// tests) as an agent, sending the hello frame.
-func NewAgentConn(conn net.Conn, name string) (*Agent, error) {
-	return NewAgentConnTenant(conn, name, "")
-}
-
 // NewAgentConnTenant wraps an existing connection as an agent for the
 // given tenant, sending the hello frame.
 func NewAgentConnTenant(conn net.Conn, name, tenant string) (*Agent, error) {

@@ -633,16 +633,6 @@ func (d *Discoverer) AdmissionScores() map[manager.Pair]float64 {
 	return out
 }
 
-// BestLags returns each admitted pair's best-lag offset (rows; positive
-// means the pair's B series leads A).
-func (d *Discoverer) BestLags() map[manager.Pair]int {
-	out := make(map[manager.Pair]int, len(d.admitted))
-	for _, e := range d.admitted {
-		out[d.pairOf(e.c)] = e.lag
-	}
-	return out
-}
-
 // BudgetInfo returns the current occupancy: admitted pairs, the budget
 // (0 = unlimited), and the full candidate count.
 func (d *Discoverer) BudgetInfo() (admitted, budget, candidates int) {

@@ -144,20 +144,6 @@ func (e *Env) Group(name string) *Group {
 	return nil
 }
 
-// TrainSet returns the group's training window of the paper's shape:
-// `days` whole days starting May 29.
-func (g *Group) TrainSet(days int) *timeseries.Dataset {
-	from, to := timeseries.TrainingSplit(days)
-	return g.Dataset.Slice(from, to)
-}
-
-// TestSet returns the group's test window: `days` whole days starting
-// June 13.
-func (g *Group) TestSet(days int) *timeseries.Dataset {
-	from, to := timeseries.TestSplit(days)
-	return g.Dataset.Slice(from, to)
-}
-
 // PairPoints aligns a measurement pair over [from, to).
 func (g *Group) PairPoints(a, b timeseries.MeasurementID, from, to time.Time) ([]mathx.Point2, error) {
 	sa := g.Dataset.Get(a)

@@ -31,38 +31,35 @@ type Config struct {
 	Keep func(manager.Pair) bool
 }
 
-// Coordinator is the sharded scoring fabric: it partitions the l(l−1)/2
+// Coordinator is the in-process sharded fleet: it partitions the l(l−1)/2
 // measurement pairs across N independent manager shards by rendezvous
-// hashing of the canonical pair key, fans each scored row out to all
-// shards in parallel, scatters their per-pair outcomes into one global
-// slice in canonical pair order, and aggregates Q^{a,b} → Q^a → Q through
-// the same manager.Aggregator code the single-manager path uses — so its
-// fitness trajectories are bit-identical to an unsharded Manager over the
-// same data, for any shard count.
+// hashing of the canonical pair key and scores every row through the
+// embedded Fabric — the round it shares with the networked coordinator —
+// so its fitness trajectories are bit-identical to an unsharded Manager
+// over the same data, for any shard count. What it adds is what needs the
+// models in this process: training, live resharding, grafting and dropping
+// single pairs, checkpoint blobs and the per-pair scheduler states.
 //
 // All methods are safe for concurrent use; rows must be fed in time
 // order. The zero value is not usable — construct with New or Load.
 type Coordinator struct {
-	// Aggregator is the central aggregation layer every shard's outcomes
-	// fold through; the running means, localization and drill-down are its
-	// methods.
-	*manager.Aggregator
-	// MapRows is Step(Row) and Run over StepValues.
-	*manager.MapRows
+	*Fabric
 
+	// mu is the step lock, lent to the Fabric: StepValues holds it for a
+	// whole round, so whoever takes it finds no shard scoring.
 	mu     sync.Mutex
 	cfg    manager.Config // as supplied (Workers = total budget)
-	ids    []timeseries.MeasurementID
 	shards []*manager.Manager
 	closed bool
+}
 
-	// Derived fan-out state, rebuilt by rebuild() after construction and
-	// after every reshard.
-	pairs     []manager.Pair    // global canonical pair order
-	pairIdx   [][2]int          // pairs[i] → indices into ids
-	outcomes  []manager.Outcome // global scatter buffer, reused every step
-	localIdx  [][]int           // per shard: local pair position → global index
-	scoreHist []*obs.Histogram  // per-shard scoring latency, children cached
+// newCoordinator wires a coordinator around its aggregator and installs
+// the shard set.
+func newCoordinator(agg *manager.Aggregator, cfg manager.Config, shards []*manager.Manager) *Coordinator {
+	c := &Coordinator{cfg: cfg}
+	c.Fabric = NewFabric(&c.mu, agg, c.StepValues, c.publishDirty)
+	c.install(shards)
+	return c
 }
 
 // perShardWorkers divides a total worker budget across n shards, at
@@ -99,11 +96,7 @@ func Train(history *timeseries.Dataset, n int, mcfg manager.Config, keep func(ma
 	wg.Wait()
 	for k, err := range errs {
 		if err != nil {
-			for _, s := range shards {
-				if s != nil {
-					s.Close()
-				}
-			}
+			closeAll(shards)
 			return nil, fmt.Errorf("train shard %d: %w", k, err)
 		}
 	}
@@ -129,13 +122,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		Aggregator: manager.NewAggregator(ids, cfg.Manager),
-		cfg:        cfg.Manager,
-		ids:        ids,
-	}
-	c.MapRows = manager.NewMapRows(ids, c.StepValues)
-	c.rebuild(shards)
+	c := newCoordinator(manager.NewAggregator(ids, cfg.Manager), cfg.Manager, shards)
 	// A non-nil Keep tolerates an empty initial graph (mirroring
 	// NewSubset): discovery may admit pairs later.
 	if len(c.pairs) == 0 && cfg.Keep == nil {
@@ -146,7 +133,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 }
 
 // AddModel grafts a trained model into whichever shard rendezvous hashing
-// assigns the pair, then rebuilds the fan-out state — the sharded mirror
+// assigns the pair, then rebuilds the scatter state — the sharded mirror
 // of Manager.AddModel. Surviving pairs are untouched (model pointers are
 // shared; shard managers rebuild all-dirty).
 func (c *Coordinator) AddModel(p manager.Pair, model *core.Model) error {
@@ -157,12 +144,12 @@ func (c *Coordinator) AddModel(p manager.Pair, model *core.Model) error {
 	if err := c.shards[k].AddModel(p, model); err != nil {
 		return err
 	}
-	c.rebuild(c.shards)
+	c.install(c.shards)
 	return nil
 }
 
 // RemovePair drops a pair's model from its owning shard and rebuilds the
-// fan-out state. Reports whether the pair was present.
+// scatter state. Reports whether the pair was present.
 func (c *Coordinator) RemovePair(p manager.Pair) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,98 +158,63 @@ func (c *Coordinator) RemovePair(p manager.Pair) bool {
 	if !c.shards[k].RemovePair(p) {
 		return false
 	}
-	c.rebuild(c.shards)
+	c.install(c.shards)
 	return true
 }
 
-// rebuild installs a shard set and recomputes the derived fan-out state:
-// the global canonical pair order, each shard's local→global index map,
-// the aggregation index and the reusable scatter buffer. Callers hold
-// c.mu (or are constructing c).
-func (c *Coordinator) rebuild(shards []*manager.Manager) {
+// install makes shards the fleet: each becomes a Scorer the Fabric rebuilds
+// its scatter state from, timed on its own mcorr_shard_score_seconds child
+// (cached here so a round never touches a vec lookup). Callers hold c.mu
+// or are constructing c.
+func (c *Coordinator) install(shards []*manager.Manager) {
 	c.shards = shards
-	var all []manager.Pair
-	for _, s := range shards {
-		all = append(all, s.Pairs()...)
-	}
-	manager.SortPairs(all)
-	c.pairs = all
-	global := make(map[manager.Pair]int, len(all))
-	for i, p := range all {
-		global[p] = i
-	}
-	c.localIdx = make([][]int, len(shards))
-	c.scoreHist = make([]*obs.Histogram, len(shards))
+	scorers := make([]Scorer, len(shards))
 	for k, s := range shards {
-		local := s.Pairs()
-		idx := make([]int, len(local))
-		for i, p := range local {
-			idx[i] = global[p]
-		}
-		c.localIdx[k] = idx
-		c.scoreHist[k] = obsScoreSeconds.With(strconv.Itoa(k))
-		obsShardPairs.With(strconv.Itoa(k)).Set(float64(len(local)))
+		scorers[k] = timedShard{s, obsScoreSeconds.With(strconv.Itoa(k))}
 	}
-	c.pairIdx = manager.BuildPairIndex(c.ids, all)
-	c.outcomes = make([]manager.Outcome, len(all))
+	c.Rebuild(scorers)
+	for k, idx := range c.localIdx {
+		obsShardPairs.With(strconv.Itoa(k)).Set(float64(len(idx)))
+	}
 	obsShardCount.Set(float64(len(shards)))
 }
 
-// scoreShard runs shard k's scoring fan-out for the row, scattering
-// outcomes into the global buffer, and records the shard's scoring latency.
-func (c *Coordinator) scoreShard(k int, vals []float64) {
-	start := time.Now()
-	c.shards[k].ScoreInto(vals, c.localIdx[k], c.outcomes)
-	c.scoreHist[k].Observe(time.Since(start).Seconds())
+// timedShard is a shard manager that records its scoring latency.
+type timedShard struct {
+	*manager.Manager
+	hist *obs.Histogram
 }
 
-// StepValues scores one synchronized row — vals in IDs() order, NaN for a
-// gap, read only until the call returns: every shard scores its pair subset
-// in parallel (shard 0 on the calling goroutine), the outcomes land in one
-// global buffer in canonical pair order, and the shared Aggregator folds
-// them into Q^{a,b} → Q^a → Q and publishes alarms — the same code, in the
-// same order, as the single-manager path. The phases (score → aggregate →
-// alarm) are traced as span "shard.step".
-func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport {
+func (s timedShard) ScoreInto(vals []float64, idx []int, dst []manager.Outcome) {
 	start := time.Now()
-	sp := obs.StartSpan("shard.step")
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sp.Phase("score")
-	if len(c.shards) == 1 {
-		c.scoreShard(0, vals)
-	} else {
-		var wg sync.WaitGroup
-		for k := 1; k < len(c.shards); k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				c.scoreShard(k, vals)
-			}(k)
-		}
-		c.scoreShard(0, vals)
-		wg.Wait()
-	}
-	// Publish the fleet-wide dirty-pair count: each shard tracks its own
-	// incremental scheduler, the coordinator owns the process gauge.
+	s.Manager.ScoreInto(vals, idx, dst)
+	s.hist.Observe(time.Since(start).Seconds())
+}
+
+// publishDirty is the round's settle step: each shard tracks its own
+// incremental scheduler, the coordinator owns the process gauge of
+// re-scored pairs.
+func (c *Coordinator) publishDirty() {
 	dirty := 0
 	for _, s := range c.shards {
 		dirty += s.LastDirtyPairs()
 	}
 	manager.RecordDirtyPairs(dirty)
-	sp.Phase("aggregate")
-	report := c.Aggregate(t, c.pairs, c.pairIdx, c.outcomes, sp)
+}
+
+// StepValues scores one synchronized row — vals in IDs() order, NaN for a
+// gap, read only until the call returns — through Fabric.Round, under the
+// step lock. The phases (score → aggregate → alarm) are traced as span
+// "shard.step".
+func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport {
+	start := time.Now()
+	sp := obs.StartSpan("shard.step")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	report := c.Round(t, vals, sp)
 	sp.End()
 	obsStepSeconds.Observe(time.Since(start).Seconds())
 	return report
-}
-
-// Pairs returns every trained link across all shards in the global
-// canonical order.
-func (c *Coordinator) Pairs() []manager.Pair {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]manager.Pair(nil), c.pairs...)
 }
 
 // PairStates returns every link's live scheduler state across all
@@ -279,24 +231,6 @@ func (c *Coordinator) PairStates() []manager.PairState {
 		}
 	}
 	return out
-}
-
-// NumShards returns the current shard count.
-func (c *Coordinator) NumShards() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.shards)
-}
-
-// ShardPairs returns the links owned by shard k (in that shard's sorted
-// order), or nil when k is out of range.
-func (c *Coordinator) ShardPairs(k int) []manager.Pair {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if k < 0 || k >= len(c.shards) {
-		return nil
-	}
-	return c.shards[k].Pairs()
 }
 
 // Model returns the trained model for a pair from whichever shard owns it
@@ -336,7 +270,14 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	for _, s := range c.shards {
-		s.Close()
+	closeAll(c.shards)
+}
+
+// closeAll stops the worker pools of a shard set, which may be partly built.
+func closeAll(shards []*manager.Manager) {
+	for _, s := range shards {
+		if s != nil {
+			s.Close()
+		}
 	}
 }

@@ -16,14 +16,24 @@
 // # Exactness
 //
 // Floating-point addition is not associative, so per-shard partial sums
-// would change Q in the last ulp. The Coordinator therefore never sums on
-// shards: each shard only *scores* its pairs (manager.Manager.ScoreInto),
-// scattering per-pair Outcomes into one global slice laid out in the
-// canonical sorted pair order, and a single central manager.Aggregator —
-// the same code the unsharded Manager.Step uses — folds that slice in the
-// identical order. Bit-identity for any shard count is structural, not
-// incidental; the property tests in this package and the SIGKILL crash
-// tests in internal/testkit enforce it at %.17g precision.
+// would change Q in the last ulp. A fleet therefore never sums on shards:
+// each shard only *scores* its pairs (Scorer.ScoreInto), scattering
+// per-pair Outcomes into one global slice laid out in the canonical sorted
+// pair order, and a single central manager.Aggregator — the same code the
+// unsharded Manager.Step uses — folds that slice in the identical order.
+// Bit-identity for any shard count is structural, not incidental; the
+// property tests in this package and the SIGKILL crash tests in
+// internal/testkit enforce it at %.17g precision.
+//
+// # Layers
+//
+// That round is Fabric, written once for every sharded fleet (DESIGN.md
+// §11): it scores through the Scorer seam, which *manager.Manager satisfies
+// as it stands, and owns the pair order, scatter indices, outcome buffer
+// and Aggregator. Coordinator embeds it and adds what needs the models in
+// this process; internal/shardnet's Coordinator embeds it and adds what
+// needs a wire. Each coordinator's mutex is the round lock, which the
+// Fabric borrows for its accessors.
 //
 // # Resharding
 //

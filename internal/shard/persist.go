@@ -89,21 +89,10 @@ func Load(state io.Reader, shardBlobs []io.Reader, sink alarm.Sink) (*Coordinato
 			err = fmt.Errorf("measurements differ from the coordinator's")
 		}
 		if err != nil {
-			for _, s := range shards {
-				if s != nil {
-					s.Close()
-				}
-			}
+			closeAll(shards)
 			return nil, fmt.Errorf("shard %d load: %w", k, err)
 		}
 		shards[k] = m
 	}
-	c := &Coordinator{
-		Aggregator: agg,
-		cfg:        agg.Config(),
-		ids:        ids,
-	}
-	c.MapRows = manager.NewMapRows(ids, c.StepValues)
-	c.rebuild(shards)
-	return c, nil
+	return newCoordinator(agg, agg.Config(), shards), nil
 }

@@ -60,20 +60,14 @@ func (c *Coordinator) Reshard(n int) (moved int, err error) {
 	for k := range next {
 		m, err := manager.FromModels(c.ids, parts[k], mcfg)
 		if err != nil {
-			for _, s := range next {
-				if s != nil {
-					s.Close()
-				}
-			}
+			closeAll(next)
 			return 0, fmt.Errorf("reshard to %d: %w", n, err)
 		}
 		next[k] = m
 	}
 	prev := c.shards
-	c.rebuild(next)
-	for _, s := range prev {
-		s.Close()
-	}
+	c.install(next)
+	closeAll(prev)
 	obsReshards.Inc()
 	obsPairsMoved.Add(uint64(moved))
 	return moved, nil

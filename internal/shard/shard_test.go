@@ -122,8 +122,10 @@ func TestShardedBitIdenticalToUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardPartitionCoversAllPairs checks the rendezvous partition is a
-// true partition: every pair lands on exactly one shard.
+// TestShardPartitionCoversAllPairs checks every pair sits on the shard
+// rendezvous hashing names and is found there. (That the shards' lists
+// partition Pairs() is internal/shardnet's TestFleetPartitionSurface, for
+// both transports.)
 func TestShardPartitionCoversAllPairs(t *testing.T) {
 	_, history, _ := fixtures(t, 3, 2)
 	coord, err := New(history, Config{Shards: 4, Manager: manager.Config{Workers: 1}})
@@ -131,23 +133,11 @@ func TestShardPartitionCoversAllPairs(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer coord.Close()
-	seen := make(map[manager.Pair]int)
-	total := 0
 	for k := 0; k < coord.NumShards(); k++ {
 		for _, p := range coord.ShardPairs(k) {
-			seen[p]++
-			total++
 			if Assign(p.String(), 4) != k {
 				t.Errorf("pair %s on shard %d, Assign says %d", p, k, Assign(p.String(), 4))
 			}
-		}
-	}
-	if total != len(coord.Pairs()) {
-		t.Errorf("shards hold %d pairs, coordinator has %d", total, len(coord.Pairs()))
-	}
-	for p, n := range seen {
-		if n != 1 {
-			t.Errorf("pair %s owned by %d shards", p, n)
 		}
 	}
 	// Model routing finds every pair's model via the owning shard.

@@ -63,36 +63,31 @@ type Config struct {
 }
 
 // Coordinator drives shard workers over the network while keeping the
-// authoritative Aggregator — embedded, so the running means, localization
-// and drill-down are its own methods — and therefore the merged Q^a/Q
-// trajectory in this process. It satisfies the same fleet surface as the
-// in-process Manager and shard Coordinator and produces bit-identical
-// reports.
+// authoritative Aggregator — and therefore the merged Q^a/Q trajectory — in
+// this process: it scores every row through the embedded shard.Fabric, the
+// round it shares with the in-process coordinator, so it satisfies the
+// same fleet surface and produces bit-identical reports. What it adds is
+// what needs a wire: connections and their handshake, the row sequence and
+// replay ring, revival of lost workers, latency tracking and rebalancing.
 type Coordinator struct {
-	*manager.Aggregator
-	// MapRows is Step(Row) and Run over StepValues.
-	*manager.MapRows
+	*shard.Fabric
 
 	cfg   Config
 	log   *obs.Logger
 	runID string
-	ids   []timeseries.MeasurementID
+	ids   []timeseries.MeasurementID // a row frame's, and the assign's, measurement order
 
-	// mu is the step/control lock: Step, rebalance, reconnection and
-	// Close serialize on it. Step holds it for a whole round, so one row
-	// is in flight per fabric and every exchange on a control connection
-	// is request/response.
-	mu          sync.Mutex
-	closed      bool
-	seq         uint64
+	// mu is the step/control lock, lent to the Fabric: Step, rebalance,
+	// reconnection and Close serialize on it. Step holds it for a whole
+	// round, so one row is in flight per fabric and every exchange on a
+	// control connection is request/response.
+	mu     sync.Mutex
+	closed bool
+	// seq is the last row fanned out and merged the last row aggregated;
+	// they differ only inside a round, by the row in flight.
+	seq, merged uint64
 	sent        time.Time // start of row seq's fan-out, the latency EWMAs' origin
 	planVersion uint64
-	pairs       []manager.Pair
-	pairIdx     [][2]int
-	outcomes    []manager.Outcome
-	owner       map[manager.Pair]int
-	localPairs  [][]manager.Pair
-	localIdx    [][]int
 	conns       []*workerConn
 	baseState   []*manager.Manager // trained shards awaiting hand-off; nil once streaming began
 	pendInstall map[manager.Pair]pendingModel
@@ -109,15 +104,26 @@ type pendingModel struct {
 	model *core.Model
 }
 
-// workerConn is one control connection. The protocol is request/response,
-// so a failed or timed-out exchange leaves nothing to resynchronise on:
-// send and read close the connection on any error, and Step redials,
-// re-handshakes and replays.
+// workerConn is worker k's end of the fabric: its control connection and,
+// as the Fabric's Scorer, the pairs the current plan assigns it. The
+// protocol is request/response, so a failed or timed-out exchange leaves
+// nothing to resynchronise on: send and read close the connection on any
+// error, and reviveLocked redials, re-handshakes and replays.
 type workerConn struct {
-	k    int
-	conn net.Conn
-	dead bool
+	c     *Coordinator
+	k     int
+	conn  net.Conn // nil until first dialed
+	dead  bool
+	pairs []manager.Pair // canonical order
+	// Where the Fabric wants the outcomes of the row in flight — kept past
+	// ScoreInto's return because a worker that dies mid-row delivers them
+	// while it is revived.
+	idx []int
+	dst []manager.Outcome
 }
+
+// Pairs implements shard.Scorer.
+func (wc *workerConn) Pairs() []manager.Pair { return wc.pairs }
 
 // fail closes the connection and hands err back.
 func (wc *workerConn) fail(err error) error {
@@ -228,12 +234,10 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		Aggregator:  manager.NewAggregator(mgrs[0].IDs(), cfg.Manager),
 		cfg:         cfg,
 		log:         cfg.Logger.With("component", "shardnet"),
 		runID:       hex.EncodeToString(idb[:]),
 		ids:         mgrs[0].IDs(),
-		owner:       make(map[manager.Pair]int),
 		conns:       make([]*workerConn, n),
 		baseState:   mgrs,
 		pendInstall: make(map[manager.Pair]pendingModel),
@@ -241,13 +245,9 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		latSet:      make([]bool, n),
 		latGauges:   make([]*obs.Gauge, n),
 	}
-	c.MapRows = manager.NewMapRows(c.ids, c.StepValues)
+	c.Fabric = shard.NewFabric(&c.mu, manager.NewAggregator(c.ids, cfg.Manager), c.StepValues, c.reviveLocked)
 	for k, m := range mgrs {
-		for _, p := range m.Pairs() {
-			c.owner[p] = k
-		}
-	}
-	for k := range c.latGauges {
+		c.conns[k] = &workerConn{c: c, k: k, dead: true, pairs: m.Pairs()}
 		c.latGauges[k] = obsShardLatency.With(strconv.Itoa(k))
 	}
 	c.rebuild()
@@ -284,26 +284,14 @@ func (c *Coordinator) releaseBase() {
 	c.baseState = nil
 }
 
-// rebuild recomputes the canonical global pair order and the per-shard
-// scatter tables from the current ownership plan. Callers hold c.mu (or
-// are constructing the coordinator).
+// rebuild has the Fabric derive its scatter state from the current
+// ownership plan. Callers hold c.mu (or are constructing the coordinator).
 func (c *Coordinator) rebuild() {
-	n := len(c.cfg.Workers)
-	pairs := make([]manager.Pair, 0, len(c.owner))
-	for p := range c.owner {
-		pairs = append(pairs, p)
+	scorers := make([]shard.Scorer, len(c.conns))
+	for k, wc := range c.conns {
+		scorers[k] = wc
 	}
-	manager.SortPairs(pairs)
-	c.pairs = pairs
-	c.pairIdx = manager.BuildPairIndex(c.ids, pairs)
-	c.outcomes = make([]manager.Outcome, len(pairs))
-	c.localPairs = make([][]manager.Pair, n)
-	c.localIdx = make([][]int, n)
-	for i, p := range pairs {
-		k := c.owner[p]
-		c.localPairs[k] = append(c.localPairs[k], p)
-		c.localIdx[k] = append(c.localIdx[k], i)
-	}
+	c.Rebuild(scorers)
 }
 
 // ringCap bounds the replay ring: enough rows to re-feed any worker
@@ -316,6 +304,9 @@ type ringState struct {
 	frames   [][]byte
 	ringBase uint64
 }
+
+// at returns row seq's frame; seq is within the ring.
+func (r *ringState) at(seq uint64) []byte { return r.frames[seq-r.ringBase] }
 
 // push appends a row frame, evicting the oldest past cap.
 func (r *ringState) push(seq uint64, frame []byte, capRows int) {
@@ -339,14 +330,15 @@ func (c *Coordinator) connectLocked(k int) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", errNoWorker, err)
 	}
-	wc := &workerConn{k: k, conn: conn}
+	wc := c.conns[k]
+	redial := wc.conn != nil
+	wc.conn, wc.dead = conn, false
 	if err := c.handshakeLocked(wc); err != nil {
 		return wc.fail(fmt.Errorf("shardnet: shard %d handshake: %w", k, err))
 	}
-	if c.conns[k] != nil {
+	if redial {
 		obsReconnects.Add(1)
 	}
-	c.conns[k] = wc
 	c.updateConnected()
 	return nil
 }
@@ -362,7 +354,7 @@ func (c *Coordinator) handshakeLocked(wc *workerConn) error {
 		PlanVersion:     c.planVersion,
 		CheckpointEvery: c.cfg.CheckpointEvery,
 		IDs:             c.ids,
-		Pairs:           c.localPairs[k],
+		Pairs:           wc.pairs,
 	}
 	if err := wc.sendGob(MsgShardAssign, assign); err != nil {
 		return err
@@ -393,7 +385,7 @@ func (c *Coordinator) handshakeLocked(wc *workerConn) error {
 	// connection, so a worker that needs reconciling was cut off before
 	// the row in flight was sent: none of the rows it scored is still
 	// unmerged, which is what lets it checkpoint on these commands.
-	extras, missing := diffPairs(ready.Pairs, c.localPairs[k])
+	extras, missing := diffPairs(ready.Pairs, wc.pairs)
 	if len(extras) > 0 {
 		if err := wc.sendGob(MsgShardPrune, pruneMsg{PlanVersion: c.planVersion, Pairs: extras}); err != nil {
 			return err
@@ -428,7 +420,7 @@ func (c *Coordinator) handshakeLocked(wc *workerConn) error {
 		return fmt.Errorf("checkpoint too old to replay (needs row %d, ring starts at %d)", first, c.ring.ringBase)
 	}
 	for s := first; s <= c.seq; s++ {
-		if err := wc.send(MsgShardRow, c.ring.frames[s-c.ring.ringBase]); err != nil {
+		if err := wc.send(MsgShardRow, c.ring.at(s)); err != nil {
 			return err
 		}
 		if err := c.readOutcomes(wc, s); err != nil {

@@ -8,8 +8,8 @@
 // needed and one row is in flight per fabric. The merged Q^a/Q trajectory
 // is bit-identical (Float64bits) to the in-process fabric for any worker
 // count: scoring advances the same models in the same canonical pair
-// order, and aggregation happens once, centrally, through the exact
-// Aggregate call the in-process Manager and shard Coordinator use.
+// order, and aggregation happens once, centrally, in shard.Fabric — the
+// round the in-process shard Coordinator runs, over worker connections.
 package shardnet
 
 import (
@@ -74,10 +74,10 @@ const (
 	// plan, adaptive and reset-chains commands (gob doneMsg).
 	MsgShardDone collector.MsgType = 25
 	// MsgShardAdaptive (coordinator → worker) toggles online model
-	// updating (gob bool); answered with MsgShardDone.
+	// updating (gob bool); answered, once checkpointed, with MsgShardDone.
 	MsgShardAdaptive collector.MsgType = 26
 	// MsgShardResetChains (coordinator → worker) clears every model's
-	// Markov position; answered with MsgShardDone.
+	// Markov position; answered, once checkpointed, with MsgShardDone.
 	MsgShardResetChains collector.MsgType = 27
 	// MsgShardAssign (coordinator → worker) opens a control session: gob
 	// assignMsg naming the worker's shard, the fabric run and the expected

@@ -2,7 +2,6 @@ package shardnet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"mcorr/internal/collector"
@@ -13,14 +12,13 @@ import (
 )
 
 // StepValues fans one synchronized row — vals in IDs() order, NaN for a
-// gap, read only until the call returns — out to every worker, reads each
-// worker's outcome set back off its control connection into that shard's
-// indices of the global outcome slice, and merges them through the
-// authoritative Aggregator — the same Aggregate call, in the same canonical
-// pair order, as the in-process fabric, which is what keeps the trajectory
-// bit-identical. A worker that dies or stalls mid-row is redialed and
-// replayed from the ring; StepValues blocks until every shard's outcome for
-// this row has arrived.
+// gap, read only until the call returns — out to every worker and merges
+// their outcomes through Fabric.Round, the in-process fabric's round:
+// worker k's ScoreInto is one exchange on its control connection, reading
+// its outcome set back into that shard's indices of the global slice. A
+// worker that dies or stalls mid-row is redialed and replayed from the ring
+// by the round's settle step, reviveLocked, so the aggregation waits until
+// every shard's outcome for this row has arrived.
 func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport {
 	start := time.Now()
 	sp := obs.StartSpan("shardnet.step")
@@ -31,29 +29,10 @@ func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport
 	}
 
 	c.seq++
-	frame := encodeRowFrame(c.seq, t, vals)
-	c.ring.push(c.seq, frame, c.ringCap())
-
-	// One exchange per worker, in the shape of shard.Coordinator.Step:
-	// every worker at once, worker 0 on the calling goroutine, each
-	// touching only its own connection, latency slot and disjoint indices
-	// of c.outcomes.
-	sp.Phase("score")
+	c.ring.push(c.seq, encodeRowFrame(c.seq, t, vals), c.ringCap())
 	c.sent = time.Now()
-	var wg sync.WaitGroup
-	for _, wc := range c.conns[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.exchange(wc, frame)
-		}()
-	}
-	c.exchange(c.conns[0], frame)
-	wg.Wait()
-	c.reviveLocked()
-
-	sp.Phase("aggregate")
-	report := c.Aggregate(t, c.pairs, c.pairIdx, c.outcomes, sp)
+	report := c.Round(t, vals, sp)
+	c.merged = c.seq
 	sp.End()
 	obsRows.Add(1)
 	obsStepSeconds.Observe(time.Since(start).Seconds())
@@ -64,14 +43,19 @@ func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport
 	return report
 }
 
-// exchange sends the row in flight to one live worker and reads its
-// answer. A failure has closed the connection, which reviveLocked then
-// repairs, replaying the row.
-func (c *Coordinator) exchange(wc *workerConn, frame []byte) {
+// ScoreInto implements shard.Scorer with one exchange on the control
+// connection: send the row in flight — it went into the ring, encoded once
+// for every worker, before the round began — and read the answer. Each
+// worker's runs on its own goroutine of the round, touching only its own
+// connection, latency slot and scatter target. A failure has closed the
+// connection, which reviveLocked then repairs, replaying the row.
+func (wc *workerConn) ScoreInto(_ []float64, idx []int, dst []manager.Outcome) {
+	wc.idx, wc.dst = idx, dst
 	if wc.dead {
 		return
 	}
-	err := wc.send(MsgShardRow, frame)
+	c := wc.c
+	err := wc.send(MsgShardRow, c.ring.at(c.seq))
 	if err == nil {
 		err = c.readOutcomes(wc, c.seq)
 	}
@@ -82,13 +66,13 @@ func (c *Coordinator) exchange(wc *workerConn, frame []byte) {
 
 // readOutcomes reads worker wc.k's answer to row seq — one frame, more
 // only when the set exceeds the frame limit — validating every frame
-// before it indexes anything. The answer to the row being collected is
-// scattered into the shard's plan indices of c.outcomes; the answers to
-// replayed earlier rows were merged before the connection was lost, so
-// they are only drained and counted. Callers hold c.mu; Step runs one
-// call per worker concurrently.
+// before it indexes anything. The answer to the row in flight is scattered
+// where the Fabric asked for it; the answers to replayed rows already
+// merged were merged before the connection was lost, so they are only
+// drained and counted. Callers hold c.mu; a round runs one call per worker
+// concurrently.
 func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
-	idx := c.localIdx[wc.k]
+	idx := wc.idx
 	for got := 0; ; {
 		f, err := wc.read(MsgShardOutcomes)
 		if err != nil {
@@ -99,7 +83,7 @@ func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 		case err != nil:
 		case h.Seq != seq:
 			err = fmt.Errorf("shardnet: shard %d answered row %d with the outcomes of row %d", wc.k, seq, h.Seq)
-		case seq != c.seq:
+		case seq <= c.merged:
 			obsDupOutcomes.Add(1)
 		case h.PlanVersion != c.planVersion || h.Total != len(idx):
 			// One answer per row: a stale one cannot be followed by a
@@ -111,7 +95,7 @@ func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 			err = fmt.Errorf("shardnet: shard %d outcome frame at offset %d, want %d", wc.k, h.Offset, got)
 		default:
 			for i := 0; i < h.Count; i++ {
-				c.outcomes[idx[got+i]] = h.At(i)
+				wc.dst[idx[got+i]] = h.At(i)
 			}
 		}
 		if err != nil {
@@ -121,7 +105,7 @@ func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 			break
 		}
 	}
-	if seq == c.seq {
+	if seq > c.merged {
 		dt := time.Since(c.sent).Seconds()
 		if c.latSet[wc.k] {
 			c.lat[wc.k] += latencyAlpha * (dt - c.lat[wc.k])
@@ -134,8 +118,9 @@ func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 }
 
 // reviveLocked redials every worker whose connection is gone until each
-// is back: handshaken and replayed, which inside Step includes collecting
-// the row in flight. Callers hold c.mu.
+// is back: handshaken and replayed, which inside a round includes
+// collecting the row in flight — so it runs before the round aggregates.
+// Callers hold c.mu.
 func (c *Coordinator) reviveLocked() {
 	for {
 		down := 0
@@ -162,7 +147,7 @@ func (c *Coordinator) reviveLocked() {
 func (c *Coordinator) updateConnected() {
 	live := 0
 	for _, wc := range c.conns {
-		if wc != nil && !wc.dead {
+		if !wc.dead {
 			live++
 		}
 	}
@@ -186,7 +171,7 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 	if from < 0 || from >= w || to < 0 || to >= w || from == to {
 		return 0, fmt.Errorf("shardnet: invalid rebalance %d -> %d", from, to)
 	}
-	avail := c.localPairs[from]
+	avail := c.conns[from].pairs
 	if n > len(avail)-1 {
 		n = len(avail) - 1
 	}
@@ -232,9 +217,10 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 
 	// Phase 2 — commit: the recipient has checkpointed the models, so
 	// flip ownership, prune the donor and fan the new plan out.
-	for _, p := range moving {
-		c.owner[p] = to
-	}
+	keep := len(avail) - n
+	donor.pairs = avail[:keep:keep]
+	recip.pairs = append(append([]manager.Pair(nil), recip.pairs...), moving...)
+	manager.SortPairs(recip.pairs)
 	c.planVersion = newPV
 	c.rebuild()
 	c.clearPending(moving)
@@ -250,19 +236,40 @@ func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
 	return n, nil
 }
 
-// commandLocked runs one acknowledged command on a live worker. A worker
-// that is down, or does not acknowledge, has lost its connection; its next
-// handshake carries the current plan and reconciles. Callers hold c.mu.
-func (c *Coordinator) commandLocked(wc *workerConn, msgType collector.MsgType, v any) {
+// commandLocked runs one acknowledged command on a live worker and reports
+// whether it was acknowledged. A worker that is down, or does not
+// acknowledge, has lost its connection; its next handshake carries the
+// current plan and reconciles pairs — all a rebalance needs, and not enough
+// for modelCommandLocked. Callers hold c.mu.
+func (c *Coordinator) commandLocked(wc *workerConn, msgType collector.MsgType, v any) bool {
 	if wc.dead {
-		return
+		return false
 	}
 	err := wc.sendGob(msgType, v)
 	if err == nil {
 		err = wc.readDone()
 	}
 	if err != nil {
-		c.log.Info("command unacknowledged; handshake will reconcile", "type", byte(msgType), "shard", wc.k, "err", err)
+		c.log.Info("command unacknowledged", "type", byte(msgType), "shard", wc.k, "err", err)
+	}
+	return err == nil
+}
+
+// modelCommandLocked runs a command that changes model state on every
+// worker, and returns only once each has acknowledged it — having
+// checkpointed it. No handshake carries such a change, so a worker that
+// missed it would score on under the old state, silently: workers that are
+// down are revived first, and one that fails mid-command is revived and
+// asked again (both commands can be applied twice). Callers hold c.mu.
+func (c *Coordinator) modelCommandLocked(msgType collector.MsgType, v any) {
+	if c.closed {
+		return
+	}
+	c.reviveLocked()
+	for _, wc := range c.conns {
+		for !c.commandLocked(wc, msgType, v) {
+			c.reviveLocked()
+		}
 	}
 }
 
@@ -294,7 +301,7 @@ func (c *Coordinator) autoRebalanceLocked() {
 	if slow == fast || c.lat[slow] < c.cfg.RebalanceFactor*c.lat[fast] {
 		return
 	}
-	n := len(c.localPairs[slow]) / 4
+	n := len(c.conns[slow].pairs) / 4
 	if n == 0 {
 		return
 	}
@@ -324,26 +331,6 @@ func (c *Coordinator) SetLatencyHint(k int, seconds float64) {
 	c.latSet[k] = true
 }
 
-// Pairs returns every trained link in canonical order.
-func (c *Coordinator) Pairs() []manager.Pair {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]manager.Pair(nil), c.pairs...)
-}
-
-// NumShards returns the worker count.
-func (c *Coordinator) NumShards() int { return len(c.cfg.Workers) }
-
-// ShardPairs returns the pairs the current plan assigns to shard k.
-func (c *Coordinator) ShardPairs(k int) []manager.Pair {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if k < 0 || k >= len(c.localPairs) {
-		return nil
-	}
-	return append([]manager.Pair(nil), c.localPairs[k]...)
-}
-
 // PlanVersion returns the current ownership-plan epoch.
 func (c *Coordinator) PlanVersion() uint64 {
 	c.mu.Lock()
@@ -351,25 +338,19 @@ func (c *Coordinator) PlanVersion() uint64 {
 	return c.planVersion
 }
 
-// SetAdaptive toggles online model updating on every connected worker.
-// Workers that are down miss the toggle until their next restart with a
-// fresh assign; toggle only while the fabric is healthy.
+// SetAdaptive toggles online model updating on every worker; see
+// modelCommandLocked for what happens to one that is down.
 func (c *Coordinator) SetAdaptive(adaptive bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, wc := range c.conns {
-		c.commandLocked(wc, MsgShardAdaptive, adaptive)
-	}
+	c.modelCommandLocked(MsgShardAdaptive, adaptive)
 }
 
-// ResetChains clears every model's Markov position on every connected
-// worker.
+// ResetChains clears every model's Markov position on every worker.
 func (c *Coordinator) ResetChains() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, wc := range c.conns {
-		c.commandLocked(wc, MsgShardResetChains, struct{}{})
-	}
+	c.modelCommandLocked(MsgShardResetChains, struct{}{})
 }
 
 // Close tears the fabric down: a goodbye on every control connection,
@@ -383,7 +364,7 @@ func (c *Coordinator) Close() {
 	c.closed = true
 	c.releaseBase()
 	for _, wc := range c.conns {
-		if wc != nil && !wc.dead {
+		if !wc.dead {
 			_ = wc.send(collector.MsgBye, nil) // a courtesy; the close below ends the session either way
 			_ = wc.fail(nil)
 		}

@@ -449,10 +449,10 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 			return err
 		}
 		st.mgr.SetAdaptive(adaptive)
-		return w.done(sess, st, "")
+		return w.commit(sess, st, st.planVersion)
 	case MsgShardResetChains:
 		st.mgr.ResetChains()
-		return w.done(sess, st, "")
+		return w.commit(sess, st, st.planVersion)
 	case collector.MsgBye:
 		return io.EOF
 	default:
@@ -460,9 +460,10 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 	}
 }
 
-// commit adopts the plan version a change of pairs or plan came with and
-// persists the result before acknowledging it: the coordinator flips
-// ownership on the strength of that answer.
+// commit adopts the plan version a change of pairs, plan or model state
+// came with and persists the result before acknowledging it: the
+// coordinator flips ownership, or moves on to rows scored under the new
+// state, on the strength of that answer.
 func (w *Worker) commit(sess *session, st *shardState, planVersion uint64) error {
 	st.planVersion = planVersion
 	if err := w.checkpoint(st); err != nil {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short crash-test clean
+.PHONY: all build vet fmt-check test race check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
 
 all: build check
 
@@ -13,6 +13,9 @@ all: build check
 # gate and a bounded fuzzing pass over the wire-format, WAL and
 # checkpoint decoders.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
+# `make corpus` is not part of check: run it after changing
+# manager.CheckpointMagic or any record a checkpoint or WAL segment holds,
+# and commit the seeds it rewrites under testdata/fuzz.
 check: fmt-check vet docs-check race examples bench-rowpath bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
@@ -108,6 +111,15 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelateRequest$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core
+
+# corpus regenerates the checked-in fuzz seeds that are built from real
+# files: the checkpoint corpus (real, torn, lying and sharded checkpoints)
+# and the WAL segment corpus. A seed from before a format bump dies at the
+# magic and leaves the fuzzer nothing to mutate;
+# TestCheckpointCorpusIsCurrent fails until this has been run.
+corpus:
+	$(GO) run gen_checkpoint_corpus.go
+	cd internal/wal && $(GO) run gen_corpus.go
 
 # crash-test is the durability gate: build mcdetect, SIGKILL it mid-stream,
 # restart from the same -data-dir, and require the per-step fitness

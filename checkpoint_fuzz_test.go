@@ -42,31 +42,32 @@ func tinyCheckpoint(f *testing.F, opts ...MonitorOption) []byte {
 }
 
 // FuzzCheckpointRecords throws arbitrary bytes at the checkpoint decoder —
-// magic, section records, store, blobs, manager header and model records —
-// exactly as OpenDurableMonitor drives it. It must never panic, must bound
-// every allocation by what the input actually holds (record lengths by
-// wal.ChunkSize, slabs by their header's dims only as data arrives), and
-// must either decode a whole state or fail with ErrCheckpointFormat or
-// ErrCheckpointCorrupt — never hand back part of a fleet. A state that
-// decodes must also work: its fleet scores the last stored row, twice so
-// that the second time every chain makes a transition.
+// magic, section records, store, blobs, manager or coordinator header and
+// model records — exactly as OpenDurableMonitor drives it, for every fleet
+// shape: the decoder is a function of these bytes alone. It must never
+// panic, must bound every allocation by what the input actually holds
+// (record lengths by wal.ChunkSize, slabs by their header's dims only as
+// data arrives, shards only as their bodies arrive), and must either decode
+// a whole state or fail with ErrCheckpointFormat or ErrCheckpointCorrupt —
+// never hand back part of a fleet. A state that decodes must also work: its
+// fleet scores the last stored row, twice so that the second time every
+// chain makes a transition.
 func FuzzCheckpointRecords(f *testing.F) {
 	whole := tinyCheckpoint(f)
 	f.Add(whole)
 	f.Add(whole[:len(whole)-20])            // no end section
 	f.Add(whole[:len(whole)/2])             // torn mid-record
-	f.Add(tinyCheckpoint(f, WithShards(2))) // coord section; the shard files are absent
+	f.Add(tinyCheckpoint(f, WithShards(2))) // a coordinator header and two shard bodies
 	flipped := bytes.Clone(whole)
 	flipped[len(flipped)-200] ^= 0xff // inside the last model
 	f.Add(flipped)
 	f.Add([]byte(manager.CheckpointMagic))
 
-	dir := f.TempDir() // empty: a coord section finds no shard files
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := &pipelineState{}
 		cr, err := manager.NewCheckpointReader(bytes.NewReader(data), &st.meta)
 		if err == nil {
-			err = st.decode(cr, DurabilityConfig{DataDir: dir}, nil)
+			err = st.decode(cr, nil)
 		}
 		if st.fleet != nil {
 			if err != nil {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,71 +58,79 @@ func checkpointContents(t *testing.T, path string) (manager.CheckpointMeta, []by
 }
 
 // TestCheckpointBytesDeterministic: two back-to-back checkpoints of an
-// idle tenant (discovery and diagnosis on) are byte-identical once the
-// meta section's CreatedAt and Epoch — which advance with every checkpoint
-// by design — are masked, and closing, recovering and checkpointing again
-// (save → load → save) reproduces the same bytes.
+// idle tenant (discovery and diagnosis on; one manager, then three shards)
+// are byte-identical once the meta section's CreatedAt and Epoch — which
+// advance with every checkpoint by design — are masked, and closing,
+// recovering and checkpointing again (save → load → save) reproduces the
+// same bytes.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	ds, history, day1 := checkpointFixture(t, 16)
-	dir := t.TempDir()
-	cfg := mcorr.TenantConfig{
-		Name: "alpha", History: history, Durable: true,
-		Durability: mcorr.DurabilityConfig{CheckpointEvery: 1 << 30, Fsync: mcorr.SyncNone},
-		Options: []mcorr.MonitorOption{
-			mcorr.WithDiscovery(mcorr.DiscoveryConfig{Budget: 40, RoundRows: 8}),
-			mcorr.WithDiagnosis(mcorr.DiagnosisConfig{}),
-		},
-	}
-	reg := mcorr.NewTenantRegistry(dir)
-	tn, err := reg.CreateTenant(cfg)
-	if err != nil {
-		t.Fatalf("CreateTenant: %v", err)
-	}
-	for k := 0; k < 30; k++ {
-		if _, err := tn.Ingest(rowBatch(t, ds, day1.Add(time.Duration(k)*timeseries.SampleStep))...); err != nil {
-			t.Fatalf("ingest row %d: %v", k, err)
-		}
-	}
-	path := filepath.Join(mcorr.TenantDir(dir, "alpha"), "checkpoint")
-	snap := func(tn *mcorr.Tenant) (manager.CheckpointMeta, []byte) {
-		t.Helper()
-		if err := tn.Checkpoint(); err != nil {
-			t.Fatalf("Checkpoint: %v", err)
-		}
-		return checkpointContents(t, path)
-	}
-	meta1, body1 := snap(tn)
-	meta2, body2 := snap(tn)
-	if meta2.Epoch != meta1.Epoch+1 {
-		t.Errorf("epochs %d then %d, want consecutive", meta1.Epoch, meta2.Epoch)
-	}
-	mask := func(m manager.CheckpointMeta) manager.CheckpointMeta {
-		m.CreatedAt, m.Epoch = time.Time{}, 0
-		return m
-	}
-	if mask(meta1) != mask(meta2) || !bytes.Equal(body1, body2) {
-		t.Fatalf("two checkpoints of an idle tenant differ (meta %+v vs %+v, bodies equal: %v)", meta1, meta2, bytes.Equal(body1, body2))
-	}
-	if len(body1) < 100_000 {
-		t.Fatalf("checkpoint body is only %d bytes; the fixture no longer exercises the models", len(body1))
-	}
+	for name, fleetShape := range map[string][]mcorr.MonitorOption{
+		"one manager":  nil,
+		"three shards": {mcorr.WithShards(3)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := mcorr.TenantConfig{
+				Name: "alpha", History: history, Durable: true,
+				Durability: mcorr.DurabilityConfig{CheckpointEvery: 1 << 30, Fsync: mcorr.SyncNone},
+				Options: append([]mcorr.MonitorOption{
+					mcorr.WithDiscovery(mcorr.DiscoveryConfig{Budget: 40, RoundRows: 8}),
+					mcorr.WithDiagnosis(mcorr.DiagnosisConfig{}),
+				}, fleetShape...),
+			}
+			reg := mcorr.NewTenantRegistry(dir)
+			tn, err := reg.CreateTenant(cfg)
+			if err != nil {
+				t.Fatalf("CreateTenant: %v", err)
+			}
+			for k := 0; k < 30; k++ {
+				if _, err := tn.Ingest(rowBatch(t, ds, day1.Add(time.Duration(k)*timeseries.SampleStep))...); err != nil {
+					t.Fatalf("ingest row %d: %v", k, err)
+				}
+			}
+			path := filepath.Join(mcorr.TenantDir(dir, "alpha"), "checkpoint")
+			snap := func(tn *mcorr.Tenant) (manager.CheckpointMeta, []byte) {
+				t.Helper()
+				if err := tn.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+				return checkpointContents(t, path)
+			}
+			meta1, body1 := snap(tn)
+			meta2, body2 := snap(tn)
+			if meta2.Epoch != meta1.Epoch+1 {
+				t.Errorf("epochs %d then %d, want consecutive", meta1.Epoch, meta2.Epoch)
+			}
+			mask := func(m manager.CheckpointMeta) manager.CheckpointMeta {
+				m.CreatedAt, m.Epoch = time.Time{}, 0
+				return m
+			}
+			if mask(meta1) != mask(meta2) || !bytes.Equal(body1, body2) {
+				t.Fatalf("two checkpoints of an idle tenant differ (meta %+v vs %+v, bodies equal: %v)", meta1, meta2, bytes.Equal(body1, body2))
+			}
+			if len(body1) < 100_000 {
+				t.Fatalf("checkpoint body is only %d bytes; the fixture no longer exercises the models", len(body1))
+			}
 
-	if err := reg.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	reg2 := mcorr.NewTenantRegistry(dir)
-	defer reg2.Close()
-	cfg.History = nil
-	tn2, err := reg2.CreateTenant(cfg)
-	if err != nil {
-		t.Fatalf("recovering CreateTenant: %v", err)
-	}
-	if n := len(tn2.Recovered()); n != 0 {
-		t.Fatalf("recovery of a cleanly closed tenant re-scored %d rows", n)
-	}
-	meta3, body3 := snap(tn2)
-	if mask(meta3) != mask(meta2) || !bytes.Equal(body3, body2) {
-		t.Fatalf("save → load → save changed the checkpoint (meta %+v vs %+v, bodies equal: %v)", meta2, meta3, bytes.Equal(body2, body3))
+			if err := reg.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			reg2 := mcorr.NewTenantRegistry(dir)
+			defer reg2.Close()
+			cfg.History = nil
+			tn2, err := reg2.CreateTenant(cfg)
+			if err != nil {
+				t.Fatalf("recovering CreateTenant: %v", err)
+			}
+			if n := len(tn2.Recovered()); n != 0 {
+				t.Fatalf("recovery of a cleanly closed tenant re-scored %d rows", n)
+			}
+			meta3, body3 := snap(tn2)
+			if mask(meta3) != mask(meta2) || !bytes.Equal(body3, body2) {
+				t.Fatalf("save → load → save changed the checkpoint (meta %+v vs %+v, bodies equal: %v)", meta2, meta3, bytes.Equal(body2, body3))
+			}
+		})
 	}
 }
 
@@ -150,15 +160,8 @@ func TestOpenDurableMonitorRejectsDamagedCheckpoint(t *testing.T) {
 		if err := dm.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		// The file that holds the models: the root, or a shard's.
+		// The one file of either fleet shape.
 		path := filepath.Join(dir, "checkpoint")
-		if shards > 1 {
-			matches, err := filepath.Glob(filepath.Join(dir, "shard-0", "checkpoint-*"))
-			if err != nil || len(matches) != 1 {
-				t.Fatalf("shard-0 checkpoint files = %v, %v", matches, err)
-			}
-			path = matches[0]
-		}
 		whole, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -174,6 +177,8 @@ func TestOpenDurableMonitorRejectsDamagedCheckpoint(t *testing.T) {
 			{"truncated mid-record", whole[:len(whole)-endSection-5000], manager.ErrCheckpointCorrupt},
 			{"truncated at a record boundary, before the end section", whole[:len(whole)-endSection], manager.ErrCheckpointCorrupt},
 			{"pre-record-format file", legacy.Bytes(), manager.ErrCheckpointFormat},
+			{"file of the previous container version", append([]byte("MCORCKP3"), whole[len(manager.CheckpointMagic):]...), manager.ErrCheckpointFormat},
+			{"2^40 shards declared", fuzzSeeds(t)["seed_huge_shard_count"], manager.ErrCheckpointCorrupt},
 			{"intact", whole, nil},
 		}
 		for _, c := range cases {
@@ -194,6 +199,81 @@ func TestOpenDurableMonitorRejectsDamagedCheckpoint(t *testing.T) {
 			if re != nil || !errors.Is(err, c.want) {
 				t.Errorf("shards=%d, %s: monitor %v, error %v; want %v", shards, c.name, re != nil, err, c.want)
 			}
+		}
+	}
+}
+
+// fuzzSeeds returns the checked-in corpus of FuzzCheckpointRecords
+// (gen_checkpoint_corpus.go writes it), each file's one []byte argument by
+// file name.
+func fuzzSeeds(t *testing.T) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", "FuzzCheckpointRecords")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		text, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(strings.TrimSpace(string(text)), "go test fuzz v1\n[]byte(")
+		if ok {
+			quoted, ok = strings.CutSuffix(quoted, ")")
+		}
+		data, err := strconv.Unquote(quoted)
+		if !ok || err != nil {
+			t.Fatalf("%s is not a one-[]byte seed file (%v)", e.Name(), err)
+		}
+		seeds[e.Name()] = []byte(data)
+	}
+	return seeds
+}
+
+// TestCheckpointCorpusIsCurrent keeps the checked-in fuzz corpus alive. A
+// seed that opens with a checkpoint magic must open with the current one: a
+// bump of manager.CheckpointMagic that forgets `make corpus` would leave
+// every seed refused in its first 8 bytes and the fuzzer exploring nothing.
+// And every generated seed must still mean what its name says, through the
+// real entry point: the valid ones recover, the rest are corrupt.
+func TestCheckpointCorpusIsCurrent(t *testing.T) {
+	seeds := fuzzSeeds(t)
+	if len(seeds) == 0 {
+		t.Fatal("no seeds")
+	}
+	magic := []byte(manager.CheckpointMagic)
+	anyVersion := magic[:len(magic)-1] // the digit is the version
+	for name, data := range seeds {
+		current := bytes.HasPrefix(data, magic)
+		if bytes.HasPrefix(data, anyVersion) && !current {
+			t.Errorf("%s opens with %q, not %q: regenerate the corpus with `make corpus`", name, data[:len(magic)], magic)
+			continue
+		}
+		if !strings.HasPrefix(name, "seed_") {
+			continue // a crasher the fuzzer filed; the fuzz target replays it
+		}
+		var want error
+		switch {
+		case !current:
+			want = manager.ErrCheckpointFormat
+		case !strings.HasPrefix(name, "seed_valid_"):
+			want = manager.ErrCheckpointCorrupt
+		}
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, "wal"), 0o755); err != nil { // an empty log to replay
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, _, err := mcorr.OpenDurableMonitor(mcorr.DurabilityConfig{DataDir: dir, Fsync: mcorr.SyncNone}, nil)
+		if !errors.Is(err, want) || (re != nil) != (want == nil) {
+			t.Errorf("%s: monitor %v, error %v; want %v", name, re != nil, err, want)
+		}
+		if re != nil {
+			re.Close()
 		}
 	}
 }

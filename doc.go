@@ -55,7 +55,7 @@
 // is a no-op and Close only releases the fleet. Every acked sample batch
 // is logged before ingestion returns; recovery restores the
 // last checkpoint, replays the WAL tail and re-scores the recovered rows,
-// reproducing the pre-crash fitness trajectory exactly. Sharded fleets
-// checkpoint one epoch-versioned file per shard plus a root checkpoint
-// that commits the epoch. See OPERATIONS.md for the runbook.
+// reproducing the pre-crash fitness trajectory exactly. The checkpoint is
+// one file for every fleet shape, a sharded fleet's models included. See
+// OPERATIONS.md for the runbook.
 package mcorr

@@ -1,7 +1,6 @@
 package mcorr
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -29,21 +28,17 @@ const (
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
 // DurabilityConfig locates and tunes the on-disk state of a durable
-// pipeline. Layout under DataDir:
+// pipeline. Layout under DataDir, the same for every fleet shape:
 //
-//	DataDir/checkpoint             record-stream snapshot (cursor + store + fleet)
-//	DataDir/wal/                   segmented write-ahead log of acked samples
-//	DataDir/shard-<k>/checkpoint-<epoch>   shard k's model fleet (sharded mode)
+//	DataDir/checkpoint   record-stream snapshot (cursor + store + fleet)
+//	DataDir/wal/         segmented write-ahead log of acked samples
 //
-// A checkpoint file is a magic, then CRC32C-framed numbered records in
+// The checkpoint file is a magic, then CRC32C-framed numbered records in
 // sections (DESIGN.md §10), written and read one record (≤ 1 MiB) at a
-// time; any other format is refused with ErrCheckpointFormat.
-//
-// In sharded mode the root checkpoint holds the coordinator state and an
-// epoch number; the per-shard files carrying that epoch hold the models.
-// Shard files are written first, the root checkpoint is atomically renamed
-// into place last, and stale epochs are garbage-collected afterwards — a
-// crash anywhere in the sequence recovers from the previous epoch.
+// time; any other format is refused with ErrCheckpointFormat. It holds the
+// whole pipeline — a sharded fleet's models included, shard after shard —
+// and is replaced by one atomic rename, so a crash at any point of a
+// checkpoint recovers from the previous one.
 type DurabilityConfig struct {
 	// DataDir is the root of the durable state (required).
 	DataDir string
@@ -60,14 +55,6 @@ type DurabilityConfig struct {
 
 func (c DurabilityConfig) checkpointPath() string { return filepath.Join(c.DataDir, "checkpoint") }
 func (c DurabilityConfig) walDir() string         { return filepath.Join(c.DataDir, "wal") }
-
-func (c DurabilityConfig) shardDir(k int) string {
-	return filepath.Join(c.DataDir, fmt.Sprintf("shard-%d", k))
-}
-
-func (c DurabilityConfig) shardCheckpointPath(k int, epoch uint64) string {
-	return filepath.Join(c.shardDir(k), fmt.Sprintf("checkpoint-%d", epoch))
-}
 
 // HasCheckpoint reports whether dataDir holds a checkpoint to recover from
 // (the OpenDurableMonitor vs NewDurableMonitor decision).
@@ -118,7 +105,7 @@ func (st *pipelineState) load(cfg DurabilityConfig, sink AlarmSink, o monitorOpt
 	if err != nil {
 		return err
 	}
-	err = st.decode(cr, cfg, sink)
+	err = st.decode(cr, sink)
 	cr.Close()
 	if err != nil || o.discovery == nil {
 		return err
@@ -148,10 +135,11 @@ func readStoreSection(cr *manager.CheckpointReader) (*Store, error) {
 
 // decode reads the sections after meta in file order, straight from the
 // open stream: the store, the small engine blobs, then the fleet one model
-// at a time (sharded: from the shard files the coord section points at).
-// It yields a whole state or a typed error (ErrCheckpointCorrupt) — never
-// a fleet with fewer pairs than were saved.
-func (st *pipelineState) decode(cr *manager.CheckpointReader, cfg DurabilityConfig, sink AlarmSink) (err error) {
+// at a time — a Manager, or as many shard managers as meta.Shards says. It
+// is a function of the stream alone and yields a whole state or a typed
+// error (ErrCheckpointCorrupt) — never a fleet with fewer pairs than were
+// saved.
+func (st *pipelineState) decode(cr *manager.CheckpointReader, sink AlarmSink) (err error) {
 	if st.store, err = readStoreSection(cr); err != nil {
 		return err
 	}
@@ -161,21 +149,23 @@ func (st *pipelineState) decode(cr *manager.CheckpointReader, cfg DurabilityConf
 	if st.discover, err = cr.Blob(manager.SectionDiscover); err != nil {
 		return err
 	}
-	coordState, err := cr.Blob(manager.SectionCoord)
+	body, err := cr.Section(manager.SectionManager)
 	if err != nil {
 		return err
 	}
 	if st.meta.Shards > 0 {
-		coord, err := recoverShards(cfg, st.meta, coordState, sink)
+		coord, err := shard.Load(body, sink)
+		if err == nil {
+			if n := coord.NumShards(); n != st.meta.Shards {
+				coord.Close()
+				err = fmt.Errorf("%d shards where meta declares %d", n, st.meta.Shards)
+			}
+		}
 		if err != nil {
-			return manager.CorruptCheckpoint(manager.SectionCoord, err)
+			return manager.CorruptCheckpoint(manager.SectionManager, err)
 		}
 		st.fleet = coord
 	} else {
-		body, err := cr.Section(manager.SectionManager)
-		if err != nil {
-			return err
-		}
 		mgr, err := manager.LoadManager(body, sink)
 		if err != nil {
 			return manager.CorruptCheckpoint(manager.SectionManager, err)
@@ -189,36 +179,6 @@ func (st *pipelineState) decode(cr *manager.CheckpointReader, cfg DurabilityConf
 	return err
 }
 
-// recoverShards restores a sharded fleet: the coordinator state from the
-// root checkpoint's coord blob plus the manager section of every
-// shard-<k>/checkpoint-<epoch> file, each streamed one model at a time.
-func recoverShards(cfg DurabilityConfig, meta manager.CheckpointMeta, coordState []byte, sink AlarmSink) (*ShardCoordinator, error) {
-	readers := make([]*manager.CheckpointReader, meta.Shards)
-	bodies := make([]io.Reader, meta.Shards)
-	for k := range readers {
-		cr, err := manager.OpenCheckpointFile(cfg.shardCheckpointPath(k, meta.Epoch), &manager.CheckpointMeta{})
-		if err != nil {
-			return nil, fmt.Errorf("recover shard %d (epoch %d): %w", k, meta.Epoch, err)
-		}
-		defer cr.Close()
-		if bodies[k], err = cr.Section(manager.SectionManager); err != nil {
-			return nil, fmt.Errorf("recover shard %d (epoch %d): %w", k, meta.Epoch, err)
-		}
-		readers[k] = cr
-	}
-	coord, err := shard.Load(bytes.NewReader(coordState), bodies, sink)
-	if err != nil {
-		return nil, fmt.Errorf("recover sharded fleet: %w", err)
-	}
-	for k, cr := range readers {
-		if err := cr.End(); err != nil {
-			coord.Close()
-			return nil, fmt.Errorf("recover shard %d (epoch %d): %w", k, meta.Epoch, err)
-		}
-	}
-	return coord, nil
-}
-
 // checkpointLocked snapshots manager + store + cursor atomically and then
 // drops WAL segments the snapshot has made redundant; in memory it is a
 // no-op. The WAL sequence is read before the snapshots: every record with
@@ -230,8 +190,7 @@ func (m *Monitor) checkpointLocked() error {
 		return nil
 	}
 	seq := m.log.LastSeq()
-	// Every checkpoint advances the epoch (in the sharded layout it also
-	// versions the per-shard files); the committed value lands on the
+	// Every checkpoint advances the epoch; the committed value lands on the
 	// mcorr_checkpoint_epoch gauge below.
 	epoch := m.epoch + 1
 	meta := manager.CheckpointMeta{
@@ -241,28 +200,17 @@ func (m *Monitor) checkpointLocked() error {
 		Steps:     m.fleet.Steps(),
 		Epoch:     epoch,
 	}
-	coord := m.Coordinator()
-	if coord != nil {
-		// Sharded layout: per-shard model files carry the next epoch; they
-		// are all durable before the root checkpoint (written last, below)
-		// makes that epoch authoritative.
+	var saveFleet func(io.Writer) error
+	if coord := m.Coordinator(); coord != nil {
 		meta.Shards = coord.NumShards()
-		for k := 0; k < meta.Shards; k++ {
-			if err := os.MkdirAll(m.cfg.shardDir(k), 0o755); err != nil {
-				return fmt.Errorf("checkpoint shard %d: %w", k, err)
-			}
-			smeta := manager.CheckpointMeta{CreatedAt: meta.CreatedAt, Shards: meta.Shards, Epoch: epoch}
-			if err := manager.WriteCheckpointFile(m.cfg.shardCheckpointPath(k, epoch), &smeta, func(cw *manager.CheckpointWriter) error {
-				return cw.Stream(manager.SectionManager, func(w io.Writer) error { return coord.SaveShard(k, w) })
-			}); err != nil {
-				return fmt.Errorf("checkpoint shard %d: %w", k, err)
-			}
-		}
+		saveFleet = coord.Save
+	} else {
+		saveFleet = m.Manager().Save
 	}
 	// The store and the fleet stream straight into the file, one record at
 	// a time; only the small engine states pass through a blob (empty when
 	// the engine is absent).
-	var diagnose, discover, coordState []byte
+	var diagnose, discover []byte
 	var err error
 	if m.diag != nil {
 		if diagnose, err = m.diag.MarshalState(); err != nil {
@@ -274,13 +222,6 @@ func (m *Monitor) checkpointLocked() error {
 			return fmt.Errorf("checkpoint discovery: %w", err)
 		}
 	}
-	if coord != nil {
-		var cbuf bytes.Buffer // topology + aggregator accumulators only
-		if err := coord.SaveState(&cbuf); err != nil {
-			return fmt.Errorf("checkpoint coordinator: %w", err)
-		}
-		coordState = cbuf.Bytes()
-	}
 	if err := manager.WriteCheckpointFile(m.cfg.checkpointPath(), &meta, func(cw *manager.CheckpointWriter) error {
 		err := cw.Stream(manager.SectionStore, m.store.Snapshot)
 		if err == nil {
@@ -290,10 +231,7 @@ func (m *Monitor) checkpointLocked() error {
 			err = cw.Blob(manager.SectionDiscover, discover)
 		}
 		if err == nil {
-			err = cw.Blob(manager.SectionCoord, coordState)
-		}
-		if err == nil && coord == nil {
-			err = cw.Stream(manager.SectionManager, m.Manager().Save)
+			err = cw.Stream(manager.SectionManager, saveFleet)
 		}
 		return err
 	}); err != nil {
@@ -305,39 +243,5 @@ func (m *Monitor) checkpointLocked() error {
 	if err := m.log.TruncateBefore(seq); err != nil {
 		return fmt.Errorf("wal retention: %w", err)
 	}
-	if meta.Shards > 0 {
-		m.gcShardEpochs(meta.Shards, epoch)
-	}
 	return nil
-}
-
-// gcShardEpochs removes per-shard checkpoint files from superseded epochs
-// and shard directories beyond the current shard count (left behind when
-// a reshard shrank the fleet). Best-effort: the authoritative state is
-// the root checkpoint, and stale files are harmless until the next GC.
-func (m *Monitor) gcShardEpochs(shards int, epoch uint64) {
-	keep := fmt.Sprintf("checkpoint-%d", epoch)
-	dirs, err := filepath.Glob(filepath.Join(m.cfg.DataDir, "shard-*"))
-	if err != nil {
-		return
-	}
-	for _, dir := range dirs {
-		var k int
-		if _, err := fmt.Sscanf(filepath.Base(dir), "shard-%d", &k); err != nil {
-			continue
-		}
-		if k >= shards {
-			os.RemoveAll(dir)
-			continue
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.Name() != keep {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
 }

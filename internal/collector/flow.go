@@ -92,13 +92,14 @@ func (c FlowConfig) withDefaults() FlowConfig {
 		c.ThrottleDelay = 100 * time.Millisecond
 	}
 	if c.AgentRate > 0 && c.AgentBurst <= 0 {
-		c.AgentBurst = int(c.AgentRate)
-		if c.AgentBurst < MaxBatch {
-			c.AgentBurst = MaxBatch
-		}
+		c.AgentBurst = int(defaultBurst(c.AgentRate))
 	}
 	return c
 }
+
+// defaultBurst is the depth of a token bucket nobody sized: one second of
+// its rate, and never less than one full batch.
+func defaultBurst(rate float64) float64 { return max(rate, MaxBatch) }
 
 // appendJob is one queued sink append: the decoded batch, the sink it
 // goes to (the connection's tenant sink, or the server's fixed sink),
@@ -118,10 +119,30 @@ type appendResult struct {
 	dropped bool // evicted by ShedDropOldest before reaching the sink
 }
 
-// tokenBucket is one agent's rate-limit state. Guarded by limiter.mu.
+// tokenBucket is the rate-limit state of one agent or one tenant, guarded
+// by its limiter's mutex. It starts full: tokens = burst, last = now.
 type tokenBucket struct {
 	tokens float64
 	last   time.Time
+}
+
+// take refills the bucket at rate tokens per second, up to burst, for the
+// time since it was last used, and attempts to withdraw n tokens. On
+// success it reports ok and the remaining whole tokens (the credit to
+// advertise). On refusal it reports how long the sender should wait for
+// the bucket to refill enough, and the currently available whole tokens.
+func (b *tokenBucket) take(rate, burst float64, n int, now time.Time) (ok bool, wait time.Duration, credit int) {
+	if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens = min(b.tokens+dt*rate, burst)
+	}
+	b.last = now
+	need := float64(n)
+	if b.tokens >= need {
+		b.tokens -= need
+		return true, 0, int(b.tokens)
+	}
+	wait = time.Duration((need - b.tokens) / rate * float64(time.Second))
+	return false, wait, int(b.tokens)
 }
 
 // limiter applies a per-agent token-bucket rate limit keyed by agent
@@ -139,10 +160,7 @@ func newLimiter(rate float64, burst int) *limiter {
 	return &limiter{rate: rate, burst: float64(burst), buckets: make(map[string]*tokenBucket)}
 }
 
-// take attempts to withdraw n tokens for the named agent at time now. On
-// success it reports ok and the remaining whole tokens (the credit to
-// advertise). On refusal it reports how long the agent should wait for
-// the bucket to refill enough, and the currently available whole tokens.
+// take is tokenBucket.take on the named agent's bucket.
 func (l *limiter) take(agent string, n int, now time.Time) (ok bool, wait time.Duration, credit int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -150,22 +168,8 @@ func (l *limiter) take(agent string, n int, now time.Time) (ok bool, wait time.D
 	if !found {
 		b = &tokenBucket{tokens: l.burst, last: now}
 		l.buckets[agent] = b
-	} else {
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * l.rate
-			if b.tokens > l.burst {
-				b.tokens = l.burst
-			}
-		}
-		b.last = now
 	}
-	need := float64(n)
-	if b.tokens >= need {
-		b.tokens -= need
-		return true, 0, int(b.tokens)
-	}
-	wait = time.Duration((need - b.tokens) / l.rate * float64(time.Second))
-	return false, wait, int(b.tokens)
+	return b.take(l.rate, l.burst, n, now)
 }
 
 // forget drops an agent's bucket (called when its last connection goes

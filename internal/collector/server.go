@@ -442,41 +442,16 @@ func (s *Server) handleSamples(conn net.Conn, agent, tenant string, sink Sink, j
 	if s.router != nil {
 		rate, burst := s.router.TenantLimit(tenant)
 		if rate > 0 {
-			ok, wait, credit := s.tlimiter.take(tenant, rate, float64(burst), len(batch), time.Now())
-			if !ok {
-				s.mu.Lock()
-				s.stats.Throttled++
-				s.mu.Unlock()
-				obsFlowTenantThrottled.With(tenant).Inc()
-				if wait < s.throttleDelay() {
-					wait = s.throttleDelay()
-				}
-				if err := s.writeAck(conn, AckInfo{Stored: 0, Delay: wait, Credit: credit}); err != nil {
-					s.countError()
-					return false
-				}
-				return true
+			if ok, wait, credit := s.tlimiter.take(tenant, rate, float64(burst), len(batch), time.Now()); !ok {
+				return s.refuse(conn, obsFlowTenantThrottled.With(tenant), wait, credit)
 			}
 		}
 	}
 
-	// Per-agent rate limit: an over-budget batch is refused whole with a
-	// hint saying when to retry and how much the bucket can take now.
+	// Per-agent rate limit next.
 	if s.limiter != nil {
-		ok, wait, credit := s.limiter.take(agent, len(batch), time.Now())
-		if !ok {
-			s.mu.Lock()
-			s.stats.Throttled++
-			s.mu.Unlock()
-			obsFlowThrottled.Inc()
-			if wait < s.flow.ThrottleDelay {
-				wait = s.flow.ThrottleDelay
-			}
-			if err := s.writeAck(conn, AckInfo{Stored: 0, Delay: wait, Credit: credit}); err != nil {
-				s.countError()
-				return false
-			}
-			return true
+		if ok, wait, credit := s.limiter.take(agent, len(batch), time.Now()); !ok {
+			return s.refuse(conn, obsFlowThrottled, wait, credit)
 		}
 	}
 
@@ -519,6 +494,22 @@ func (s *Server) handleSamples(conn net.Conn, agent, tenant string, sink Sink, j
 		}
 	}
 	if err := s.writeAck(conn, AckInfo{Stored: stored, Delay: s.queueHint()}); err != nil {
+		s.countError()
+		return false
+	}
+	return true
+}
+
+// refuse acks a batch that is over a rate limit: refused whole, with a hint
+// saying when to retry — never sooner than the throttle delay — and how
+// much the bucket can take now. It reports whether the connection is still
+// usable.
+func (s *Server) refuse(conn net.Conn, throttled *obs.Counter, wait time.Duration, credit int) bool {
+	s.mu.Lock()
+	s.stats.Throttled++
+	s.mu.Unlock()
+	throttled.Inc()
+	if err := s.writeAck(conn, AckInfo{Stored: 0, Delay: max(wait, s.throttleDelay()), Credit: credit}); err != nil {
 		s.countError()
 		return false
 	}

@@ -125,15 +125,11 @@ func (s *Server) ForgetTenant(name string) {
 	}
 }
 
-// take attempts to withdraw n tokens from the tenant's bucket at the
-// given rate/burst. Semantics match limiter.take: on refusal it reports
-// how long to wait and the currently available whole tokens.
+// take is tokenBucket.take on the tenant's bucket, at the rate and burst
+// of the tenant's quota (burst <= 0: defaultBurst).
 func (l *tenantLimiter) take(tenant string, rate float64, burst float64, n int, now time.Time) (ok bool, wait time.Duration, credit int) {
 	if burst <= 0 {
-		burst = rate
-		if burst < MaxBatch {
-			burst = MaxBatch
-		}
+		burst = defaultBurst(rate)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -141,20 +137,6 @@ func (l *tenantLimiter) take(tenant string, rate float64, burst float64, n int, 
 	if !found {
 		b = &tokenBucket{tokens: burst, last: now}
 		l.buckets[tenant] = b
-	} else {
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * rate
-			if b.tokens > burst {
-				b.tokens = burst
-			}
-		}
-		b.last = now
 	}
-	need := float64(n)
-	if b.tokens >= need {
-		b.tokens -= need
-		return true, 0, int(b.tokens)
-	}
-	wait = time.Duration((need - b.tokens) / rate * float64(time.Second))
-	return false, wait, int(b.tokens)
+	return b.take(rate, burst, n, now)
 }

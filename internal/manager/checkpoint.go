@@ -14,12 +14,13 @@ import (
 	"mcorr/internal/wal"
 )
 
-// CheckpointMagic opens every checkpoint file — root, shard, worker and
+// CheckpointMagic opens every checkpoint file — pipeline, worker and
 // -save-models alike. Its last digit moves whenever a record inside the
-// container changes shape (3: core's model record format 4, which stores
-// observed rows only), so a file from another release is refused whole as
-// ErrCheckpointFormat instead of failing somewhere inside as corrupt.
-const CheckpointMagic = "MCORCKP3"
+// container changes shape or the section list does (4: a sharded fleet's
+// models moved into the manager section and the coord section went), so a
+// file from another release is refused whole as ErrCheckpointFormat instead
+// of failing somewhere inside as corrupt.
+const CheckpointMagic = "MCORCKP4"
 
 // checkpointBuffer sizes the buffered writer and reader the file is
 // streamed through.
@@ -54,28 +55,25 @@ type CheckpointMeta struct {
 	WALSeq uint64
 	// Steps mirrors the fleet's step count (diagnostic only).
 	Steps int
-	// Shards is the shard count of a sharded fleet; 0 means the
-	// single-manager layout (a manager section in this file).
+	// Shards is the shard count of a sharded fleet — the manager section
+	// then holds a saved shard.Coordinator, which must declare the same
+	// count; 0 means it holds a single saved Manager.
 	Shards int
-	// Epoch versions the per-shard files that pair with this checkpoint:
-	// shard k's models live in shard-<k>/checkpoint-<Epoch>. Shard files
-	// are written first and the root checkpoint — which alone makes an
-	// epoch authoritative — is renamed into place last, so a crash
-	// mid-checkpoint leaves the previous epoch intact.
+	// Epoch counts the checkpoints this data directory has committed; each
+	// one writes its predecessor's value plus one.
 	Epoch uint64
 }
 
 // Section names, in file order (DESIGN.md §10 has the table). A section
 // opens with a record holding sectionMark + name, so a decoder out of step
 // with its stream cannot mistake data for a boundary. The layout is fixed:
-// a pipeline checkpoint has them all but manager (sharded) — blobs of
-// absent engines are empty — and a store-only one stops after store.
+// a pipeline checkpoint has them all — blobs of absent engines are empty —
+// and a worker or -save-models file has meta, manager and end.
 const (
 	SectionMeta     = "meta"
 	SectionStore    = "store"
 	SectionDiagnose = "diagnose"
 	SectionDiscover = "discover"
-	SectionCoord    = "coord"
 	SectionManager  = "manager"
 	sectionEnd      = "end"
 	sectionMark     = "#"

@@ -91,7 +91,8 @@ func TestOpenCheckpointFileMissing(t *testing.T) {
 }
 
 // A checkpoint from before the record format (one gob value, no magic) is
-// refused outright, as is anything else that does not open with the magic.
+// refused outright, as is anything else that does not open with the magic —
+// the previous container version's included.
 func TestOpenCheckpointFileRefusesOtherFormats(t *testing.T) {
 	var legacy bytes.Buffer
 	if err := gob.NewEncoder(&legacy).Encode(struct {
@@ -100,7 +101,7 @@ func TestOpenCheckpointFileRefusesOtherFormats(t *testing.T) {
 	}{1, []byte("models")}); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"legacy gob": legacy.Bytes(), "text": []byte("not a checkpoint"), "empty": nil} {
+	for name, data := range map[string][]byte{"legacy gob": legacy.Bytes(), "text": []byte("not a checkpoint"), "empty": nil, "MCORCKP3": []byte("MCORCKP3")} {
 		path := filepath.Join(t.TempDir(), "checkpoint")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

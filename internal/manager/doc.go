@@ -44,8 +44,8 @@
 // OpenCheckpointFile define the crash-atomic checkpoint file shared by
 // the durable pipeline and the shardnet workers — a magic, then
 // CRC-framed numbered records grouped into sections (meta, store,
-// diagnose, discover, coord, manager, end) — with CheckpointMeta carrying
-// the cursor, the WAL mark and the sharded layout's epoch fields;
+// diagnose, discover, manager, end) — with CheckpointMeta carrying the
+// cursor, the WAL mark, the shard count and the checkpoint's epoch;
 // ErrCheckpointFormat and ErrCheckpointCorrupt are its typed failures.
 // Cadence decides when automatic checkpoints are due.
 package manager

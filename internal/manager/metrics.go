@@ -32,13 +32,13 @@ var (
 		"Latency of writing one durable checkpoint (snapshot encode + fsync + rename).",
 		obs.TimeBuckets())
 	obsCheckpointBytes = obs.Default().Gauge("mcorr_checkpoint_bytes",
-		"Size of the last checkpoint file committed (in sharded mode the root file, written last).")
+		"Size of the last checkpoint file committed — the whole pipeline, models included, whatever the fleet shape.")
 	obsCheckpointModels = obs.Default().Counter("mcorr_checkpoint_models_total",
 		"Pair models streamed out by Manager.Save: checkpoints, shard state transfers and -save-models.")
 	obsCheckpoints = obs.Default().Counter("mcorr_checkpoints_written_total",
 		"Checkpoints durably written.")
 	obsCheckpointEpoch = obs.Default().Gauge("mcorr_checkpoint_epoch",
-		"Epoch of the last durable checkpoint (versions the per-shard snapshot files; 0 before the first checkpoint).")
+		"Epoch of the last durable checkpoint: how many this data directory has committed (0 before the first).")
 
 	obsFitness = obs.Default().HistogramVec("mcorr_manager_fitness",
 		"Fitness scores by aggregation level: pair (Q^{a,b}), measurement (Q^a), system (Q).",
@@ -57,6 +57,6 @@ func RecordDirtyPairs(n int) { obsDirtyPairs.Set(float64(n)) }
 
 // RecordCheckpointEpoch publishes the epoch of the checkpoint that just
 // committed on the mcorr_checkpoint_epoch gauge (the durable monitor
-// calls this after the root checkpoint rename, and once at recovery with
-// the restored epoch).
+// calls this after the checkpoint's rename, and once at recovery with the
+// restored epoch).
 func RecordCheckpointEpoch(epoch uint64) { obsCheckpointEpoch.Set(float64(epoch)) }

@@ -1,8 +1,8 @@
 // Package mathx provides the hand-rolled numerical routines the rest of the
 // project builds on: vector and dense-matrix operations, linear system
 // solving, ordinary least squares, descriptive statistics, online moments,
-// histograms and quantiles, and a two-dimensional Gaussian mixture fitted by
-// expectation maximization.
+// quantiles, and a two-dimensional Gaussian mixture fitted by expectation
+// maximization.
 //
 // The project is restricted to the standard library, so everything here is
 // implemented from first principles. The routines favour clarity and

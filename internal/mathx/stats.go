@@ -206,40 +206,3 @@ func (o *Online) Merge(b Online) {
 	o.mean += d * float64(b.n) / float64(n)
 	o.n = n
 }
-
-// EWMA is an exponentially weighted moving average. The zero value is not
-// usable; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]; larger
-// alpha weights recent samples more. It returns an error for alpha outside
-// that range.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("ewma alpha %g outside (0, 1]", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Add incorporates x and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average, or NaN before any samples.
-func (e *EWMA) Value() float64 {
-	if !e.init {
-		return math.NaN()
-	}
-	return e.value
-}

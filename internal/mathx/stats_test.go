@@ -200,30 +200,6 @@ func TestOnlineMerge(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	if _, err := NewEWMA(0); err == nil {
-		t.Error("alpha 0: want error")
-	}
-	if _, err := NewEWMA(1.5); err == nil {
-		t.Error("alpha > 1: want error")
-	}
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatalf("NewEWMA: %v", err)
-	}
-	if !math.IsNaN(e.Value()) {
-		t.Error("empty EWMA should be NaN")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Errorf("first value = %g", e.Value())
-	}
-	e.Add(0)
-	if !AlmostEqual(e.Value(), 5, 1e-12) {
-		t.Errorf("after decay = %g, want 5", e.Value())
-	}
-}
-
 // Property: Pearson is always within [-1, 1] for finite data.
 func TestPearsonRangeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -38,7 +38,7 @@ type Config struct {
 // so its fitness trajectories are bit-identical to an unsharded Manager
 // over the same data, for any shard count. What it adds is what needs the
 // models in this process: training, live resharding, grafting and dropping
-// single pairs, checkpoint blobs and the per-pair scheduler states.
+// single pairs, Save and the per-pair scheduler states.
 //
 // All methods are safe for concurrent use; rows must be fed in time
 // order. The zero value is not usable — construct with New or Load.

@@ -1,8 +1,8 @@
 // Package shard is the sharded scoring fabric: it partitions the
 // l(l−1)/2 measurement-pair graph across N independent manager shards so
-// the per-row scoring fan-out, the model memory and the checkpoint I/O
-// scale horizontally — while the fitness trajectory stays bit-identical
-// to a single unsharded manager.
+// the per-row scoring fan-out and the model memory scale horizontally —
+// while the fitness trajectory stays bit-identical to a single unsharded
+// manager.
 //
 // # Partitioning
 //
@@ -45,11 +45,12 @@
 //
 // # Persistence
 //
-// SaveState captures the coordinator's topology and aggregation state;
-// SaveShard captures one shard's models. The durable pipeline writes the
-// per-shard blobs first (one epoch-versioned file per shard) and flips
-// the root checkpoint last, making multi-file checkpoints crash-atomic;
-// Load reassembles the fleet from the blob set.
+// Coordinator.Save streams the whole fleet onto one record stream — a
+// header with the shard count and the central aggregator, then every
+// shard's Manager.Save in shard order — and Load reads it back one model
+// at a time, trusting the declared count with nothing. The durable pipeline
+// writes it as the manager section of its one checkpoint file, so a sharded
+// checkpoint is crash-atomic by the same single rename as any other.
 //
 // Per-shard health is published as mcorr_shard_* metrics (step and
 // per-shard score latency, pair counts, reshard activity).

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -144,20 +143,12 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 			}
 		}
 		if i%1499 == 1498 {
-			var state bytes.Buffer
-			if err := coord.SaveState(&state); err != nil {
-				t.Fatalf("step %d: SaveState: %v", i, err)
-			}
-			blobs := make([]io.Reader, coord.NumShards())
-			for k := range blobs {
-				var buf bytes.Buffer
-				if err := coord.SaveShard(k, &buf); err != nil {
-					t.Fatalf("step %d: SaveShard(%d): %v", i, k, err)
-				}
-				blobs[k] = &buf
+			var saved bytes.Buffer
+			if err := coord.Save(&saved); err != nil {
+				t.Fatalf("step %d: Save: %v", i, err)
 			}
 			coord.Close()
-			if coord, err = Load(&state, blobs, sink); err != nil {
+			if coord, err = Load(&saved, sink); err != nil {
 				t.Fatalf("step %d: Load: %v", i, err)
 			}
 		}

@@ -2,8 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"mcorr/internal/manager"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
+	"mcorr/internal/wal"
 )
 
 // fixtures builds a small group trace, a training slice, and the
@@ -216,22 +218,17 @@ func TestPersistRoundTrip(t *testing.T) {
 	for i, row := range rows[:half] {
 		compareReports(t, i, coord.Step(row), ref.Step(row))
 	}
-	var state bytes.Buffer
-	if err := coord.SaveState(&state); err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
-	blobs := make([]io.Reader, coord.NumShards())
-	for k := range blobs {
-		var buf bytes.Buffer
-		if err := coord.SaveShard(k, &buf); err != nil {
-			t.Fatalf("SaveShard(%d): %v", k, err)
-		}
-		blobs[k] = &buf
+	var saved bytes.Buffer
+	if err := coord.Save(&saved); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
 	coord.Close()
-	restored, err := Load(&state, blobs, nil)
+	restored, err := Load(&saved, nil)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
+	}
+	if saved.Len() != 0 {
+		t.Errorf("Load left %d bytes of its own stream unread", saved.Len())
 	}
 	defer restored.Close()
 	if got := restored.Steps(); got != ref.Steps() {
@@ -243,26 +240,74 @@ func TestPersistRoundTrip(t *testing.T) {
 	sameBits(t, "restored system mean", restored.SystemMean(), ref.SystemMean())
 }
 
-// TestLoadValidation exercises the snapshot error paths.
+// TestLoadValidation exercises the snapshot error paths: every stream that
+// is not exactly what Save wrote is refused as corrupt, with no shard left
+// running, and a declared shard count is never taken on trust.
 func TestLoadValidation(t *testing.T) {
-	if _, err := Load(bytes.NewReader(nil), nil, nil); err == nil {
-		t.Error("empty state: want error")
-	}
 	_, history, _ := fixtures(t, 2, 1)
-	coord, err := New(history, Config{Shards: 2, Manager: manager.Config{Workers: 1}})
+	mcfg := manager.Config{Workers: 1}
+	coord, err := New(history, Config{Shards: 2, Manager: mcfg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer coord.Close()
-	var state bytes.Buffer
-	if err := coord.SaveState(&state); err != nil {
-		t.Fatalf("SaveState: %v", err)
+	fewer := timeseries.NewDataset()
+	for _, id := range history.IDs()[:3] {
+		fewer.Add(history.Get(id))
 	}
-	if _, err := Load(&state, []io.Reader{bytes.NewReader(nil)}, nil); err == nil {
-		t.Error("wrong blob count: want error")
+	other, err := manager.New(fewer, mcfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	if err := coord.SaveShard(9, io.Discard); err == nil {
-		t.Error("SaveShard out of range: want error")
+	defer other.Close()
+	three, err := Train(history, 3, mcfg, nil) // what a fleet of three gives each shard
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	defer closeAll(three)
+	var whole, agg bytes.Buffer
+	if err := coord.Save(&whole); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if err := coord.Aggregator.Save(&agg); err != nil {
+		t.Fatalf("Aggregator.Save: %v", err)
+	}
+	// stream writes a header declaring n shards, then the given bodies.
+	stream := func(version, n int, bodies ...*manager.Manager) []byte {
+		var hdr, buf bytes.Buffer
+		if err := gob.NewEncoder(&hdr).Encode(coordHeader{Version: version, Shards: n, Agg: agg.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+		rw := wal.NewRecordWriter(&buf)
+		if err := rw.WriteBlob(hdr.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range bodies {
+			if err := m.Save(rw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	s0, s1 := coord.shards[0], coord.shards[1]
+	if !bytes.Equal(stream(coordFormat, 2, s0, s1), whole.Bytes()) {
+		t.Fatal("the hand-built stream of the intact fleet differs from Save's")
+	}
+	for name, data := range map[string][]byte{
+		"empty stream":                    nil,
+		"another stream format":           stream(coordFormat+1, 2, s0, s1),
+		"no shards":                       stream(coordFormat, 0),
+		"negative shard count":            stream(coordFormat, -1, s0, s1),
+		"2^40 shards declared, none held": stream(coordFormat, 1<<40),
+		"3 shards declared, 2 held":       stream(coordFormat, 3, three[0], three[1]),
+		"ends inside the second shard":    whole.Bytes()[:whole.Len()-100],
+		"shards in the wrong order":       stream(coordFormat, 2, s1, s0),
+		"a shard over other measurements": stream(coordFormat, 2, s0, other),
+	} {
+		c, err := Load(bytes.NewReader(data), nil)
+		if c != nil || !errors.Is(err, wal.ErrCorrupt) {
+			t.Errorf("%s: coordinator %v, error %v; want wal.ErrCorrupt", name, c != nil, err)
+		}
 	}
 	if _, err := coord.Reshard(0); err == nil {
 		t.Error("Reshard(0): want error")

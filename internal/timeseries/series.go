@@ -141,40 +141,6 @@ func (s *Series) Stats() (mean, std float64) {
 	return o.Mean(), std
 }
 
-// Resample returns a new series on a coarser grid whose step is an integer
-// multiple of s.Step; each output sample is the mean of the covered input
-// samples (NaNs skipped; an all-NaN bucket yields NaN).
-func (s *Series) Resample(step time.Duration) (*Series, error) {
-	if step <= 0 || step%s.Step != 0 {
-		return nil, fmt.Errorf("resample %v to %v: %w", s.Step, step, ErrStepMismatch)
-	}
-	k := int(step / s.Step)
-	out, err := NewSeries(s.ID, s.Start, step)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(s.Values); i += k {
-		end := i + k
-		if end > len(s.Values) {
-			end = len(s.Values)
-		}
-		var sum float64
-		var n int
-		for _, v := range s.Values[i:end] {
-			if !math.IsNaN(v) {
-				sum += v
-				n++
-			}
-		}
-		if n == 0 {
-			out.Append(math.NaN())
-		} else {
-			out.Append(sum / float64(n))
-		}
-	}
-	return out, nil
-}
-
 // AlignPair maps two series onto their common time range and returns one
 // 2-D point per shared grid position, along with the timestamp of the first
 // point. Samples where either side is NaN are dropped (their grid slots are

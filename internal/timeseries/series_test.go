@@ -127,39 +127,6 @@ func TestSeriesStats(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	start := Date(2008, time.May, 29)
-	s := mustSeries(t, idA, start, time.Minute, 1, 3, 5, 7, 9)
-	r, err := s.Resample(2 * time.Minute)
-	if err != nil {
-		t.Fatalf("Resample: %v", err)
-	}
-	want := []float64{2, 6, 9} // last bucket is partial
-	if r.Len() != 3 {
-		t.Fatalf("Resample len = %d", r.Len())
-	}
-	for i := range want {
-		if r.Values[i] != want[i] {
-			t.Errorf("Resample[%d] = %g, want %g", i, r.Values[i], want[i])
-		}
-	}
-	if _, err := s.Resample(90 * time.Second); err == nil {
-		t.Error("non-multiple step: want error")
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Error("zero step: want error")
-	}
-	// NaNs are skipped; an all-NaN bucket stays NaN.
-	n := mustSeries(t, idA, start, time.Minute, math.NaN(), 4, math.NaN(), math.NaN())
-	r, err = n.Resample(2 * time.Minute)
-	if err != nil {
-		t.Fatalf("Resample: %v", err)
-	}
-	if r.Values[0] != 4 || !math.IsNaN(r.Values[1]) {
-		t.Errorf("NaN resample = %v", r.Values)
-	}
-}
-
 func TestAlignPair(t *testing.T) {
 	start := Date(2008, time.May, 29)
 	a := mustSeries(t, idA, start, time.Minute, 1, 2, 3, 4)

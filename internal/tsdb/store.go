@@ -185,17 +185,6 @@ func (s *Store) Query(id timeseries.MeasurementID, from, to time.Time) (*timeser
 	return full.Slice(from, to).Clone(), nil
 }
 
-// QueryResampled returns the stored samples for id within [from, to)
-// downsampled onto a coarser grid (step must be a multiple of the store's
-// step); each output sample is the mean of the covered inputs.
-func (s *Store) QueryResampled(id timeseries.MeasurementID, from, to time.Time, step time.Duration) (*timeseries.Series, error) {
-	raw, err := s.Query(id, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return raw.Resample(step)
-}
-
 // QueryAll returns a dataset of copies of every measurement restricted to
 // [from, to).
 func (s *Store) QueryAll(from, to time.Time) *timeseries.Dataset {

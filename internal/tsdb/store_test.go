@@ -291,30 +291,3 @@ func TestStoreConcurrent(t *testing.T) {
 		t.Errorf("IDs = %d", len(s.IDs()))
 	}
 }
-
-func TestQueryResampled(t *testing.T) {
-	s := newStore(t, 0)
-	for i := 0; i < 6; i++ {
-		s.Append(Sample{ID: idCPU, Time: t0.Add(time.Duration(i) * time.Minute), Value: float64(i)})
-	}
-	got, err := s.QueryResampled(idCPU, t0, t0.Add(6*time.Minute), 2*time.Minute)
-	if err != nil {
-		t.Fatalf("QueryResampled: %v", err)
-	}
-	want := []float64{0.5, 2.5, 4.5}
-	if got.Len() != 3 {
-		t.Fatalf("Len = %d", got.Len())
-	}
-	for i := range want {
-		if got.Values[i] != want[i] {
-			t.Errorf("resampled = %v, want %v", got.Values, want)
-			break
-		}
-	}
-	if _, err := s.QueryResampled(idCPU, t0, t0.Add(time.Hour), 90*time.Second); err == nil {
-		t.Error("non-multiple step: want error")
-	}
-	if _, err := s.QueryResampled(idNet, t0, t0.Add(time.Hour), 2*time.Minute); err == nil {
-		t.Error("unknown measurement: want error")
-	}
-}

@@ -205,8 +205,9 @@ var (
 )
 
 // ShardFor returns the shard in [0, shards) that owns the given pair
-// under the fabric's rendezvous hashing — useful for capacity planning
-// and for locating a pair's models on disk (data-dir/shard-<k>/).
+// under the fabric's rendezvous hashing — useful for capacity planning,
+// and for finding the mcshard worker (its data-dir/shard-<k>/) that holds a
+// pair's model in a networked fleet.
 func ShardFor(p Pair, shards int) int { return shard.Assign(p.String(), shards) }
 
 // NewManager trains one model per pair of measurements in history.
@@ -576,10 +577,9 @@ func (m *Monitor) Shards() int {
 // retraining or disturbing the fitness trajectory (see
 // ShardCoordinator.Reshard). It returns the number of pair models that
 // changed owner, and an error on an unsharded monitor. A durable monitor
-// immediately checkpoints the new topology (the checkpoint-split): the new
-// epoch's shard files are written before the root checkpoint flips, so a
-// crash during resharding recovers the old topology and a crash after it
-// recovers the new one — never a mix.
+// immediately checkpoints the new topology; the checkpoint is one file
+// replaced by one rename, so a crash during resharding recovers the old
+// topology and a crash after it recovers the new one — never a mix.
 func (m *Monitor) Reshard(n int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

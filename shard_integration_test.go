@@ -1,14 +1,15 @@
 package mcorr_test
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"mcorr"
+	"mcorr/internal/obs"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 )
@@ -103,8 +104,8 @@ func TestMonitorWithShardsBitIdentical(t *testing.T) {
 }
 
 // TestDurableMonitorShardedRecovery is the in-process sharded durability
-// round-trip: checkpoint a sharded fleet (per-shard epoch files + root
-// checkpoint), abandon it mid-stream, recover, and require the combined
+// round-trip: checkpoint a sharded fleet (one file, like any other),
+// abandon it mid-stream, recover, and require the combined
 // trajectory to match an unsharded durable baseline bit for bit — then
 // reshard the recovered fleet and keep going.
 func TestDurableMonitorShardedRecovery(t *testing.T) {
@@ -145,11 +146,21 @@ func TestDurableMonitorShardedRecovery(t *testing.T) {
 			t.Fatalf("pre-crash row %s diverged from unsharded baseline", r.Time)
 		}
 	}
-	for k := 0; k < 3; k++ {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%d", k))); err != nil {
-			t.Fatalf("shard checkpoint dir missing: %v", err)
+	wantLayout := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, []string{"checkpoint", "wal"}) {
+			t.Fatalf("%s the data dir holds %v, want exactly checkpoint and wal", when, names)
 		}
 	}
+	wantLayout("with 3 shards checkpointed")
 	crash.Fleet().Close() // abandon without a final checkpoint
 
 	dm, recovered, err := mcorr.OpenDurableMonitor(dcfg, nil)
@@ -163,6 +174,20 @@ func TestDurableMonitorShardedRecovery(t *testing.T) {
 	// Rows 10..16 were past the last checkpoint: recovery re-scores them.
 	if len(recovered) != 7 {
 		t.Fatalf("recovered %d rows, want 7", len(recovered))
+	}
+
+	// The metrics count the 3-shard checkpoint as what it is, one file.
+	written, _ := obs.Default().Value("mcorr_checkpoints_written_total")
+	if err := dm.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := obs.Default().Value("mcorr_checkpoints_written_total")
+	if size, _ := obs.Default().Value("mcorr_checkpoint_bytes"); after != written+1 || size != float64(fi.Size()) {
+		t.Errorf("one checkpoint of 3 shards: mcorr_checkpoints_written_total %v → %v, mcorr_checkpoint_bytes %v; want +1 and the %d bytes of the file", written, after, size, fi.Size())
 	}
 
 	// Continue, resharding mid-stream; Reshard checkpoints the new
@@ -181,10 +206,14 @@ func TestDurableMonitorShardedRecovery(t *testing.T) {
 	}
 
 	// Reopen once more: the post-reshard checkpoint must restore the
-	// 2-shard topology (and the shrink GC must have dropped shard-2).
+	// 2-shard topology, out of the same one file.
+	if err := dm.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
 	if err := dm.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	wantLayout("after Reshard(2), Checkpoint and Close")
 	again, replayed, err := mcorr.OpenDurableMonitor(dcfg, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -195,9 +224,6 @@ func TestDurableMonitorShardedRecovery(t *testing.T) {
 	}
 	if again.Shards() != 2 {
 		t.Errorf("reopened shards = %d, want 2", again.Shards())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-2")); !os.IsNotExist(err) {
-		t.Errorf("shard-2 dir should be garbage-collected after shrink, stat err=%v", err)
 	}
 	if math.Float64bits(again.Fleet().SystemMean()) != math.Float64bits(base.Fleet().SystemMean()) {
 		t.Error("reopened system mean diverged from baseline")

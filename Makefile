@@ -9,8 +9,8 @@ all: build check
 # included), the documentation gate, the full test suite under the race
 # detector (WAL and collector included), the four example programs run end
 # to end, the nested benchmark module's own smoke tests, one iteration of
-# the row-path and sharded-fabric micro-benchmarks, the kill -9 recovery
-# gate and a bounded fuzzing pass over the wire-format, WAL and
+# the row-path, sharded-fabric and scoring-loop micro-benchmarks, the kill -9
+# recovery gate and a bounded fuzzing pass over the wire-format, WAL and
 # checkpoint decoders.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
 # `make corpus` is not part of check: run it after changing
@@ -45,12 +45,14 @@ bench:
 
 # bench-rowpath runs the row-path micro-benchmarks once each — one ingested
 # row at l=48 and l=600, one row read beside its QueryAll yardstick, one
-# append at the retention cap, and one round of each sharded fabric (the
+# append at the retention cap, one round of each sharded fabric (the
 # in-process one has no BENCHMARK.json workload, so these are its only
-# numbers) — so they keep compiling and running (~15 s, most of it training
-# fleets). For numbers, drop -benchtime.
+# numbers) and one row of the scoring loop's own benchmark at its largest
+# fleet with one worker and with two — so they keep compiling and running
+# (~25 s, most of it training fleets). For numbers, drop -benchtime.
 bench-rowpath:
 	$(GO) test -run '^$$' -bench '^Benchmark(MonitorIngest|ManagerStepSharded|ShardNetStep)$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkManagerStep$$/^l=64$$' -benchtime=1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^BenchmarkStore(RowAt|AppendAtRetention)$$' -benchtime=1x -benchmem ./internal/tsdb
 
 # bench-smoke builds and runs the pipeline benchmark's own tests (the tiny

@@ -201,12 +201,12 @@ func benchDayRows(ds *timeseries.Dataset, day1 time.Time) []manager.Row {
 	return rows
 }
 
-// benchFleet trains the adaptive benchmark fleet (machines*6 measurements
-// → l(l−1)/2 models) on day 0 and returns it with the day-1 rows, warmed
-// until a full replay pass reports zero grid growth: adaptive growth is a
-// first-pass transient that reallocates matrices and caches, and the
-// steady-state numbers are only honest once StepReport.GrownPairs says it
-// has fully settled.
+// benchFleet trains the adaptive benchmark fleet (len(simulator.AllMetrics)
+// = 8 measurements a machine → l(l−1)/2 models) on day 0 and returns it with
+// the day-1 rows, warmed until a full replay pass reports zero grid growth:
+// adaptive growth is a first-pass transient that reallocates matrices and
+// caches, and the steady-state numbers are only honest once
+// StepReport.GrownPairs says it has fully settled.
 func benchFleet(b *testing.B, machines int) (*manager.Manager, []manager.Row) {
 	b.Helper()
 	ds, _, err := simulator.Generate(simulator.GroupConfig{Name: "Z", Machines: machines, Days: 2, Seed: 9})
@@ -234,25 +234,29 @@ func benchFleet(b *testing.B, machines int) (*manager.Manager, []manager.Row) {
 }
 
 // benchManagerStep measures one synchronized row through the warmed fleet.
+// Like every fleet benchmark below it builds the fleet first and names the
+// sub-benchmark after the l the fleet turned out to have, so a label cannot
+// drift from what ran.
 func benchManagerStep(b *testing.B, machines int) {
 	mgr, rows := benchFleet(b, machines)
 	defer mgr.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mgr.Step(rows[i%len(rows)])
-	}
+	b.Run(fmt.Sprintf("l=%d", len(mgr.IDs())), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mgr.Step(rows[i%len(rows)])
+		}
+	})
 }
 
-// BenchmarkManagerStep covers the paper's small (l=12, 66 pairs) and
-// medium (l=36, 630 pairs) manager scales over real simulator traffic —
-// which re-scores the naturally dirty fraction of pairs each step (about
-// half; the rest carry cached outcomes forward).
+// BenchmarkManagerStep covers the paper's small scale (l=16, 120 pairs), a
+// medium one (l=48, 1128 pairs) and l=64 (2016 pairs, ~400 MB of models, far
+// beyond any cache: the full graph BenchmarkManagerStepBudget is measured
+// against) over real simulator traffic — which re-scores the naturally dirty
+// fraction of pairs each step (about half; the rest carry cached outcomes
+// forward).
 func BenchmarkManagerStep(b *testing.B) {
-	b.Run("l=12", func(b *testing.B) { benchManagerStep(b, 2) })
-	b.Run("l=36", func(b *testing.B) { benchManagerStep(b, 6) })
-	// l=48 (1128 pairs) is the full-graph baseline the pair-budget
-	// benchmark (BenchmarkManagerStepBudget) is measured against.
-	b.Run("l=48", func(b *testing.B) { benchManagerStep(b, 8) })
+	for _, machines := range []int{2, 6, 8} {
+		benchManagerStep(b, machines)
+	}
 }
 
 // benchManagerStepIncremental pins the dirty fraction instead of taking
@@ -262,9 +266,7 @@ func BenchmarkManagerStep(b *testing.B) {
 // different grid cell (their most-different value of the day), so exactly
 // the pairs touching those series re-score every step and every other
 // pair exercises the skip path.
-func benchManagerStepIncremental(b *testing.B, machines, dirty int) {
-	mgr, rows := benchFleet(b, machines)
-	defer mgr.Close()
+func benchManagerStepIncremental(b *testing.B, mgr *manager.Manager, rows []manager.Row, dirty int) {
 	base := rows[0]
 	variant := manager.Row{Time: base.Time, Values: make(map[timeseries.MeasurementID]float64, len(base.Values))}
 	for id, v := range base.Values {
@@ -305,24 +307,27 @@ func benchManagerStepIncremental(b *testing.B, machines, dirty int) {
 }
 
 // BenchmarkManagerStepIncremental sweeps fleet scale × dirty fraction for
-// the incremental scheduler: dirty=one is the paper's sparse steady state
-// (a single series moved), few is ~l/8 series, all moves every series
-// (the incremental path's worst case — effectively a full rescore plus
-// bookkeeping).
+// the incremental scheduler, one fleet a scale: dirty=one is the paper's
+// sparse steady state (a single series moved), few is ~l/8 series, all moves
+// every series (the incremental path's worst case — effectively a full
+// rescore plus bookkeeping).
 func BenchmarkManagerStepIncremental(b *testing.B) {
-	for _, sc := range []struct{ machines, l int }{{2, 12}, {6, 36}, {8, 48}} {
-		few := sc.l / 8
-		if few < 2 {
-			few = 2
-		}
-		for _, df := range []struct {
-			name  string
-			dirty int
-		}{{"all", sc.l}, {"few", few}, {"one", 1}} {
-			b.Run(fmt.Sprintf("l=%d/dirty=%s", sc.l, df.name), func(b *testing.B) {
-				benchManagerStepIncremental(b, sc.machines, df.dirty)
-			})
-		}
+	for _, machines := range []int{2, 6, 8} {
+		benchManagerStepIncrementalScale(b, machines)
+	}
+}
+
+func benchManagerStepIncrementalScale(b *testing.B, machines int) {
+	mgr, rows := benchFleet(b, machines)
+	defer mgr.Close()
+	l := len(mgr.IDs())
+	for _, df := range []struct {
+		name  string
+		dirty int
+	}{{"all", l}, {"few", max(l/8, 2)}, {"one", 1}} {
+		b.Run(fmt.Sprintf("l=%d/dirty=%s", l, df.name), func(b *testing.B) {
+			benchManagerStepIncremental(b, mgr, rows, df.dirty)
+		})
 	}
 }
 
@@ -358,23 +363,22 @@ func benchManagerStepSharded(b *testing.B, machines, shards int) {
 			break
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coord.Step(rows[i%len(rows)])
-	}
+	b.Run(fmt.Sprintf("l=%d/shards=%d", len(coord.IDs()), shards), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			coord.Step(rows[i%len(rows)])
+		}
+	})
 }
 
 // BenchmarkManagerStepSharded records the sharded step latency at the
-// paper's small scale (l=12) and a large fleet (l=48, 1128 pairs) for
+// paper's small scale (l=16) and a large fleet (l=64, 2016 pairs) for
 // shard counts 1/2/4 (`make bench`; the gated numbers for the same layers
 // come from `bash bench/run.sh --trace 1`). Parallel speedup at shards>1
 // requires spare cores.
 func BenchmarkManagerStepSharded(b *testing.B) {
-	for _, sc := range []struct{ machines, l int }{{2, 12}, {8, 48}} {
+	for _, machines := range []int{2, 8} {
 		for _, n := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("l=%d/shards=%d", sc.l, n), func(b *testing.B) {
-				benchManagerStepSharded(b, sc.machines, n)
-			})
+			benchManagerStepSharded(b, machines, n)
 		}
 	}
 }
@@ -448,24 +452,23 @@ func benchShardNetStep(b *testing.B, machines, workers int) {
 			break
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coord.Step(rows[i%len(rows)])
-	}
+	b.Run(fmt.Sprintf("l=%d/workers=%d", len(coord.IDs()), workers), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			coord.Step(rows[i%len(rows)])
+		}
+	})
 }
 
 // BenchmarkShardNetStep records the networked multi-process step latency
-// at l=48 (1128 pairs) across 4 worker processes — the distributed
-// counterpart of BenchmarkManagerStepSharded/l=48/shards=4 (the gated
+// at l=64 (2016 pairs) across 4 worker processes — the distributed
+// counterpart of BenchmarkManagerStepSharded/l=64/shards=4 (the gated
 // comparison is shardnet.step_over_local_ratio from `bash bench/run.sh
 // --workload shardnet48 --trace 1`). Beating the in-process number
 // requires at least one spare core per worker: on a single-core host the
 // fan-out serializes onto the same CPU as in-process scoring and the
 // wire/wakeup overhead is pure loss, so compare the two with the host's
 // core count in mind.
-func BenchmarkShardNetStep(b *testing.B) {
-	b.Run("l=48/workers=4", func(b *testing.B) { benchShardNetStep(b, 8, 4) })
-}
+func BenchmarkShardNetStep(b *testing.B) { benchShardNetStep(b, 8, 4) }
 
 // benchMatrix builds a trained kernel-Bayes transition matrix on a 12×12
 // grid (s = 144 cells) for the row-cache micro-benchmarks.
@@ -706,15 +709,14 @@ func benchBudgetFleet(b *testing.B, machines int, budget string) (mcorr.Discover
 }
 
 // BenchmarkManagerStepBudget is the pair-budget acceptance benchmark:
-// one synchronized row through a warmed l=48 fleet modeling only 25% of
-// the 1128-pair graph (sketch maintenance for the admitted pairs and the
-// probe batch included). Compare against BenchmarkManagerStep/l=48 —
+// one synchronized row through a warmed l=64 fleet modeling only 25% of
+// the 2016-pair graph (sketch maintenance for the admitted pairs and the
+// probe batch included). Compare against BenchmarkManagerStep/l=64 —
 // the budget must buy at least the 3x step speedup that justifies it.
 func BenchmarkManagerStepBudget(b *testing.B) {
-	b.Run("l=48/budget=25%", func(b *testing.B) {
-		df, rows := benchBudgetFleet(b, 8, "25%")
-		defer df.Close()
-		b.ResetTimer()
+	df, rows := benchBudgetFleet(b, 8, "25%")
+	defer df.Close()
+	b.Run(fmt.Sprintf("l=%d/budget=25%%", len(df.IDs())), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			df.Step(rows[i%len(rows)])
 		}

@@ -23,8 +23,7 @@ type denseMatrix struct {
 }
 
 func newDenseMatrix(nx, ny int, kernel *Kernel, rule UpdateRule, strength float64) *denseMatrix {
-	kernel.resize(nx, ny)
-	d := &denseMatrix{nx: nx, ny: ny, n: nx * ny, kernel: kernel, rule: rule, strength: strength}
+	d := &denseMatrix{nx: nx, ny: ny, n: nx * ny, kernel: kernel.covering(nx, ny), rule: rule, strength: strength}
 	d.weights = make([]float64, d.n*d.n)
 	for i := 0; i < d.n; i++ {
 		d.initPriorRow(d.row(i), i)
@@ -87,7 +86,7 @@ func (d *denseMatrix) observeRun(c, count int) {
 func (d *denseMatrix) grow(gr Growth) {
 	nx := d.nx + gr.XLow + gr.XHigh
 	ny := d.ny + gr.YLow + gr.YHigh
-	d.kernel.resize(nx, ny)
+	d.kernel = d.kernel.covering(nx, ny)
 	old := d.weights
 	oldNx, oldNy, oldN := d.nx, d.ny, d.n
 	d.nx, d.ny, d.n = nx, ny, nx*ny

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // KernelKind selects the spatial-closeness kernel used for the prior
@@ -37,24 +38,51 @@ func (k KernelKind) String() string {
 	}
 }
 
-// Kernel evaluates spatial-closeness weights between cells of an nx×ny
-// grid. It precomputes the per-axis decay powers so evaluation is two table
-// lookups.
+// Kernel evaluates spatial-closeness weights between cells of a grid. It
+// precomputes the per-axis decay powers and the log of every weight, so
+// evaluation is a table lookup.
+//
+// A Kernel is immutable and its entries are a pure function of (dx, dy),
+// kind and w, so the process publishes one per (kind, w) and every model
+// reads that table — l(l−1)/2 private copies of the same numbers would each
+// be a cold stream in the pair loop. A grid that outgrows it gets a larger
+// copy published in its place (covering); holders of the smaller one keep
+// reading it, and read the same bits.
 type Kernel struct {
-	kind KernelKind
-	w    float64
-	powX []float64 // w^d for d = 0..nx-1
-	powY []float64
+	kind   KernelKind
+	w      float64
+	logW   float64
+	nx, ny int       // the tables cover distances dx < nx, dy < ny
+	pow    []float64 // w^d for d < max(nx, ny)
 	// logTab caches log(Weight(dx, dy)) as logTab[dx*ny + dy]; it is the
 	// hot path of every matrix update.
 	logTab []float64
-	tabNX  int
-	tabNY  int
-	logW   float64
 }
 
-// NewKernel returns a kernel over an nx×ny grid with decay rate w > 1
-// (the paper's w; 2 reproduces Figure 5 exactly).
+// Published tables cover whole multiples of sharedAxisStep per axis, so
+// grids that differ or grow by an interval or two share one table, not a
+// generation of them. What is published is bounded whatever a checkpoint
+// claims: a grid beyond maxSharedAxis, or a (kind, w) beyond the first
+// maxSharedKernels, gets an unpublished table from the same constructor.
+const (
+	sharedAxisStep   = 16
+	maxSharedAxis    = 64
+	maxSharedKernels = 16
+)
+
+type kernelKey struct {
+	kind KernelKind
+	w    uint64 // Float64bits: a NaN decay (uniform kernel) is still one key
+}
+
+var published = struct {
+	sync.Mutex
+	kernels map[kernelKey]*Kernel
+}{kernels: make(map[kernelKey]*Kernel)}
+
+// NewKernel returns a kernel covering an nx×ny grid with decay rate w > 1
+// (the paper's w; 2 reproduces Figure 5 exactly): the process's published
+// kernel for (kind, w) when the grid fits a shared table.
 func NewKernel(kind KernelKind, w float64, nx, ny int) (*Kernel, error) {
 	switch kind {
 	case KernelHarmonic, KernelProduct, KernelUniform:
@@ -67,43 +95,55 @@ func NewKernel(kind KernelKind, w float64, nx, ny int) (*Kernel, error) {
 	if nx < 1 || ny < 1 {
 		return nil, fmt.Errorf("kernel over %dx%d grid: empty", nx, ny)
 	}
-	k := &Kernel{kind: kind, w: w, logW: math.Log(w)}
-	k.resize(nx, ny)
-	return k, nil
+	return kernelFor(kind, w, nx, ny), nil
 }
 
-// resize extends the power and log tables to cover an nx×ny grid.
-func (k *Kernel) resize(nx, ny int) {
-	k.powX = powTable(k.w, nx, k.powX)
-	k.powY = powTable(k.w, ny, k.powY)
-	if k.tabNX >= nx && k.tabNY >= ny {
-		return
+// covering returns a kernel of k's kind and decay whose tables cover an
+// nx×ny grid: k itself when they do.
+func (k *Kernel) covering(nx, ny int) *Kernel {
+	if k.nx >= nx && k.ny >= ny {
+		return k
 	}
-	if nx < k.tabNX {
-		nx = k.tabNX
+	return kernelFor(k.kind, k.w, nx, ny)
+}
+
+func kernelFor(kind KernelKind, w float64, nx, ny int) *Kernel {
+	if nx > maxSharedAxis || ny > maxSharedAxis {
+		return buildKernel(kind, w, nx, ny)
 	}
-	if ny < k.tabNY {
-		ny = k.tabNY
+	key := kernelKey{kind, math.Float64bits(w)}
+	published.Lock()
+	defer published.Unlock()
+	k := published.kernels[key]
+	if k != nil && k.nx >= nx && k.ny >= ny {
+		return k
 	}
-	k.tabNX, k.tabNY = nx, ny
+	if k == nil && len(published.kernels) >= maxSharedKernels {
+		return buildKernel(kind, w, nx, ny)
+	}
+	if k != nil {
+		nx, ny = max(nx, k.nx), max(ny, k.ny)
+	}
+	roundUp := func(n int) int { return (n + sharedAxisStep - 1) / sharedAxisStep * sharedAxisStep }
+	k = buildKernel(kind, w, roundUp(nx), roundUp(ny))
+	published.kernels[key] = k
+	return k
+}
+
+func buildKernel(kind KernelKind, w float64, nx, ny int) *Kernel {
+	k := &Kernel{kind: kind, w: w, logW: math.Log(w), nx: nx, ny: ny}
+	k.pow = make([]float64, max(nx, ny))
+	k.pow[0] = 1
+	for i := 1; i < len(k.pow); i++ {
+		k.pow[i] = k.pow[i-1] * w
+	}
 	k.logTab = make([]float64, nx*ny)
 	for dx := 0; dx < nx; dx++ {
 		for dy := 0; dy < ny; dy++ {
 			k.logTab[dx*ny+dy] = k.logWeightSlow(dx, dy)
 		}
 	}
-}
-
-func powTable(w float64, n int, old []float64) []float64 {
-	if len(old) >= n {
-		return old
-	}
-	t := make([]float64, n)
-	t[0] = 1
-	for i := 1; i < n; i++ {
-		t[i] = t[i-1] * w
-	}
-	return t
+	return k
 }
 
 // Kind returns the kernel kind.
@@ -126,9 +166,9 @@ func (k *Kernel) Weight(dx, dy int) float64 {
 	case KernelUniform:
 		return 1
 	case KernelProduct:
-		return 1 / (k.powX[dx] * k.powY[dy])
+		return 1 / (k.pow[dx] * k.pow[dy])
 	default: // KernelHarmonic
-		return 2 / (k.powX[dx] + k.powY[dy])
+		return 2 / (k.pow[dx] + k.pow[dy])
 	}
 }
 
@@ -140,7 +180,7 @@ func (k *Kernel) LogWeight(dx, dy int) float64 {
 	if dy < 0 {
 		dy = -dy
 	}
-	return k.logTab[dx*k.tabNY+dy]
+	return k.logTab[dx*k.ny+dy]
 }
 
 // AddLogRow adds log(Weight(xh−x, yh−y)) for every cell (x, y) of an
@@ -156,7 +196,7 @@ func (k *Kernel) AddLogRow(dst []float64, xh, yh, nx, ny int) float64 {
 		if dx < 0 {
 			dx = -dx
 		}
-		trow := k.logTab[dx*k.tabNY:]
+		trow := k.logTab[dx*k.ny:]
 		for y := 0; y < ny; y++ {
 			dy := y - yh
 			if dy < 0 {
@@ -189,7 +229,7 @@ func (k *Kernel) AddLogRowScaled(dst []float64, xh, yh, nx, ny int, m float64) f
 		if dx < 0 {
 			dx = -dx
 		}
-		trow := k.logTab[dx*k.tabNY:]
+		trow := k.logTab[dx*k.ny:]
 		for y := 0; y < ny; y++ {
 			dy := y - yh
 			if dy < 0 {
@@ -215,7 +255,7 @@ func (k *Kernel) FillLogRow(dst []float64, xi, yi, nx, ny int) {
 		if dx < 0 {
 			dx = -dx
 		}
-		trow := k.logTab[dx*k.tabNY:]
+		trow := k.logTab[dx*k.ny:]
 		for y := 0; y < ny; y++ {
 			dy := y - yi
 			if dy < 0 {
@@ -234,7 +274,7 @@ func (k *Kernel) logWeightSlow(dx, dy int) float64 {
 	case KernelProduct:
 		return -float64(dx+dy) * k.logW
 	default:
-		return math.Log(2 / (k.powX[dx] + k.powY[dy]))
+		return math.Log(2 / (k.pow[dx] + k.pow[dy]))
 	}
 }
 

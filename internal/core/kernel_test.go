@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"mcorr/internal/mathx"
@@ -97,9 +100,133 @@ func TestKernelResizeGrowsTables(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewKernel: %v", err)
 	}
-	k.resize(5, 6)
-	// Distance 4 on x needs powX[4] = 16.
-	if got := k.Weight(4, 0); !mathx.AlmostEqual(got, 2.0/17, 1e-12) {
-		t.Errorf("after resize Weight(4,0) = %g, want 2/17", got)
+	far := k.nx // one past what the table NewKernel handed out covers
+	k = k.covering(far+1, 6)
+	if got, want := k.Weight(far, 0), 2/(math.Pow(2, float64(far))+1); !mathx.AlmostEqual(got, want, 1e-12) {
+		t.Errorf("after covering(%d, 6) Weight(%d,0) = %g, want %g", far+1, far, got, want)
 	}
+}
+
+// publishedKernel is the process's shared kernel for (kind, w), nil if none.
+func publishedKernel(kind KernelKind, w float64) *Kernel {
+	published.Lock()
+	defer published.Unlock()
+	return published.kernels[kernelKey{kind, math.Float64bits(w)}]
+}
+
+// checkTable compares every entry of k's table with the formula it caches.
+func checkTable(t *testing.T, k *Kernel) {
+	t.Helper()
+	for dx := 0; dx < k.nx; dx++ {
+		for dy := 0; dy < k.ny; dy++ {
+			if got, want := k.LogWeight(dx, -dy), k.logWeightSlow(dx, dy); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v %dx%d table: LogWeight(%d,%d) = %x, formula %x", k.kind, k.nx, k.ny, dx, dy, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestSharedKernelGrowsByPublishing: one table serves every grid that fits
+// it; a grid that does not gets a larger copy published in its place, the
+// old one stays as it was for whoever still holds it, and both read the
+// formula's bits. A grid beyond maxSharedAxis gets a table of its own and
+// leaves the published one alone.
+func TestSharedKernelGrowsByPublishing(t *testing.T) {
+	const w = 2.5 // no other test's decay: the published tables are this test's
+	for _, kind := range []KernelKind{KernelHarmonic, KernelProduct, KernelUniform} {
+		small, err := NewKernel(kind, w, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTable(t, small)
+		if again, _ := NewKernel(kind, w, 5, 2); again != small || publishedKernel(kind, w) != small {
+			t.Errorf("%v: a second grid that fits got a table of its own", kind)
+		}
+		big := small.covering(small.nx+1, 3)
+		if big == small || big.nx <= small.nx || big.ny < small.ny || publishedKernel(kind, w) != big {
+			t.Fatalf("%v: covering(%d, 3) of a %dx%d table gave %dx%d, published %v", kind, small.nx+1, small.nx, small.ny, big.nx, big.ny, publishedKernel(kind, w) == big)
+		}
+		checkTable(t, big)
+		checkTable(t, small)
+		for dx := 0; dx < small.nx; dx++ {
+			for dy := 0; dy < small.ny; dy++ {
+				if math.Float64bits(small.LogWeight(dx, dy)) != math.Float64bits(big.LogWeight(dx, dy)) {
+					t.Fatalf("%v: LogWeight(%d,%d) changed with the table", kind, dx, dy)
+				}
+			}
+		}
+		own := big.covering(maxSharedAxis+1, 2)
+		if own.nx != maxSharedAxis+1 || own.ny != 2 || publishedKernel(kind, w) != big {
+			t.Errorf("%v: a %dx2 grid got a %dx%d table, published one replaced: %v", kind, maxSharedAxis+1, own.nx, own.ny, publishedKernel(kind, w) != big)
+		}
+		checkTable(t, own)
+	}
+}
+
+// TestSharedKernelsAreBounded: decays beyond the first maxSharedKernels get
+// working kernels that are not published, so a stream of checkpoints each
+// naming its own w cannot grow the process.
+func TestSharedKernelsAreBounded(t *testing.T) {
+	decay := func(i int) float64 { return 3 + float64(i)/64 }
+	t.Cleanup(func() {
+		published.Lock()
+		defer published.Unlock()
+		for i := 0; i < 2*maxSharedKernels; i++ {
+			delete(published.kernels, kernelKey{KernelHarmonic, math.Float64bits(decay(i))})
+		}
+	})
+	for i := 0; i < 2*maxSharedKernels; i++ {
+		k, err := NewKernel(KernelHarmonic, decay(i), 3, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTable(t, k)
+	}
+	published.Lock()
+	n := len(published.kernels)
+	published.Unlock()
+	if n > maxSharedKernels {
+		t.Errorf("%d kernels published, at most %d allowed", n, maxSharedKernels)
+	}
+}
+
+// TestSharedKernelConcurrentUse trains, loads and grows models of different
+// dims at once: they share one published table and replace it as they go.
+// Under -race this is the proof that a table is never written after it is
+// published.
+func TestSharedKernelConcurrentUse(t *testing.T) {
+	var saved bytes.Buffer
+	seed, err := Train(corrStream(rand.New(rand.NewSource(5)), 300), Config{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				m, err := Train(corrStream(rand.New(rand.NewSource(int64(w))), 300), Config{Adaptive: true, Lambda: 40, Grid: GridConfig{MaxIntervals: 3 + 4*w}})
+				if w%2 == 1 {
+					m, err = LoadModel(bytes.NewReader(saved.Bytes()))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Walk off the grid, an interval at a time: every step grows it.
+				g := m.Grid()
+				for k := 1; k <= 2*sharedAxisStep; k++ {
+					m.Step(mathx.Point2{X: g.X.Hi() + g.X.AvgWidth/2, Y: g.Y.Hi() + g.Y.AvgWidth/2})
+				}
+				if nx, _ := m.Grid().Dims(); nx <= sharedAxisStep {
+					t.Errorf("model %d grew to %d intervals, want beyond one table step", w, nx)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -309,6 +309,34 @@ func (m *Model) Step(p mathx.Point2) StepResult {
 	return res
 }
 
+// Warm reads what the next Step is certain to read and nothing else: the
+// grid edges and, when the chain is armed and the row out of prev is stored,
+// one word of each of that row's cache lines (rows are allocated line-
+// aligned). A caller about to Step a block of models warms them all first,
+// so the block's cache misses are in flight together instead of queueing
+// model by model. It stores nothing and computes no unobserved row: no
+// state, checkpoint bytes included, can tell whether it ran. The sum
+// returned exists so the compiler keeps the loads; it means nothing.
+//
+//go:noinline
+func (m *Model) Warm() (sum float64) {
+	const line = 8 // float64s per cache line
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, edges := range [2][]float64{m.grid.X.Edges, m.grid.Y.Edges} {
+		for j := 0; j < len(edges); j += line {
+			sum += edges[j]
+		}
+	}
+	if m.armed {
+		row := m.tm.rows[m.prev]
+		for j := 0; j < len(row); j += line {
+			sum += row[j]
+		}
+	}
+	return sum
+}
+
 // NoteSkipped records that the caller skipped re-scoring this model for an
 // observation that provably repeats the live frozen self-run (both values
 // stayed inside SteadyBounds). It mirrors the frozen-run branch of Step

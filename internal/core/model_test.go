@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -339,4 +340,49 @@ func TestNegativeLambdaDisablesGrowth(t *testing.T) {
 	if st := m.Stats(); st.Growths != 0 {
 		t.Errorf("growths = %d", st.Growths)
 	}
+}
+
+// TestWarmOnlyReads: Warm is a prefetch written as loads. It allocates
+// nothing, stores no row — not even the unobserved one it finds under prev —
+// and leaves the model's checkpoint byte for byte what it was, whether the
+// chain is unarmed, armed on a stored row or armed on a row never observed.
+func TestWarmOnlyReads(t *testing.T) {
+	m, err := Train(corrStream(rand.New(rand.NewSource(23)), 400), Config{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(state string) {
+		t.Helper()
+		var before, after bytes.Buffer
+		if err := m.Save(&before); err != nil {
+			t.Fatal(err)
+		}
+		rows := m.Matrix().ObservedRows()
+		if allocs := testing.AllocsPerRun(10, func() { m.Warm() }); allocs != 0 {
+			t.Errorf("%s: Warm allocates %v times a call", state, allocs)
+		}
+		if err := m.Save(&after); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Matrix().ObservedRows(); got != rows || !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Errorf("%s: Warm changed the model: %d stored rows, were %d; checkpoint equal: %v", state, got, rows, bytes.Equal(before.Bytes(), after.Bytes()))
+		}
+	}
+	check("unarmed")
+	g := m.Grid()
+	m.Step(mathx.Point2{X: g.X.Lo(), Y: g.Y.Hi() - g.Y.AvgWidth/4}) // a corner the correlated stream never visits
+	if m.Matrix().rows[m.prev] != nil {
+		t.Fatal("fixture: the corner cell's row is stored")
+	}
+	check("armed on an unobserved row")
+	m.Step(mathx.Point2{X: 50, Y: 100})
+	m.Step(mathx.Point2{X: 50, Y: 100})
+	m.Step(mathx.Point2{X: 52, Y: 104})
+	if m.Matrix().rows[m.prev] == nil {
+		m.Step(mathx.Point2{X: 50, Y: 100})
+	}
+	if m.Matrix().rows[m.prev] == nil {
+		t.Fatal("fixture: the chain is not on a stored row")
+	}
+	check("armed on a stored row")
 }

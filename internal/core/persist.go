@@ -55,9 +55,10 @@ var modelHeaderSize = binary.Size(modelHeader{})
 
 // maxAxis bounds a decoded axis so nx·ny stays far inside an int and a
 // uint32. A matrix costs a few words per cell beyond its rows (the row
-// table, the kernel's tables): maxUnobservedCells is the largest grid a
-// record may claim without one stored row, so beyond it those tables are
-// only built once a row's n floats have arrived.
+// table and, for a grid too wide to share the published kernel, a table of
+// its own): maxUnobservedCells is the largest grid a record may claim
+// without one stored row, so beyond it those tables are only built once a
+// row's n floats have arrived.
 const (
 	maxAxis            = 1 << 15
 	maxUnobservedCells = 1 << 16
@@ -295,9 +296,10 @@ func loadModel(rr *wal.RecordReader) (*Model, error) {
 			return nil, err
 		}
 	}
-	// The row table and the kernel's tables are n entries each: built only
-	// now that every stored row — n floats each — has arrived, so a hostile
-	// header cannot size them.
+	// The row table is n entries, and so is the kernel's when the grid is
+	// beyond what NewKernel shares (nothing is published for those): built
+	// only now that every stored row — n floats each — has arrived, so a
+	// hostile header cannot size them.
 	rows := make([][]float64, n)
 	for k, i := range at {
 		rows[i] = stored[k]

@@ -180,6 +180,46 @@ func TestLoadModelRejectsContradictions(t *testing.T) {
 	}
 }
 
+// TestLoadModelCannotSizeTheSharedKernel: the widest grid a record may claim
+// without sending a single row — maxAxis × 2, exactly maxUnobservedCells —
+// loads, but its kernel table is its own: nothing is published for it and no
+// published table grows. A header one interval wider is refused before any
+// kernel is built.
+func TestLoadModelCannotSizeTheSharedKernel(t *testing.T) {
+	const w = 2.75 // no other test's decay
+	wide := grownModelParts(t)
+	wide.hdr.NX, wide.hdr.NY, wide.hdr.DecayW = maxAxis, 2, w
+	wide.hdr.Prev, wide.hdr.RunCell = 0, 0
+	wide.x = make([]float64, maxAxis+1)
+	for i := range wide.x {
+		wide.x[i] = float64(i)
+	}
+	wide.y = []float64{0, 1, 2}
+	wide.index, wide.stored = []uint32{maxAxis, 2, 0}, nil
+	published.Lock()
+	before := len(published.kernels)
+	published.Unlock()
+
+	m, err := LoadModel(bytes.NewReader(wide.encode()))
+	if err != nil {
+		t.Fatalf("a %dx2 model with no stored row: %v", maxAxis, err)
+	}
+	if k := m.Matrix().kernel; k.nx != maxAxis || k.ny != 2 {
+		t.Errorf("the model's kernel covers %dx%d, want its own %dx2 table", k.nx, k.ny, maxAxis)
+	}
+	wide.hdr.NX++
+	wide.x = append(wide.x, maxAxis+1)
+	if m, err := LoadModel(bytes.NewReader(wide.encode())); m != nil || !errors.Is(err, wal.ErrCorrupt) {
+		t.Errorf("a %dx2 header: model %v, error %v; want wal.ErrCorrupt", maxAxis+1, m != nil, err)
+	}
+	published.Lock()
+	after := len(published.kernels)
+	published.Unlock()
+	if publishedKernel(KernelKind(wide.hdr.Kernel), w) != nil || after != before {
+		t.Errorf("%d kernels published before the loads, %d after", before, after)
+	}
+}
+
 // FuzzLoadModel throws arbitrary bytes at LoadModel. It must never panic,
 // must not allocate more than a fixed slack (one record buffer, one eager
 // float slab, the tables of a grid small enough to come free) plus a small

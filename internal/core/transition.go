@@ -98,9 +98,8 @@ func NewTransitionMatrix(g *Grid, kernel *Kernel, rule UpdateRule, strength floa
 		strength = 10
 	}
 	nx, ny := g.Dims()
-	kernel.resize(nx, ny)
 	n := nx * ny
-	return &TransitionMatrix{nx: nx, ny: ny, n: n, kernel: kernel, rule: rule, strength: strength, rows: make([][]float64, n)}, nil
+	return &TransitionMatrix{nx: nx, ny: ny, n: n, kernel: kernel.covering(nx, ny), rule: rule, strength: strength, rows: make([][]float64, n)}, nil
 }
 
 // row returns row i's raw entries for reading: the stored row, or the
@@ -426,7 +425,7 @@ func (tm *TransitionMatrix) Grow(g *Grid, gr Growth) error {
 	if nx == tm.nx && ny == tm.ny {
 		return nil
 	}
-	tm.kernel.resize(nx, ny)
+	tm.kernel = tm.kernel.covering(nx, ny)
 	old := tm.rows
 	oldNx, oldNy := tm.nx, tm.ny
 	tm.nx, tm.ny, tm.n = nx, ny, nx*ny

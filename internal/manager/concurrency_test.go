@@ -1,13 +1,15 @@
 package manager
 
 import (
+	"io"
 	"math"
 	"sync"
 	"testing"
-
 	"time"
 
 	"mcorr/internal/core"
+	"mcorr/internal/mathx"
+	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 )
 
@@ -128,4 +130,171 @@ func TestManagerCloseIdempotent(t *testing.T) {
 		t.Error("pairs lost after close")
 	}
 	_ = mgr.SystemMean()
+}
+
+// TestTrajectoryIndependentOfWorkers: the pool hands chunks to whichever
+// worker claims them first, so which goroutine scores (and trains) a pair
+// differs from row to row and run to run — and must not show. One day with
+// grid growth, a NaN gap and an out-of-grid point is scored through
+// StepValues and through ScoreInto by fleets of 1, 2, 3 and 7 workers, with
+// and without FullRescore: every report and outcome is Float64bits-identical
+// to the single-worker incremental one, and the dirty-pair count of every row
+// depends on FullRescore alone.
+func TestTrajectoryIndependentOfWorkers(t *testing.T) {
+	ds, _, err := simulator.Generate(simulator.GroupConfig{Name: "M", Machines: 2, Days: 2, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	history := ds.Slice(timeseries.MonitoringStart, day1)
+	ids := history.IDs()
+	const rows = 96
+	day := make([][]float64, rows)
+	for k := range day {
+		at := day1.Add(time.Duration(k) * timeseries.SampleStep)
+		day[k] = make([]float64, len(ids))
+		Row{Values: rowValues(ds, at)}.FillValues(ids, day[k])
+	}
+	day[20][3], day[21][3], day[21][5] = math.NaN(), math.NaN(), math.NaN()
+	day[40][7] *= 1e6 // far beyond λ average widths: rejected, never grown to
+
+	type trace struct {
+		system   []uint64
+		pairs    [][]uint64 // StepValues: Q^{a,b} per row, in pair order
+		outcomes [][]Outcome
+		dirty    [2][]int // StepValues, ScoreInto
+	}
+	run := func(workers int, full bool) trace {
+		var tr trace
+		cfg := Config{Workers: workers, FullRescore: full, KeepPairScores: true, ProbDelta: 1e-9,
+			Model: core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 6}}}
+		stepped, err := New(history, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stepped.Close()
+		scored, err := New(history, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer scored.Close()
+		pairs := stepped.Pairs()
+		for k, vals := range day {
+			rep := stepped.StepValues(day1.Add(time.Duration(k)*timeseries.SampleStep), vals)
+			tr.system = append(tr.system, math.Float64bits(rep.System))
+			q := make([]uint64, len(pairs))
+			for i, p := range pairs {
+				if v, ok := rep.Pairs[p]; ok {
+					q[i] = math.Float64bits(v)
+				}
+			}
+			tr.pairs = append(tr.pairs, q)
+			out := make([]Outcome, len(pairs))
+			scored.ScoreInto(vals, nil, out)
+			tr.outcomes = append(tr.outcomes, out)
+			tr.dirty[0] = append(tr.dirty[0], stepped.LastDirtyPairs())
+			tr.dirty[1] = append(tr.dirty[1], scored.LastDirtyPairs())
+		}
+		return tr
+	}
+
+	same := func(a, b Outcome) bool {
+		return math.Float64bits(a.Fitness) == math.Float64bits(b.Fitness) && math.Float64bits(a.Prob) == math.Float64bits(b.Prob) &&
+			a.Scored == b.Scored && a.Gap == b.Gap && a.Grown == b.Grown && a.Steady == b.Steady
+	}
+	ref := run(1, false)
+	var gaps, grown, rejected, carried int
+	for k, out := range ref.outcomes {
+		for _, o := range out {
+			if o.Gap {
+				gaps++
+			}
+			if o.Grown {
+				grown++
+			}
+			if o.Scored && o.Fitness == 0 {
+				rejected++
+			}
+		}
+		carried += len(out) - ref.dirty[1][k]
+	}
+	if gaps == 0 || grown == 0 || rejected == 0 || carried == 0 {
+		t.Fatalf("the day exercises %d gaps, %d growths, %d out-of-grid points, %d carried pairs: want some of each", gaps, grown, rejected, carried)
+	}
+	for _, full := range []bool{false, true} {
+		var dirty [2][]int
+		for _, workers := range []int{1, 2, 3, 7} {
+			got := run(workers, full)
+			if dirty[0] == nil {
+				dirty = got.dirty
+			}
+			for k := range day {
+				if got.system[k] != ref.system[k] {
+					t.Fatalf("workers=%d full=%v row %d: system %x, want %x", workers, full, k, got.system[k], ref.system[k])
+				}
+				for i := range got.pairs[k] {
+					if got.pairs[k][i] != ref.pairs[k][i] {
+						t.Fatalf("workers=%d full=%v row %d pair %d: Q %x, want %x", workers, full, k, i, got.pairs[k][i], ref.pairs[k][i])
+					}
+					if !same(got.outcomes[k][i], ref.outcomes[k][i]) {
+						t.Fatalf("workers=%d full=%v row %d pair %d: outcome %+v, want %+v", workers, full, k, i, got.outcomes[k][i], ref.outcomes[k][i])
+					}
+				}
+				for via := range dirty {
+					if got.dirty[via][k] != dirty[via][k] {
+						t.Fatalf("workers=%d full=%v row %d: %d dirty pairs, %d with one worker", workers, full, k, got.dirty[via][k], dirty[via][k])
+					}
+				}
+				if full && got.dirty[0][k] != len(got.pairs[k]) {
+					t.Fatalf("workers=%d row %d: FullRescore re-scored %d of %d pairs", workers, k, got.dirty[0][k], len(got.pairs[k]))
+				}
+			}
+		}
+	}
+}
+
+// TestStepBesideModelReadsAndWrites: the scoring loop warms and steps models
+// that an operator may be explaining, diagnosing, resetting, flipping to
+// offline or checkpointing at that moment. Every one of those takes the
+// model's own mutex, Warm included; under -race this is the proof.
+func TestStepBesideModelReadsAndWrites(t *testing.T) {
+	mgr, ds, _ := trainedManager(t, Config{Workers: 3, Model: core.Config{Adaptive: true}}, 2)
+	defer mgr.Close()
+	from := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	ids, models := mgr.IDs(), mgr.Models()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	beside := func(f func(*core.Model)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, model := range models {
+					select {
+					case <-stop:
+						return
+					default:
+						f(model)
+					}
+				}
+			}
+		}()
+	}
+	beside(func(m *core.Model) { m.Explain(mathx.Point2{X: 1, Y: 1}, 3) })
+	beside(func(m *core.Model) { _ = m.Diagnostics() })
+	beside(func(m *core.Model) { m.Reset() })
+	beside(func(m *core.Model) {
+		if err := m.Save(io.Discard); err != nil {
+			t.Error(err)
+		}
+	})
+	beside(func(*core.Model) { mgr.SetAdaptive(true) })
+	vals := make([]float64, len(ids))
+	for k := 0; k < 16; k++ {
+		at := from.Add(time.Duration(k) * timeseries.SampleStep)
+		Row{Values: rowValues(ds, at)}.FillValues(ids, vals)
+		mgr.StepValues(at, vals)
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -8,9 +8,10 @@
 //
 // The row that is scored is a dense slice: vals[i] is IDs()[i]'s value and
 // NaN is a gap. Manager.StepValues scores one: a persistent worker pool
-// fans the sorted pair list out in fixed chunks (stable order →
-// reproducible tie-breaks), each pair reads its two values by index and its
-// model produces an Outcome, and an Aggregator folds the outcomes — always
+// works through the sorted pair list in small chunks its workers claim from
+// one cursor (each chunk's models warmed together, then stepped), each pair
+// reads its two values by index and its model produces an Outcome at the
+// pair's index, and an Aggregator folds the outcomes — always
 // in canonical pair order — into per-measurement and system accumulators,
 // raising alarms through the configured sink. The fold order is what makes
 // trajectories bit-reproducible: the same rows always produce the same

@@ -202,20 +202,19 @@ type Manager struct {
 	models map[Pair]*core.Model
 
 	// Step-path state, built once by initRuntime: the stable sorted pair
-	// slice (chunked identically every step, so work distribution and any
-	// tie-dependent output are reproducible), per-pair measurement indices
-	// for map-free Q^a aggregation, reusable outcome scratch, and the
-	// persistent worker pool.
-	pairs     []Pair
-	pairIdx   [][2]int      // pairs[i] → indices into ids
-	modelAt   []*core.Model // pairs[i]'s model, so the hot loop never hashes a Pair
-	outcomes  []Outcome     // reused every step; doubles as the carry-forward cache
-	curVals   []float64     // row being scored (the caller's, in ids order), read by pool workers
-	curDst    []Outcome     // ScoreInto destination, read by pool workers
-	curIdx    []int         // ScoreInto local→global index map
-	rangeFn   func(lo, hi int)
-	scatterFn func(lo, hi int)
-	pool      *workerPool
+	// slice (which worker scores a pair varies from row to row; a pair's
+	// outcome is written at its index and aggregated in index order, so it
+	// cannot show), per-pair measurement indices for map-free Q^a
+	// aggregation, reusable outcome scratch, and the persistent worker pool.
+	pairs    []Pair
+	pairIdx  [][2]int      // pairs[i] → indices into ids
+	modelAt  []*core.Model // pairs[i]'s model, so the hot loop never hashes a Pair
+	outcomes []Outcome     // reused every step; doubles as the carry-forward cache
+	curVals  []float64     // row being scored (the caller's, in ids order), read by pool workers
+	curDst   []Outcome     // ScoreInto destination (nil under StepValues), read by pool workers
+	curIdx   []int         // ScoreInto local→global index map
+	scoreFn  func(lo, hi int)
+	pool     *workerPool
 
 	// Incremental dirty-pair state. steadyOK[i] marks pair i as steady: its
 	// model holds a frozen self-run whose outcome is cached in outcomes[i],
@@ -238,72 +237,88 @@ type Manager struct {
 	modelBytes float64
 }
 
-// workerPool is the manager's persistent scoring pool: a fixed set of
-// goroutines created once that execute half-open index ranges on demand,
-// replacing the per-Step goroutine spawn. Workers hold only the task
-// channel — never the Manager — so an abandoned manager stays collectable;
-// its finalizer closes the channel and the workers exit.
+// workerPool is the manager's persistent scoring pool: the caller of run
+// plus a fixed set of helper goroutines, created once, that claim small
+// index ranges of the current job from one atomic cursor until none is left
+// — so a stretch of expensive pairs is shared out instead of setting the
+// row's time, as a static split would let it. Helpers hold only the wake
+// channel — never the pool or the Manager — so an abandoned manager stays
+// collectable; its finalizer closes the channel and the helpers exit.
 type workerPool struct {
-	tasks chan poolTask
-	runWG sync.WaitGroup // outstanding tasks of the current run
-	once  sync.Once
+	wake chan *poolJob
+	job  poolJob // reused by every run
+	once sync.Once
 }
 
-type poolTask struct {
-	lo, hi int
-	fn     func(lo, hi int)
-	done   *sync.WaitGroup
+// poolJob is one run's work: fn over [0, n), claimed claimChunk at a time.
+type poolJob struct {
+	n    int
+	fn   func(lo, hi int)
+	next atomic.Int64   // first unclaimed index
+	done sync.WaitGroup // helpers woken for this run
 }
+
+// claimChunk is how many indices one claim takes: the block of pairs
+// scoreChunk warms together, which is what bounds it.
+const claimChunk = 16
 
 func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{tasks: make(chan poolTask, workers)}
-	for w := 0; w < workers; w++ {
-		go poolWorker(p.tasks)
+	p := &workerPool{wake: make(chan *poolJob, workers-1)}
+	for w := 1; w < workers; w++ {
+		go poolHelper(p.wake)
 	}
 	// The finalizer lives on the small pool struct — not the Manager — so
 	// an abandoned manager's model fleet is collected promptly and only
 	// the pool header survives the extra finalizer cycle before its
-	// workers are told to exit.
+	// helpers are told to exit.
 	runtime.SetFinalizer(p, (*workerPool).close)
 	return p
 }
 
-func poolWorker(tasks <-chan poolTask) {
-	for t := range tasks {
-		t.fn(t.lo, t.hi)
-		t.done.Done()
+func poolHelper(wake <-chan *poolJob) {
+	for j := range wake {
+		j.work()
+		j.done.Done()
 	}
 }
 
-// run splits [0, n) into ceil(n/workers)-sized chunks, hands all but the
-// first to the pool, executes the first chunk on the calling goroutine,
-// and blocks until every chunk is done. Calls must not overlap; Step's
-// lock (and New's construction phase) serialize them.
-func (p *workerPool) run(n, workers int, fn func(lo, hi int)) {
+// work claims and executes chunks until the job has none left.
+func (j *poolJob) work() {
+	for {
+		hi := int(j.next.Add(claimChunk))
+		lo := hi - claimChunk
+		if lo >= j.n {
+			return
+		}
+		j.fn(lo, min(hi, j.n))
+	}
+}
+
+// run executes fn over [0, n) in chunks of claimChunk, on the calling
+// goroutine and on as many helpers as there are further chunks, and blocks
+// until every chunk is done and every helper it woke has let go of the job.
+// Calls must not overlap; Step's lock (and New's construction phase)
+// serialize them.
+func (p *workerPool) run(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	first := n
-	if chunk < n {
-		first = chunk
+	j := &p.job
+	j.n, j.fn = n, fn
+	j.next.Store(0)
+	helpers := min((n-1)/claimChunk, cap(p.wake))
+	j.done.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		p.wake <- j
 	}
-	for lo := first; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		p.runWG.Add(1)
-		p.tasks <- poolTask{lo: lo, hi: hi, fn: fn, done: &p.runWG}
-	}
-	obsPoolQueueDepth.Set(float64(len(p.tasks)))
-	fn(0, first)
-	p.runWG.Wait()
+	j.work()
+	j.done.Wait()
+	j.fn = nil // fn holds the Manager; the pool must not
 }
 
 // close shuts the pool down; idempotent.
 func (p *workerPool) close() {
-	p.once.Do(func() { close(p.tasks) })
+	p.once.Do(func() { close(p.wake) })
 }
 
 // Close stops the manager's persistent worker pool. It is safe to call
@@ -358,8 +373,7 @@ func (m *Manager) initRuntime() {
 	// which is what lets reshard and recovery skip persisting these caches.
 	m.steadyOK = make([]bool, len(m.pairs))
 	m.steadyB = make([]float64, 4*len(m.pairs))
-	m.rangeFn = m.scoreRange
-	m.scatterFn = m.scatterRange
+	m.scoreFn = m.scoreChunk
 	if m.Aggregator == nil {
 		m.Aggregator = NewAggregator(m.ids, m.cfg)
 		m.MapRows = NewMapRows(m.ids, m.StepValues)
@@ -429,7 +443,7 @@ func NewSubset(history *timeseries.Dataset, cfg Config, keep func(Pair) bool) (*
 		err   error
 	}
 	results := make([]result, len(pairs))
-	m.pool.run(len(pairs), cfg.Workers, func(lo, hi int) {
+	m.pool.run(len(pairs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pr := pairs[i]
 			if keep != nil && !keep(MakePair(pr[0], pr[1])) {
@@ -560,11 +574,10 @@ func (m *Manager) RemovePair(p Pair) bool {
 // running accumulators, and publishes alarms. vals is the row in IDs()
 // order with NaN for a gap; it is only read, and only until StepValues
 // returns. The fan-out runs on the persistent worker pool over the cached
-// sorted pair slice — identical chunking every step — and the aggregation
-// scratch is reused, so a step allocates nothing beyond the returned
-// report's maps. The phases (score → aggregate → alarm) are traced via
-// obs.StartSpan and the step latency, gap/growth counts and fitness
-// distributions land on the ops surface.
+// sorted pair slice and the aggregation scratch is reused, so a step
+// allocates nothing beyond the returned report's maps. The phases (score →
+// aggregate → alarm) are traced via obs.StartSpan and the step latency,
+// gap/growth counts and fitness distributions land on the ops surface.
 func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {
 	stepStart := time.Now()
 	sp := obs.StartSpan("manager.step")
@@ -572,10 +585,10 @@ func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {
 	defer m.mu.Unlock()
 
 	// Fan the links out over the persistent pool. The happens-before edges
-	// of the task channel and the wait group order the curVals/outcomes
-	// accesses between this goroutine and the workers.
+	// of the wake channel and the wait group order the curVals/outcomes
+	// accesses between this goroutine and the helpers.
 	sp.Phase("score")
-	m.scoreLocked(vals, m.rangeFn)
+	m.scoreLocked(vals)
 	obsDirtyPairs.Set(float64(m.lastDirty))
 
 	// Aggregate Q^{a,b} → Q^a → Q and publish alarms through the shared
@@ -603,21 +616,21 @@ func (m *Manager) ScoreInto(vals []float64, globalIdx []int, dst []Outcome) {
 	// The dirty-pair gauge is left to the coordinator, which sums
 	// LastDirtyPairs across shards after the fan-out; per-shard Set calls
 	// would race each other to a meaningless value.
-	m.scoreLocked(vals, m.scatterFn)
+	m.scoreLocked(vals)
 	m.curDst, m.curIdx = nil, nil
 }
 
-// scoreLocked runs fn over every pair of the row on the pool and records
-// the dirty/skipped split. A row of the wrong width is a caller's bug and
+// scoreLocked scores every pair of the row on the pool and records the
+// dirty/skipped split. A row of the wrong width is a caller's bug and
 // would otherwise surface as an index panic on a pool goroutine. Callers
 // hold m.mu.
-func (m *Manager) scoreLocked(vals []float64, fn func(lo, hi int)) {
+func (m *Manager) scoreLocked(vals []float64) {
 	if len(vals) != len(m.ids) {
 		panic(fmt.Sprintf("manager: row of %d values for %d measurements", len(vals), len(m.ids)))
 	}
 	m.curVals = vals
 	atomic.StoreUint64(&m.stepSkipped, 0)
-	m.pool.run(len(m.pairs), m.cfg.Workers, fn)
+	m.pool.run(len(m.pairs), m.scoreFn)
 	m.curVals = nil
 	m.noteDirty(int(atomic.LoadUint64(&m.stepSkipped)))
 }
@@ -639,32 +652,32 @@ func (m *Manager) LastDirtyPairs() int {
 	return m.lastDirty
 }
 
-// scoreRange scores pairs [lo, hi) of the current row into the outcome
-// buffer; it is the unit of work executed by pool workers (and by Step
-// itself for the first chunk).
-func (m *Manager) scoreRange(lo, hi int) {
-	vals := m.curVals
-	skipped := uint64(0)
-	for i := lo; i < hi; i++ {
-		m.outcomes[i] = m.stepPairAt(i, vals, &skipped)
-	}
-	if skipped > 0 {
-		atomic.AddUint64(&m.stepSkipped, skipped)
-	}
-}
-
-// scatterRange is scoreRange for ScoreInto: outcomes land in the caller's
-// buffer at translated global indices (and, like every scored row, in the
-// local carry-forward cache).
-func (m *Manager) scatterRange(lo, hi int) {
+// scoreChunk scores pairs [lo, hi) of the current row — one claimed chunk —
+// into the carry-forward cache and, under ScoreInto, the caller's buffer at
+// translated global indices. A fleet far beyond the caches is bound by
+// memory latency, not arithmetic: a re-scored pair first reads a model, a
+// grid and a matrix row nothing has touched since its last turn, and scored
+// one after the other those misses queue. So the chunk is walked twice: the
+// first pass warms every pair the skip test will not carry (reads only, so
+// the block's miss chains overlap), the second scores. The warmed rows, ~2 KB
+// each, must still be cached when the second pass reaches them, which is
+// what keeps claimChunk small.
+func (m *Manager) scoreChunk(lo, hi int) {
 	vals, dst, idx := m.curVals, m.curDst, m.curIdx
+	for i := lo; i < hi; i++ {
+		if va, vb := m.pairValues(i, vals); !m.carries(i, va, vb) {
+			m.modelAt[i].Warm()
+		}
+	}
 	skipped := uint64(0)
 	for i := lo; i < hi; i++ {
 		out := m.stepPairAt(i, vals, &skipped)
 		m.outcomes[i] = out
-		if idx == nil {
+		switch {
+		case dst == nil:
+		case idx == nil:
 			dst[i] = out
-		} else {
+		default:
 			dst[idx[i]] = out
 		}
 	}
@@ -673,31 +686,41 @@ func (m *Manager) scatterRange(lo, hi int) {
 	}
 }
 
-// stepPairAt scores link i for the row — or skips it. A NaN on either side
-// is a monitoring gap: the link's chain resets unscored. So is an endpoint
-// outside the manager's measurement universe (FromModels with a narrower id
-// set; no constructor in the tree passes one): the row has no column for
-// it, and the aggregation already leaves such a link out of every Q^a. The
-// skip test is the incremental scheduler's core: a steady pair whose two
+// pairValues returns link i's two values in the row: NaN, a gap, when an
+// endpoint lies outside the manager's measurement universe (FromModels with
+// a narrower id set; no constructor in the tree passes one) — the row has no
+// column for it, and the aggregation already leaves the link out of every Q^a.
+func (m *Manager) pairValues(i int, vals []float64) (va, vb float64) {
+	if idx := m.pairIdx[i]; idx[0] >= 0 && idx[1] >= 0 {
+		return vals[idx[0]], vals[idx[1]]
+	}
+	return math.NaN(), math.NaN()
+}
+
+// carries is the incremental scheduler's skip test: a steady pair whose two
 // values stayed inside the cached cell bounds provably repeats the cached
-// outcome bit-for-bit (the half-open comparisons replicate core
-// Axis.Locate, so NaN and boundary crossings always fall through to a real
-// re-score), and the model only needs to be told the run continued.
-// NoteSkipped returning false means the model was reset or mutated behind
-// the cache (e.g. SetAdaptive); the pair then re-scores late-dirty, which
-// is always safe.
+// outcome bit-for-bit. The half-open comparisons replicate core Axis.Locate,
+// so NaN and boundary crossings always fall through to a real re-score.
+func (m *Manager) carries(i int, va, vb float64) bool {
+	if !m.steadyOK[i] || m.cfg.FullRescore {
+		return false
+	}
+	b := m.steadyB[4*i : 4*i+4 : 4*i+4]
+	return va >= b[0] && va < b[1] && vb >= b[2] && vb < b[3]
+}
+
+// stepPairAt scores link i for the row — or skips it. A NaN on either side
+// is a monitoring gap: the link's chain resets unscored. A pair the skip
+// test carries only needs its model told the run continued; NoteSkipped
+// returning false means the model was reset or mutated behind the cache
+// (e.g. SetAdaptive), and the pair then re-scores late-dirty, which is
+// always safe.
 func (m *Manager) stepPairAt(i int, vals []float64, skipped *uint64) Outcome {
 	model := m.modelAt[i]
-	va, vb := math.NaN(), math.NaN()
-	if idx := m.pairIdx[i]; idx[0] >= 0 && idx[1] >= 0 {
-		va, vb = vals[idx[0]], vals[idx[1]]
-	}
-	if m.steadyOK[i] && !m.cfg.FullRescore {
-		b := m.steadyB[4*i : 4*i+4 : 4*i+4]
-		if va >= b[0] && va < b[1] && vb >= b[2] && vb < b[3] && model.NoteSkipped() {
-			*skipped++
-			return m.outcomes[i]
-		}
+	va, vb := m.pairValues(i, vals)
+	if m.carries(i, va, vb) && model.NoteSkipped() {
+		*skipped++
+		return m.outcomes[i]
 	}
 	if math.IsNaN(va) || math.IsNaN(vb) {
 		model.Reset()

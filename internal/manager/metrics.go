@@ -20,8 +20,6 @@ var (
 		"Link resets caused by missing or non-finite values (monitoring gaps).")
 	obsGrowths = obs.Default().Counter("mcorr_manager_model_grow_total",
 		"Adaptive grid growth events across the model fleet.")
-	obsPoolQueueDepth = obs.Default().Gauge("mcorr_manager_pool_queue_depth",
-		"Scoring chunks left queued to the worker pool at the last dispatch.")
 	obsDirtyPairs = obs.Default().Gauge("mcorr_manager_dirty_pairs",
 		"Pairs the incremental scheduler actually re-scored on the last row (the rest carried cached outcomes forward).")
 	obsSkippedPairs = obs.Default().Counter("mcorr_manager_skipped_pairs_total",

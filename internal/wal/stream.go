@@ -22,10 +22,10 @@ const ChunkSize = 1 << 20
 // RecordWriter does no buffering of its own — hand it a bufio.Writer when
 // the destination is a file or a socket.
 type RecordWriter struct {
-	w   io.Writer
-	seq uint64
-	hdr [recordHeaderSize]byte
-	buf []byte // WriteFloats encode scratch, at most ChunkSize
+	w     io.Writer
+	seq   uint64
+	frame []byte // the record being written, at most a header beyond ChunkSize
+	buf   []byte // WriteFloats encode scratch, at most ChunkSize
 }
 
 // NewRecordWriter returns a record stream over w. Like bufio.NewWriter, it
@@ -46,7 +46,7 @@ func (rw *RecordWriter) Write(p []byte) (int, error) {
 	for off := 0; off < len(p); {
 		n := min(len(p)-off, ChunkSize)
 		rw.seq++
-		if err := writeRecord(rw.w, &rw.hdr, rw.seq, p[off:off+n]); err != nil {
+		if err := writeRecord(rw.w, &rw.frame, rw.seq, p[off:off+n]); err != nil {
 			return off, fmt.Errorf("record %d: %w", rw.seq, err)
 		}
 		off += n

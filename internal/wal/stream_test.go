@@ -141,9 +141,9 @@ func TestRecordStreamHostileLengths(t *testing.T) {
 	if allocs > 20 {
 		t.Errorf("%v allocations for a hostile length", allocs)
 	}
-	var hdr [recordHeaderSize]byte
+	var frame []byte
 	big := bytes.NewBuffer(nil)
-	if err := writeRecord(big, &hdr, 1, make([]byte, ChunkSize+1)); err != nil {
+	if err := writeRecord(big, &frame, 1, make([]byte, ChunkSize+1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewRecordReader(big).Next(); !errors.Is(err, ErrCorrupt) {

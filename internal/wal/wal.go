@@ -123,7 +123,7 @@ type Log struct {
 	lastSync time.Time
 	dirty    bool // unsynced bytes outstanding
 	closed   bool
-	hdr      [recordHeaderSize]byte // reused append scratch
+	frame    []byte // reused append scratch: the record being written
 }
 
 // Open opens (or creates) the log in dir. A torn record at the tail of the
@@ -246,7 +246,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		}
 	}
 	seq := l.seq + 1
-	if err := writeRecord(l.f, &l.hdr, seq, payload); err != nil {
+	if err := writeRecord(l.f, &l.frame, seq, payload); err != nil {
 		return 0, fmt.Errorf("wal append: %w", err)
 	}
 	l.seq = seq
@@ -360,25 +360,24 @@ func (l *Log) TruncateBefore(seq uint64) error {
 	return firstErr
 }
 
-// writeRecord frames payload as one [len][crc][seq][payload] record on w —
-// the writer twin of ReadRecord, shared by Log.Append and RecordWriter.
-// hdr is caller-owned scratch, so a stream of records allocates nothing.
-func writeRecord(w io.Writer, hdr *[recordHeaderSize]byte, seq uint64, payload []byte) error {
+// writeRecord frames payload as one [len][crc][seq][payload] record and
+// hands it to w in a single Write — on the log's unbuffered segment file one
+// write(2) a record, not one for the header and one for the payload. It is
+// the writer twin of ReadRecord, shared by Log.Append and RecordWriter. The
+// frame is assembled in *buf, caller-owned scratch that grows to the largest
+// record written, so a stream of records allocates nothing.
+func writeRecord(w io.Writer, buf *[]byte, seq uint64, payload []byte) error {
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("record of %d bytes: %w", len(payload), ErrTooBig)
 	}
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
+	var s [8]byte
+	binary.BigEndian.PutUint64(s[:], seq)
+	crc := crc32.Update(crc32.Update(0, castagnoli, s[:]), castagnoli, payload)
+	b := binary.BigEndian.AppendUint32((*buf)[:0], uint32(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc)
+	b = append(append(b, s[:]...), payload...)
+	*buf = b
+	_, err := w.Write(b)
 	return err
 }
 

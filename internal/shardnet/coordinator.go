@@ -1,25 +1,21 @@
 package shardnet
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"mcorr/internal/collector"
-	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
 	"mcorr/internal/shard"
 	"mcorr/internal/timeseries"
-	"mcorr/internal/wal"
 )
 
 // Tunables for the coordinator's control plane.
@@ -27,7 +23,7 @@ const (
 	defaultCheckpointEvery = 240
 	dialTimeout            = 500 * time.Millisecond
 	// handshakeTimeout bounds the wait for any one reply frame — a ready,
-	// a done, a stream chunk or a row's outcomes — as a read deadline.
+	// a done or a row's outcomes — as a read deadline.
 	handshakeTimeout = 30 * time.Second
 	redialInterval   = 150 * time.Millisecond
 	latencyAlpha     = 0.2
@@ -36,8 +32,9 @@ const (
 // Config configures a networked shard coordinator.
 type Config struct {
 	// Workers lists the control addresses of the shard worker processes;
-	// position is the shard index. Required, at least one. The coordinator
-	// dials them and needs no listener of its own.
+	// position is the shard index. Required, at least one, and no address
+	// twice: one worker serves one shard. The coordinator dials them and
+	// needs no listener of its own.
 	Workers []string
 	// Manager is the shared fleet configuration, exactly as for the
 	// in-process fabric.
@@ -50,14 +47,6 @@ type Config struct {
 	// so any worker whose checkpoint is at most that far behind recovers
 	// without retraining.
 	CheckpointEvery int
-	// RebalanceEvery enables latency-driven work stealing: every
-	// RebalanceEvery rows the coordinator compares per-shard round-trip
-	// EWMAs and migrates pairs from the slowest to the fastest worker
-	// when the gap exceeds RebalanceFactor. Zero disables.
-	RebalanceEvery int
-	// RebalanceFactor is the slow/fast EWMA ratio that triggers a steal
-	// (default 1.5).
-	RebalanceFactor float64
 	// Logger receives diagnostics; nil discards them.
 	Logger *obs.Logger
 }
@@ -68,7 +57,8 @@ type Config struct {
 // round it shares with the in-process coordinator, so it satisfies the
 // same fleet surface and produces bit-identical reports. What it adds is
 // what needs a wire: connections and their handshake, the row sequence and
-// replay ring, revival of lost workers, latency tracking and rebalancing.
+// replay ring, revival of lost workers and latency tracking. Which worker
+// owns which pair is fixed at New for the coordinator's lifetime.
 type Coordinator struct {
 	*shard.Fabric
 
@@ -77,35 +67,26 @@ type Coordinator struct {
 	runID string
 	ids   []timeseries.MeasurementID // a row frame's, and the assign's, measurement order
 
-	// mu is the step/control lock, lent to the Fabric: Step, rebalance,
-	// reconnection and Close serialize on it. Step holds it for a whole
-	// round, so one row is in flight per fabric and every exchange on a
-	// control connection is request/response.
+	// mu is the step/control lock, lent to the Fabric: Step, the
+	// model-state commands, reconnection and Close serialize on it. Step
+	// holds it for a whole round, so one row is in flight per fabric and
+	// every exchange on a control connection is request/response.
 	mu     sync.Mutex
 	closed bool
 	// seq is the last row fanned out and merged the last row aggregated;
 	// they differ only inside a round, by the row in flight.
 	seq, merged uint64
 	sent        time.Time // start of row seq's fan-out, the latency EWMAs' origin
-	planVersion uint64
 	conns       []*workerConn
 	baseState   []*manager.Manager // trained shards awaiting hand-off; nil once streaming began
-	pendInstall map[manager.Pair]pendingModel
 	lat         []float64
 	latSet      []bool
 	latGauges   []*obs.Gauge
 	ring        ringState
 }
 
-// pendingModel is a model mid-migration: extracted from its donor and
-// retained until its recipient confirms a checkpoint that contains it.
-type pendingModel struct {
-	owner int
-	model *core.Model
-}
-
 // workerConn is worker k's end of the fabric: its control connection and,
-// as the Fabric's Scorer, the pairs the current plan assigns it. The
+// as the Fabric's Scorer, the pairs the partition assigns it. The
 // protocol is request/response, so a failed or timed-out exchange leaves
 // nothing to resynchronise on: send and read close the connection on any
 // error, and reviveLocked redials, re-handshakes and replays.
@@ -176,25 +157,6 @@ func (wc *workerConn) readGob(want collector.MsgType, v any) error {
 	return nil
 }
 
-// readDone reads a command acknowledgement and surfaces worker-side
-// failures.
-func (wc *workerConn) readDone() error {
-	var d doneMsg
-	if err := wc.readGob(MsgShardDone, &d); err != nil {
-		return err
-	}
-	if d.Err != "" {
-		return wc.fail(fmt.Errorf("shardnet: shard %d: %s", wc.k, d.Err))
-	}
-	return nil
-}
-
-// stream returns the reader over a chunked reply of the wanted type, so
-// the reply is decoded while its chunks arrive.
-func (wc *workerConn) stream(want collector.MsgType) *chunkReader {
-	return &chunkReader{next: func() (collector.Frame, error) { return wc.read(want) }}
-}
-
 // errNoWorker marks a failed dial: nothing is listening yet, which New
 // waits out; a worker that answers and then refuses the handshake is not.
 var errNoWorker = errors.New("shardnet: worker unreachable")
@@ -208,6 +170,11 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	if n < 1 {
 		return nil, errors.New("shardnet: at least one worker address required")
 	}
+	for k, addr := range cfg.Workers {
+		if j := slices.Index(cfg.Workers[:k], addr); j >= 0 {
+			return nil, fmt.Errorf("shardnet: workers %d and %d are both %s: a worker serves one shard", j, k, addr)
+		}
+	}
 	if l := len(history.IDs()); l > maxMeasurements {
 		return nil, fmt.Errorf("shardnet: %d measurements, a row frame addresses at most %d", l, maxMeasurements)
 	}
@@ -216,9 +183,6 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = defaultCheckpointEvery
-	}
-	if cfg.RebalanceFactor <= 1 {
-		cfg.RebalanceFactor = 1.5
 	}
 
 	// Train every shard's subset locally — the partition and the loop of
@@ -234,23 +198,24 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:         cfg,
-		log:         cfg.Logger.With("component", "shardnet"),
-		runID:       hex.EncodeToString(idb[:]),
-		ids:         mgrs[0].IDs(),
-		conns:       make([]*workerConn, n),
-		baseState:   mgrs,
-		pendInstall: make(map[manager.Pair]pendingModel),
-		lat:         make([]float64, n),
-		latSet:      make([]bool, n),
-		latGauges:   make([]*obs.Gauge, n),
+		cfg:       cfg,
+		log:       cfg.Logger.With("component", "shardnet"),
+		runID:     hex.EncodeToString(idb[:]),
+		ids:       mgrs[0].IDs(),
+		conns:     make([]*workerConn, n),
+		baseState: mgrs,
+		lat:       make([]float64, n),
+		latSet:    make([]bool, n),
+		latGauges: make([]*obs.Gauge, n),
 	}
 	c.Fabric = shard.NewFabric(&c.mu, manager.NewAggregator(c.ids, cfg.Manager), c.StepValues, c.reviveLocked)
+	scorers := make([]shard.Scorer, n)
 	for k, m := range mgrs {
 		c.conns[k] = &workerConn{c: c, k: k, dead: true, pairs: m.Pairs()}
 		c.latGauges[k] = obsShardLatency.With(strconv.Itoa(k))
+		scorers[k] = c.conns[k]
 	}
-	c.rebuild()
+	c.Rebuild(scorers)
 
 	// Connect every worker; allow a grace window for processes still
 	// starting up.
@@ -284,16 +249,6 @@ func (c *Coordinator) releaseBase() {
 	c.baseState = nil
 }
 
-// rebuild has the Fabric derive its scatter state from the current
-// ownership plan. Callers hold c.mu (or are constructing the coordinator).
-func (c *Coordinator) rebuild() {
-	scorers := make([]shard.Scorer, len(c.conns))
-	for k, wc := range c.conns {
-		scorers[k] = wc
-	}
-	c.Rebuild(scorers)
-}
-
 // ringCap bounds the replay ring: enough rows to re-feed any worker
 // whose last checkpoint is at most one cadence old, plus slack.
 func (c *Coordinator) ringCap() int { return 4*c.cfg.CheckpointEvery + 64 }
@@ -321,9 +276,9 @@ func (r *ringState) push(seq uint64, frame []byte, capRows int) {
 	}
 }
 
-// connectLocked dials worker k, reconciles its recovered state against
-// the current plan, and replays any rows it missed — inside Step, that
-// includes collecting the row in flight. Callers hold c.mu.
+// connectLocked dials worker k, checks its recovered state against its
+// shard, and replays any rows it missed — inside Step, that includes
+// collecting the row in flight. Callers hold c.mu.
 func (c *Coordinator) connectLocked(k int) error {
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.Dial("tcp", c.cfg.Workers[k])
@@ -344,14 +299,13 @@ func (c *Coordinator) connectLocked(k int) error {
 }
 
 // handshakeLocked runs the session opening on a fresh connection: assign,
-// state transfer if the worker has none, ownership reconciliation, replay.
+// state transfer if the worker has none, the pair-set check, replay.
 func (c *Coordinator) handshakeLocked(wc *workerConn) error {
 	k := wc.k
 	assign := assignMsg{
 		RunID:           c.runID,
 		K:               k,
 		N:               len(c.cfg.Workers),
-		PlanVersion:     c.planVersion,
 		CheckpointEvery: c.cfg.CheckpointEvery,
 		IDs:             c.ids,
 		Pairs:           wc.pairs,
@@ -363,11 +317,14 @@ func (c *Coordinator) handshakeLocked(wc *workerConn) error {
 	if err := wc.readGob(MsgShardReady, &ready); err != nil {
 		return fmt.Errorf("assign refused (mcdetect and mcshard must come from the same build): %w", err)
 	}
+	if ready.Err != "" {
+		return errors.New(ready.Err)
+	}
 	if !ready.HaveState {
 		if c.baseState == nil {
 			return errors.New("lost all state after streaming began")
 		}
-		if err := sendStream(wc.conn, MsgShardState, c.baseState[k].Save); err != nil {
+		if err := sendStream(wc.conn, c.baseState[k].Save); err != nil {
 			return err
 		}
 		if err := wc.readGob(MsgShardReady, &ready); err != nil {
@@ -378,34 +335,10 @@ func (c *Coordinator) handshakeLocked(wc *workerConn) error {
 		}
 	}
 
-	// Reconcile ownership: a crash mid-migration can leave a worker with
-	// models it no longer owns (pruned here) or without models the plan
-	// says it holds (re-installed from the migration buffer). Every
-	// failure that can leave such a difference also closes the worker's
-	// connection, so a worker that needs reconciling was cut off before
-	// the row in flight was sent: none of the rows it scored is still
-	// unmerged, which is what lets it checkpoint on these commands.
-	extras, missing := diffPairs(ready.Pairs, wc.pairs)
-	if len(extras) > 0 {
-		if err := wc.sendGob(MsgShardPrune, pruneMsg{PlanVersion: c.planVersion, Pairs: extras}); err != nil {
-			return err
-		}
-		if err := wc.readDone(); err != nil {
-			return err
-		}
-	}
-	if len(missing) > 0 {
-		for _, p := range missing {
-			if pend, ok := c.pendInstall[p]; !ok || pend.owner != k {
-				return fmt.Errorf("missing pair %s with no migration copy", p)
-			}
-		}
-		if err := c.sendInstall(wc, installMsg{PlanVersion: c.planVersion, Pairs: missing}); err != nil {
-			return err
-		}
-		if err := wc.readDone(); err != nil {
-			return err
-		}
+	// Ownership never changes after New, so a worker holding any other pair
+	// set recovered a checkpoint that is not this fleet's partition.
+	if !slices.Equal(ready.Pairs, wc.pairs) {
+		return fmt.Errorf("worker's pair set (%d pairs) is not the one its assign names (%d pairs)", len(ready.Pairs), len(wc.pairs))
 	}
 
 	// Replay the rows the worker does not know were merged, one exchange
@@ -429,51 +362,4 @@ func (c *Coordinator) handshakeLocked(wc *workerConn) error {
 	}
 	obsReplayedRows.Add(c.seq - ready.AppliedSeq)
 	return nil
-}
-
-// sendInstall streams an install command: the header, then the migration
-// copy of every pair it names. Callers hold c.mu.
-func (c *Coordinator) sendInstall(wc *workerConn, m installMsg) error {
-	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(&m); err != nil {
-		return err
-	}
-	err := sendStream(wc.conn, MsgShardInstall, func(cw io.Writer) error {
-		rw := wal.NewRecordWriter(cw)
-		if err := rw.WriteBlob(hdr.Bytes()); err != nil {
-			return err
-		}
-		for _, p := range m.Pairs {
-			if err := c.pendInstall[p].model.Save(rw); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return wc.fail(err)
-	}
-	return nil
-}
-
-// diffPairs splits have into (extras not in want, missing from have).
-// Both inputs are canonically sorted.
-func diffPairs(have, want []manager.Pair) (extras, missing []manager.Pair) {
-	i, j := 0, 0
-	for i < len(have) && j < len(want) {
-		switch {
-		case have[i] == want[j]:
-			i++
-			j++
-		case have[i].Less(want[j]):
-			extras = append(extras, have[i])
-			i++
-		default:
-			missing = append(missing, want[j])
-			j++
-		}
-	}
-	extras = append(extras, have[i:]...)
-	missing = append(missing, want[j:]...)
-	return extras, missing
 }

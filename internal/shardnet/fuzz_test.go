@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,11 +48,11 @@ func FuzzShardFrames(f *testing.F) {
 			}
 		}
 
-		// Round trips. The first 16 bytes are the sequence and the plan
-		// version (or the row time); every further 9 bytes one cell.
+		// Round trips. The first 16 bytes are the sequence and the row time;
+		// every further 9 bytes one cell.
 		var head [16]byte
 		copy(head[:], data)
-		seq, second := binary.BigEndian.Uint64(head[0:]), binary.BigEndian.Uint64(head[8:])
+		seq, nanos := binary.BigEndian.Uint64(head[0:]), binary.BigEndian.Uint64(head[8:])
 		var cells [][]byte // few enough for one outcome frame
 		for rest := data[min(len(data), 16):]; len(rest) >= 9 && len(cells) < 64; rest = rest[9:] {
 			cells = append(cells, rest[:9])
@@ -59,13 +63,13 @@ func FuzzShardFrames(f *testing.F) {
 			v := math.Float64frombits(binary.BigEndian.Uint64(c))
 			outs[i] = manager.Outcome{Fitness: v, Prob: -v, Scored: c[8]&1 != 0, Gap: c[8]&2 != 0, Grown: c[8]&4 != 0, Steady: c[8]&8 != 0}
 		}
-		buf := appendOutcomeFrames(nil, seq, second, outs)
+		buf := appendOutcomeFrames(nil, seq, outs)
 		of, err := decodeOutcomeFrame(buf)
 		if err != nil {
 			t.Fatalf("decode of an encoded outcome set: %v", err)
 		}
-		if of.Seq != seq || of.PlanVersion != second || of.Total != len(outs) || of.Offset != 0 || of.Count != len(outs) {
-			t.Fatalf("outcome header %+v, want seq %d plan %d and all %d outcomes", of, seq, second, len(outs))
+		if of.Seq != seq || of.Total != len(outs) || of.Offset != 0 || of.Count != len(outs) {
+			t.Fatalf("outcome header %+v, want seq %d and all %d outcomes", of, seq, len(outs))
 		}
 		for i, o := range outs {
 			got := of.At(i)
@@ -77,7 +81,7 @@ func FuzzShardFrames(f *testing.F) {
 
 		// A row round-trips bit for bit, except that every NaN — whatever its
 		// payload — and every absent measurement is the one gap.
-		tm := time.Unix(0, int64(second)).UTC()
+		tm := time.Unix(0, int64(nanos)).UTC()
 		vals := make([]float64, len(cells))
 		for i, c := range cells {
 			vals[i] = math.NaN() // the rest are monitoring gaps
@@ -103,4 +107,51 @@ func FuzzShardFrames(f *testing.F) {
 			t.Fatal("two encodings of one row differ")
 		}
 	})
+}
+
+// TestShardFrameCorpusIsCurrent holds FuzzShardFrames' hand-laid seeds to
+// the frame layouts of this build: the valid ones must decode and every
+// other seed must be refused. A header change that left the valid seeds
+// behind would leave the fuzzer nothing but refusals to mutate.
+func TestShardFrameCorpusIsCurrent(t *testing.T) {
+	valid := map[string]bool{"outcomes-valid": true, "outcomes-second-chunk": true, "outcomes-empty-shard": true, "row-valid": true}
+	dir := filepath.Join("testdata", "fuzz", "FuzzShardFrames")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One []byte value in the fuzzer's corpus encoding.
+		lit, ok := strings.CutPrefix(string(b), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(strings.TrimSpace(lit), ")")
+		payload, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("seed %s is not one []byte in corpus encoding (%v)", name, err)
+		}
+		data := []byte(payload)
+		switch {
+		case strings.HasPrefix(name, "outcomes-"):
+			_, err = decodeOutcomeFrame(data)
+		case strings.HasPrefix(name, "row-"):
+			_, _, err = decodeRowFrame(data, make([]float64, maxMeasurements))
+		default:
+			t.Errorf("seed %s names neither frame", name)
+			continue
+		}
+		if valid[name] && err != nil {
+			t.Errorf("valid seed %s is refused: %v", name, err)
+		}
+		if !valid[name] && err == nil {
+			t.Errorf("seed %s decodes, but is named for a frame to refuse", name)
+		}
+		delete(valid, name)
+	}
+	for name := range valid {
+		t.Errorf("valid seed %s is missing", name)
+	}
 }

@@ -23,11 +23,7 @@ var (
 	obsDupOutcomes = obs.Default().Counter("mcorr_shardnet_duplicate_outcomes_total",
 		"Outcome frames drained and dropped during a replay: answers to rows merged before the connection was lost.")
 	obsStaleOutcomes = obs.Default().Counter("mcorr_shardnet_stale_outcomes_total",
-		"Outcome frames refused for carrying another rebalance plan version or pair count.")
-	obsRebalances = obs.Default().Counter("mcorr_shardnet_rebalances_total",
-		"Completed work-stealing rebalances between workers.")
-	obsPairsStolen = obs.Default().Counter("mcorr_shardnet_pairs_stolen_total",
-		"Pair models migrated between workers across all rebalances.")
+		"Outcome frames refused for carrying another pair count than the worker's shard.")
 	obsShardLatency = obs.Default().GaugeVec("mcorr_shardnet_shard_latency_seconds",
 		"Exponentially weighted round-trip per shard: start of the row's fan-out to the shard's last outcome frame (label: shard index).",
 		"shard")

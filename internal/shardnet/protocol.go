@@ -3,13 +3,15 @@
 // connection per shard worker and everything travels over it in the
 // collector's frame format — the trained models, one row frame per step,
 // the worker's per-pair outcomes as a native binary frame in reply, and
-// the rebalance commands. Every exchange is request/response under the
-// coordinator's step lock, so only coordinator → worker reachability is
-// needed and one row is in flight per fabric. The merged Q^a/Q trajectory
-// is bit-identical (Float64bits) to the in-process fabric for any worker
-// count: scoring advances the same models in the same canonical pair
-// order, and aggregation happens once, centrally, in shard.Fabric — the
-// round the in-process shard Coordinator runs, over worker connections.
+// the model-state commands. Ownership is the rendezvous partition fixed at
+// New for the coordinator's lifetime: no pair ever moves between workers.
+// Every exchange is request/response under the coordinator's step lock, so
+// only coordinator → worker reachability is needed and one row is in
+// flight per fabric. The merged Q^a/Q trajectory is bit-identical
+// (Float64bits) to the in-process fabric for any worker count: scoring
+// advances the same models in the same canonical pair order, and
+// aggregation happens once, centrally, in shard.Fabric — the round the
+// in-process shard Coordinator runs, over worker connections.
 package shardnet
 
 import (
@@ -31,12 +33,14 @@ import (
 // passes unknown types through untouched, so both protocols share one
 // header, magic and size limit.
 //
-// Types 16 and 28 were the assigns of earlier builds: 16 of those whose
+// Types 16, 28 and 30 were the assigns of earlier builds: 16 of those whose
 // workers dialled a second connection back to the coordinator to return
 // outcomes, 28 of those whose model records held all n² weights (record
-// format 3). Both stay retired: a peer from such a build answers "expected
+// format 3), 30 of those whose outcome frames carried a rebalance plan
+// version. All stay retired: a peer from such a build answers "expected
 // assign" and the handshake fails at once — before a state transfer it
-// could not decode, or a Step waiting for outcomes nobody writes.
+// could not decode, or a Step waiting for outcomes nobody writes. Types
+// 20–24, those builds' pair-migration commands, are not reused.
 const (
 	// MsgShardReady (worker → coordinator) answers an assign or a state
 	// transfer: gob readyMsg reporting the worker's recovered state.
@@ -49,29 +53,8 @@ const (
 	// compact binary layout of encodeRowFrame; the worker answers with the
 	// row's MsgShardOutcomes.
 	MsgShardRow collector.MsgType = 19
-	// MsgShardPrune (coordinator → worker) orders the worker to drop pairs
-	// it no longer owns (gob pruneMsg); the worker checkpoints and
-	// answers MsgShardDone.
-	MsgShardPrune collector.MsgType = 20
-	// MsgShardExtract (coordinator → worker) asks for the models of the
-	// named pairs (gob extractMsg) without removing them; the worker
-	// answers with MsgShardModels chunks.
-	MsgShardExtract collector.MsgType = 21
-	// MsgShardModels (worker → coordinator) carries the chunked record
-	// stream answering an extract: one model (core.Model.Save) per
-	// requested pair, in request order.
-	MsgShardModels collector.MsgType = 22
-	// MsgShardInstall (coordinator → worker) carries a chunked record
-	// stream: a gob installMsg blob, then one model per named pair —
-	// models migrating onto this worker. The worker installs, checkpoints
-	// and answers MsgShardDone.
-	MsgShardInstall collector.MsgType = 23
-	// MsgShardPlan (coordinator → worker) announces a new plan version
-	// after a rebalance (gob planMsg); the worker adopts it for subsequent
-	// outcomes and answers MsgShardDone.
-	MsgShardPlan collector.MsgType = 24
-	// MsgShardDone (worker → coordinator) acknowledges prune, install,
-	// plan, adaptive and reset-chains commands (gob doneMsg).
+	// MsgShardDone (worker → coordinator) acknowledges, with an empty
+	// payload, an adaptive or reset-chains command once it is checkpointed.
 	MsgShardDone collector.MsgType = 25
 	// MsgShardAdaptive (coordinator → worker) toggles online model
 	// updating (gob bool); answered, once checkpointed, with MsgShardDone.
@@ -82,14 +65,14 @@ const (
 	// MsgShardAssign (coordinator → worker) opens a control session: gob
 	// assignMsg naming the worker's shard, the fabric run and the expected
 	// pair set.
-	MsgShardAssign collector.MsgType = 30
+	MsgShardAssign collector.MsgType = 31
 	// MsgShardOutcomes (worker → coordinator) answers a row with the
 	// shard's outcome set in the binary layout of appendOutcomeFrames —
 	// one frame, more only when the set would exceed the frame size limit.
 	MsgShardOutcomes collector.MsgType = 29
 )
 
-// blobChunk bounds one state/model transfer chunk, comfortably under the
+// blobChunk bounds one state transfer chunk, comfortably under the
 // collector's MaxFrameSize.
 const blobChunk = 256 << 10
 
@@ -101,14 +84,13 @@ type assignMsg struct {
 	RunID string
 	// K and N are the worker's shard index and the total shard count.
 	K, N int
-	// PlanVersion is the coordinator's current ownership-plan epoch.
-	PlanVersion uint64
 	// CheckpointEvery is the worker checkpoint cadence in rows.
 	CheckpointEvery int
 	// IDs is the fleet's canonical measurement order; row frames index
 	// into it.
 	IDs []timeseries.MeasurementID
-	// Pairs is the pair set the plan assigns to shard K, canonical order.
+	// Pairs is the pair set the partition assigns to shard K, canonical
+	// order.
 	Pairs []manager.Pair
 }
 
@@ -120,36 +102,10 @@ type readyMsg struct {
 	// AppliedSeq is the last row sequence the worker knows the coordinator
 	// merged; replay must resume at AppliedSeq+1.
 	AppliedSeq uint64
-	// PlanVersion is the plan epoch the worker recovered with.
-	PlanVersion uint64
-	// Pairs is the worker's actual pair set, for ownership reconciliation.
+	// Pairs is the worker's actual pair set, which must be the assign's.
 	Pairs []manager.Pair
-}
-
-type pruneMsg struct {
-	PlanVersion uint64
-	Pairs       []manager.Pair
-}
-
-type extractMsg struct {
-	Pairs []manager.Pair
-}
-
-// installMsg heads an install stream; one model per pair follows it.
-type installMsg struct {
-	PlanVersion uint64
-	Pairs       []manager.Pair
-}
-
-type planMsg struct {
-	PlanVersion uint64
-}
-
-// doneMsg acknowledges a control command; Err is a worker-side failure
-// description ("" on success).
-type doneMsg struct {
-	PlanVersion uint64
-	Err         string
+	// Err, when set, is why the worker refused the assign.
+	Err string
 }
 
 // writeGob frames one gob-encoded control message.
@@ -166,15 +122,13 @@ func decodeGob(payload []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
-// chunkWriter streams bytes as MsgShardState/MsgShardModels/
-// MsgShardInstall frames of at most blobChunk bytes: each frame's first
-// payload byte flags the final chunk, which sendStream sends last. One
-// frame buffer is reused for the whole transfer, and it is the only copy
-// of the stream the sender ever holds.
+// chunkWriter streams bytes as MsgShardState frames of at most blobChunk
+// bytes: each frame's first payload byte flags the final chunk, which
+// sendStream sends last. One frame buffer is reused for the whole
+// transfer, and it is the only copy of the stream the sender ever holds.
 type chunkWriter struct {
-	conn    io.Writer
-	msgType collector.MsgType
-	buf     []byte // flag byte + pending chunk
+	conn io.Writer
+	buf  []byte // flag byte + pending chunk
 }
 
 func (cw *chunkWriter) Write(p []byte) (int, error) {
@@ -193,15 +147,15 @@ func (cw *chunkWriter) Write(p []byte) (int, error) {
 
 func (cw *chunkWriter) flush(last byte) error {
 	cw.buf[0] = last
-	err := collector.WriteFrame(cw.conn, collector.Frame{Type: cw.msgType, Payload: cw.buf})
+	err := collector.WriteFrame(cw.conn, collector.Frame{Type: MsgShardState, Payload: cw.buf})
 	cw.buf = cw.buf[:1]
 	return err
 }
 
 // sendStream runs one chunked transfer: whatever save writes, then the
 // final chunk.
-func sendStream(conn io.Writer, msgType collector.MsgType, save func(io.Writer) error) error {
-	cw := &chunkWriter{conn: conn, msgType: msgType, buf: make([]byte, 1, 1+blobChunk)}
+func sendStream(conn io.Writer, save func(io.Writer) error) error {
+	cw := &chunkWriter{conn: conn, buf: make([]byte, 1, 1+blobChunk)}
 	if err := save(cw); err != nil {
 		return err
 	}
@@ -209,22 +163,12 @@ func sendStream(conn io.Writer, msgType collector.MsgType, save func(io.Writer) 
 }
 
 // chunkReader is the receiving end of a chunkWriter: an io.Reader over the
-// transfer's frames, so the stream is decoded while chunks arrive instead
-// of after they have been assembled. next delivers the frames in order
-// and checks their type.
+// transfer's MsgShardState frames on conn, so the stream is decoded while
+// chunks arrive instead of after they have been assembled.
 type chunkReader struct {
-	next func() (collector.Frame, error)
+	conn io.Reader
 	rest []byte
 	last bool
-}
-
-// push installs one received frame as the current chunk.
-func (cr *chunkReader) push(f collector.Frame) error {
-	if len(f.Payload) < 1 {
-		return fmt.Errorf("shardnet: empty stream chunk")
-	}
-	cr.last, cr.rest = f.Payload[0] == 1, f.Payload[1:]
-	return nil
 }
 
 func (cr *chunkReader) Read(p []byte) (int, error) {
@@ -232,13 +176,16 @@ func (cr *chunkReader) Read(p []byte) (int, error) {
 		if cr.last {
 			return 0, io.EOF
 		}
-		f, err := cr.next()
-		if err == nil {
-			err = cr.push(f)
-		}
-		if err != nil {
+		f, err := collector.ReadFrame(cr.conn)
+		switch {
+		case err != nil:
 			return 0, err
+		case f.Type != MsgShardState:
+			return 0, fmt.Errorf("shardnet: expected type %d chunk, got %d", byte(MsgShardState), byte(f.Type))
+		case len(f.Payload) < 1:
+			return 0, fmt.Errorf("shardnet: empty stream chunk")
 		}
+		cr.last, cr.rest = f.Payload[0] == 1, f.Payload[1:]
 	}
 	n := copy(p, cr.rest)
 	cr.rest = cr.rest[n:]
@@ -253,17 +200,6 @@ func (cr *chunkReader) finish() error {
 		err = fmt.Errorf("shardnet: %d stray bytes after a stream", n)
 	}
 	return err
-}
-
-// frameSource reads a transfer's frames straight off a connection.
-func frameSource(conn io.Reader, msgType collector.MsgType) func() (collector.Frame, error) {
-	return func() (collector.Frame, error) {
-		f, err := collector.ReadFrame(conn)
-		if err == nil && f.Type != msgType {
-			err = fmt.Errorf("shardnet: expected type %d chunk, got %d", byte(msgType), byte(f.Type))
-		}
-		return f, err
-	}
 }
 
 // maxMeasurements is how many measurements a row frame can address: its
@@ -320,12 +256,12 @@ func decodeRowFrame(payload []byte, vals []float64) (seq uint64, t time.Time, er
 	return seq, t, nil
 }
 
-// Outcome frame layout: u64 row seq, u64 plan version, u32 total outcome
-// count of the shard, u32 offset and u32 count of this frame's slice of
-// them, then count × 17 bytes {u64 fitness bits, u64 prob bits, flags},
-// in the shard's canonical local pair order.
+// Outcome frame layout: u64 row seq, u32 total outcome count of the shard,
+// u32 offset and u32 count of this frame's slice of them, then count × 17
+// bytes {u64 fitness bits, u64 prob bits, flags}, in the shard's canonical
+// local pair order.
 const (
-	outcomeHeader = 28
+	outcomeHeader = 20
 	outcomeSize   = 17
 	// maxOutcomesPerFrame is what fits under the collector's frame limit:
 	// 61 679 pairs, so a shard's set is one frame in any fleet seen so far.
@@ -342,7 +278,7 @@ const (
 // buf[:0] — an empty shard still answers with one empty frame. The worker
 // keeps the returned buffer until the next row is scored, both to reuse
 // it and to answer a replay of the row without re-stepping a model.
-func appendOutcomeFrames(buf []byte, seq, planVersion uint64, outs []manager.Outcome) []byte {
+func appendOutcomeFrames(buf []byte, seq uint64, outs []manager.Outcome) []byte {
 	buf = buf[:0]
 	for off := 0; ; off += maxOutcomesPerFrame {
 		chunk := outs[off:]
@@ -350,7 +286,6 @@ func appendOutcomeFrames(buf []byte, seq, planVersion uint64, outs []manager.Out
 			chunk = chunk[:maxOutcomesPerFrame]
 		}
 		buf = binary.BigEndian.AppendUint64(buf, seq)
-		buf = binary.BigEndian.AppendUint64(buf, planVersion)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(outs)))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(off))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(chunk)))
@@ -382,7 +317,7 @@ func appendOutcomeFrames(buf []byte, seq, planVersion uint64, outs []manager.Out
 // buf, one frame each.
 func writeOutcomeFrames(w io.Writer, buf []byte) error {
 	for len(buf) > 0 {
-		n := outcomeHeader + outcomeSize*int(binary.BigEndian.Uint32(buf[24:]))
+		n := outcomeHeader + outcomeSize*int(binary.BigEndian.Uint32(buf[16:]))
 		if err := collector.WriteFrame(w, collector.Frame{Type: MsgShardOutcomes, Payload: buf[:n]}); err != nil {
 			return err
 		}
@@ -394,7 +329,7 @@ func writeOutcomeFrames(w io.Writer, buf []byte) error {
 // outcomeFrame is one decoded MsgShardOutcomes payload: the validated
 // header and the undecoded cells, which At reads in place.
 type outcomeFrame struct {
-	Seq, PlanVersion     uint64
+	Seq                  uint64
 	Total, Offset, Count int
 	cells                []byte
 }
@@ -408,9 +343,9 @@ func decodeOutcomeFrame(payload []byte) (outcomeFrame, error) {
 	if len(payload) < outcomeHeader {
 		return outcomeFrame{}, fmt.Errorf("shardnet: outcome frame too short (%d bytes)", len(payload))
 	}
-	total := binary.BigEndian.Uint32(payload[16:])
-	offset := binary.BigEndian.Uint32(payload[20:])
-	count := binary.BigEndian.Uint32(payload[24:])
+	total := binary.BigEndian.Uint32(payload[8:])
+	offset := binary.BigEndian.Uint32(payload[12:])
+	count := binary.BigEndian.Uint32(payload[16:])
 	if uint64(len(payload)) != outcomeHeader+outcomeSize*uint64(count) {
 		return outcomeFrame{}, fmt.Errorf("shardnet: outcome frame length %d does not match count %d", len(payload), count)
 	}
@@ -418,12 +353,11 @@ func decodeOutcomeFrame(payload []byte) (outcomeFrame, error) {
 		return outcomeFrame{}, fmt.Errorf("shardnet: outcome frame [%d, %d) of total %d", offset, uint64(offset)+uint64(count), total)
 	}
 	return outcomeFrame{
-		Seq:         binary.BigEndian.Uint64(payload[0:]),
-		PlanVersion: binary.BigEndian.Uint64(payload[8:]),
-		Total:       int(total),
-		Offset:      int(offset),
-		Count:       int(count),
-		cells:       payload[outcomeHeader:],
+		Seq:    binary.BigEndian.Uint64(payload[0:]),
+		Total:  int(total),
+		Offset: int(offset),
+		Count:  int(count),
+		cells:  payload[outcomeHeader:],
 	}, nil
 }
 

@@ -70,7 +70,7 @@ func TestRowFrameRoundTrip(t *testing.T) {
 func decodeOutcomes(t *testing.T, buf []byte) (frames []outcomeFrame, merged []manager.Outcome) {
 	t.Helper()
 	for len(buf) > 0 {
-		n := outcomeHeader + outcomeSize*int(binary.BigEndian.Uint32(buf[24:]))
+		n := outcomeHeader + outcomeSize*int(binary.BigEndian.Uint32(buf[16:]))
 		f, err := decodeOutcomeFrame(buf[:n])
 		if err != nil {
 			t.Fatalf("decode frame %d: %v", len(frames), err)
@@ -114,14 +114,14 @@ func TestOutcomePackingRoundTrip(t *testing.T) {
 		{"seq at the top of the range", math.MaxUint64, outs[:1], 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			buf := appendOutcomeFrames(nil, tc.seq, tc.seq^0x5a5a, tc.outs)
+			buf := appendOutcomeFrames(nil, tc.seq, tc.outs)
 			frames, merged := decodeOutcomes(t, buf)
 			if len(frames) != tc.frames {
 				t.Fatalf("frames = %d, want %d", len(frames), tc.frames)
 			}
 			for _, f := range frames {
-				if f.Seq != tc.seq || f.PlanVersion != tc.seq^0x5a5a || f.Total != len(tc.outs) {
-					t.Fatalf("header = %+v, want seq %d plan %d total %d", f, tc.seq, tc.seq^0x5a5a, len(tc.outs))
+				if f.Seq != tc.seq || f.Total != len(tc.outs) {
+					t.Fatalf("header = %+v, want seq %d total %d", f, tc.seq, len(tc.outs))
 				}
 			}
 			if len(merged) != len(tc.outs) {
@@ -135,33 +135,16 @@ func TestOutcomePackingRoundTrip(t *testing.T) {
 		})
 	}
 
-	good := appendOutcomeFrames(nil, 9, 1, outs[:4])
+	good := appendOutcomeFrames(nil, 9, outs[:4])
 	for name, bad := range map[string][]byte{
 		"bogus":                []byte("bogus"),
 		"truncated cell":       good[:len(good)-1],
-		"count beyond payload": binary.BigEndian.AppendUint32(append([]byte(nil), good[:24]...), 5),
-		"offset past total": append(binary.BigEndian.AppendUint32(append([]byte(nil), good[:20]...), 1),
-			good[24:]...),
+		"count beyond payload": binary.BigEndian.AppendUint32(append([]byte(nil), good[:16]...), 5),
+		"offset past total": append(binary.BigEndian.AppendUint32(append([]byte(nil), good[:12]...), 1),
+			good[16:]...),
 	} {
 		if _, err := decodeOutcomeFrame(bad); err == nil {
 			t.Errorf("%s: malformed frame decoded", name)
 		}
-	}
-}
-
-func TestDiffPairs(t *testing.T) {
-	p := func(a, b string) manager.Pair {
-		return manager.Pair{A: mid(a, "x"), B: mid(b, "x")}
-	}
-	have := []manager.Pair{p("a", "b"), p("a", "c"), p("c", "d")}
-	want := []manager.Pair{p("a", "c"), p("b", "c"), p("c", "d"), p("d", "e")}
-	manager.SortPairs(have)
-	manager.SortPairs(want)
-	extras, missing := diffPairs(have, want)
-	if len(extras) != 1 || extras[0] != p("a", "b") {
-		t.Fatalf("extras = %v", extras)
-	}
-	if len(missing) != 2 {
-		t.Fatalf("missing = %v", missing)
 	}
 }

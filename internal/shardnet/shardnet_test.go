@@ -273,8 +273,8 @@ func TestNewRejectsWideFleet(t *testing.T) {
 }
 
 // retiredAssigns are the assign types of earlier builds: the back-channel
-// protocol's and the dense model record's.
-var retiredAssigns = []collector.MsgType{16, 28}
+// protocol's, the dense model record's and the rebalance plan version's.
+var retiredAssigns = []collector.MsgType{16, 28, 30}
 
 // TestHandshakeRefusesOtherBuild covers both mixed-build pairings with
 // every retired protocol: each must fail the handshake at once and say
@@ -345,14 +345,53 @@ func TestHandshakeRefusesOtherBuild(t *testing.T) {
 	})
 }
 
-// TestShardNetRebalancePreservesBits migrates pairs between live workers
-// mid-stream and checks the trajectory is unchanged: moved models keep
-// their full state, and stale-plan outcomes never corrupt a merge.
-func TestShardNetRebalancePreservesBits(t *testing.T) {
-	mcfg := manager.Config{Model: tinyModel(true)}
-	history, rows := fixtures(t, 3, 4)
-	want := referenceRun(t, history, mcfg, rows).reports
+// TestNewRefusesWorkerListedTwice: one worker serves one shard. A worker
+// listed twice used to retire one shard for the other on every row, with
+// a bit-identical trajectory that hid the thrash; now New fails fast,
+// naming both shard indices, whether the two entries are one address or
+// two spellings of it.
+func TestNewRefusesWorkerListedTwice(t *testing.T) {
+	history, _ := fixtures(t, 3, 1)
+	mcfg := manager.Config{Model: tinyModel(false)}
+	f := startFabric(t, 1)
+	_, port, err := net.SplitHostPort(f.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, second string
+		want         []string
+	}{
+		{"same address", f.addrs[0], []string{"workers 0 and 1"}},
+		// An IPv4-mapped literal reaches the same listener under another
+		// spelling, so only the worker can tell.
+		{"another spelling", net.JoinHostPort("::ffff:127.0.0.1", port), []string{"shard 0", "shard 1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			c, err := New(history, Config{Workers: []string{f.addrs[0], tc.second}, Manager: mcfg})
+			if err == nil {
+				c.Close()
+				t.Fatal("New succeeded with one worker serving two shards")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("New: %v, want an error naming %q", err, want)
+				}
+			}
+			if d := time.Since(start); d > handshakeTimeout/2 {
+				t.Fatalf("New took %v to refuse a worker listed twice", d)
+			}
+		})
+	}
+}
 
+// TestHandshakeRefusesOtherPairSet: ownership is fixed at New, so a worker
+// that recovers a checkpoint of this run and shard holding another pair
+// set is refused at the handshake, with the shard named — not repaired.
+func TestHandshakeRefusesOtherPairSet(t *testing.T) {
+	history, _ := fixtures(t, 3, 1)
+	mcfg := manager.Config{Model: tinyModel(false)}
 	f := startFabric(t, 2)
 	c, err := New(history, Config{Workers: f.addrs, Manager: mcfg})
 	if err != nil {
@@ -360,64 +399,35 @@ func TestShardNetRebalancePreservesBits(t *testing.T) {
 	}
 	defer c.Close()
 
-	pv0 := c.PlanVersion()
-	before := len(c.ShardPairs(0))
-	for i, row := range rows {
-		if i == len(rows)/3 {
-			moved, err := c.Rebalance(0, 1, 2)
-			if err != nil {
-				t.Fatalf("Rebalance: %v", err)
-			}
-			if moved != 2 {
-				t.Fatalf("moved = %d, want 2", moved)
-			}
-			if c.PlanVersion() != pv0+1 {
-				t.Fatalf("plan version = %d, want %d", c.PlanVersion(), pv0+1)
-			}
-			if got := len(c.ShardPairs(0)); got != before-2 {
-				t.Fatalf("shard 0 pairs = %d, want %d", got, before-2)
-			}
-		}
-		compareReports(t, i, c.Step(row), want[i])
-	}
-}
-
-// TestShardNetAutoRebalance seeds a skewed latency picture and checks
-// the work-stealing policy fires, migrates pairs toward the fast worker,
-// and leaves the trajectory bit-identical.
-func TestShardNetAutoRebalance(t *testing.T) {
-	mcfg := manager.Config{Model: tinyModel(false)}
-	history, rows := fixtures(t, 3, 3)
-	want := referenceRun(t, history, mcfg, rows).reports
-
-	f := startFabric(t, 2)
-	c, err := New(history, Config{
-		Workers: f.addrs, Manager: mcfg,
-		RebalanceEvery: 5, RebalanceFactor: 2,
-	})
+	// Worker 1 restarts from a checkpoint of this run and shard that lacks
+	// one of the shard's pairs.
+	own := c.ShardPairs(1)
+	sub, err := manager.NewSubset(history, mcfg, func(p manager.Pair) bool { return p != own[0] && slices.Contains(own, p) })
 	if err != nil {
-		t.Fatalf("shardnet.New: %v", err)
+		t.Fatal(err)
 	}
-	defer c.Close()
+	defer sub.Close()
+	addr := f.addrs[1]
+	f.kill(1)
+	st := &shardState{runID: c.runID, k: 1, n: 2, mgr: sub}
+	if err := (&Worker{cfg: WorkerConfig{DataDir: f.dirs[1]}}).checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	f.start(1, addr)
 
-	slow := 0
-	if len(c.ShardPairs(1)) > len(c.ShardPairs(0)) {
-		slow = 1
+	c.mu.Lock()
+	c.conns[1].fail(nil)
+	err = c.connectLocked(1)
+	c.mu.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "pair set") {
+		t.Fatalf("handshake with a worker holding another pair set: %v, want a refusal naming shard 1", err)
 	}
-	before := len(c.ShardPairs(slow))
-	c.SetLatencyHint(slow, 1.0)
-	c.SetLatencyHint(1-slow, 0.01)
-	// Keep the seeded skew in place despite organic EWMA updates.
-	for i, row := range rows {
-		c.SetLatencyHint(slow, 1.0)
-		c.SetLatencyHint(1-slow, 0.01)
-		compareReports(t, i, c.Step(row), want[i])
-	}
-	if got := len(c.ShardPairs(slow)); got >= before {
-		t.Fatalf("work stealing never fired: slow shard still holds %d of %d pairs", got, before)
-	}
-	if c.PlanVersion() == 0 {
-		t.Fatal("plan version never advanced")
+	w := f.workers[1]
+	w.smu.Lock()
+	held := len(w.st.mgr.Pairs())
+	w.smu.Unlock()
+	if held != len(own)-1 {
+		t.Fatalf("worker holds %d pairs after the refusal, want the checkpoint's %d", held, len(own)-1)
 	}
 }
 

@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"mcorr/internal/collector"
-	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
-	"mcorr/internal/wal"
 )
 
 // StepValues fans one synchronized row — vals in IDs() order, NaN for a
@@ -36,10 +34,6 @@ func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport
 	sp.End()
 	obsRows.Add(1)
 	obsStepSeconds.Observe(time.Since(start).Seconds())
-
-	if c.cfg.RebalanceEvery > 0 && c.seq%uint64(c.cfg.RebalanceEvery) == 0 {
-		c.autoRebalanceLocked()
-	}
 	return report
 }
 
@@ -85,12 +79,11 @@ func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 			err = fmt.Errorf("shardnet: shard %d answered row %d with the outcomes of row %d", wc.k, seq, h.Seq)
 		case seq <= c.merged:
 			obsDupOutcomes.Add(1)
-		case h.PlanVersion != c.planVersion || h.Total != len(idx):
-			// One answer per row: a stale one cannot be followed by a
-			// current one, so the exchange has failed.
+		case h.Total != len(idx):
+			// One answer per row: a wrong one cannot be followed by a
+			// right one, so the exchange has failed.
 			obsStaleOutcomes.Add(1)
-			err = fmt.Errorf("shardnet: shard %d answered with %d outcomes under plan %d, want %d under plan %d",
-				wc.k, h.Total, h.PlanVersion, len(idx), c.planVersion)
+			err = fmt.Errorf("shardnet: shard %d answered with %d outcomes, want %d", wc.k, h.Total, len(idx))
 		case h.Offset != got:
 			err = fmt.Errorf("shardnet: shard %d outcome frame at offset %d, want %d", wc.k, h.Offset, got)
 		default:
@@ -154,100 +147,16 @@ func (c *Coordinator) updateConnected() {
 	obsConnected.Set(float64(live))
 }
 
-// Rebalance migrates n pairs from one worker to another without
-// retraining: the donor's models are extracted over the control channel,
-// installed (and checkpointed) on the recipient, and only then does the
-// plan flip and the donor prune — a crash at any point leaves every
-// model owned by exactly one shard after the next handshake
-// reconciliation. The step lock guarantees no row is in flight.
-func (c *Coordinator) Rebalance(from, to, n int) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rebalanceLocked(from, to, n)
-}
-
-func (c *Coordinator) rebalanceLocked(from, to, n int) (int, error) {
-	w := len(c.cfg.Workers)
-	if from < 0 || from >= w || to < 0 || to >= w || from == to {
-		return 0, fmt.Errorf("shardnet: invalid rebalance %d -> %d", from, to)
-	}
-	avail := c.conns[from].pairs
-	if n > len(avail)-1 {
-		n = len(avail) - 1
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	donor, recip := c.conns[from], c.conns[to]
-	if donor.dead || recip.dead {
-		return 0, fmt.Errorf("shardnet: rebalance %d -> %d: worker unavailable", from, to)
-	}
-	moving := avail[len(avail)-n:]
-	newPV := c.planVersion + 1
-
-	// Phase 1 — copy: extract without removing, install on the recipient.
-	if err := donor.sendGob(MsgShardExtract, extractMsg{Pairs: moving}); err != nil {
-		return 0, err
-	}
-	// The donor answers with one model per pair, in request order; each is
-	// decoded as its chunks arrive and held until the recipient confirms.
-	cr := donor.stream(MsgShardModels)
-	rr := wal.NewRecordReader(cr)
-	for i, p := range moving {
-		model, err := core.LoadModel(rr)
-		if err != nil {
-			c.clearPending(moving[:i])
-			return 0, donor.fail(fmt.Errorf("shardnet: extract %s from shard %d: %w", p, from, err))
-		}
-		c.pendInstall[p] = pendingModel{owner: to, model: model}
-	}
-	if err := cr.finish(); err != nil {
-		c.clearPending(moving)
-		return 0, donor.fail(err)
-	}
-	if err := c.sendInstall(recip, installMsg{PlanVersion: newPV, Pairs: moving}); err != nil {
-		c.clearPending(moving)
-		return 0, err
-	}
-	if err := recip.readDone(); err != nil {
-		// The recipient may still have installed and checkpointed; keep
-		// the pending copies so its handshake can reconcile either way.
-		return 0, err
-	}
-
-	// Phase 2 — commit: the recipient has checkpointed the models, so
-	// flip ownership, prune the donor and fan the new plan out.
-	keep := len(avail) - n
-	donor.pairs = avail[:keep:keep]
-	recip.pairs = append(append([]manager.Pair(nil), recip.pairs...), moving...)
-	manager.SortPairs(recip.pairs)
-	c.planVersion = newPV
-	c.rebuild()
-	c.clearPending(moving)
-	c.commandLocked(donor, MsgShardPrune, pruneMsg{PlanVersion: newPV, Pairs: moving})
-	for k, wc := range c.conns {
-		if k != from && k != to {
-			c.commandLocked(wc, MsgShardPlan, planMsg{PlanVersion: newPV})
-		}
-	}
-	obsRebalances.Add(1)
-	obsPairsStolen.Add(uint64(n))
-	c.log.Info("rebalanced", "moved", n, "from", from, "to", to, "plan", newPV)
-	return n, nil
-}
-
 // commandLocked runs one acknowledged command on a live worker and reports
 // whether it was acknowledged. A worker that is down, or does not
-// acknowledge, has lost its connection; its next handshake carries the
-// current plan and reconciles pairs — all a rebalance needs, and not enough
-// for modelCommandLocked. Callers hold c.mu.
+// acknowledge, has lost its connection. Callers hold c.mu.
 func (c *Coordinator) commandLocked(wc *workerConn, msgType collector.MsgType, v any) bool {
 	if wc.dead {
 		return false
 	}
 	err := wc.sendGob(msgType, v)
 	if err == nil {
-		err = wc.readDone()
+		_, err = wc.read(MsgShardDone)
 	}
 	if err != nil {
 		c.log.Info("command unacknowledged", "type", byte(msgType), "shard", wc.k, "err", err)
@@ -273,43 +182,6 @@ func (c *Coordinator) modelCommandLocked(msgType collector.MsgType, v any) {
 	}
 }
 
-// clearPending drops migration copies once their recipient has durably
-// confirmed them (or the migration was abandoned before install).
-func (c *Coordinator) clearPending(pairs []manager.Pair) {
-	for _, p := range pairs {
-		delete(c.pendInstall, p)
-	}
-}
-
-// autoRebalanceLocked is the work-stealing policy: when the slowest
-// shard's round-trip EWMA exceeds the fastest's by the configured
-// factor, a quarter of the slow shard's pairs migrate to the fast one.
-// Callers hold c.mu.
-func (c *Coordinator) autoRebalanceLocked() {
-	slow, fast := -1, -1
-	for k := range c.lat {
-		if !c.latSet[k] {
-			return // not enough signal yet
-		}
-		if slow == -1 || c.lat[k] > c.lat[slow] {
-			slow = k
-		}
-		if fast == -1 || c.lat[k] < c.lat[fast] {
-			fast = k
-		}
-	}
-	if slow == fast || c.lat[slow] < c.cfg.RebalanceFactor*c.lat[fast] {
-		return
-	}
-	n := len(c.conns[slow].pairs) / 4
-	if n == 0 {
-		return
-	}
-	if _, err := c.rebalanceLocked(slow, fast, n); err != nil {
-		c.log.Info("auto-rebalance failed", "err", err)
-	}
-}
-
 // Latencies returns the per-shard round-trip EWMAs in seconds — start of
 // a row's fan-out to that worker's last outcome frame — zero for shards
 // that have not reported yet.
@@ -317,25 +189,6 @@ func (c *Coordinator) Latencies() []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]float64(nil), c.lat...)
-}
-
-// SetLatencyHint seeds a shard's round-trip EWMA, letting operators (and
-// tests) steer the work-stealing policy before organic signal builds up.
-func (c *Coordinator) SetLatencyHint(k int, seconds float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if k < 0 || k >= len(c.lat) {
-		return
-	}
-	c.lat[k] = seconds
-	c.latSet[k] = true
-}
-
-// PlanVersion returns the current ownership-plan epoch.
-func (c *Coordinator) PlanVersion() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.planVersion
 }
 
 // SetAdaptive toggles online model updating on every worker; see

@@ -12,16 +12,15 @@ import (
 	"sync/atomic"
 
 	"mcorr/internal/collector"
-	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
-	"mcorr/internal/wal"
 )
 
-// checkpointVersion guards the worker checkpoint layout. Version 2 is the
-// record-format file: this struct as the meta section, then the shard's
-// models as a manager section (see manager.WriteCheckpointFile).
-const checkpointVersion = 2
+// checkpointVersion guards the worker checkpoint layout. Version 3 is the
+// record-format file: this struct, without the plan version of version 2,
+// as the meta section, then the shard's models as a manager section (see
+// manager.WriteCheckpointFile).
+const checkpointVersion = 3
 
 // workerCheckpoint heads the durable state a worker persists under
 // data-dir/shard-<k>/: enough to rejoin the fabric after a SIGKILL with
@@ -30,11 +29,10 @@ const checkpointVersion = 2
 // row left them, so recovery re-scores exactly the replayed suffix and
 // never skips or double-advances a model.
 type workerCheckpoint struct {
-	Version     int
-	RunID       string
-	K, N        int
-	PlanVersion uint64
-	AppliedSeq  uint64
+	Version    int
+	RunID      string
+	K, N       int
+	AppliedSeq uint64
 }
 
 // WorkerConfig configures a shard worker process.
@@ -79,10 +77,9 @@ type session struct {
 // shardState is the worker's live shard: it persists across control
 // sessions within the process so a reconnect never retrains or reloads.
 type shardState struct {
-	runID       string
-	k, n        int
-	planVersion uint64
-	mgr         *manager.Manager
+	runID string
+	k, n  int
+	mgr   *manager.Manager
 
 	// scoredSeq is the last row scored; ackedSeq is the last row the
 	// coordinator is known to have merged. The ack is implicit: Step holds
@@ -237,8 +234,15 @@ func (w *Worker) handle(sess *session) error {
 // hold w.smu.
 func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 	st := w.st
-	if st != nil && (st.runID != a.RunID || st.k != a.K) {
-		// A different run (or role) retires the old shard entirely.
+	if st != nil && st.runID == a.RunID && st.k != a.K {
+		// One process serving two shards of a run would retire one for the
+		// other on every row: the coordinator lists this worker twice.
+		err := fmt.Errorf("shardnet: worker serves shard %d of this run, refused shard %d: is it listed twice?", st.k, a.K)
+		_ = writeGob(sess.conn, MsgShardReady, readyMsg{Err: err.Error()}) // the session ends either way
+		return nil, err
+	}
+	if st != nil && st.runID != a.RunID {
+		// A different run retires the old shard entirely.
 		st.mgr.Close()
 		st, w.st = nil, nil
 	}
@@ -266,7 +270,7 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 			return nil, err
 		}
 		// The models are decoded one at a time while their chunks arrive.
-		cr := &chunkReader{next: frameSource(sess.conn, MsgShardState)}
+		cr := &chunkReader{conn: sess.conn}
 		mgr, err := manager.LoadManager(cr, nil)
 		if err == nil {
 			if err = cr.finish(); err != nil {
@@ -284,7 +288,6 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 	if !slices.Equal(a.IDs, st.mgr.IDs()) {
 		return nil, errors.New("shardnet: assigned measurements differ from the shard's")
 	}
-	st.planVersion = a.PlanVersion
 	st.vals = make([]float64, len(a.IDs))
 	st.ckptEvery = a.CheckpointEvery
 	if w.cfg.CheckpointEvery > 0 {
@@ -301,10 +304,9 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 		}
 	}
 	return st, writeGob(sess.conn, MsgShardReady, readyMsg{
-		HaveState:   true,
-		AppliedSeq:  st.ackedSeq,
-		PlanVersion: st.planVersion,
-		Pairs:       st.mgr.Pairs(),
+		HaveState:  true,
+		AppliedSeq: st.ackedSeq,
+		Pairs:      st.mgr.Pairs(),
 	})
 }
 
@@ -345,12 +347,11 @@ func (w *Worker) checkpoint(st *shardState) error {
 		return err
 	}
 	ck := workerCheckpoint{
-		Version:     checkpointVersion,
-		RunID:       st.runID,
-		K:           st.k,
-		N:           st.n,
-		PlanVersion: st.planVersion,
-		AppliedSeq:  st.ackedSeq,
+		Version:    checkpointVersion,
+		RunID:      st.runID,
+		K:          st.k,
+		N:          st.n,
+		AppliedSeq: st.ackedSeq,
 	}
 	err := manager.WriteCheckpointFile(w.checkpointPath(st.k), &ck, func(cw *manager.CheckpointWriter) error {
 		return cw.Stream(manager.SectionManager, st.mgr.Save)
@@ -368,112 +369,30 @@ func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) erro
 	if f.Type == MsgShardRow {
 		return w.handleRow(sess, st, f.Payload)
 	}
-	// A command follows a merged row (see shardState.ackedSeq; a handshake
-	// reconciles pairs only with a worker cut off before the row in flight
-	// was sent), so the checkpoints below are at an acked boundary.
+	// A command follows a merged row (see shardState.ackedSeq), so the
+	// checkpoint below is at an acked boundary.
 	st.ack()
 	switch f.Type {
-	case MsgShardExtract:
-		var m extractMsg
-		if err := decodeGob(f.Payload, &m); err != nil {
-			return err
-		}
-		models := make([]*core.Model, len(m.Pairs))
-		for i, p := range m.Pairs {
-			if models[i] = st.mgr.Model(p.A, p.B); models[i] == nil {
-				return w.done(sess, st, fmt.Sprintf("extract: pair %s not owned", p))
-			}
-		}
-		return sendStream(sess.conn, MsgShardModels, func(cw io.Writer) error {
-			rw := wal.NewRecordWriter(cw)
-			for _, model := range models {
-				if err := model.Save(rw); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	case MsgShardInstall:
-		cr := &chunkReader{next: frameSource(sess.conn, MsgShardInstall)}
-		if err := cr.push(f); err != nil {
-			return err
-		}
-		rr := wal.NewRecordReader(cr)
-		blob, err := rr.ReadBlob()
-		if err != nil {
-			return err
-		}
-		var m installMsg
-		if err := decodeGob(blob, &m); err != nil {
-			return err
-		}
-		var failed string
-		for _, p := range m.Pairs {
-			// A model that fails to install still has to be read off the
-			// stream before the failure can be answered.
-			model, err := core.LoadModel(rr)
-			if err != nil {
-				return err
-			}
-			if failed == "" {
-				if err := st.mgr.AddModel(p, model); err != nil {
-					failed = fmt.Sprintf("install %s: %v", p, err)
-				}
-			}
-		}
-		if err := cr.finish(); err != nil {
-			return err
-		}
-		if failed != "" {
-			return w.done(sess, st, failed)
-		}
-		return w.commit(sess, st, m.PlanVersion)
-	case MsgShardPrune:
-		var m pruneMsg
-		if err := decodeGob(f.Payload, &m); err != nil {
-			return err
-		}
-		for _, p := range m.Pairs {
-			st.mgr.RemovePair(p)
-		}
-		return w.commit(sess, st, m.PlanVersion)
-	case MsgShardPlan:
-		var m planMsg
-		if err := decodeGob(f.Payload, &m); err != nil {
-			return err
-		}
-		return w.commit(sess, st, m.PlanVersion)
 	case MsgShardAdaptive:
 		var adaptive bool
 		if err := decodeGob(f.Payload, &adaptive); err != nil {
 			return err
 		}
 		st.mgr.SetAdaptive(adaptive)
-		return w.commit(sess, st, st.planVersion)
 	case MsgShardResetChains:
 		st.mgr.ResetChains()
-		return w.commit(sess, st, st.planVersion)
 	case collector.MsgBye:
 		return io.EOF
 	default:
 		return fmt.Errorf("shardnet: unexpected control frame type %d", byte(f.Type))
 	}
-}
-
-// commit adopts the plan version a change of pairs, plan or model state
-// came with and persists the result before acknowledging it: the
-// coordinator flips ownership, or moves on to rows scored under the new
-// state, on the strength of that answer.
-func (w *Worker) commit(sess *session, st *shardState, planVersion uint64) error {
-	st.planVersion = planVersion
+	// The change is persisted before it is acknowledged: the coordinator
+	// moves on to rows scored under the new state on the strength of the
+	// answer.
 	if err := w.checkpoint(st); err != nil {
 		return err
 	}
-	return w.done(sess, st, "")
-}
-
-func (w *Worker) done(sess *session, st *shardState, errMsg string) error {
-	return writeGob(sess.conn, MsgShardDone, doneMsg{PlanVersion: st.planVersion, Err: errMsg})
+	return collector.WriteFrame(sess.conn, collector.Frame{Type: MsgShardDone})
 }
 
 // ack records that the coordinator merged the last scored row.
@@ -516,6 +435,6 @@ func (w *Worker) handleRow(sess *session, st *shardState, payload []byte) error 
 	obsWorkerRows.Add(1)
 
 	st.scoredSeq = seq
-	st.outBuf = appendOutcomeFrames(st.outBuf, seq, st.planVersion, st.dst)
+	st.outBuf = appendOutcomeFrames(st.outBuf, seq, st.dst)
 	return writeOutcomeFrames(sess.conn, st.outBuf)
 }

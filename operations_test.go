@@ -54,22 +54,46 @@ func TestOperationsDocCoverage(t *testing.T) {
 		}
 	}
 
-	// The process gauges register lazily when an ops server starts;
-	// spin one up so MetricNames reports the full surface an operator
-	// would actually scrape.
+	// The process gauges register lazily when an ops server starts, and
+	// the build-info gauge when a binary starts; do both so MetricNames
+	// reports the full surface an operator would actually scrape.
 	srv, err := obs.ServeOps("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeOps: %v", err)
 	}
 	defer srv.Close()
+	obs.RegisterBuildInfo("", 1)
 
 	names := obs.Default().MetricNames()
 	if len(names) == 0 {
 		t.Fatal("registry reports no metric families")
 	}
+	exported := make(map[string]bool, len(names))
 	for _, name := range names {
+		exported[name] = true
 		if want := fmt.Sprintf("`%s`", name); !strings.Contains(text, want) {
 			t.Errorf("registry exports %s but OPERATIONS.md does not mention %s", name, want)
+		}
+	}
+
+	// And the other way: every family the runbook names in a code span is
+	// one the registry exports, so a deleted metric's row cannot linger. A
+	// histogram's _bucket/_sum/_count series fold into their family; a
+	// prefix (`mcorr_x_*`, or a name ending in `_`) names a group, not a
+	// family.
+	family := regexp.MustCompile(`mcorr_[a-z0-9_]*\*?`)
+	for _, span := range regexp.MustCompile("`[^`]*`").FindAllString(text, -1) {
+		for _, m := range family.FindAllString(span, -1) {
+			if strings.HasSuffix(m, "_") || strings.HasSuffix(m, "*") || exported[m] {
+				continue
+			}
+			base := m
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				base = strings.TrimSuffix(base, suffix)
+			}
+			if !exported[base] {
+				t.Errorf("OPERATIONS.md mentions `%s`, which the registry does not export", m)
+			}
 		}
 	}
 }

@@ -495,8 +495,9 @@ func benchMatrix(b *testing.B) *core.TransitionMatrix {
 	return tm
 }
 
-// BenchmarkObserve measures one online kernel-Bayes update (row-major
-// kernel add + recenter + cache invalidation).
+// BenchmarkObserve measures one kernel-Bayes Observe (row-major kernel add
+// + recenter + cache invalidation): Train's replay step. An adaptive
+// Model.Step does not call it; BenchmarkTransitionStep is its unit.
 func BenchmarkObserve(b *testing.B) {
 	tm := benchMatrix(b)
 	s := tm.NumCells()
@@ -585,8 +586,55 @@ func BenchmarkProb(b *testing.B) {
 	}
 }
 
-// BenchmarkFitnessHotPath measures the combined prob+fitness scoring read
-// Model.Step performs per sample, rotating over rows so the cache is
+// BenchmarkTransitionStep measures the unit of work an adaptive Model.Step
+// does per re-scored pair when the pair moves to another cell: one
+// ScoreObserve on a hot row, which ranks the destination and applies the
+// transition — and, with a run break, first the deferred updates of a
+// 5-sample self-run — for a 12×12 grid (the benchmark fleets' size) and a
+// 15×15 one (their size after growth). The probability is not read, as in
+// the manager's default fleets.
+func BenchmarkTransitionStep(b *testing.B) {
+	for _, side := range []int{12, 15} {
+		grid, err := core.UniformGrid(0, 100, side, 0, 100, side)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernel, err := core.NewKernel(core.KernelHarmonic, 2, side, side)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, run := range []int{0, 5} {
+			name := fmt.Sprintf("%dx%d", side, side)
+			if run > 0 {
+				name += "/run-break"
+			}
+			b.Run(name, func(b *testing.B) {
+				tm, err := core.NewTransitionMatrix(grid, kernel, core.UpdateKernelBayes, 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := tm.NumCells()
+				rng := rand.New(rand.NewSource(17))
+				for k := 0; k < 4096; k++ {
+					if err := tm.Observe(rng.Intn(s), rng.Intn(s)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				from := s/2 + side/2
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := tm.ScoreObserve(from, (from+1+i*7)%s, run, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFitnessHotPath measures the combined prob+fitness read
+// ScoreTransition performs — what a Model.Step that stays in its cell, or
+// does not adapt, reads per sample — rotating over rows so the cache is
 // exercised beyond a single hot line.
 func BenchmarkFitnessHotPath(b *testing.B) {
 	tm := benchMatrix(b)

@@ -13,11 +13,20 @@ package core
 // differ in their final ulps into exact probability ties; the scoring hot
 // path ranks the raw row (see TransitionMatrix.ScoreTransition), which
 // keeps such cells distinct and costs no exponentials.
+//
+// The tie-break splits the scan at h, as the fused update's count does
+// (TransitionMatrix.ScoreObserve): cells before h count when p ≥ ph, cells
+// from h on when p > ph.
 func RankInRow(row []float64, h int) int {
 	rank := 1
 	ph := row[h]
-	for j, p := range row {
-		if p > ph || (p == ph && j < h) {
+	for _, p := range row[:h] {
+		if p >= ph {
+			rank++
+		}
+	}
+	for _, p := range row[h:] {
+		if p > ph {
 			rank++
 		}
 	}

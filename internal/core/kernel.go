@@ -42,6 +42,13 @@ func (k KernelKind) String() string {
 // precomputes the per-axis decay powers and the log of every weight, so
 // evaluation is a table lookup.
 //
+// The log table is mirrored: row dx holds log Weight(dx, |d|) for every
+// signed y distance d in (−ny, ny), so the log weights a grid row of ny′ ≤ ny
+// cells takes out of column yc are one contiguous slice of it, and the row
+// update reads them with no absolute value per cell. A table covers
+// nx·(2ny−1) entries; a published one is at most
+// maxSharedAxis·(2·maxSharedAxis−1)·8 B = 65 024 B.
+//
 // A Kernel is immutable and its entries are a pure function of (dx, dy),
 // kind and w, so the process publishes one per (kind, w) and every model
 // reads that table — l(l−1)/2 private copies of the same numbers would each
@@ -52,11 +59,11 @@ type Kernel struct {
 	kind   KernelKind
 	w      float64
 	logW   float64
-	nx, ny int       // the tables cover distances dx < nx, dy < ny
+	nx, ny int       // the tables cover distances dx < nx, |dy| < ny
 	pow    []float64 // w^d for d < max(nx, ny)
-	// logTab caches log(Weight(dx, dy)) as logTab[dx*ny + dy]; it is the
-	// hot path of every matrix update.
-	logTab []float64
+	// sym is the mirrored log table: log Weight(dx, |d|) at
+	// sym[dx*(2ny−1) + ny−1 + d]. It is the hot path of every matrix update.
+	sym []float64
 }
 
 // Published tables cover whole multiples of sharedAxisStep per axis, so
@@ -137,10 +144,13 @@ func buildKernel(kind KernelKind, w float64, nx, ny int) *Kernel {
 	for i := 1; i < len(k.pow); i++ {
 		k.pow[i] = k.pow[i-1] * w
 	}
-	k.logTab = make([]float64, nx*ny)
+	stride := 2*ny - 1
+	k.sym = make([]float64, nx*stride)
 	for dx := 0; dx < nx; dx++ {
-		for dy := 0; dy < ny; dy++ {
-			k.logTab[dx*ny+dy] = k.logWeightSlow(dx, dy)
+		mid := k.sym[dx*stride+ny-1:]
+		for d := 0; d < ny; d++ {
+			mid[d] = k.logWeightSlow(dx, d)
+			k.sym[dx*stride+ny-1-d] = mid[d]
 		}
 	}
 	return k
@@ -177,39 +187,25 @@ func (k *Kernel) LogWeight(dx, dy int) float64 {
 	if dx < 0 {
 		dx = -dx
 	}
-	if dy < 0 {
-		dy = -dy
+	return k.sym[dx*(2*k.ny-1)+k.ny-1+dy]
+}
+
+// logRow returns the log weights out of column yc for the ny cells of one
+// grid row at x distance dx: entry y is log Weight(dx, y−yc).
+func (k *Kernel) logRow(dx, yc, ny int) []float64 {
+	if dx < 0 {
+		dx = -dx
 	}
-	return k.logTab[dx*k.ny+dy]
+	at := dx*(2*k.ny-1) + k.ny - 1 - yc
+	return k.sym[at : at+ny]
 }
 
 // AddLogRow adds log(Weight(xh−x, yh−y)) for every cell (x, y) of an
 // nx×ny grid, row-major, into dst, and returns the maximum entry of dst
 // after the addition. It is the bulk form of LogWeight used by the matrix
-// update hot path: the nested loop walks the cached log table directly and
-// avoids the per-cell index→coordinate division of the scalar path.
+// update hot path.
 func (k *Kernel) AddLogRow(dst []float64, xh, yh, nx, ny int) float64 {
-	mx := math.Inf(-1)
-	j := 0
-	for x := 0; x < nx; x++ {
-		dx := x - xh
-		if dx < 0 {
-			dx = -dx
-		}
-		trow := k.logTab[dx*k.ny:]
-		for y := 0; y < ny; y++ {
-			dy := y - yh
-			if dy < 0 {
-				dy = -dy
-			}
-			v := dst[j] + trow[dy]
-			dst[j] = v
-			if v > mx {
-				mx = v
-			}
-			j++
-		}
-	}
+	mx, _ := k.sweep(dst, xh, yh, nx, ny, 0, 1)
 	return mx
 }
 
@@ -222,49 +218,109 @@ func (k *Kernel) AddLogRow(dst []float64, xh, yh, nx, ny int) float64 {
 // float rounding is deterministic, so every caller that defers updates this
 // way lands on the same bits.
 func (k *Kernel) AddLogRowScaled(dst []float64, xh, yh, nx, ny int, m float64) float64 {
-	mx := math.Inf(-1)
-	j := 0
-	for x := 0; x < nx; x++ {
-		dx := x - xh
-		if dx < 0 {
-			dx = -dx
-		}
-		trow := k.logTab[dx*k.ny:]
-		for y := 0; y < ny; y++ {
-			dy := y - yh
-			if dy < 0 {
-				dy = -dy
-			}
-			v := dst[j] + m*trow[dy]
-			dst[j] = v
-			if v > mx {
-				mx = v
-			}
-			j++
-		}
-	}
+	mx, _ := k.sweep(dst, xh, yh, nx, ny, 0, m)
 	return mx
 }
 
 // FillLogRow writes log(Weight(xi−x, yi−y)) for every cell (x, y) of an
 // nx×ny grid, row-major, into dst — the bulk form used to seed prior rows.
+// Each grid row is one slice of the mirrored table, so there is no
+// arithmetic left to do: it is a copy.
 func (k *Kernel) FillLogRow(dst []float64, xi, yi, nx, ny int) {
-	j := 0
 	for x := 0; x < nx; x++ {
-		dx := x - xi
-		if dx < 0 {
-			dx = -dx
+		copy(dst[x*ny:(x+1)*ny], k.logRow(x-xi, yi, ny))
+	}
+}
+
+// sweep is the one pass every kernel-Bayes row update makes. Over an nx×ny
+// row, row-major, it computes for every cell j = (x, y)
+//
+//	p := row[j] − shift
+//	row[j] = p + m·log Weight(x−xc, y−yc)
+//
+// and returns the first maximal stored entry and how many cells rank ahead
+// of the centre c = (xc, yc) among the p: the cells before c with p ≥ p_c and
+// those after it with p > p_c, which is RankInRow's tie-break, so π(c) is
+// one more.
+//
+// Each entry keeps its own two float operations — x − (+0) is x, a −0
+// included, and 1·t is t — so with shift = +0 and m = 1 the entries are a
+// plain add's, and the maximum is exactly what a scalar `if v > mx` scan
+// from −∞ returns. The scan starts from the centre's new value instead, so
+// only cells that beat the centre move it — few when the centre is a likely
+// cell. Any cell equal to a nonzero start has the start's bits, so that
+// cannot change the answer; a zero start is replaced by −∞, since which
+// zero, +0 or −0, comes first decides the sign, and so is a NaN, which
+// nothing beats. p ≥ p_c is asked as p > the float below p_c, so every cell
+// costs one branch-free comparison for the count and one rarely taken
+// branch for the maximum. That is the same question unless p_c is −∞; rows
+// are finite — LoadModel refuses any other entry and no update makes one.
+func (k *Kernel) sweep(row []float64, xc, yc, nx, ny int, shift, m float64) (mx float64, ahead int) {
+	pc := row[xc*ny+yc] - shift
+	if mx = pc + m*k.sym[k.ny-1]; mx == 0 || mx != mx {
+		mx = math.Inf(-1)
+	}
+	below := math.Nextafter(pc, math.Inf(-1))
+	var n int
+	for x := 0; x < nx; x++ {
+		seg, tab := row[x*ny:x*ny+ny], k.logRow(x-xc, yc, ny)
+		switch {
+		case x < xc:
+			mx, n = segment(seg, tab, shift, m, below, mx)
+		case x > xc:
+			mx, n = segment(seg, tab, shift, m, pc, mx)
+		default: // the centre's grid row is cut at the centre
+			mx, n = segment(seg[:yc], tab[:yc], shift, m, below, mx)
+			ahead += n
+			mx, n = segment(seg[yc:], tab[yc:], shift, m, pc, mx)
 		}
-		trow := k.logTab[dx*k.ny:]
-		for y := 0; y < ny; y++ {
-			dy := y - yi
-			if dy < 0 {
-				dy = -dy
-			}
-			dst[j] = trow[dy]
-			j++
+		ahead += n
+	}
+	return mx, ahead
+}
+
+// segment is sweep's loop over one run of cells whose log weights are tab:
+// it shifts, counts p > th, adds m·t, stores and carries the maximum mx, four
+// cells an iteration.
+func segment(seg, tab []float64, shift, m, th, mx float64) (float64, int) {
+	tab = tab[:len(seg)]
+	ahead, i := 0, 0
+	for ; i+4 <= len(seg); i += 4 {
+		s, t := seg[i:i+4:i+4], tab[i:i+4:i+4]
+		p0, p1, p2, p3 := s[0]-shift, s[1]-shift, s[2]-shift, s[3]-shift
+		ahead += b2i(p0 > th) + b2i(p1 > th) + b2i(p2 > th) + b2i(p3 > th)
+		v0, v1, v2, v3 := p0+m*t[0], p1+m*t[1], p2+m*t[2], p3+m*t[3]
+		s[0], s[1], s[2], s[3] = v0, v1, v2, v3
+		if v0 > mx {
+			mx = v0
+		}
+		if v1 > mx {
+			mx = v1
+		}
+		if v2 > mx {
+			mx = v2
+		}
+		if v3 > mx {
+			mx = v3
 		}
 	}
+	for ; i < len(seg); i++ {
+		p := seg[i] - shift
+		ahead += b2i(p > th)
+		v := p + m*tab[i]
+		seg[i] = v
+		if v > mx {
+			mx = v
+		}
+	}
+	return mx, ahead
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (k *Kernel) logWeightSlow(dx, dy int) float64 {
@@ -274,7 +330,14 @@ func (k *Kernel) logWeightSlow(dx, dy int) float64 {
 	case KernelProduct:
 		return -float64(dx+dy) * k.logW
 	default:
-		return math.Log(2 / (k.pow[dx] + k.pow[dy]))
+		sum := k.pow[dx] + k.pow[dy]
+		if math.IsInf(sum, 1) {
+			// w^max(dx, dy) overflowed; the same weight in log space keeps
+			// every entry, and so every stored row, finite.
+			near, far := min(dx, dy), max(dx, dy)
+			return math.Ln2 - float64(far)*k.logW - math.Log1p(math.Pow(k.w, float64(near-far)))
+		}
+		return math.Log(2 / sum)
 	}
 }
 

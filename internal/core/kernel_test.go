@@ -114,15 +114,55 @@ func publishedKernel(kind KernelKind, w float64) *Kernel {
 	return published.kernels[kernelKey{kind, math.Float64bits(w)}]
 }
 
-// checkTable compares every entry of k's table with the formula it caches.
+// checkTable compares every entry of k's mirrored table, both halves, with
+// the formula it caches, and a table the process could publish with the
+// byte bound the Kernel doc states.
 func checkTable(t *testing.T, k *Kernel) {
 	t.Helper()
+	stride := 2*k.ny - 1
+	if len(k.sym) != k.nx*stride {
+		t.Fatalf("%v %dx%d table holds %d entries, want %d", k.kind, k.nx, k.ny, len(k.sym), k.nx*stride)
+	}
+	if k.nx <= maxSharedAxis && k.ny <= maxSharedAxis && 8*len(k.sym) > 65024 {
+		t.Fatalf("%v %dx%d table is %d bytes, over the 65 024 a published one may take", k.kind, k.nx, k.ny, 8*len(k.sym))
+	}
 	for dx := 0; dx < k.nx; dx++ {
-		for dy := 0; dy < k.ny; dy++ {
-			if got, want := k.LogWeight(dx, -dy), k.logWeightSlow(dx, dy); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%v %dx%d table: LogWeight(%d,%d) = %x, formula %x", k.kind, k.nx, k.ny, dx, dy, math.Float64bits(got), math.Float64bits(want))
+		for d := 1 - k.ny; d < k.ny; d++ {
+			want := math.Float64bits(k.logWeightSlow(dx, absInt(d)))
+			if got := math.Float64bits(k.sym[dx*stride+k.ny-1+d]); got != want {
+				t.Fatalf("%v %dx%d table: entry (%d,%d) = %x, formula %x", k.kind, k.nx, k.ny, dx, d, got, want)
+			}
+			if got := math.Float64bits(k.LogWeight(-dx, d)); got != want {
+				t.Fatalf("%v %dx%d table: LogWeight(%d,%d) = %x, formula %x", k.kind, k.nx, k.ny, -dx, d, got, want)
 			}
 		}
+	}
+}
+
+// TestHarmonicLogWeightsStayFinite: once w^d overflows, the harmonic weight
+// is taken in log space, so a large decay over a wide grid still gives a
+// finite table that keeps falling with distance; below the overflow the
+// formula is the one Figure 5 was recovered with, bit for bit.
+func TestHarmonicLogWeightsStayFinite(t *testing.T) {
+	const w = 1e10 // w^31 overflows
+	k := buildKernel(KernelHarmonic, w, 40, 3)
+	checkTable(t, k)
+	for dx := 0; dx < k.nx; dx++ {
+		for dy := 0; dy < k.ny; dy++ {
+			got := k.LogWeight(dx, dy)
+			if math.IsInf(got, 0) || math.IsNaN(got) {
+				t.Fatalf("LogWeight(%d,%d) = %v", dx, dy, got)
+			}
+			if dx > 0 && !(got < k.LogWeight(dx-1, dy)) {
+				t.Fatalf("LogWeight(%d,%d) = %v does not fall below LogWeight(%d,%d) = %v", dx, dy, got, dx-1, dy, k.LogWeight(dx-1, dy))
+			}
+			if sum := math.Pow(w, float64(dx)) + math.Pow(w, float64(dy)); !math.IsInf(sum, 1) && got != math.Log(2/sum) {
+				t.Fatalf("LogWeight(%d,%d) = %v, formula %v", dx, dy, got, math.Log(2/sum))
+			}
+		}
+	}
+	if got, want := k.LogWeight(35, 0), math.Ln2-35*math.Log(w); math.Abs(got-want) > 1e-12*math.Abs(want) {
+		t.Errorf("LogWeight(35,0) = %v, want ≈ %v", got, want)
 	}
 }
 

@@ -106,13 +106,14 @@ type Stats struct {
 // scored fresh and its result cached (runRes); every continuation returns
 // the cached result and defers its matrix update (runLen), and the deferred
 // updates apply in one coalesced ObserveRun when the run breaks (cell
-// change, outlier, gap, growth, Reset, SetAdaptive). Deferral is part of
-// the model's defined update semantics, not an approximation: every scoring
-// path — full, incremental, recovered from a checkpoint — defers the same
-// way, so trajectories are bit-identical across them. One observable
-// consequence: read-only views of the matrix (Score, TransitionProbability,
-// Matrix, Explain) do not see a live run's deferred updates until the run
-// breaks.
+// change, outlier, gap, growth, Reset, SetAdaptive) — inside ScoreObserve,
+// bit for bit the same, when an adaptive step breaks it by moving to
+// another cell. Deferral is part of the model's defined update semantics,
+// not an approximation: every scoring path — full, incremental, recovered
+// from a checkpoint — defers the same way, so trajectories are
+// bit-identical across them. One observable consequence: read-only views
+// of the matrix (Score, TransitionProbability, Matrix, Explain) do not see
+// a live run's deferred updates until the run breaks.
 //
 // Model is safe for concurrent use.
 type Model struct {
@@ -197,7 +198,8 @@ func NewModelFromGrid(grid *Grid, cfg Config) (*Model, error) {
 // ObserveRun on the run's cell) and invalidates the frozen result. Callers
 // hold m.mu. Every run break routes through here BEFORE the breaking event
 // mutates geometry (growth) or scores a new transition, so deferred updates
-// always land under the dims they were observed in.
+// always land under the dims they were observed in — but for Step's
+// adaptive move to another cell, which hands the run to ScoreObserve.
 func (m *Model) flushRunLocked() {
 	if m.runLen > 0 {
 		// Cannot fail: prev is a valid cell of the current dims.
@@ -267,9 +269,14 @@ func (m *Model) Step(p mathx.Point2) StepResult {
 		m.stats.Scored++
 		return m.runRes
 	}
-	// Any live run just broke: apply its deferred updates before scoring
-	// the new transition out of the (now up-to-date) row.
-	m.flushRunLocked()
+	// Any live run just broke: its deferred updates apply before the new
+	// transition is scored out of the (now up-to-date) row — inside
+	// ScoreObserve when this step goes on to update that row, where the
+	// flush, the rank and the update share one sweep.
+	fused := m.armed && m.cfg.Adaptive && cell != m.prev
+	if !fused {
+		m.flushRunLocked()
+	}
 
 	res := StepResult{Cell: cell, Grown: grown}
 	if m.armed {
@@ -278,26 +285,29 @@ func (m *Model) Step(p mathx.Point2) StepResult {
 		// normalizer, so no probability row is materialized here.
 		var prob, fitness float64
 		var err error
-		if m.cfg.OmitProbs {
+		switch {
+		case fused:
+			prob, fitness, err = m.tm.ScoreObserve(m.prev, cell, m.runLen, !m.cfg.OmitProbs)
+			m.runLen, m.runValid = 0, false
+			if err == nil {
+				m.stats.Updates++
+			}
+		case m.cfg.OmitProbs:
 			fitness, err = m.tm.FitnessAt(m.prev, cell)
-		} else {
+		default:
 			prob, fitness, err = m.tm.ScoreTransition(m.prev, cell)
+		}
+		if m.cfg.Adaptive && cell == m.prev {
+			// Entering a self-run: defer this update (and the run's
+			// continuations) so the frozen result stays exact.
+			m.runLen = 1
+			m.stats.Updates++
 		}
 		if err == nil {
 			res.Scored = true
 			res.Prob = prob
 			res.Fitness = fitness
 			m.stats.Scored++
-		}
-		if m.cfg.Adaptive {
-			if cell == m.prev {
-				// Entering a self-run: defer this update (and the run's
-				// continuations) so the frozen result stays exact.
-				m.runLen = 1
-				m.stats.Updates++
-			} else if err := m.tm.Observe(m.prev, cell); err == nil {
-				m.stats.Updates++
-			}
 		}
 		if res.Scored && cell == m.prev {
 			res.Steady = true

@@ -234,6 +234,20 @@ func validEdges(edges []float64) bool {
 	return true
 }
 
+// validRow reports whether a stored row's entries are ones an update can
+// leave there: finite, and for Dirichlet counts nonnegative. No entry
+// compares above a NaN, so a NaN cell would rank first and score every
+// transition into it Q = 1; an infinity turns the row into NaNs at the next
+// update.
+func validRow(row []float64, rule UpdateRule) bool {
+	for _, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) || (rule == UpdateDirichlet && v < 0) {
+			return false
+		}
+	}
+	return true
+}
+
 func loadModel(rr *wal.RecordReader) (*Model, error) {
 	rec, err := rr.Next()
 	if err != nil {
@@ -294,6 +308,9 @@ func loadModel(rr *wal.RecordReader) (*Model, error) {
 	for k := range stored {
 		if stored[k], err = rr.ReadFloats(n); err != nil {
 			return nil, err
+		}
+		if !validRow(stored[k], cfg.UpdateRule) {
+			return nil, fmt.Errorf("row %d holds an entry no %v matrix can: %w", at[k], cfg.UpdateRule, wal.ErrCorrupt)
 		}
 	}
 	// The row table is n entries, and so is the kernel's when the grid is

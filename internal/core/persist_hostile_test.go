@@ -155,6 +155,23 @@ func hostileModels(tb testing.TB) []hostileModel {
 	lie("unknown update rule", func(p *modelParts) { p.hdr.UpdateRule = 9 })
 	lie("NaN kernel decay", func(p *modelParts) { p.hdr.DecayW = math.NaN() })
 	lie("previous record format", func(p *modelParts) { p.hdr.Version = 3 })
+	// A row entry no update can leave: clone the stored rows before the edit.
+	row := func(edit func(rows [][]float64)) func(p *modelParts) {
+		return func(p *modelParts) {
+			p.stored = make([][]float64, len(base.stored))
+			for k, r := range base.stored {
+				p.stored[k] = slices.Clone(r)
+			}
+			edit(p.stored)
+		}
+	}
+	lie("NaN row entry", row(func(rows [][]float64) { rows[1][2] = math.NaN() }))
+	lie("+Inf row entry", row(func(rows [][]float64) { rows[0][0] = math.Inf(1) }))
+	lie("-Inf row entry", row(func(rows [][]float64) { rows[len(rows)-1][int(n)-1] = math.Inf(-1) }))
+	lie("negative Dirichlet count", func(p *modelParts) {
+		dirichletParts(p)
+		p.stored[1][3] = -0.5
+	})
 	lie("huge grid without a stored row", func(p *modelParts) {
 		// 300×300 cells from 602 edges: nothing has arrived that would
 		// pay for the tables such a matrix needs.
@@ -166,11 +183,31 @@ func hostileModels(tb testing.TB) []hostileModel {
 	return out
 }
 
+// dirichletParts turns the parts into a Dirichlet model's: the header's rule
+// and, in place of the log weights, counts (their magnitudes) in fresh rows.
+func dirichletParts(p *modelParts) {
+	p.hdr.UpdateRule = int64(UpdateDirichlet)
+	rows := make([][]float64, len(p.stored))
+	for k, r := range p.stored {
+		rows[k] = make([]float64, len(r))
+		for j, v := range r {
+			rows[k][j] = math.Abs(v)
+		}
+	}
+	p.stored = rows
+}
+
 // TestLoadModelRejectsContradictions: every stream of hostileModels fails
-// with wal.ErrCorrupt, and the untouched parts load.
+// with wal.ErrCorrupt, and the untouched parts load, as kernel-Bayes log
+// weights and as Dirichlet counts.
 func TestLoadModelRejectsContradictions(t *testing.T) {
-	if _, err := LoadModel(bytes.NewReader(grownModelParts(t).encode())); err != nil {
+	parts := grownModelParts(t)
+	if _, err := LoadModel(bytes.NewReader(parts.encode())); err != nil {
 		t.Fatalf("re-encoded fixture: %v", err)
+	}
+	dirichletParts(&parts)
+	if _, err := LoadModel(bytes.NewReader(parts.encode())); err != nil {
+		t.Fatalf("the fixture's counts as a Dirichlet model: %v", err)
 	}
 	for _, h := range hostileModels(t) {
 		m, err := LoadModel(bytes.NewReader(h.data))

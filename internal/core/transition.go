@@ -234,10 +234,7 @@ func (tm *TransitionMatrix) Observe(i, h int) error {
 	// with distance (paper Eq. 2), then re-center the row at zero so the
 	// log weights stay bounded over long streams.
 	xh, yh := tm.coords(h)
-	mx := tm.kernel.AddLogRow(row, xh, yh, tm.nx, tm.ny)
-	for j := range row {
-		row[j] -= mx
-	}
+	recenter(row, tm.kernel.AddLogRow(row, xh, yh, tm.nx, tm.ny))
 	return nil
 }
 
@@ -264,11 +261,73 @@ func (tm *TransitionMatrix) ObserveRun(c, count int) error {
 		return nil
 	}
 	xc, yc := tm.coords(c)
-	mx := tm.kernel.AddLogRowScaled(row, xc, yc, tm.nx, tm.ny, float64(count))
-	for j := range row {
+	recenter(row, tm.kernel.AddLogRowScaled(row, xc, yc, tm.nx, tm.ny, float64(count)))
+	return nil
+}
+
+// ScoreObserve is ObserveRun(i, run), then ScoreTransition(i, h) — or
+// FitnessAt(i, h) with a zero probability when wantProb is false — then
+// Observe(i, h), bit for bit, in one call: the adaptive step out of a cell
+// that was, for run samples, a frozen self-run's.
+//
+// For kernel-Bayes it walks row i twice where the calls it replaces walk it
+// three times, and three times instead of five when run > 0. The run's
+// scaled add, if any, leaves its re-centering to the sweep (Kernel.sweep),
+// which subtracts the run's maximum, counts the cell toward π(c_h) and adds
+// this transition's log likelihood cell by cell; one re-centering pass
+// follows, so the stored row is what the separate calls store. An
+// unobserved row is replayed from the prior once, into its storage. A
+// probability, when wanted, is read off the fully re-centered row before
+// the sweep, as ScoreTransition reads it.
+func (tm *TransitionMatrix) ScoreObserve(i, h, run int, wantProb bool) (prob, fitness float64, err error) {
+	if i < 0 || i >= tm.n || h < 0 || h >= tm.n || run < 0 {
+		return 0, 0, fmt.Errorf("score and observe %d×%d then %d→%d in %d-cell matrix: out of range", run, i, i, h, tm.n)
+	}
+	if tm.rule == UpdateDirichlet {
+		// Each update touches one count: there is no sweep to share. The
+		// cells are checked above, so none of these calls can fail.
+		_ = tm.ObserveRun(i, run)
+		if wantProb {
+			prob, fitness, _ = tm.ScoreTransition(i, h)
+		} else {
+			fitness, _ = tm.FitnessAt(i, h)
+		}
+		return prob, fitness, tm.Observe(i, h)
+	}
+	tm.observed += run + 1
+	row := tm.writableRow(i)
+	var shift float64 // +0: p − (+0) is p, a −0 included
+	if run > 0 {
+		xi, yi := tm.coords(i)
+		shift = tm.kernel.AddLogRowScaled(row, xi, yi, tm.nx, tm.ny, float64(run))
+		if wantProb {
+			recenter(row, shift)
+			shift = 0
+		}
+	}
+	if wantProb {
+		prob = tm.probAt(i, h, row)
+	}
+	xh, yh := tm.coords(h)
+	mx, ahead := tm.kernel.sweep(row, xh, yh, tm.nx, tm.ny, shift, 1)
+	recenter(row, mx)
+	if tm.normOK != nil {
+		tm.normOK[i] = false
+	}
+	return prob, FitnessFromRank(1+ahead, tm.n), nil
+}
+
+// recenter subtracts a kernel-Bayes row's maximum from every entry, so the
+// log weights stay bounded over long streams and the largest reads zero.
+func recenter(row []float64, mx float64) {
+	j := 0
+	for ; j+4 <= len(row); j += 4 {
+		r := row[j : j+4 : j+4]
+		r[0], r[1], r[2], r[3] = r[0]-mx, r[1]-mx, r[2]-mx, r[3]-mx
+	}
+	for ; j < len(row); j++ {
 		row[j] -= mx
 	}
-	return nil
 }
 
 // ensureNorm returns row i's normalizer — the log-sum-exp of raw for

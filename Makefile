@@ -48,13 +48,15 @@ bench:
 # append at the retention cap, one round of each sharded fabric (the
 # in-process one has no BENCHMARK.json workload, so these are its only
 # numbers), one row of the scoring loop's own benchmark at its largest
-# fleet with one worker and with two, and one fused pair step on each of its
-# hot rows — so they keep compiling and running (~25 s, most of it training
-# fleets). For numbers, drop -benchtime.
+# fleet with one worker and with two, one fused pair step on each of its
+# hot rows and one growth of a fully stored matrix — so they keep compiling
+# and running (~25 s, most of it training fleets). For numbers, drop
+# -benchtime.
 bench-rowpath:
 	$(GO) test -run '^$$' -bench '^Benchmark(MonitorIngest|ManagerStepSharded|ShardNetStep)$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkManagerStep$$/^l=64$$' -benchtime=1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^BenchmarkTransitionStep$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkMatrixGrow$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkStore(RowAt|AppendAtRetention)$$' -benchtime=1x -benchmem ./internal/tsdb
 
 # bench-smoke builds and runs the pipeline benchmark's own tests (the tiny
@@ -100,9 +102,9 @@ ops-smoke:
 	curl -fsS http://$(OPS_SMOKE_ADDR)/debug/spans | grep -q '"spans"' || { echo 'ops-smoke: /debug/spans not answering'; exit 1; }; \
 	echo 'ops-smoke OK'
 
-# fuzz-short runs each decoder fuzz target, and the row sweep's exactness
-# target, for a bounded time (go only allows one -fuzz target per
-# invocation). The checked-in corpora under
+# fuzz-short runs each decoder fuzz target, and the exactness targets of the
+# row sweep and of the lazy row layout, for a bounded time (go only allows
+# one -fuzz target per invocation). The checked-in corpora under
 # testdata/fuzz seed the search; any crasher go finds is written there and
 # replayed by plain `go test` forever after.
 FUZZTIME ?= 30s
@@ -117,6 +119,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRowSweep$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixGrowth$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core
 
 # corpus regenerates the checked-in fuzz seeds that are built from real
 # files: the checkpoint corpus (real, torn, lying and sharded checkpoints)

@@ -632,6 +632,45 @@ func BenchmarkTransitionStep(b *testing.B) {
 	}
 }
 
+// BenchmarkMatrixGrow measures what one grid growth costs a pair: a 12×12
+// matrix with every row stored grows by an interval on its low X side,
+// which moves every row to a new index, then one stored row takes a write,
+// which catches it up. B/op is the new row index plus that one row.
+func BenchmarkMatrixGrow(b *testing.B) {
+	grid, err := core.UniformGrid(0, 100, 12, 0, 100, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grown, err := core.UniformGrid(-100.0/12, 100, 13, 0, 100, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kernel, err := core.NewKernel(core.KernelHarmonic, 2, 13, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tm, err := core.NewTransitionMatrix(grid, kernel, core.UpdateKernelBayes, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for c := 0; c < tm.NumCells(); c++ {
+			if err := tm.Observe(c, (7*c+1)%tm.NumCells()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := tm.Grow(grown, core.Growth{XLow: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if err := tm.Observe(7*12+6, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFitnessHotPath measures the combined prob+fitness read
 // ScoreTransition performs — what a Model.Step that stays in its cell, or
 // does not adapt, reads per sample — rotating over rows so the cache is

@@ -322,11 +322,12 @@ func (m *Model) Step(p mathx.Point2) StepResult {
 // Warm reads what the next Step is certain to read and nothing else: the
 // grid edges and, when the chain is armed and the row out of prev is stored,
 // one word of each of that row's cache lines (rows are allocated line-
-// aligned). A caller about to Step a block of models warms them all first,
-// so the block's cache misses are in flight together instead of queueing
-// model by model. It stores nothing and computes no unobserved row: no
-// state, checkpoint bytes included, can tell whether it ran. The sum
-// returned exists so the compiler keeps the loads; it means nothing.
+// aligned) — as stored, stale or not. A caller about to Step a block of
+// models warms them all first, so the block's cache misses are in flight
+// together instead of queueing model by model. It stores nothing, computes
+// no unobserved row and catches up no stale one: no state, checkpoint
+// bytes included, can tell whether it ran. The sum returned exists so the
+// compiler keeps the loads; it means nothing.
 //
 //go:noinline
 func (m *Model) Warm() (sum float64) {
@@ -456,9 +457,11 @@ func (m *Model) NumCells() int {
 	return m.tm.NumCells()
 }
 
-// MatrixBytes returns the memory the matrix's stored rows take — 8 bytes ×
-// NumCells for every cell a transition has been observed out of — which is
-// also, to within a few percent, what Save writes for the model.
+// MatrixBytes returns the bytes a checkpoint writes for the matrix's stored
+// rows — 8 × NumCells for every cell a transition has been observed out
+// of — which is, to within a few percent, what Save writes for the model.
+// It bounds the memory the rows hold from above: a row laid out before the
+// latest growth holds fewer entries until its next write.
 func (m *Model) MatrixBytes() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

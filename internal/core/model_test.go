@@ -345,7 +345,8 @@ func TestNegativeLambdaDisablesGrowth(t *testing.T) {
 // TestWarmOnlyReads: Warm is a prefetch written as loads. It allocates
 // nothing, stores no row — not even the unobserved one it finds under prev —
 // and leaves the model's checkpoint byte for byte what it was, whether the
-// chain is unarmed, armed on a stored row or armed on a row never observed.
+// chain is unarmed, armed on a stored row, armed on a row never observed or
+// armed on a stored row a growth left stale.
 func TestWarmOnlyReads(t *testing.T) {
 	m, err := Train(corrStream(rand.New(rand.NewSource(23)), 400), Config{Adaptive: true})
 	if err != nil {
@@ -385,4 +386,9 @@ func TestWarmOnlyReads(t *testing.T) {
 		t.Fatal("fixture: the chain is not on a stored row")
 	}
 	check("armed on a stored row")
+	i := armOnStaleRow(t, m)
+	check("armed on a stored row laid out before the last growth")
+	if len(m.Matrix().rows[i]) == m.NumCells() {
+		t.Error("Warm or Save caught the stale row up in storage")
+	}
 }

@@ -67,11 +67,11 @@ const (
 // Save writes the model as one self-delimiting group of records: the
 // header, the x and y grid edges, the matrix index as a blob (see
 // appendIndex) and then each stored row, ascending, as one float record
-// (more when a row exceeds wal.ChunkSize). Rows no transition was observed
-// out of are not written — LoadModel reproduces them from the index's
-// growth history exactly as the live matrix does. Nothing is cloned: the
-// model is encoded under its own lock, row by row, into w — wrap a file or
-// socket in a bufio.Writer. When w is a *wal.RecordWriter the records
+// (more when a row exceeds wal.ChunkSize) of n entries, a stale row caught
+// up. Rows no transition was observed out of are not written — LoadModel
+// reproduces them from the index's growth history exactly as the live
+// matrix does. Nothing is cloned: the model is encoded under its own lock,
+// row by row, into w — wrap a file or socket in a bufio.Writer. When w is a *wal.RecordWriter the records
 // continue its stream, which is how a manager saves its fleet.
 func (m *Model) Save(w io.Writer) error {
 	rw := wal.NewRecordWriter(w)
@@ -103,9 +103,11 @@ func (m *Model) Save(w io.Writer) error {
 	if err == nil {
 		err = rw.WriteBlob(m.tm.appendIndex(nil))
 	}
-	for _, row := range m.tm.rows {
+	for i, row := range m.tm.rows {
 		if row != nil && err == nil {
-			err = rw.WriteFloats(row, 0)
+			// A stale row is written caught up, through scratch: Save stores
+			// nothing.
+			err = rw.WriteFloats(m.tm.row(i), 0)
 		}
 	}
 	if err != nil {

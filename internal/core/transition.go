@@ -50,6 +50,11 @@ func (r UpdateRule) String() string {
 // not on who looked at the matrix: a checkpoint, a reshard or an operator's
 // Diagnostics sweep all leave it as it was.
 //
+// Grow does not re-lay the stored rows either: it moves them to their new
+// indices and leaves each one as it was laid out, stale, until it is next
+// touched (catchUp). A write re-lays a stale row into storage; a read
+// re-lays it into scratch, as it replays an unobserved row.
+//
 // Each row's normalizer (log-sum-exp for kernel-Bayes, the count sum for
 // Dirichlet) is cached behind a dirty bit that Observe and Grow clear;
 // fitness ranks the raw row and needs no normalizer at all.
@@ -61,17 +66,20 @@ type TransitionMatrix struct {
 	n      int
 	kernel *Kernel
 	rule   UpdateRule
-	// rows[i] is row i's n raw entries — log weights for UpdateKernelBayes
+	// rows[i] is row i's raw entries — log weights for UpdateKernelBayes
 	// (softmax-normalized on read), nonnegative pseudo-counts for
 	// UpdateDirichlet (sum-normalized on read) — or nil while no
-	// transition out of cell i has been observed.
+	// transition out of cell i has been observed. A row's length is the
+	// cell count of the dims it was laid out under: n when it is current,
+	// fewer when a Grow came after it. Every growth adds cells, so the
+	// length names the epoch and no other record of it is kept.
 	rows [][]float64
 	// growths lists every Grow the matrix has lived through, oldest first;
 	// with the current dims it gives the dims of every past epoch, which is
-	// what replaying an unobserved row needs.
+	// what replaying an unobserved row or catching up a stale one needs.
 	growths []Growth
-	// scratch receives the unobserved row a read asks for; the slice row
-	// returns stays valid until the next read of an unobserved row.
+	// scratch receives the unobserved or stale row a read asks for; the
+	// slice row returns stays valid until the next such read.
 	scratch []float64
 	// norm/normOK cache each row's normalizer, allocated on first use.
 	norm   []float64
@@ -102,32 +110,50 @@ func NewTransitionMatrix(g *Grid, kernel *Kernel, rule UpdateRule, strength floa
 	return &TransitionMatrix{nx: nx, ny: ny, n: n, kernel: kernel.covering(nx, ny), rule: rule, strength: strength, rows: make([][]float64, n)}, nil
 }
 
-// row returns row i's raw entries for reading: the stored row, or the
-// scratch buffer filled with the row an unobserved cell holds.
+// row returns row i's raw entries for reading: the stored row when it is
+// current, or the scratch buffer filled with what row i holds — an
+// unobserved row replayed, a stale one caught up.
 func (tm *TransitionMatrix) row(i int) []float64 {
-	if r := tm.rows[i]; r != nil {
+	r := tm.rows[i]
+	if len(r) == tm.n {
 		return r
 	}
 	if cap(tm.scratch) < tm.n {
 		tm.scratch = make([]float64, tm.n)
 	}
 	tm.scratch = tm.scratch[:tm.n]
-	tm.priorRow(tm.scratch, i)
+	tm.layOut(tm.scratch, r, i)
 	return tm.scratch
 }
 
-// writableRow returns row i's stored entries, storing the row first if this
-// is the first observed transition out of cell i.
+// writableRow returns row i's stored entries, current: storing the row
+// first if this is the first observed transition out of cell i, catching
+// it up — in its own array when that has room — if it is stale. A new
+// array's capacity is its whole allocation size class, which a later
+// growth may fit in.
 func (tm *TransitionMatrix) writableRow(i int) []float64 {
-	if tm.rows[i] == nil {
-		r := make([]float64, tm.n)
-		tm.priorRow(r, i)
-		tm.rows[i] = r
+	if r := tm.rows[i]; len(r) != tm.n {
+		dst := r[:cap(r)]
+		if cap(r) < tm.n {
+			dst = append([]float64(nil), make([]float64, tm.n)...)
+		}
+		tm.layOut(dst[:tm.n], r, i)
+		tm.rows[i] = dst[:tm.n]
 	}
 	if tm.normOK != nil {
 		tm.normOK[i] = false
 	}
 	return tm.rows[i]
+}
+
+// layOut fills dst (len n) with what row i holds, given its stored
+// entries r: the prior replayed when r is nil, r caught up otherwise.
+func (tm *TransitionMatrix) layOut(dst, r []float64, i int) {
+	if r == nil {
+		tm.priorRow(dst, i)
+	} else {
+		tm.catchUp(dst, r)
+	}
 }
 
 // coords converts a cell index to (xi, yi) under the matrix's current dims.
@@ -154,10 +180,33 @@ func (tm *TransitionMatrix) priorRow(dst []float64, i int) {
 		xi, yi, nx, ny = ox, oy, onx, ony
 	}
 	tm.initPriorRow(dst[:nx*ny], xi, yi, nx, ny)
-	for _, gr := range tm.growths[born:] {
+	tm.replay(dst, dst[:nx*ny], nx, ny, tm.growths[born:])
+}
+
+// catchUp writes into dst (len n) the stale stored row src after every
+// growth since it was laid out: walk the dims back until they hold
+// len(src) cells, then replay the later growths. dst may be src's own
+// array. Growing now gives the bits Grow would have: growRow reads only
+// the row and the growth, and nothing touches a stale row before it is
+// caught up.
+func (tm *TransitionMatrix) catchUp(dst, src []float64) {
+	nx, ny, k := tm.nx, tm.ny, len(tm.growths)
+	for nx*ny != len(src) {
+		k--
+		gr := tm.growths[k]
+		nx, ny = nx-gr.XLow-gr.XHigh, ny-gr.YLow-gr.YHigh
+	}
+	tm.replay(dst, src, nx, ny, tm.growths[k:])
+}
+
+// replay writes into dst src, a row of an nx×ny grid, after each of
+// growths in turn: the first from src, the rest in place.
+func (tm *TransitionMatrix) replay(dst, src []float64, nx, ny int, growths []Growth) {
+	for _, gr := range growths {
 		onx, ony := nx, ny
 		nx, ny = nx+gr.XLow+gr.XHigh, ny+gr.YLow+gr.YHigh
-		tm.growRow(dst[:nx*ny], dst[:onx*ony], onx, ony, gr)
+		tm.growRow(dst[:nx*ny], src, onx, ony, gr)
+		src = dst[:nx*ny]
 	}
 }
 
@@ -187,27 +236,43 @@ func (tm *TransitionMatrix) initPriorRow(dst []float64, xi, yi, nx, ny int) {
 // gr: existing columns keep their value, new columns are extrapolated from
 // their nearest pre-existing cell with one kernel step penalty per extra
 // cell of distance (for the Dirichlet rule the clamped cell's count is
-// copied with geometric decay). dst may start at the same address as src:
-// a column's source never lies after it, so the backward walk reads every
-// old value before overwriting it.
+// copied with geometric decay). Zero extra cells leave a value's bits as
+// they were, so the old cells of a pre-existing grid row are one copy and
+// only the new cells are computed. dst may start at the same address as
+// src: a column's source never lies after it, so the backward walk reads
+// every old value before overwriting it.
 func (tm *TransitionMatrix) growRow(dst, src []float64, oldNx, oldNy int, gr Growth) {
 	nx, ny := oldNx+gr.XLow+gr.XHigh, oldNy+gr.YLow+gr.YHigh
 	penalty := tm.kernel.StepPenalty()
 	for x := nx - 1; x >= 0; x-- {
 		ox := x - gr.XLow
 		cx := clampInt(ox, 0, oldNx-1)
-		for y := ny - 1; y >= 0; y-- {
-			oy := y - gr.YLow
-			cy := clampInt(oy, 0, oldNy-1)
-			extra := absInt(ox-cx) + absInt(oy-cy)
-			v := src[cx*oldNy+cy]
-			if tm.rule == UpdateKernelBayes {
-				dst[x*ny+y] = v - float64(extra)*penalty
-			} else {
-				dst[x*ny+y] = v * math.Exp(-float64(extra)*penalty)
+		ex := absInt(ox - cx)
+		s, d := src[cx*oldNy:(cx+1)*oldNy], dst[x*ny:(x+1)*ny]
+		for y := ny - 1; y >= gr.YLow+oldNy; y-- {
+			d[y] = tm.extrapolate(s[oldNy-1], ex+y-(gr.YLow+oldNy-1), penalty)
+		}
+		if ex == 0 {
+			copy(d[gr.YLow:gr.YLow+oldNy], s)
+		} else {
+			for oy := oldNy - 1; oy >= 0; oy-- {
+				d[gr.YLow+oy] = tm.extrapolate(s[oy], ex, penalty)
 			}
 		}
+		for y := gr.YLow - 1; y >= 0; y-- {
+			d[y] = tm.extrapolate(s[0], ex+gr.YLow-y, penalty)
+		}
 	}
+}
+
+// extrapolate returns the value v of a grid's edge cell carried extra cells
+// beyond it: extra step penalties off a log weight, or the count decayed
+// geometrically.
+func (tm *TransitionMatrix) extrapolate(v float64, extra int, penalty float64) float64 {
+	if tm.rule == UpdateKernelBayes {
+		return v - float64(extra)*penalty
+	}
+	return v * math.Exp(-float64(extra)*penalty)
 }
 
 // NumCells returns s, the matrix dimension.
@@ -455,8 +520,8 @@ func (tm *TransitionMatrix) FitnessAt(i, h int) (float64, error) {
 }
 
 // ObservedRows returns how many rows the matrix stores: the cells that have
-// been the source of at least one observed transition. Memory and
-// checkpoint size are 8·NumCells() bytes for each.
+// been the source of at least one observed transition. A checkpoint writes
+// 8·NumCells() bytes for each; a stale row holds fewer in memory.
 func (tm *TransitionMatrix) ObservedRows() int {
 	stored := 0
 	for _, r := range tm.rows {
@@ -468,10 +533,11 @@ func (tm *TransitionMatrix) ObservedRows() int {
 }
 
 // Grow remaps the matrix after the grid grew from its previous dims to the
-// current dims of g, as described by gr. Stored rows keep their transition
-// mass (growRow extrapolates their new columns); rows of brand-new cells,
-// like every unobserved row, are not stored — recording gr is all it takes
-// for priorRow to produce them.
+// current dims of g, as described by gr. Stored rows move to their cells'
+// new indices untouched and keep their transition mass: the next access
+// extrapolates their new columns (catchUp). Rows of brand-new cells, like
+// every unobserved row, are not stored — recording gr is all it takes for
+// priorRow to produce them. Only the row index is allocated.
 func (tm *TransitionMatrix) Grow(g *Grid, gr Growth) error {
 	if gr.XLow < 0 || gr.XHigh < 0 || gr.YLow < 0 || gr.YHigh < 0 {
 		return fmt.Errorf("grow by %+v: negative growth", gr)
@@ -485,21 +551,17 @@ func (tm *TransitionMatrix) Grow(g *Grid, gr Growth) error {
 		return nil
 	}
 	tm.kernel = tm.kernel.covering(nx, ny)
-	old := tm.rows
-	oldNx, oldNy := tm.nx, tm.ny
+	old, oldNy := tm.rows, tm.ny
 	tm.nx, tm.ny, tm.n = nx, ny, nx*ny
 	tm.growths = append(tm.growths, gr)
 	tm.rows = make([][]float64, tm.n)
 	// Every cached normalizer is sized for the old dims; drop them all and
 	// let the next read rebuild lazily.
 	tm.norm, tm.normOK = nil, nil
-	for oi, src := range old {
-		if src == nil {
-			continue
+	for oi, r := range old {
+		if r != nil {
+			tm.rows[(oi/oldNy+gr.XLow)*ny+oi%oldNy+gr.YLow] = r
 		}
-		dst := make([]float64, tm.n)
-		tm.growRow(dst, src, oldNx, oldNy, gr)
-		tm.rows[(oi/oldNy+gr.XLow)*ny+oi%oldNy+gr.YLow] = dst
 	}
 	return nil
 }

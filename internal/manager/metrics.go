@@ -25,7 +25,7 @@ var (
 	obsSkippedPairs = obs.Default().Counter("mcorr_manager_skipped_pairs_total",
 		"Pair scorings skipped by the incremental scheduler because the cached steady outcome provably repeats.")
 	obsModelBytes = obs.Default().Gauge("mcorr_manager_model_bytes",
-		"Bytes of transition-matrix rows the pair models hold (8 × stored entries: only rows a pair has observed a transition out of are stored), summed over this process's managers as of each one's training, load, reshard or last Save.")
+		"Bytes a checkpoint writes for the transition-matrix rows the pair models store (8 × cells × stored rows: only rows a pair has observed a transition out of are stored; an upper bound on what they hold, as a row laid out before its pair's last grid growth holds fewer entries until its next write), summed over this process's managers as of each one's training, load, reshard or last Save.")
 	obsCheckpointSeconds = obs.Default().Histogram("mcorr_checkpoint_seconds",
 		"Latency of writing one durable checkpoint (snapshot encode + fsync + rename).",
 		obs.TimeBuckets())

@@ -44,7 +44,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-rowpath runs the row-path micro-benchmarks once each — one ingested
-# row at l=48 and l=600, one row read beside its QueryAll yardstick, one
+# row at l=48 and l=600, one batch through the loopback wire path (agent →
+# TCP → collector server → store), one row read beside its QueryAll
+# yardstick, one
 # append at the retention cap, one round of each sharded fabric (the
 # in-process one has no BENCHMARK.json workload, so these are its only
 # numbers), one row of the scoring loop's own benchmark at its largest
@@ -53,7 +55,7 @@ bench:
 # and running (~25 s, most of it training fleets). For numbers, drop
 # -benchtime.
 bench-rowpath:
-	$(GO) test -run '^$$' -bench '^Benchmark(MonitorIngest|ManagerStepSharded|ShardNetStep)$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(MonitorIngest|CollectorThroughput|ManagerStepSharded|ShardNetStep)$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkManagerStep$$/^l=64$$' -benchtime=1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^BenchmarkTransitionStep$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkMatrixGrow$$' -benchtime=1x -benchmem .

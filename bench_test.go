@@ -740,7 +740,9 @@ func BenchmarkCollectorThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(batchSize * 40) // approximate wire bytes per batch... per op
+	// One op is one batch, so the bytes of an op are its frame's on the
+	// wire: the header, the count and each sample's two strings and 16 bytes.
+	b.SetBytes(int64(10 + 4 + batchSize*(2+len(id.Machine)+2+len(id.Metric)+16)))
 }
 
 // BenchmarkSimulatorDay measures generating one machine-day of all six

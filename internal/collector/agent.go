@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -16,12 +17,19 @@ import (
 type Agent struct {
 	mu     sync.Mutex
 	conn   net.Conn
+	r      *bufio.Reader // the one reader of conn; acks are read through it
 	name   string
 	tenant string
 	closed bool
 	sent   int
 	hint   AckInfo // throttle hint from the most recent ack
+	wbuf   []byte  // the samples frame being sent, reused by every sendOne
+	rbuf   []byte  // the ack frame being read, reused by every sendOne
 }
+
+// agentReadBuffer sizes an agent's reader: the server only sends it acks,
+// of at most 22 bytes a frame.
+const agentReadBuffer = 256
 
 // Dial connects to the server at addr and introduces the agent by name,
 // with no tenant field (a multi-tenant server routes it to the default
@@ -48,7 +56,7 @@ func DialTenant(addr, name, tenant string) (*Agent, error) {
 // NewAgentConnTenant wraps an existing connection as an agent for the
 // given tenant, sending the hello frame.
 func NewAgentConnTenant(conn net.Conn, name, tenant string) (*Agent, error) {
-	a := &Agent{conn: conn, name: name, tenant: tenant}
+	a := &Agent{conn: conn, r: bufio.NewReaderSize(conn, agentReadBuffer), name: name, tenant: tenant}
 	if err := WriteFrame(conn, Frame{Type: MsgHello, Payload: EncodeHello(name, tenant)}); err != nil {
 		return nil, fmt.Errorf("agent hello: %w", err)
 	}
@@ -137,14 +145,18 @@ func (a *Agent) sendOne(batch []tsdb.Sample) (acked int, err error) {
 	if a.closed {
 		return 0, errors.New("agent: closed")
 	}
-	payload, err := EncodeSamples(batch)
+	// The payload is encoded behind a reserved header, so the frame leaves
+	// in one write from a buffer the agent keeps; the bytes are WriteFrame's.
+	buf, err := appendSamples(append(a.wbuf[:0], make([]byte, frameHeaderSize)...), batch)
 	if err != nil {
 		return 0, fmt.Errorf("agent encode: %w", err)
 	}
-	if err := WriteFrame(a.conn, Frame{Type: MsgSamples, Payload: payload}); err != nil {
-		return 0, fmt.Errorf("agent send: %w", err)
+	a.wbuf = buf
+	putFrameHeader(buf, MsgSamples, len(buf)-frameHeaderSize)
+	if _, err := a.conn.Write(buf); err != nil {
+		return 0, fmt.Errorf("agent send: write %s frame: %w", MsgSamples, err)
 	}
-	f, err := ReadFrame(a.conn)
+	f, err := readFrameInto(a.r, &a.rbuf)
 	if err != nil {
 		return 0, fmt.Errorf("agent await ack: %w", err)
 	}

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -26,8 +27,37 @@ func FuzzReadFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
+	// A large frame followed by a smaller one: the second is read into a
+	// buffer the first grew.
+	var shrink bytes.Buffer
+	for _, n := range []int{300, 12} {
+		if err := WriteFrame(&shrink, Frame{Type: MsgSamples, Payload: bytes.Repeat([]byte{byte(n)}, n)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(shrink.Bytes())
 
+	// reused outlives one input, so each input is read into a buffer an
+	// earlier one left behind.
+	var reused []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every frame of the input, read fresh and read into the reused
+		// buffer, must come out the same, down to the error.
+		fresh, into := bytes.NewReader(data), bytes.NewReader(data)
+		for {
+			want, werr := ReadFrame(fresh)
+			got, gerr := readFrameInto(into, &reused)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("reused buffer: error %v, fresh read: %v", gerr, werr)
+			}
+			if werr != nil {
+				break
+			}
+			if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("reused buffer read %+v, fresh read %+v", got, want)
+			}
+		}
+
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -62,11 +92,48 @@ func FuzzDecodeSamples(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(EncodeAck(0)) // count-0 batch
+	// A large batch, then a smaller one decoded over it.
+	large := make([]tsdb.Sample, 50)
+	for i := range large {
+		large[i] = tsdb.Sample{ID: timeseries.MeasurementID{Machine: "m1", Metric: fmt.Sprint("cpu", i%7)}, Time: time.Unix(int64(i), 0).UTC(), Value: float64(i)}
+	}
+	// The same characters split two ways between machine and metric: the
+	// second ID must not be taken for the first one's.
+	split := []tsdb.Sample{
+		{ID: timeseries.MeasurementID{Machine: "ab", Metric: "c"}, Time: time.Unix(1, 0).UTC(), Value: 1},
+		{ID: timeseries.MeasurementID{Machine: "a", Metric: "bc"}, Time: time.Unix(2, 0).UTC(), Value: 2},
+		{ID: timeseries.MeasurementID{Machine: "abc", Metric: ""}, Time: time.Unix(3, 0).UTC(), Value: 3},
+	}
+	for _, b := range [][]tsdb.Sample{large, large[:3], split} {
+		p, err := EncodeSamples(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
 
+	// reused and ids outlive one input, so each input is decoded into a
+	// batch and an ID table earlier ones left behind.
+	var reused []tsdb.Sample
+	ids := make(map[string]timeseries.MeasurementID)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		batch, err := DecodeSamples(payload)
+		got, gerr := decodeSamplesInto(reused, payload, ids)
+		if fmt.Sprint(gerr) != fmt.Sprint(err) {
+			t.Fatalf("reused decode: error %v, fresh decode: %v", gerr, err)
+		}
 		if err != nil {
 			return
+		}
+		reused = got
+		if len(got) != len(batch) {
+			t.Fatalf("reused decode: %d samples, fresh decode %d", len(got), len(batch))
+		}
+		for i := range batch {
+			if got[i].ID != batch[i].ID || !got[i].Time.Equal(batch[i].Time) ||
+				math.Float64bits(got[i].Value) != math.Float64bits(batch[i].Value) {
+				t.Fatalf("sample %d: reused decode %+v, fresh decode %+v", i, got[i], batch[i])
+			}
 		}
 		if len(batch) > MaxBatch {
 			t.Fatalf("accepted batch of %d samples beyond MaxBatch", len(batch))

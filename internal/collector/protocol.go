@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"time"
 
 	"mcorr/internal/timeseries"
@@ -75,31 +76,72 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame serializes a frame to w.
+// frameHeaderSize is the fixed header every frame opens with: magic,
+// version, type and the payload length.
+const frameHeaderSize = 10
+
+// smallPayload is the largest payload WriteFrame copies behind the header
+// into one buffer; a larger one goes out beside it as net.Buffers. Acks,
+// heartbeats, hellos and byes are all well under it.
+const smallPayload = 64
+
+// putFrameHeader fills hdr[:frameHeaderSize] for a payload of n bytes.
+func putFrameHeader(hdr []byte, t MsgType, n int) {
+	binary.BigEndian.PutUint32(hdr[0:4], Magic)
+	hdr[4] = Version
+	hdr[5] = byte(t)
+	binary.BigEndian.PutUint32(hdr[6:10], uint32(n))
+}
+
+// WriteFrame serializes a frame to w in one call, so the peer never wakes
+// on a header alone: a small payload is copied behind the header, a large
+// one is sent with it as net.Buffers — a single writev on a TCP
+// connection. Either way the call allocates once.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFrameSize {
 		return fmt.Errorf("write %s frame of %d bytes: %w", f.Type, len(f.Payload), ErrFrameSize)
 	}
-	var hdr [10]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = Version
-	hdr[5] = byte(f.Type)
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("write frame header: %w", err)
+	var err error
+	if len(f.Payload) <= smallPayload {
+		var buf [frameHeaderSize + smallPayload]byte
+		putFrameHeader(buf[:], f.Type, len(f.Payload))
+		n := copy(buf[frameHeaderSize:], f.Payload)
+		_, err = w.Write(buf[:frameHeaderSize+n])
+	} else {
+		// The header and the slices net.Buffers needs share one allocation.
+		v := new(struct {
+			hdr  [frameHeaderSize]byte
+			vec  [2][]byte
+			bufs net.Buffers
+		})
+		putFrameHeader(v.hdr[:], f.Type, len(f.Payload))
+		v.vec = [2][]byte{v.hdr[:], f.Payload}
+		v.bufs = v.vec[:]
+		_, err = v.bufs.WriteTo(w)
 	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return fmt.Errorf("write frame payload: %w", err)
-		}
+	if err != nil {
+		return fmt.Errorf("write %s frame: %w", f.Type, err)
 	}
 	return nil
 }
 
-// ReadFrame reads one frame from r, enforcing the size limit.
+// ReadFrame reads one frame from r, enforcing the size limit. The payload
+// is freshly allocated; a connection's read loop uses readFrameInto.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [10]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return readFrameInto(r, &buf)
+}
+
+// readFrameInto reads one frame from r into *buf, growing it when the
+// frame is larger than any before: the returned payload aliases *buf and
+// is valid until the next call with the same buffer. The header is read
+// into *buf too, so a warm buffer makes the read allocation-free.
+func readFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
+	if cap(*buf) < frameHeaderSize {
+		*buf = make([]byte, frameHeaderSize)
+	}
+	hdr := (*buf)[:frameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err // io.EOF propagates untouched for clean close
 	}
 	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
@@ -114,7 +156,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	}
 	f := Frame{Type: MsgType(hdr[5])}
 	if n > 0 {
-		f.Payload = make([]byte, n)
+		if uint32(cap(*buf)) < n {
+			*buf = make([]byte, n)
+		}
+		f.Payload = (*buf)[:n]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, fmt.Errorf("read %d-byte payload: %w", n, ErrTruncated)
 		}
@@ -126,11 +171,18 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // Layout: uint32 count, then per sample: string machine, string metric,
 // int64 unix-nano, float64 value; strings are uint16 length + bytes.
 func EncodeSamples(batch []tsdb.Sample) ([]byte, error) {
+	return appendSamples(make([]byte, 0, 4+len(batch)*40), batch)
+}
+
+// appendSamples appends the MsgSamples payload of batch to buf — behind a
+// reserved frame header, in Agent.sendOne — and enforces the batch and
+// frame limits on the payload alone.
+func appendSamples(buf []byte, batch []tsdb.Sample) ([]byte, error) {
 	if len(batch) > MaxBatch {
 		return nil, fmt.Errorf("encode %d samples: exceeds batch limit %d", len(batch), MaxBatch)
 	}
-	buf := make([]byte, 4, 4+len(batch)*40)
-	binary.BigEndian.PutUint32(buf, uint32(len(batch)))
+	start := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(batch)))
 	for _, s := range batch {
 		var err error
 		if buf, err = appendString(buf, s.ID.Machine); err != nil {
@@ -142,8 +194,8 @@ func EncodeSamples(batch []tsdb.Sample) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(s.Time.UnixNano()))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Value))
 	}
-	if len(buf) > MaxFrameSize {
-		return nil, fmt.Errorf("encoded batch of %d bytes: %w", len(buf), ErrFrameSize)
+	if n := len(buf) - start; n > MaxFrameSize {
+		return nil, fmt.Errorf("encoded batch of %d bytes: %w", n, ErrFrameSize)
 	}
 	return buf, nil
 }
@@ -156,8 +208,22 @@ func appendString(buf []byte, s string) ([]byte, error) {
 	return append(buf, s...), nil
 }
 
-// DecodeSamples parses a MsgSamples payload.
+// maxInterned bounds a connection's ID table (see decodeSamplesInto).
+// Past it, IDs not yet in the table are decoded into fresh strings, as
+// DecodeSamples does.
+const maxInterned = 1 << 16
+
+// DecodeSamples parses a MsgSamples payload into a new batch.
 func DecodeSamples(payload []byte) ([]tsdb.Sample, error) {
+	return decodeSamplesInto(nil, payload, nil)
+}
+
+// decodeSamplesInto parses a MsgSamples payload into dst[:0], growing it
+// only past its capacity. ids, when non-nil, interns measurement IDs keyed
+// by their wire bytes (both length-prefixed strings, so no two splits of
+// the same characters share a key): a known ID costs a lookup and no
+// allocation, and the table grows up to maxInterned entries.
+func decodeSamplesInto(dst []tsdb.Sample, payload []byte, ids map[string]timeseries.MeasurementID) ([]tsdb.Sample, error) {
 	if len(payload) < 4 {
 		return nil, ErrTruncated
 	}
@@ -166,26 +232,33 @@ func DecodeSamples(payload []byte) ([]tsdb.Sample, error) {
 		return nil, fmt.Errorf("batch of %d samples exceeds limit %d", count, MaxBatch)
 	}
 	p := payload[4:]
-	out := make([]tsdb.Sample, 0, count)
+	out := dst[:0]
+	if uint32(cap(out)) < count {
+		out = make([]tsdb.Sample, 0, count)
+	}
 	for i := uint32(0); i < count; i++ {
-		machine, rest, err := readString(p)
+		machine, rest, err := cutString(p)
 		if err != nil {
 			return nil, fmt.Errorf("sample %d machine: %w", i, err)
 		}
-		metric, rest, err := readString(rest)
+		metric, rest, err := cutString(rest)
 		if err != nil {
 			return nil, fmt.Errorf("sample %d metric: %w", i, err)
 		}
 		if len(rest) < 16 {
 			return nil, fmt.Errorf("sample %d body: %w", i, ErrTruncated)
 		}
+		key := p[:len(p)-len(rest)]
+		id, ok := ids[string(key)]
+		if !ok {
+			id = timeseries.MeasurementID{Machine: string(machine), Metric: string(metric)}
+			if ids != nil && len(ids) < maxInterned {
+				ids[string(key)] = id
+			}
+		}
 		ns := int64(binary.BigEndian.Uint64(rest[:8]))
 		val := math.Float64frombits(binary.BigEndian.Uint64(rest[8:16]))
-		out = append(out, tsdb.Sample{
-			ID:    timeseries.MeasurementID{Machine: machine, Metric: metric},
-			Time:  time.Unix(0, ns).UTC(),
-			Value: val,
-		})
+		out = append(out, tsdb.Sample{ID: id, Time: time.Unix(0, ns).UTC(), Value: val})
 		p = rest[16:]
 	}
 	if len(p) != 0 {
@@ -194,15 +267,17 @@ func DecodeSamples(payload []byte) ([]tsdb.Sample, error) {
 	return out, nil
 }
 
-func readString(p []byte) (string, []byte, error) {
+// cutString splits one uint16-length-prefixed string off p, without
+// copying it.
+func cutString(p []byte) ([]byte, []byte, error) {
 	if len(p) < 2 {
-		return "", nil, ErrTruncated
+		return nil, nil, ErrTruncated
 	}
 	n := int(binary.BigEndian.Uint16(p[:2]))
 	if len(p) < 2+n {
-		return "", nil, ErrTruncated
+		return nil, nil, ErrTruncated
 	}
-	return string(p[2 : 2+n]), p[2+n:], nil
+	return p[2 : 2+n], p[2+n:], nil
 }
 
 // helloSep separates the agent name from the tenant name in a MsgHello

@@ -232,7 +232,13 @@ func (r *ReliableAgent) deliver() error {
 		if r.credit > 0 && n > r.credit {
 			n = r.credit
 		}
-		toSend := append([]tsdb.Sample(nil), r.pending[:n]...)
+		// The flusher sends the prefix in place, not a copy of it. While
+		// inflight = n it alone owns pending[:n]: Send only appends behind
+		// it and drops only beyond it, an append that outgrows the array
+		// moves pending and leaves this one untouched, and trimLocked runs
+		// here, after the send. The capacity cap keeps toSend from
+		// reaching the samples behind it.
+		toSend := r.pending[:n:n]
 		r.inflight = n
 		r.mu.Unlock()
 

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -11,10 +12,21 @@ import (
 	"time"
 
 	"mcorr/internal/obs"
+	"mcorr/internal/timeseries"
 	"mcorr/internal/tsdb"
 )
 
+// serverReadBuffer sizes a connection's reader: one read takes a whole
+// samples frame of a few hundred samples, header included.
+const serverReadBuffer = 16 << 10
+
 // Sink receives decoded sample batches. tsdb.Store satisfies it.
+//
+// The server decodes every frame of a connection into one batch it reuses:
+// the batch's backing array is overwritten by the next frame once
+// AppendBatch returns, so a sink that keeps samples past the call copies
+// the slice. The Sample values themselves stay valid, the ID strings
+// included (they are interned per connection and never rewritten).
 type Sink interface {
 	AppendBatch([]tsdb.Sample) error
 }
@@ -353,13 +365,24 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 	// job and its reply channel are reused for every batch on this
-	// connection, keeping the admission path allocation-free.
+	// connection, keeping the admission path allocation-free. So are the
+	// reader, the payload buffer, the decoded batch and the ID table: a
+	// frame is read and decoded into memory the previous one used. That
+	// is safe because admit returns only once the sink is done with the
+	// batch (see Sink) — the drainer and a drop-oldest evictor both finish
+	// reading the job before they reply to it.
 	job := &appendJob{reply: make(chan appendResult, 1)}
+	br := bufio.NewReaderSize(conn, serverReadBuffer)
+	var (
+		payload []byte
+		batch   []tsdb.Sample
+		ids     = make(map[string]timeseries.MeasurementID)
+	)
 	for {
 		if s.readIdle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
 		}
-		f, err := ReadFrame(conn)
+		f, err := readFrameInto(br, &payload)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.countError()
@@ -399,7 +422,7 @@ func (s *Server) handle(conn net.Conn) {
 			s.mu.Unlock()
 			obsHeartbeats.Inc()
 		case MsgSamples:
-			batch, err := DecodeSamples(f.Payload)
+			batch, err = decodeSamplesInto(batch, f.Payload, ids)
 			if err != nil {
 				s.countError()
 				obsDecodeErrors.Inc()

@@ -85,11 +85,7 @@ func NewAggregator(ids []timeseries.MeasurementID, cfg Config) *Aggregator {
 func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outcomes []Outcome, sp *obs.Span) StepReport {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	report := StepReport{
-		Time:         t,
-		System:       math.NaN(),
-		Measurements: make(map[timeseries.MeasurementID]float64),
-	}
+	report := StepReport{Time: t, System: math.NaN()}
 	if g.cfg.KeepPairScores {
 		report.Pairs = make(map[Pair]float64, len(pairs))
 	}
@@ -140,6 +136,15 @@ func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outc
 			})
 		}
 	}
+	// Size the map to the measurements with a scored link, not to len(ids):
+	// under a pair budget many measurements have none.
+	scored := 0
+	for _, c := range g.cntBuf {
+		if c > 0 {
+			scored++
+		}
+	}
+	report.Measurements = make(map[timeseries.MeasurementID]float64, scored)
 	var sysSum float64
 	var sysN int
 	for k, c := range g.cntBuf {

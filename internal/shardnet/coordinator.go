@@ -1,6 +1,7 @@
 package shardnet
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -93,7 +94,8 @@ type Coordinator struct {
 type workerConn struct {
 	c     *Coordinator
 	k     int
-	conn  net.Conn // nil until first dialed
+	conn  net.Conn      // nil until first dialed
+	r     *bufio.Reader // the one reader of conn, replaced with it on a redial
 	dead  bool
 	pairs []manager.Pair // canonical order
 	// Where the Fabric wants the outcomes of the row in flight — kept past
@@ -135,7 +137,7 @@ func (wc *workerConn) sendGob(msgType collector.MsgType, v any) error {
 // handshakeTimeout and be of the wanted type.
 func (wc *workerConn) read(want collector.MsgType) (collector.Frame, error) {
 	_ = wc.conn.SetReadDeadline(time.Now().Add(handshakeTimeout)) // fails only on a closed connection, which the read reports
-	f, err := collector.ReadFrame(wc.conn)
+	f, err := collector.ReadFrame(wc.r)
 	if err == nil && f.Type != want {
 		err = fmt.Errorf("shardnet: shard %d answered type %d, want %d", wc.k, byte(f.Type), byte(want))
 	}
@@ -287,7 +289,7 @@ func (c *Coordinator) connectLocked(k int) error {
 	}
 	wc := c.conns[k]
 	redial := wc.conn != nil
-	wc.conn, wc.dead = conn, false
+	wc.conn, wc.r, wc.dead = conn, bufio.NewReaderSize(conn, readBuffer), false
 	if err := c.handshakeLocked(wc); err != nil {
 		return wc.fail(fmt.Errorf("shardnet: shard %d handshake: %w", k, err))
 	}

@@ -72,6 +72,10 @@ const (
 	MsgShardOutcomes collector.MsgType = 29
 )
 
+// readBuffer sizes the reader on each end of a control connection: a row
+// or outcome frame of a few hundred pairs arrives in one read.
+const readBuffer = 16 << 10
+
 // blobChunk bounds one state transfer chunk, comfortably under the
 // collector's MaxFrameSize.
 const blobChunk = 256 << 10

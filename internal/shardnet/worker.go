@@ -1,6 +1,7 @@
 package shardnet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -71,7 +72,8 @@ type Worker struct {
 // session is one accepted control connection.
 type session struct {
 	conn net.Conn
-	gone atomic.Bool // set when a newer session supersedes this one
+	r    *bufio.Reader // the one reader of conn: every frame of the session comes through it
+	gone atomic.Bool   // set when a newer session supersedes this one
 }
 
 // shardState is the worker's live shard: it persists across control
@@ -141,7 +143,7 @@ func (w *Worker) Serve() error {
 			w.sess.gone.Store(true)
 			w.sess.conn.Close()
 		}
-		sess := &session{conn: conn}
+		sess := &session{conn: conn, r: bufio.NewReaderSize(conn, readBuffer)}
 		w.sess = sess
 		w.mu.Unlock()
 		obsWorkerSessions.Add(1)
@@ -192,7 +194,7 @@ func (w *Worker) checkpointPath(k int) string {
 // w.smu so a superseded session finishing its last row cannot race its
 // replacement.
 func (w *Worker) handle(sess *session) error {
-	f, err := collector.ReadFrame(sess.conn)
+	f, err := collector.ReadFrame(sess.r)
 	if err != nil {
 		return err
 	}
@@ -213,7 +215,7 @@ func (w *Worker) handle(sess *session) error {
 	}
 
 	for {
-		f, err := collector.ReadFrame(sess.conn)
+		f, err := collector.ReadFrame(sess.r)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -270,7 +272,7 @@ func (w *Worker) adoptState(sess *session, a assignMsg) (*shardState, error) {
 			return nil, err
 		}
 		// The models are decoded one at a time while their chunks arrive.
-		cr := &chunkReader{conn: sess.conn}
+		cr := &chunkReader{conn: sess.r}
 		mgr, err := manager.LoadManager(cr, nil)
 		if err == nil {
 			if err = cr.finish(); err != nil {

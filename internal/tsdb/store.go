@@ -55,6 +55,7 @@ type Store struct {
 	retention int // max samples kept per measurement; 0 = unbounded
 	series    map[timeseries.MeasurementID]*entry
 	wal       *wal.Log // nil = in-memory only; see AttachWAL
+	walBuf    []byte   // the WAL record being encoded, reused under mu
 }
 
 type entry struct {

@@ -25,11 +25,15 @@ const maxWALBatch = 1 << 16
 // shape as the collector wire format, kept separate so the store does not
 // depend on the network layer.
 func EncodeWALBatch(batch []Sample) ([]byte, error) {
+	return appendWALBatch(make([]byte, 0, 4+len(batch)*40), batch)
+}
+
+// appendWALBatch appends the WAL record payload of batch to buf.
+func appendWALBatch(buf []byte, batch []Sample) ([]byte, error) {
 	if len(batch) > maxWALBatch {
 		return nil, fmt.Errorf("tsdb: WAL batch of %d samples exceeds limit %d", len(batch), maxWALBatch)
 	}
-	buf := make([]byte, 4, 4+len(batch)*40)
-	binary.BigEndian.PutUint32(buf, uint32(len(batch)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(batch)))
 	for _, s := range batch {
 		if len(s.ID.Machine) > math.MaxUint16 || len(s.ID.Metric) > math.MaxUint16 {
 			return nil, fmt.Errorf("tsdb: WAL sample id too long (%s)", s.ID)
@@ -107,11 +111,14 @@ func (s *Store) AttachWAL(l *wal.Log) {
 }
 
 // walAppendLocked logs the applied prefix of a batch. Caller holds s.mu.
+// The record is encoded into s.walBuf, which the next call reuses: Append
+// has copied the payload into its own frame by the time it returns.
 func (s *Store) walAppendLocked(applied []Sample) error {
-	payload, err := EncodeWALBatch(applied)
+	payload, err := appendWALBatch(s.walBuf[:0], applied)
 	if err != nil {
 		return err
 	}
+	s.walBuf = payload
 	if _, err := s.wal.Append(payload); err != nil {
 		return fmt.Errorf("tsdb wal append: %w", err)
 	}

@@ -9,7 +9,7 @@ all: build check
 # included), the documentation gate, the full test suite under the race
 # detector (WAL and collector included), the four example programs run end
 # to end, the nested benchmark module's own smoke tests, one iteration of
-# the row-path, sharded-fabric and scoring-loop micro-benchmarks, the kill -9
+# the row-path, networked-fabric and scoring-loop micro-benchmarks, the kill -9
 # recovery gate and a bounded fuzzing pass over the wire-format, WAL and
 # checkpoint decoders.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
@@ -46,16 +46,14 @@ bench:
 # bench-rowpath runs the row-path micro-benchmarks once each — one ingested
 # row at l=48 and l=600, one batch through the loopback wire path (agent →
 # TCP → collector server → store), one row read beside its QueryAll
-# yardstick, one
-# append at the retention cap, one round of each sharded fabric (the
-# in-process one has no BENCHMARK.json workload, so these are its only
-# numbers), one row of the scoring loop's own benchmark at its largest
-# fleet with one worker and with two, one fused pair step on each of its
-# hot rows and one growth of a fully stored matrix — so they keep compiling
-# and running (~25 s, most of it training fleets). For numbers, drop
+# yardstick, one append at the retention cap, one round of the networked
+# fabric, one row of the scoring loop's own benchmark at its largest fleet
+# with one worker and with two, one fused pair step on each of its hot rows
+# and one growth of a fully stored matrix — so they keep compiling and
+# running (~25 s, most of it training fleets). For numbers, drop
 # -benchtime.
 bench-rowpath:
-	$(GO) test -run '^$$' -bench '^Benchmark(MonitorIngest|CollectorThroughput|ManagerStepSharded|ShardNetStep)$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(MonitorIngest|CollectorThroughput|ShardNetStep)$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkManagerStep$$/^l=64$$' -benchtime=1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench '^BenchmarkTransitionStep$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkMatrixGrow$$' -benchtime=1x -benchmem .
@@ -124,7 +122,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrixGrowth$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core
 
 # corpus regenerates the checked-in fuzz seeds that are built from real
-# files: the checkpoint corpus (real, torn, lying and sharded checkpoints)
+# files: the checkpoint corpus (real, torn and lying checkpoints)
 # and the WAL segment corpus. A seed from before a format bump dies at the
 # magic and leaves the fuzzer nothing to mutate;
 # TestCheckpointCorpusIsCurrent fails until this has been run.
@@ -134,8 +132,8 @@ corpus:
 
 # crash-test is the durability gate: build mcdetect, SIGKILL it mid-stream,
 # restart from the same -data-dir, and require the per-step fitness
-# trajectory to match an uninterrupted run bit for bit — unsharded and
-# across every sharded topology.
+# trajectory to match an uninterrupted run bit for bit — one manager, several
+# tenants, and a networked fleet with a SIGKILLed mcshard worker.
 crash-test:
 	$(GO) test -race -count=1 -run '^TestCrashRecovery' -v ./internal/testkit
 

@@ -357,7 +357,6 @@ type correlateDiscovery struct {
 type correlateEngine struct {
 	Tenant       string              `json:"tenant"`
 	Steps        int                 `json:"steps"`
-	Shards       int                 `json:"shards"`
 	Pairs        int                 `json:"pairs"`
 	Measurements int                 `json:"measurements"`
 	StepSeconds  float64             `json:"step_seconds"`
@@ -516,7 +515,6 @@ func (t *Tenant) Correlate(q correlateQuery) (*correlateResponse, error) {
 		Engine: correlateEngine{
 			Tenant:       t.name,
 			Steps:        fleet.Steps(),
-			Shards:       t.mon.Shards(),
 			Pairs:        len(fleet.Pairs()),
 			Measurements: len(fleet.IDs()),
 			StepSeconds:  step.Seconds(),

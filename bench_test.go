@@ -27,7 +27,6 @@ import (
 	"mcorr/internal/manager"
 	"mcorr/internal/mathx"
 	"mcorr/internal/obs"
-	"mcorr/internal/shard"
 	"mcorr/internal/shardnet"
 	"mcorr/internal/simulator"
 	"mcorr/internal/testkit"
@@ -331,58 +330,6 @@ func benchManagerStepIncrementalScale(b *testing.B, machines int) {
 	}
 }
 
-// benchManagerStepSharded is benchManagerStep routed through the shard
-// coordinator: the same fleet scale, partitioned across `shards` manager
-// shards. shards=1 exercises the coordinator's single-shard fast path
-// (its overhead over a bare manager is the fabric's fixed cost); higher
-// counts show the fan-out cost or win for the host's core count.
-func benchManagerStepSharded(b *testing.B, machines, shards int) {
-	ds, _, err := simulator.Generate(simulator.GroupConfig{Name: "Z", Machines: machines, Days: 2, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
-	coord, err := shard.New(ds.Slice(timeseries.MonitoringStart, day1), shard.Config{
-		Shards: shards,
-		Manager: manager.Config{
-			Model: core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 12}},
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer coord.Close()
-	rows := benchDayRows(ds, day1)
-	// Warm until adaptive grid growth settles, as in benchFleet.
-	for pass := 0; pass < 4; pass++ {
-		grown := 0
-		for _, row := range rows {
-			grown += coord.Step(row).GrownPairs
-		}
-		if grown == 0 {
-			break
-		}
-	}
-	b.Run(fmt.Sprintf("l=%d/shards=%d", len(coord.IDs()), shards), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coord.Step(rows[i%len(rows)])
-		}
-	})
-}
-
-// BenchmarkManagerStepSharded records the sharded step latency at the
-// paper's small scale (l=16) and a large fleet (l=64, 2016 pairs) for
-// shard counts 1/2/4 (`make bench`; the gated numbers for the same layers
-// come from `bash bench/run.sh --trace 1`). Parallel speedup at shards>1
-// requires spare cores.
-func BenchmarkManagerStepSharded(b *testing.B) {
-	for _, machines := range []int{2, 8} {
-		for _, n := range []int{1, 2, 4} {
-			benchManagerStepSharded(b, machines, n)
-		}
-	}
-}
-
 // startBenchShardWorker launches one mcshard worker process for the
 // networked-fabric benchmark and returns its parsed control address.
 func startBenchShardWorker(b *testing.B, bin, dir string) string {
@@ -413,10 +360,10 @@ func startBenchShardWorker(b *testing.B, bin, dir string) string {
 	return addr
 }
 
-// benchShardNetStep is benchManagerStepSharded with the shards moved out
-// of process: `workers` real mcshard processes score over TCP and answer
-// each row with their outcome frames on the control connection, while the
-// central aggregator merges. Process spawn, training, state transfer, and warm-up
+// benchShardNetStep is benchManagerStep with the pair graph partitioned
+// out of process: `workers` real mcshard processes score over TCP and
+// answer each row with their outcome frames on the control connection,
+// while the central aggregator merges. Process spawn, training, state transfer, and warm-up
 // all happen outside the timer; checkpointing is pushed past the horizon
 // so the loop measures pure fan-out/score/merge.
 func benchShardNetStep(b *testing.B, machines, workers int) {
@@ -461,9 +408,9 @@ func benchShardNetStep(b *testing.B, machines, workers int) {
 
 // BenchmarkShardNetStep records the networked multi-process step latency
 // at l=64 (2016 pairs) across 4 worker processes — the distributed
-// counterpart of BenchmarkManagerStepSharded/l=64/shards=4 (the gated
-// comparison is shardnet.step_over_local_ratio from `bash bench/run.sh
-// --workload shardnet48 --trace 1`). Beating the in-process number
+// counterpart of BenchmarkManagerStep/l=64 (the gated comparison is
+// shardnet.step_over_local_ratio from `bash bench/run.sh --workload
+// shardnet48 --trace 1`). Beating the in-process number
 // requires at least one spare core per worker: on a single-core host the
 // fan-out serializes onto the same CPU as in-process scoring and the
 // wire/wakeup overhead is pure loss, so compare the two with the host's
@@ -779,7 +726,7 @@ func benchBudgetFleet(b *testing.B, machines int, budget string) (mcorr.Discover
 	}
 	df, err := mcorr.NewDiscoveryFleet(ds.Slice(timeseries.MonitoringStart, day1),
 		manager.Config{Model: core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 12}}},
-		mcorr.DiscoveryConfig{Budget: n}, 1)
+		mcorr.DiscoveryConfig{Budget: n})
 	if err != nil {
 		b.Fatal(err)
 	}

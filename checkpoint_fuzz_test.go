@@ -15,7 +15,7 @@ import (
 // tinyCheckpoint writes a real checkpoint of a 3-measurement fleet on a
 // 3-interval grid (a few KiB) and returns its bytes — a live valid seed
 // next to the checked-in corpus (gen_checkpoint_corpus.go).
-func tinyCheckpoint(f *testing.F, opts ...MonitorOption) []byte {
+func tinyCheckpoint(f *testing.F) []byte {
 	f.Helper()
 	full, _, err := simulator.Generate(simulator.GroupConfig{Name: "Z", Machines: 1, Days: 1, Seed: 5})
 	if err != nil {
@@ -27,7 +27,7 @@ func tinyCheckpoint(f *testing.F, opts ...MonitorOption) []byte {
 	}
 	dir := f.TempDir()
 	mcfg := ManagerConfig{Model: ModelConfig{Adaptive: true, Grid: GridConfig{Units: 8, MaxIntervals: 3, MinIntervals: 2, EqualSplit: 3}}}
-	dm, err := NewDurableMonitor(history, mcfg, DurabilityConfig{DataDir: dir, Fsync: SyncNone}, opts...)
+	dm, err := NewDurableMonitor(history, mcfg, DurabilityConfig{DataDir: dir, Fsync: SyncNone})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -42,22 +42,20 @@ func tinyCheckpoint(f *testing.F, opts ...MonitorOption) []byte {
 }
 
 // FuzzCheckpointRecords throws arbitrary bytes at the checkpoint decoder —
-// magic, section records, store, blobs, manager or coordinator header and
-// model records — exactly as OpenDurableMonitor drives it, for every fleet
-// shape: the decoder is a function of these bytes alone. It must never
-// panic, must bound every allocation by what the input actually holds
-// (record lengths by wal.ChunkSize, slabs by their header's dims only as
-// data arrives, shards only as their bodies arrive), and must either decode
-// a whole state or fail with ErrCheckpointFormat or ErrCheckpointCorrupt —
+// magic, section records, store, blobs, manager header and model records —
+// exactly as OpenDurableMonitor drives it: the decoder is a function of
+// these bytes alone. It must never panic, must bound every allocation by
+// what the input actually holds (record lengths by wal.ChunkSize, slabs by
+// their header's dims only as data arrives), and must either decode a whole
+// state or fail with ErrCheckpointFormat or ErrCheckpointCorrupt —
 // never hand back part of a fleet. A state that decodes must also work: its
 // fleet scores the last stored row, twice so that the second time every
 // chain makes a transition.
 func FuzzCheckpointRecords(f *testing.F) {
 	whole := tinyCheckpoint(f)
 	f.Add(whole)
-	f.Add(whole[:len(whole)-20])            // no end section
-	f.Add(whole[:len(whole)/2])             // torn mid-record
-	f.Add(tinyCheckpoint(f, WithShards(2))) // a coordinator header and two shard bodies
+	f.Add(whole[:len(whole)-20]) // no end section
+	f.Add(whole[:len(whole)/2])  // torn mid-record
 	flipped := bytes.Clone(whole)
 	flipped[len(flipped)-200] ^= 0xff // inside the last model
 	f.Add(flipped)

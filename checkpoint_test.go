@@ -58,80 +58,74 @@ func checkpointContents(t *testing.T, path string) (manager.CheckpointMeta, []by
 }
 
 // TestCheckpointBytesDeterministic: two back-to-back checkpoints of an
-// idle tenant (discovery and diagnosis on; one manager, then three shards)
-// are byte-identical once the meta section's CreatedAt and Epoch — which
-// advance with every checkpoint by design — are masked, and closing,
-// recovering and checkpointing again (save → load → save) reproduces the
-// same bytes.
+// idle tenant (discovery and diagnosis on) are byte-identical once the meta
+// section's CreatedAt and Epoch — which advance with every checkpoint by
+// design — are masked, and closing, recovering and checkpointing again
+// (save → load → save) reproduces the same bytes.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	ds, history, day1 := checkpointFixture(t, 16)
-	for name, fleetShape := range map[string][]mcorr.MonitorOption{
-		"one manager":  nil,
-		"three shards": {mcorr.WithShards(3)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := mcorr.TenantConfig{
-				Name: "alpha", History: history, Durable: true,
-				Durability: mcorr.DurabilityConfig{CheckpointEvery: 1 << 30, Fsync: mcorr.SyncNone},
-				Options: append([]mcorr.MonitorOption{
-					mcorr.WithDiscovery(mcorr.DiscoveryConfig{Budget: 40, RoundRows: 8}),
-					mcorr.WithDiagnosis(mcorr.DiagnosisConfig{}),
-				}, fleetShape...),
+	t.Run("one manager", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := mcorr.TenantConfig{
+			Name: "alpha", History: history, Durable: true,
+			Durability: mcorr.DurabilityConfig{CheckpointEvery: 1 << 30, Fsync: mcorr.SyncNone},
+			Options: []mcorr.MonitorOption{
+				mcorr.WithDiscovery(mcorr.DiscoveryConfig{Budget: 40, RoundRows: 8}),
+				mcorr.WithDiagnosis(mcorr.DiagnosisConfig{}),
+			},
+		}
+		reg := mcorr.NewTenantRegistry(dir)
+		tn, err := reg.CreateTenant(cfg)
+		if err != nil {
+			t.Fatalf("CreateTenant: %v", err)
+		}
+		for k := 0; k < 30; k++ {
+			if _, err := tn.Ingest(rowBatch(t, ds, day1.Add(time.Duration(k)*timeseries.SampleStep))...); err != nil {
+				t.Fatalf("ingest row %d: %v", k, err)
 			}
-			reg := mcorr.NewTenantRegistry(dir)
-			tn, err := reg.CreateTenant(cfg)
-			if err != nil {
-				t.Fatalf("CreateTenant: %v", err)
+		}
+		path := filepath.Join(mcorr.TenantDir(dir, "alpha"), "checkpoint")
+		snap := func(tn *mcorr.Tenant) (manager.CheckpointMeta, []byte) {
+			t.Helper()
+			if err := tn.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
 			}
-			for k := 0; k < 30; k++ {
-				if _, err := tn.Ingest(rowBatch(t, ds, day1.Add(time.Duration(k)*timeseries.SampleStep))...); err != nil {
-					t.Fatalf("ingest row %d: %v", k, err)
-				}
-			}
-			path := filepath.Join(mcorr.TenantDir(dir, "alpha"), "checkpoint")
-			snap := func(tn *mcorr.Tenant) (manager.CheckpointMeta, []byte) {
-				t.Helper()
-				if err := tn.Checkpoint(); err != nil {
-					t.Fatalf("Checkpoint: %v", err)
-				}
-				return checkpointContents(t, path)
-			}
-			meta1, body1 := snap(tn)
-			meta2, body2 := snap(tn)
-			if meta2.Epoch != meta1.Epoch+1 {
-				t.Errorf("epochs %d then %d, want consecutive", meta1.Epoch, meta2.Epoch)
-			}
-			mask := func(m manager.CheckpointMeta) manager.CheckpointMeta {
-				m.CreatedAt, m.Epoch = time.Time{}, 0
-				return m
-			}
-			if mask(meta1) != mask(meta2) || !bytes.Equal(body1, body2) {
-				t.Fatalf("two checkpoints of an idle tenant differ (meta %+v vs %+v, bodies equal: %v)", meta1, meta2, bytes.Equal(body1, body2))
-			}
-			if len(body1) < 100_000 {
-				t.Fatalf("checkpoint body is only %d bytes; the fixture no longer exercises the models", len(body1))
-			}
+			return checkpointContents(t, path)
+		}
+		meta1, body1 := snap(tn)
+		meta2, body2 := snap(tn)
+		if meta2.Epoch != meta1.Epoch+1 {
+			t.Errorf("epochs %d then %d, want consecutive", meta1.Epoch, meta2.Epoch)
+		}
+		mask := func(m manager.CheckpointMeta) manager.CheckpointMeta {
+			m.CreatedAt, m.Epoch = time.Time{}, 0
+			return m
+		}
+		if mask(meta1) != mask(meta2) || !bytes.Equal(body1, body2) {
+			t.Fatalf("two checkpoints of an idle tenant differ (meta %+v vs %+v, bodies equal: %v)", meta1, meta2, bytes.Equal(body1, body2))
+		}
+		if len(body1) < 100_000 {
+			t.Fatalf("checkpoint body is only %d bytes; the fixture no longer exercises the models", len(body1))
+		}
 
-			if err := reg.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			reg2 := mcorr.NewTenantRegistry(dir)
-			defer reg2.Close()
-			cfg.History = nil
-			tn2, err := reg2.CreateTenant(cfg)
-			if err != nil {
-				t.Fatalf("recovering CreateTenant: %v", err)
-			}
-			if n := len(tn2.Recovered()); n != 0 {
-				t.Fatalf("recovery of a cleanly closed tenant re-scored %d rows", n)
-			}
-			meta3, body3 := snap(tn2)
-			if mask(meta3) != mask(meta2) || !bytes.Equal(body3, body2) {
-				t.Fatalf("save → load → save changed the checkpoint (meta %+v vs %+v, bodies equal: %v)", meta2, meta3, bytes.Equal(body2, body3))
-			}
-		})
-	}
+		if err := reg.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		reg2 := mcorr.NewTenantRegistry(dir)
+		defer reg2.Close()
+		cfg.History = nil
+		tn2, err := reg2.CreateTenant(cfg)
+		if err != nil {
+			t.Fatalf("recovering CreateTenant: %v", err)
+		}
+		if n := len(tn2.Recovered()); n != 0 {
+			t.Fatalf("recovery of a cleanly closed tenant re-scored %d rows", n)
+		}
+		meta3, body3 := snap(tn2)
+		if mask(meta3) != mask(meta2) || !bytes.Equal(body3, body2) {
+			t.Fatalf("save → load → save changed the checkpoint (meta %+v vs %+v, bodies equal: %v)", meta2, meta3, bytes.Equal(body2, body3))
+		}
+	})
 }
 
 // TestOpenDurableMonitorRejectsDamagedCheckpoint damages a committed
@@ -148,57 +142,53 @@ func TestOpenDurableMonitorRejectsDamagedCheckpoint(t *testing.T) {
 	}
 	const endSection = 16 + len("#end") // record header + payload
 
-	for _, shards := range []int{1, 2} {
-		dir := t.TempDir()
-		dcfg := mcorr.DurabilityConfig{DataDir: dir, Fsync: mcorr.SyncNone}
-		dm, err := mcorr.NewDurableMonitor(history, mcorr.ManagerConfig{Model: mcorr.ModelConfig{Adaptive: true}}, dcfg, mcorr.WithShards(shards))
-		if err != nil {
-			t.Fatalf("NewDurableMonitor: %v", err)
-		}
-		pairs := len(dm.Fleet().Pairs())
-		feedRows(t, dm, ds, day1, 10)
-		if err := dm.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		// The one file of either fleet shape.
-		path := filepath.Join(dir, "checkpoint")
-		whole, err := os.ReadFile(path)
-		if err != nil {
+	dir := t.TempDir()
+	dcfg := mcorr.DurabilityConfig{DataDir: dir, Fsync: mcorr.SyncNone}
+	dm, err := mcorr.NewDurableMonitor(history, mcorr.ManagerConfig{Model: mcorr.ModelConfig{Adaptive: true}}, dcfg)
+	if err != nil {
+		t.Fatalf("NewDurableMonitor: %v", err)
+	}
+	pairs := len(dm.Fleet().Pairs())
+	feedRows(t, dm, ds, day1, 10)
+	if err := dm.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	path := filepath.Join(dir, "checkpoint")
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(whole)
+	flipped[len(whole)-endSection-5000] ^= 0x01 // inside the last model's weights
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"flipped byte in a model record", flipped, manager.ErrCheckpointCorrupt},
+		{"truncated mid-record", whole[:len(whole)-endSection-5000], manager.ErrCheckpointCorrupt},
+		{"truncated at a record boundary, before the end section", whole[:len(whole)-endSection], manager.ErrCheckpointCorrupt},
+		{"pre-record-format file", legacy.Bytes(), manager.ErrCheckpointFormat},
+		{"file of the previous container version", append([]byte("MCORCKP4"), whole[len(manager.CheckpointMagic):]...), manager.ErrCheckpointFormat},
+		{"intact", whole, nil},
+	}
+	for _, c := range cases {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		flipped := bytes.Clone(whole)
-		flipped[len(whole)-endSection-5000] ^= 0x01 // inside the last model's weights
-		cases := []struct {
-			name string
-			data []byte
-			want error
-		}{
-			{"flipped byte in a model record", flipped, manager.ErrCheckpointCorrupt},
-			{"truncated mid-record", whole[:len(whole)-endSection-5000], manager.ErrCheckpointCorrupt},
-			{"truncated at a record boundary, before the end section", whole[:len(whole)-endSection], manager.ErrCheckpointCorrupt},
-			{"pre-record-format file", legacy.Bytes(), manager.ErrCheckpointFormat},
-			{"file of the previous container version", append([]byte("MCORCKP3"), whole[len(manager.CheckpointMagic):]...), manager.ErrCheckpointFormat},
-			{"2^40 shards declared", fuzzSeeds(t)["seed_huge_shard_count"], manager.ErrCheckpointCorrupt},
-			{"intact", whole, nil},
+		re, _, err := mcorr.OpenDurableMonitor(dcfg, nil)
+		if c.want == nil {
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := len(re.Fleet().Pairs()); got != pairs {
+				t.Errorf("recovered %d pairs, want %d", got, pairs)
+			}
+			re.Close()
+			continue
 		}
-		for _, c := range cases {
-			if err := os.WriteFile(path, c.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			re, _, err := mcorr.OpenDurableMonitor(dcfg, nil)
-			if c.want == nil {
-				if err != nil {
-					t.Fatalf("shards=%d, %s: %v", shards, c.name, err)
-				}
-				if got := len(re.Fleet().Pairs()); got != pairs {
-					t.Errorf("shards=%d: recovered %d pairs, want %d", shards, got, pairs)
-				}
-				re.Close()
-				continue
-			}
-			if re != nil || !errors.Is(err, c.want) {
-				t.Errorf("shards=%d, %s: monitor %v, error %v; want %v", shards, c.name, re != nil, err, c.want)
-			}
+		if re != nil || !errors.Is(err, c.want) {
+			t.Errorf("%s: monitor %v, error %v; want %v", c.name, re != nil, err, c.want)
 		}
 	}
 }

@@ -45,7 +45,6 @@ func run() error {
 		seed     = flag.Int64("seed", 7, "simulation seed (tenant i uses seed+i)")
 		opsAddr  = flag.String("ops-addr", "", "serve ops endpoints (/metrics, /healthz, /statusz, /api/v1, /debug/pprof) on this address")
 		pace     = flag.Duration("pace", 0, "sleep between streamed rows (lets an ops scraper watch the run)")
-		shards   = flag.Int("shards", 1, "partition each tenant's pair graph across this many manager shards")
 
 		tenantsArg = flag.String("tenant", "default", "comma-separated tenant names; each gets an isolated store, fleet and quotas")
 		tenantRate = flag.Float64("tenant-rate", 0, "per-tenant collector ingest rate limit in samples/s (0 = off)")
@@ -67,7 +66,7 @@ func run() error {
 		pairBudget, discovery = cliflags.Discovery(flag.CommandLine, "each tenant's")
 	)
 	flag.Parse()
-	mcorr.RegisterBuildInfo(version, *shards)
+	mcorr.RegisterBuildInfo(version, 1) // tenants score in this process
 
 	var names []string
 	for _, n := range strings.Split(*tenantsArg, ",") {
@@ -90,7 +89,7 @@ func run() error {
 		log.Printf("ops server on http://%s (metrics, healthz, statusz, api/v1, pprof)", ops.Addr())
 	}
 
-	monOpts := []mcorr.MonitorOption{mcorr.WithShards(*shards)}
+	var monOpts []mcorr.MonitorOption
 	if *incident {
 		monOpts = append(monOpts, mcorr.WithDiagnosis(mcorr.DiagnosisConfig{OpenBelow: *incOpenBelow}))
 	}
@@ -139,7 +138,7 @@ func run() error {
 			}
 			opts = append(append([]mcorr.MonitorOption{}, monOpts...), mcorr.WithDiscovery(disc))
 		}
-		log.Printf("tenant %s: training monitor on day 1 (%d measurements, %d shards)", name, ds.Len(), *shards)
+		log.Printf("tenant %s: training monitor on day 1 (%d measurements)", name, ds.Len())
 		t, err := reg.CreateTenant(mcorr.TenantConfig{
 			Name:    name,
 			History: ds.Slice(timeseries.MonitoringStart, day1),

@@ -25,7 +25,6 @@ import (
 	"mcorr/internal/eval"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
-	"mcorr/internal/shard"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 
@@ -62,8 +61,6 @@ func run() error {
 		opsAddr   = flag.String("ops-addr", "", "serve ops endpoints (/metrics, /healthz, /statusz, /debug/pprof) on this address")
 		linger    = flag.Duration("ops-linger", 0, "keep the ops server up this long after the run (for scraping final state)")
 
-		shards = flag.Int("shards", 1, "partition the pair graph across this many manager shards (1 = unsharded; trajectories are bit-identical for any value)")
-
 		shardWorkers = flag.String("shard-workers", "", "comma-separated mcshard control addresses: fan scoring out to networked worker processes, which only this process needs to reach (batch mode; trajectories are bit-identical to in-process runs)")
 		printSteps   = flag.Bool("print-steps", false, "batch mode: print one STEP line per scored row, as durable mode does")
 		ckptIvl      = flag.Duration("checkpoint-interval", 0, "durable mode: also checkpoint after this much wall time (0 = off)")
@@ -89,7 +86,14 @@ func run() error {
 	if specs == nil && *dataPath == "" {
 		return fmt.Errorf("-data is required")
 	}
-	obs.RegisterBuildInfo(version, *shards)
+	var workers []string
+	if *shardWorkers != "" {
+		workers = strings.Split(*shardWorkers, ",")
+	}
+	// The shard count is the networked fleet's: scoring in this process is
+	// one manager.
+	shardCount := max(1, len(workers))
+	obs.RegisterBuildInfo(version, shardCount)
 	diagCfg := mcorr.DiagnosisConfig{OpenBelow: *incOpenBelow, OpenAfter: *incOpenAfter, MeasurementBreak: *incBreak}
 	if *opsAddr != "" {
 		ops, err := obs.ServeOps(*opsAddr)
@@ -102,9 +106,6 @@ func run() error {
 			defer time.Sleep(*linger)
 		}
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
 	if *shardWorkers != "" {
 		if specs != nil || *dataDir != "" || *loadFrom != "" || *saveTo != "" || *pairBudget != "" {
 			return fmt.Errorf("-shard-workers cannot combine with -tenant, -data-dir, -load-models, -save-models or -pair-budget")
@@ -113,7 +114,7 @@ func run() error {
 	p := runParams{
 		trainDays: *trainDays, adaptive: *adaptive,
 		threshold: *threshold, sysThresh: *sysThresh, delta: *delta,
-		holdoff: *holdoff, maxMeas: *maxMeas, shards: *shards,
+		holdoff: *holdoff, maxMeas: *maxMeas,
 		dataDir: *dataDir, durCfg: durCfg, interval: *ckptIvl, pace: *pace,
 		incident: *incident, incidentCfg: diagCfg,
 		pairBudget: *pairBudget, discCfg: discCfg,
@@ -139,13 +140,10 @@ func run() error {
 
 	var fleet mcorr.Fleet
 	var watched *timeseries.Dataset
+	if (*loadFrom != "" || *saveTo != "") && *pairBudget != "" {
+		return fmt.Errorf("-load-models and -save-models cannot combine with -pair-budget (discovery state persists via -data-dir checkpoints)")
+	}
 	if *loadFrom != "" {
-		if *shards > 1 {
-			return fmt.Errorf("-load-models requires -shards=1 (sharded fleets persist via -data-dir checkpoints)")
-		}
-		if *pairBudget != "" {
-			return fmt.Errorf("-load-models cannot combine with -pair-budget (discovery state persists via -data-dir checkpoints)")
-		}
 		mgr, err := loadModels(*loadFrom, mcfg.Sink)
 		if err != nil {
 			return err
@@ -159,17 +157,16 @@ func run() error {
 		}
 		l := watched.Len()
 		fmt.Printf("training on %s .. %s (%d measurements, %d pairs, %d shards)\n",
-			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), l, l*(l-1)/2, *shards)
+			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), l, l*(l-1)/2, shardCount)
 		if *pairBudget != "" {
 			dcfg, derr := discCfg(l)
 			if derr != nil {
 				return derr
 			}
-			if fleet, err = mcorr.NewDiscoveryFleet(watched.Slice(start, trainEnd), mcfg, dcfg, *shards); err == nil {
+			if fleet, err = mcorr.NewDiscoveryFleet(watched.Slice(start, trainEnd), mcfg, dcfg); err == nil {
 				printBudget(fleet, "")
 			}
-		} else if *shardWorkers != "" {
-			workers := strings.Split(*shardWorkers, ",")
+		} else if workers != nil {
 			fmt.Printf("fanning out to %d networked shard workers\n", len(workers))
 			dur, _ := durCfg("") // the workers' cadence is all this mode reads; it opens no WAL
 			fleet, err = mcorr.NewShardNetFleet(watched.Slice(start, trainEnd), mcorr.ShardNetConfig{
@@ -177,8 +174,6 @@ func run() error {
 				Manager:         mcfg,
 				CheckpointEvery: dur.CheckpointEvery,
 			})
-		} else if *shards > 1 {
-			fleet, err = shard.New(watched.Slice(start, trainEnd), shard.Config{Shards: *shards, Manager: mcfg})
 		} else {
 			fleet, err = manager.New(watched.Slice(start, trainEnd), mcfg)
 		}
@@ -282,10 +277,7 @@ func run() error {
 	printIncidents(diag, "")
 
 	if *saveTo != "" {
-		mgr, ok := fleet.(*manager.Manager)
-		if !ok {
-			return fmt.Errorf("-save-models requires -shards=1 (sharded fleets persist via -data-dir checkpoints)")
-		}
+		mgr := fleet.(*manager.Manager)
 		// The same container as a checkpoint, holding the manager section
 		// only: a file from another release is refused by its magic.
 		meta := manager.CheckpointMeta{CreatedAt: time.Now().UTC(), Steps: mgr.Steps()}
@@ -348,7 +340,6 @@ type runParams struct {
 	delta     float64
 	holdoff   time.Duration
 	maxMeas   int
-	shards    int
 	dataDir   string
 	interval  time.Duration
 	pace      time.Duration
@@ -433,12 +424,12 @@ func (p runParams) durability(dir string) (mcorr.DurabilityConfig, error) {
 
 // source decides what a streaming pipeline kept in dir ("" = in memory)
 // starts from and with which monitor options. A checkpoint in dir wins: the
-// history comes back nil, and the checkpoint's recorded topology and
-// discovery config are authoritative (like -shards, the -pair-budget value
-// then only marks discovery as enabled, so percentages resolve against the
-// measurement cap rather than the not-yet-known fleet). Otherwise the
-// history is the training window of the selected measurements, announced
-// with a "training on" line ending in where.
+// history comes back nil, and the checkpoint's discovery config is
+// authoritative (the -pair-budget value then only marks discovery as
+// enabled, so percentages resolve against the measurement cap rather than
+// the not-yet-known fleet). Otherwise the history is the training window of
+// the selected measurements, announced with a "training on" line ending in
+// where.
 func (p runParams) source(ds *timeseries.Dataset, start, trainEnd time.Time, dir, where string) (*timeseries.Dataset, []mcorr.MonitorOption, error) {
 	var opts []mcorr.MonitorOption
 	if p.incident {
@@ -452,9 +443,8 @@ func (p runParams) source(ds *timeseries.Dataset, start, trainEnd time.Time, dir
 			return nil, nil, err
 		}
 		history, l = watched.Slice(start, trainEnd), watched.Len()
-		fmt.Printf("training on %s .. %s (%d measurements, %d shards)%s\n",
-			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), l, p.shards, where)
-		opts = append(opts, mcorr.WithShards(p.shards))
+		fmt.Printf("training on %s .. %s (%d measurements)%s\n",
+			start.Format(time.RFC3339), trainEnd.Format(time.RFC3339), l, where)
 	}
 	if p.pairBudget != "" {
 		disc, err := p.discCfg(l)
@@ -521,8 +511,8 @@ func printSummary(pl pipeline, tenant string, alarms *alarm.MemorySink) {
 // printRecovery is the banner of a pipeline recovered from dir.
 func printRecovery(dir string, mon *mcorr.Monitor, rescored int, tenant string) {
 	applied, skipped := mon.RecoveryStats()
-	fmt.Printf("recovered from %s: %d WAL samples replayed (%d skipped), %d rows re-scored, %d shards, resuming at %s%s\n",
-		dir, applied, skipped, rescored, mon.Shards(), mon.Cursor().Format(time.RFC3339), tenantSuffix(tenant))
+	fmt.Printf("recovered from %s: %d WAL samples replayed (%d skipped), %d rows re-scored, resuming at %s%s\n",
+		dir, applied, skipped, rescored, mon.Cursor().Format(time.RFC3339), tenantSuffix(tenant))
 }
 
 // printBudget reports the discovery tier's occupancy, when there is one.

@@ -11,7 +11,6 @@ import (
 	"mcorr/internal/diagnose"
 	"mcorr/internal/discover"
 	"mcorr/internal/manager"
-	"mcorr/internal/shard"
 )
 
 // DiscoveryConfig tunes the correlation-discovery tier (see
@@ -124,54 +123,37 @@ type DiscoveryFleet interface {
 
 // NewDiscoveryFleet trains a discovery-bounded scoring fleet: the
 // discoverer bootstraps on the training history, only the admitted pairs
-// get transition models (across shards when shards > 1), and every
-// subsequent Step feeds the sketches and applies round-boundary graph
-// changes. This is the batch-flow mirror of building a Monitor with
-// WithPairBudget/WithDiscovery.
-func NewDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig, shards int) (DiscoveryFleet, error) {
-	return newDiscoveryFleet(history, cfg, dcfg, shards)
+// get transition models, and every subsequent Step feeds the sketches and
+// applies round-boundary graph changes. This is the batch-flow mirror of
+// building a Monitor with WithPairBudget/WithDiscovery.
+func NewDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig) (DiscoveryFleet, error) {
+	return newDiscoveryFleet(history, cfg, dcfg)
 }
 
-// graphFleet is what discovery needs of the fleet it bounds: the scoring
-// surface, the graph-mutation primitives, the effective configuration to
-// train admitted pairs with, and the topology views the diagnosis API
-// reads through the wrapper. *Manager and *ShardCoordinator satisfy it.
-type graphFleet interface {
-	Fleet
-	AddModel(Pair, *Model) error
-	RemovePair(Pair) bool
-	Config() ManagerConfig
-	PairStates() []manager.PairState
-	PairMeans() map[Pair]float64
-	WorstPairs(k int) []manager.PairScore
-}
-
-// discoveryFleet wraps a scoring fleet with the discovery tier: every
-// scored row also feeds the correlation sketches, and round boundaries
-// mutate the live pair graph (train+admit, evict) through the fleet's
-// graph-mutation primitives. Steps and graph mutations happen on the
-// caller's goroutine in row order, so trajectories and the graph itself
-// are deterministic functions of the row stream. Everything but Step,
-// StepValues and Run is the embedded fleet's own method.
+// discoveryFleet wraps a Manager with the discovery tier: every scored row
+// also feeds the correlation sketches, and round boundaries mutate the live
+// pair graph (train+admit, evict) through the manager's graph-mutation
+// primitives. Steps and graph mutations happen on the caller's goroutine
+// in row order, so trajectories and the graph itself are deterministic
+// functions of the row stream. Everything but Step, StepValues and Run is
+// the embedded manager's own method.
 type discoveryFleet struct {
-	graphFleet
+	*Manager
 	disc *discover.Discoverer
 	rows *manager.MapRows // Step(Row) and Run over this wrapper's StepValues
 
 	events []DiscoveryEvent
 }
 
-// wrapFleet attaches a discoverer built over the fleet's IDs() to it.
-func wrapFleet(gf graphFleet, disc *discover.Discoverer) *discoveryFleet {
-	d := &discoveryFleet{graphFleet: gf, disc: disc}
-	d.rows = manager.NewMapRows(gf.IDs(), d.StepValues)
+// wrapFleet attaches a discoverer built over the manager's IDs() to it.
+func wrapFleet(mgr *Manager, disc *discover.Discoverer) *discoveryFleet {
+	d := &discoveryFleet{Manager: mgr, disc: disc}
+	d.rows = manager.NewMapRows(mgr.IDs(), d.StepValues)
 	return d
 }
 
-// Interface proofs: the wrapper and both fleets it can wrap.
+// Interface proofs: the wrapper is a fleet and serves both diagnosis views.
 var (
-	_ graphFleet             = (*Manager)(nil)
-	_ graphFleet             = (*ShardCoordinator)(nil)
 	_ Fleet                  = (*discoveryFleet)(nil)
 	_ diagnose.FleetView     = (*discoveryFleet)(nil)
 	_ diagnose.DiscoveryView = (*discoveryFleet)(nil)
@@ -179,7 +161,7 @@ var (
 
 // newDiscoveryFleet bootstraps discovery on the training history, trains
 // models for only the admitted pairs, and wraps the resulting fleet.
-func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig, shards int) (*discoveryFleet, error) {
+func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig) (*discoveryFleet, error) {
 	ids := history.IDs()
 	disc, err := discover.New(ids, dcfg)
 	if err != nil {
@@ -194,17 +176,11 @@ func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 	for _, p := range admitted {
 		keep[p] = true
 	}
-	keepFn := func(p Pair) bool { return keep[p] }
-	var gf graphFleet
-	if shards > 1 {
-		gf, err = shard.New(history, shard.Config{Shards: shards, Manager: cfg, Keep: keepFn})
-	} else {
-		gf, err = manager.NewSubset(history, cfg, keepFn)
-	}
+	mgr, err := manager.NewSubset(history, cfg, func(p Pair) bool { return keep[p] })
 	if err != nil {
 		return nil, err
 	}
-	d := wrapFleet(gf, disc)
+	d := wrapFleet(mgr, disc)
 	// Some admitted candidates may have no trainable overlap; resync the
 	// discoverer to the pairs that actually carry a model so the graph,
 	// the checkpoint, and the budget occupancy agree.
@@ -219,22 +195,18 @@ func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 // reproduces sketches, probes and round position exactly; otherwise the
 // admitted set is resynced from the recovered pair graph with fresh
 // sketches.
-func wrapRecoveredFleet(fleet Fleet, dcfg DiscoveryConfig, state []byte) (*discoveryFleet, error) {
-	gf, ok := fleet.(graphFleet)
-	if !ok {
-		return nil, fmt.Errorf("discovery: unsupported fleet %T", fleet)
-	}
-	disc, err := discover.New(fleet.IDs(), dcfg)
+func wrapRecoveredFleet(mgr *Manager, dcfg DiscoveryConfig, state []byte) (*discoveryFleet, error) {
+	disc, err := discover.New(mgr.IDs(), dcfg)
 	if err != nil {
 		return nil, err
 	}
-	d := wrapFleet(gf, disc)
+	d := wrapFleet(mgr, disc)
 	if len(state) > 0 {
 		if err := disc.UnmarshalState(state); err != nil {
 			return nil, err
 		}
 	} else {
-		disc.SyncAdmitted(fleet.Pairs())
+		disc.SyncAdmitted(mgr.Pairs())
 	}
 	return d, nil
 }
@@ -267,11 +239,11 @@ func (d *discoveryFleet) Step(row Row) StepReport { return d.rows.Step(row) }
 
 // StepValues scores the row on the wrapped fleet, feeds it to the discovery
 // sketches, and applies any round-boundary graph changes before the next
-// row: evictions free the model (and its shard slot), admissions train a
+// row: evictions free the model, admissions train a
 // model from the discoverer's retained history window and graft it in
 // without touching neighbors.
 func (d *discoveryFleet) StepValues(t time.Time, vals []float64) StepReport {
-	report := d.graphFleet.StepValues(t, vals)
+	report := d.Manager.StepValues(t, vals)
 	if ch := d.disc.Observe(vals); !ch.Empty() {
 		d.apply(t, ch)
 	}

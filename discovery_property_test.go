@@ -9,7 +9,6 @@ import (
 	"mcorr/internal/core"
 	"mcorr/internal/manager"
 	"mcorr/internal/mathx"
-	"mcorr/internal/shard"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 )
@@ -20,7 +19,7 @@ import (
 // and its own chain state alone, so a subject fleet whose graph churns
 // must score every untouched pair bit-identically (Float64bits) to a
 // shadow fleet that never changed — including after a save/load recovery
-// cycle and, in the sharded variant, across a live reshard. (The
+// cycle. (The
 // aggregates Q^a and Q are means over the current link set, so they
 // legitimately move when the graph does; the invariant lives at the pair
 // level.)
@@ -93,7 +92,7 @@ func comparePairScores(t *testing.T, row int, survivors []manager.Pair, subject,
 	}
 }
 
-// TestGraphChurnLeavesSurvivorsBitIdentical is the unsharded property:
+// TestGraphChurnLeavesSurvivorsBitIdentical is the property on a manager:
 // the subject starts without one pair, evicts another mid-stream,
 // admits the missing one later, and round-trips through Save/LoadManager
 // — while every untouched pair tracks the shadow exactly.
@@ -167,59 +166,5 @@ func TestGraphChurnLeavesSurvivorsBitIdentical(t *testing.T) {
 	}
 	if hasVictim || !hasMissing {
 		t.Errorf("final graph: victim present=%v missing present=%v, want false/true", hasVictim, hasMissing)
-	}
-}
-
-// TestShardedGraphChurnMatchesUnshardedShadow is the sharded variant:
-// graph mutations go through the coordinator (rendezvous-hashed to a
-// shard), a live Reshard moves models between shards mid-stream, and
-// the survivors still track an unsharded, untouched shadow bit for bit.
-func TestShardedGraphChurnMatchesUnshardedShadow(t *testing.T) {
-	history, rows, cfg := propertyFixture(t)
-
-	shadow, err := manager.New(history, cfg)
-	if err != nil {
-		t.Fatalf("shadow New: %v", err)
-	}
-	defer shadow.Close()
-	all := shadow.Pairs()
-	manager.SortPairs(all)
-	victim, missing := all[0], all[1]
-	survivors := all[2:]
-
-	subject, err := shard.New(history, shard.Config{
-		Shards:  3,
-		Manager: cfg,
-		Keep:    func(p manager.Pair) bool { return p != missing },
-	})
-	if err != nil {
-		t.Fatalf("subject shard.New: %v", err)
-	}
-	defer subject.Close()
-
-	const (
-		evictAt   = 40
-		admitAt   = 140
-		reshardAt = 220
-	)
-	for i, row := range rows {
-		switch i {
-		case evictAt:
-			if !subject.RemovePair(victim) {
-				t.Fatalf("row %d: victim %s was not present", i, victim)
-			}
-		case admitAt:
-			model := trainPairModel(t, history, missing, cfg.Model)
-			if err := subject.AddModel(missing, model); err != nil {
-				t.Fatalf("row %d: AddModel(%s): %v", i, missing, err)
-			}
-		case reshardAt:
-			if _, err := subject.Reshard(2); err != nil {
-				t.Fatalf("row %d: Reshard: %v", i, err)
-			}
-		}
-		sub := subject.Step(row)
-		sh := shadow.Step(row)
-		comparePairScores(t, i, survivors, sub, sh)
 	}
 }

@@ -36,16 +36,16 @@
 // pair, Q^a and Q aggregation, localization) or Monitor (manager + store +
 // sample ingestion glue).
 //
-// # Scaling out: the sharded scoring fabric
+// # Scaling out: the networked scoring fabric
 //
-// The pair graph grows quadratically in the measurement count. WithShards
-// partitions it across N manager shards by rendezvous hashing — each shard
-// owns its models and worker pool — while a coordinator merges every
-// shard's per-pair outcomes through one central aggregation path, so the
-// Q^a/Q trajectories stay bit-identical to an unsharded run for any shard
-// count. Monitor.Reshard repartitions a live fleet without retraining or
-// disturbing the trajectory (and, on a durable monitor, checkpoints the new
-// topology at once). The Fleet interface abstracts over both shapes.
+// The pair graph grows quadratically in the measurement count. In one
+// process a single Manager scores it on a worker pool that spans every
+// core. NewShardNetFleet moves the models out of process instead: the
+// graph is partitioned by rendezvous hashing across mcshard workers, and a
+// coordinator merges every worker's per-pair outcomes through one central
+// aggregation path, so the Q^a/Q trajectories stay bit-identical to one
+// Manager's for any worker count. The Fleet interface abstracts over both
+// shapes.
 //
 // # Durability
 //
@@ -56,6 +56,5 @@
 // is logged before ingestion returns; recovery restores the
 // last checkpoint, replays the WAL tail and re-scores the recovered rows,
 // reproducing the pre-crash fitness trajectory exactly. The checkpoint is
-// one file for every fleet shape, a sharded fleet's models included. See
-// OPERATIONS.md for the runbook.
+// one file. See OPERATIONS.md for the runbook.
 package mcorr

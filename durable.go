@@ -2,13 +2,11 @@ package mcorr
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"mcorr/internal/manager"
-	"mcorr/internal/shard"
 	"mcorr/internal/tsdb"
 	"mcorr/internal/wal"
 )
@@ -28,7 +26,7 @@ const (
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
 // DurabilityConfig locates and tunes the on-disk state of a durable
-// pipeline. Layout under DataDir, the same for every fleet shape:
+// pipeline. Layout under DataDir:
 //
 //	DataDir/checkpoint   record-stream snapshot (cursor + store + fleet)
 //	DataDir/wal/         segmented write-ahead log of acked samples
@@ -36,9 +34,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // The checkpoint file is a magic, then CRC32C-framed numbered records in
 // sections (DESIGN.md §10), written and read one record (≤ 1 MiB) at a
 // time; any other format is refused with ErrCheckpointFormat. It holds the
-// whole pipeline — a sharded fleet's models included, shard after shard —
-// and is replaced by one atomic rename, so a crash at any point of a
-// checkpoint recovers from the previous one.
+// whole pipeline and is replaced by one atomic rename, so a crash at any
+// point of a checkpoint recovers from the previous one.
 type DurabilityConfig struct {
 	// DataDir is the root of the durable state (required).
 	DataDir string
@@ -76,8 +73,7 @@ func NewDurableMonitor(history *Dataset, mcfg ManagerConfig, cfg DurabilityConfi
 // the latest checkpoint, replays WAL records past the checkpoint's
 // sequence number into the store, re-scores every recovered row, and
 // returns the reports of those re-scored rows (the post-crash replay of
-// the fitness trajectory). The shard count comes from the checkpoint;
-// WithShards is ignored here. A missing checkpoint is
+// the fitness trajectory). A missing checkpoint is
 // manager.ErrNoCheckpoint — cold-start with NewDurableMonitor instead.
 func OpenDurableMonitor(cfg DurabilityConfig, sink AlarmSink, opts ...MonitorOption) (*Monitor, []StepReport, error) {
 	return assemble(nil, ManagerConfig{Sink: sink}, &cfg, opts)
@@ -110,7 +106,7 @@ func (st *pipelineState) load(cfg DurabilityConfig, sink AlarmSink, o monitorOpt
 	if err != nil || o.discovery == nil {
 		return err
 	}
-	df, err := wrapRecoveredFleet(st.fleet, *o.discovery, st.discover)
+	df, err := wrapRecoveredFleet(st.fleet.(*Manager), *o.discovery, st.discover)
 	if err != nil {
 		st.fleet.Close()
 		return fmt.Errorf("recover discovery: %w", err)
@@ -134,9 +130,8 @@ func readStoreSection(cr *manager.CheckpointReader) (*Store, error) {
 }
 
 // decode reads the sections after meta in file order, straight from the
-// open stream: the store, the small engine blobs, then the fleet one model
-// at a time — a Manager, or as many shard managers as meta.Shards says. It
-// is a function of the stream alone and yields a whole state or a typed
+// open stream: the store, the small engine blobs, then the manager one
+// model at a time. It is a function of the stream alone and yields a whole state or a typed
 // error (ErrCheckpointCorrupt) — never a fleet with fewer pairs than were
 // saved.
 func (st *pipelineState) decode(cr *manager.CheckpointReader, sink AlarmSink) (err error) {
@@ -153,25 +148,11 @@ func (st *pipelineState) decode(cr *manager.CheckpointReader, sink AlarmSink) (e
 	if err != nil {
 		return err
 	}
-	if st.meta.Shards > 0 {
-		coord, err := shard.Load(body, sink)
-		if err == nil {
-			if n := coord.NumShards(); n != st.meta.Shards {
-				coord.Close()
-				err = fmt.Errorf("%d shards where meta declares %d", n, st.meta.Shards)
-			}
-		}
-		if err != nil {
-			return manager.CorruptCheckpoint(manager.SectionManager, err)
-		}
-		st.fleet = coord
-	} else {
-		mgr, err := manager.LoadManager(body, sink)
-		if err != nil {
-			return manager.CorruptCheckpoint(manager.SectionManager, err)
-		}
-		st.fleet = mgr
+	mgr, err := manager.LoadManager(body, sink)
+	if err != nil {
+		return manager.CorruptCheckpoint(manager.SectionManager, err)
 	}
+	st.fleet = mgr
 	if err = cr.End(); err != nil {
 		st.fleet.Close()
 		st.fleet = nil
@@ -200,13 +181,6 @@ func (m *Monitor) checkpointLocked() error {
 		Steps:     m.fleet.Steps(),
 		Epoch:     epoch,
 	}
-	var saveFleet func(io.Writer) error
-	if coord := m.Coordinator(); coord != nil {
-		meta.Shards = coord.NumShards()
-		saveFleet = coord.Save
-	} else {
-		saveFleet = m.Manager().Save
-	}
 	// The store and the fleet stream straight into the file, one record at
 	// a time; only the small engine states pass through a blob (empty when
 	// the engine is absent).
@@ -231,7 +205,7 @@ func (m *Monitor) checkpointLocked() error {
 			err = cw.Blob(manager.SectionDiscover, discover)
 		}
 		if err == nil {
-			err = cw.Stream(manager.SectionManager, saveFleet)
+			err = cw.Stream(manager.SectionManager, m.Manager().Save)
 		}
 		return err
 	}); err != nil {

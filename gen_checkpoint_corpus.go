@@ -3,9 +3,8 @@
 // gen_checkpoint_corpus regenerates the checked-in seed corpus of
 // FuzzCheckpointRecords under testdata/fuzz: a real (tiny) checkpoint with
 // valid CRCs, torn and damaged variants of it, hand-built streams whose
-// headers claim far more than the input holds, copies of the real one
-// whose first model record contradicts itself, and a real two-shard one
-// beside copies whose coordinator header and shard bodies disagree. Run
+// headers claim far more than the input holds, and copies of the real one
+// whose first model record contradicts itself. Run
 // from this directory after any change to manager.CheckpointMagic or to a
 // record the file holds (`make corpus`; TestCheckpointCorpusIsCurrent fails
 // until then):
@@ -21,11 +20,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"mcorr"
 	"mcorr/internal/manager"
-	"mcorr/internal/shard"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 	"mcorr/internal/wal"
@@ -41,13 +38,6 @@ const (
 	modelHeaderNX   = 4   // uint32, NY follows
 	modelHeaderPrev = 142 // int64
 )
-
-// coordHeader mirrors the head of a saved shard.Coordinator, which gob
-// matches field by field.
-type coordHeader struct {
-	Version, Shards int
-	Agg             []byte
-}
 
 // payloads splits the record stream after the magic into its payloads.
 func payloads(data []byte) [][]byte {
@@ -212,103 +202,6 @@ func main() {
 		return index
 	})
 
-	// The sharded fleet, rebuilt by hand from what shard.Coordinator.Save
-	// writes — a header (format, shard count, aggregator), then every
-	// shard's Manager.Save — so that the header and the bodies can be made
-	// to disagree. The honest rebuild must recover like the real file (it
-	// cannot be compared to it: gob numbers types per process), or the
-	// liars below die of something other than their lie.
-	sharded := checkpoint(mcorr.WithShards(2))
-	recs := payloads(sharded)
-	at := 0
-	for string(recs[at]) != "#manager" {
-		at++
-	}
-	perShard := mcfg
-	perShard.Workers = 1 // the budget of 2, divided across 2 shards
-	shards, err := shard.Train(history, 2, perShard, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var agg bytes.Buffer
-	if err := manager.NewAggregator(history.IDs(), mcfg).Save(&agg); err != nil {
-		log.Fatal(err)
-	}
-	header := func(n int) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(coordHeader{2, n, agg.Bytes()}); err != nil {
-			log.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fleet := func(declared int, end bool, bodies ...*manager.Manager) []byte {
-		return reframe(recs[:at+1], func(rw *wal.RecordWriter) {
-			rw.WriteBlob(header(declared))
-			for _, m := range bodies {
-				if err := m.Save(rw); err != nil {
-					log.Fatal(err)
-				}
-			}
-			if end {
-				rw.Write([]byte("#end"))
-			}
-		})
-	}
-	honest, err := os.MkdirTemp("", "ckptcorpus")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(honest)
-	if err := os.WriteFile(filepath.Join(honest, "checkpoint"), fleet(2, true, shards...), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	if err := os.Mkdir(filepath.Join(honest, "wal"), 0o755); err != nil { // an empty log to replay
-		log.Fatal(err)
-	}
-	re, _, err := mcorr.OpenDurableMonitor(mcorr.DurabilityConfig{DataDir: honest, Fsync: mcorr.SyncNone}, nil)
-	if err != nil {
-		log.Fatalf("the hand-built two-shard stream does not recover (%v): bring coordHeader and fleet in line with internal/shard/persist.go", err)
-	}
-	re.Close()
-	// Three shards' worth, so that the two of them a liar keeps hold the
-	// pairs a fleet of three gives them.
-	three, err := shard.Train(history, 3, perShard, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	elsewhere := timeseries.NewDataset()
-	for _, id := range full.IDs()[3:6] {
-		elsewhere.Add(full.Get(id).Slice(timeseries.MonitoringStart, timeseries.MonitoringStart.Add(40*timeseries.SampleStep)))
-	}
-	stranger, err := manager.New(elsewhere, mcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The real two-shard file under a meta section that says three.
-	var meta manager.CheckpointMeta
-	if err := gob.NewDecoder(bytes.NewReader(recs[2])).Decode(&meta); err != nil {
-		log.Fatal(err)
-	}
-	meta.Shards = 3
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&meta); err != nil {
-		log.Fatal(err)
-	}
-	otherMeta := slices.Clone(recs) // #meta, the blob's length, its body, …
-	otherMeta[1], otherMeta[2] = u64(uint64(mbuf.Len())), mbuf.Bytes()
-	// Valid meta, empty store and blobs, and a coordinator header that asks
-	// for 2^40 shards with none behind it.
-	hugeShards := stream(struct{ Shards int }{1 << 40}, func(rw *wal.RecordWriter) {
-		rw.Write([]byte("#store"))
-		rw.Write(u64(2, 360e9, 0, 0))
-		for _, name := range []string{"#diagnose", "#discover"} {
-			rw.Write([]byte(name))
-			rw.WriteBlob(nil)
-		}
-		rw.Write([]byte("#manager"))
-		rw.WriteBlob(header(1 << 40))
-	})
-
 	write := func(name string, data []byte) {
 		d := filepath.Join("testdata", "fuzz", "FuzzCheckpointRecords")
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -332,11 +225,5 @@ func main() {
 	write("seed_model_descending_rows", descending)
 	write("seed_model_epochs_do_not_add_up", epochs)
 	write("seed_model_prev_out_of_range", prev)
-	write("seed_valid_sharded_checkpoint", sharded)
-	write("seed_huge_shard_count", hugeShards)
-	write("seed_shards_fewer_than_declared", fleet(3, true, three[:2]...))
-	write("seed_shard_other_measurements", fleet(2, true, shards[0], stranger))
-	write("seed_ends_between_shards", fleet(2, false, shards[0]))
-	write("seed_shard_count_not_metas", reframe(otherMeta, nil))
 	fmt.Println("wrote fuzz corpus to testdata/fuzz/FuzzCheckpointRecords/")
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -576,24 +575,6 @@ func (s *Server) touch(conn net.Conn, name string, samples int) {
 	if st.Name != "" {
 		obsAgentLastSeen.With(st.Name).Set(float64(st.LastFrame.UnixNano()) / 1e9)
 	}
-}
-
-// AgentStatuses snapshots the currently connected agents, sorted by name
-// then remote address.
-func (s *Server) AgentStatuses() []AgentStatus {
-	s.mu.Lock()
-	out := make([]AgentStatus, 0, len(s.conns))
-	for _, st := range s.conns {
-		out = append(out, *st)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Remote < out[j].Remote
-	})
-	return out
 }
 
 func (s *Server) countError() {

@@ -343,32 +343,3 @@ func TestAgentHeartbeatLoopExitsOnClose(t *testing.T) {
 		t.Fatal("stop hung after Close")
 	}
 }
-
-func TestAgentStatuses(t *testing.T) {
-	srv, _, addr := newTestServer(t)
-	a1, err := Dial(addr, "status-a")
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer a1.Close()
-	a2, err := Dial(addr, "status-b")
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer a2.Close()
-	if err := a1.Send(sampleBatch(7)); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		sts := srv.AgentStatuses()
-		if len(sts) == 2 && sts[0].Name == "status-a" && sts[0].Samples == 7 && sts[1].Name == "status-b" {
-			if sts[0].Remote == "" || sts[0].LastFrame.Before(sts[0].ConnectedAt) {
-				t.Fatalf("status fields wrong: %+v", sts[0])
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("statuses never settled: %+v", srv.AgentStatuses())
-}

@@ -23,7 +23,7 @@ func hammerPoints(seed int64, n int) []mathx.Point2 {
 }
 
 // TestModelConcurrentStepScoreStats hammers one adaptive model from
-// writers (Step), readers (Score, TransitionProbability, MeanFitness) and
+// writers (Step), readers (Score, TransitionProbability, a read-only replay) and
 // stat readers concurrently. Run under -race (make check) it verifies the
 // row cache is only ever touched under the model lock.
 func TestModelConcurrentStepScoreStats(t *testing.T) {
@@ -70,7 +70,7 @@ func TestModelConcurrentStepScoreStats(t *testing.T) {
 				t.Errorf("TransitionProbability: %v", err)
 				return
 			}
-			_ = model.MeanFitness(replay)
+			_ = meanFitness(model, replay)
 		}
 	}()
 	wg.Wait()

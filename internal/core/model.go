@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"mcorr/internal/mathx"
@@ -480,38 +479,4 @@ func (m *Model) TransitionProbability(i, j int) (float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.tm.Prob(i, j)
-}
-
-// MeanFitness replays pts through a read-only scoring pass (no updates)
-// and returns the average fitness — a quick offline quality measure.
-func (m *Model) MeanFitness(pts []mathx.Point2) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	prev, armed := -1, false
-	var sum float64
-	var n int
-	for _, p := range pts {
-		cell, ok := m.grid.Locate(p)
-		if !ok {
-			if armed {
-				n++ // scored as 0
-			}
-			armed = false
-			continue
-		}
-		if armed {
-			// Rank-only read: no probability is needed, so the softmax-free
-			// path performs no exponentials at all.
-			fitness, err := m.tm.FitnessAt(prev, cell)
-			if err == nil {
-				sum += fitness
-				n++
-			}
-		}
-		prev, armed = cell, true
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }

@@ -47,8 +47,8 @@ func (r UpdateRule) String() string {
 // produced on demand into one scratch buffer, bit for bit what a dense
 // matrix would hold, by replaying that history (priorRow). Reads never
 // store, so which rows exist depends on the observation history alone and
-// not on who looked at the matrix: a checkpoint, a reshard or an operator's
-// Diagnostics sweep all leave it as it was.
+// not on who looked at the matrix: a checkpoint or an operator's
+// Diagnostics sweep leaves it as it was.
 //
 // Grow does not re-lay the stored rows either: it moves them to their new
 // indices and leaves each one as it was laid out, stale, until it is next
@@ -311,7 +311,7 @@ func (tm *TransitionMatrix) Observe(i, h int) error {
 // lands on one entry. The float rounding differs from the sequential path
 // but is deterministic, and every scoring path defers self-runs through this
 // method (see Model.Step), so trajectories stay bit-identical across full
-// and incremental scoring, checkpoints, and reshards.
+// and incremental scoring and checkpoints.
 func (tm *TransitionMatrix) ObserveRun(c, count int) error {
 	if c < 0 || c >= tm.n {
 		return fmt.Errorf("observe run at cell %d in %d-cell matrix: out of range", c, tm.n)

@@ -12,8 +12,8 @@ import (
 )
 
 // FleetView is the slice of a scoring fleet the topology endpoint
-// reads. Both *manager.Manager and the sharded *shard.Coordinator
-// satisfy it.
+// reads. *manager.Manager satisfies it, on its own or behind the
+// discovery tier.
 type FleetView interface {
 	// IDs returns the watched measurements.
 	IDs() []timeseries.MeasurementID
@@ -177,9 +177,8 @@ func (a *API) serveFitness(w http.ResponseWriter, r *http.Request) {
 
 // topologyPair is one edge of the pair graph in /api/v1/topology.
 type topologyPair struct {
-	A     string `json:"a"`
-	B     string `json:"b"`
-	Shard int    `json:"shard"`
+	A string `json:"a"`
+	B string `json:"b"`
 	// Steady reports the incremental scheduler's dirty/steady state:
 	// steady pairs carry a cached outcome forward instead of re-scoring.
 	Steady bool `json:"steady"`
@@ -243,7 +242,6 @@ func (a *API) serveTopology(w http.ResponseWriter) {
 		tp := topologyPair{
 			A:       st.Pair.A.String(),
 			B:       st.Pair.B.String(),
-			Shard:   st.Shard,
 			Steady:  st.Steady,
 			Scored:  st.Scored,
 			Fitness: st.Fitness,

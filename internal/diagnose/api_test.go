@@ -22,7 +22,7 @@ func (f fakeFleet) IDs() []timeseries.MeasurementID {
 
 func (f fakeFleet) PairStates() []manager.PairState {
 	return []manager.PairState{
-		{Pair: manager.Pair{A: mCPU1, B: mNET1}, Shard: 2, Steady: true, Scored: false, Fitness: 0.83},
+		{Pair: manager.Pair{A: mCPU1, B: mNET1}, Steady: true, Scored: false, Fitness: 0.83},
 	}
 }
 
@@ -119,7 +119,7 @@ func TestAPITopology(t *testing.T) {
 		t.Fatalf("pairs = %+v", topo.Pairs)
 	}
 	p := topo.Pairs[0]
-	if p.A != "cpu@m1" || p.B != "net@m1" || p.Shard != 2 || !p.Steady || p.Scored || p.Fitness != 0.83 {
+	if p.A != "cpu@m1" || p.B != "net@m1" || !p.Steady || p.Scored || p.Fitness != 0.83 {
 		t.Errorf("pair = %+v", p)
 	}
 	if p.Mean == nil || *p.Mean != mean {

@@ -17,7 +17,7 @@
 // ship.
 //
 // The engine sits strictly off the scoring hot path: Manager.Step and
-// the sharded coordinator never call into it; the Monitor layer feeds
+// the networked coordinator never call into it; the Monitor layer feeds
 // finished StepReports to Observe after scoring completes. Digests and
 // histories are served over the ops HTTP server by API
 // (/api/v1/incidents, /api/v1/fitness, /api/v1/topology) and the whole

@@ -166,40 +166,6 @@ func (s *Sketch) Corr() (r float64, lag int) {
 	return best, bestLag
 }
 
-// Merge folds another sketch of the same shape (lags and decay) into the
-// receiver. Co-moment sums add — exact when the two sketches observed
-// disjoint halves of one stream at comparable decay age, an approximation
-// otherwise — and the value rings are taken from whichever side saw more
-// samples (ties keep the receiver's), since ring contents from different
-// shards cannot interleave meaningfully. Merging a mismatched shape is an
-// error and leaves the receiver untouched.
-func (s *Sketch) Merge(o *Sketch) error {
-	if o == nil {
-		return nil
-	}
-	if o.lags != s.lags || o.decay != s.decay {
-		return fmt.Errorf("discover: merge shape mismatch: lags %d/%d decay %g/%g",
-			s.lags, o.lags, s.decay, o.decay)
-	}
-	s.w += o.w
-	s.sx += o.sx
-	s.sy += o.sy
-	s.sxx += o.sxx
-	s.syy += o.syy
-	for i := range s.sxy {
-		s.sxy[i] += o.sxy[i]
-	}
-	if o.n > s.n {
-		copy(s.xr, o.xr)
-		copy(s.yr, o.yr)
-		copy(s.xok, o.xok)
-		copy(s.yok, o.yok)
-		s.head = o.head
-	}
-	s.n += o.n
-	return nil
-}
-
 // sketchState is the gob wire form of a Sketch.
 type sketchState struct {
 	Lags     int

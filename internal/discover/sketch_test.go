@@ -155,44 +155,3 @@ func TestSketchGobDecodeRejectsCorrupt(t *testing.T) {
 		t.Fatal("want error decoding garbage")
 	}
 }
-
-func TestSketchMergeDisjointHalves(t *testing.T) {
-	rnd := lcg(7)
-	whole := NewSketch(2, 1)
-	a := NewSketch(2, 1)
-	b := NewSketch(2, 1)
-	for i := 0; i < 120; i++ {
-		x := rnd()
-		y := 0.9*x + 0.1*rnd()
-		whole.Update(x, y)
-		if i < 60 {
-			a.Update(x, y)
-		} else {
-			b.Update(x, y)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	rw, _ := whole.Corr()
-	rm, _ := a.Corr()
-	if math.Abs(rw-rm) > 0.02 {
-		t.Fatalf("merged r = %g, whole-stream r = %g", rm, rw)
-	}
-	if a.Samples() != whole.Samples() {
-		t.Fatalf("merged samples = %d, want %d", a.Samples(), whole.Samples())
-	}
-}
-
-func TestSketchMergeShapeMismatch(t *testing.T) {
-	a := NewSketch(2, 0.97)
-	if err := a.Merge(NewSketch(3, 0.97)); err == nil {
-		t.Fatal("want lag-shape mismatch error")
-	}
-	if err := a.Merge(NewSketch(2, 0.9)); err == nil {
-		t.Fatal("want decay mismatch error")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("nil merge: %v", err)
-	}
-}

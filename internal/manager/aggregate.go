@@ -13,8 +13,8 @@ import (
 )
 
 // Outcome is one link's scoring result for a single row. It is the unit
-// the scoring fabric hands to the Aggregator: the sharded coordinator
-// scatters per-shard Outcomes into one global slice (in canonical pair
+// the scoring fabric hands to the Aggregator: the networked coordinator
+// scatters per-worker Outcomes into one global slice (in canonical pair
 // order) and aggregates them with exactly the same code path as the
 // single-manager Step, which is what makes the two modes bit-identical.
 type Outcome struct {
@@ -38,7 +38,7 @@ type Outcome struct {
 // levels — pair Q^{a,b}, measurement Q^a, system Q — maintains the
 // running means behind localization, and raises threshold alarms. It is
 // the single aggregation implementation shared by Manager.Step and the
-// sharded coordinator: both feed it the same outcomes in the same
+// networked coordinator: both feed it the same outcomes in the same
 // canonical pair order, so per-measurement sums accumulate in an
 // identical float addition order and the resulting trajectories match to
 // the last bit.
@@ -278,46 +278,6 @@ func (g *Aggregator) WorstPairs(k int) []PairScore {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score < out[j].Score
-		}
-		if out[i].Pair.A != out[j].Pair.A {
-			return out[i].Pair.A.Less(out[j].Pair.A)
-		}
-		return out[i].Pair.B.Less(out[j].Pair.B)
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// WorstPairDrops ranks links by how far their current mean fitness fell
-// below a baseline captured earlier with PairMeans — links differ in
-// intrinsic predictability, so a drop against the link's own normal level
-// localizes better than the absolute score. PairScore.Score holds the
-// drop (baseline − current), descending. Links absent from the baseline
-// are skipped.
-func (g *Aggregator) WorstPairDrops(baseline map[Pair]float64, k int) []PairScore {
-	current := g.PairMeans()
-	if current == nil || baseline == nil {
-		return nil
-	}
-	out := make([]PairScore, 0, len(current))
-	g.mu.Lock()
-	for p, cur := range current {
-		base, ok := baseline[p]
-		if !ok {
-			continue
-		}
-		n := 0
-		if acc := g.pairAcc[p]; acc != nil {
-			n = acc.N()
-		}
-		out = append(out, PairScore{Pair: p, Score: base - cur, Samples: n})
-	}
-	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
 		}
 		if out[i].Pair.A != out[j].Pair.A {
 			return out[i].Pair.A.Less(out[j].Pair.A)

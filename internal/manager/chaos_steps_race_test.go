@@ -1,7 +1,7 @@
 //go:build race
 
-package shard
+package manager
 
 // chaosSteps under the race detector: a shorter run that still crosses
-// several reshard and recovery events. See chaos_steps_test.go.
+// several recovery events. See chaos_steps_test.go.
 func chaosSteps() int { return 2_400 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package shard
+package manager
 
 // chaosSteps bounds TestIncrementalBitIdenticalUnderChaos. The plain test
 // binary runs the full ≥10k-step property (the acceptance bar for the

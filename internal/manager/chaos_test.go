@@ -1,18 +1,40 @@
-package shard
+package manager
 
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"mcorr/internal/alarm"
 	"mcorr/internal/core"
-	"mcorr/internal/manager"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 )
+
+func sameBits(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: incremental %v (%x) != full re-score %v (%x)",
+			what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func compareReports(t *testing.T, step int, got, want StepReport) {
+	t.Helper()
+	sameBits(t, fmt.Sprintf("step %d system", step), got.System, want.System)
+	if got.ScoredPairs != want.ScoredPairs {
+		t.Fatalf("step %d scored pairs = %d, want %d", step, got.ScoredPairs, want.ScoredPairs)
+	}
+	if len(got.Measurements) != len(want.Measurements) {
+		t.Fatalf("step %d measurements = %d, want %d", step, len(got.Measurements), len(want.Measurements))
+	}
+	for id, q := range want.Measurements {
+		sameBits(t, fmt.Sprintf("step %d %s", step, id), got.Measurements[id], q)
+	}
+}
 
 // sameAlarms fails the test unless the two alarm streams are identical —
 // same order, same fields, same score bits.
@@ -34,26 +56,27 @@ func sameAlarms(t *testing.T, got, want []alarm.Alarm) {
 
 // copyRow returns a deep copy of row so chaos mutations never alias the
 // original.
-func copyRow(row manager.Row) manager.Row {
+func copyRow(row Row) Row {
 	vals := make(map[timeseries.MeasurementID]float64, len(row.Values))
 	for id, v := range row.Values {
 		vals[id] = v
 	}
-	return manager.Row{Time: row.Time, Values: vals}
+	return Row{Time: row.Time, Values: vals}
 }
 
 // TestIncrementalBitIdenticalUnderChaos is the incremental scheduler's
-// property test: a sharded coordinator on the default incremental path is
-// driven through ≥10k rows of a fault-injected trace interleaved with
-// random gaps (dropped series → model resets), random value spikes
-// (outliers and adaptive grid growth), reshards to random shard counts,
-// and full save/load recovery round-trips — while a shadow unsharded
-// manager with Config.FullRescore re-scores every pair through its model
-// on every row. Every per-step Q^a and Q must match the shadow bit for
-// bit, and so must the complete alarm streams (δ > 0 keeps the
-// probability path live, so cached Outcome.Prob carry-forward is covered
-// too). This is the executable form of the carry-forward invariant: a
-// skipped pair's cached outcome is indistinguishable from re-scoring it.
+// property test: a manager on the default incremental path is driven
+// through ≥10k rows of a fault-injected trace interleaved with random gaps
+// (dropped series → model resets), random value spikes (outliers and
+// adaptive grid growth) and full Save/LoadManager recovery round-trips —
+// while a shadow manager with Config.FullRescore re-scores every pair
+// through its model on every row. Every per-step Q^a and Q must match the
+// shadow bit for bit, and so must the complete alarm streams (δ > 0 keeps
+// the probability path live, so cached Outcome.Prob carry-forward is
+// covered too). This is the executable form of the carry-forward
+// invariant: a skipped pair's cached outcome is indistinguishable from
+// re-scoring it, also right after a recovery rebuilt the runtime
+// all-dirty.
 func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
 	ds, _, err := simulator.Generate(simulator.GroupConfig{
@@ -71,7 +94,7 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	history := ds.Slice(timeseries.MonitoringStart, day1)
-	rows, err := manager.BuildRows(ds, day1, timeseries.MonitoringStart.AddDate(0, 0, 45))
+	rows, err := BuildRows(ds, day1, timeseries.MonitoringStart.AddDate(0, 0, 45))
 	if err != nil {
 		t.Fatalf("BuildRows: %v", err)
 	}
@@ -85,7 +108,7 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 	// A small grid cap keeps the adaptive growth that spikes provoke
 	// cheap (growth rebuilds are O(s²) and the property doesn't depend on
 	// grid resolution), so the 10k-step run stays fast.
-	mcfg := manager.Config{
+	mcfg := Config{
 		Model:                core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 8}},
 		Workers:              2,
 		MeasurementThreshold: 0.45,
@@ -96,7 +119,7 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 	refCfg := mcfg
 	refCfg.FullRescore = true
 	refCfg.Sink = refSink
-	ref, err := manager.New(history, refCfg)
+	ref, err := New(history, refCfg)
 	if err != nil {
 		t.Fatalf("New shadow manager: %v", err)
 	}
@@ -105,18 +128,18 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 	sink := &alarm.MemorySink{}
 	subCfg := mcfg
 	subCfg.Sink = sink
-	coord, err := New(history, Config{Shards: 2, Manager: subCfg})
+	mgr, err := New(history, subCfg)
 	if err != nil {
-		t.Fatalf("New coordinator: %v", err)
+		t.Fatalf("New manager: %v", err)
 	}
-	defer func() { coord.Close() }()
+	defer func() { mgr.Close() }()
 
 	ids := ds.IDs()
 	rng := rand.New(rand.NewSource(7))
-	minDirty := len(coord.Pairs())
+	minDirty := len(mgr.Pairs())
 	for i, row := range rows {
 		// Chaos mutations hit both sides identically — they are part of
-		// the stream, not of either scoring fabric.
+		// the stream, not of either manager.
 		if rng.Float64() < 0.02 { // monitoring gap: drop 1–3 series
 			row = copyRow(row)
 			for k := rng.Intn(3) + 1; k > 0; k-- {
@@ -130,32 +153,27 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 				row.Values[id] = v*6 + 1
 			}
 		}
-		compareReports(t, i, coord.Step(row), ref.Step(row))
-		if d := lastDirtySum(coord); d < minDirty {
+		compareReports(t, i, mgr.Step(row), ref.Step(row))
+		if d := mgr.LastDirtyPairs(); d < minDirty {
 			minDirty = d
 		}
 
-		// Fabric-only chaos: the shadow never reshards or recovers; the
-		// subject must come back bit-identical anyway.
-		if i%997 == 996 {
-			if _, err := coord.Reshard(rng.Intn(4) + 1); err != nil {
-				t.Fatalf("step %d: Reshard: %v", i, err)
-			}
-		}
-		if i%1499 == 1498 {
+		// Subject-only chaos: the shadow never recovers; the subject must
+		// come back bit-identical anyway.
+		if i%997 == 996 || i%1499 == 1498 {
 			var saved bytes.Buffer
-			if err := coord.Save(&saved); err != nil {
+			if err := mgr.Save(&saved); err != nil {
 				t.Fatalf("step %d: Save: %v", i, err)
 			}
-			coord.Close()
-			if coord, err = Load(&saved, sink); err != nil {
-				t.Fatalf("step %d: Load: %v", i, err)
+			mgr.Close()
+			if mgr, err = LoadManager(&saved, sink); err != nil {
+				t.Fatalf("step %d: LoadManager: %v", i, err)
 			}
 		}
 	}
 
-	sameBits(t, "system mean", coord.SystemMean(), ref.SystemMean())
-	gotMeans, wantMeans := coord.MeasurementMeans(), ref.MeasurementMeans()
+	sameBits(t, "system mean", mgr.SystemMean(), ref.SystemMean())
+	gotMeans, wantMeans := mgr.MeasurementMeans(), ref.MeasurementMeans()
 	for id, q := range wantMeans {
 		sameBits(t, fmt.Sprintf("mean %s", id), gotMeans[id], q)
 	}
@@ -163,21 +181,10 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 
 	// The property only has teeth if the incremental side actually
 	// skipped work somewhere along the run.
-	if coord.Steps() == 0 {
+	if mgr.Steps() == 0 {
 		t.Fatal("no steps scored")
 	}
-	if minDirty == len(coord.Pairs()) {
+	if minDirty == len(mgr.Pairs()) {
 		t.Fatalf("every row re-scored all %d pairs — incremental path never engaged", minDirty)
 	}
-}
-
-// lastDirtySum sums LastDirtyPairs across the coordinator's shards.
-func lastDirtySum(c *Coordinator) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, s := range c.shards {
-		n += s.LastDirtyPairs()
-	}
-	return n
 }

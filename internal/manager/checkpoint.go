@@ -16,11 +16,11 @@ import (
 
 // CheckpointMagic opens every checkpoint file — pipeline, worker and
 // -save-models alike. Its last digit moves whenever a record inside the
-// container changes shape or the section list does (4: a sharded fleet's
-// models moved into the manager section and the coord section went), so a
+// container changes shape or the section list does (5: the meta section
+// lost its shard count, and the manager section holds one Manager), so a
 // file from another release is refused whole as ErrCheckpointFormat instead
 // of failing somewhere inside as corrupt.
-const CheckpointMagic = "MCORCKP4"
+const CheckpointMagic = "MCORCKP5"
 
 // checkpointBuffer sizes the buffered writer and reader the file is
 // streamed through.
@@ -55,10 +55,6 @@ type CheckpointMeta struct {
 	WALSeq uint64
 	// Steps mirrors the fleet's step count (diagnostic only).
 	Steps int
-	// Shards is the shard count of a sharded fleet — the manager section
-	// then holds a saved shard.Coordinator, which must declare the same
-	// count; 0 means it holds a single saved Manager.
-	Shards int
 	// Epoch counts the checkpoints this data directory has committed; each
 	// one writes its predecessor's value plus one.
 	Epoch uint64

@@ -190,7 +190,7 @@ func TestTrajectoryIndependentOfWorkers(t *testing.T) {
 			}
 			tr.pairs = append(tr.pairs, q)
 			out := make([]Outcome, len(pairs))
-			scored.ScoreInto(vals, nil, out)
+			scored.ScoreInto(vals, out)
 			tr.outcomes = append(tr.outcomes, out)
 			tr.dirty[0] = append(tr.dirty[0], stepped.LastDirtyPairs())
 			tr.dirty[1] = append(tr.dirty[1], scored.LastDirtyPairs())

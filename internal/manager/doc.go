@@ -25,13 +25,13 @@
 // # Split score/aggregate surface
 //
 // The scoring and aggregation halves are usable separately, which is how
-// the shard package composes them: Manager.ScoreInto scores a subset of
-// the global pair list, from the same dense row, directly into a shared
-// Outcome slice at caller-chosen indices, and a standalone Aggregator (NewAggregator, or
-// Manager.Aggregator for the built-in one) folds any such slice with the
-// exact same code path Step uses. NewSubset trains a manager over a
-// filtered pair set; FromModels rebuilds one around already-trained
-// models without retraining — the resharding primitive.
+// the networked fabric (internal/shardnet) composes them: a worker's
+// Manager.ScoreInto scores its subset of the global pair list, from the
+// same dense row, into an Outcome slice, and a standalone Aggregator
+// (NewAggregator, or Manager.Aggregator for the built-in one) folds the
+// scattered outcomes of every worker with the exact same code path Step
+// uses. NewSubset trains a manager over a filtered pair set; FromModels
+// rebuilds one around already-trained models without retraining.
 //
 // # Persistence
 //
@@ -46,7 +46,7 @@
 // the durable pipeline and the shardnet workers — a magic, then
 // CRC-framed numbered records grouped into sections (meta, store,
 // diagnose, discover, manager, end) — with CheckpointMeta carrying the
-// cursor, the WAL mark, the shard count and the checkpoint's epoch;
+// cursor, the WAL mark and the checkpoint's epoch;
 // ErrCheckpointFormat and ErrCheckpointCorrupt are its typed failures.
 // Cadence decides when automatic checkpoints are due.
 package manager

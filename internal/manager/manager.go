@@ -30,8 +30,9 @@ func MakePair(a, b timeseries.MeasurementID) Pair {
 }
 
 // String renders the pair as "a ~ b". This is also the pair's canonical
-// shard key (see internal/shard): it must stay stable across releases or
-// persisted shard assignments would silently move.
+// shard key (see shardnet.Assign): it must stay stable across releases or
+// the pairs a networked worker's checkpoint holds would no longer be the
+// ones its shard is assigned.
 func (p Pair) String() string { return p.A.String() + " ~ " + p.B.String() }
 
 // Less orders pairs canonically: by A, then by B. It is the global pair
@@ -190,7 +191,7 @@ type Manager struct {
 	// Aggregator is the manager's aggregation layer — the running means,
 	// localization, drill-down, thresholds and effective Config are its
 	// methods. Shard managers built with NewSubset never feed theirs; the
-	// sharded coordinators embed a separate one.
+	// networked coordinator embeds a separate one.
 	*Aggregator
 	// MapRows is Step(Row) and Run over StepValues.
 	*MapRows
@@ -212,7 +213,6 @@ type Manager struct {
 	outcomes []Outcome     // reused every step; doubles as the carry-forward cache
 	curVals  []float64     // row being scored (the caller's, in ids order), read by pool workers
 	curDst   []Outcome     // ScoreInto destination (nil under StepValues), read by pool workers
-	curIdx   []int         // ScoreInto local→global index map
 	scoreFn  func(lo, hi int)
 	pool     *workerPool
 
@@ -223,7 +223,7 @@ type Manager struct {
 	// next Step provably repeats the cached outcome, so the pair is skipped
 	// (the model just logs the deferred update via NoteSkipped). Any rebuild
 	// of the runtime (New/NewSubset/FromModels/LoadManager, and therefore
-	// every reshard and recovery) starts all-dirty; the models re-freeze on
+	// every recovery) starts all-dirty; the models re-freeze on
 	// the first row and the caches repopulate deterministically.
 	steadyOK []bool
 	steadyB  []float64
@@ -231,7 +231,7 @@ type Manager struct {
 	// atomically per chunk, Step/ScoreInto read it after the pool drains.
 	stepSkipped uint64
 	// lastDirty is the dirty (re-scored) pair count of the last row, for
-	// the ops gauge (the coordinator sums it across shards).
+	// the ops gauge.
 	lastDirty int
 	// modelBytes is this manager's share of mcorr_manager_model_bytes.
 	modelBytes float64
@@ -336,7 +336,7 @@ func (m *Manager) Close() {
 
 // refreshModelBytes re-measures the fleet's stored matrix rows for the
 // mcorr_manager_model_bytes gauge. It runs where the models are visited
-// anyway — after training, a load or a reshard and on every Save — so the
+// anyway — after training, a load and on every Save — so the
 // Step path never pays for it.
 func (m *Manager) refreshModelBytes() {
 	m.mu.Lock()
@@ -349,8 +349,9 @@ func (m *Manager) refreshModelBytes() {
 }
 
 // publishModelBytesLocked moves the process-wide gauge by the change in
-// this manager's share, so several managers in one process (a sharded
-// fleet) add up. Callers hold m.mu.
+// this manager's share, so several managers in one process (tenants, or a
+// networked fleet's trained shards before their hand-off) add up. Callers
+// hold m.mu.
 func (m *Manager) publishModelBytesLocked(v float64) {
 	obsModelBytes.Add(v - m.modelBytes)
 	m.modelBytes = v
@@ -370,7 +371,7 @@ func (m *Manager) initRuntime() {
 	}
 	m.outcomes = make([]Outcome, len(m.pairs))
 	// All-dirty: every pair re-scores on the first row after a (re)build,
-	// which is what lets reshard and recovery skip persisting these caches.
+	// which is what lets recovery skip persisting these caches.
 	m.steadyOK = make([]bool, len(m.pairs))
 	m.steadyB = make([]float64, 4*len(m.pairs))
 	m.scoreFn = m.scoreChunk
@@ -385,7 +386,7 @@ func (m *Manager) initRuntime() {
 
 // BuildPairIndex maps each pair to the indices of its endpoints in ids
 // (−1 when an endpoint is not in ids, which skips Q^a aggregation for
-// that link). Both the Manager and the sharded coordinator derive their
+// that link). Both the Manager and the networked coordinator derive their
 // aggregation index from this one helper so the two paths cannot drift.
 func BuildPairIndex(ids []timeseries.MeasurementID, pairs []Pair) [][2]int {
 	idIndex := make(map[timeseries.MeasurementID]int, len(ids))
@@ -415,10 +416,11 @@ func New(history *timeseries.Dataset, cfg Config) (*Manager, error) {
 }
 
 // NewSubset trains a manager over only the pairs accepted by keep (nil
-// keeps every pair) — the building block of the sharded scoring fabric,
-// where each shard owns the models of its assigned pair subset. Unlike
-// New, a non-nil keep tolerates an empty resulting fleet: a shard with no
-// pairs is legal and simply scores nothing.
+// keeps every pair) — the building block of the networked scoring fabric,
+// where each shard owns the models of its assigned pair subset, and of the
+// discovery tier's bounded graph. Unlike New, a non-nil keep tolerates an
+// empty resulting fleet: a shard with no pairs is legal and simply scores
+// nothing.
 func NewSubset(history *timeseries.Dataset, cfg Config, keep func(Pair) bool) (*Manager, error) {
 	trainStart := time.Now()
 	defer func() { obsTrainSeconds.Observe(time.Since(trainStart).Seconds()) }()
@@ -481,10 +483,8 @@ func NewSubset(history *timeseries.Dataset, cfg Config, keep func(Pair) bool) (*
 }
 
 // FromModels builds a manager around an already-trained model set without
-// retraining — the resharding primitive: live models (pointers, with all
-// their adaptive state) are moved between shard managers by constructing
-// new managers over re-partitioned subsets of one model fleet. The models
-// map is copied; the *core.Model values are shared.
+// retraining. The models map is copied; the *core.Model values — live
+// models, with all their adaptive state — are shared.
 func FromModels(ids []timeseries.MeasurementID, models map[Pair]*core.Model, cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if len(ids) < 2 {
@@ -526,8 +526,7 @@ func (m *Manager) Model(a, b timeseries.MeasurementID) *core.Model {
 }
 
 // Models returns the trained model set keyed by pair. The map is a copy;
-// the model pointers are the live models (used by resharding to move
-// fleets between shard managers without losing adaptive state).
+// the model pointers are the live models.
 func (m *Manager) Models() map[Pair]*core.Model {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -540,7 +539,7 @@ func (m *Manager) Models() map[Pair]*core.Model {
 
 // AddModel grafts an already-trained model into the live pair graph
 // without touching any neighbor: the step-path state is rebuilt all-dirty
-// (the same invariant reshard and recovery rely on), so surviving pairs'
+// (the same invariant recovery relies on), so surviving pairs'
 // trajectories are unchanged bit for bit. Replacing an existing pair's
 // model is allowed. This is the discovery tier's admission primitive.
 func (m *Manager) AddModel(p Pair, model *core.Model) error {
@@ -592,7 +591,7 @@ func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {
 	obsDirtyPairs.Set(float64(m.lastDirty))
 
 	// Aggregate Q^{a,b} → Q^a → Q and publish alarms through the shared
-	// Aggregator — the exact code the sharded coordinator runs, which is
+	// Aggregator — the exact code the networked coordinator runs, which is
 	// what keeps the two modes bit-identical.
 	sp.Phase("aggregate")
 	report := m.Aggregate(t, m.pairs, m.pairIdx, m.outcomes, sp)
@@ -602,22 +601,18 @@ func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {
 }
 
 // ScoreInto scores every trained pair against the dense row vals (see
-// StepValues) on the manager's own worker pool, writing local pair i's
-// outcome into dst[globalIdx[i]] (dst[i] when globalIdx is nil). It
-// advances model state exactly like Step but performs no aggregation,
-// accumulator updates or alarms — the sharded coordinator scatters several
-// managers' outcomes into one global slice this way and aggregates them
-// centrally. Distinct managers may ScoreInto the same dst, from the same
-// vals, concurrently as long as their index sets are disjoint.
-func (m *Manager) ScoreInto(vals []float64, globalIdx []int, dst []Outcome) {
+// StepValues) on the manager's own worker pool, writing pair i's outcome
+// into dst[i]. It advances model state exactly like Step but performs no
+// aggregation, accumulator updates or alarms — a networked shard worker
+// scores its pairs this way and returns the outcomes to the coordinator,
+// which aggregates them centrally. The dirty-pair gauge is left alone: the
+// worker's pair count is not the fleet's.
+func (m *Manager) ScoreInto(vals []float64, dst []Outcome) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.curDst, m.curIdx = dst, globalIdx
-	// The dirty-pair gauge is left to the coordinator, which sums
-	// LastDirtyPairs across shards after the fan-out; per-shard Set calls
-	// would race each other to a meaningless value.
+	m.curDst = dst
 	m.scoreLocked(vals)
-	m.curDst, m.curIdx = nil, nil
+	m.curDst = nil
 }
 
 // scoreLocked scores every pair of the row on the pool and records the
@@ -653,8 +648,7 @@ func (m *Manager) LastDirtyPairs() int {
 }
 
 // scoreChunk scores pairs [lo, hi) of the current row — one claimed chunk —
-// into the carry-forward cache and, under ScoreInto, the caller's buffer at
-// translated global indices. A fleet far beyond the caches is bound by
+// into the carry-forward cache and, under ScoreInto, the caller's buffer. A fleet far beyond the caches is bound by
 // memory latency, not arithmetic: a re-scored pair first reads a model, a
 // grid and a matrix row nothing has touched since its last turn, and scored
 // one after the other those misses queue. So the chunk is walked twice: the
@@ -663,7 +657,7 @@ func (m *Manager) LastDirtyPairs() int {
 // each, must still be cached when the second pass reaches them, which is
 // what keeps claimChunk small.
 func (m *Manager) scoreChunk(lo, hi int) {
-	vals, dst, idx := m.curVals, m.curDst, m.curIdx
+	vals, dst := m.curVals, m.curDst
 	for i := lo; i < hi; i++ {
 		if va, vb := m.pairValues(i, vals); !m.carries(i, va, vb) {
 			m.modelAt[i].Warm()
@@ -673,12 +667,8 @@ func (m *Manager) scoreChunk(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		out := m.stepPairAt(i, vals, &skipped)
 		m.outcomes[i] = out
-		switch {
-		case dst == nil:
-		case idx == nil:
+		if dst != nil {
 			dst[i] = out
-		default:
-			dst[idx[i]] = out
 		}
 	}
 	if skipped > 0 {
@@ -748,14 +738,10 @@ func (m *Manager) stepPairAt(i int, vals []float64, skipped *uint64) Outcome {
 }
 
 // PairState is one link's live scheduler state, the unit of the ops
-// topology view: the pair, which shard owns it, whether the incremental
-// scheduler holds it steady (cached outcome carried forward), and its
-// last outcome.
+// topology view: the pair, whether the incremental scheduler holds it
+// steady (cached outcome carried forward), and its last outcome.
 type PairState struct {
 	Pair Pair
-	// Shard is the owning shard's index — always 0 for an unsharded
-	// Manager; the sharded coordinator rewrites it when merging.
-	Shard int
 	// Steady reports whether the pair sits in a frozen self-transition
 	// run with valid cached cell bounds (skip-eligible).
 	Steady bool

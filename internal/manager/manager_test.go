@@ -392,23 +392,6 @@ func TestWorstPairs(t *testing.T) {
 	if worst[0].Samples == 0 {
 		t.Error("samples should be counted")
 	}
-	// The robust drill-down: the link that DROPPED most against its own
-	// baseline involves the faulty measurement.
-	drops := mgr.WorstPairDrops(baseline, 5)
-	if len(drops) != 5 {
-		t.Fatalf("WorstPairDrops = %d entries", len(drops))
-	}
-	faultyID := timeseries.MeasurementID{Machine: fault.Machine, Metric: fault.Metric}
-	if drops[0].Pair.A != faultyID && drops[0].Pair.B != faultyID {
-		t.Errorf("biggest drop %s (%.3f) does not involve %s", drops[0].Pair, drops[0].Score, faultyID)
-	}
-	if drops[0].Score <= 0 {
-		t.Errorf("biggest drop should be positive, got %.3f", drops[0].Score)
-	}
-	// Nil baseline yields nil.
-	if mgr.WorstPairDrops(nil, 3) != nil {
-		t.Error("nil baseline should yield nil")
-	}
 	// Without tracking, WorstPairs is nil.
 	mgr2, ds2, _ := trainedManager(t, Config{}, 2)
 	if _, err := mgr2.Run(ds2, day1, day1.Add(5*timeseries.SampleStep)); err != nil {

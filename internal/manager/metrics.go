@@ -25,7 +25,7 @@ var (
 	obsSkippedPairs = obs.Default().Counter("mcorr_manager_skipped_pairs_total",
 		"Pair scorings skipped by the incremental scheduler because the cached steady outcome provably repeats.")
 	obsModelBytes = obs.Default().Gauge("mcorr_manager_model_bytes",
-		"Bytes a checkpoint writes for the transition-matrix rows the pair models store (8 × cells × stored rows: only rows a pair has observed a transition out of are stored; an upper bound on what they hold, as a row laid out before its pair's last grid growth holds fewer entries until its next write), summed over this process's managers as of each one's training, load, reshard or last Save.")
+		"Bytes a checkpoint writes for the transition-matrix rows the pair models store (8 × cells × stored rows: only rows a pair has observed a transition out of are stored; an upper bound on what they hold, as a row laid out before its pair's last grid growth holds fewer entries until its next write), summed over this process's managers as of each one's training, load or last Save.")
 	obsCheckpointSeconds = obs.Default().Histogram("mcorr_checkpoint_seconds",
 		"Latency of writing one durable checkpoint (snapshot encode + fsync + rename).",
 		obs.TimeBuckets())
@@ -45,13 +45,6 @@ var (
 	obsFitnessMeas = obsFitness.With("measurement")
 	obsFitnessSys  = obsFitness.With("system")
 )
-
-// RecordDirtyPairs publishes a fleet-wide dirty-pair count on the
-// mcorr_manager_dirty_pairs gauge. Manager.Step records its own count;
-// multi-manager fabrics (the sharded coordinator) sum LastDirtyPairs
-// across their managers and publish the total here instead, so the gauge
-// always reflects the whole fleet's last row.
-func RecordDirtyPairs(n int) { obsDirtyPairs.Set(float64(n)) }
 
 // RecordCheckpointEpoch publishes the epoch of the checkpoint that just
 // committed on the mcorr_checkpoint_epoch gauge (the durable monitor

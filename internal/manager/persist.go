@@ -171,57 +171,8 @@ func LoadManager(r io.Reader, sink alarm.Sink) (*Manager, error) {
 	return m, nil
 }
 
-// aggSnapshot is the gob wire form of a standalone Aggregator — the
-// sharded coordinator's durable aggregation state (the shard managers'
-// own aggregators are never fed and not persisted).
-type aggSnapshot struct {
-	Version int
-	Config  persistedConfig
-	IDs     []timeseries.MeasurementID
-	Acc     []accEntry
-	SysAcc  [3]float64
-	Steps   int
-}
-
-// Save serializes the aggregator: its measurement universe, thresholds
-// and running accumulators. The alarm sink is a live object and is not
-// serialized; LoadAggregator re-attaches one. Per-pair running means
-// (TrackPairMeans) rebuild from the stream after a restore, mirroring
-// Manager persistence.
-func (g *Aggregator) Save(w io.Writer) error {
-	g.mu.Lock()
-	snap := aggSnapshot{
-		Version: managerFormat,
-		Config:  persistConfig(g.cfg),
-		IDs:     append([]timeseries.MeasurementID(nil), g.ids...),
-	}
-	g.mu.Unlock()
-	snap.Acc, snap.SysAcc, snap.Steps = g.state()
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("aggregator save: %w", err)
-	}
-	return nil
-}
-
-// LoadAggregator restores an aggregator saved by Aggregator.Save,
-// attaching the given alarm sink (nil discards alarms).
-func LoadAggregator(r io.Reader, sink alarm.Sink) (*Aggregator, error) {
-	var snap aggSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("aggregator load: %w", err)
-	}
-	if snap.Version != managerFormat {
-		return nil, fmt.Errorf("aggregator load: snapshot version %d, want %d", snap.Version, managerFormat)
-	}
-	g := NewAggregator(snap.IDs, snap.Config.config(sink))
-	g.restore(snap.Acc, snap.SysAcc, snap.Steps)
-	return g, nil
-}
-
 // Config returns the effective configuration (with defaults applied) of
-// the aggregator and of the fleet embedding it — what the sharded
-// coordinator reads back after recovery to size its shard managers, and
-// what discovery needs to train a newly admitted pair with the exact
+// the aggregator and of the fleet embedding it — what discovery needs to train a newly admitted pair with the exact
 // settings of the existing fleet.
 func (g *Aggregator) Config() Config {
 	g.mu.Lock()

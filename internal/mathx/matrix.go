@@ -26,38 +26,6 @@ func NewMatrix(rows, cols int) (*Matrix, error) {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}, nil
 }
 
-// MatrixFromRows builds a matrix from a slice of equal-length rows.
-// The data is copied.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return &Matrix{}, nil
-	}
-	cols := len(rows[0])
-	m, err := NewMatrix(len(rows), cols)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("row %d has %d columns, want %d: %w", i, len(r), cols, ErrDimensionMismatch)
-		}
-		copy(m.Row(i), r)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) (*Matrix, error) {
-	m, err := NewMatrix(n, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 

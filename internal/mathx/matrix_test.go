@@ -9,9 +9,12 @@ import (
 
 func mustMatrix(t *testing.T, rows [][]float64) *Matrix {
 	t.Helper()
-	m, err := MatrixFromRows(rows)
+	m, err := NewMatrix(len(rows), len(rows[0]))
 	if err != nil {
-		t.Fatalf("MatrixFromRows: %v", err)
+		t.Fatalf("NewMatrix: %v", err)
+	}
+	for i, r := range rows {
+		copy(m.Row(i), r)
 	}
 	return m
 }
@@ -30,16 +33,6 @@ func TestMatrixBasics(t *testing.T) {
 	}
 	if _, err := NewMatrix(-1, 2); err == nil {
 		t.Error("NewMatrix(-1, 2): want error")
-	}
-}
-
-func TestMatrixFromRowsRagged(t *testing.T) {
-	if _, err := MatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rows: want error")
-	}
-	m, err := MatrixFromRows(nil)
-	if err != nil || m.Rows() != 0 {
-		t.Errorf("empty rows: %v, %d", err, m.Rows())
 	}
 }
 
@@ -98,25 +91,6 @@ func TestClone(t *testing.T) {
 	b.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
 		t.Error("Clone shares storage")
-	}
-}
-
-func TestIdentityMul(t *testing.T) {
-	a := mustMatrix(t, [][]float64{{2, 3}, {5, 7}})
-	id, err := Identity(2)
-	if err != nil {
-		t.Fatalf("Identity: %v", err)
-	}
-	c, err := a.Mul(id)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != a.At(i, j) {
-				t.Error("A·I != A")
-			}
-		}
 	}
 }
 

@@ -120,29 +120,6 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Quantiles returns several quantiles of v in one pass over a single sorted
-// copy; qs values outside [0, 1] yield NaN.
-func Quantiles(v []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(v) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	s := make([]float64, len(v))
-	copy(s, v)
-	sort.Float64s(s)
-	for i, q := range qs {
-		if q < 0 || q > 1 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = quantileSorted(s, q)
-	}
-	return out
-}
-
 // Online accumulates count, mean and variance incrementally using Welford's
 // algorithm. The zero value is ready to use.
 type Online struct {

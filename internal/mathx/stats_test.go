@@ -129,18 +129,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestQuantilesBatch(t *testing.T) {
-	v := []float64{4, 1, 3, 2}
-	got := Quantiles(v, 0, 1, 0.5, 2)
-	if got[0] != 1 || got[1] != 4 || !AlmostEqual(got[2], 2.5, 1e-12) || !math.IsNaN(got[3]) {
-		t.Errorf("Quantiles = %v", got)
-	}
-	empty := Quantiles(nil, 0.5)
-	if !math.IsNaN(empty[0]) {
-		t.Error("Quantiles of empty should be NaN")
-	}
-}
-
 func TestOnlineMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	v := make([]float64, 1000)

@@ -8,9 +8,10 @@ import (
 
 // RegisterBuildInfo publishes the mcorr_build_info identity gauge on the
 // process-wide registry: a constant 1 labeled with the binary's version,
-// the Go runtime version, and the configured shard count. Both binaries
-// call it once at startup; calling it again (e.g. after a reshard)
-// replaces the previous child so exactly one series is exposed.
+// the Go runtime version, and the shard count — the number of networked
+// shard workers, 1 when scoring stays in this process. Both binaries call
+// it once at startup; calling it again replaces the previous child so
+// exactly one series is exposed.
 func RegisterBuildInfo(version string, shards int) {
 	if version == "" {
 		version = "dev"

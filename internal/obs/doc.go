@@ -9,7 +9,7 @@
 // The paper's thesis is "monitor the monitors": fitness scores Q^{a,b},
 // Q^a, Q tell operators which *measurement* is sick. This package applies
 // the same discipline to the monitoring pipeline itself — every hot layer
-// (manager fleet, shard coordinator, collector server, tsdb) publishes its
+// (manager fleet, networked shard fabric, collector server, tsdb) publishes its
 // health here.
 //
 // # Naming

@@ -214,7 +214,7 @@ func writeSpansJSON(w http.ResponseWriter, r *http.Request, tracer *Tracer) {
 // shows. Each subsystem registers its metric only when linked in and
 // used, so absent rows are simply skipped.
 var fabricRows = []struct{ label, metric string }{
-	{"shards", "mcorr_shard_count"},
+	{"shard workers", "mcorr_shardnet_workers"},
 	{"dirty pairs (last row)", "mcorr_manager_dirty_pairs"},
 	{"checkpoint epoch", "mcorr_checkpoint_epoch"},
 	{"open incidents", "mcorr_incident_open"},

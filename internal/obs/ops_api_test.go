@@ -75,14 +75,14 @@ func TestStatuszFabricBlock(t *testing.T) {
 		t.Fatalf("/statusz without fabric gauges = %d:\n%s", code, body)
 	}
 
-	reg.Gauge("mcorr_shard_count", "Shards.").Set(4)
+	reg.Gauge("mcorr_shardnet_workers", "Networked shard workers.").Set(4)
 	reg.Gauge("mcorr_manager_dirty_pairs", "Dirty pairs last row.").Set(17)
 	reg.Gauge("mcorr_checkpoint_epoch", "Committed checkpoint epoch.").Set(9)
 	reg.Gauge("mcorr_incident_open", "Open incidents.").Set(1)
 
 	_, body = get(t, srv, "/statusz")
 	for _, want := range []string{
-		"fabric", "shards:", "dirty pairs (last row):", "checkpoint epoch:", "open incidents:",
+		"fabric", "shard workers:", "dirty pairs (last row):", "checkpoint epoch:", "open incidents:",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/statusz missing %q:\n%s", want, body)

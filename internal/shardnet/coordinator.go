@@ -15,7 +15,6 @@ import (
 	"mcorr/internal/collector"
 	"mcorr/internal/manager"
 	"mcorr/internal/obs"
-	"mcorr/internal/shard"
 	"mcorr/internal/timeseries"
 )
 
@@ -37,11 +36,10 @@ type Config struct {
 	// twice: one worker serves one shard. The coordinator dials them and
 	// needs no listener of its own.
 	Workers []string
-	// Manager is the shared fleet configuration, exactly as for the
-	// in-process fabric.
+	// Manager is the fleet configuration, exactly as for one Manager.
 	Manager manager.Config
-	// Keep optionally restricts the trained pair graph, as in
-	// shard.Config.
+	// Keep optionally restricts the trained pair graph: a pair is trained
+	// only when Keep accepts it. Nil keeps every pair.
 	Keep func(manager.Pair) bool
 	// CheckpointEvery is the worker checkpoint cadence in rows
 	// (default 240). The replay ring retains 4×CheckpointEvery+64 rows,
@@ -54,26 +52,35 @@ type Config struct {
 
 // Coordinator drives shard workers over the network while keeping the
 // authoritative Aggregator — and therefore the merged Q^a/Q trajectory — in
-// this process: it scores every row through the embedded shard.Fabric, the
-// round it shares with the in-process coordinator, so it satisfies the
-// same fleet surface and produces bit-identical reports. What it adds is
-// what needs a wire: connections and their handshake, the row sequence and
-// replay ring, revival of lost workers and latency tracking. Which worker
-// owns which pair is fixed at New for the coordinator's lifetime.
+// this process. Every row is one round: fan the row out to every worker,
+// scatter their per-pair outcomes into one slice in the global canonical
+// pair order, and fold that slice through the Aggregator — the code, and
+// the float addition order, of an unsharded Manager.Step, so the reports
+// are bit-identical to one manager's for any worker count. The embedded
+// Aggregator's running means, localization and drill-down, and MapRows'
+// Step(Row)/Run, are the coordinator's own methods. Which worker owns
+// which pair is fixed at New for the coordinator's lifetime.
 type Coordinator struct {
-	*shard.Fabric
+	*manager.Aggregator
+	*manager.MapRows
 
 	cfg   Config
 	log   *obs.Logger
 	runID string
 	ids   []timeseries.MeasurementID // a row frame's, and the assign's, measurement order
 
-	// mu is the step/control lock, lent to the Fabric: Step, the
-	// model-state commands, reconnection and Close serialize on it. Step
-	// holds it for a whole round, so one row is in flight per fabric and
-	// every exchange on a control connection is request/response.
-	mu     sync.Mutex
-	closed bool
+	// Fixed at New, like the partition they are derived from.
+	pairs   []manager.Pair // global canonical pair order
+	pairIdx [][2]int       // pairs[i] → indices into ids
+
+	// mu is the step/control lock: Step, the model-state commands,
+	// reconnection and Close serialize on it. Step holds it for a whole
+	// round, so one row is in flight per fabric and every exchange on a
+	// control connection is request/response.
+	mu       sync.Mutex
+	closed   bool
+	wg       sync.WaitGroup    // the round's fan-out; rounds never overlap
+	outcomes []manager.Outcome // the round's scatter buffer, in pairs order
 	// seq is the last row fanned out and merged the last row aggregated;
 	// they differ only inside a round, by the row in flight.
 	seq, merged uint64
@@ -86,11 +93,11 @@ type Coordinator struct {
 	ring        ringState
 }
 
-// workerConn is worker k's end of the fabric: its control connection and,
-// as the Fabric's Scorer, the pairs the partition assigns it. The
-// protocol is request/response, so a failed or timed-out exchange leaves
-// nothing to resynchronise on: send and read close the connection on any
-// error, and reviveLocked redials, re-handshakes and replays.
+// workerConn is worker k's end of the fabric: its control connection and
+// the pairs the partition assigns it. The protocol is request/response, so
+// a failed or timed-out exchange leaves nothing to resynchronise on: send
+// and read close the connection on any error, and reviveLocked redials,
+// re-handshakes and replays.
 type workerConn struct {
 	c     *Coordinator
 	k     int
@@ -98,15 +105,8 @@ type workerConn struct {
 	r     *bufio.Reader // the one reader of conn, replaced with it on a redial
 	dead  bool
 	pairs []manager.Pair // canonical order
-	// Where the Fabric wants the outcomes of the row in flight — kept past
-	// ScoreInto's return because a worker that dies mid-row delivers them
-	// while it is revived.
-	idx []int
-	dst []manager.Outcome
+	idx   []int          // pairs[i]'s index in the coordinator's outcomes
 }
-
-// Pairs implements shard.Scorer.
-func (wc *workerConn) Pairs() []manager.Pair { return wc.pairs }
 
 // fail closes the connection and hands err back.
 func (wc *workerConn) fail(err error) error {
@@ -187,10 +187,10 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 		cfg.CheckpointEvery = defaultCheckpointEvery
 	}
 
-	// Train every shard's subset locally — the partition and the loop of
-	// the in-process fabric — then stream each to its worker and release
-	// the local copies; from then on the workers own the live models.
-	mgrs, err := shard.Train(history, n, cfg.Manager, cfg.Keep)
+	// Train every shard's subset locally, then stream each to its worker
+	// and release the local copies; from then on the workers own the live
+	// models.
+	mgrs, err := train(history, n, cfg.Manager, cfg.Keep)
 	if err != nil {
 		return nil, fmt.Errorf("shardnet: %w", err)
 	}
@@ -199,25 +199,32 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	if _, err := rand.Read(idb[:]); err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		cfg:       cfg,
-		log:       cfg.Logger.With("component", "shardnet"),
-		runID:     hex.EncodeToString(idb[:]),
-		ids:       mgrs[0].IDs(),
-		conns:     make([]*workerConn, n),
-		baseState: mgrs,
-		lat:       make([]float64, n),
-		latSet:    make([]bool, n),
-		latGauges: make([]*obs.Gauge, n),
-	}
-	c.Fabric = shard.NewFabric(&c.mu, manager.NewAggregator(c.ids, cfg.Manager), c.StepValues, c.reviveLocked)
-	scorers := make([]shard.Scorer, n)
+	local := make([][]manager.Pair, n)
 	for k, m := range mgrs {
-		c.conns[k] = &workerConn{c: c, k: k, dead: true, pairs: m.Pairs()}
-		c.latGauges[k] = obsShardLatency.With(strconv.Itoa(k))
-		scorers[k] = c.conns[k]
+		local[k] = m.Pairs()
 	}
-	c.Rebuild(scorers)
+	pairs, localIdx := scatter(local)
+	ids := mgrs[0].IDs()
+	c := &Coordinator{
+		Aggregator: manager.NewAggregator(ids, cfg.Manager),
+		cfg:        cfg,
+		log:        cfg.Logger.With("component", "shardnet"),
+		runID:      hex.EncodeToString(idb[:]),
+		ids:        ids,
+		pairs:      pairs,
+		pairIdx:    manager.BuildPairIndex(ids, pairs),
+		outcomes:   make([]manager.Outcome, len(pairs)),
+		conns:      make([]*workerConn, n),
+		baseState:  mgrs,
+		lat:        make([]float64, n),
+		latSet:     make([]bool, n),
+		latGauges:  make([]*obs.Gauge, n),
+	}
+	c.MapRows = manager.NewMapRows(ids, c.StepValues)
+	for k := range mgrs {
+		c.conns[k] = &workerConn{c: c, k: k, dead: true, pairs: local[k], idx: localIdx[k]}
+		c.latGauges[k] = obsShardLatency.With(strconv.Itoa(k))
+	}
 
 	// Connect every worker; allow a grace window for processes still
 	// starting up.

@@ -1,4 +1,4 @@
-package shard
+package shardnet
 
 import (
 	"fmt"
@@ -49,10 +49,9 @@ func TestAssignBalance(t *testing.T) {
 	}
 }
 
-// TestAssignMinimalMovement is the property resharding relies on: growing
-// from n to n+1 shards only moves keys that land on the NEW shard — no
-// key ever migrates between two surviving shards — and the moved fraction
-// is near 1/(n+1).
+// TestAssignMinimalMovement: growing from n to n+1 shards only moves keys
+// that land on the NEW shard — no key ever migrates between two surviving
+// shards — and the moved fraction is near 1/(n+1).
 func TestAssignMinimalMovement(t *testing.T) {
 	ks := keys(6000)
 	for n := 1; n <= 7; n++ {
@@ -76,9 +75,9 @@ func TestAssignMinimalMovement(t *testing.T) {
 
 // TestAssignPinnedAssignments freezes the rendezvous placement of a
 // representative key set across every shard count 1–8. These values are
-// load-bearing beyond balance: epoch checkpoints and the networked shard
-// fabric both key worker state by Assign, so a hash change that silently
-// re-homes pairs would orphan every persisted shard directory. Any edit
+// load-bearing beyond balance: the networked shard fabric keys worker
+// state by Assign, so a hash change that silently re-homes pairs would
+// orphan every persisted shard directory. Any edit
 // to weight/Assign that alters placement must fail here loudly and be
 // shipped with a checkpoint-migration story, not slipped in.
 func TestAssignPinnedAssignments(t *testing.T) {

@@ -1,17 +1,17 @@
-// Package shardnet runs the sharded scoring fabric across processes: a
-// coordinator owning the authoritative Aggregator dials one control
-// connection per shard worker and everything travels over it in the
-// collector's frame format — the trained models, one row frame per step,
-// the worker's per-pair outcomes as a native binary frame in reply, and
-// the model-state commands. Ownership is the rendezvous partition fixed at
-// New for the coordinator's lifetime: no pair ever moves between workers.
-// Every exchange is request/response under the coordinator's step lock, so
-// only coordinator → worker reachability is needed and one row is in
-// flight per fabric. The merged Q^a/Q trajectory is bit-identical
-// (Float64bits) to the in-process fabric for any worker count: scoring
-// advances the same models in the same canonical pair order, and
-// aggregation happens once, centrally, in shard.Fabric — the round the
-// in-process shard Coordinator runs, over worker connections.
+// Package shardnet is the sharded scoring fabric, which splits a fleet's
+// model memory across processes: a coordinator owning the authoritative
+// Aggregator dials one control connection per shard worker and everything
+// travels over it in the collector's frame format — the trained models, one
+// row frame per step, the worker's per-pair outcomes as a native binary
+// frame in reply, and the model-state commands. Ownership is the
+// rendezvous partition (Assign) fixed at New for the coordinator's
+// lifetime: no pair ever moves between workers. Every exchange is
+// request/response under the coordinator's step lock, so only coordinator
+// → worker reachability is needed and one row is in flight per fabric. The
+// merged Q^a/Q trajectory is bit-identical (Float64bits) to one in-process
+// Manager for any worker count: scoring advances the same models, and
+// aggregation happens once, centrally, over the outcomes scattered into
+// the canonical pair order — the float addition order of Manager.Step.
 package shardnet
 
 import (

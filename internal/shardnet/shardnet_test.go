@@ -14,7 +14,6 @@ import (
 	"mcorr/internal/collector"
 	"mcorr/internal/core"
 	"mcorr/internal/manager"
-	"mcorr/internal/shard"
 	"mcorr/internal/simulator"
 	"mcorr/internal/testkit"
 	"mcorr/internal/timeseries"
@@ -431,66 +430,103 @@ func TestHandshakeRefusesOtherPairSet(t *testing.T) {
 	}
 }
 
-// TestFleetPartitionSurface checks Pairs, NumShards and ShardPairs — one
-// implementation, shard.Fabric's — on a fleet of either transport: the
-// shards' pair lists are a true partition of the canonical global order.
+// TestFleetPartitionSurface checks Pairs and ShardPairs: the workers'
+// pair lists are a true partition of the canonical global order, and
+// worker k holds exactly the pairs Assign gives shard k.
 func TestFleetPartitionSurface(t *testing.T) {
 	history, _ := fixtures(t, 3, 1)
 	mcfg := manager.Config{Model: tinyModel(false), Workers: 1}
-	type fleet interface {
-		NumShards() int
-		Pairs() []manager.Pair
-		ShardPairs(k int) []manager.Pair
-		Close()
+	const workers = 3
+	t.Run("networked", func(t *testing.T) {
+		c, err := New(history, Config{Workers: startFabric(t, workers).addrs, Manager: mcfg})
+		if err != nil {
+			t.Fatalf("shardnet.New: %v", err)
+		}
+		defer c.Close()
+		all := c.Pairs()
+		if len(all) == 0 || !slices.IsSortedFunc(all, func(p, q manager.Pair) int {
+			if p.Less(q) {
+				return -1
+			}
+			return 1
+		}) {
+			t.Fatalf("Pairs() is empty or not in strict canonical order: %v", all)
+		}
+		owners := make(map[manager.Pair]int)
+		for k := 0; k < workers; k++ {
+			for _, p := range c.ShardPairs(k) {
+				owners[p]++
+				if got := Assign(p.String(), workers); got != k {
+					t.Errorf("worker %d holds pair %s, which Assign gives shard %d", k, p, got)
+				}
+			}
+		}
+		if len(owners) != len(all) {
+			t.Errorf("workers hold %d distinct pairs, the fleet has %d", len(owners), len(all))
+		}
+		for _, p := range all {
+			if owners[p] != 1 {
+				t.Errorf("pair %s owned by %d workers", p, owners[p])
+			}
+		}
+		if c.ShardPairs(-1) != nil || c.ShardPairs(workers) != nil {
+			t.Error("ShardPairs out of range is not nil")
+		}
+	})
+}
+
+// TestFabricRoundScattersInCanonicalOrder states the property the
+// networked fleet's bit-identity rests on: whatever the split of the pair
+// graph over the workers, one round leaves every worker's outcome for a
+// pair at that pair's index of the global canonical order, which is the
+// order the Aggregator folds — so each pair's Q^{a,b} in the merged report
+// is bit for bit the one a single in-process Manager reports for it.
+func TestFabricRoundScattersInCanonicalOrder(t *testing.T) {
+	mcfg := manager.Config{Model: tinyModel(true), KeepPairScores: true}
+	history, rows := fixtures(t, 3, 3)
+	ref, err := manager.New(history, mcfg)
+	if err != nil {
+		t.Fatalf("manager.New: %v", err)
 	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-		build  func() (fleet, error)
-	}{
-		{"in-process", 3, func() (fleet, error) {
-			return shard.New(history, shard.Config{Shards: 3, Manager: mcfg})
-		}},
-		{"networked", 2, func() (fleet, error) {
-			return New(history, Config{Workers: startFabric(t, 2).addrs, Manager: mcfg})
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := tc.build()
-			if err != nil {
-				t.Fatalf("build: %v", err)
+	defer ref.Close()
+	const workers = 3
+	c, err := New(history, Config{Workers: startFabric(t, workers).addrs, Manager: mcfg})
+	if err != nil {
+		t.Fatalf("shardnet.New: %v", err)
+	}
+	defer c.Close()
+
+	// The split must interleave: some neighbours of the canonical order
+	// live on different workers, or the scatter is the identity map.
+	owner := make(map[manager.Pair]int)
+	for k := 0; k < workers; k++ {
+		for _, p := range c.ShardPairs(k) {
+			owner[p] = k
+		}
+	}
+	interleaved := false
+	for i := 1; i < len(c.pairs); i++ {
+		interleaved = interleaved || owner[c.pairs[i]] != owner[c.pairs[i-1]]
+	}
+	if !interleaved {
+		t.Fatal("every worker owns one run of the canonical order; the fixture tests nothing")
+	}
+	for k, wc := range c.conns {
+		for i, p := range wc.pairs {
+			if c.pairs[wc.idx[i]] != p {
+				t.Fatalf("worker %d's pair %d (%s) scatters to index %d, which holds %s", k, i, p, wc.idx[i], c.pairs[wc.idx[i]])
 			}
-			defer c.Close()
-			if got := c.NumShards(); got != tc.shards {
-				t.Fatalf("NumShards = %d, want %d", got, tc.shards)
-			}
-			all := c.Pairs()
-			if len(all) == 0 || !slices.IsSortedFunc(all, func(p, q manager.Pair) int {
-				if p.Less(q) {
-					return -1
-				}
-				return 1
-			}) {
-				t.Fatalf("Pairs() is empty or not in strict canonical order: %v", all)
-			}
-			owners := make(map[manager.Pair]int)
-			for k := 0; k < tc.shards; k++ {
-				for _, p := range c.ShardPairs(k) {
-					owners[p]++
-				}
-			}
-			if len(owners) != len(all) {
-				t.Errorf("shards hold %d distinct pairs, the fleet has %d", len(owners), len(all))
-			}
-			for _, p := range all {
-				if owners[p] != 1 {
-					t.Errorf("pair %s owned by %d shards", p, owners[p])
-				}
-			}
-			if c.ShardPairs(-1) != nil || c.ShardPairs(tc.shards) != nil {
-				t.Error("ShardPairs out of range is not nil")
-			}
-		})
+		}
+	}
+	for i, row := range rows {
+		got, want := c.Step(row), ref.Step(row)
+		if len(got.Pairs) != len(want.Pairs) {
+			t.Fatalf("step %d: %d pair scores, want %d", i, len(got.Pairs), len(want.Pairs))
+		}
+		for p, q := range want.Pairs {
+			sameBits(t, fmt.Sprintf("step %d pair %s", i, p), got.Pairs[p], q)
+		}
+		compareReports(t, i, got, want)
 	}
 }
 

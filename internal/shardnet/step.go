@@ -10,13 +10,14 @@ import (
 )
 
 // StepValues fans one synchronized row — vals in IDs() order, NaN for a
-// gap, read only until the call returns — out to every worker and merges
-// their outcomes through Fabric.Round, the in-process fabric's round:
-// worker k's ScoreInto is one exchange on its control connection, reading
-// its outcome set back into that shard's indices of the global slice. A
-// worker that dies or stalls mid-row is redialed and replayed from the ring
-// by the round's settle step, reviveLocked, so the aggregation waits until
-// every shard's outcome for this row has arrived.
+// gap, read only until the call returns — out to every worker at once,
+// worker 0 on the calling goroutine, scatters their outcomes into the
+// global canonical order and aggregates Q^{a,b} → Q^a → Q and publishes
+// alarms exactly as the single-manager path does. A worker that dies or
+// stalls mid-row is redialed and replayed from the ring by reviveLocked
+// before the aggregation, so it waits until every shard's outcome for this
+// row has arrived. The phases (score → aggregate → alarm) are traced as
+// span "shardnet.step".
 func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport {
 	start := time.Now()
 	sp := obs.StartSpan("shardnet.step")
@@ -29,7 +30,19 @@ func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport
 	c.seq++
 	c.ring.push(c.seq, encodeRowFrame(c.seq, t, vals), c.ringCap())
 	c.sent = time.Now()
-	report := c.Round(t, vals, sp)
+	sp.Phase("score")
+	for _, wc := range c.conns[1:] {
+		c.wg.Add(1)
+		go func(wc *workerConn) {
+			defer c.wg.Done()
+			wc.score()
+		}(wc)
+	}
+	c.conns[0].score()
+	c.wg.Wait()
+	c.reviveLocked()
+	sp.Phase("aggregate")
+	report := c.Aggregate(t, c.pairs, c.pairIdx, c.outcomes, sp)
 	c.merged = c.seq
 	sp.End()
 	obsRows.Add(1)
@@ -37,14 +50,14 @@ func (c *Coordinator) StepValues(t time.Time, vals []float64) manager.StepReport
 	return report
 }
 
-// ScoreInto implements shard.Scorer with one exchange on the control
+// score is worker wc.k's part of a round, one exchange on its control
 // connection: send the row in flight — it went into the ring, encoded once
-// for every worker, before the round began — and read the answer. Each
-// worker's runs on its own goroutine of the round, touching only its own
-// connection, latency slot and scatter target. A failure has closed the
-// connection, which reviveLocked then repairs, replaying the row.
-func (wc *workerConn) ScoreInto(_ []float64, idx []int, dst []manager.Outcome) {
-	wc.idx, wc.dst = idx, dst
+// for every worker, before the round began — and read the answer into the
+// worker's indices of the outcome slice. Each worker's runs on its own
+// goroutine of the round, touching only its own connection, latency slot
+// and scatter target. A failure has closed the connection, which
+// reviveLocked then repairs, replaying the row.
+func (wc *workerConn) score() {
 	if wc.dead {
 		return
 	}
@@ -58,13 +71,28 @@ func (wc *workerConn) ScoreInto(_ []float64, idx []int, dst []manager.Outcome) {
 	}
 }
 
+// Pairs returns every trained link across all workers in the global
+// canonical order.
+func (c *Coordinator) Pairs() []manager.Pair {
+	return append([]manager.Pair(nil), c.pairs...)
+}
+
+// ShardPairs returns the links owned by worker k in canonical order, or nil
+// when k is out of range.
+func (c *Coordinator) ShardPairs(k int) []manager.Pair {
+	if k < 0 || k >= len(c.conns) {
+		return nil
+	}
+	return append([]manager.Pair(nil), c.conns[k].pairs...)
+}
+
 // readOutcomes reads worker wc.k's answer to row seq — one frame, more
 // only when the set exceeds the frame limit — validating every frame
 // before it indexes anything. The answer to the row in flight is scattered
-// where the Fabric asked for it; the answers to replayed rows already
-// merged were merged before the connection was lost, so they are only
-// drained and counted. Callers hold c.mu; a round runs one call per worker
-// concurrently.
+// into the worker's indices of the outcome slice; the answers to replayed
+// rows already merged were merged before the connection was lost, so they
+// are only drained and counted. Callers hold c.mu; a round runs one call
+// per worker concurrently.
 func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 	idx := wc.idx
 	for got := 0; ; {
@@ -88,7 +116,7 @@ func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 			err = fmt.Errorf("shardnet: shard %d outcome frame at offset %d, want %d", wc.k, h.Offset, got)
 		default:
 			for i := 0; i < h.Count; i++ {
-				wc.dst[idx[got+i]] = h.At(i)
+				c.outcomes[idx[got+i]] = h.At(i)
 			}
 		}
 		if err != nil {

@@ -433,7 +433,7 @@ func (w *Worker) handleRow(sess *session, st *shardState, payload []byte) error 
 		st.dst = make([]manager.Outcome, n)
 	}
 	st.dst = st.dst[:n]
-	st.mgr.ScoreInto(st.vals, nil, st.dst)
+	st.mgr.ScoreInto(st.vals, st.dst)
 	obsWorkerRows.Add(1)
 
 	st.scoredSeq = seq

@@ -108,8 +108,8 @@ func runTriggerAfterSteps(t *testing.T, bin string, n int, trigger func(), args 
 // acceptance test: SIGKILL one mcshard worker process mid-stream, restart
 // it from its on-disk checkpoint on the same address, and require the
 // coordinator's merged %.17g STEP trajectory to be bit-identical to both
-// an uninterrupted networked run and the in-process shards=4 baseline
-// over the same data. Exactly-once outcome return is what makes this
+// an uninterrupted networked run and one in-process manager over the same
+// data. Exactly-once outcome return is what makes this
 // hold: the replayed rows' outcomes must neither skip nor double-merge.
 func TestCrashRecoveryShardWorker(t *testing.T) {
 	if testing.Short() {
@@ -131,9 +131,10 @@ func TestCrashRecoveryShardWorker(t *testing.T) {
 		"-print-steps",
 	}
 
-	// (A) Uninterrupted in-process baseline at the same shard count.
-	baseline := testkit.StepMap(testkit.Run(t, mcdetect,
-		append(append([]string(nil), baseArgs...), "-shards", fmt.Sprint(workers))...))
+	// (A) Uninterrupted in-process baseline: one manager.
+	local := testkit.Run(t, mcdetect, baseArgs...)
+	requireShardCount(t, local, 1)
+	baseline := testkit.StepMap(local)
 	if len(baseline) == 0 {
 		t.Fatal("baseline run produced no STEP lines")
 	}
@@ -152,8 +153,9 @@ func TestCrashRecoveryShardWorker(t *testing.T) {
 
 	t.Run("uninterrupted", func(t *testing.T) {
 		addrs, _ := startFleet("flat")
-		got := testkit.StepMap(testkit.Run(t, mcdetect, netArgs(addrs)...))
-		requireSameTrajectory(t, baseline, got, "uninterrupted networked run")
+		lines := testkit.Run(t, mcdetect, netArgs(addrs)...)
+		requireShardCount(t, lines, workers)
+		requireSameTrajectory(t, baseline, testkit.StepMap(lines), "uninterrupted networked run")
 	})
 
 	t.Run("worker-crash", func(t *testing.T) {
@@ -170,6 +172,22 @@ func TestCrashRecoveryShardWorker(t *testing.T) {
 		}, args...)
 		requireSameTrajectory(t, baseline, testkit.StepMap(lines), "crash-recovery networked run")
 	})
+}
+
+// requireShardCount fails unless mcdetect's training line reports n
+// shards: the networked worker count, 1 for a run in one process.
+func requireShardCount(t *testing.T, lines []string, n int) {
+	t.Helper()
+	want := fmt.Sprintf(" pairs, %d shards)", n)
+	for _, l := range lines {
+		if strings.HasPrefix(l, "training on ") {
+			if !strings.Contains(l, want) {
+				t.Fatalf("training line %q does not report %d shards", l, n)
+			}
+			return
+		}
+	}
+	t.Fatal("no training line")
 }
 
 // requireSameTrajectory fails unless got covers baseline bit for bit.

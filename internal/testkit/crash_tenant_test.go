@@ -24,15 +24,14 @@ func tenantSteps(lines []string, name string) []string {
 	return out
 }
 
-// TestCrashRecoveryTenantsSharded is the multi-tenant durability
-// acceptance test: run two tenants with disjoint workloads in ONE
-// sharded durable process, SIGKILL it mid-stream past a checkpoint,
+// TestCrashRecoveryTenants is the multi-tenant durability acceptance
+// test: run two tenants with disjoint workloads in ONE durable process, SIGKILL it mid-stream past a checkpoint,
 // restart against the same -data-dir, and require each tenant's union
 // STEP trajectory to be bit-identical to (a) the same two-tenant
 // process run uninterrupted and (b) a dedicated single-tenant process
-// fed only that tenant's workload. Tenancy, sharding and crash
-// recovery must all be invisible in the %.17g trajectories.
-func TestCrashRecoveryTenantsSharded(t *testing.T) {
+// fed only that tenant's workload. Tenancy and crash recovery must both be
+// invisible in the %.17g trajectories.
+func TestCrashRecoveryTenants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real binaries; skipped in -short")
 	}
@@ -56,7 +55,6 @@ func TestCrashRecoveryTenantsSharded(t *testing.T) {
 			"-data-dir", dataDir,
 			"-checkpoint-every", "40",
 			"-fsync", "batch",
-			"-shards", "2",
 			"-pace", pace,
 		}
 	}

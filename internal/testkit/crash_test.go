@@ -1,6 +1,7 @@
 package testkit_test
 
 import (
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -48,6 +49,21 @@ func TestCrashRecoveryReproducesTrajectory(t *testing.T) {
 	// then restart from the same data-dir and let it run to completion.
 	crashDir := filepath.Join(dir, "crash")
 	killed := testkit.RunKillAfterSteps(t, mcdetect, 60, args(crashDir, "2ms")...)
+	// The data dir holds checkpoint and wal/, plus at most the temporary of
+	// a checkpoint the kill interrupted.
+	entries, err := os.ReadDir(crashDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "checkpoint.tmp-") {
+			names = append(names, e.Name())
+		}
+	}
+	if strings.Join(names, " ") != "checkpoint wal" {
+		t.Fatalf("data dir holds %v, want checkpoint and wal", names)
+	}
 	resumed := testkit.Run(t, mcdetect, args(crashDir, "0")...)
 
 	if !containsRecoveryBanner(resumed) {

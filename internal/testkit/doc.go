@@ -7,5 +7,5 @@
 // number of STEP lines; StepMap and DiffStepMaps then compare the %.17g
 // fitness trajectories of crashed-and-recovered runs against uninterrupted
 // baselines bit for bit — the acceptance check for both the durable
-// pipeline and the sharded scoring fabric.
+// pipeline and the networked scoring fabric.
 package testkit

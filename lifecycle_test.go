@@ -1,7 +1,6 @@
 package mcorr_test
 
 import (
-	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -23,8 +22,8 @@ func wantClosed(t *testing.T, op string, err error) {
 
 // TestMonitorLifecycleIsUniform feeds the same rows through every mode a
 // pipeline can be built in — in memory, durable, durable and recovered
-// mid-stream, owned by a tenant — unsharded and over three shards, and
-// requires one trajectory from all eight. The monitors among them must also
+// mid-stream, owned by a tenant — and requires one trajectory from all
+// four. The monitors among them must also
 // share one lifecycle: Checkpoint is a nil no-op in memory and writes the
 // file when durable, Close is idempotent, and every mutating call after it
 // fails with the closed error.
@@ -60,104 +59,98 @@ func TestMonitorLifecycleIsUniform(t *testing.T) {
 		wantClosed(t, "Ingest", err)
 		_, err = mon.FlushUpTo(day1.Add((rows + 2) * timeseries.SampleStep))
 		wantClosed(t, "FlushUpTo", err)
-		_, err = mon.Reshard(2)
-		wantClosed(t, "Reshard", err)
 		wantClosed(t, "Checkpoint", mon.Checkpoint())
 	}
 
 	var want []uint64
-	for _, shards := range []int{1, 3} {
-		opt := mcorr.WithShards(shards)
-		cells := []struct {
-			name string
-			run  func(t *testing.T) []uint64
-		}{
-			{"memory", func(t *testing.T) []uint64 {
-				mon, err := mcorr.NewMonitor(history, mcfg, opt)
+	cells := []struct {
+		name string
+		run  func(t *testing.T) []uint64
+	}{
+		{"memory", func(t *testing.T) []uint64 {
+			mon, err := mcorr.NewMonitor(history, mcfg)
+			if err != nil {
+				t.Fatalf("NewMonitor: %v", err)
+			}
+			got := feed(mon, 0, rows)
+			lifecycle(t, mon, "")
+			return got
+		}},
+		{"durable", func(t *testing.T) []uint64 {
+			dir := t.TempDir()
+			mon, err := mcorr.NewDurableMonitor(history, mcfg, mcorr.DurabilityConfig{DataDir: dir, CheckpointEvery: 7, Fsync: mcorr.SyncNone})
+			if err != nil {
+				t.Fatalf("NewDurableMonitor: %v", err)
+			}
+			got := feed(mon, 0, rows)
+			lifecycle(t, mon, dir)
+			return got
+		}},
+		{"recovered", func(t *testing.T) []uint64 {
+			dcfg := mcorr.DurabilityConfig{DataDir: t.TempDir(), CheckpointEvery: 7, Fsync: mcorr.SyncNone}
+			mon, err := mcorr.NewDurableMonitor(history, mcfg, dcfg)
+			if err != nil {
+				t.Fatalf("NewDurableMonitor: %v", err)
+			}
+			got := feed(mon, 0, half)
+			if err := mon.Close(); err != nil {
+				t.Fatalf("Close mid-stream: %v", err)
+			}
+			re, replayed, err := mcorr.OpenDurableMonitor(dcfg, nil)
+			if err != nil {
+				t.Fatalf("OpenDurableMonitor: %v", err)
+			}
+			if len(replayed) != 0 {
+				t.Errorf("reopened with %d rows replayed, want 0", len(replayed))
+			}
+			got = append(got, feed(re, half, rows-half)...)
+			lifecycle(t, re, dcfg.DataDir)
+			return got
+		}},
+		{"tenant", func(t *testing.T) []uint64 {
+			reg := mcorr.NewTenantRegistry("")
+			defer reg.Close()
+			tn, err := reg.CreateTenant(mcorr.TenantConfig{Name: "cell", History: history, Manager: mcfg})
+			if err != nil {
+				t.Fatalf("CreateTenant: %v", err)
+			}
+			var got []mcorr.StepReport
+			for k := 0; k < rows; k++ {
+				rep, err := tn.Ingest(rowBatch(t, ds, day1.Add(time.Duration(k)*timeseries.SampleStep))...)
 				if err != nil {
-					t.Fatalf("NewMonitor: %v", err)
+					t.Fatalf("Tenant.Ingest row %d: %v", k, err)
 				}
-				got := feed(mon, 0, rows)
-				lifecycle(t, mon, "")
-				return got
-			}},
-			{"durable", func(t *testing.T) []uint64 {
-				dir := t.TempDir()
-				mon, err := mcorr.NewDurableMonitor(history, mcfg, mcorr.DurabilityConfig{DataDir: dir, CheckpointEvery: 7, Fsync: mcorr.SyncNone}, opt)
-				if err != nil {
-					t.Fatalf("NewDurableMonitor: %v", err)
+				got = append(got, rep...)
+			}
+			return bits(got)
+		}},
+	}
+	for _, cell := range cells {
+		t.Run(cell.name, func(t *testing.T) {
+			got := cell.run(t)
+			if len(got) != rows {
+				t.Fatalf("scored %d rows, want %d", len(got), rows)
+			}
+			if want == nil {
+				want = got
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("row %d: Q bits %x, the first cell's %x", i, got[i], want[i])
 				}
-				got := feed(mon, 0, rows)
-				lifecycle(t, mon, dir)
-				return got
-			}},
-			{"recovered", func(t *testing.T) []uint64 {
-				dcfg := mcorr.DurabilityConfig{DataDir: t.TempDir(), CheckpointEvery: 7, Fsync: mcorr.SyncNone}
-				mon, err := mcorr.NewDurableMonitor(history, mcfg, dcfg, opt)
-				if err != nil {
-					t.Fatalf("NewDurableMonitor: %v", err)
-				}
-				got := feed(mon, 0, half)
-				if err := mon.Close(); err != nil {
-					t.Fatalf("Close mid-stream: %v", err)
-				}
-				re, replayed, err := mcorr.OpenDurableMonitor(dcfg, nil)
-				if err != nil {
-					t.Fatalf("OpenDurableMonitor: %v", err)
-				}
-				if len(replayed) != 0 || re.Shards() != shards {
-					t.Errorf("reopened with %d rows replayed and %d shards, want 0 and %d", len(replayed), re.Shards(), shards)
-				}
-				got = append(got, feed(re, half, rows-half)...)
-				lifecycle(t, re, dcfg.DataDir)
-				return got
-			}},
-			{"tenant", func(t *testing.T) []uint64 {
-				reg := mcorr.NewTenantRegistry("")
-				defer reg.Close()
-				tn, err := reg.CreateTenant(mcorr.TenantConfig{Name: "cell", History: history, Manager: mcfg, Options: []mcorr.MonitorOption{opt}})
-				if err != nil {
-					t.Fatalf("CreateTenant: %v", err)
-				}
-				var got []mcorr.StepReport
-				for k := 0; k < rows; k++ {
-					rep, err := tn.Ingest(rowBatch(t, ds, day1.Add(time.Duration(k)*timeseries.SampleStep))...)
-					if err != nil {
-						t.Fatalf("Tenant.Ingest row %d: %v", k, err)
-					}
-					got = append(got, rep...)
-				}
-				return bits(got)
-			}},
-		}
-		for _, cell := range cells {
-			t.Run(fmt.Sprintf("%s/shards=%d", cell.name, shards), func(t *testing.T) {
-				got := cell.run(t)
-				if len(got) != rows {
-					t.Fatalf("scored %d rows, want %d", len(got), rows)
-				}
-				if want == nil {
-					want = got
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("row %d: Q bits %x, the first cell's %x", i, got[i], want[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestCloseLeavesNoGoroutines: closing a pipeline — a sharded monitor in
-// memory or durable, a tenant, a whole registry — ends every goroutine its
+// TestCloseLeavesNoGoroutines: closing a pipeline — a monitor in memory or
+// durable, a tenant, a whole registry — ends every goroutine its
 // construction started.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	ds, history, day1 := checkpointFixture(t, 6)
-	sharded := mcorr.WithShards(3)
 	t.Run("Monitor in memory", func(t *testing.T) {
 		leaked := testkit.GoroutineLeakCheck(t)
-		mon, err := mcorr.NewMonitor(history, mcorr.ManagerConfig{}, sharded)
+		mon, err := mcorr.NewMonitor(history, mcorr.ManagerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +162,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	})
 	t.Run("Monitor durable", func(t *testing.T) {
 		leaked := testkit.GoroutineLeakCheck(t)
-		mon, err := mcorr.NewDurableMonitor(history, mcorr.ManagerConfig{}, mcorr.DurabilityConfig{DataDir: t.TempDir()}, sharded)
+		mon, err := mcorr.NewDurableMonitor(history, mcorr.ManagerConfig{}, mcorr.DurabilityConfig{DataDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +173,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		leaked()
 	})
 	tenant := func(reg *mcorr.Registry, name string, durable bool) *mcorr.Tenant {
-		tn, err := reg.CreateTenant(mcorr.TenantConfig{Name: name, History: history, Durable: durable, Options: []mcorr.MonitorOption{sharded}})
+		tn, err := reg.CreateTenant(mcorr.TenantConfig{Name: name, History: history, Durable: durable})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"mcorr/internal/manager"
 	"mcorr/internal/mathx"
 	"mcorr/internal/obs"
-	"mcorr/internal/shard"
 	"mcorr/internal/shardnet"
 	"mcorr/internal/timeseries"
 	"mcorr/internal/tsdb"
@@ -124,12 +123,8 @@ type (
 	Pair = manager.Pair
 	// Localization ranks machines by average fitness.
 	Localization = manager.Localization
-	// ShardCoordinator is the sharded scoring fabric: the pair graph
-	// partitioned across N manager shards with centrally merged,
-	// bit-identical Q^a/Q aggregation (see WithShards).
-	ShardCoordinator = shard.Coordinator
-	// ShardNetCoordinator is the networked scoring fabric: the same
-	// partition fanned out to worker processes over one coordinator-dialled
+	// ShardNetCoordinator is the networked scoring fabric: the pair graph
+	// partitioned across worker processes, one coordinator-dialled
 	// control connection each, the workers' outcomes read back on it as
 	// native frames and merged by the same central aggregator (see
 	// NewShardNetFleet).
@@ -143,10 +138,10 @@ type (
 )
 
 // NewShardNetFleet trains the pair graph, partitions it across the
-// configured worker processes (same rendezvous assignment as WithShards),
-// dials each worker and ships it its models, and returns the coordinator.
-// Only the workers listen. The merged Q^a/Q trajectory is bit-identical
-// to the in-process fabrics for any worker count.
+// configured worker processes by rendezvous hashing, dials each worker and
+// ships it its models, and returns the coordinator. Only the workers
+// listen. The merged Q^a/Q trajectory is bit-identical to one Manager's for
+// any worker count.
 func NewShardNetFleet(history *Dataset, cfg ShardNetConfig) (*ShardNetCoordinator, error) {
 	return shardnet.New(history, cfg)
 }
@@ -158,12 +153,11 @@ func ListenShardNetWorker(addr string, cfg ShardNetWorkerConfig) (*ShardNetWorke
 	return shardnet.ListenWorker(addr, cfg)
 }
 
-// Fleet is the scoring surface shared by the single Manager, the sharded
-// ShardCoordinator and the networked ShardNetCoordinator: everything a
-// monitor needs to score rows, read the three-level fitness state, and
-// localize problems. Each embeds its *manager.Aggregator, whose methods
-// are the read half of this interface; all produce bit-identical
-// trajectories over the same rows.
+// Fleet is the scoring surface shared by the Manager and the networked
+// ShardNetCoordinator: everything a monitor needs to score rows, read the
+// three-level fitness state, and localize problems. Each embeds its
+// *manager.Aggregator, whose methods are the read half of this interface;
+// both produce bit-identical trajectories over the same rows.
 type Fleet interface {
 	// Step scores one synchronized row across every trained link. It is the
 	// boundary form (manager.MapRows): the row is converted once into the
@@ -197,18 +191,11 @@ type Fleet interface {
 	Close()
 }
 
-// Compile-time proof that every fleet shape satisfies the interface.
+// Compile-time proof that both fleet shapes satisfy the interface.
 var (
 	_ Fleet = (*Manager)(nil)
-	_ Fleet = (*ShardCoordinator)(nil)
 	_ Fleet = (*ShardNetCoordinator)(nil)
 )
-
-// ShardFor returns the shard in [0, shards) that owns the given pair
-// under the fabric's rendezvous hashing — useful for capacity planning,
-// and for finding the mcshard worker (its data-dir/shard-<k>/) that holds a
-// pair's model in a networked fleet.
-func ShardFor(p Pair, shards int) int { return shard.Assign(p.String(), shards) }
 
 // NewManager trains one model per pair of measurements in history.
 func NewManager(history *Dataset, cfg ManagerConfig) (*Manager, error) {
@@ -300,7 +287,8 @@ func ServeOps(addr string) (*OpsServer, error) { return obs.ServeOps(addr) }
 
 // RegisterBuildInfo publishes the mcorr_build_info identity gauge
 // (constant 1, labeled with the binary's version, the Go runtime version
-// and the shard count) on the process-wide registry. Call once at
+// and the networked shard count, 1 when scoring stays in this process) on
+// the process-wide registry. Call once at
 // startup; a later call replaces the previous series.
 func RegisterBuildInfo(version string, shards int) { obs.RegisterBuildInfo(version, shards) }
 
@@ -317,25 +305,17 @@ func DialCollectorTenant(addr, agentName, tenant string) (*CollectorAgent, error
 	return collector.DialTenant(addr, agentName, tenant)
 }
 
-// MonitorOption customizes monitor construction (see WithShards).
+// MonitorOption customizes monitor construction (see WithDiagnosis and
+// WithPairBudget).
 type MonitorOption func(*monitorOptions)
 
 type monitorOptions struct {
-	shards    int
 	diagnosis *DiagnosisConfig
 	discovery *DiscoveryConfig
 	// tenantOwned suppresses the monitor-level /api/v1/ registration: a
 	// tenant's monitor must not shadow the registry-wide TenantAPI that
 	// dispatches to every tenant by name (see ownedByTenant).
 	tenantOwned bool
-}
-
-// WithShards partitions the monitor's pair graph across n manager shards
-// (the sharded scoring fabric; see ShardCoordinator). n <= 1 keeps the
-// single-manager path. Fitness trajectories are bit-identical for every
-// shard count.
-func WithShards(n int) MonitorOption {
-	return func(o *monitorOptions) { o.shards = n }
 }
 
 // Monitor is the streaming pipeline of one monitored system, the same type
@@ -393,8 +373,9 @@ var errMonitorClosed = errors.New("monitor: closed")
 func (m *Monitor) durable() bool { return m.log != nil }
 
 // NewMonitor trains a scoring fleet on history and returns an in-memory
-// monitor whose cursor starts at the end of the history window. By default
-// the fleet is one Manager; WithShards(n) partitions it across n shards.
+// monitor whose cursor starts at the end of the history window. The fleet
+// is one Manager, behind the discovery tier when WithPairBudget or
+// WithDiscovery asks for one.
 func NewMonitor(history *Dataset, cfg ManagerConfig, opts ...MonitorOption) (*Monitor, error) {
 	m, _, err := assemble(history, cfg, nil, opts)
 	return m, err
@@ -503,7 +484,8 @@ func assemble(history *Dataset, mcfg ManagerConfig, dur *DurabilityConfig, opts 
 }
 
 // train fills st with a fresh pipeline's starting state: a fleet trained on
-// history — one manager, n shards, or the pairs discovery admits — an empty
+// history — one manager over every pair or over the pairs discovery
+// admits — an empty
 // store on history's grid and the cursor at the end of the window.
 func (st *pipelineState) train(history *Dataset, cfg ManagerConfig, o monitorOptions) (err error) {
 	ids := history.IDs()
@@ -513,37 +495,26 @@ func (st *pipelineState) train(history *Dataset, cfg ManagerConfig, o monitorOpt
 	if st.store, err = tsdb.NewStore(history.Get(ids[0]).Step, 0); err != nil {
 		return err
 	}
-	switch {
-	case o.discovery != nil:
-		st.fleet, err = newDiscoveryFleet(history, cfg, *o.discovery, o.shards)
-	case o.shards > 1:
-		st.fleet, err = shard.New(history, shard.Config{Shards: o.shards, Manager: cfg})
-	default:
+	if o.discovery != nil {
+		st.fleet, err = newDiscoveryFleet(history, cfg, *o.discovery)
+	} else {
 		st.fleet, err = manager.New(history, cfg)
 	}
 	st.meta.Cursor = datasetEnd(history)
 	return err
 }
 
-// Fleet exposes the scoring fleet (a *Manager or a *ShardCoordinator,
-// behind the discovery wrapper when one is configured).
+// Fleet exposes the scoring fleet (the Manager, behind the discovery
+// wrapper when one is configured).
 func (m *Monitor) Fleet() Fleet { return m.fleet }
 
-// Manager exposes the underlying model fleet when the monitor is
-// unsharded; it returns nil for a sharded monitor (use Fleet, or
-// Coordinator for the shard-specific surface).
-func (m *Monitor) Manager() *Manager {
-	mgr, _ := m.modelFleet().(*Manager)
-	return mgr
-}
-
-// modelFleet returns the fleet that owns the models: the monitor's own, or
+// Manager exposes the manager that owns the models: the fleet itself, or
 // the one its discovery tier bounds.
-func (m *Monitor) modelFleet() Fleet {
+func (m *Monitor) Manager() *Manager {
 	if df, ok := m.fleet.(*discoveryFleet); ok {
-		return df.graphFleet
+		return df.Manager
 	}
-	return m.fleet
+	return m.fleet.(*Manager)
 }
 
 // Discovery exposes the discovery-bounded fleet surface, or nil when the
@@ -555,47 +526,9 @@ func (m *Monitor) Discovery() DiscoveryFleet {
 	return nil
 }
 
-// Coordinator exposes the sharded fabric, or nil when unsharded.
-func (m *Monitor) Coordinator() *ShardCoordinator {
-	coord, _ := m.modelFleet().(*ShardCoordinator)
-	return coord
-}
-
 // Diagnosis exposes the incident diagnosis engine, or nil when the
 // monitor was built without WithDiagnosis.
 func (m *Monitor) Diagnosis() *DiagnosisEngine { return m.diag }
-
-// Shards returns the monitor's current shard count (1 when unsharded).
-func (m *Monitor) Shards() int {
-	if coord := m.Coordinator(); coord != nil {
-		return coord.NumShards()
-	}
-	return 1
-}
-
-// Reshard repartitions a sharded monitor across n shards without
-// retraining or disturbing the fitness trajectory (see
-// ShardCoordinator.Reshard). It returns the number of pair models that
-// changed owner, and an error on an unsharded monitor. A durable monitor
-// immediately checkpoints the new topology; the checkpoint is one file
-// replaced by one rename, so a crash during resharding recovers the old
-// topology and a crash after it recovers the new one — never a mix.
-func (m *Monitor) Reshard(n int) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0, errMonitorClosed
-	}
-	coord := m.Coordinator()
-	if coord == nil {
-		return 0, fmt.Errorf("monitor: not sharded; construct with WithShards to reshard")
-	}
-	moved, err := coord.Reshard(n)
-	if err != nil {
-		return moved, err
-	}
-	return moved, m.checkpointLocked()
-}
 
 // Cursor returns the timestamp of the next row the monitor will score —
 // after recovery, the point a feeder should resume streaming from.

@@ -12,7 +12,6 @@ import (
 	"mcorr"
 	"mcorr/internal/core"
 	"mcorr/internal/manager"
-	"mcorr/internal/shard"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
 )
@@ -127,13 +126,6 @@ func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
 			}
 			return m
 		}, graphChurn},
-		{"shards=3", func(t *testing.T) mcorr.Fleet {
-			c, err := shard.New(history, shard.Config{Shards: 3, Manager: cfg, Keep: keep})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}, graphChurn},
 		{"shardnet=2", func(t *testing.T) mcorr.Fleet {
 			addrs := make([]string, 2)
 			for k := range addrs {
@@ -157,7 +149,7 @@ func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
 			df, err := mcorr.NewDiscoveryFleet(history, cfg, mcorr.DiscoveryConfig{
 				Budget: 20, TopK: 8, RoundRows: 20, ProbeBatch: 100, MinEffSamples: 3,
 				AdmitAbove: 0.1, EvictBelow: 0.99, EvictAfter: 1, Decay: 0.8, Lags: 1,
-			}, 1)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

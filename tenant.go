@@ -69,8 +69,8 @@ type TenantConfig struct {
 	// Durability tunes checkpoint cadence and WAL fsync for a durable
 	// tenant. DataDir is derived from the registry and ignored here.
 	Durability DurabilityConfig
-	// Options customize the monitor (shards, score queue, diagnosis,
-	// discovery) exactly as for NewMonitor.
+	// Options customize the monitor (diagnosis, discovery) exactly as for
+	// NewMonitor.
 	Options []MonitorOption
 	// OnReport, when set, receives every finished StepReport (including
 	// rows re-scored during recovery ingest) under the tenant's lock, in

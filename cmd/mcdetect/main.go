@@ -322,13 +322,6 @@ func worstPairs(fleet mcorr.Fleet, k int) []manager.PairScore {
 	return wp.WorstPairs(k)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // runParams carries the flags the modes share: the training window, the
 // fleet configuration and — for the two streaming modes — durability,
 // diagnosis and discovery.

@@ -18,12 +18,6 @@ import (
 // the admission/eviction policy over the bounded pair graph.
 type DiscoveryConfig = discover.Config
 
-// Discovery method constants (see discover.Method).
-const (
-	DiscoverPearson  = discover.Pearson
-	DiscoverSpearman = discover.Spearman
-)
-
 // DiscoveryEvent records one discovery round that changed the pair graph.
 type DiscoveryEvent struct {
 	// Time is the timestamp of the row whose round boundary decided the

@@ -41,8 +41,7 @@ func propertyFixture(t *testing.T) (history *timeseries.Dataset, rows []manager.
 		t.Fatalf("BuildRows: %v", err)
 	}
 	cfg = manager.Config{
-		Model:          core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 12}},
-		KeepPairScores: true,
+		Model: core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 12}},
 	}
 	return history, rows, cfg
 }
@@ -75,19 +74,31 @@ func trainPairModel(t *testing.T, history *timeseries.Dataset, p manager.Pair, c
 	return model
 }
 
-// comparePairScores asserts that every survivor scored by the shadow on
-// this row was scored bit-identically by the subject.
-func comparePairScores(t *testing.T, row int, survivors []manager.Pair, subject, shadow manager.StepReport) {
+// comparePairScores asserts that every survivor left this row in the same
+// state in subject and shadow (PairStates after the row): scored by both or
+// by neither, with bit-identical Q^{a,b}.
+func comparePairScores(t *testing.T, row int, survivors []manager.Pair, subject, shadow []manager.PairState) {
 	t.Helper()
-	for _, p := range survivors {
-		want, inShadow := shadow.Pairs[p]
-		got, inSubject := subject.Pairs[p]
-		if inShadow != inSubject {
-			t.Fatalf("row %d: pair %s scored in shadow=%v subject=%v", row, p, inShadow, inSubject)
+	byPair := func(states []manager.PairState) map[manager.Pair]manager.PairState {
+		out := make(map[manager.Pair]manager.PairState, len(states))
+		for _, st := range states {
+			out[st.Pair] = st
 		}
-		if inShadow && math.Float64bits(got) != math.Float64bits(want) {
+		return out
+	}
+	sub, sh := byPair(subject), byPair(shadow)
+	for _, p := range survivors {
+		want, inShadow := sh[p]
+		got, inSubject := sub[p]
+		if !inShadow || !inSubject {
+			t.Fatalf("row %d: survivor %s in shadow=%v subject=%v", row, p, inShadow, inSubject)
+		}
+		if got.Scored != want.Scored {
+			t.Fatalf("row %d: pair %s scored in shadow=%v subject=%v", row, p, want.Scored, got.Scored)
+		}
+		if math.Float64bits(got.Fitness) != math.Float64bits(want.Fitness) {
 			t.Fatalf("row %d: pair %s diverged: subject %.17g (%016x) shadow %.17g (%016x)",
-				row, p, got, math.Float64bits(got), want, math.Float64bits(want))
+				row, p, got.Fitness, math.Float64bits(got.Fitness), want.Fitness, math.Float64bits(want.Fitness))
 		}
 	}
 }
@@ -151,9 +162,9 @@ func TestGraphChurnLeavesSurvivorsBitIdentical(t *testing.T) {
 				t.Fatalf("row %d: LoadManager: %v", i, err)
 			}
 		}
-		sub := subject.Step(row)
-		sh := shadow.Step(row)
-		comparePairScores(t, i, survivors, sub, sh)
+		subject.Step(row)
+		shadow.Step(row)
+		comparePairScores(t, i, survivors, subject.PairStates(), shadow.PairStates())
 	}
 
 	// The churned pairs ended where the mutations left them: victim out,

@@ -48,7 +48,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	li, err := baseline.TrainLinearInvariant(history, baseline.LinearConfig{})
+	li, err := baseline.TrainLinearInvariant(history)
 	if err != nil {
 		return err
 	}

@@ -23,34 +23,25 @@ type PairDetector interface {
 
 // LinearInvariant is the ARX linear-invariant baseline.
 type LinearInvariant struct {
-	coef     []float64
-	resStd   float64
-	fit      mathx.LinearFit
-	gate     float64
-	prev     mathx.Point2
-	armed    bool
-	r2       float64
-	minValid float64
+	coef   []float64
+	resStd float64
+	fit    mathx.LinearFit
+	prev   mathx.Point2
+	armed  bool
+	r2     float64
 }
 
-// LinearConfig controls TrainLinearInvariant.
-type LinearConfig struct {
-	// GateSigmas is the residual band half-width in residual standard
-	// deviations; the score decays linearly to 0 at the gate. Default 4.
-	GateSigmas float64
-	// MinR2 is the training fit quality below which the pair is declared
-	// to hold no linear invariant (Valid() returns false). Default 0.5.
-	MinR2 float64
-}
+const (
+	// linearGateSigmas is the residual band half-width in residual
+	// standard deviations; the score decays linearly to 0 at the gate.
+	linearGateSigmas = 4
+	// linearMinR2 is the training fit quality below which the pair is
+	// declared to hold no linear invariant (Valid() returns false).
+	linearMinR2 = 0.5
+)
 
 // TrainLinearInvariant fits the ARX model on history points.
-func TrainLinearInvariant(history []mathx.Point2, cfg LinearConfig) (*LinearInvariant, error) {
-	if cfg.GateSigmas <= 0 {
-		cfg.GateSigmas = 4
-	}
-	if cfg.MinR2 <= 0 {
-		cfg.MinR2 = 0.5
-	}
+func TrainLinearInvariant(history []mathx.Point2) (*LinearInvariant, error) {
 	if len(history) < 8 {
 		return nil, fmt.Errorf("linear invariant needs at least 8 points, got %d", len(history))
 	}
@@ -75,7 +66,7 @@ func TrainLinearInvariant(history []mathx.Point2, cfg LinearConfig) (*LinearInva
 		d := ys[t] - my
 		sst += d * d
 	}
-	li := &LinearInvariant{coef: coef, resStd: res.StdDev(), gate: cfg.GateSigmas, minValid: cfg.MinR2}
+	li := &LinearInvariant{coef: coef, resStd: res.StdDev()}
 	if sst > 0 {
 		li.r2 = 1 - sse/sst
 	} else {
@@ -101,10 +92,10 @@ func (l *LinearInvariant) R2() float64 { return l.r2 }
 
 // Valid reports whether the pair actually holds a linear invariant worth
 // monitoring (the cited systems prune low-quality invariants).
-func (l *LinearInvariant) Valid() bool { return l.r2 >= l.minValid }
+func (l *LinearInvariant) Valid() bool { return l.r2 >= linearMinR2 }
 
 // Step implements PairDetector: score 1 at zero residual, decaying
-// linearly to 0 at GateSigmas residual standard deviations.
+// linearly to 0 at linearGateSigmas residual standard deviations.
 func (l *LinearInvariant) Step(p mathx.Point2) (float64, bool) {
 	if !l.armed {
 		l.prev = p
@@ -114,7 +105,7 @@ func (l *LinearInvariant) Step(p mathx.Point2) (float64, bool) {
 	pred := mathx.PredictARX(l.coef, p.X, l.prev.X, l.prev.Y)
 	r := math.Abs(p.Y - pred)
 	l.prev = p
-	score := 1 - r/(l.gate*l.resStd)
+	score := 1 - r/(linearGateSigmas*l.resStd)
 	return mathx.Clamp(score, 0, 1), true
 }
 
@@ -124,17 +115,17 @@ func (l *LinearInvariant) Reset() { l.armed = false }
 // GMMEllipse is the Gaussian-mixture ellipse baseline.
 type GMMEllipse struct {
 	mixture *mathx.GMM2
-	gate    float64
 }
+
+// gmmGate is the squared-Mahalanobis boundary of "inside the ellipse":
+// χ², 2 dof, 99%.
+const gmmGate = 9.21
 
 // GMMEllipseConfig controls TrainGMMEllipse.
 type GMMEllipseConfig struct {
 	// Components is the mixture size; default 3 (the cited work uses a
 	// handful of clusters).
 	Components int
-	// Gate is the squared-Mahalanobis boundary of "inside the ellipse";
-	// default 9.21 (χ², 2 dof, 99%).
-	Gate float64
 	// Seed seeds EM initialization.
 	Seed int64
 }
@@ -144,14 +135,11 @@ func TrainGMMEllipse(history []mathx.Point2, cfg GMMEllipseConfig) (*GMMEllipse,
 	if cfg.Components <= 0 {
 		cfg.Components = 3
 	}
-	if cfg.Gate <= 0 {
-		cfg.Gate = 9.21
-	}
 	m, err := mathx.FitGMM2(history, mathx.GMMConfig{Components: cfg.Components, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("gmm ellipse: %w", err)
 	}
-	return &GMMEllipse{mixture: m, gate: cfg.Gate}, nil
+	return &GMMEllipse{mixture: m}, nil
 }
 
 var _ PairDetector = (*GMMEllipse)(nil)
@@ -167,10 +155,10 @@ func (g *GMMEllipse) Mixture() *mathx.GMM2 { return g.mixture }
 // is purely spatial, so every observation is scored.
 func (g *GMMEllipse) Step(p mathx.Point2) (float64, bool) {
 	d := g.mixture.MinMahalanobis(p)
-	if d <= g.gate {
+	if d <= gmmGate {
 		return 1, true
 	}
-	return mathx.Clamp(g.gate/d, 0, 1), true
+	return mathx.Clamp(gmmGate/d, 0, 1), true
 }
 
 // Reset implements PairDetector (no stream state).

@@ -42,17 +42,17 @@ func arbitraryPair(rng *rand.Rand, n int) []mathx.Point2 {
 }
 
 func TestLinearInvariantTrainValidation(t *testing.T) {
-	if _, err := TrainLinearInvariant(nil, LinearConfig{}); err == nil {
+	if _, err := TrainLinearInvariant(nil); err == nil {
 		t.Error("empty history: want error")
 	}
-	if _, err := TrainLinearInvariant(make([]mathx.Point2, 5), LinearConfig{}); err == nil {
+	if _, err := TrainLinearInvariant(make([]mathx.Point2, 5)); err == nil {
 		t.Error("too few points: want error")
 	}
 }
 
 func TestLinearInvariantDetectsResidualBreak(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	li, err := TrainLinearInvariant(linearPair(rng, 2000), LinearConfig{})
+	li, err := TrainLinearInvariant(linearPair(rng, 2000))
 	if err != nil {
 		t.Fatalf("TrainLinearInvariant: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestLinearInvariantDetectsResidualBreak(t *testing.T) {
 
 func TestLinearInvariantFirstStepUnscored(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	li, err := TrainLinearInvariant(linearPair(rng, 500), LinearConfig{})
+	li, err := TrainLinearInvariant(linearPair(rng, 500))
 	if err != nil {
 		t.Fatalf("TrainLinearInvariant: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestLinearInvariantFirstStepUnscored(t *testing.T) {
 
 func TestLinearInvariantInvalidOnArbitraryPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	li, err := TrainLinearInvariant(arbitraryPair(rng, 3000), LinearConfig{})
+	li, err := TrainLinearInvariant(arbitraryPair(rng, 3000))
 	if err != nil {
 		t.Fatalf("TrainLinearInvariant: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestTemporalAnomalyOnlyTransitionModelSees(t *testing.T) {
 
 func TestMeanScoreEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	li, err := TrainLinearInvariant(linearPair(rng, 100), LinearConfig{})
+	li, err := TrainLinearInvariant(linearPair(rng, 100))
 	if err != nil {
 		t.Fatalf("TrainLinearInvariant: %v", err)
 	}

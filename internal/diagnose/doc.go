@@ -1,6 +1,6 @@
-// Package diagnose turns the scoring fabric's raw output — per-pair
-// Q^{a,b}, per-measurement Q^a and system Q fitness plus the alarm
-// stream — into ranked root-cause explanations.
+// Package diagnose turns the scoring fabric's raw output — per-
+// measurement Q^a and system Q fitness plus the alarm stream — into
+// ranked root-cause explanations.
 //
 // The paper stops at "the measurement with the lowest Q^a localizes the
 // problem"; at thousands of measurements the per-pair alarm stream that
@@ -9,9 +9,9 @@
 // measurement (and for the system aggregate), and opens an incident
 // when the system fitness stays below a threshold. While an incident is
 // open it walks temporal rings around the impact time T, ranks
-// root-cause candidates by who broke first, how many of their pair
-// models broke (fan-out) and how far they fell below their healthy
-// baseline, groups the broken measurements into machine and metric
+// root-cause candidates by who broke first, how many of their pairs
+// raised a pair alarm (fan-out; pair alarms need the paper's δ) and how
+// far they fell below their healthy baseline, groups the broken measurements into machine and metric
 // families, and maintains a compact Digest — key sources, family
 // counts, temporal chain, severity — that is cheap to serialize and
 // ship.

@@ -22,36 +22,9 @@ type Config struct {
 	// OpenAfter is how many consecutive rows Q must stay below OpenBelow
 	// before an incident opens (debounces single-row blips). Default 2.
 	OpenAfter int
-	// CloseAfter is how many consecutive rows Q must stay at or above
-	// OpenBelow before the open incident closes. Default 5.
-	CloseAfter int
 	// MeasurementBreak is the Q^a level below which a measurement counts
 	// as broken when the digest walks the history. Default 0.5.
 	MeasurementBreak float64
-	// PairBreak is the Q^{a,b} level below which a pair model counts as
-	// broken for fan-out attribution. Default 0.5.
-	PairBreak float64
-	// History is the per-measurement (and system) fitness ring capacity
-	// in rows. Default 512.
-	History int
-	// Lookback is how many rows before the impact time the digest
-	// searches for the first break. Default 48.
-	Lookback int
-	// Rings are the temporal ring radii, in rows around the impact time,
-	// used to bucket break times (|break − T| ≤ radius). Breaks beyond
-	// the last radius land in an unbounded outer ring. Default {2, 8, 32}.
-	Rings []int
-	// RefreshEvery re-ranks an open incident's digest every N observed
-	// rows (it always refreshes on open and close). Default 4.
-	RefreshEvery int
-	// MaxCandidates caps the ranked candidate list in the digest.
-	// Default 8.
-	MaxCandidates int
-	// MaxChain caps the temporal chain in the digest. Default 16.
-	MaxChain int
-	// MaxIncidents caps how many closed incidents the engine retains
-	// (oldest evicted first). Default 64.
-	MaxIncidents int
 }
 
 func (c Config) withDefaults() Config {
@@ -61,38 +34,39 @@ func (c Config) withDefaults() Config {
 	if c.OpenAfter <= 0 {
 		c.OpenAfter = 2
 	}
-	if c.CloseAfter <= 0 {
-		c.CloseAfter = 5
-	}
 	if c.MeasurementBreak <= 0 {
 		c.MeasurementBreak = 0.5
 	}
-	if c.PairBreak <= 0 {
-		c.PairBreak = 0.5
-	}
-	if c.History <= 0 {
-		c.History = 512
-	}
-	if c.Lookback <= 0 {
-		c.Lookback = 48
-	}
-	if len(c.Rings) == 0 {
-		c.Rings = []int{2, 8, 32}
-	}
-	if c.RefreshEvery <= 0 {
-		c.RefreshEvery = 4
-	}
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 8
-	}
-	if c.MaxChain <= 0 {
-		c.MaxChain = 16
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 64
-	}
 	return c
 }
+
+// The engine's fixed tuning.
+const (
+	// closeAfter is how many consecutive rows Q must stay at or above
+	// OpenBelow before the open incident closes.
+	closeAfter = 5
+	// historyRows is the per-measurement (and system) fitness ring
+	// capacity in rows.
+	historyRows = 512
+	// lookback is how many rows before the impact time the digest
+	// searches for the first break.
+	lookback = 48
+	// refreshEvery re-ranks an open incident's digest every so many
+	// observed rows (it always refreshes on open and close).
+	refreshEvery = 4
+	// maxCandidates caps the ranked candidate list in the digest.
+	maxCandidates = 8
+	// maxChain caps the temporal chain in the digest.
+	maxChain = 16
+	// maxIncidents caps how many closed incidents the engine retains
+	// (oldest evicted first).
+	maxIncidents = 64
+)
+
+// ringRadii are the temporal ring radii, in rows around the impact time,
+// used to bucket break times (|break − T| ≤ radius). Breaks beyond the
+// last radius land in an unbounded outer ring.
+var ringRadii = [...]int{2, 8, 32}
 
 // FitnessPoint is one sample of a fitness history: the score Q observed
 // at time T.
@@ -153,8 +127,8 @@ type Candidate struct {
 	// BreakTime is when the measurement's Q^a first crossed below the
 	// break threshold inside the lookback window.
 	BreakTime time.Time `json:"break_time"`
-	// Ring indexes Config.Rings: the smallest ring radius containing
-	// |BreakTime − ImpactTime| (len(Rings) for the unbounded outer ring).
+	// Ring indexes the ring radii (2, 8 and 32 rows): the smallest one
+	// containing |BreakTime − ImpactTime|, 3 for the unbounded outer ring.
 	Ring int `json:"ring"`
 	// Lowest is the measurement's minimum Q^a inside the window.
 	Lowest float64 `json:"lowest"`
@@ -162,9 +136,10 @@ type Candidate struct {
 	QAtBreak float64 `json:"q_at_break"`
 	// Drop is the healthy-baseline mean minus Lowest (clamped at 0).
 	Drop float64 `json:"drop"`
-	// FanOut counts the measurement's pair models that broke inside the
-	// window — the paper's "all the links leading to a measurement have
-	// problems" signal.
+	// FanOut counts the measurement's partners whose pair alarm (the
+	// paper's δ) fired inside the window — the paper's "all the links
+	// leading to a measurement have problems" signal. It is 0 when the
+	// fleet runs without δ.
 	FanOut int `json:"fan_out"`
 	// Score is the ranking score (higher = more likely root cause).
 	Score float64 `json:"score"`
@@ -283,8 +258,8 @@ func (d *Digest) clone() Digest {
 type measState struct {
 	ring *ring
 	base mathx.Online
-	// peers maps a peer measurement to the last time the pair model
-	// between the two broke (fitness below PairBreak or a pair alarm).
+	// peers maps a peer measurement to the last time a pair alarm
+	// between the two fired.
 	peers map[timeseries.MeasurementID]time.Time
 }
 
@@ -325,7 +300,7 @@ func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
 		cfg:  cfg,
-		sys:  newRing(cfg.History),
+		sys:  newRing(historyRows),
 		meas: make(map[timeseries.MeasurementID]*measState),
 	}
 }
@@ -392,7 +367,7 @@ func (e *Engine) notePeerLocked(id, peer timeseries.MeasurementID, t time.Time) 
 func (e *Engine) measStateLocked(id timeseries.MeasurementID) *measState {
 	st := e.meas[id]
 	if st == nil {
-		st = &measState{ring: newRing(e.cfg.History)}
+		st = &measState{ring: newRing(historyRows)}
 		e.meas[id] = st
 		i := sort.Search(len(e.order), func(i int) bool { return !e.order[i].Less(id) })
 		e.order = append(e.order, timeseries.MeasurementID{})
@@ -451,12 +426,6 @@ func (e *Engine) observeLocked(r manager.StepReport) string {
 			st.base.Add(q)
 		}
 	}
-	for p, q := range r.Pairs {
-		if q < e.cfg.PairBreak {
-			e.notePeerLocked(p.A, p.B, t)
-			e.notePeerLocked(p.B, p.A, t)
-		}
-	}
 	if math.IsNaN(r.System) {
 		return ""
 	}
@@ -488,11 +457,11 @@ func (e *Engine) observeLocked(r manager.StepReport) string {
 			e.open.SystemLow = r.System
 		}
 		e.sinceRefresh++
-		if e.aboveRun >= e.cfg.CloseAfter {
+		if e.aboveRun >= closeAfter {
 			e.refreshLocked(t)
 			return e.closeLocked(t)
 		}
-		if e.sinceRefresh >= e.cfg.RefreshEvery {
+		if e.sinceRefresh >= refreshEvery {
 			e.refreshLocked(t)
 			return e.open.ID
 		}
@@ -552,8 +521,8 @@ func (e *Engine) closeLocked(t time.Time) string {
 	d.UpdatedAt = t
 	e.open = nil
 	e.closed = append(e.closed, d)
-	if len(e.closed) > e.cfg.MaxIncidents {
-		e.closed = e.closed[len(e.closed)-e.cfg.MaxIncidents:]
+	if len(e.closed) > maxIncidents {
+		e.closed = e.closed[len(e.closed)-maxIncidents:]
 	}
 	obsOpenIncidents.Set(0)
 	obsClosed.Inc()
@@ -566,13 +535,13 @@ func (e *Engine) refreshLocked(now time.Time) {
 	start := time.Now()
 	d := e.open
 	step := e.stepLocked()
-	from := d.ImpactTime.Add(-time.Duration(e.cfg.Lookback) * step)
+	from := d.ImpactTime.Add(-lookback * step)
 
-	rings := make([]RingCount, len(e.cfg.Rings)+1)
-	for i, radius := range e.cfg.Rings {
+	rings := make([]RingCount, len(ringRadii)+1)
+	for i, radius := range ringRadii {
 		rings[i].Radius = radius
 	}
-	rings[len(e.cfg.Rings)].Radius = -1
+	rings[len(ringRadii)].Radius = -1
 
 	var cands []Candidate
 	for _, id := range e.order {
@@ -609,7 +578,7 @@ func (e *Engine) refreshLocked(now time.Time) {
 				drop = delta
 			}
 		}
-		ringIdx := e.ringOf(brokeAt, d.ImpactTime, step)
+		ringIdx := ringOf(brokeAt, d.ImpactTime, step)
 		rings[ringIdx].Broken++
 		cands = append(cands, Candidate{
 			Measurement: id.String(),
@@ -666,9 +635,9 @@ func (e *Engine) refreshLocked(now time.Time) {
 	d.Broken = len(cands)
 	d.Rings = rings
 	d.Families = buildFamilies(cands)
-	d.Chain = buildChain(cands, e.cfg.MaxChain)
-	if len(cands) > e.cfg.MaxCandidates {
-		cands = cands[:e.cfg.MaxCandidates]
+	d.Chain = buildChain(cands)
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	d.Candidates = cands
 	if len(cands) > 0 {
@@ -683,20 +652,20 @@ func (e *Engine) refreshLocked(now time.Time) {
 	obsRefreshSeconds.Observe(time.Since(start).Seconds())
 }
 
-// ringOf buckets a break time into the smallest configured ring radius
-// covering its distance (in rows) from the impact time.
-func (e *Engine) ringOf(brokeAt, impact time.Time, step time.Duration) int {
+// ringOf buckets a break time into the smallest ring radius covering its
+// distance (in rows) from the impact time.
+func ringOf(brokeAt, impact time.Time, step time.Duration) int {
 	delta := brokeAt.Sub(impact)
 	if delta < 0 {
 		delta = -delta
 	}
 	rows := int(delta / step)
-	for i, radius := range e.cfg.Rings {
+	for i, radius := range ringRadii {
 		if rows <= radius {
 			return i
 		}
 	}
-	return len(e.cfg.Rings)
+	return len(ringRadii)
 }
 
 // severityLocked grades an incident by how deep the system fitness fell
@@ -748,7 +717,7 @@ func buildFamilies(cands []Candidate) []Family {
 }
 
 // buildChain orders the breaks earliest-first and caps the list.
-func buildChain(cands []Candidate, max int) []ChainEntry {
+func buildChain(cands []Candidate) []ChainEntry {
 	chain := make([]ChainEntry, 0, len(cands))
 	for _, c := range cands {
 		chain = append(chain, ChainEntry{T: c.BreakTime, Measurement: c.Measurement, Q: c.QAtBreak})
@@ -759,8 +728,8 @@ func buildChain(cands []Candidate, max int) []ChainEntry {
 		}
 		return chain[i].Measurement < chain[j].Measurement
 	})
-	if len(chain) > max {
-		chain = chain[:max]
+	if len(chain) > maxChain {
+		chain = chain[:maxChain]
 	}
 	return chain
 }

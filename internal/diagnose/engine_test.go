@@ -108,11 +108,11 @@ func TestIncidentOpensRanksAndCloses(t *testing.T) {
 		t.Errorf("Severity = %q, want critical (SystemLow 0.55 < 0.6)", d.Severity)
 	}
 
-	// Recovery closes the incident after CloseAfter healthy rows.
+	// Recovery closes the incident after closeAfter healthy rows.
 	e2 := NewEngine(Config{})
-	faultStream(e2, 10, 6, e2.Config().CloseAfter)
+	faultStream(e2, 10, 6, closeAfter)
 	if e2.OpenCount() != 0 {
-		t.Fatalf("incident still open after %d healthy rows", e2.Config().CloseAfter)
+		t.Fatalf("incident still open after %d healthy rows", closeAfter)
 	}
 	incs = e2.Incidents()
 	if len(incs) != 1 || incs[0].State != StateClosed {
@@ -148,20 +148,14 @@ func TestOpenAfterDebouncesBlips(t *testing.T) {
 	}
 }
 
-func TestFanOutFromPairScoresAndAlarms(t *testing.T) {
+func TestFanOutFromPairAlarms(t *testing.T) {
 	e := NewEngine(Config{})
 	for i := 0; i < 8; i++ {
 		e.Observe(rep(i, 0.9, 0.9, nil))
 	}
-	// Pair scores below PairBreak stamp both endpoints.
 	r := rep(8, 0.5, 0.65, map[timeseries.MeasurementID]float64{mCPU1: 0.1})
-	r.Pairs = map[manager.Pair]float64{
-		{A: mCPU1, B: mNET1}: 0.2,
-		{A: mCPU1, B: mCPU2}: 0.3,
-		{A: mNET2, B: mCPU2}: 0.9, // healthy link: no stamp
-	}
 	e.Observe(r)
-	// A pair alarm also stamps its endpoints.
+	// A pair alarm stamps both its endpoints.
 	sink := e.WrapSink(nil)
 	sink.Publish(alarm.Alarm{
 		Time: r.Time, Scope: alarm.ScopePair, Severity: alarm.SeverityWarning,
@@ -177,8 +171,8 @@ func TestFanOutFromPairScoresAndAlarms(t *testing.T) {
 	if c.Measurement != mCPU1.String() {
 		t.Fatalf("top candidate = %q", c.Measurement)
 	}
-	if c.FanOut != 3 {
-		t.Errorf("FanOut = %d, want 3 (two broken pair scores + one pair alarm)", c.FanOut)
+	if c.FanOut != 1 {
+		t.Errorf("FanOut = %d, want 1 (one pair alarm)", c.FanOut)
 	}
 	if incs[0].PairAlarms != 1 {
 		t.Errorf("PairAlarms = %d, want 1", incs[0].PairAlarms)
@@ -215,16 +209,17 @@ func faultStreamAt(e *Engine, i, faulty int) {
 }
 
 func TestHistoryRingsAndWindows(t *testing.T) {
-	e := NewEngine(Config{History: 4})
-	for i := 0; i < 6; i++ {
+	e := NewEngine(Config{})
+	const rows = historyRows + 2
+	for i := 0; i < rows; i++ {
 		e.Observe(rep(i, 0.9, 0.9, nil))
 	}
 	sys := e.SystemHistory(0)
-	if len(sys) != 4 {
-		t.Fatalf("SystemHistory retained %d, want ring capacity 4", len(sys))
+	if len(sys) != historyRows {
+		t.Fatalf("SystemHistory retained %d, want ring capacity %d", len(sys), historyRows)
 	}
-	if !sys[0].T.Equal(t0.Add(2*step)) || !sys[3].T.Equal(t0.Add(5*step)) {
-		t.Errorf("SystemHistory window = [%v .. %v], want rows 2..5", sys[0].T, sys[3].T)
+	if !sys[0].T.Equal(t0.Add(2*step)) || !sys[historyRows-1].T.Equal(t0.Add((rows-1)*step)) {
+		t.Errorf("SystemHistory window = [%v .. %v], want rows 2..%d", sys[0].T, sys[historyRows-1].T, rows-1)
 	}
 	for i := 1; i < len(sys); i++ {
 		if !sys[i].T.After(sys[i-1].T) {
@@ -232,14 +227,14 @@ func TestHistoryRingsAndWindows(t *testing.T) {
 		}
 	}
 	pts, ok := e.History(mCPU1, 2)
-	if !ok || len(pts) != 2 || !pts[1].T.Equal(t0.Add(5*step)) {
+	if !ok || len(pts) != 2 || !pts[1].T.Equal(t0.Add((rows-1)*step)) {
 		t.Errorf("History(cpu@m1, 2) = %v ok=%v", pts, ok)
 	}
 	if _, ok := e.History(timeseries.MeasurementID{Machine: "nope", Metric: "x"}, 0); ok {
 		t.Error("History on unknown measurement reported ok")
 	}
 	byName, ok := e.HistoryByName("cpu@m1", 0)
-	if !ok || len(byName) != 4 {
+	if !ok || len(byName) != historyRows {
 		t.Errorf("HistoryByName = %d points ok=%v", len(byName), ok)
 	}
 	if _, ok := e.HistoryByName("ghost@m9", 0); ok {
@@ -277,8 +272,8 @@ func TestFamiliesGroupByMachineAndMetric(t *testing.T) {
 	if len(d.Families) == 0 || d.Families[0].Kind != "machine" || d.Families[0].Key != "m1" || d.Families[0].Size != 2 {
 		t.Errorf("top family = %+v, want machine m1 size 2", d.Families)
 	}
-	if len(d.Rings) != len(e.Config().Rings)+1 {
-		t.Fatalf("Rings = %d buckets, want %d", len(d.Rings), len(e.Config().Rings)+1)
+	if len(d.Rings) != len(ringRadii)+1 {
+		t.Fatalf("Rings = %d buckets, want %d", len(d.Rings), len(ringRadii)+1)
 	}
 	if d.Rings[0].Broken != 2 {
 		t.Errorf("innermost ring Broken = %d, want 2", d.Rings[0].Broken)
@@ -307,25 +302,34 @@ func TestLocalizeRollupAttachesOutsideLock(t *testing.T) {
 }
 
 func TestClosedIncidentRetentionCap(t *testing.T) {
-	e := NewEngine(Config{MaxIncidents: 2, OpenAfter: 1, CloseAfter: 1})
+	e := NewEngine(Config{OpenAfter: 1})
+	const opened = maxIncidents + 2
 	i := 0
-	for k := 0; k < 4; k++ {
+	for k := 0; k < opened; k++ {
 		for j := 0; j < 3; j++ {
 			e.Observe(rep(i, 0.9, 0.9, nil))
 			i++
 		}
 		e.Observe(rep(i, 0.5, 0.6, nil))
 		i++
-		e.Observe(rep(i, 0.9, 0.9, nil))
-		i++
+		for j := 0; j < closeAfter; j++ {
+			e.Observe(rep(i, 0.9, 0.9, nil))
+			i++
+		}
 	}
 	incs := e.Incidents()
-	if len(incs) != 2 {
-		t.Fatalf("retained %d closed incidents, want cap 2", len(incs))
+	if len(incs) != maxIncidents {
+		t.Fatalf("retained %d closed incidents, want cap %d", len(incs), maxIncidents)
 	}
 	// Newest first, and the oldest two evicted.
-	if !strings.HasPrefix(incs[0].ID, "inc-4-") || !strings.HasPrefix(incs[1].ID, "inc-3-") {
-		t.Errorf("retained = %q, %q; want inc-4-*, inc-3-*", incs[0].ID, incs[1].ID)
+	newest, oldest := fmt.Sprintf("inc-%d-", opened), fmt.Sprintf("inc-%d-", opened-maxIncidents+1)
+	if !strings.HasPrefix(incs[0].ID, newest) || !strings.HasPrefix(incs[maxIncidents-1].ID, oldest) {
+		t.Errorf("retained = %q .. %q; want %s* .. %s*", incs[0].ID, incs[maxIncidents-1].ID, newest, oldest)
+	}
+	for _, d := range incs {
+		if d.State != StateClosed {
+			t.Fatalf("incident %s is %s, want closed", d.ID, d.State)
+		}
 	}
 }
 

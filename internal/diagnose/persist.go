@@ -110,8 +110,7 @@ func (e *Engine) MarshalState() ([]byte, error) {
 
 // LoadState restores the dynamic state saved by SaveState into this
 // engine, replacing whatever it held. The engine's own Config stays in
-// force (ring capacities come from it, truncating restored histories if
-// it shrank).
+// force.
 func (e *Engine) LoadState(r io.Reader) error {
 	var st engineState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -122,15 +121,15 @@ func (e *Engine) LoadState(r io.Reader) error {
 	}
 	e.mu.Lock()
 	e.step = st.Step
-	e.sys = newRing(e.cfg.History)
-	for _, p := range tailPoints(st.Sys, e.cfg.History) {
+	e.sys = newRing(historyRows)
+	for _, p := range tailPoints(st.Sys, historyRows) {
 		e.sys.push(p)
 	}
 	e.meas = make(map[timeseries.MeasurementID]*measState, len(st.Meas))
 	e.order = e.order[:0]
 	for _, rec := range st.Meas {
 		ms := e.measStateLocked(rec.ID)
-		for _, p := range tailPoints(rec.Points, e.cfg.History) {
+		for _, p := range tailPoints(rec.Points, historyRows) {
 			ms.ring.push(p)
 		}
 		ms.base.Restore(rec.BaseN, rec.BaseMean, rec.BaseM2)

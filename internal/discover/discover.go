@@ -12,27 +12,6 @@ import (
 	"mcorr/internal/timeseries"
 )
 
-// Method selects the correlation statistic the sketches estimate.
-type Method int
-
-const (
-	// Pearson feeds raw sample values through the sketches.
-	Pearson Method = iota
-	// Spearman feeds windowed fractional ranks (over the last RankWindow
-	// samples of each series) through the same sketch machinery — a
-	// streaming approximation of rank correlation that is robust to
-	// monotone nonlinearity and outliers.
-	Spearman
-)
-
-// String names the method for logs and serialized state.
-func (m Method) String() string {
-	if m == Spearman {
-		return "spearman"
-	}
-	return "pearson"
-}
-
 // Config tunes the discovery policy. The zero value takes the documented
 // defaults.
 type Config struct {
@@ -48,10 +27,6 @@ type Config struct {
 	Decay float64
 	// Lags is the sketch lag-window half-width L. Default 4.
 	Lags int
-	// Method selects Pearson (default) or Spearman feeds.
-	Method Method
-	// RankWindow is the Spearman rank window. Default 32.
-	RankWindow int
 	// ProbeBatch is how many non-admitted candidates carry a live probe
 	// sketch per round. Default 64.
 	ProbeBatch int
@@ -91,9 +66,6 @@ func (c Config) withDefaults() Config {
 		c.Lags = 0
 	} else if c.Lags == 0 {
 		c.Lags = 4
-	}
-	if c.RankWindow <= 1 {
-		c.RankWindow = 32
 	}
 	if c.ProbeBatch <= 0 {
 		c.ProbeBatch = 64
@@ -177,13 +149,11 @@ type Discoverer struct {
 	round       uint64
 
 	// hist holds the last TrainWindow raw values per series (NaN for
-	// gaps), shared head/len — the training corpus for new admissions
-	// and the rank source for Spearman.
+	// gaps), shared head/len — the training corpus for new admissions;
+	// the newest slot, histHead, is what the sketches read.
 	hist     [][]float64
 	histHead int
 	histLen  int
-
-	feedVals []float64 // scratch: sketch feed (raw or ranked)
 }
 
 // New builds a Discoverer over the given fleet of measurement IDs. The ID
@@ -223,7 +193,6 @@ func New(ids []timeseries.MeasurementID, cfg Config) (*Discoverer, error) {
 		numCand:  l * (l - 1) / 2,
 		deg:      make([]int, l),
 		hist:     make([][]float64, l),
-		feedVals: make([]float64, l),
 	}
 	for i := range d.hist {
 		d.hist[i] = make([]float64, cfg.TrainWindow)
@@ -406,10 +375,9 @@ func (d *Discoverer) Bootstrap(rows []manager.Row) []manager.Pair {
 	return admittedPairs
 }
 
-// ingest loads one dense row (see Observe) into the scratch buffers, pushes
-// it into the history rings, and computes the sketch feed values (raw for
-// Pearson, windowed fractional ranks for Spearman). Non-finite values
-// become NaN, which the sketches treat as gaps.
+// ingest pushes one dense row (see Observe) into the history rings, whose
+// newest slot the sketches then read. Non-finite values become NaN, which
+// the sketches treat as gaps.
 func (d *Discoverer) ingest(vals []float64) {
 	d.histHead = (d.histHead + 1) % d.cfg.TrainWindow
 	if d.histLen < d.cfg.TrainWindow {
@@ -421,55 +389,20 @@ func (d *Discoverer) ingest(vals []float64) {
 			v = math.NaN()
 		}
 		d.hist[i][d.histHead] = v
-		if d.cfg.Method == Spearman {
-			d.feedVals[i] = d.rankOf(i, v)
-		} else {
-			d.feedVals[i] = v
-		}
 	}
 }
 
-// rankOf computes the fractional rank of v among the last RankWindow
-// history values of series i (the just-pushed v included): (#less +
-// (#equal−1)/2) / (window−1), in [0, 1]. NaN in, NaN out.
-func (d *Discoverer) rankOf(i int, v float64) float64 {
-	if math.IsNaN(v) {
-		return math.NaN()
-	}
-	win := d.cfg.RankWindow
-	if win > d.histLen {
-		win = d.histLen
-	}
-	h := d.hist[i]
-	less, equal, valid := 0, 0, 0
-	for k := 0; k < win; k++ {
-		u := h[(d.histHead-k+d.cfg.TrainWindow)%d.cfg.TrainWindow]
-		if math.IsNaN(u) {
-			continue
-		}
-		valid++
-		if u < v {
-			less++
-		} else if u == v {
-			equal++
-		}
-	}
-	if valid < 2 {
-		return math.NaN()
-	}
-	return (float64(less) + float64(equal-1)/2) / float64(valid-1)
-}
-
-// updateSketches feeds the current row into every admitted and probe
-// sketch, in ascending candidate order within each set.
+// updateSketches feeds the current row, the history's newest slot, into
+// every admitted and probe sketch, in ascending candidate order within
+// each set.
 func (d *Discoverer) updateSketches(admitted []*entry, probe []probeEntry) {
 	for _, e := range admitted {
 		i, j := d.pairAt(e.c)
-		e.sk.Update(d.feedVals[i], d.feedVals[j])
+		e.sk.Update(d.hist[i][d.histHead], d.hist[j][d.histHead])
 	}
 	for _, p := range probe {
 		i, j := d.pairAt(p.c)
-		p.sk.Update(d.feedVals[i], d.feedVals[j])
+		p.sk.Update(d.hist[i][d.histHead], d.hist[j][d.histHead])
 	}
 }
 

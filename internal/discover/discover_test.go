@@ -363,39 +363,3 @@ func TestSyncAdmittedRebuildsGraph(t *testing.T) {
 		t.Fatalf("Admitted = %v, want %v", got, want)
 	}
 }
-
-func TestSpearmanMonotoneInvariance(t *testing.T) {
-	ids := testIDs(2, 1)
-	rnd := lcg(67)
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	// y = exp(x): nonlinear but monotone — rank correlation should be
-	// essentially 1 while remaining finite and sane.
-	var rows []manager.Row
-	for t2 := 0; t2 < 200; t2++ {
-		x := rnd() * 4
-		rows = append(rows, manager.Row{
-			Time: start.Add(time.Duration(t2) * time.Minute),
-			Values: map[timeseries.MeasurementID]float64{
-				ids[0]: x,
-				ids[1]: math.Exp(x),
-			},
-		})
-	}
-	d, err := New(ids, Config{Method: Spearman, RoundRows: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Bootstrap(rows[:100])
-	for _, row := range rows[100:] {
-		d.Observe(dense(ids, row))
-	}
-	scores := d.AdmissionScores()
-	p := manager.MakePair(ids[0], ids[1])
-	r, ok := scores[p]
-	if !ok {
-		t.Fatalf("monotone pair not admitted; scores=%v", scores)
-	}
-	if r < 0.95 {
-		t.Fatalf("Spearman r = %g, want ≈ 1 for monotone pair", r)
-	}
-}

@@ -315,7 +315,7 @@ func BaselineComparison(env *Env) (*Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baselines %s: %w", sc.label, err)
 		}
-		li, err := baseline.TrainLinearInvariant(history, baseline.LinearConfig{})
+		li, err := baseline.TrainLinearInvariant(history)
 		if err != nil {
 			return nil, fmt.Errorf("baselines %s: %w", sc.label, err)
 		}

@@ -62,9 +62,8 @@ type Aggregator struct {
 }
 
 // NewAggregator builds an aggregator over the measurement universe ids.
-// cfg supplies the thresholds, the alarm sink and the KeepPairScores /
-// TrackPairMeans reporting flags; its model and worker settings are
-// ignored here.
+// cfg supplies the thresholds, the alarm sink and the TrackPairMeans
+// reporting flag; its model and worker settings are ignored here.
 func NewAggregator(ids []timeseries.MeasurementID, cfg Config) *Aggregator {
 	cfg = cfg.withDefaults()
 	return &Aggregator{
@@ -80,15 +79,12 @@ func NewAggregator(ids []timeseries.MeasurementID, cfg Config) *Aggregator {
 // threshold alarms in pair → measurement → system order. pairs, pairIdx
 // and outcomes must be parallel slices in canonical (sorted) pair order;
 // pairIdx[i] holds the indices of pairs[i]'s endpoints in the ids slice
-// passed to NewAggregator (−1 when absent). sp, when non-nil, receives
-// the "alarm" phase mark before alarms are published.
+// passed to NewAggregator. sp, when non-nil, receives the "alarm" phase
+// mark before alarms are published.
 func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outcomes []Outcome, sp *obs.Span) StepReport {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	report := StepReport{Time: t, System: math.NaN()}
-	if g.cfg.KeepPairScores {
-		report.Pairs = make(map[Pair]float64, len(pairs))
-	}
 	g.alarmBuf = g.alarmBuf[:0]
 	var gaps, growths uint64
 	for i := range g.sumBuf {
@@ -109,9 +105,6 @@ func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outc
 		p := pairs[i]
 		report.ScoredPairs++
 		obsFitnessPair.Observe(o.Fitness)
-		if report.Pairs != nil {
-			report.Pairs[p] = o.Fitness
-		}
 		if g.cfg.TrackPairMeans {
 			if g.pairAcc == nil {
 				g.pairAcc = make(map[Pair]*mathx.Online, len(pairs))
@@ -121,12 +114,11 @@ func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outc
 			}
 			g.pairAcc[p].Add(o.Fitness)
 		}
-		if ab := pairIdx[i]; ab[0] >= 0 && ab[1] >= 0 {
-			g.sumBuf[ab[0]] += o.Fitness
-			g.cntBuf[ab[0]]++
-			g.sumBuf[ab[1]] += o.Fitness
-			g.cntBuf[ab[1]]++
-		}
+		ab := pairIdx[i]
+		g.sumBuf[ab[0]] += o.Fitness
+		g.cntBuf[ab[0]]++
+		g.sumBuf[ab[1]] += o.Fitness
+		g.cntBuf[ab[1]]++
 		if g.cfg.ProbDelta > 0 && o.Prob < g.cfg.ProbDelta {
 			g.alarmBuf = append(g.alarmBuf, alarm.Alarm{
 				Time: t, Severity: alarm.SeverityWarning, Scope: alarm.ScopePair,

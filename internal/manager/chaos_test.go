@@ -154,7 +154,7 @@ func TestIncrementalBitIdenticalUnderChaos(t *testing.T) {
 			}
 		}
 		compareReports(t, i, mgr.Step(row), ref.Step(row))
-		if d := mgr.LastDirtyPairs(); d < minDirty {
+		if d := dirtyPairs(mgr); d < minDirty {
 			minDirty = d
 		}
 

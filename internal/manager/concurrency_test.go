@@ -21,7 +21,6 @@ func TestManagerConcurrentStepAndReads(t *testing.T) {
 	mgr, ds, _ := trainedManager(t, Config{
 		Model:          core.Config{Adaptive: true},
 		TrackPairMeans: true,
-		KeepPairScores: true,
 	}, 2)
 	defer mgr.Close()
 
@@ -54,6 +53,7 @@ func TestManagerConcurrentStepAndReads(t *testing.T) {
 				_ = mgr.SystemMean()
 				_ = mgr.Steps()
 				_ = mgr.Pairs()
+				_ = mgr.PairStates()
 				_ = mgr.PairMeans()
 				_ = mgr.WorstPairs(3)
 				_ = mgr.Localize()
@@ -75,7 +75,7 @@ func TestManagerConcurrentStepAndReads(t *testing.T) {
 // the system score — run to run.
 func TestManagerStepDeterministic(t *testing.T) {
 	build := func() (*Manager, *timeseries.Dataset) {
-		mgr, ds, _ := trainedManager(t, Config{Model: core.Config{Adaptive: true}, KeepPairScores: true}, 2)
+		mgr, ds, _ := trainedManager(t, Config{Model: core.Config{Adaptive: true}}, 2)
 		return mgr, ds
 	}
 	a, ds := build()
@@ -109,9 +109,13 @@ func TestManagerStepDeterministic(t *testing.T) {
 				t.Fatalf("step %d: measurement %s differs", i, id)
 			}
 		}
-		for p, q := range ra.Pairs {
-			if rb.Pairs[p] != q {
-				t.Fatalf("step %d: pair %s differs", i, p)
+		sa, sb := a.PairStates(), b.PairStates()
+		if len(sa) != len(sb) {
+			t.Fatalf("step %d: %d links vs %d", i, len(sa), len(sb))
+		}
+		for k := range sa {
+			if sa[k].Pair != sb[k].Pair || sa[k].Scored != sb[k].Scored || math.Float64bits(sa[k].Fitness) != math.Float64bits(sb[k].Fitness) {
+				t.Fatalf("step %d: pair %s differs: %+v vs %+v", i, sa[k].Pair, sa[k], sb[k])
 			}
 		}
 	}
@@ -160,13 +164,13 @@ func TestTrajectoryIndependentOfWorkers(t *testing.T) {
 
 	type trace struct {
 		system   []uint64
-		pairs    [][]uint64 // StepValues: Q^{a,b} per row, in pair order
+		pairs    [][]PairState // StepValues: each link's state after the row, in pair order
 		outcomes [][]Outcome
 		dirty    [2][]int // StepValues, ScoreInto
 	}
 	run := func(workers int, full bool) trace {
 		var tr trace
-		cfg := Config{Workers: workers, FullRescore: full, KeepPairScores: true, ProbDelta: 1e-9,
+		cfg := Config{Workers: workers, FullRescore: full, ProbDelta: 1e-9,
 			Model: core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 6}}}
 		stepped, err := New(history, cfg)
 		if err != nil {
@@ -178,22 +182,16 @@ func TestTrajectoryIndependentOfWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer scored.Close()
-		pairs := stepped.Pairs()
+		pairs := stepped.PairCount()
 		for k, vals := range day {
 			rep := stepped.StepValues(day1.Add(time.Duration(k)*timeseries.SampleStep), vals)
 			tr.system = append(tr.system, math.Float64bits(rep.System))
-			q := make([]uint64, len(pairs))
-			for i, p := range pairs {
-				if v, ok := rep.Pairs[p]; ok {
-					q[i] = math.Float64bits(v)
-				}
-			}
-			tr.pairs = append(tr.pairs, q)
-			out := make([]Outcome, len(pairs))
+			tr.pairs = append(tr.pairs, stepped.PairStates())
+			out := make([]Outcome, pairs)
 			scored.ScoreInto(vals, out)
 			tr.outcomes = append(tr.outcomes, out)
-			tr.dirty[0] = append(tr.dirty[0], stepped.LastDirtyPairs())
-			tr.dirty[1] = append(tr.dirty[1], scored.LastDirtyPairs())
+			tr.dirty[0] = append(tr.dirty[0], dirtyPairs(stepped))
+			tr.dirty[1] = append(tr.dirty[1], dirtyPairs(scored))
 		}
 		return tr
 	}
@@ -233,8 +231,8 @@ func TestTrajectoryIndependentOfWorkers(t *testing.T) {
 					t.Fatalf("workers=%d full=%v row %d: system %x, want %x", workers, full, k, got.system[k], ref.system[k])
 				}
 				for i := range got.pairs[k] {
-					if got.pairs[k][i] != ref.pairs[k][i] {
-						t.Fatalf("workers=%d full=%v row %d pair %d: Q %x, want %x", workers, full, k, i, got.pairs[k][i], ref.pairs[k][i])
+					if g, w := got.pairs[k][i], ref.pairs[k][i]; g.Pair != w.Pair || g.Scored != w.Scored || math.Float64bits(g.Fitness) != math.Float64bits(w.Fitness) {
+						t.Fatalf("workers=%d full=%v row %d pair %d: %+v, want %+v", workers, full, k, i, g, w)
 					}
 					if !same(got.outcomes[k][i], ref.outcomes[k][i]) {
 						t.Fatalf("workers=%d full=%v row %d pair %d: outcome %+v, want %+v", workers, full, k, i, got.outcomes[k][i], ref.outcomes[k][i])
@@ -261,7 +259,7 @@ func TestStepBesideModelReadsAndWrites(t *testing.T) {
 	mgr, ds, _ := trainedManager(t, Config{Workers: 3, Model: core.Config{Adaptive: true}}, 2)
 	defer mgr.Close()
 	from := timeseries.MonitoringStart.AddDate(0, 0, 1)
-	ids, models := mgr.IDs(), mgr.Models()
+	ids, models := mgr.IDs(), append([]*core.Model(nil), mgr.modelAt...)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	beside := func(f func(*core.Model)) {
@@ -297,4 +295,12 @@ func TestStepBesideModelReadsAndWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// dirtyPairs reads how many pairs re-scored on m's most recent row (the
+// rest carried their cached outcome forward).
+func dirtyPairs(m *Manager) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lastDirty
 }

@@ -30,8 +30,10 @@
 // same dense row, into an Outcome slice, and a standalone Aggregator
 // (NewAggregator, or Manager.Aggregator for the built-in one) folds the
 // scattered outcomes of every worker with the exact same code path Step
-// uses. NewSubset trains a manager over a filtered pair set; FromModels
-// rebuilds one around already-trained models without retraining.
+// uses. NewSubset trains a manager over a filtered pair set. Every
+// constructor keeps both endpoints of every pair inside the manager's
+// ids — AddModel and LoadManager refuse a pair that is not a canonical
+// pair of them — so a pair reads its two values from the row by index.
 //
 // # Persistence
 //

@@ -45,6 +45,18 @@ func (p Pair) Less(q Pair) bool {
 	return p.B.Less(q.B)
 }
 
+// validPair reports whether p is a canonical pair (A < B) of two members
+// of ids, which must be sorted by MeasurementID.Less. Every constructor
+// holds a manager's pairs to it, which is what lets a pair read both its
+// values from a dense row by index: the row has a column for each.
+func validPair(ids []timeseries.MeasurementID, p Pair) bool {
+	has := func(id timeseries.MeasurementID) bool {
+		i := sort.Search(len(ids), func(i int) bool { return !ids[i].Less(id) })
+		return i < len(ids) && ids[i] == id
+	}
+	return p.A.Less(p.B) && has(p.A) && has(p.B)
+}
+
 // SortPairs sorts pairs into the canonical global order (Pair.Less).
 func SortPairs(pairs []Pair) {
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Less(pairs[j]) })
@@ -69,9 +81,6 @@ type Config struct {
 	ProbDelta float64
 	// Sink receives alarms; nil discards them.
 	Sink alarm.Sink
-	// KeepPairScores includes every pair's fitness in each StepReport
-	// (memory-heavy for large l; reports allocate a map per step).
-	KeepPairScores bool
 	// TrackPairMeans maintains a running mean fitness per link, enabling
 	// WorstPairs — the paper's finest drill-down level (Q^{a,b}).
 	TrackPairMeans bool
@@ -175,8 +184,6 @@ type StepReport struct {
 	// Measurements holds Q^a for every measurement with at least one
 	// scored link this step.
 	Measurements map[timeseries.MeasurementID]float64
-	// Pairs holds Q^{a,b} per pair when Config.KeepPairScores is set.
-	Pairs map[Pair]float64
 	// ScoredPairs counts the links that produced a score this step.
 	ScoredPairs int
 	// GrownPairs counts the links whose adaptive grid grew this step —
@@ -222,7 +229,7 @@ type Manager struct {
 	// While both of the pair's values stay inside those half-open bounds the
 	// next Step provably repeats the cached outcome, so the pair is skipped
 	// (the model just logs the deferred update via NoteSkipped). Any rebuild
-	// of the runtime (New/NewSubset/FromModels/LoadManager, and therefore
+	// of the runtime (New/NewSubset/LoadManager, and therefore
 	// every recovery) starts all-dirty; the models re-freeze on
 	// the first row and the caches repopulate deterministically.
 	steadyOK []bool
@@ -384,10 +391,11 @@ func (m *Manager) initRuntime() {
 	}
 }
 
-// BuildPairIndex maps each pair to the indices of its endpoints in ids
-// (−1 when an endpoint is not in ids, which skips Q^a aggregation for
-// that link). Both the Manager and the networked coordinator derive their
-// aggregation index from this one helper so the two paths cannot drift.
+// BuildPairIndex maps each pair to the indices of its endpoints in ids.
+// Both the Manager and the networked coordinator derive their aggregation
+// index from this one helper so the two paths cannot drift. Every
+// constructor, AddModel and LoadManager keep both endpoints of each pair
+// in ids, so an endpoint outside them is a broken invariant and panics.
 func BuildPairIndex(ids []timeseries.MeasurementID, pairs []Pair) [][2]int {
 	idIndex := make(map[timeseries.MeasurementID]int, len(ids))
 	for i, id := range ids {
@@ -397,11 +405,8 @@ func BuildPairIndex(ids []timeseries.MeasurementID, pairs []Pair) [][2]int {
 	for i, p := range pairs {
 		ia, oka := idIndex[p.A]
 		ib, okb := idIndex[p.B]
-		if !oka {
-			ia = -1
-		}
-		if !okb {
-			ib = -1
+		if !oka || !okb {
+			panic(fmt.Sprintf("manager: pair %s has an endpoint outside the measurement universe", p))
 		}
 		out[i] = [2]int{ia, ib}
 	}
@@ -482,27 +487,6 @@ func NewSubset(history *timeseries.Dataset, cfg Config, keep func(Pair) bool) (*
 	return m, nil
 }
 
-// FromModels builds a manager around an already-trained model set without
-// retraining. The models map is copied; the *core.Model values — live
-// models, with all their adaptive state — are shared.
-func FromModels(ids []timeseries.MeasurementID, models map[Pair]*core.Model, cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
-	if len(ids) < 2 {
-		return nil, fmt.Errorf("manager needs at least 2 measurements, got %d", len(ids))
-	}
-	m := &Manager{
-		cfg:    cfg,
-		ids:    append([]timeseries.MeasurementID(nil), ids...),
-		models: make(map[Pair]*core.Model, len(models)),
-	}
-	for p, model := range models {
-		m.models[p] = model
-	}
-	m.initRuntime()
-	m.refreshModelBytes()
-	return m, nil
-}
-
 // Pairs returns the trained links in stable order.
 func (m *Manager) Pairs() []Pair {
 	m.mu.Lock()
@@ -525,28 +509,20 @@ func (m *Manager) Model(a, b timeseries.MeasurementID) *core.Model {
 	return m.models[MakePair(a, b)]
 }
 
-// Models returns the trained model set keyed by pair. The map is a copy;
-// the model pointers are the live models.
-func (m *Manager) Models() map[Pair]*core.Model {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[Pair]*core.Model, len(m.models))
-	for p, model := range m.models {
-		out[p] = model
-	}
-	return out
-}
-
 // AddModel grafts an already-trained model into the live pair graph
 // without touching any neighbor: the step-path state is rebuilt all-dirty
 // (the same invariant recovery relies on), so surviving pairs'
 // trajectories are unchanged bit for bit. Replacing an existing pair's
-// model is allowed. This is the discovery tier's admission primitive.
+// model is allowed; a self-pair or a pair with an endpoint outside IDs()
+// is not. This is the discovery tier's admission primitive.
 func (m *Manager) AddModel(p Pair, model *core.Model) error {
 	if model == nil {
 		return fmt.Errorf("manager: add %s: nil model", p)
 	}
 	p = MakePair(p.A, p.B)
+	if !validPair(m.ids, p) {
+		return fmt.Errorf("manager: add %s: not a pair of two of the fleet's measurements", p)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.models[p] = model
@@ -639,14 +615,6 @@ func (m *Manager) noteDirty(skipped int) {
 	}
 }
 
-// LastDirtyPairs returns how many pairs actually re-scored on the most
-// recent row (the rest carried their cached outcome forward).
-func (m *Manager) LastDirtyPairs() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastDirty
-}
-
 // scoreChunk scores pairs [lo, hi) of the current row — one claimed chunk —
 // into the carry-forward cache and, under ScoreInto, the caller's buffer. A fleet far beyond the caches is bound by
 // memory latency, not arithmetic: a re-scored pair first reads a model, a
@@ -659,7 +627,7 @@ func (m *Manager) LastDirtyPairs() int {
 func (m *Manager) scoreChunk(lo, hi int) {
 	vals, dst := m.curVals, m.curDst
 	for i := lo; i < hi; i++ {
-		if va, vb := m.pairValues(i, vals); !m.carries(i, va, vb) {
+		if idx := m.pairIdx[i]; !m.carries(i, vals[idx[0]], vals[idx[1]]) {
 			m.modelAt[i].Warm()
 		}
 	}
@@ -674,17 +642,6 @@ func (m *Manager) scoreChunk(lo, hi int) {
 	if skipped > 0 {
 		atomic.AddUint64(&m.stepSkipped, skipped)
 	}
-}
-
-// pairValues returns link i's two values in the row: NaN, a gap, when an
-// endpoint lies outside the manager's measurement universe (FromModels with
-// a narrower id set; no constructor in the tree passes one) — the row has no
-// column for it, and the aggregation already leaves the link out of every Q^a.
-func (m *Manager) pairValues(i int, vals []float64) (va, vb float64) {
-	if idx := m.pairIdx[i]; idx[0] >= 0 && idx[1] >= 0 {
-		return vals[idx[0]], vals[idx[1]]
-	}
-	return math.NaN(), math.NaN()
 }
 
 // carries is the incremental scheduler's skip test: a steady pair whose two
@@ -707,7 +664,8 @@ func (m *Manager) carries(i int, va, vb float64) bool {
 // always safe.
 func (m *Manager) stepPairAt(i int, vals []float64, skipped *uint64) Outcome {
 	model := m.modelAt[i]
-	va, vb := m.pairValues(i, vals)
+	idx := m.pairIdx[i]
+	va, vb := vals[idx[0]], vals[idx[1]]
 	if m.carries(i, va, vb) && model.NoteSkipped() {
 		*skipped++
 		return m.outcomes[i]

@@ -121,58 +121,6 @@ func TestStepMissingValuesSkipPairs(t *testing.T) {
 	}
 }
 
-// TestPairOutsideIDsIsAGap: a manager rebuilt over a narrower id set than
-// its models span (FromModels allows it) has no row column for the missing
-// endpoint. Such a link is a gap on every row — never scored, whatever the
-// map row carries — which is how the aggregation, which has no Q^a slot for
-// it either, always treated it; every other link scores as before.
-func TestPairOutsideIDsIsAGap(t *testing.T) {
-	full, ds, _ := trainedManager(t, Config{KeepPairScores: true}, 2)
-	ids := full.IDs()
-	narrow, err := FromModels(ids[1:], full.Models(), Config{KeepPairScores: true})
-	if err != nil {
-		t.Fatalf("FromModels: %v", err)
-	}
-	defer narrow.Close()
-	from := timeseries.MonitoringStart.AddDate(0, 0, 1)
-	l := len(ids)
-	for k := 0; k < 3; k++ {
-		tm := from.Add(time.Duration(k) * timeseries.SampleStep)
-		rep := narrow.Step(Row{Time: tm, Values: rowValues(ds, tm)}) // the row carries ids[0] too
-		for p := range rep.Pairs {
-			if p.A == ids[0] || p.B == ids[0] {
-				t.Fatalf("row %d: link %s has an endpoint outside the manager's ids and was scored", k, p)
-			}
-		}
-		if want := (l - 1) * (l - 2) / 2; k > 0 && rep.ScoredPairs != want {
-			t.Errorf("row %d: scored pairs = %d, want the %d links inside the id set", k, rep.ScoredPairs, want)
-		}
-	}
-	for _, st := range narrow.PairStates() {
-		if outside := st.Pair.A == ids[0] || st.Pair.B == ids[0]; outside && (st.Scored || st.Steady) {
-			t.Errorf("link %s outside the id set: scored=%v steady=%v", st.Pair, st.Scored, st.Steady)
-		}
-	}
-}
-
-func TestKeepPairScores(t *testing.T) {
-	mgr, ds, _ := trainedManager(t, Config{KeepPairScores: true}, 2)
-	from := timeseries.MonitoringStart.AddDate(0, 0, 1)
-	reports, err := mgr.Run(ds, from, from.Add(3*timeseries.SampleStep))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	last := reports[len(reports)-1]
-	if len(last.Pairs) == 0 {
-		t.Fatal("KeepPairScores should populate Pairs")
-	}
-	for p, q := range last.Pairs {
-		if q < 0 || q > 1 {
-			t.Errorf("pair %s fitness %.3f out of range", p, q)
-		}
-	}
-}
-
 func TestFaultDropsScoresAndLocalizes(t *testing.T) {
 	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
 	faulty := simulator.MachineName("M", 2)

@@ -37,7 +37,6 @@ type persistedConfig struct {
 	MeasurementThreshold float64
 	SystemThreshold      float64
 	ProbDelta            float64
-	KeepPairScores       bool
 	TrackPairMeans       bool
 	FullRescore          bool
 }
@@ -49,7 +48,6 @@ func persistConfig(c Config) persistedConfig {
 		MeasurementThreshold: c.MeasurementThreshold,
 		SystemThreshold:      c.SystemThreshold,
 		ProbDelta:            c.ProbDelta,
-		KeepPairScores:       c.KeepPairScores,
 		TrackPairMeans:       c.TrackPairMeans,
 		FullRescore:          c.FullRescore,
 	}
@@ -62,7 +60,6 @@ func (p persistedConfig) config(sink alarm.Sink) Config {
 		MeasurementThreshold: p.MeasurementThreshold,
 		SystemThreshold:      p.SystemThreshold,
 		ProbDelta:            p.ProbDelta,
-		KeepPairScores:       p.KeepPairScores,
 		TrackPairMeans:       p.TrackPairMeans,
 		FullRescore:          p.FullRescore,
 		Sink:                 sink,
@@ -146,6 +143,19 @@ func LoadManager(r io.Reader, sink alarm.Sink) (*Manager, error) {
 	if hdr.Config.Workers > maxWorkers {
 		// The pool is spawned from this number; it must not be a stream's to inflate.
 		return nil, fmt.Errorf("manager load: %d workers: %w", hdr.Config.Workers, wal.ErrCorrupt)
+	}
+	// A pair reads its values from the row by its endpoints' indices, so
+	// the header must agree with itself: a strictly increasing id list and
+	// canonical pairs of its members.
+	for i := 1; i < len(hdr.IDs); i++ {
+		if !hdr.IDs[i-1].Less(hdr.IDs[i]) {
+			return nil, fmt.Errorf("manager load: ids not strictly increasing at %s: %w", hdr.IDs[i], wal.ErrCorrupt)
+		}
+	}
+	for _, p := range hdr.Pairs {
+		if !validPair(hdr.IDs, p) {
+			return nil, fmt.Errorf("manager load: pair %s is not a canonical pair of the fleet: %w", p, wal.ErrCorrupt)
+		}
 	}
 	m := &Manager{
 		cfg:    hdr.Config.config(sink).withDefaults(),

@@ -195,7 +195,7 @@ func TestFleetStoresObservedRowsOnly(t *testing.T) {
 	}
 
 	var cells, rows, entries int
-	for _, model := range mgr.Models() {
+	for _, model := range mgr.modelAt {
 		tm := model.Matrix()
 		cells += tm.NumCells()
 		rows += tm.ObservedRows()
@@ -218,5 +218,55 @@ func TestFleetStoresObservedRowsOnly(t *testing.T) {
 	mgr.Close()
 	if got := obsModelBytes.Value(); got != others {
 		t.Errorf("mcorr_manager_model_bytes is %v after Close, want the other managers' %v", got, others)
+	}
+}
+
+// TestLoadManagerRefusesInconsistentHeader: a pair reads its two values
+// from the row by its endpoints' indices, so LoadManager must refuse a
+// header whose pairs and ids disagree, and AddModel a pair that reaches
+// outside the fleet. Each header is a trained manager's, altered in place
+// before Save.
+func TestLoadManagerRefusesInconsistentHeader(t *testing.T) {
+	cases := []struct {
+		name  string
+		alter func(m *Manager)
+	}{
+		{"pair outside ids", func(m *Manager) { m.ids = m.ids[1:] }},
+		{"non-canonical pair", func(m *Manager) { m.pairs[0] = Pair{A: m.pairs[0].B, B: m.pairs[0].A} }},
+		{"duplicated id", func(m *Manager) { m.ids = append([]timeseries.MeasurementID{m.ids[0]}, m.ids...) }},
+		{"ids out of order", func(m *Manager) { m.ids[0], m.ids[1] = m.ids[1], m.ids[0] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr, _ := smallManager(t, Config{})
+			defer mgr.Close()
+			mgr.ids = append([]timeseries.MeasurementID(nil), mgr.ids...)
+			tc.alter(mgr)
+			var buf bytes.Buffer
+			if err := mgr.Save(&buf); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			if r, err := LoadManager(&buf, nil); !errors.Is(err, wal.ErrCorrupt) {
+				if r != nil {
+					r.Close()
+				}
+				t.Fatalf("LoadManager: %v, want wal.ErrCorrupt", err)
+			}
+		})
+	}
+
+	mgr, ds := smallManager(t, Config{})
+	defer mgr.Close()
+	ids := mgr.IDs()
+	model := mgr.Model(ids[0], ids[1])
+	ghost := timeseries.MeasurementID{Machine: "ghost-srv-00", Metric: "cpuUtil"}
+	if err := mgr.AddModel(MakePair(ids[0], ghost), model); err == nil {
+		t.Error("AddModel accepted a pair with an endpoint outside the fleet")
+	}
+	if err := mgr.AddModel(Pair{A: ids[0], B: ids[0]}, model); err == nil {
+		t.Error("AddModel accepted a self-pair")
+	}
+	if got := len(mgr.Pairs()); got != len(ds.IDs())*(len(ds.IDs())-1)/2 {
+		t.Errorf("refused admissions changed the graph: %d pairs", got)
 	}
 }

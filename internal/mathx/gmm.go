@@ -62,17 +62,19 @@ type GMM2 struct {
 type GMMConfig struct {
 	// Components is the number of mixture components (k ≥ 1).
 	Components int
-	// MaxIter bounds EM iterations; 0 means 100.
-	MaxIter int
-	// Tol stops EM when the per-sample log-likelihood improves by less;
-	// 0 means 1e-6.
-	Tol float64
 	// Seed seeds the k-means++ style initialization.
 	Seed int64
-	// MinVariance is a floor added to covariance diagonals to prevent
-	// component collapse; 0 means 1e-9 times the data variance.
-	MinVariance float64
 }
+
+// EM runs at most gmmMaxIter iterations and stops once the per-sample
+// log-likelihood improves by less than gmmTol. Covariance diagonals are
+// floored at gmmMinVariance times the data variance so no component
+// collapses onto a point.
+const (
+	gmmMaxIter     = 100
+	gmmTol         = 1e-6
+	gmmMinVariance = 1e-9
+)
 
 // FitGMM2 fits a k-component 2-D Gaussian mixture to pts by expectation
 // maximization with a k-means++ style initialization. It needs at least
@@ -85,14 +87,6 @@ func FitGMM2(pts []Point2, cfg GMMConfig) (*GMM2, error) {
 	if len(pts) < 2*k {
 		return nil, fmt.Errorf("gmm with %d components needs at least %d points, got %d", k, 2*k, len(pts))
 	}
-	maxIter := cfg.MaxIter
-	if maxIter == 0 {
-		maxIter = 100
-	}
-	tol := cfg.Tol
-	if tol == 0 {
-		tol = 1e-6
-	}
 
 	// Data scale, for variance flooring.
 	var ox, oy Online
@@ -104,10 +98,7 @@ func FitGMM2(pts []Point2, cfg GMMConfig) (*GMM2, error) {
 	if math.IsNaN(scale) || scale == 0 {
 		scale = 1
 	}
-	floor := cfg.MinVariance
-	if floor == 0 {
-		floor = 1e-9 * scale
-	}
+	floor := gmmMinVariance * scale
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	comps := initComponents(pts, k, scale, rng)
@@ -124,7 +115,7 @@ func FitGMM2(pts []Point2, cfg GMMConfig) (*GMM2, error) {
 
 	prevLL := math.Inf(-1)
 	iter := 0
-	for ; iter < maxIter; iter++ {
+	for ; iter < gmmMaxIter; iter++ {
 		// E step.
 		var ll float64
 		for i, p := range pts {
@@ -176,7 +167,7 @@ func FitGMM2(pts []Point2, cfg GMMConfig) (*GMM2, error) {
 		}
 		Normalize(weights)
 
-		if ll-prevLL < tol && iter > 0 {
+		if ll-prevLL < gmmTol && iter > 0 {
 			prevLL = ll
 			break
 		}

@@ -29,9 +29,6 @@ func NewMatrix(rows, cols int) (*Matrix, error) {
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at (i, j). Indices are not bounds-checked beyond
 // the underlying slice access.
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }

@@ -24,8 +24,8 @@ func TestMatrixBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMatrix: %v", err)
 	}
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("dims = %dx%d", m.Rows(), m.Cols())
+	if m.Rows() != 2 || m.cols != 3 {
+		t.Fatalf("dims = %dx%d", m.Rows(), m.cols)
 	}
 	m.Set(1, 2, 7)
 	if m.At(1, 2) != 7 {
@@ -73,11 +73,11 @@ func TestMatrixMulVec(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	a := mustMatrix(t, [][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.Transpose()
-	if at.Rows() != 3 || at.Cols() != 2 {
-		t.Fatalf("transpose dims %dx%d", at.Rows(), at.Cols())
+	if at.Rows() != 3 || at.cols != 2 {
+		t.Fatalf("transpose dims %dx%d", at.Rows(), at.cols)
 	}
 	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
+		for j := 0; j < a.cols; j++ {
 			if a.At(i, j) != at.At(j, i) {
 				t.Errorf("transpose mismatch at %d,%d", i, j)
 			}

@@ -167,19 +167,3 @@ func (o Online) State() (n int, mean, m2 float64) { return o.n, o.mean, o.m2 }
 func (o *Online) Restore(n int, mean, m2 float64) {
 	o.n, o.mean, o.m2 = n, mean, m2
 }
-
-// Merge combines another accumulator into o (parallel Welford merge).
-func (o *Online) Merge(b Online) {
-	if b.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = b
-		return
-	}
-	n := o.n + b.n
-	d := b.mean - o.mean
-	o.m2 += b.m2 + d*d*float64(o.n)*float64(b.n)/float64(n)
-	o.mean += d * float64(b.n) / float64(n)
-	o.n = n
-}

@@ -155,39 +155,6 @@ func TestOnlineEmpty(t *testing.T) {
 	}
 }
 
-func TestOnlineMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var all, a, b Online
-	for i := 0; i < 500; i++ {
-		x := rng.Float64() * 10
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !AlmostEqual(a.Mean(), all.Mean(), 1e-9) || !AlmostEqual(a.Variance(), all.Variance(), 1e-9) {
-		t.Errorf("merge mean/var %g/%g vs %g/%g", a.Mean(), a.Variance(), all.Mean(), all.Variance())
-	}
-	// Merging into empty adopts the other side.
-	var empty Online
-	empty.Merge(a)
-	if empty.N() != a.N() || !AlmostEqual(empty.Mean(), a.Mean(), 0) {
-		t.Error("merge into empty should copy")
-	}
-	// Merging an empty is a no-op.
-	n := a.N()
-	a.Merge(Online{})
-	if a.N() != n {
-		t.Error("merge of empty should be a no-op")
-	}
-}
-
 // Property: Pearson is always within [-1, 1] for finite data.
 func TestPearsonRangeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

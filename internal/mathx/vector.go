@@ -22,15 +22,6 @@ func Dot(a, b []float64) (float64, error) {
 	return s, nil
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Sum returns the sum of the elements of v. An empty slice sums to zero.
 func Sum(v []float64) float64 {
 	var s float64
@@ -72,18 +63,6 @@ func Scale(v []float64, k float64) []float64 {
 		v[i] *= k
 	}
 	return v
-}
-
-// AddScaled adds k*src to dst element-wise in place.
-// It returns an error if the slices differ in length.
-func AddScaled(dst, src []float64, k float64) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("addScaled of %d and %d elements: %w", len(dst), len(src), ErrDimensionMismatch)
-	}
-	for i := range dst {
-		dst[i] += k * src[i]
-	}
-	return nil
 }
 
 // Normalize scales v in place so its elements sum to one and returns the

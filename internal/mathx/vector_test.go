@@ -26,15 +26,6 @@ func TestDotEmpty(t *testing.T) {
 	}
 }
 
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %g, want 5", got)
-	}
-	if got := Norm2(nil); got != 0 {
-		t.Errorf("Norm2(nil) = %g, want 0", got)
-	}
-}
-
 func TestSumMean(t *testing.T) {
 	if got := Sum([]float64{1, 2, 3.5}); got != 6.5 {
 		t.Errorf("Sum = %g, want 6.5", got)
@@ -62,20 +53,11 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestScaleAddScaled(t *testing.T) {
+func TestScale(t *testing.T) {
 	v := []float64{1, 2}
 	Scale(v, 3)
 	if v[0] != 3 || v[1] != 6 {
 		t.Errorf("Scale = %v, want [3 6]", v)
-	}
-	if err := AddScaled(v, []float64{1, 1}, 2); err != nil {
-		t.Fatalf("AddScaled: %v", err)
-	}
-	if v[0] != 5 || v[1] != 8 {
-		t.Errorf("AddScaled = %v, want [5 8]", v)
-	}
-	if err := AddScaled(v, []float64{1}, 1); err == nil {
-		t.Error("AddScaled mismatched lengths: want error")
 	}
 }
 

@@ -38,9 +38,6 @@ type Config struct {
 	Workers []string
 	// Manager is the fleet configuration, exactly as for one Manager.
 	Manager manager.Config
-	// Keep optionally restricts the trained pair graph: a pair is trained
-	// only when Keep accepts it. Nil keeps every pair.
-	Keep func(manager.Pair) bool
 	// CheckpointEvery is the worker checkpoint cadence in rows
 	// (default 240). The replay ring retains 4×CheckpointEvery+64 rows,
 	// so any worker whose checkpoint is at most that far behind recovers
@@ -190,7 +187,7 @@ func New(history *timeseries.Dataset, cfg Config) (*Coordinator, error) {
 	// Train every shard's subset locally, then stream each to its worker
 	// and release the local copies; from then on the workers own the live
 	// models.
-	mgrs, err := train(history, n, cfg.Manager, cfg.Keep)
+	mgrs, err := train(history, n, cfg.Manager)
 	if err != nil {
 		return nil, fmt.Errorf("shardnet: %w", err)
 	}

@@ -60,10 +60,9 @@ func Assign(key string, shards int) int {
 }
 
 // train trains the n shard managers of a fleet concurrently, each on its
-// own pool: shard k gets exactly the pairs rendezvous hashing assigns it
-// that keep (nil keeps all) also accepts. On a failure the shards already
-// trained are closed.
-func train(history *timeseries.Dataset, n int, mcfg manager.Config, keep func(manager.Pair) bool) ([]*manager.Manager, error) {
+// own pool: shard k gets exactly the pairs rendezvous hashing assigns it.
+// On a failure the shards already trained are closed.
+func train(history *timeseries.Dataset, n int, mcfg manager.Config) ([]*manager.Manager, error) {
 	shards := make([]*manager.Manager, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -72,7 +71,7 @@ func train(history *timeseries.Dataset, n int, mcfg manager.Config, keep func(ma
 		go func(k int) {
 			defer wg.Done()
 			shards[k], errs[k] = manager.NewSubset(history, mcfg, func(p manager.Pair) bool {
-				return Assign(p.String(), n) == k && (keep == nil || keep(p))
+				return Assign(p.String(), n) == k
 			})
 		}(k)
 	}

@@ -400,7 +400,7 @@ func TestHandshakeRefusesOtherPairSet(t *testing.T) {
 
 	// Worker 1 restarts from a checkpoint of this run and shard that lacks
 	// one of the shard's pairs.
-	own := c.ShardPairs(1)
+	own := c.conns[1].pairs
 	sub, err := manager.NewSubset(history, mcfg, func(p manager.Pair) bool { return p != own[0] && slices.Contains(own, p) })
 	if err != nil {
 		t.Fatal(err)
@@ -430,9 +430,9 @@ func TestHandshakeRefusesOtherPairSet(t *testing.T) {
 	}
 }
 
-// TestFleetPartitionSurface checks Pairs and ShardPairs: the workers'
-// pair lists are a true partition of the canonical global order, and
-// worker k holds exactly the pairs Assign gives shard k.
+// TestFleetPartitionSurface checks Pairs against the workers' pair lists:
+// they are a true partition of the canonical global order, and worker k
+// holds exactly the pairs Assign gives shard k.
 func TestFleetPartitionSurface(t *testing.T) {
 	history, _ := fixtures(t, 3, 1)
 	mcfg := manager.Config{Model: tinyModel(false), Workers: 1}
@@ -453,8 +453,8 @@ func TestFleetPartitionSurface(t *testing.T) {
 			t.Fatalf("Pairs() is empty or not in strict canonical order: %v", all)
 		}
 		owners := make(map[manager.Pair]int)
-		for k := 0; k < workers; k++ {
-			for _, p := range c.ShardPairs(k) {
+		for k, wc := range c.conns {
+			for _, p := range wc.pairs {
 				owners[p]++
 				if got := Assign(p.String(), workers); got != k {
 					t.Errorf("worker %d holds pair %s, which Assign gives shard %d", k, p, got)
@@ -469,8 +469,8 @@ func TestFleetPartitionSurface(t *testing.T) {
 				t.Errorf("pair %s owned by %d workers", p, owners[p])
 			}
 		}
-		if c.ShardPairs(-1) != nil || c.ShardPairs(workers) != nil {
-			t.Error("ShardPairs out of range is not nil")
+		if len(c.conns) != workers {
+			t.Errorf("%d worker connections, want %d", len(c.conns), workers)
 		}
 	})
 }
@@ -482,7 +482,7 @@ func TestFleetPartitionSurface(t *testing.T) {
 // order the Aggregator folds — so each pair's Q^{a,b} in the merged report
 // is bit for bit the one a single in-process Manager reports for it.
 func TestFabricRoundScattersInCanonicalOrder(t *testing.T) {
-	mcfg := manager.Config{Model: tinyModel(true), KeepPairScores: true}
+	mcfg := manager.Config{Model: tinyModel(true)}
 	history, rows := fixtures(t, 3, 3)
 	ref, err := manager.New(history, mcfg)
 	if err != nil {
@@ -499,8 +499,8 @@ func TestFabricRoundScattersInCanonicalOrder(t *testing.T) {
 	// The split must interleave: some neighbours of the canonical order
 	// live on different workers, or the scatter is the identity map.
 	owner := make(map[manager.Pair]int)
-	for k := 0; k < workers; k++ {
-		for _, p := range c.ShardPairs(k) {
+	for k, wc := range c.conns {
+		for _, p := range wc.pairs {
 			owner[p] = k
 		}
 	}
@@ -520,11 +520,16 @@ func TestFabricRoundScattersInCanonicalOrder(t *testing.T) {
 	}
 	for i, row := range rows {
 		got, want := c.Step(row), ref.Step(row)
-		if len(got.Pairs) != len(want.Pairs) {
-			t.Fatalf("step %d: %d pair scores, want %d", i, len(got.Pairs), len(want.Pairs))
+		states := ref.PairStates()
+		if len(c.outcomes) != len(states) {
+			t.Fatalf("step %d: %d pair outcomes, want %d", i, len(c.outcomes), len(states))
 		}
-		for p, q := range want.Pairs {
-			sameBits(t, fmt.Sprintf("step %d pair %s", i, p), got.Pairs[p], q)
+		for k, st := range states {
+			o := c.outcomes[k]
+			if c.pairs[k] != st.Pair || o.Scored != st.Scored {
+				t.Fatalf("step %d: outcome %d is %s scored=%v, want %s scored=%v", i, k, c.pairs[k], o.Scored, st.Pair, st.Scored)
+			}
+			sameBits(t, fmt.Sprintf("step %d pair %s", i, st.Pair), o.Fitness, st.Fitness)
 		}
 		compareReports(t, i, got, want)
 	}

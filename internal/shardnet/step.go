@@ -77,15 +77,6 @@ func (c *Coordinator) Pairs() []manager.Pair {
 	return append([]manager.Pair(nil), c.pairs...)
 }
 
-// ShardPairs returns the links owned by worker k in canonical order, or nil
-// when k is out of range.
-func (c *Coordinator) ShardPairs(k int) []manager.Pair {
-	if k < 0 || k >= len(c.conns) {
-		return nil
-	}
-	return append([]manager.Pair(nil), c.conns[k].pairs...)
-}
-
 // readOutcomes reads worker wc.k's answer to row seq — one frame, more
 // only when the set exceeds the frame limit — validating every frame
 // before it indexes anything. The answer to the row in flight is scattered

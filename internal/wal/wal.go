@@ -90,16 +90,14 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncBatch).
 	Sync SyncPolicy
-	// BatchWindow is the group-commit window for SyncBatch (default 50ms).
-	BatchWindow time.Duration
 }
+
+// batchWindow is SyncBatch's group-commit window.
+const batchWindow = 50 * time.Millisecond
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 50 * time.Millisecond
 	}
 	return o
 }
@@ -260,7 +258,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	case SyncBatch:
-		if time.Since(l.lastSync) >= l.opts.BatchWindow {
+		if time.Since(l.lastSync) >= batchWindow {
 			if err := l.syncLocked(); err != nil {
 				return 0, err
 			}

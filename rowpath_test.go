@@ -64,18 +64,50 @@ func sameReport(t *testing.T, what string, got, want mcorr.StepReport) {
 		math.Float64bits(got.System) != math.Float64bits(want.System) {
 		t.Fatalf("%s: dense %+v, map %+v", what, got, want)
 	}
-	if len(got.Measurements) != len(want.Measurements) || len(got.Pairs) != len(want.Pairs) {
-		t.Fatalf("%s: dense scored %d measurements and %d pairs, map %d and %d", what,
-			len(got.Measurements), len(got.Pairs), len(want.Measurements), len(want.Pairs))
+	if len(got.Measurements) != len(want.Measurements) {
+		t.Fatalf("%s: dense scored %d measurements, map %d", what, len(got.Measurements), len(want.Measurements))
 	}
 	for id, q := range want.Measurements {
 		if g, ok := got.Measurements[id]; !ok || math.Float64bits(g) != math.Float64bits(q) {
 			t.Fatalf("%s: Q^a of %s: dense %v (%v), map %v", what, id, g, ok, q)
 		}
 	}
-	for p, q := range want.Pairs {
-		if g, ok := got.Pairs[p]; !ok || math.Float64bits(g) != math.Float64bits(q) {
-			t.Fatalf("%s: Q of %s: dense %v (%v), map %v", what, p, g, ok, q)
+}
+
+// samePairStates is Float64bits equality of every link's Q^{a,b} after the
+// row. Every shape is held to its running per-pair means and sample counts
+// (Config.TrackPairMeans, kept by the Aggregator each shape embeds, the
+// networked coordinator included); fleets that score in this process are
+// also held to the row's own Q^{a,b} and whether each link scored.
+func samePairStates(t *testing.T, what string, got, want mcorr.Fleet) {
+	t.Helper()
+	type pairMeaner interface{ WorstPairs(int) []manager.PairScore }
+	gm, ok := got.(pairMeaner)
+	if !ok {
+		t.Fatalf("%s: %T exposes no per-pair means", what, got)
+	}
+	n := len(want.Pairs())
+	gw, ww := gm.WorstPairs(n), want.(pairMeaner).WorstPairs(n)
+	if len(gw) != len(ww) {
+		t.Fatalf("%s: dense has means for %d links, map %d", what, len(gw), len(ww))
+	}
+	for i, w := range ww {
+		if gw[i].Pair != w.Pair || gw[i].Samples != w.Samples || math.Float64bits(gw[i].Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s: mean %d: dense %+v, map %+v", what, i, gw[i], w)
+		}
+	}
+	type pairStater interface{ PairStates() []manager.PairState }
+	g, ok := got.(pairStater)
+	if !ok {
+		return
+	}
+	gs, ws := g.PairStates(), want.(pairStater).PairStates()
+	if len(gs) != len(ws) {
+		t.Fatalf("%s: dense has %d links, map %d", what, len(gs), len(ws))
+	}
+	for i, w := range ws {
+		if gs[i].Pair != w.Pair || gs[i].Scored != w.Scored || math.Float64bits(gs[i].Fitness) != math.Float64bits(w.Fitness) {
+			t.Fatalf("%s: link %d: dense %+v, map %+v", what, i, gs[i], w)
 		}
 	}
 }
@@ -89,6 +121,7 @@ func sameReport(t *testing.T, what string, got, want mcorr.StepReport) {
 // to it, or read past the call, diverges.
 func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
 	history, clean, cfg := propertyFixture(t)
+	cfg.TrackPairMeans = true // samePairStates reads the per-pair means
 	rows := hostileRows(clean[:180], 5)
 	all, err := manager.New(history, cfg)
 	if err != nil {
@@ -137,7 +170,7 @@ func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
 				t.Cleanup(func() { w.Close() })
 				addrs[k] = w.Addr().String()
 			}
-			c, err := mcorr.NewShardNetFleet(history, mcorr.ShardNetConfig{Workers: addrs, Manager: cfg, Keep: keep})
+			c, err := mcorr.NewShardNetFleet(history, mcorr.ShardNetConfig{Workers: addrs, Manager: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,6 +214,7 @@ func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
 					vals[i] = 1e300
 				}
 				sameReport(t, fmt.Sprintf("row %d", k), got, want)
+				samePairStates(t, fmt.Sprintf("row %d", k), byValues, byMap)
 			}
 			if a, b := byValues.SystemMean(), byMap.SystemMean(); math.Float64bits(a) != math.Float64bits(b) || byValues.Steps() != byMap.Steps() {
 				t.Errorf("accumulators: dense %v over %d steps, map %v over %d", a, byValues.Steps(), b, byMap.Steps())

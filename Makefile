@@ -113,6 +113,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSamples$$' -fuzztime $(FUZZTIME) ./internal/collector
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchOps$$' -fuzztime $(FUZZTIME) ./internal/discover
 	$(GO) test -run '^$$' -fuzz '^FuzzShardFrames$$' -fuzztime $(FUZZTIME) ./internal/shardnet
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelateRequest$$' -fuzztime $(FUZZTIME) .
@@ -125,7 +126,8 @@ fuzz-short:
 # files: the checkpoint corpus (real, torn and lying checkpoints)
 # and the WAL segment corpus. A seed from before a format bump dies at the
 # magic and leaves the fuzzer nothing to mutate;
-# TestCheckpointCorpusIsCurrent fails until this has been run.
+# TestCheckpointCorpusIsCurrent and TestWALCorpusIsCurrent fail until this
+# has been run.
 corpus:
 	$(GO) run gen_checkpoint_corpus.go
 	cd internal/wal && $(GO) run gen_corpus.go

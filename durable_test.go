@@ -3,6 +3,9 @@ package mcorr_test
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"mcorr/internal/manager"
 	"mcorr/internal/simulator"
 	"mcorr/internal/timeseries"
+	"mcorr/internal/wal"
 )
 
 // feedRows streams n full rows starting at from into the durable monitor,
@@ -168,5 +172,104 @@ func TestOpenDurableMonitorWithoutCheckpoint(t *testing.T) {
 	_, _, err := mcorr.OpenDurableMonitor(mcorr.DurabilityConfig{DataDir: t.TempDir()}, nil)
 	if !errors.Is(err, manager.ErrNoCheckpoint) {
 		t.Fatalf("empty dir = %v, want ErrNoCheckpoint", err)
+	}
+}
+
+// TestWALRemovedAfterCleanStop follows OPERATIONS.md's upgrade note for a
+// WAL format change: stop cleanly, remove wal/, start. The monitor resumes
+// where the clean stop left it, and what it logs from then on survives a
+// crash: the recovery after it re-scores the uninterrupted trajectory bit
+// for bit.
+func TestWALRemovedAfterCleanStop(t *testing.T) {
+	ds, _, err := simulator.Generate(simulator.GroupConfig{Name: "D", Machines: 2, Days: 2, Seed: 47})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	history := ds.Slice(timeseries.MonitoringStart, day1)
+	mcfg := mcorr.ManagerConfig{Model: mcorr.ModelConfig{Adaptive: true}}
+	const total = 20
+	base, err := mcorr.NewDurableMonitor(history, mcfg, mcorr.DurabilityConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("NewDurableMonitor: %v", err)
+	}
+	want := make(map[time.Time]uint64, total)
+	for _, r := range feedRows(t, base, ds, day1, total) {
+		want[r.Time] = math.Float64bits(r.System)
+	}
+	base.Close()
+
+	dcfg := mcorr.DurabilityConfig{DataDir: t.TempDir()}
+	dm, err := mcorr.NewDurableMonitor(history, mcfg, dcfg)
+	if err != nil {
+		t.Fatalf("NewDurableMonitor: %v", err)
+	}
+	feedRows(t, dm, ds, day1, 6)
+	if err := dm.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := os.RemoveAll(filepath.Join(dcfg.DataDir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+	re, recovered, err := mcorr.OpenDurableMonitor(dcfg, nil)
+	if err != nil {
+		t.Fatalf("OpenDurableMonitor without wal/: %v", err)
+	}
+	if len(recovered) != 0 || !re.Cursor().Equal(day1.Add(6*timeseries.SampleStep)) {
+		t.Fatalf("re-scored %d rows, cursor %s; want none, at row 6", len(recovered), re.Cursor())
+	}
+	feedRows(t, re, ds, day1.Add(6*timeseries.SampleStep), 6)
+	re.Manager().Close() // crash: no checkpoint since the restart
+
+	re2, recovered, err := mcorr.OpenDurableMonitor(dcfg, nil)
+	if err != nil {
+		t.Fatalf("OpenDurableMonitor after the crash: %v", err)
+	}
+	defer re2.Close()
+	if len(recovered) != 6 {
+		t.Fatalf("recovery re-scored %d rows, want the 6 logged since the restart", len(recovered))
+	}
+	rest := feedRows(t, re2, ds, day1.Add(12*timeseries.SampleStep), total-12)
+	for _, r := range append(recovered, rest...) {
+		if bits, ok := want[r.Time]; !ok || bits != math.Float64bits(r.System) {
+			t.Fatalf("row %s: Q=%x, uninterrupted run %x", r.Time, math.Float64bits(r.System), bits)
+		}
+	}
+}
+
+// TestOldWALFormatIsRefused: a data directory whose WAL another release
+// wrote fails to open with wal.ErrFormat, whose message points at the
+// upgrade note, instead of replaying nothing.
+func TestOldWALFormatIsRefused(t *testing.T) {
+	ds, _, err := simulator.Generate(simulator.GroupConfig{Name: "D", Machines: 2, Days: 2, Seed: 47})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	dcfg := mcorr.DurabilityConfig{DataDir: t.TempDir(), CheckpointEvery: 1 << 20}
+	dm, err := mcorr.NewDurableMonitor(ds.Slice(timeseries.MonitoringStart, day1), mcorr.ManagerConfig{}, dcfg)
+	if err != nil {
+		t.Fatalf("NewDurableMonitor: %v", err)
+	}
+	feedRows(t, dm, ds, day1, 3)
+	dm.Manager().Close() // crash, so the tail is in the WAL only
+	segs, err := filepath.Glob(filepath.Join(dcfg.DataDir, "wal", "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "MCORWAL1")
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, _, err := mcorr.OpenDurableMonitor(dcfg, nil)
+	if !errors.Is(err, wal.ErrFormat) || !strings.Contains(err.Error(), "OPERATIONS.md") {
+		t.Fatalf("OpenDurableMonitor on an MCORWAL1 log = %v; want wal.ErrFormat naming OPERATIONS.md", err)
+	}
+	if re != nil {
+		re.Close()
 	}
 }

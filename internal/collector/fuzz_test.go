@@ -115,7 +115,7 @@ func FuzzDecodeSamples(f *testing.F) {
 	// reused and ids outlive one input, so each input is decoded into a
 	// batch and an ID table earlier ones left behind.
 	var reused []tsdb.Sample
-	ids := make(map[string]timeseries.MeasurementID)
+	ids := newInternTable()
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		batch, err := DecodeSamples(payload)
 		got, gerr := decodeSamplesInto(reused, payload, ids)

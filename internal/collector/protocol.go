@@ -208,8 +208,8 @@ func appendString(buf []byte, s string) ([]byte, error) {
 	return append(buf, s...), nil
 }
 
-// maxInterned bounds a connection's ID table (see decodeSamplesInto).
-// Past it, IDs not yet in the table are decoded into fresh strings, as
+// maxInterned bounds a connection's ID table (see internTable). Past it,
+// IDs not yet in the table are decoded into fresh strings, as
 // DecodeSamples does.
 const maxInterned = 1 << 16
 
@@ -218,12 +218,41 @@ func DecodeSamples(payload []byte) ([]tsdb.Sample, error) {
 	return decodeSamplesInto(nil, payload, nil)
 }
 
+// internTable is one connection's measurement IDs, interned by their wire
+// bytes (both length-prefixed strings, so no two splits of the same
+// characters share a key), each beside the sink handle its last append
+// resolved it to: a known ID costs a lookup and no allocation, and reaches
+// the sink with its handle as the sample's Ref. The table grows up to
+// maxInterned IDs.
+type internTable struct {
+	ids map[string]*interned
+	// used[i] is the entry of the last decoded batch's sample i, nil for
+	// one past the bound.
+	used []*interned
+}
+
+type interned struct {
+	id  timeseries.MeasurementID
+	ref uint32
+}
+
+func newInternTable() *internTable {
+	return &internTable{ids: make(map[string]*interned)}
+}
+
+// keep records the handles the sink wrote into the batch last decoded
+// through t.
+func (t *internTable) keep(batch []tsdb.Sample) {
+	for i, in := range t.used[:len(batch)] {
+		if in != nil {
+			in.ref = batch[i].Ref
+		}
+	}
+}
+
 // decodeSamplesInto parses a MsgSamples payload into dst[:0], growing it
-// only past its capacity. ids, when non-nil, interns measurement IDs keyed
-// by their wire bytes (both length-prefixed strings, so no two splits of
-// the same characters share a key): a known ID costs a lookup and no
-// allocation, and the table grows up to maxInterned entries.
-func decodeSamplesInto(dst []tsdb.Sample, payload []byte, ids map[string]timeseries.MeasurementID) ([]tsdb.Sample, error) {
+// only past its capacity, and interns its IDs in tab when tab is non-nil.
+func decodeSamplesInto(dst []tsdb.Sample, payload []byte, tab *internTable) ([]tsdb.Sample, error) {
 	if len(payload) < 4 {
 		return nil, ErrTruncated
 	}
@@ -235,6 +264,9 @@ func decodeSamplesInto(dst []tsdb.Sample, payload []byte, ids map[string]timeser
 	out := dst[:0]
 	if uint32(cap(out)) < count {
 		out = make([]tsdb.Sample, 0, count)
+	}
+	if tab != nil {
+		tab.used = tab.used[:0]
 	}
 	for i := uint32(0); i < count; i++ {
 		machine, rest, err := cutString(p)
@@ -248,17 +280,25 @@ func decodeSamplesInto(dst []tsdb.Sample, payload []byte, ids map[string]timeser
 		if len(rest) < 16 {
 			return nil, fmt.Errorf("sample %d body: %w", i, ErrTruncated)
 		}
-		key := p[:len(p)-len(rest)]
-		id, ok := ids[string(key)]
-		if !ok {
-			id = timeseries.MeasurementID{Machine: string(machine), Metric: string(metric)}
-			if ids != nil && len(ids) < maxInterned {
-				ids[string(key)] = id
-			}
+		sm := tsdb.Sample{
+			Time:  time.Unix(0, int64(binary.BigEndian.Uint64(rest[:8]))).UTC(),
+			Value: math.Float64frombits(binary.BigEndian.Uint64(rest[8:16])),
 		}
-		ns := int64(binary.BigEndian.Uint64(rest[:8]))
-		val := math.Float64frombits(binary.BigEndian.Uint64(rest[8:16]))
-		out = append(out, tsdb.Sample{ID: id, Time: time.Unix(0, ns).UTC(), Value: val})
+		var in *interned
+		if tab != nil {
+			key := p[:len(p)-len(rest)]
+			if in = tab.ids[string(key)]; in == nil && len(tab.ids) < maxInterned {
+				in = &interned{id: timeseries.MeasurementID{Machine: string(machine), Metric: string(metric)}}
+				tab.ids[string(key)] = in
+			}
+			tab.used = append(tab.used, in)
+		}
+		if in != nil {
+			sm.ID, sm.Ref = in.id, in.ref
+		} else {
+			sm.ID = timeseries.MeasurementID{Machine: string(machine), Metric: string(metric)}
+		}
+		out = append(out, sm)
 		p = rest[16:]
 	}
 	if len(p) != 0 {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mcorr/internal/obs"
-	"mcorr/internal/timeseries"
 	"mcorr/internal/tsdb"
 )
 
@@ -26,6 +25,12 @@ const serverReadBuffer = 16 << 10
 // AppendBatch returns, so a sink that keeps samples past the call copies
 // the slice. The Sample values themselves stay valid, the ID strings
 // included (they are interned per connection and never rewritten).
+//
+// A sample arrives with the Ref the sink last wrote into a sample of the
+// same ID on this connection (0 at first): a sink that writes its handle
+// for each sample into Ref, as tsdb.Store does, gets it back as a hint.
+// The hint may belong to another sink — a connection can change tenants —
+// so a sink checks it before it trusts it, as tsdb.Store does.
 type Sink interface {
 	AppendBatch([]tsdb.Sample) error
 }
@@ -375,7 +380,7 @@ func (s *Server) handle(conn net.Conn) {
 	var (
 		payload []byte
 		batch   []tsdb.Sample
-		ids     = make(map[string]timeseries.MeasurementID)
+		ids     = newInternTable()
 	)
 	for {
 		if s.readIdle > 0 {
@@ -440,7 +445,9 @@ func (s *Server) handle(conn net.Conn) {
 				tenant, sink = name, tsink
 				s.setConnTenant(conn, tenant)
 			}
-			if !s.handleSamples(conn, agent, tenant, sink, job, batch) {
+			ok := s.handleSamples(conn, agent, tenant, sink, job, batch)
+			ids.keep(batch)
+			if !ok {
 				return
 			}
 		case MsgBye:

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +72,88 @@ func TestHelloEncoding(t *testing.T) {
 	agent, tenant = DecodeHello(EncodeHello("srv-01", "alpha"))
 	if agent != "srv-01" || tenant != "alpha" {
 		t.Errorf("tenant decode = (%q, %q)", agent, tenant)
+	}
+}
+
+// TestTenantSwitchNeverMisfiles: one connection says hello to alpha, sends
+// samples, says hello to beta and sends the same IDs. Its ID table still
+// holds alpha's handles, which in beta name another series or none; beta
+// checks them and files every sample under its own ID.
+func TestTenantSwitchNeverMisfiles(t *testing.T) {
+	alpha, beta := newTenantStore(t), newTenantStore(t)
+	addr := newTenantTestServer(t, &fakeRouter{
+		def:   "alpha",
+		sinks: map[string]Sink{"alpha": alpha, "beta": beta},
+	})
+	t0 := timeseries.MonitoringStart
+	ids := []timeseries.MeasurementID{
+		{Machine: "srv-01", Metric: "cpu"}, {Machine: "srv-01", Metric: "mem"}, {Machine: "srv-02", Metric: "cpu"},
+	}
+	// beta numbers srv-02/cpu 1 and srv-01/mem 2; alpha will number the
+	// three 1, 2, 3.
+	for _, id := range []timeseries.MeasurementID{ids[2], ids[1]} {
+		if err := beta.Append(tsdb.Sample{ID: id, Time: t0, Value: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(f Frame, acked int) {
+		t.Helper()
+		if err := WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		if acked < 0 {
+			return
+		}
+		reply, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := DecodeAckInfo(reply.Payload)
+		if err != nil || info.Stored != acked {
+			t.Fatalf("ack %+v, %v; want %d stored", info, err, acked)
+		}
+	}
+	row := func(k int) Frame {
+		var batch []tsdb.Sample
+		for i, id := range ids {
+			batch = append(batch, tsdb.Sample{ID: id, Time: t0.Add(time.Duration(k) * timeseries.SampleStep), Value: float64(10*k + i)})
+		}
+		p, err := EncodeSamples(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Frame{Type: MsgSamples, Payload: p}
+	}
+	exchange(Frame{Type: MsgHello, Payload: EncodeHello("srv-01", "alpha")}, -1)
+	exchange(row(1), 3)
+	exchange(Frame{Type: MsgHello, Payload: EncodeHello("srv-01", "beta")}, -1)
+	exchange(row(2), 3)
+	exchange(row(3), 3) // now with beta's own handles
+	for _, c := range []struct {
+		store *tsdb.Store
+		name  string
+		want  [][]float64
+	}{
+		{alpha, "alpha", [][]float64{{10}, {11}, {12}}},
+		{beta, "beta", [][]float64{{20, 30}, {-1, math.NaN(), 21, 31}, {-1, math.NaN(), 22, 32}}},
+	} {
+		if got := len(c.store.IDs()); got != len(ids) {
+			t.Errorf("%s holds %d series, want %d", c.name, got, len(ids))
+		}
+		for i, id := range ids {
+			sr, err := c.store.Query(id, t0, t0.Add(time.Hour))
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, id, err)
+			}
+			if fmt.Sprint(sr.Values) != fmt.Sprint(c.want[i]) {
+				t.Errorf("%s %s holds %v, want %v", c.name, id, sr.Values, c.want[i])
+			}
+		}
 	}
 }
 

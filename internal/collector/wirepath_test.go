@@ -220,7 +220,7 @@ func TestFrameBytesUnchanged(t *testing.T) {
 // table holds keeps the table at its bound and still decodes every sample
 // — IDs inside the table and past it alike.
 func TestInternTableBound(t *testing.T) {
-	ids := make(map[string]timeseries.MeasurementID)
+	ids := newInternTable()
 	var batch []tsdb.Sample
 	const perFrame = MaxBatch
 	for from := 0; from < maxInterned+2*perFrame; from += perFrame {
@@ -237,12 +237,12 @@ func TestInternTableBound(t *testing.T) {
 				t.Fatalf("sample %d: decoded %+v, sent %+v", from+i, batch[i], sent[i])
 			}
 		}
-		if len(ids) > maxInterned {
-			t.Fatalf("table holds %d IDs, bound %d", len(ids), maxInterned)
+		if len(ids.ids) > maxInterned {
+			t.Fatalf("table holds %d IDs, bound %d", len(ids.ids), maxInterned)
 		}
 	}
-	if len(ids) != maxInterned {
-		t.Fatalf("table holds %d IDs, want it full at %d", len(ids), maxInterned)
+	if len(ids.ids) != maxInterned {
+		t.Fatalf("table holds %d IDs, want it full at %d", len(ids.ids), maxInterned)
 	}
 	// An ID the full table does not hold still decodes.
 	late := wireBatch("bound", maxInterned+perFrame, maxInterned+perFrame-1, 1)

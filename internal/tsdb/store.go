@@ -41,10 +41,19 @@ func (e *PartialAppendError) Error() string {
 func (e *PartialAppendError) Unwrap() error { return e.Err }
 
 // Sample is one observation of one measurement.
+//
+// Ref is a hint, not part of the observation: the store's handle for ID,
+// 0 for "look it up". A Store files a sample whose Ref names a series with
+// this exact ID by slice index and any other through its ID map, so a
+// stale or foreign hint costs a lookup, never a misfiled sample.
+// AppendBatch writes the handle it resolved back into each applied
+// sample, and a sender that keeps it (the collector's per-connection ID
+// table) skips the lookup on its next batch.
 type Sample struct {
 	ID    timeseries.MeasurementID
 	Time  time.Time
 	Value float64
+	Ref   uint32
 }
 
 // Store is an in-memory time-series database. All methods are safe for
@@ -54,11 +63,15 @@ type Store struct {
 	step      time.Duration
 	retention int // max samples kept per measurement; 0 = unbounded
 	series    map[timeseries.MeasurementID]*entry
-	wal       *wal.Log // nil = in-memory only; see AttachWAL
-	walBuf    []byte   // the WAL record being encoded, reused under mu
+	refs      []*entry  // refs[h-1] is the series with handle h
+	wal       *wal.Log  // nil = in-memory only; see AttachWAL
+	w         walWriter // the durable half's record state, under mu
 }
 
 type entry struct {
+	id     timeseries.MeasurementID
+	ref    uint32 // this series' handle: refs[ref-1] == the entry
+	walH   uint32 // its handle in the active WAL segment, 0 until defined there
 	start  time.Time
 	values []float64
 }
@@ -84,44 +97,66 @@ func (s *Store) Step() time.Duration { return s.step }
 // already-filled slot overwrites it only if the slot is the latest. On a
 // durable store the sample is in the WAL before Append returns.
 func (s *Store) Append(sm Sample) error {
-	start := time.Now()
-	s.mu.Lock()
-	err := s.appendLocked(sm)
-	if err == nil && s.wal != nil {
-		err = s.walAppendLocked((&[1]Sample{sm})[:])
-	}
-	s.mu.Unlock()
-	obsAppendSeconds.Observe(time.Since(start).Seconds())
+	err := s.AppendBatch((&[1]Sample{sm})[:])
 	if err != nil {
-		obsAppendErrors.Inc()
-		return err
+		var pe *PartialAppendError
+		if errors.As(err, &pe) {
+			return pe.Err
+		}
 	}
-	obsAppended.Inc()
-	return nil
+	return err
 }
 
 // AppendBatch stores samples in order, stopping at the first error. A
 // failure partway through returns a *PartialAppendError carrying how many
 // leading samples were applied, so the sender can resume from that offset.
 // On a durable store exactly the applied prefix is logged to the WAL
-// before AppendBatch returns. The collector server acks exactly this
-// Stored count back to agents (whether batches reach the store inline or
-// through the flow-control admission queue), which is what lets a
+// before AppendBatch returns, and a sample the WAL record could not hold
+// stops the batch before it is applied. The collector server acks exactly
+// this Stored count back to agents (whether batches reach the store inline
+// or through the flow-control admission queue), which is what lets a
 // ReliableAgent resume mid-batch without duplicating WAL-logged samples.
+// Each applied sample's Ref is set to its series' handle.
 func (s *Store) AppendBatch(batch []Sample) error {
 	start := time.Now()
 	s.mu.Lock()
 	var cause error
 	stored := 0
-	for i, sm := range batch {
-		if err := s.appendLocked(sm); err != nil {
-			cause = fmt.Errorf("sample %d (%s): %w", i, sm.ID, err)
+	durable := s.wal != nil
+	if durable {
+		s.w.begin(s.wal.NextSegment())
+	}
+	var t time.Time // batch[i].Time on the grid, truncated once per distinct time
+	c := slots{step: s.step}
+	for i := range batch {
+		sm := &batch[i]
+		if i == 0 || sm.Time != batch[i-1].Time {
+			t = sm.Time.Truncate(s.step)
+		}
+		e := s.lookupLocked(sm)
+		if durable {
+			if err := s.w.reserve(e, sm); err != nil {
+				cause = fmt.Errorf("sample %d (%s): %w", i, sm.ID, err)
+				break
+			}
+		}
+		if e == nil {
+			e = s.addLocked(sm.ID)
+		}
+		if sm.Ref != e.ref {
+			sm.Ref = e.ref
+		}
+		if err := s.applyLocked(e, t, c.of(t, e.start), sm.Value); err != nil {
+			cause = fmt.Errorf("sample %d (%s at %v): %w", i, sm.ID, sm.Time, err)
 			break
+		}
+		if durable {
+			s.w.add(e)
 		}
 		stored++
 	}
-	if s.wal != nil && stored > 0 {
-		if werr := s.walAppendLocked(batch[:stored]); werr != nil && cause == nil {
+	if durable && stored > 0 {
+		if werr := s.w.log(s.wal, batch[:stored]); werr != nil && cause == nil {
 			// Applied in memory but not durably logged: surface it. The
 			// samples are in the store, so Stored still counts them and a
 			// resume will not re-send (a re-send would be rejected stale).
@@ -138,28 +173,44 @@ func (s *Store) AppendBatch(batch []Sample) error {
 	return nil
 }
 
-func (s *Store) appendLocked(sm Sample) error {
-	t := sm.Time.Truncate(s.step)
-	e, ok := s.series[sm.ID]
-	if !ok {
-		e = &entry{start: t}
-		s.series[sm.ID] = e
-		obsSeries.Inc()
+// lookupLocked returns sm's series, nil when the store has none: by
+// sm.Ref when that handle names a series with sm's ID, through the ID map
+// otherwise. Callers hold s.mu.
+func (s *Store) lookupLocked(sm *Sample) *entry {
+	if h := sm.Ref; h != 0 && int(h) <= len(s.refs) {
+		if e := s.refs[h-1]; e.id == sm.ID {
+			return e
+		}
 	}
-	idx := int(t.Sub(e.start) / s.step)
+	return s.series[sm.ID]
+}
+
+// addLocked creates the series id and gives it the next handle. Callers
+// hold s.mu and know the store has no series id.
+func (s *Store) addLocked(id timeseries.MeasurementID) *entry {
+	e := &entry{id: id, ref: uint32(len(s.refs) + 1)}
+	s.series[id] = e
+	s.refs = append(s.refs, e)
+	obsSeries.Inc()
+	return e
+}
+
+// applyLocked files value at t, a time on the grid and slot idx of e.
+// Callers hold s.mu.
+func (s *Store) applyLocked(e *entry, t time.Time, idx int, value float64) error {
 	switch {
 	case len(e.values) == 0:
 		e.start = t
-		e.values = append(e.values, sm.Value)
+		e.values = append(e.values, value)
 	case idx < len(e.values)-1:
-		return fmt.Errorf("%s at %v: %w", sm.ID, sm.Time, ErrStale)
+		return ErrStale
 	case idx == len(e.values)-1:
-		e.values[idx] = sm.Value // overwrite the most recent slot
+		e.values[idx] = value // overwrite the most recent slot
 	default:
 		for len(e.values) < idx {
 			e.values = append(e.values, math.NaN())
 		}
-		e.values = append(e.values, sm.Value)
+		e.values = append(e.values, value)
 	}
 	if s.retention > 0 && len(e.values) > s.retention {
 		// Re-slice instead of moving the series down: the dropped prefix is
@@ -170,6 +221,24 @@ func (s *Store) appendLocked(sm Sample) error {
 		e.values = e.values[drop:]
 	}
 	return nil
+}
+
+// slots finds grid times' slots in series. It does the time arithmetic
+// once per distinct (time, series start) in a row of questions, so a batch
+// for a fleet whose series started together costs one division per time,
+// not one per sample.
+type slots struct {
+	step     time.Duration
+	t, start time.Time
+	idx      int
+}
+
+// of returns t's slot in a series that starts at start.
+func (c *slots) of(t, start time.Time) int {
+	if t != c.t || start != c.start {
+		c.t, c.start, c.idx = t, start, int(t.Sub(start)/c.step)
+	}
+	return c.idx
 }
 
 // Query returns a copy of the stored samples for id within [from, to).
@@ -256,9 +325,7 @@ func (s *Store) LoadDataset(ds *timeseries.Dataset) error {
 		// entry, so entries are never replaced.
 		e, exists := s.series[id]
 		if !exists {
-			e = &entry{}
-			s.series[id] = e
-			obsSeries.Inc()
+			e = s.addLocked(id)
 		}
 		obsAppended.Add(uint64(len(vals)))
 		e.start, e.values = src.Start, vals
@@ -357,18 +424,19 @@ func restore(rr *wal.RecordReader) (*Store, error) {
 			fields[f], rec = rec[4:4+l], rec[4+l:]
 		}
 		id := timeseries.MeasurementID{Machine: string(fields[0]), Metric: string(fields[1])}
-		e := &entry{}
-		if err := e.start.UnmarshalBinary(fields[2]); err != nil || n > math.MaxInt32 {
+		var start time.Time
+		if err := start.UnmarshalBinary(fields[2]); err != nil || n > math.MaxInt32 {
 			return nil, fmt.Errorf("series %s: %w", id, wal.ErrCorrupt)
 		}
-		if e.values, err = rr.ReadFloats(int(n)); err != nil {
+		values, err := rr.ReadFloats(int(n))
+		if err != nil {
 			return nil, fmt.Errorf("series %s: %w", id, err)
 		}
 		if _, dup := s.series[id]; dup {
 			return nil, fmt.Errorf("series %s twice: %w", id, wal.ErrCorrupt)
 		}
-		s.series[id] = e
-		obsSeries.Inc()
+		e := s.addLocked(id)
+		e.start, e.values = start, values
 	}
 	return s, nil
 }

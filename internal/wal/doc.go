@@ -15,7 +15,11 @@
 //
 // Segment files are named <firstSeq as %016x>.wal and begin with an
 // 8-byte magic plus the first sequence number, so a directory listing
-// alone orders the log.
+// alone orders the log. The magic's last digit is the format version; a
+// segment of another version fails with ErrFormat, never as a torn tail.
+// A writer whose records lean on earlier ones in the same segment (tsdb
+// defines series handles once per segment) asks NextSegment where its
+// next record lands, and its reader starts at SegmentStart.
 //
 // Three sync policies trade durability for throughput: SyncAlways fsyncs
 // every record, SyncBatch fsyncs once per appended batch, SyncNone leaves

@@ -24,7 +24,10 @@ func ReadSegmentHeader(r io.Reader) (uint64, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, fmt.Errorf("segment header: %w", ErrCorrupt)
 	}
-	if string(hdr[:len(Magic)]) != Magic {
+	if magic := string(hdr[:len(Magic)]); magic != Magic {
+		if magic[:len(Magic)-1] == Magic[:len(Magic)-1] {
+			return 0, fmt.Errorf("segment magic %q, want %q: %w (%w)", magic, Magic, ErrFormat, ErrCorrupt)
+		}
 		return 0, fmt.Errorf("segment magic: %w", ErrCorrupt)
 	}
 	return binary.BigEndian.Uint64(hdr[len(Magic):]), nil
@@ -121,11 +124,31 @@ func scanSegment(path string) (lastSeq uint64, validBytes int64, err error) {
 	}
 }
 
+// SegmentStart returns the first sequence number of the segment of dir that
+// holds record seq — where a reader starts when records before seq carry
+// state (tsdb's handle definitions) that records from seq on depend on.
+// It returns seq itself when no segment starts at or before seq.
+func SegmentStart(dir string, seq uint64) (uint64, error) {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return 0, err
+	}
+	start := seq
+	for _, s := range segs {
+		if s.firstSeq > seq {
+			break
+		}
+		start = s.firstSeq
+	}
+	return start, nil
+}
+
 // Replay streams every record with Seq > after through fn, in sequence
 // order across all segments of dir. Corruption in the final segment is
 // treated as the torn tail of a crash and ends the replay cleanly;
-// corruption in an earlier segment is a real error. It returns the number
-// of records delivered.
+// corruption in an earlier segment is a real error, and so is a segment in
+// another format (ErrFormat), wherever it lies. A directory that does not
+// exist holds no records. It returns the number of records delivered.
 func Replay(dir string, after uint64, fn func(Record) error) (int, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -153,7 +176,7 @@ func Replay(dir string, after uint64, fn func(Record) error) (int, error) {
 		})
 		f.Close()
 		if err != nil {
-			if errors.Is(err, ErrCorrupt) && i == len(segs)-1 {
+			if errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFormat) && i == len(segs)-1 {
 				return delivered, nil // torn tail of the active segment
 			}
 			return delivered, fmt.Errorf("wal replay %s: %w", filepath.Base(s.path), err)

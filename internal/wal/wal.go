@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,8 +18,11 @@ import (
 
 // Framing constants.
 const (
-	// Magic opens every segment file.
-	Magic = "MCORWAL1"
+	// Magic opens every segment file. Its last byte is the format version:
+	// version 2 frames records as version 1 did, but the tsdb sample
+	// records inside name series by handle, and neither build reads the
+	// other's.
+	Magic = "MCORWAL2"
 	// headerSize is the segment header: magic + uint64 first seq.
 	headerSize = len(Magic) + 8
 	// recordHeaderSize frames every record: length + crc + seq.
@@ -38,6 +42,10 @@ var (
 	ErrClosed  = errors.New("wal: log closed")
 	ErrCorrupt = errors.New("wal: corrupt record")
 	ErrTooBig  = errors.New("wal: record exceeds size limit")
+	// ErrFormat reports a segment that opens with another version of
+	// Magic: a log written by another release, which this one cannot read.
+	// It also wraps ErrCorrupt, but is never taken for a torn tail.
+	ErrFormat = errors.New(`wal: segment written in another WAL format; see "Upgrading across a WAL format change" in OPERATIONS.md`)
 )
 
 // SyncPolicy selects when appends reach stable storage.
@@ -180,6 +188,9 @@ func Open(dir string, opts Options) (*Log, error) {
 // listSegments returns the directory's segments sorted by first sequence.
 func listSegments(dir string) ([]segmentInfo, error) {
 	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil // no log yet, or one removed on upgrade: nothing to read
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wal list: %w", err)
 	}
@@ -224,6 +235,21 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	l.segs = append(l.segs, segmentInfo{path: path, firstSeq: firstSeq})
 	obsSegments.Set(float64(len(l.segs)))
 	return nil
+}
+
+// NextSegment returns the first sequence number of the segment the next
+// Append writes into: the active segment's, or LastSeq()+1 when the active
+// one is full and Append will rotate first. A writer that defines names
+// once per segment (tsdb's sample records) compares it across its appends;
+// the answer holds until the next Append only while that writer is the
+// log's one appender.
+func (l *Log) NextSegment() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.size >= l.opts.SegmentBytes {
+		return l.seq + 1
+	}
+	return l.segs[len(l.segs)-1].firstSeq
 }
 
 // Append writes one record and returns its sequence number. Under

@@ -468,6 +468,15 @@ func assemble(history *Dataset, mcfg ManagerConfig, dur *DurabilityConfig, opts 
 		}
 		return m, nil, nil
 	}
+	if m.log.LastSeq() < st.meta.WALSeq {
+		// The log starts over behind the checkpoint: wal/ was removed after
+		// a clean stop (OPERATIONS.md, "Upgrading across a WAL format
+		// change"). Checkpoint now, so the checkpoint's WALSeq is the new
+		// log's and a crash replays what it logs from here.
+		if err := m.checkpointLocked(); err != nil {
+			return fail(err)
+		}
+	}
 	manager.RecordCheckpointEpoch(m.epoch)
 	// Re-score everything the store holds beyond the checkpoint cursor.
 	// WAL records are whole ingest batches (CRC-framed, torn tails

@@ -154,11 +154,15 @@ figures:
 # examples runs the four example programs (~4 s): `go build ./...` compiles
 # them, but only running them shows that the public constructors they call
 # still work — examples/streaming is the one caller of NewMonitor outside
-# cmd/ and the tests.
+# cmd/ and the tests. quickstart, datacenter and baselines are deterministic,
+# so their output must equal examples/testdata/<name>.golden byte for byte;
+# streaming's listener port varies, so it only has to run.
+EXAMPLES_GOLDEN = quickstart datacenter baselines
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/datacenter
-	$(GO) run ./examples/baselines
+	@set -e; for ex in $(EXAMPLES_GOLDEN); do \
+		echo "$(GO) run ./examples/$$ex | diff -u examples/testdata/$$ex.golden -"; \
+		$(GO) run ./examples/$$ex | diff -u examples/testdata/$$ex.golden -; \
+	done
 	$(GO) run ./examples/streaming
 
 clean:

@@ -762,7 +762,7 @@ func BenchmarkManagerStepBudget(b *testing.B) {
 // benchDiscoverRows builds synthetic correlated rows for a fleet of l
 // series without the simulator (which would dominate setup at l=1024):
 // a shared latent driver plus a per-series deterministic LCG wobble.
-func benchDiscoverRows(l, n int) ([]timeseries.MeasurementID, []manager.Row) {
+func benchDiscoverRows(l, n int) ([]timeseries.MeasurementID, [][]float64) {
 	ids := make([]timeseries.MeasurementID, l)
 	for i := range ids {
 		ids[i] = timeseries.MeasurementID{
@@ -775,15 +775,13 @@ func benchDiscoverRows(l, n int) ([]timeseries.MeasurementID, []manager.Row) {
 		state = state*6364136223846793005 + 1442695040888963407
 		return float64(state>>11) / float64(1<<53)
 	}
-	start := timeseries.MonitoringStart
-	rows := make([]manager.Row, n)
+	rows := make([][]float64, n)
 	for k := range rows {
 		latent := math.Sin(float64(k) / 7)
-		vals := make(map[timeseries.MeasurementID]float64, l)
-		for i, id := range ids {
-			vals[id] = latent*float64(1+i%5) + 0.3*lcg()
+		rows[k] = make([]float64, l)
+		for i := range ids {
+			rows[k][i] = latent*float64(1+i%5) + 0.3*lcg()
 		}
-		rows[k] = manager.Row{Time: start.Add(time.Duration(k) * timeseries.SampleStep), Values: vals}
 	}
 	return ids, rows
 }
@@ -807,14 +805,9 @@ func BenchmarkDiscoverStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			d.Bootstrap(rows)
-			dense := make([][]float64, len(rows))
-			for i, row := range rows {
-				dense[i] = make([]float64, l)
-				row.FillValues(ids, dense[i])
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Observe(dense[i%len(dense)])
+				d.Observe(rows[i%len(rows)])
 			}
 		})
 	}

@@ -190,38 +190,27 @@ func run() error {
 	defer fleet.Close()
 	fmt.Printf("detecting on %s .. %s (adaptive=%v)\n", trainEnd.Format(time.RFC3339), end.Format(time.RFC3339), *adaptive)
 	started := time.Now()
+	// One row at a time, as durable mode streams them: each report reaches
+	// the diagnosis engine right after it is scored, so a digest's
+	// localization reads the accumulators as they stood at that row.
 	var reports []mcorr.StepReport
-	if *printSteps || *pace > 0 {
-		// Streamed variant of fleet.Run: same rows in the same order, with
-		// a STEP line (and optional pacing) per row so an external harness
-		// can watch — and interrupt — the run mid-stream.
-		rows, rerr := manager.BuildRows(watched.Slice(trainEnd, end), trainEnd, end)
-		if rerr != nil {
-			return rerr
+	if err := watched.EachRow(fleet.IDs(), trainEnd, end, func(t time.Time, row []float64) {
+		r := fleet.StepValues(t, row)
+		if diag != nil {
+			diag.Observe(r)
 		}
-		reports = make([]mcorr.StepReport, 0, len(rows))
-		for _, row := range rows {
-			if *pace > 0 {
-				time.Sleep(*pace)
-			}
-			r := fleet.Step(row)
-			if *printSteps {
-				printStep(r, "")
-			}
-			reports = append(reports, r)
+		if *printSteps {
+			printStep(r, "")
 		}
-	} else if reports, err = fleet.Run(watched.Slice(trainEnd, end), trainEnd, end); err != nil {
+		reports = append(reports, r)
+		if *pace > 0 {
+			time.Sleep(*pace)
+		}
+	}); err != nil {
 		return err
 	}
 	elapsed := time.Since(started)
 	printDiscover(fleet, "")
-	if diag != nil {
-		// Batch mode scores the whole window first; the engine replays the
-		// report stream afterwards — same digests, off the scoring path.
-		for _, r := range reports {
-			diag.Observe(r)
-		}
-	}
 
 	timeline := eval.SystemTimeline(reports)
 	fmt.Printf("\nprocessed %d rows in %v (%v per row)\n", len(reports), elapsed.Round(time.Millisecond),

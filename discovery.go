@@ -3,6 +3,7 @@ package mcorr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -110,9 +111,6 @@ type DiscoveryFleet interface {
 	// BudgetInfo returns the admitted pair count, the budget (0 =
 	// unlimited) and the candidate count l(l−1)/2.
 	BudgetInfo() (admitted, budget, candidates int)
-	// MarshalDiscoveryState serializes the discovery tier's mutable
-	// state for a durable checkpoint.
-	MarshalDiscoveryState() ([]byte, error)
 }
 
 // NewDiscoveryFleet trains a discovery-bounded scoring fleet: the
@@ -129,12 +127,13 @@ func NewDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 // pair graph (train+admit, evict) through the manager's graph-mutation
 // primitives. Steps and graph mutations happen on the caller's goroutine
 // in row order, so trajectories and the graph itself are deterministic
-// functions of the row stream. Everything but Step, StepValues and Run is
-// the embedded manager's own method.
+// functions of the row stream. Everything but Step and StepValues is the
+// embedded manager's own method — Manager.Run included, which would score
+// past the discoverer, so the wrapper is only ever handed out as a Fleet.
 type discoveryFleet struct {
 	*Manager
 	disc *discover.Discoverer
-	rows *manager.MapRows // Step(Row) and Run over this wrapper's StepValues
+	rows *manager.MapRows // Step(Row) over this wrapper's StepValues
 
 	events []DiscoveryEvent
 }
@@ -161,8 +160,10 @@ func newDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig
 	if err != nil {
 		return nil, err
 	}
-	rows, err := manager.BuildRows(history, datasetStart(history), datasetEnd(history))
-	if err != nil {
+	var rows [][]float64
+	if err := history.EachRow(ids, datasetStart(history), datasetEnd(history), func(_ time.Time, row []float64) {
+		rows = append(rows, slices.Clone(row))
+	}); err != nil {
 		return nil, err
 	}
 	admitted := disc.Bootstrap(rows)
@@ -283,12 +284,6 @@ func (d *discoveryFleet) DrainDiscoveryEvents() []DiscoveryEvent {
 	return ev
 }
 
-// Run replays a dataset through Step in time order (the discovery mirror
-// of Manager.Run — the graph may change between rows).
-func (d *discoveryFleet) Run(ds *Dataset, from, to time.Time) ([]StepReport, error) {
-	return d.rows.Run(ds, from, to)
-}
-
 // Discovery surface (diagnose.DiscoveryView).
 
 // AdmissionScores returns each admitted pair's last correlation estimate.
@@ -297,9 +292,4 @@ func (d *discoveryFleet) AdmissionScores() map[Pair]float64 { return d.disc.Admi
 // BudgetInfo returns (admitted, budget, candidates) for the pair graph.
 func (d *discoveryFleet) BudgetInfo() (admitted, budget, candidates int) {
 	return d.disc.BudgetInfo()
-}
-
-// MarshalDiscoveryState serializes the discovery tier for a checkpoint.
-func (d *discoveryFleet) MarshalDiscoveryState() ([]byte, error) {
-	return d.disc.MarshalState()
 }

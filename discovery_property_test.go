@@ -36,9 +36,18 @@ func propertyFixture(t *testing.T) (history *timeseries.Dataset, rows []manager.
 	}
 	day1 := timeseries.MonitoringStart.AddDate(0, 0, 1)
 	history = ds.Slice(timeseries.MonitoringStart, day1)
-	rows, err = manager.BuildRows(ds, day1, day1.AddDate(0, 0, 1))
+	// Every series covers both days, so each map row holds every
+	// measurement.
+	ids := ds.IDs()
+	err = ds.EachRow(ids, day1, day1.AddDate(0, 0, 1), func(tm time.Time, row []float64) {
+		vals := make(map[timeseries.MeasurementID]float64, len(ids))
+		for i, v := range row {
+			vals[ids[i]] = v
+		}
+		rows = append(rows, manager.Row{Time: tm, Values: vals})
+	})
 	if err != nil {
-		t.Fatalf("BuildRows: %v", err)
+		t.Fatalf("EachRow: %v", err)
 	}
 	cfg = manager.Config{
 		Model: core.Config{Adaptive: true, Grid: core.GridConfig{MaxIntervals: 12}},

@@ -192,7 +192,7 @@ func (m *Monitor) checkpointLocked() error {
 		}
 	}
 	if df, ok := m.fleet.(*discoveryFleet); ok {
-		if discover, err = df.MarshalDiscoveryState(); err != nil {
+		if discover, err = df.disc.MarshalState(); err != nil {
 			return fmt.Errorf("checkpoint discovery: %w", err)
 		}
 	}

@@ -25,7 +25,6 @@ type PairDetector interface {
 type LinearInvariant struct {
 	coef   []float64
 	resStd float64
-	fit    mathx.LinearFit
 	prev   mathx.Point2
 	armed  bool
 	r2     float64
@@ -74,10 +73,6 @@ func TrainLinearInvariant(history []mathx.Point2) (*LinearInvariant, error) {
 	}
 	if li.resStd == 0 || math.IsNaN(li.resStd) {
 		li.resStd = 1e-12
-	}
-	simple, err := mathx.FitLinear(xs, ys)
-	if err == nil {
-		li.fit = simple
 	}
 	return li, nil
 }

@@ -266,9 +266,10 @@ func (d *Discoverer) admitEntry(e *entry) {
 // decay — this is the one place discovery is allowed O(l²), and it runs
 // offline before streaming starts), then admits the strongest candidates
 // under the budget and top-K rules and seeds the admitted sketches plus
-// the history rings from the tail of the rows. Returns the admitted pairs
-// in canonical order.
-func (d *Discoverer) Bootstrap(rows []manager.Row) []manager.Pair {
+// the history rings from the tail of the rows. Each row is dense, in the
+// column order Observe reads, NaN for a gap. Returns the admitted pairs in
+// canonical order.
+func (d *Discoverer) Bootstrap(rows [][]float64) []manager.Pair {
 	l := len(d.ids)
 	n := make([]uint32, d.numCand)
 	sxy := make([]float64, d.numCand)
@@ -278,9 +279,9 @@ func (d *Discoverer) Bootstrap(rows []manager.Row) []manager.Pair {
 	val := make([]float64, l)
 	ok := make([]bool, l)
 	for _, row := range rows {
-		for i, id := range d.ids {
-			v, has := row.Values[id]
-			ok[i] = has && finite(v)
+		for i, c := range d.col {
+			v := row[c]
+			ok[i] = finite(v)
 			if ok[i] {
 				val[i] = v
 				sn[i]++
@@ -358,16 +359,8 @@ func (d *Discoverer) Bootstrap(rows []manager.Row) []manager.Pair {
 	if len(tail) > d.cfg.TrainWindow {
 		tail = tail[len(tail)-d.cfg.TrainWindow:]
 	}
-	dense := make([]float64, l)
 	for _, row := range tail {
-		for i, id := range d.ids {
-			v, has := row.Values[id]
-			if !has {
-				v = math.NaN()
-			}
-			dense[d.col[i]] = v
-		}
-		d.ingest(dense)
+		d.ingest(row)
 		d.updateSketches(d.admitted, nil)
 	}
 	manager.SortPairs(admittedPairs)

@@ -1,11 +1,12 @@
 package discover
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
-	"time"
 
 	"mcorr/internal/manager"
 	"mcorr/internal/timeseries"
@@ -25,42 +26,31 @@ func testIDs(machines, metrics int) []timeseries.MeasurementID {
 	return ids
 }
 
-// dense renders a map row as the slice Observe reads: one value per id, in
-// the order New was given, NaN where the row has none.
-func dense(ids []timeseries.MeasurementID, row manager.Row) []float64 {
-	vals := make([]float64, len(ids))
-	row.FillValues(ids, vals)
-	return vals
-}
-
-// corrRows synthesizes rows where all series share one latent driver (so
-// every pair is correlated) plus per-series noise.
-func corrRows(ids []timeseries.MeasurementID, n int, seed uint64, noise float64) []manager.Row {
+// corrRows synthesizes dense rows, one value per id in the order given,
+// where all series share one latent driver (so every pair is correlated)
+// plus per-series noise.
+func corrRows(ids []timeseries.MeasurementID, n int, seed uint64, noise float64) [][]float64 {
 	rnd := lcg(seed)
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	rows := make([]manager.Row, n)
-	for t := 0; t < n; t++ {
+	rows := make([][]float64, n)
+	for t := range rows {
 		driver := rnd()
-		vals := make(map[timeseries.MeasurementID]float64, len(ids))
-		for k, id := range ids {
-			vals[id] = driver*(1+0.1*float64(k%5)) + noise*rnd()
+		rows[t] = make([]float64, len(ids))
+		for k := range ids {
+			rows[t][k] = driver*(1+0.1*float64(k%5)) + noise*rnd()
 		}
-		rows[t] = manager.Row{Time: start.Add(time.Duration(t) * 5 * time.Minute), Values: vals}
 	}
 	return rows
 }
 
-// indepRows synthesizes rows where every series is independent noise.
-func indepRows(ids []timeseries.MeasurementID, n int, seed uint64) []manager.Row {
+// indepRows synthesizes dense rows where every series is independent noise.
+func indepRows(ids []timeseries.MeasurementID, n int, seed uint64) [][]float64 {
 	rnd := lcg(seed)
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	rows := make([]manager.Row, n)
-	for t := 0; t < n; t++ {
-		vals := make(map[timeseries.MeasurementID]float64, len(ids))
-		for _, id := range ids {
-			vals[id] = rnd()
+	rows := make([][]float64, n)
+	for t := range rows {
+		rows[t] = make([]float64, len(ids))
+		for k := range ids {
+			rows[t][k] = rnd()
 		}
-		rows[t] = manager.Row{Time: start.Add(time.Duration(t) * 5 * time.Minute), Values: vals}
 	}
 	return rows
 }
@@ -123,6 +113,55 @@ func TestBootstrapRespectsBudgetAndTopK(t *testing.T) {
 	}
 }
 
+// TestBootstrapReadsObserveColumns pins that Bootstrap reads a dense row
+// in the column order New was given, as Observe does: a discoverer over the
+// IDs in reverse, fed the same rows with their columns reversed, admits the
+// same pairs, makes the same graph changes and ends in the same state.
+func TestBootstrapReadsObserveColumns(t *testing.T) {
+	ids := testIDs(3, 3)
+	rev := slices.Clone(ids)
+	slices.Reverse(rev)
+	flip := func(rows [][]float64) [][]float64 {
+		out := make([][]float64, len(rows))
+		for i, row := range rows {
+			out[i] = slices.Clone(row)
+			slices.Reverse(out[i])
+		}
+		return out
+	}
+	boot := corrRows(ids, 120, 31, 0.3)
+	boot[7][2], boot[90][5] = math.NaN(), math.Inf(1) // gaps
+	stream := append(indepRows(ids, 90, 37), corrRows(ids, 90, 41, 0.05)...)
+	cfg := Config{Budget: 6, TopK: 2, RoundRows: 30, EvictAfter: 2, MinEffSamples: 8, TrainWindow: 50}
+	fwd, err := New(ids, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bwd, err := New(rev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bwd.Bootstrap(flip(boot)), fwd.Bootstrap(boot); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reversed columns admitted %v, want %v", got, want)
+	}
+	for i, row := range flip(stream) {
+		if got, want := bwd.Observe(row), fwd.Observe(stream[i]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("row %d: reversed columns changed %+v, want %+v", i, got, want)
+		}
+	}
+	got, err := bwd.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fwd.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("reversed columns ended in another state")
+	}
+}
+
 func TestBootstrapUnlimitedBudgetAdmitsByTopK(t *testing.T) {
 	ids := testIDs(2, 3) // l = 6, 15 candidates
 	rows := corrRows(ids, 150, 13, 0.05)
@@ -171,7 +210,7 @@ func TestObserveAdmitsEmergingCorrelation(t *testing.T) {
 	rows := corrRows(ids, 200, 19, 0.02)
 	var admitted int
 	for _, row := range rows {
-		admitted += len(d.Observe(dense(ids, row)).Admit)
+		admitted += len(d.Observe(row).Admit)
 	}
 	after, _, _ := d.BudgetInfo()
 	if admitted == 0 || after == 0 {
@@ -185,7 +224,7 @@ func TestObserveAdmitsEmergingCorrelation(t *testing.T) {
 	ctl.Bootstrap(nil)
 	var noise int
 	for _, row := range indepRows(ids, 200, 21) {
-		noise += len(ctl.Observe(dense(ids, row)).Admit)
+		noise += len(ctl.Observe(row).Admit)
 	}
 	if noise != 0 {
 		t.Fatalf("independent stream admitted %d pairs over the 0.6 floor", noise)
@@ -204,7 +243,7 @@ func TestObserveEvictsFlatLinedPairs(t *testing.T) {
 	}
 	var evicted int
 	for _, row := range indepRows(ids, 300, 29) {
-		ch := d.Observe(dense(ids, row))
+		ch := d.Observe(row)
 		evicted += len(ch.Evict)
 	}
 	if evicted == 0 {
@@ -226,7 +265,7 @@ func TestObserveDeterministicAcrossInstances(t *testing.T) {
 		d.Bootstrap(boot)
 		var all []Changes
 		for _, row := range stream {
-			if ch := d.Observe(dense(ids, row)); !ch.Empty() {
+			if ch := d.Observe(row); !ch.Empty() {
 				all = append(all, ch)
 			}
 		}
@@ -265,11 +304,11 @@ func TestStateRoundTripContinuesIdentically(t *testing.T) {
 	cut := 110
 	var refCh, subCh []Changes
 	for i, row := range stream {
-		if ch := ref.Observe(dense(ids, row)); !ch.Empty() {
+		if ch := ref.Observe(row); !ch.Empty() {
 			refCh = append(refCh, ch)
 		}
 		if i < cut {
-			if ch := sub.Observe(dense(ids, row)); !ch.Empty() {
+			if ch := sub.Observe(row); !ch.Empty() {
 				subCh = append(subCh, ch)
 			}
 		}
@@ -286,7 +325,7 @@ func TestStateRoundTripContinuesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range stream[cut:] {
-		if ch := restored.Observe(dense(ids, row)); !ch.Empty() {
+		if ch := restored.Observe(row); !ch.Empty() {
 			subCh = append(subCh, ch)
 		}
 	}

@@ -286,7 +286,7 @@ func TestStepBesideModelReadsAndWrites(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	beside(func(*core.Model) { mgr.SetAdaptive(true) })
+	beside(func(m *core.Model) { m.SetAdaptive(true) })
 	vals := make([]float64, len(ids))
 	for k := 0; k < 16; k++ {
 		at := from.Add(time.Duration(k) * timeseries.SampleStep)

@@ -16,11 +16,11 @@
 // raising alarms through the configured sink. The fold order is what makes
 // trajectories bit-reproducible: the same rows always produce the same
 // float64s, whatever the worker count. The slice stays the caller's — it is
-// read until the call returns and never kept. The map Row is the boundary
-// form (external callers, Run, BuildRows): MapRows, which every fleet
-// embeds, is Step(Row) and Run — it converts the row once with
-// Row.FillValues, absent becoming NaN, which scoring never told apart, and
-// calls StepValues.
+// read until the call returns and never kept. Manager.Run replays a
+// dataset as such slices (timeseries.Dataset.EachRow). The map Row is the
+// one other form: MapRows, which every fleet embeds, is Step(Row) — it
+// converts the row once with Row.FillValues, absent becoming NaN, which
+// scoring never told apart, and calls StepValues.
 //
 // # Split score/aggregate surface
 //

@@ -115,9 +115,8 @@ func (c Config) withDefaults() Config {
 
 // Row is one synchronized observation of every measurement at one time.
 // Missing measurements (gaps) are simply absent from the map. It is the
-// boundary form of a row — what external callers and the offline entry
-// points hand a fleet; MapRows converts it into the dense slice StepValues
-// scores.
+// map form of a row that Step takes; MapRows converts it into the dense
+// slice StepValues scores.
 type Row struct {
 	Time   time.Time
 	Values map[timeseries.MeasurementID]float64
@@ -138,7 +137,7 @@ func (r Row) FillValues(ids []timeseries.MeasurementID, dst []float64) {
 
 // MapRows is the map-row half of a fleet's scoring surface, written once
 // for every fleet shape: a fleet embeds one built over its own IDs() order
-// and StepValues, and gets Step and Run — each row converted once into the
+// and StepValues, and gets Step — each row converted once into the
 // adapter's dense buffer and scored from it.
 type MapRows struct {
 	mu   sync.Mutex // guards buf; taken before the fleet's own step lock
@@ -158,21 +157,6 @@ func (r *MapRows) Step(row Row) StepReport {
 	defer r.mu.Unlock()
 	row.FillValues(r.ids, r.buf)
 	return r.step(row.Time, r.buf)
-}
-
-// Run replays a dataset through Step row by row over [from, to) and
-// returns the per-step reports. The dataset's series must share the
-// sampling grid.
-func (r *MapRows) Run(ds *timeseries.Dataset, from, to time.Time) ([]StepReport, error) {
-	rows, err := BuildRows(ds, from, to)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]StepReport, 0, len(rows))
-	for _, row := range rows {
-		reports = append(reports, r.Step(row))
-	}
-	return reports, nil
 }
 
 // StepReport is the outcome of scoring one row.
@@ -200,7 +184,7 @@ type Manager struct {
 	// methods. Shard managers built with NewSubset never feed theirs; the
 	// networked coordinator embeds a separate one.
 	*Aggregator
-	// MapRows is Step(Row) and Run over StepValues.
+	// MapRows is Step(Row) over StepValues.
 	*MapRows
 
 	cfg Config
@@ -576,6 +560,17 @@ func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {
 	return report
 }
 
+// Run replays ds over [from, to) through StepValues, one dense row per
+// sampling step (timeseries.Dataset.EachRow in IDs() order, NaN where a
+// series has no sample), and returns the per-step reports.
+func (m *Manager) Run(ds *timeseries.Dataset, from, to time.Time) ([]StepReport, error) {
+	var reports []StepReport
+	err := ds.EachRow(m.ids, from, to, func(t time.Time, row []float64) {
+		reports = append(reports, m.StepValues(t, row))
+	})
+	return reports, err
+}
+
 // ScoreInto scores every trained pair against the dense row vals (see
 // StepValues) on the manager's own worker pool, writing pair i's outcome
 // into dst[i]. It advances model state exactly like Step but performs no
@@ -659,9 +654,8 @@ func (m *Manager) carries(i int, va, vb float64) bool {
 // stepPairAt scores link i for the row — or skips it. A NaN on either side
 // is a monitoring gap: the link's chain resets unscored. A pair the skip
 // test carries only needs its model told the run continued; NoteSkipped
-// returning false means the model was reset or mutated behind the cache
-// (e.g. SetAdaptive), and the pair then re-scores late-dirty, which is
-// always safe.
+// returning false means the model was reset or mutated behind the cache,
+// and the pair then re-scores late-dirty, which is always safe.
 func (m *Manager) stepPairAt(i int, vals []float64, skipped *uint64) Outcome {
 	model := m.modelAt[i]
 	idx := m.pairIdx[i]
@@ -723,28 +717,6 @@ func (m *Manager) PairStates() []PairState {
 	return out
 }
 
-// BuildRows materializes the synchronized rows of a dataset over
-// [from, to) at the dataset's sampling step — Run's input.
-func BuildRows(ds *timeseries.Dataset, from, to time.Time) ([]Row, error) {
-	ids := ds.IDs()
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("manager run: empty dataset")
-	}
-	step := ds.Get(ids[0]).Step
-	var rows []Row
-	for t := from; t.Before(to); t = t.Add(step) {
-		row := Row{Time: t, Values: make(map[timeseries.MeasurementID]float64, len(ids))}
-		for _, id := range ids {
-			s := ds.Get(id)
-			if i, ok := s.IndexOf(t); ok {
-				row.Values[id] = s.Values[i]
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // PairScore is one link's accumulated mean fitness.
 type PairScore struct {
 	Pair  Pair
@@ -774,24 +746,4 @@ func (l Localization) Suspect() string {
 		return ""
 	}
 	return l.Machines[0].Machine
-}
-
-// SetAdaptive flips online updating on every model (offline vs adaptive
-// comparison runs).
-func (m *Manager) SetAdaptive(adaptive bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, model := range m.models {
-		model.SetAdaptive(adaptive)
-	}
-}
-
-// ResetChains clears every model's Markov position (e.g. when switching
-// between disjoint data windows).
-func (m *Manager) ResetChains() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, model := range m.models {
-		model.Reset()
-	}
 }

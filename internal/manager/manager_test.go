@@ -213,7 +213,7 @@ func TestSystemAlarmAndProbDelta(t *testing.T) {
 	}
 }
 
-func TestResetAccumulatorsAndChains(t *testing.T) {
+func TestResetAccumulators(t *testing.T) {
 	mgr, ds, _ := trainedManager(t, Config{}, 2)
 	from := timeseries.MonitoringStart.AddDate(0, 0, 1)
 	if _, err := mgr.Run(ds, from, from.Add(10*timeseries.SampleStep)); err != nil {
@@ -226,10 +226,59 @@ func TestResetAccumulatorsAndChains(t *testing.T) {
 	if mgr.Steps() != 0 || !math.IsNaN(mgr.SystemMean()) {
 		t.Error("ResetAccumulators should clear running means")
 	}
-	mgr.ResetChains() // must not panic; next row is unscored
-	rep := mgr.Step(Row{Time: from.Add(11 * timeseries.SampleStep), Values: rowValues(ds, from.Add(11*timeseries.SampleStep))})
-	if rep.ScoredPairs != 0 {
-		t.Error("first row after ResetChains should score nothing")
+}
+
+// TestRunIgnoresForeignMeasurements replays a dataset that also holds a
+// series the fleet was not trained on — the datacenter example's case, a
+// fleet over a subset of a group — and requires, bit for bit, the reports
+// of a twin fleet's run over the dataset without it. The foreign series
+// sorts first, so its grid is the one the replay steps on, and it starts
+// late and stores a NaN.
+func TestRunIgnoresForeignMeasurements(t *testing.T) {
+	cfg := Config{Model: core.Config{Adaptive: true}}
+	ref, ds, _ := trainedManager(t, cfg, 2)
+	defer ref.Close()
+	mgr, _, _ := trainedManager(t, cfg, 2)
+	defer mgr.Close()
+	from := timeseries.MonitoringStart.AddDate(0, 0, 1)
+	to := from.Add(60 * timeseries.SampleStep)
+
+	wide := timeseries.NewDataset()
+	for _, id := range ds.IDs() {
+		wide.Add(ds.Get(id))
+	}
+	ghost, err := timeseries.NewSeries(timeseries.MeasurementID{Machine: "A-ghost", Metric: "cpuUtil"}, from.Add(5*timeseries.SampleStep), timeseries.SampleStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 100; k++ {
+		ghost.Append(float64(k))
+	}
+	ghost.Values[3] = math.NaN()
+	wide.Add(ghost)
+	if wide.IDs()[0] != ghost.ID {
+		t.Fatalf("the foreign series sorts at %v, want first", wide.IDs())
+	}
+
+	want, err := ref.Run(ds, from, to)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	got, err := mgr.Run(wide, from, to)
+	if err != nil {
+		t.Fatalf("Run over the wider dataset: %v", err)
+	}
+	if len(got) != 60 || len(want) != 60 {
+		t.Fatalf("%d and %d reports, want 60 each", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Time.Equal(want[i].Time) {
+			t.Fatalf("report %d at %v, want %v", i, got[i].Time, want[i].Time)
+		}
+		compareReports(t, i, got[i], want[i])
+	}
+	if mgr.Steps() == 0 {
+		t.Fatal("nothing scored")
 	}
 }
 
@@ -242,19 +291,6 @@ func rowValues(ds *timeseries.Dataset, t time.Time) map[timeseries.MeasurementID
 		}
 	}
 	return out
-}
-
-func TestSetAdaptiveTogglesModels(t *testing.T) {
-	mgr, _, _ := trainedManager(t, Config{}, 1)
-	mgr.SetAdaptive(true)
-	ids := mgr.IDs()
-	if !mgr.Model(ids[0], ids[1]).Adaptive() {
-		t.Error("SetAdaptive(true) should reach the models")
-	}
-	mgr.SetAdaptive(false)
-	if mgr.Model(ids[0], ids[1]).Adaptive() {
-		t.Error("SetAdaptive(false) should reach the models")
-	}
 }
 
 func TestRunEmptyDataset(t *testing.T) {

@@ -1,76 +1,6 @@
 package mathx
 
-import (
-	"fmt"
-	"math"
-)
-
-// LinearFit is the result of a simple (one-regressor) least-squares fit
-// y ≈ Slope·x + Intercept.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	// R2 is the coefficient of determination of the fit on the training
-	// data; 1 means a perfect linear relationship.
-	R2 float64
-	// ResidualStd is the sample standard deviation of the residuals.
-	ResidualStd float64
-	N           int
-}
-
-// FitLinear fits y ≈ a·x + b by ordinary least squares.
-// It returns an error if the slices differ in length or fewer than two
-// samples are given. A constant x yields a slope of zero and intercept
-// mean(y).
-func FitLinear(x, y []float64) (LinearFit, error) {
-	if len(x) != len(y) {
-		return LinearFit{}, fmt.Errorf("linear fit of %d and %d samples: %w", len(x), len(y), ErrDimensionMismatch)
-	}
-	n := len(x)
-	if n < 2 {
-		return LinearFit{}, fmt.Errorf("linear fit needs at least 2 samples, got %d", n)
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy float64
-	for i := range x {
-		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
-	}
-	fit := LinearFit{N: n}
-	if sxx == 0 {
-		fit.Intercept = my
-	} else {
-		fit.Slope = sxy / sxx
-		fit.Intercept = my - fit.Slope*mx
-	}
-	// Residuals and R².
-	var sse, sst float64
-	var res Online
-	for i := range x {
-		r := y[i] - fit.Predict(x[i])
-		res.Add(r)
-		sse += r * r
-		dy := y[i] - my
-		sst += dy * dy
-	}
-	if sst > 0 {
-		fit.R2 = 1 - sse/sst
-	} else {
-		fit.R2 = 1 // constant y fitted exactly by the intercept
-	}
-	fit.ResidualStd = res.StdDev()
-	if math.IsNaN(fit.ResidualStd) {
-		fit.ResidualStd = 0
-	}
-	return fit, nil
-}
-
-// Predict returns the fitted value at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }
-
-// Residual returns y minus the fitted value at x.
-func (f LinearFit) Residual(x, y float64) float64 { return y - f.Predict(x) }
+import "fmt"
 
 // FitOLS fits y ≈ X·beta by ordinary least squares via the normal
 // equations, where X has one row per observation. A column of ones must be

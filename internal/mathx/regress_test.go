@@ -6,79 +6,6 @@ import (
 	"testing"
 )
 
-func TestFitLinearExact(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 2x + 1
-	f, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatalf("FitLinear: %v", err)
-	}
-	if !AlmostEqual(f.Slope, 2, 1e-12) || !AlmostEqual(f.Intercept, 1, 1e-12) {
-		t.Errorf("fit = %+v", f)
-	}
-	if !AlmostEqual(f.R2, 1, 1e-12) {
-		t.Errorf("R2 = %g, want 1", f.R2)
-	}
-	if f.ResidualStd != 0 {
-		t.Errorf("ResidualStd = %g, want 0", f.ResidualStd)
-	}
-	if got := f.Predict(10); !AlmostEqual(got, 21, 1e-12) {
-		t.Errorf("Predict(10) = %g", got)
-	}
-	if got := f.Residual(10, 25); !AlmostEqual(got, 4, 1e-12) {
-		t.Errorf("Residual = %g", got)
-	}
-}
-
-func TestFitLinearNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 2000
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64() * 100
-		y[i] = 3*x[i] - 7 + rng.NormFloat64()*2
-	}
-	f, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatalf("FitLinear: %v", err)
-	}
-	if math.Abs(f.Slope-3) > 0.05 || math.Abs(f.Intercept+7) > 2 {
-		t.Errorf("fit = %+v, want slope≈3 intercept≈-7", f)
-	}
-	if f.R2 < 0.99 {
-		t.Errorf("R2 = %g, want > 0.99", f.R2)
-	}
-	if math.Abs(f.ResidualStd-2) > 0.2 {
-		t.Errorf("ResidualStd = %g, want ≈ 2", f.ResidualStd)
-	}
-}
-
-func TestFitLinearDegenerate(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("1 sample: want error")
-	}
-	if _, err := FitLinear([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch: want error")
-	}
-	// Constant x: slope 0, intercept mean(y).
-	f, err := FitLinear([]float64{5, 5, 5}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatalf("constant x: %v", err)
-	}
-	if f.Slope != 0 || !AlmostEqual(f.Intercept, 2, 1e-12) {
-		t.Errorf("constant-x fit = %+v", f)
-	}
-	// Constant y: exact fit through the intercept.
-	f, err = FitLinear([]float64{1, 2, 3}, []float64{4, 4, 4})
-	if err != nil {
-		t.Fatalf("constant y: %v", err)
-	}
-	if !AlmostEqual(f.R2, 1, 1e-12) {
-		t.Errorf("constant-y R2 = %g", f.R2)
-	}
-}
-
 func TestFitOLS(t *testing.T) {
 	// y = 2*a + 3*b + 1 over a small design.
 	design := mustMatrix(t, [][]float64{

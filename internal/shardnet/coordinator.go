@@ -55,7 +55,7 @@ type Config struct {
 // the float addition order, of an unsharded Manager.Step, so the reports
 // are bit-identical to one manager's for any worker count. The embedded
 // Aggregator's running means, localization and drill-down, and MapRows'
-// Step(Row)/Run, are the coordinator's own methods. Which worker owns
+// Step(Row), are the coordinator's own methods. Which worker owns
 // which pair is fixed at New for the coordinator's lifetime.
 type Coordinator struct {
 	*manager.Aggregator
@@ -70,8 +70,8 @@ type Coordinator struct {
 	pairs   []manager.Pair // global canonical pair order
 	pairIdx [][2]int       // pairs[i] → indices into ids
 
-	// mu is the step/control lock: Step, the model-state commands,
-	// reconnection and Close serialize on it. Step holds it for a whole
+	// mu is the step/control lock: Step, reconnection and Close
+	// serialize on it. Step holds it for a whole
 	// round, so one row is in flight per fabric and every exchange on a
 	// control connection is request/response.
 	mu       sync.Mutex
@@ -122,7 +122,7 @@ func (wc *workerConn) send(msgType collector.MsgType, payload []byte) error {
 	return nil
 }
 
-// sendGob writes one gob-encoded command.
+// sendGob writes one gob-encoded control message (the assign).
 func (wc *workerConn) sendGob(msgType collector.MsgType, v any) error {
 	if err := writeGob(wc.conn, msgType, v); err != nil {
 		return wc.fail(err)

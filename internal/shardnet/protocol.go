@@ -2,8 +2,8 @@
 // model memory across processes: a coordinator owning the authoritative
 // Aggregator dials one control connection per shard worker and everything
 // travels over it in the collector's frame format — the trained models, one
-// row frame per step, the worker's per-pair outcomes as a native binary
-// frame in reply, and the model-state commands. Ownership is the
+// row frame per step, and the worker's per-pair outcomes as a native binary
+// frame in reply. Ownership is the
 // rendezvous partition (Assign) fixed at New for the coordinator's
 // lifetime: no pair ever moves between workers. Every exchange is
 // request/response under the coordinator's step lock, so only coordinator
@@ -40,7 +40,9 @@ import (
 // version. All stay retired: a peer from such a build answers "expected
 // assign" and the handshake fails at once — before a state transfer it
 // could not decode, or a Step waiting for outcomes nobody writes. Types
-// 20–24, those builds' pair-migration commands, are not reused.
+// 20–24, those builds' pair-migration commands, and 25–27, their
+// acknowledged adaptive and reset-chains commands, are not reused: a
+// worker answers a 26 or 27 with "unexpected control frame type".
 const (
 	// MsgShardReady (worker → coordinator) answers an assign or a state
 	// transfer: gob readyMsg reporting the worker's recovered state.
@@ -53,15 +55,6 @@ const (
 	// compact binary layout of encodeRowFrame; the worker answers with the
 	// row's MsgShardOutcomes.
 	MsgShardRow collector.MsgType = 19
-	// MsgShardDone (worker → coordinator) acknowledges, with an empty
-	// payload, an adaptive or reset-chains command once it is checkpointed.
-	MsgShardDone collector.MsgType = 25
-	// MsgShardAdaptive (coordinator → worker) toggles online model
-	// updating (gob bool); answered, once checkpointed, with MsgShardDone.
-	MsgShardAdaptive collector.MsgType = 26
-	// MsgShardResetChains (coordinator → worker) clears every model's
-	// Markov position; answered, once checkpointed, with MsgShardDone.
-	MsgShardResetChains collector.MsgType = 27
 	// MsgShardAssign (coordinator → worker) opens a control session: gob
 	// assignMsg naming the worker's shard, the fabric run and the expected
 	// pair set.

@@ -19,9 +19,17 @@ import (
 	"mcorr/internal/timeseries"
 )
 
+// denseRow is one row of the monitoring window: its time and its values in
+// history.IDs() order, which is the coordinator's and the reference
+// manager's IDs() order.
+type denseRow struct {
+	t    time.Time
+	vals []float64
+}
+
 // fixtures builds a small group trace, a training slice, and a bounded
 // monitoring window shared by the bit-identity tests.
-func fixtures(t *testing.T, machines int, hours int) (*timeseries.Dataset, []manager.Row) {
+func fixtures(t *testing.T, machines int, hours int) (*timeseries.Dataset, []denseRow) {
 	t.Helper()
 	ds, _, err := simulator.Generate(simulator.GroupConfig{
 		Name: "N", Machines: machines, Days: 2 + hours/24, Seed: 43,
@@ -36,9 +44,12 @@ func fixtures(t *testing.T, machines int, hours int) (*timeseries.Dataset, []man
 	}
 	trainEnd := timeseries.MonitoringStart.AddDate(0, 0, 1)
 	history := ds.Slice(timeseries.MonitoringStart, trainEnd)
-	rows, err := manager.BuildRows(ds, trainEnd, trainEnd.Add(time.Duration(hours)*time.Hour))
+	var rows []denseRow
+	err = ds.EachRow(history.IDs(), trainEnd, trainEnd.Add(time.Duration(hours)*time.Hour), func(tm time.Time, vals []float64) {
+		rows = append(rows, denseRow{tm, slices.Clone(vals)})
+	})
 	if err != nil {
-		t.Fatalf("BuildRows: %v", err)
+		t.Fatalf("EachRow: %v", err)
 	}
 	return history, rows
 }
@@ -129,7 +140,7 @@ type refRun struct {
 	mean    float64
 }
 
-func referenceRun(t *testing.T, history *timeseries.Dataset, cfg manager.Config, rows []manager.Row) refRun {
+func referenceRun(t *testing.T, history *timeseries.Dataset, cfg manager.Config, rows []denseRow) refRun {
 	t.Helper()
 	ref, err := manager.New(history, cfg)
 	if err != nil {
@@ -138,7 +149,7 @@ func referenceRun(t *testing.T, history *timeseries.Dataset, cfg manager.Config,
 	defer ref.Close()
 	reports := make([]manager.StepReport, len(rows))
 	for i, row := range rows {
-		reports[i] = ref.Step(row)
+		reports[i] = ref.StepValues(row.t, row.vals)
 	}
 	return refRun{reports: reports, steps: ref.Steps(), mean: ref.SystemMean()}
 }
@@ -166,7 +177,7 @@ func TestShardNetBitIdenticalToManager(t *testing.T) {
 					}
 					defer c.Close()
 					for i, row := range rows {
-						compareReports(t, i, c.Step(row), want.reports[i])
+						compareReports(t, i, c.StepValues(row.t, row.vals), want.reports[i])
 					}
 					sameBits(t, "system mean", c.SystemMean(), want.mean)
 					if c.Steps() != want.steps {
@@ -210,7 +221,7 @@ func TestShardNetWorkerRestartMidStream(t *testing.T) {
 			f.kill(1)
 			f.start(1, addr)
 		}
-		compareReports(t, i, c.Step(row), want[i])
+		compareReports(t, i, c.StepValues(row.t, row.vals), want[i])
 	}
 	c.Close()
 	f.close()
@@ -247,7 +258,7 @@ func TestShardNetLongReplay(t *testing.T) {
 			f.kill(0)
 			f.start(0, addr)
 		}
-		compareReports(t, i, c.Step(row), want[i])
+		compareReports(t, i, c.StepValues(row.t, row.vals), want[i])
 	}
 	if got := obsReplayedRows.Value() - replays; got != uint64(crashAt+1) {
 		t.Fatalf("replayed %d rows, want %d", got, crashAt+1)
@@ -342,6 +353,28 @@ func TestHandshakeRefusesOtherBuild(t *testing.T) {
 			t.Fatalf("a refused assign left a worker checkpoint behind (stat: %v)", err)
 		}
 	})
+}
+
+// TestDispatchRefusesRetiredCommands: types 25–27, the acknowledged
+// adaptive and reset-chains commands of earlier builds, are retired, so a
+// worker ends the session of a coordinator that sends one as it would for
+// any stray frame, and a bye still acks the last scored row before the
+// session ends cleanly.
+func TestDispatchRefusesRetiredCommands(t *testing.T) {
+	var w Worker
+	for _, typ := range []collector.MsgType{25, 26, 27} {
+		err := w.dispatch(nil, &shardState{scoredSeq: 3, ackedSeq: 2}, collector.Frame{Type: typ})
+		if err == nil || !strings.Contains(err.Error(), "unexpected control frame type") {
+			t.Fatalf("retired type %d: %v, want an unexpected-frame error", typ, err)
+		}
+	}
+	st := &shardState{scoredSeq: 3, ackedSeq: 2}
+	if err := w.dispatch(nil, st, collector.Frame{Type: collector.MsgBye}); err != io.EOF {
+		t.Fatalf("bye: %v, want io.EOF", err)
+	}
+	if st.ackedSeq != 3 {
+		t.Fatalf("bye left ackedSeq at %d, want the scored row 3", st.ackedSeq)
+	}
 }
 
 // TestNewRefusesWorkerListedTwice: one worker serves one shard. A worker
@@ -519,7 +552,7 @@ func TestFabricRoundScattersInCanonicalOrder(t *testing.T) {
 		}
 	}
 	for i, row := range rows {
-		got, want := c.Step(row), ref.Step(row)
+		got, want := c.StepValues(row.t, row.vals), ref.StepValues(row.t, row.vals)
 		states := ref.PairStates()
 		if len(c.outcomes) != len(states) {
 			t.Fatalf("step %d: %d pair outcomes, want %d", i, len(c.outcomes), len(states))
@@ -551,10 +584,8 @@ func TestShardNetFleetSurface(t *testing.T) {
 	if len(c.IDs()) == 0 {
 		t.Fatal("empty IDs")
 	}
-	c.SetAdaptive(false)
-	c.ResetChains()
 	for _, row := range rows {
-		c.Step(row)
+		c.StepValues(row.t, row.vals)
 	}
 	if c.Steps() == 0 || c.Steps() > len(rows) {
 		t.Fatalf("Steps = %d, want 1..%d", c.Steps(), len(rows))

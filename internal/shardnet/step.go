@@ -130,9 +130,8 @@ func (c *Coordinator) readOutcomes(wc *workerConn, seq uint64) error {
 }
 
 // reviveLocked redials every worker whose connection is gone until each
-// is back: handshaken and replayed, which inside a round includes
-// collecting the row in flight — so it runs before the round aggregates.
-// Callers hold c.mu.
+// is back: handshaken and replayed, which includes collecting the row in
+// flight — so it runs before the round aggregates. Callers hold c.mu.
 func (c *Coordinator) reviveLocked() {
 	for {
 		down := 0
@@ -166,41 +165,6 @@ func (c *Coordinator) updateConnected() {
 	obsConnected.Set(float64(live))
 }
 
-// commandLocked runs one acknowledged command on a live worker and reports
-// whether it was acknowledged. A worker that is down, or does not
-// acknowledge, has lost its connection. Callers hold c.mu.
-func (c *Coordinator) commandLocked(wc *workerConn, msgType collector.MsgType, v any) bool {
-	if wc.dead {
-		return false
-	}
-	err := wc.sendGob(msgType, v)
-	if err == nil {
-		_, err = wc.read(MsgShardDone)
-	}
-	if err != nil {
-		c.log.Info("command unacknowledged", "type", byte(msgType), "shard", wc.k, "err", err)
-	}
-	return err == nil
-}
-
-// modelCommandLocked runs a command that changes model state on every
-// worker, and returns only once each has acknowledged it — having
-// checkpointed it. No handshake carries such a change, so a worker that
-// missed it would score on under the old state, silently: workers that are
-// down are revived first, and one that fails mid-command is revived and
-// asked again (both commands can be applied twice). Callers hold c.mu.
-func (c *Coordinator) modelCommandLocked(msgType collector.MsgType, v any) {
-	if c.closed {
-		return
-	}
-	c.reviveLocked()
-	for _, wc := range c.conns {
-		for !c.commandLocked(wc, msgType, v) {
-			c.reviveLocked()
-		}
-	}
-}
-
 // Latencies returns the per-shard round-trip EWMAs in seconds — start of
 // a row's fan-out to that worker's last outcome frame — zero for shards
 // that have not reported yet.
@@ -208,21 +172,6 @@ func (c *Coordinator) Latencies() []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]float64(nil), c.lat...)
-}
-
-// SetAdaptive toggles online model updating on every worker; see
-// modelCommandLocked for what happens to one that is down.
-func (c *Coordinator) SetAdaptive(adaptive bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.modelCommandLocked(MsgShardAdaptive, adaptive)
-}
-
-// ResetChains clears every model's Markov position on every worker.
-func (c *Coordinator) ResetChains() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.modelCommandLocked(MsgShardResetChains, struct{}{})
 }
 
 // Close tears the fabric down: a goodbye on every control connection,

@@ -86,7 +86,7 @@ type shardState struct {
 	// scoredSeq is the last row scored; ackedSeq is the last row the
 	// coordinator is known to have merged. The ack is implicit: Step holds
 	// the coordinator's lock for a whole round, so whatever it sends after
-	// row s other than a replay of s — row s+1, a command — it sent after
+	// row s other than a replay of s — row s+1, a goodbye — it sent after
 	// merging s. The two differ by at most that one row, whose encoded
 	// answer outBuf keeps so a replay never re-steps a model.
 	ackedSeq  uint64
@@ -366,35 +366,18 @@ func (w *Worker) checkpoint(st *shardState) error {
 	return nil
 }
 
-// dispatch handles one post-handshake control frame. Callers hold w.smu.
+// dispatch handles one post-handshake control frame: a row, or the
+// coordinator's goodbye. Callers hold w.smu.
 func (w *Worker) dispatch(sess *session, st *shardState, f collector.Frame) error {
 	if f.Type == MsgShardRow {
 		return w.handleRow(sess, st, f.Payload)
 	}
-	// A command follows a merged row (see shardState.ackedSeq), so the
-	// checkpoint below is at an acked boundary.
+	// Any other frame follows a merged row (see shardState.ackedSeq).
 	st.ack()
-	switch f.Type {
-	case MsgShardAdaptive:
-		var adaptive bool
-		if err := decodeGob(f.Payload, &adaptive); err != nil {
-			return err
-		}
-		st.mgr.SetAdaptive(adaptive)
-	case MsgShardResetChains:
-		st.mgr.ResetChains()
-	case collector.MsgBye:
+	if f.Type == collector.MsgBye {
 		return io.EOF
-	default:
-		return fmt.Errorf("shardnet: unexpected control frame type %d", byte(f.Type))
 	}
-	// The change is persisted before it is acknowledged: the coordinator
-	// moves on to rows scored under the new state on the strength of the
-	// answer.
-	if err := w.checkpoint(st); err != nil {
-		return err
-	}
-	return collector.WriteFrame(sess.conn, collector.Frame{Type: MsgShardDone})
+	return fmt.Errorf("shardnet: unexpected control frame type %d", byte(f.Type))
 }
 
 // ack records that the coordinator merged the last scored row.

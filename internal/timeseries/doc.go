@@ -1,6 +1,7 @@
 // Package timeseries provides the regular-interval time-series types the
 // monitoring pipeline works with: single measurements as Series, collections
-// of measurements as Dataset, pairwise alignment into 2-D points for the
+// of measurements as Dataset, the dense rows offline replay feeds a fleet
+// (Dataset.EachRow), pairwise alignment into 2-D points for the
 // correlation models, and calendar helpers matching the paper's evaluation
 // dates (May 29 – June 27, 2008, sampled every 6 minutes).
 //

@@ -230,6 +230,38 @@ func (d *Dataset) Slice(from, to time.Time) *Dataset {
 	return out
 }
 
+// EachRow replays the dataset as dense rows over [from, to) at its sampling
+// step: fn gets each row time and a slice whose i-th value is ids[i]'s, NaN
+// where that series has no sample or the dataset lacks the ID. The slice is
+// reused from row to row; fn must copy what it keeps. The step is the first
+// series' (IDs order), so the series must share one grid. An empty dataset
+// is an error.
+func (d *Dataset) EachRow(ids []MeasurementID, from, to time.Time, fn func(t time.Time, row []float64)) error {
+	all := d.IDs()
+	if len(all) == 0 {
+		return errors.New("timeseries: rows of an empty dataset")
+	}
+	step := d.Get(all[0]).Step
+	series := make([]*Series, len(ids))
+	for i, id := range ids {
+		series[i] = d.Get(id)
+	}
+	row := make([]float64, len(ids))
+	for t := from; t.Before(to); t = t.Add(step) {
+		for i, s := range series {
+			row[i] = math.NaN()
+			if s == nil {
+				continue
+			}
+			if k, ok := s.IndexOf(t); ok {
+				row[i] = s.Values[k]
+			}
+		}
+		fn(t, row)
+	}
+	return nil
+}
+
 // Pairs returns every unordered pair of measurement IDs, in stable order —
 // the l(l−1)/2 links of the paper's correlation graph.
 func (d *Dataset) Pairs() [][2]MeasurementID {

@@ -248,3 +248,60 @@ func TestDataset(t *testing.T) {
 		t.Error("Slice should keep one sample")
 	}
 }
+
+// TestEachRow pins the dense reader: columns in the order asked for, NaN
+// for a series that starts late or ends early, for a stored NaN and for an
+// ID the dataset lacks, one reused slice, and an error on an empty dataset.
+func TestEachRow(t *testing.T) {
+	start := Date(2008, time.May, 29)
+	nan := math.NaN()
+	idC := MeasurementID{Machine: "host3", Metric: "disk"}
+	missing := MeasurementID{Machine: "nope", Metric: "cpu"}
+	d := NewDataset()
+	d.Add(mustSeries(t, idA, start, time.Minute, 1, 2, nan, 4))          // stored NaN at 2
+	d.Add(mustSeries(t, idB, start.Add(2*time.Minute), time.Minute, 30)) // starts late, ends early
+	d.Add(mustSeries(t, idC, start, time.Minute, 100, 200))              // ends early
+
+	ids := []MeasurementID{idC, missing, idA, idB}
+	want := [][]float64{
+		{100, nan, 1, nan},
+		{200, nan, 2, nan},
+		{nan, nan, nan, 30},
+		{nan, nan, 4, nan},
+		{nan, nan, nan, nan},
+	}
+	var times []time.Time
+	var got [][]float64
+	var first []float64
+	err := d.EachRow(ids, start, start.Add(5*time.Minute), func(tm time.Time, row []float64) {
+		if first == nil {
+			first = row
+		} else if &row[0] != &first[0] {
+			t.Error("EachRow allocated a new slice for a later row")
+		}
+		times = append(times, tm)
+		got = append(got, append([]float64(nil), row...))
+	})
+	if err != nil {
+		t.Fatalf("EachRow: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for r := range want {
+		if wt := start.Add(time.Duration(r) * time.Minute); !times[r].Equal(wt) {
+			t.Errorf("row %d at %v, want %v", r, times[r], wt)
+		}
+		for c := range want[r] {
+			if math.Float64bits(got[r][c]) != math.Float64bits(want[r][c]) {
+				t.Errorf("row %d column %s = %v, want %v", r, ids[c], got[r][c], want[r][c])
+			}
+		}
+	}
+
+	if err := NewDataset().EachRow(ids, start, start.Add(time.Hour), func(time.Time, []float64) {
+		t.Error("fn called on an empty dataset")
+	}); err == nil {
+		t.Error("empty dataset: want error")
+	}
+}

@@ -63,16 +63,6 @@ func TrainModel(history []Point, cfg ModelConfig) (*Model, error) {
 	return core.Train(history, cfg)
 }
 
-// TimeConditionedModel keeps one transition matrix per time-of-day bucket
-// over a shared grid (extension; see core.TimeConditioned).
-type TimeConditionedModel = core.TimeConditioned
-
-// TrainTimeConditionedModel builds a time-conditioned model from a
-// regularly sampled history starting at start with the given step.
-func TrainTimeConditionedModel(history []Point, start time.Time, step time.Duration, buckets int, cfg ModelConfig) (*TimeConditionedModel, error) {
-	return core.TrainTimeConditioned(history, start, step, buckets, cfg)
-}
-
 // FitnessFromRow computes the paper's rank-based fitness score
 // Q = 1 − (π(c_h) − 1)/s for a transition distribution row and the cell h
 // the observation landed in.
@@ -159,16 +149,14 @@ func ListenShardNetWorker(addr string, cfg ShardNetWorkerConfig) (*ShardNetWorke
 // *manager.Aggregator, whose methods are the read half of this interface;
 // both produce bit-identical trajectories over the same rows.
 type Fleet interface {
-	// Step scores one synchronized row across every trained link. It is the
-	// boundary form (manager.MapRows): the row is converted once into the
-	// dense slice that StepValues scores.
+	// Step scores one synchronized map row across every trained link
+	// (manager.MapRows): the row is converted once into the dense slice
+	// that StepValues scores.
 	Step(Row) StepReport
 	// StepValues scores the row whose i-th value is IDs()[i]'s, NaN for a
 	// gap. vals stays the caller's: the fleet reads it until the call
 	// returns and keeps no reference.
 	StepValues(t time.Time, vals []float64) StepReport
-	// Run replays a dataset through Step in time order.
-	Run(ds *Dataset, from, to time.Time) ([]StepReport, error)
 	// IDs returns the monitored measurements.
 	IDs() []MeasurementID
 	// Pairs returns every trained link in canonical order.
@@ -183,10 +171,6 @@ type Fleet interface {
 	Localize() Localization
 	// ResetAccumulators clears the running means.
 	ResetAccumulators()
-	// SetAdaptive toggles online model updating.
-	SetAdaptive(bool)
-	// ResetChains clears every model's Markov position.
-	ResetChains()
 	// Close releases worker pools.
 	Close()
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
+.PHONY: all build vet fmt-check test race pool-stress check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
 
 all: build check
 
@@ -11,12 +11,13 @@ all: build check
 # to end, the nested benchmark module's own smoke tests, one iteration of
 # the row-path, networked-fabric and scoring-loop micro-benchmarks, the kill -9
 # recovery gate and a bounded fuzzing pass over the wire-format, WAL and
-# checkpoint decoders.
+# checkpoint decoders, and the scoring helpers' hand-off under the race
+# detector at several core counts.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
 # `make corpus` is not part of check: run it after changing
 # manager.CheckpointMagic or any record a checkpoint or WAL segment holds,
 # and commit the seeds it rewrites under testdata/fuzz.
-check: fmt-check vet docs-check race examples bench-rowpath bench-smoke crash-test fuzz-short
+check: fmt-check vet docs-check race pool-stress examples bench-rowpath bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -39,6 +40,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# pool-stress runs the tests that hand jobs between managers and the
+# process's scoring helpers — managers stepping side by side, helpers woken
+# from parked, GOMAXPROCS changing under a fleet, every worker count, the
+# in-process shardnet workers — three times each at 1, 2 and 4 Ps under the
+# race detector, so a hand-off that is only wrong at one core count, or
+# only sometimes, shows.
+pool-stress:
+	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestPool|TrajectoryIndependentOfWorkers|Concurrent|ShardNetBitIdenticalToManager' ./internal/manager ./internal/shardnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

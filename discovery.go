@@ -80,7 +80,7 @@ func ParsePairBudget(s string, l int) (int, error) {
 	candidates := l * (l - 1) / 2
 	if pct, ok := strings.CutSuffix(s, "%"); ok {
 		f, err := strconv.ParseFloat(strings.TrimSpace(pct), 64)
-		if err != nil || f <= 0 || f > 100 {
+		if err != nil || !(f > 0 && f <= 100) { // written so that NaN fails too
 			return 0, fmt.Errorf("pair budget %q: want a percentage in (0, 100]", s)
 		}
 		n := int(math.Ceil(f / 100 * float64(candidates)))

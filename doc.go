@@ -39,8 +39,8 @@
 // # Scaling out: the networked scoring fabric
 //
 // The pair graph grows quadratically in the measurement count. In one
-// process a single Manager scores it on a worker pool that spans every
-// core. NewShardNetFleet moves the models out of process instead: the
+// process a single Manager scores it on the process's scoring helpers,
+// which span every core. NewShardNetFleet moves the models out of process instead: the
 // graph is partitioned by rendezvous hashing across mcshard workers, and a
 // coordinator merges every worker's per-pair outcomes through one central
 // aggregation path, so the Q^a/Q trajectories stay bit-identical to one

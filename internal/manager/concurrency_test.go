@@ -125,15 +125,24 @@ func TestManagerStepDeterministic(t *testing.T) {
 }
 
 // TestManagerCloseIdempotent: Close twice is safe, and a closed manager's
-// read-side accessors still work.
+// read-side accessors still work, and so does stepping it: the scoring
+// helpers are the process's, so Close has none to stop.
 func TestManagerCloseIdempotent(t *testing.T) {
-	mgr, _, _ := trainedManager(t, Config{}, 2)
+	mgr, ds, _ := trainedManager(t, Config{}, 2)
 	mgr.Close()
 	mgr.Close()
 	if len(mgr.Pairs()) == 0 {
 		t.Error("pairs lost after close")
 	}
 	_ = mgr.SystemMean()
+	var rep StepReport
+	for k := 0; k < 3; k++ {
+		at := timeseries.MonitoringStart.AddDate(0, 0, 1).Add(time.Duration(k) * timeseries.SampleStep)
+		rep = mgr.Step(Row{Time: at, Values: rowValues(ds, at)})
+	}
+	if rep.ScoredPairs == 0 {
+		t.Error("a closed manager stepped three rows and scored no pair on the last")
+	}
 }
 
 // TestTrajectoryIndependentOfWorkers: the pool hands chunks to whichever

@@ -7,9 +7,11 @@
 // # Scoring path
 //
 // The row that is scored is a dense slice: vals[i] is IDs()[i]'s value and
-// NaN is a gap. Manager.StepValues scores one: a persistent worker pool
-// works through the sorted pair list in small chunks its workers claim from
-// one cursor (each chunk's models warmed together, then stepped), each pair
+// NaN is a gap. Manager.StepValues scores one: the caller and up to
+// Workers−1 of the process's scoring helpers (one set for every manager in
+// the process, kept awake between rows by a bounded, polite spin; see
+// pool.go) work through the sorted pair list in small chunks they claim
+// from one cursor (each chunk's models warmed together, then stepped), each pair
 // reads its two values by index and its model produces an Outcome at the
 // pair's index, and an Aggregator folds the outcomes — always
 // in canonical pair order — into per-measurement and system accumulators,

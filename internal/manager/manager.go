@@ -67,8 +67,10 @@ type Config struct {
 	// Model is the per-pair model configuration (core.Config defaults
 	// apply). Set Model.Adaptive for the paper's adaptive mode.
 	Model core.Config
-	// Workers bounds concurrent model training/scoring; default
-	// GOMAXPROCS.
+	// Workers bounds how many goroutines train or score one of this
+	// manager's jobs: the caller plus at most Workers−1 of the process's
+	// shared helpers, which number GOMAXPROCS−1; default GOMAXPROCS. 1
+	// scores every row on the caller alone.
 	Workers int
 	// MeasurementThreshold raises a measurement alarm when Q^a falls
 	// below it (0 disables).
@@ -197,15 +199,15 @@ type Manager struct {
 	// slice (which worker scores a pair varies from row to row; a pair's
 	// outcome is written at its index and aggregated in index order, so it
 	// cannot show), per-pair measurement indices for map-free Q^a
-	// aggregation, reusable outcome scratch, and the persistent worker pool.
+	// aggregation, reusable outcome scratch, and the reused pool job.
 	pairs    []Pair
 	pairIdx  [][2]int      // pairs[i] → indices into ids
 	modelAt  []*core.Model // pairs[i]'s model, so the hot loop never hashes a Pair
 	outcomes []Outcome     // reused every step; doubles as the carry-forward cache
-	curVals  []float64     // row being scored (the caller's, in ids order), read by pool workers
-	curDst   []Outcome     // ScoreInto destination (nil under StepValues), read by pool workers
+	curVals  []float64     // row being scored (the caller's, in ids order), read by the job's helpers
+	curDst   []Outcome     // ScoreInto destination (nil under StepValues), read by the job's helpers
 	scoreFn  func(lo, hi int)
-	pool     *workerPool
+	job      poolJob // every run's hand-off to the process's helpers (pool.go)
 
 	// Incremental dirty-pair state. steadyOK[i] marks pair i as steady: its
 	// model holds a frozen self-run whose outcome is cached in outcomes[i],
@@ -219,7 +221,7 @@ type Manager struct {
 	steadyOK []bool
 	steadyB  []float64
 	// stepSkipped counts skipped pairs of the row being scored; workers add
-	// atomically per chunk, Step/ScoreInto read it after the pool drains.
+	// atomically per chunk, Step/ScoreInto read it after the job's run returns.
 	stepSkipped uint64
 	// lastDirty is the dirty (re-scored) pair count of the last row, for
 	// the ops gauge.
@@ -228,98 +230,12 @@ type Manager struct {
 	modelBytes float64
 }
 
-// workerPool is the manager's persistent scoring pool: the caller of run
-// plus a fixed set of helper goroutines, created once, that claim small
-// index ranges of the current job from one atomic cursor until none is left
-// — so a stretch of expensive pairs is shared out instead of setting the
-// row's time, as a static split would let it. Helpers hold only the wake
-// channel — never the pool or the Manager — so an abandoned manager stays
-// collectable; its finalizer closes the channel and the helpers exit.
-type workerPool struct {
-	wake chan *poolJob
-	job  poolJob // reused by every run
-	once sync.Once
-}
-
-// poolJob is one run's work: fn over [0, n), claimed claimChunk at a time.
-type poolJob struct {
-	n    int
-	fn   func(lo, hi int)
-	next atomic.Int64   // first unclaimed index
-	done sync.WaitGroup // helpers woken for this run
-}
-
-// claimChunk is how many indices one claim takes: the block of pairs
-// scoreChunk warms together, which is what bounds it.
-const claimChunk = 16
-
-func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{wake: make(chan *poolJob, workers-1)}
-	for w := 1; w < workers; w++ {
-		go poolHelper(p.wake)
-	}
-	// The finalizer lives on the small pool struct — not the Manager — so
-	// an abandoned manager's model fleet is collected promptly and only
-	// the pool header survives the extra finalizer cycle before its
-	// helpers are told to exit.
-	runtime.SetFinalizer(p, (*workerPool).close)
-	return p
-}
-
-func poolHelper(wake <-chan *poolJob) {
-	for j := range wake {
-		j.work()
-		j.done.Done()
-	}
-}
-
-// work claims and executes chunks until the job has none left.
-func (j *poolJob) work() {
-	for {
-		hi := int(j.next.Add(claimChunk))
-		lo := hi - claimChunk
-		if lo >= j.n {
-			return
-		}
-		j.fn(lo, min(hi, j.n))
-	}
-}
-
-// run executes fn over [0, n) in chunks of claimChunk, on the calling
-// goroutine and on as many helpers as there are further chunks, and blocks
-// until every chunk is done and every helper it woke has let go of the job.
-// Calls must not overlap; Step's lock (and New's construction phase)
-// serialize them.
-func (p *workerPool) run(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	j := &p.job
-	j.n, j.fn = n, fn
-	j.next.Store(0)
-	helpers := min((n-1)/claimChunk, cap(p.wake))
-	j.done.Add(helpers)
-	for h := 0; h < helpers; h++ {
-		p.wake <- j
-	}
-	j.work()
-	j.done.Wait()
-	j.fn = nil // fn holds the Manager; the pool must not
-}
-
-// close shuts the pool down; idempotent.
-func (p *workerPool) close() {
-	p.once.Do(func() { close(p.wake) })
-}
-
-// Close stops the manager's persistent worker pool. It is safe to call
-// more than once, but the manager must not be stepped afterwards. Managers
-// that are simply dropped are cleaned up by a finalizer; Close exists for
-// callers that want deterministic shutdown.
+// Close zeroes this manager's share of mcorr_manager_model_bytes. It is
+// safe to call more than once, and a manager stepped after Close still
+// scores (its share of the gauge is then stale until its next Save): the
+// scoring helpers belong to the process, not to a manager, so a manager
+// holds no goroutine and a dropped one needs no Close to be collected.
 func (m *Manager) Close() {
-	if m.pool != nil {
-		m.pool.close()
-	}
 	m.mu.Lock()
 	m.publishModelBytesLocked(0)
 	m.mu.Unlock()
@@ -369,9 +285,6 @@ func (m *Manager) initRuntime() {
 	if m.Aggregator == nil {
 		m.Aggregator = NewAggregator(m.ids, m.cfg)
 		m.MapRows = NewMapRows(m.ids, m.StepValues)
-	}
-	if m.pool == nil {
-		m.pool = newWorkerPool(m.cfg.Workers)
 	}
 }
 
@@ -423,7 +336,6 @@ func NewSubset(history *timeseries.Dataset, cfg Config, keep func(Pair) bool) (*
 		ids:    ids,
 		models: make(map[Pair]*core.Model),
 	}
-	m.pool = newWorkerPool(cfg.Workers)
 
 	// Train the kept links on the same pool that will score them; the
 	// results slice keeps training deterministic (first error in pair
@@ -434,7 +346,7 @@ func NewSubset(history *timeseries.Dataset, cfg Config, keep func(Pair) bool) (*
 		err   error
 	}
 	results := make([]result, len(pairs))
-	m.pool.run(len(pairs), func(lo, hi int) {
+	m.job.run(len(pairs), cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pr := pairs[i]
 			if keep != nil && !keep(MakePair(pr[0], pr[1])) {
@@ -532,7 +444,7 @@ func (m *Manager) RemovePair(p Pair) bool {
 // StepValues scores one synchronized row across every link, updates the
 // running accumulators, and publishes alarms. vals is the row in IDs()
 // order with NaN for a gap; it is only read, and only until StepValues
-// returns. The fan-out runs on the persistent worker pool over the cached
+// returns. The fan-out runs on the process's scoring helpers over the cached
 // sorted pair slice and the aggregation scratch is reused, so a step
 // allocates nothing beyond the returned report's maps. The phases (score →
 // aggregate → alarm) are traced via obs.StartSpan and the step latency,
@@ -543,9 +455,10 @@ func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	// Fan the links out over the persistent pool. The happens-before edges
-	// of the wake channel and the wait group order the curVals/outcomes
-	// accesses between this goroutine and the helpers.
+	// Fan the links out over the scoring helpers. The helper set's lock (a
+	// helper joins the posted job under it) and the job's active count (the
+	// caller waits for it to drain) order the curVals/outcomes accesses
+	// between this goroutine and the helpers.
 	sp.Phase("score")
 	m.scoreLocked(vals)
 	obsDirtyPairs.Set(float64(m.lastDirty))
@@ -572,7 +485,7 @@ func (m *Manager) Run(ds *timeseries.Dataset, from, to time.Time) ([]StepReport,
 }
 
 // ScoreInto scores every trained pair against the dense row vals (see
-// StepValues) on the manager's own worker pool, writing pair i's outcome
+// StepValues) on the process's scoring helpers, writing pair i's outcome
 // into dst[i]. It advances model state exactly like Step but performs no
 // aggregation, accumulator updates or alarms — a networked shard worker
 // scores its pairs this way and returns the outcomes to the coordinator,
@@ -586,9 +499,9 @@ func (m *Manager) ScoreInto(vals []float64, dst []Outcome) {
 	m.curDst = nil
 }
 
-// scoreLocked scores every pair of the row on the pool and records the
+// scoreLocked scores every pair of the row on the job and records the
 // dirty/skipped split. A row of the wrong width is a caller's bug and
-// would otherwise surface as an index panic on a pool goroutine. Callers
+// would otherwise surface as an index panic on a helper goroutine. Callers
 // hold m.mu.
 func (m *Manager) scoreLocked(vals []float64) {
 	if len(vals) != len(m.ids) {
@@ -596,7 +509,7 @@ func (m *Manager) scoreLocked(vals []float64) {
 	}
 	m.curVals = vals
 	atomic.StoreUint64(&m.stepSkipped, 0)
-	m.pool.run(len(m.pairs), m.scoreFn)
+	m.job.run(len(m.pairs), m.cfg.Workers, m.scoreFn)
 	m.curVals = nil
 	m.noteDirty(int(atomic.LoadUint64(&m.stepSkipped)))
 }

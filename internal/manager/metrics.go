@@ -38,6 +38,12 @@ var (
 	obsCheckpointEpoch = obs.Default().Gauge("mcorr_checkpoint_epoch",
 		"Epoch of the last durable checkpoint: how many this data directory has committed (0 before the first).")
 
+	obsHandoffs = obs.Default().CounterVec("mcorr_manager_pool_handoffs_total",
+		"Helpers a posted scoring or training job called on, by how: to=spinning when a helper was already awake polling for work, to=parked when one had to be woken.",
+		"to")
+	obsHandoffSpinning = obsHandoffs.With("spinning")
+	obsHandoffParked   = obsHandoffs.With("parked")
+
 	obsFitness = obs.Default().HistogramVec("mcorr_manager_fitness",
 		"Fitness scores by aggregation level: pair (Q^{a,b}), measurement (Q^a), system (Q).",
 		obs.FitnessBuckets(), "level")

@@ -141,7 +141,7 @@ func LoadManager(r io.Reader, sink alarm.Sink) (*Manager, error) {
 		return nil, fmt.Errorf("manager load: stream format %d, want %d: %w", hdr.Version, managerFormat, wal.ErrCorrupt)
 	}
 	if hdr.Config.Workers > maxWorkers {
-		// The pool is spawned from this number; it must not be a stream's to inflate.
+		// A saved worker count is a bound, not a request; an absurd one is corruption.
 		return nil, fmt.Errorf("manager load: %d workers: %w", hdr.Config.Workers, wal.ErrCorrupt)
 	}
 	// A pair reads its values from the row by its endpoints' indices, so
@@ -173,8 +173,8 @@ func LoadManager(r io.Reader, sink alarm.Sink) (*Manager, error) {
 		return nil, fmt.Errorf("manager load: %d pairs name %d models: %w", len(hdr.Pairs), len(m.models), wal.ErrCorrupt)
 	}
 	// Rebuild the derived step-path state (sorted pairs, scratch buffers,
-	// a fresh aggregator) and start a fresh worker pool, then install the
-	// persisted accumulator state into the aggregator.
+	// a fresh aggregator), then install the persisted accumulator state
+	// into the aggregator.
 	m.initRuntime()
 	m.restore(hdr.Acc, hdr.SysAcc, hdr.Steps)
 	m.refreshModelBytes()

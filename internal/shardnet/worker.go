@@ -156,8 +156,8 @@ func (w *Worker) Serve() error {
 	}
 }
 
-// Close stops the worker: the listener, the active session and the
-// shard's scoring pool.
+// Close stops the worker: the listener and the active session, and it
+// drops the shard's manager.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	if w.closed {

@@ -171,7 +171,9 @@ type Fleet interface {
 	Localize() Localization
 	// ResetAccumulators clears the running means.
 	ResetAccumulators()
-	// Close releases worker pools.
+	// Close releases what the fleet holds beyond memory: a networked
+	// fleet's worker connections (a Manager's scoring helpers belong to
+	// the process and outlive it).
 	Close()
 }
 
@@ -621,7 +623,7 @@ func (m *Monitor) Checkpoint() error {
 	return m.checkpointLocked()
 }
 
-// Close releases the fleet's worker pools; a durable monitor first writes a
+// Close releases the fleet (see Fleet.Close); a durable monitor first writes a
 // final checkpoint and closes the WAL, so it recovers instantly (empty WAL
 // tail). Closing twice is a no-op.
 func (m *Monitor) Close() error {

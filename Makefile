@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race pool-stress check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
+.PHONY: all build vet fmt-check test race pool-stress cross-check check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
 
 all: build check
 
@@ -11,13 +11,14 @@ all: build check
 # to end, the nested benchmark module's own smoke tests, one iteration of
 # the row-path, networked-fabric and scoring-loop micro-benchmarks, the kill -9
 # recovery gate and a bounded fuzzing pass over the wire-format, WAL and
-# checkpoint decoders, and the scoring helpers' hand-off under the race
-# detector at several core counts.
+# checkpoint decoders, the scoring helpers' hand-off under the race
+# detector at several core counts, and the cross-platform builds with the
+# portable row kernels' run of the trajectory fingerprint.
 # Performance is gated by BENCHMARK.json (`bash bench/run.sh`), not here.
 # `make corpus` is not part of check: run it after changing
 # manager.CheckpointMagic or any record a checkpoint or WAL segment holds,
 # and commit the seeds it rewrites under testdata/fuzz.
-check: fmt-check vet docs-check race pool-stress examples bench-rowpath bench-smoke crash-test fuzz-short
+check: fmt-check vet docs-check race pool-stress cross-check examples bench-rowpath bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -49,6 +50,20 @@ race:
 # only sometimes, shows.
 pool-stress:
 	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestPool|TrajectoryIndependentOfWorkers|Concurrent|ShardNetBitIdenticalToManager' ./internal/manager ./internal/shardnet
+
+# cross-check builds and vets for the architectures without the amd64 row
+# kernels (they take the portable loops in internal/core), builds for
+# darwin and windows, and runs the scoring packages' tests as 386 binaries:
+# an amd64 host runs those natively, so TestTrajectoryFingerprint checks
+# the portable loops against the same committed constant the vector
+# kernels meet. 386 is built, not vetted: a test of internal/wal shifts
+# past a 32-bit int.
+cross-check:
+	for arch in arm64 ppc64le s390x riscv64; do GOARCH=$$arch $(GO) vet ./... || exit 1; done
+	GOARCH=386 $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/core ./internal/manager
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -113,10 +128,10 @@ ops-smoke:
 	echo 'ops-smoke OK'
 
 # fuzz-short runs each decoder fuzz target, and the exactness targets of the
-# row sweep and of the lazy row layout, for a bounded time (go only allows
-# one -fuzz target per invocation). The checked-in corpora under
-# testdata/fuzz seed the search; any crasher go finds is written there and
-# replayed by plain `go test` forever after.
+# row sweep, of the vector row kernels and of the lazy row layout, for a
+# bounded time (go only allows one -fuzz target per invocation). The
+# checked-in corpora under testdata/fuzz seed the search; any crasher go
+# finds is written there and replayed by plain `go test` forever after.
 FUZZTIME ?= 30s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/collector
@@ -130,6 +145,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRowSweep$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRowKernels$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrixGrowth$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core
 
 # corpus regenerates the checked-in fuzz seeds that are built from real

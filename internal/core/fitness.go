@@ -18,19 +18,8 @@ package core
 // (TransitionMatrix.ScoreObserve): cells before h count when p ≥ ph, cells
 // from h on when p > ph.
 func RankInRow(row []float64, h int) int {
-	rank := 1
 	ph := row[h]
-	for _, p := range row[:h] {
-		if p >= ph {
-			rank++
-		}
-	}
-	for _, p := range row[h:] {
-		if p > ph {
-			rank++
-		}
-	}
-	return rank
+	return 1 + countAtLeast(row[:h], ph) + countAbove(row[h:], ph)
 }
 
 // FitnessFromRank converts a 1-based rank π(c_h) over s cells into the

@@ -255,72 +255,16 @@ func (k *Kernel) FillLogRow(dst []float64, xi, yi, nx, ny int) {
 // costs one branch-free comparison for the count and one rarely taken
 // branch for the maximum. That is the same question unless p_c is −∞; rows
 // are finite — LoadModel refuses any other entry and no update makes one.
+// The pass itself is sweepRows: one AVX2 kernel call on amd64, the Go loop
+// elsewhere, the same bits either way.
 func (k *Kernel) sweep(row []float64, xc, yc, nx, ny int, shift, m float64) (mx float64, ahead int) {
 	pc := row[xc*ny+yc] - shift
 	if mx = pc + m*k.sym[k.ny-1]; mx == 0 || mx != mx {
 		mx = math.Inf(-1)
 	}
 	below := math.Nextafter(pc, math.Inf(-1))
-	var n int
-	for x := 0; x < nx; x++ {
-		seg, tab := row[x*ny:x*ny+ny], k.logRow(x-xc, yc, ny)
-		switch {
-		case x < xc:
-			mx, n = segment(seg, tab, shift, m, below, mx)
-		case x > xc:
-			mx, n = segment(seg, tab, shift, m, pc, mx)
-		default: // the centre's grid row is cut at the centre
-			mx, n = segment(seg[:yc], tab[:yc], shift, m, below, mx)
-			ahead += n
-			mx, n = segment(seg[yc:], tab[yc:], shift, m, pc, mx)
-		}
-		ahead += n
-	}
-	return mx, ahead
-}
-
-// segment is sweep's loop over one run of cells whose log weights are tab:
-// it shifts, counts p > th, adds m·t, stores and carries the maximum mx, four
-// cells an iteration.
-func segment(seg, tab []float64, shift, m, th, mx float64) (float64, int) {
-	tab = tab[:len(seg)]
-	ahead, i := 0, 0
-	for ; i+4 <= len(seg); i += 4 {
-		s, t := seg[i:i+4:i+4], tab[i:i+4:i+4]
-		p0, p1, p2, p3 := s[0]-shift, s[1]-shift, s[2]-shift, s[3]-shift
-		ahead += b2i(p0 > th) + b2i(p1 > th) + b2i(p2 > th) + b2i(p3 > th)
-		v0, v1, v2, v3 := p0+m*t[0], p1+m*t[1], p2+m*t[2], p3+m*t[3]
-		s[0], s[1], s[2], s[3] = v0, v1, v2, v3
-		if v0 > mx {
-			mx = v0
-		}
-		if v1 > mx {
-			mx = v1
-		}
-		if v2 > mx {
-			mx = v2
-		}
-		if v3 > mx {
-			mx = v3
-		}
-	}
-	for ; i < len(seg); i++ {
-		p := seg[i] - shift
-		ahead += b2i(p > th)
-		v := p + m*tab[i]
-		seg[i] = v
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx, ahead
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	// Grid row x's weights are logRow(x−xc, yc, ny).
+	return sweepRows(row[:nx*ny], k.sym, nx, ny, 2*k.ny-1, k.ny-1-yc, xc, yc, shift, m, below, pc, mx)
 }
 
 func (k *Kernel) logWeightSlow(dx, dy int) float64 {

@@ -320,29 +320,22 @@ func (m *Model) Step(p mathx.Point2) StepResult {
 
 // Warm reads what the next Step is certain to read and nothing else: the
 // grid edges and, when the chain is armed and the row out of prev is stored,
-// one word of each of that row's cache lines (rows are allocated line-
-// aligned) — as stored, stale or not. A caller about to Step a block of
-// models warms them all first, so the block's cache misses are in flight
-// together instead of queueing model by model. It stores nothing, computes
-// no unobserved row and catches up no stale one: no state, checkpoint
-// bytes included, can tell whether it ran. The sum returned exists so the
-// compiler keeps the loads; it means nothing.
+// each of that row's cache lines (rows are allocated line-aligned) — as
+// stored, stale or not. A caller about to Step a block of models warms them
+// all first, so the block's cache misses are in flight together instead of
+// queueing model by model. With the vector row kernels each line is one
+// prefetch, which nothing waits for; elsewhere it is one load of a word of
+// it. It stores nothing, computes no unobserved row and catches up no stale
+// one: no state, checkpoint bytes included, can tell whether it ran. The
+// sum returned exists so the compiler keeps the loads; it means nothing.
 //
 //go:noinline
 func (m *Model) Warm() (sum float64) {
-	const line = 8 // float64s per cache line
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, edges := range [2][]float64{m.grid.X.Edges, m.grid.Y.Edges} {
-		for j := 0; j < len(edges); j += line {
-			sum += edges[j]
-		}
-	}
+	sum = warmLines(m.grid.X.Edges) + warmLines(m.grid.Y.Edges)
 	if m.armed {
-		row := m.tm.rows[m.prev]
-		for j := 0; j < len(row); j += line {
-			sum += row[j]
-		}
+		sum += warmLines(m.tm.rows[m.prev])
 	}
 	return sum
 }

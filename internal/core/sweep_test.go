@@ -57,10 +57,11 @@ type sweepCase struct {
 	shift, m   float64
 	row        []float64
 	shiftFirst bool // shift is the row's maximum after a scaled add at c
+	path       string
 }
 
 func (sc sweepCase) String() string {
-	return fmt.Sprintf("%v %dx%d (table %dx%d) centre %d shift %v m %v", sc.kind, sc.nx, sc.ny, sc.tnx, sc.tny, sc.c, sc.shift, sc.m)
+	return fmt.Sprintf("%v %dx%d (table %dx%d) centre %d shift %v m %v, %s row kernels", sc.kind, sc.nx, sc.ny, sc.tnx, sc.tny, sc.c, sc.shift, sc.m, sc.path)
 }
 
 func sameBits(a, b []float64) int {
@@ -73,9 +74,17 @@ func sameBits(a, b []float64) int {
 }
 
 // checkSweep runs one case through AddLogRow, AddLogRowScaled and the
-// shifted sweep and compares each with the oracle by bits: every entry, the
-// maximum, and the centre's rank.
+// shifted sweep on every row path and compares each with the oracle by
+// bits: every entry, the maximum, and the centre's rank.
 func checkSweep(t *testing.T, sc sweepCase) {
+	t.Helper()
+	for _, vector := range rowPaths() {
+		sc.path = rowPathName(vector)
+		withRowPath(vector, func() { checkSweepOn(t, sc) })
+	}
+}
+
+func checkSweepOn(t *testing.T, sc sweepCase) {
 	t.Helper()
 	k := buildKernel(sc.kind, 2, sc.tnx, sc.tny)
 	xc, yc := sc.c/sc.ny, sc.c%sc.ny
@@ -134,7 +143,8 @@ var palette = [...]float64{0, math.Copysign(0, -1), -1, -1, -0.5, -3, -math.Ln2,
 // than the grid, every centre (the first and last cell included), rows of
 // tied values holding both zero signs and rows of distinct ones, with no
 // shift, a given shift and a run flush of one sample and of many, the
-// sweep's entries, maximum and rank are the oracle's bit for bit.
+// sweep's entries, maximum and rank are the oracle's bit for bit, on every
+// row path.
 func TestSweepMatchesScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, kind := range []KernelKind{KernelHarmonic, KernelProduct, KernelUniform} {
@@ -171,7 +181,9 @@ func TestSweepMatchesScalarOracle(t *testing.T) {
 // into +0s and −0s, and the first maximal entry in row order — what the
 // scalar scan returns and what the re-centering then subtracts — is the
 // answer, whichever sign it has. In the last rows a +0 made by ln 2 − ln 2
-// precedes the centre's −0 + −0.
+// precedes the centre's −0 + −0. The rows of 16 cells and more come last:
+// grid rows of eight cells and more, so the vector kernels' lanes each hold
+// zeros, of different signs, made the same ways.
 func TestSweepZeroSigns(t *testing.T) {
 	neg := math.Copysign(0, -1)
 	for _, kind := range []KernelKind{KernelProduct, KernelUniform, KernelHarmonic} {
@@ -192,14 +204,39 @@ func TestSweepZeroSigns(t *testing.T) {
 			}
 		}
 	}
+	rng := rand.New(rand.NewSource(31))
+	zeros := []float64{0, neg, neg, math.Ln2, 2 * math.Ln2, -1}
+	for _, dims := range [][2]int{{2, 8}, {2, 9}, {3, 12}, {1, 19}} {
+		nx, ny := dims[0], dims[1]
+		for c := 0; c < nx*ny; c++ {
+			for trial := 0; trial < 3; trial++ {
+				row := make([]float64, nx*ny)
+				for j := range row {
+					row[j] = zeros[rng.Intn(len(zeros))]
+				}
+				sc := sweepCase{kind: KernelProduct, nx: nx, ny: ny, tnx: nx, tny: ny, c: c, row: row, m: 1}
+				switch trial {
+				case 1:
+					sc.shift = neg
+				case 2:
+					sc.shiftFirst, sc.m = true, 3
+				}
+				checkSweep(t, sc)
+			}
+		}
+	}
 }
 
 // TestScoreObserveMatchesSeparateCalls: on every rule and kernel, over a
 // grid that grows, ScoreObserve(i, h, run, wantProb) leaves the matrix and
 // returns what ObserveRun, then ScoreTransition or FitnessAt, then Observe
 // do on a twin, bit for bit — unobserved rows, stored ones and runs of every
-// length.
+// length — on every row path.
 func TestScoreObserveMatchesSeparateCalls(t *testing.T) {
+	forRowPaths(t, testScoreObserveMatchesSeparateCalls)
+}
+
+func testScoreObserveMatchesSeparateCalls(t *testing.T) {
 	for _, rule := range []UpdateRule{UpdateKernelBayes, UpdateDirichlet} {
 		for _, kind := range []KernelKind{KernelHarmonic, KernelProduct, KernelUniform} {
 			grid, err := UniformGrid(0, 1, 4, 0, 1, 3)

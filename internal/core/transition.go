@@ -382,19 +382,6 @@ func (tm *TransitionMatrix) ScoreObserve(i, h, run int, wantProb bool) (prob, fi
 	return prob, FitnessFromRank(1+ahead, tm.n), nil
 }
 
-// recenter subtracts a kernel-Bayes row's maximum from every entry, so the
-// log weights stay bounded over long streams and the largest reads zero.
-func recenter(row []float64, mx float64) {
-	j := 0
-	for ; j+4 <= len(row); j += 4 {
-		r := row[j : j+4 : j+4]
-		r[0], r[1], r[2], r[3] = r[0]-mx, r[1]-mx, r[2]-mx, r[3]-mx
-	}
-	for ; j < len(row); j++ {
-		row[j] -= mx
-	}
-}
-
 // ensureNorm returns row i's normalizer — the log-sum-exp of raw for
 // kernel-Bayes, the count sum for Dirichlet — computing and caching it if
 // the row changed since the last read. raw is row(i).

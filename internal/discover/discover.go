@@ -34,10 +34,12 @@ type Config struct {
 	// decisions happen only at round boundaries. Default 120.
 	RoundRows int
 	// AdmitAbove is the |r| floor a probed candidate must reach to be
-	// admitted. Default 0.30.
+	// admitted. Default 0.30 (any value ≤ 0); New refuses a NaN, an
+	// infinity or a value above 1.
 	AdmitAbove float64
 	// EvictBelow is the |r| ceiling under which an admitted pair counts
-	// as flat-lined. Default 0.15.
+	// as flat-lined. Default 0.15 (any value ≤ 0); New refuses a NaN, an
+	// infinity or a value above 1.
 	EvictBelow float64
 	// EvictAfter is how many consecutive flat-lined rounds trigger
 	// eviction. Default 2.
@@ -53,6 +55,22 @@ type Config struct {
 	// MinTrain is the minimum jointly-valid points TrainingPoints needs
 	// before an admission is worth training. Default 24.
 	MinTrain int
+}
+
+// validate refuses a correlation threshold no |r| can be compared with
+// meaningfully: a NaN or an infinity, against which every comparison of
+// the admission and eviction tests is false or always true, or a value
+// above 1, which no |r| reaches. 0 and negative values select the default.
+func (c Config) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"AdmitAbove", c.AdmitAbove}, {"EvictBelow", c.EvictBelow}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v > 1 {
+			return fmt.Errorf("discover: %s = %v: want a finite |r| threshold of at most 1 (0 or less for the default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -160,7 +178,11 @@ type Discoverer struct {
 // list is sorted internally; candidate order (and therefore every
 // admission tie-break) is the canonical pair order over the sorted IDs.
 // The order given is the column order of the dense rows Observe reads.
+// New refuses an AdmitAbove or EvictBelow that is NaN, infinite or above 1.
 func New(ids []timeseries.MeasurementID, cfg Config) (*Discoverer, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if len(ids) < 2 {
 		return nil, fmt.Errorf("discover: need at least 2 measurements, got %d", len(ids))
@@ -671,6 +693,9 @@ func (d *Discoverer) UnmarshalState(b []byte) error {
 		if st.IDs[i] != id.String() {
 			return fmt.Errorf("discover: state measurement %d is %s, want %s", i, st.IDs[i], id)
 		}
+	}
+	if err := st.Cfg.validate(); err != nil {
+		return err
 	}
 	st.Cfg = st.Cfg.withDefaults()
 	if len(st.Hist) != len(d.ids) {

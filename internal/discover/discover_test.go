@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"mcorr/internal/manager"
@@ -400,5 +401,44 @@ func TestSyncAdmittedRebuildsGraph(t *testing.T) {
 	manager.SortPairs(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Admitted = %v, want %v", got, want)
+	}
+}
+
+// TestNewRefusesUnusableThresholds: a NaN or infinite admission or eviction
+// threshold — every |r| comparison false, so discovery silently never admits
+// or never evicts — or one above 1, which no |r| reaches, is an error naming
+// the field; 0 and negative values select the defaults, and 1 and 0.99 stay
+// valid.
+func TestNewRefusesUnusableThresholds(t *testing.T) {
+	ids := testIDs(2, 2)
+	for _, tc := range []struct {
+		admit, evict float64
+		bad          string // the field the error names, "" for none
+	}{
+		{0, 0, ""},
+		{-1, -0.5, ""},
+		{0.5, 0.99, ""},
+		{1, 1, ""},
+		{math.NaN(), 0, "AdmitAbove"},
+		{0, math.NaN(), "EvictBelow"},
+		{math.NaN(), math.NaN(), "AdmitAbove"},
+		{math.Inf(1), 0, "AdmitAbove"},
+		{0, math.Inf(1), "EvictBelow"},
+		{math.Inf(-1), 0, "AdmitAbove"},
+		{0, math.Inf(-1), "EvictBelow"},
+		{1.0000001, 0, "AdmitAbove"},
+		{0.3, 2, "EvictBelow"},
+	} {
+		d, err := New(ids, Config{AdmitAbove: tc.admit, EvictBelow: tc.evict})
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("AdmitAbove %v EvictBelow %v: %v", tc.admit, tc.evict, err)
+		case tc.bad == "" && (d.cfg.AdmitAbove <= 0 || d.cfg.EvictBelow <= 0):
+			t.Errorf("AdmitAbove %v EvictBelow %v: thresholds %v, %v after defaults", tc.admit, tc.evict, d.cfg.AdmitAbove, d.cfg.EvictBelow)
+		case tc.bad != "" && err == nil:
+			t.Errorf("AdmitAbove %v EvictBelow %v: accepted, thresholds %v, %v", tc.admit, tc.evict, d.cfg.AdmitAbove, d.cfg.EvictBelow)
+		case tc.bad != "" && !strings.Contains(err.Error(), tc.bad):
+			t.Errorf("AdmitAbove %v EvictBelow %v: %v does not name %s", tc.admit, tc.evict, err, tc.bad)
+		}
 	}
 }

@@ -56,9 +56,10 @@ type Aggregator struct {
 	sysAcc  mathx.Online
 	steps   int
 
-	sumBuf   []float64     // per-measurement fitness sums, reused
-	cntBuf   []int         // per-measurement scored-link counts, reused
-	alarmBuf []alarm.Alarm // alarms gathered during aggregation, reused
+	sumBuf    []float64     // per-measurement fitness sums, reused
+	cntBuf    []int         // per-measurement scored-link counts, reused
+	alarmBuf  []alarm.Alarm // alarms gathered during aggregation, reused
+	pairTally *obs.Tally    // the row's pair fitness scores, published once a row
 }
 
 // NewAggregator builds an aggregator over the measurement universe ids.
@@ -67,11 +68,12 @@ type Aggregator struct {
 func NewAggregator(ids []timeseries.MeasurementID, cfg Config) *Aggregator {
 	cfg = cfg.withDefaults()
 	return &Aggregator{
-		cfg:    cfg,
-		ids:    append([]timeseries.MeasurementID(nil), ids...),
-		acc:    make(map[timeseries.MeasurementID]*mathx.Online),
-		sumBuf: make([]float64, len(ids)),
-		cntBuf: make([]int, len(ids)),
+		cfg:       cfg,
+		ids:       append([]timeseries.MeasurementID(nil), ids...),
+		acc:       make(map[timeseries.MeasurementID]*mathx.Online),
+		sumBuf:    make([]float64, len(ids)),
+		cntBuf:    make([]int, len(ids)),
+		pairTally: obsFitnessPair.NewTally(),
 	}
 }
 
@@ -104,7 +106,7 @@ func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outc
 		}
 		p := pairs[i]
 		report.ScoredPairs++
-		obsFitnessPair.Observe(o.Fitness)
+		g.pairTally.Observe(o.Fitness)
 		if g.cfg.TrackPairMeans {
 			if g.pairAcc == nil {
 				g.pairAcc = make(map[Pair]*mathx.Online, len(pairs))
@@ -128,6 +130,7 @@ func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outc
 			})
 		}
 	}
+	g.pairTally.Publish()
 	// Size the map to the measurements with a scored link, not to len(ids):
 	// under a pair budget many measurements have none.
 	scored := 0

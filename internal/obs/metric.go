@@ -73,13 +73,61 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	h.counts[h.bucket(v)].Add(1)
+	h.count.Add(1)
+	addFloatBits(&h.sum, v)
+}
+
+// bucket returns the index of the bucket v counts in.
+func (h *Histogram) bucket(v float64) int {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	addFloatBits(&h.sum, v)
+	return i
+}
+
+// Tally gathers observations for one Histogram without touching it, so a
+// caller that observes many values at once — every pair of a scored row —
+// pays one atomic add per non-empty bucket, one for the count and one for
+// the sum when it publishes them, not three per value. A Tally is not safe
+// for concurrent use.
+type Tally struct {
+	h      *Histogram
+	counts []uint64
+	count  uint64
+	sum    float64
+}
+
+// NewTally returns an empty Tally that publishes into h.
+func (h *Histogram) NewTally() *Tally {
+	return &Tally{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one value in the tally.
+func (t *Tally) Observe(v float64) {
+	t.counts[t.h.bucket(v)]++
+	t.count++
+	t.sum += v
+}
+
+// Publish adds the tallied observations to the histogram and empties the
+// tally. Bucket counts and the count are exactly what Observing each value
+// on the histogram gives; the sum is added as one partial sum, so it may
+// differ from theirs in its last bits.
+func (t *Tally) Publish() {
+	if t.count == 0 {
+		return
+	}
+	for i, c := range t.counts {
+		if c > 0 {
+			t.h.counts[i].Add(c)
+			t.counts[i] = 0
+		}
+	}
+	t.h.count.Add(t.count)
+	addFloatBits(&t.h.sum, t.sum)
+	t.count, t.sum = 0, 0
 }
 
 // Count returns the number of observations.

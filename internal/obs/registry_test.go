@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -104,6 +105,30 @@ func TestHistogramBucketMath(t *testing.T) {
 	}
 	if !math.IsNaN(newHistogram([]float64{1}).Quantile(0.5)) {
 		t.Error("empty histogram quantile should be NaN")
+	}
+}
+
+// TestTallyPublishesWhatObserveCounts: a tally published twice, with an
+// empty publish between, leaves the bucket counts and count Observe would,
+// the sum equal to within rounding, and is empty after each publish.
+func TestTallyPublishesWhatObserveCounts(t *testing.T) {
+	bounds := []float64{0.25, 0.5, 1}
+	direct, tallied := newHistogram(bounds), newHistogram(bounds)
+	tally := tallied.NewTally()
+	for _, batch := range [][]float64{{0.1, 0.25, 0.3, 1, 1.5, 0.3}, {}, {0.9, 0.5, 0, 7}} {
+		for _, v := range batch {
+			direct.Observe(v)
+			tally.Observe(v)
+		}
+		tally.Publish()
+		if tally.count != 0 || tally.sum != 0 || slices.ContainsFunc(tally.counts, func(c uint64) bool { return c != 0 }) {
+			t.Fatalf("tally not empty after Publish: %+v", tally)
+		}
+	}
+	wb, wc, ws := direct.snapshot()
+	gb, gc, gs := tallied.snapshot()
+	if !slices.Equal(gb, wb) || gc != wc || math.Abs(gs-ws) > 1e-12 {
+		t.Fatalf("published buckets %v count %d sum %v; observed one at a time %v, %d, %v", gb, gc, gs, wb, wc, ws)
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race pool-stress cross-check check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
+.PHONY: all build vet fmt-check test race pool-stress collector-stress cross-check check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
 
 all: build check
 
@@ -18,7 +18,7 @@ all: build check
 # `make corpus` is not part of check: run it after changing
 # manager.CheckpointMagic or any record a checkpoint or WAL segment holds,
 # and commit the seeds it rewrites under testdata/fuzz.
-check: fmt-check vet docs-check race pool-stress cross-check examples bench-rowpath bench-smoke crash-test fuzz-short
+check: fmt-check vet docs-check race pool-stress collector-stress cross-check examples bench-rowpath bench-smoke crash-test fuzz-short
 
 # docs-check fails on undocumented exported identifiers, packages without
 # a package comment, and broken relative links in *.md. OPERATIONS.md
@@ -50,6 +50,12 @@ race:
 # only sometimes, shows.
 pool-stress:
 	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestPool|TrajectoryIndependentOfWorkers|Concurrent|ShardNetBitIdenticalToManager' ./internal/manager ./internal/shardnet
+
+# collector-stress runs the reliable agent's tests twenty times each at 1
+# and 2 Ps under the race detector: its single-flight flusher and the Sends
+# that append behind the in-flight prefix meet only under scheduling luck.
+collector-stress:
+	$(GO) test -race -count=20 -cpu 1,2 -run 'TestReliableAgent' ./internal/collector
 
 # cross-check builds and vets for the architectures without the amd64 row
 # kernels (they take the portable loops in internal/core), builds for

@@ -176,7 +176,12 @@ func (r *ReliableAgent) flushLocked() error {
 // deliver is the single-flight flush loop: dial if needed, send the
 // pending prefix, trim what the server acked, back off with jitter on
 // failure, and honor server throttle hints. Only one goroutine runs it
-// at a time.
+// at a time. It owes the samples pending when it starts and returns once
+// they are acked: samples that concurrent Sends append meanwhile go out
+// on the way when a batch can take them, and otherwise with the next
+// flush. Only failed passes — a dial error, an unhealthy send, a send that
+// made no progress — count against MaxAttempts, so a flush that keeps
+// delivering never gives up.
 func (r *ReliableAgent) deliver() error {
 	// Honor a delay hint that arrived with the final ack of the previous
 	// flush: there was no in-loop wait left to serve it then, so it is
@@ -185,6 +190,7 @@ func (r *ReliableAgent) deliver() error {
 	r.mu.Lock()
 	carried := r.hintDelay
 	r.hintDelay = 0
+	owed := len(r.pending)
 	r.mu.Unlock()
 	if carried > 0 {
 		if !r.sleep(carried) {
@@ -193,13 +199,13 @@ func (r *ReliableAgent) deliver() error {
 	}
 	backoff := r.cfg.Backoff
 	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
+	for failed := 0; failed < r.cfg.MaxAttempts; {
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()
 			return errReliableClosed
 		}
-		if len(r.pending) == 0 {
+		if len(r.pending) == 0 || owed <= 0 {
 			r.mu.Unlock()
 			return nil
 		}
@@ -219,6 +225,7 @@ func (r *ReliableAgent) deliver() error {
 			if err != nil {
 				r.mu.Unlock()
 				lastErr = err
+				failed++
 				if !r.sleep(jittered(backoff)) {
 					return errReliableClosed
 				}
@@ -259,6 +266,7 @@ func (r *ReliableAgent) deliver() error {
 			}
 			r.mu.Lock()
 			r.trimLocked(acked)
+			owed -= acked
 			r.inflight = 0
 			r.credit = hint.Credit
 			if !healthy {
@@ -272,6 +280,7 @@ func (r *ReliableAgent) deliver() error {
 			if healthy && acked > 0 {
 				continue // progress over a live connection; no backoff
 			}
+			failed++
 			wait := jittered(backoff)
 			if healthy && hint.Delay > 0 {
 				wait = hint.Delay // the server said exactly how long
@@ -286,9 +295,10 @@ func (r *ReliableAgent) deliver() error {
 		// Remove exactly what was sent; new samples may have arrived
 		// behind the in-flight prefix.
 		r.trimLocked(len(toSend))
+		owed -= len(toSend)
 		r.inflight = 0
 		r.credit = hint.Credit
-		done := len(r.pending) == 0
+		done := len(r.pending) == 0 || owed <= 0
 		if done {
 			// Nothing left to pace in this flush; stash the delay for the
 			// next one so the server's throttle survives the flush boundary

@@ -2,7 +2,10 @@ package collector
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,5 +264,70 @@ func TestReliableAgentFinalAckDelayCarriesToNextFlush(t *testing.T) {
 		}
 	default:
 		t.Error("second flush ignored the delay hint from the previous flush's final ack")
+	}
+}
+
+// appendBehindSink lets one more Send append behind the in-flight prefix
+// before each of its first n batches is acked: the next batch's Send is
+// started, the sink waits until its samples are pending, and only then
+// records the batch and lets its ack go back.
+type appendBehindSink struct {
+	*countingSink
+	ra    *ReliableAgent
+	n     int32
+	calls atomic.Int32
+	wg    sync.WaitGroup
+	errs  chan error
+}
+
+func (s *appendBehindSink) AppendBatch(batch []tsdb.Sample) error {
+	if k := s.calls.Add(1); k <= s.n {
+		next := batchFor(fmt.Sprintf("m%d", k), 4)
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.errs <- s.ra.Send(next)
+		}()
+		for s.ra.Pending() <= len(batch) {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return s.countingSink.AppendBatch(batch)
+}
+
+// TestReliableAgentFlushEndsWhenItsSamplesAreAcked: a flush owes the
+// samples pending when it began, and only failed passes count against
+// MaxAttempts. Before, every clean delivery counted too, so a flush that
+// concurrent Sends kept refilling gave up with "delivery incomplete"
+// after MaxAttempts batches although nothing had failed.
+func TestReliableAgentFlushEndsWhenItsSamplesAreAcked(t *testing.T) {
+	const maxAttempts, chained = 3, 8
+	sink := &appendBehindSink{countingSink: newCountingSink(), n: chained, errs: make(chan error, chained)}
+	_, addr := newSinkServer(t, sink, FlowConfig{})
+	ra := NewReliableAgent(addr, "rel-behind", ReliableConfig{MaxAttempts: maxAttempts, Sleep: noSleep})
+	defer ra.Close()
+	sink.ra = ra
+	if err := ra.Send(batchFor("m0", 4)); err != nil {
+		t.Fatalf("first Send: %v", err)
+	}
+	// Each chained Send is started while an earlier one is still in flight,
+	// so the wait group cannot drain before the last one returns.
+	sink.wg.Wait()
+	close(sink.errs)
+	for err := range sink.errs {
+		if err != nil {
+			t.Errorf("chained Send: %v", err)
+		}
+	}
+	if p := ra.Pending(); p != 0 {
+		t.Errorf("Pending = %d, want 0", p)
+	}
+	want := 4 * (chained + 1)
+	unique, total := sink.counts()
+	if dups := sink.duplicates(); len(dups) != 0 {
+		t.Errorf("duplicate deliveries: %v", dups)
+	}
+	if unique != want || total != want {
+		t.Errorf("sink saw %d samples (%d unique), want exactly %d", total, unique, want)
 	}
 }

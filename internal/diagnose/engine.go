@@ -266,6 +266,9 @@ type measState struct {
 // Engine is the anomaly-triggered root-cause engine. Feed it every
 // StepReport through Observe; read incidents and histories through the
 // accessors (all safe for concurrent use).
+// Observe binds to a report's ids slice, resolving each id to its state
+// on its first score, so a row names no measurement; alarms, histories
+// and persistence do.
 type Engine struct {
 	mu  sync.Mutex
 	cfg Config
@@ -277,6 +280,10 @@ type Engine struct {
 	sys   *ring
 	meas  map[timeseries.MeasurementID]*measState
 	order []timeseries.MeasurementID // sorted keys of meas
+	// at[k] is the state of bound[k], the ids of the reports bound, or
+	// nil until that measurement's first score.
+	bound []timeseries.MeasurementID
+	at    []*measState
 
 	// Incident state machine.
 	belowRun, aboveRun int
@@ -417,8 +424,18 @@ func (e *Engine) observeLocked(r manager.StepReport) string {
 	// above the open threshold (otherwise the first row of an outage would
 	// drag the reference point down before belowRun catches up).
 	healthy := e.open == nil && e.belowRun == 0 && !(r.System < e.cfg.OpenBelow)
-	for id, q := range r.Measurements {
-		st := e.measStateLocked(id)
+	if len(r.IDs) != len(e.bound) || len(r.IDs) > 0 && &r.IDs[0] != &e.bound[0] {
+		e.bound, e.at = r.IDs, make([]*measState, len(r.IDs))
+	}
+	for k, q := range r.Measurements {
+		if math.IsNaN(q) {
+			continue // none of its links scored
+		}
+		st := e.at[k]
+		if st == nil {
+			st = e.measStateLocked(r.IDs[k])
+			e.at[k] = st
+		}
 		st.ring.push(FitnessPoint{T: t, Q: q})
 		if healthy {
 			// Baselines learn only from healthy rows so an incident

@@ -3,7 +3,9 @@ package diagnose
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -26,14 +28,14 @@ var (
 // rep builds one step report at row i. Every measurement scores q except
 // the overrides.
 func rep(i int, sys, q float64, override map[timeseries.MeasurementID]float64) manager.StepReport {
-	meas := make(map[timeseries.MeasurementID]float64, len(all))
-	for _, id := range all {
-		meas[id] = q
+	meas := make([]float64, len(all))
+	for k, id := range all {
+		meas[k] = q
+		if v, ok := override[id]; ok {
+			meas[k] = v
+		}
 	}
-	for id, v := range override {
-		meas[id] = v
-	}
-	return manager.StepReport{Time: t0.Add(time.Duration(i) * step), System: sys, Measurements: meas}
+	return manager.StepReport{Time: t0.Add(time.Duration(i) * step), System: sys, IDs: all, Measurements: meas}
 }
 
 // faultStream drives an engine through a canonical incident: healthy rows,
@@ -205,6 +207,35 @@ func TestAlarmCountsArePerIncidentDeltas(t *testing.T) {
 func faultStreamAt(e *Engine, i, faulty int) {
 	for j := 0; j < faulty; j++ {
 		e.Observe(rep(i+j, 0.55, 0.65, map[timeseries.MeasurementID]float64{mCPU1: 0.1}))
+	}
+}
+
+// TestEngineKnowsScoredOrStampedMeasurements: binding to a report's ids
+// makes no measurement known; a score or a pair-alarm stamp does, and only
+// known measurements count in History, Measurements and breadth — also
+// an alarm that names a measurement before any report, or outside them.
+func TestEngineKnowsScoredOrStampedMeasurements(t *testing.T) {
+	e := NewEngine(Config{})
+	ghost := timeseries.MeasurementID{Machine: "m0", Metric: "ghost"}
+	e.WrapSink(nil).Publish(alarm.Alarm{Time: t0, Scope: alarm.ScopePair, Measurement: ghost, Peer: mNET2})
+	r := rep(0, 0.9, math.NaN(), map[timeseries.MeasurementID]float64{mCPU1: 0.9})
+	e.Observe(r)
+	e.Observe(rep(1, 0.9, math.NaN(), map[timeseries.MeasurementID]float64{mCPU1: 0.9, mNET1: 0.8}))
+	want := []timeseries.MeasurementID{ghost, mCPU1, mNET1, mNET2}
+	if got := e.Measurements(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Measurements = %v, want %v", got, want)
+	}
+	if len(e.meas) != len(want) {
+		t.Errorf("breadth counts %d measurements, want %d", len(e.meas), len(want))
+	}
+	if _, ok := e.History(mCPU2, 0); ok {
+		t.Error("History of a measurement never scored nor stamped reported ok")
+	}
+	if pts, ok := e.History(mNET1, 0); !ok || len(pts) != 1 || pts[0].Q != 0.8 {
+		t.Errorf("History(net@m1) = %v ok=%v, want one point at 0.8", pts, ok)
+	}
+	if pts, ok := e.History(mNET2, 0); !ok || len(pts) != 0 {
+		t.Errorf("History(net@m2), stamped only = %v ok=%v, want known and empty", pts, ok)
 	}
 }
 
@@ -401,5 +432,50 @@ func TestDigestClonesAreIndependent(t *testing.T) {
 	b := e.Incidents()[0]
 	if b.Candidates[0].Measurement == "mutated" {
 		t.Error("Incidents returned a shared slice; digests must be deep copies")
+	}
+}
+
+// TestRowAllocationDoesNotGrowWithFleet pins what one row costs the
+// aggregator and the engine together once every measurement has been
+// seen: the report's own Q^a slice, 8·l bytes, and nothing per measurement.
+// A name-keyed Q^a map cost 11 185 bytes a row at l=600.
+func TestRowAllocationDoesNotGrowWithFleet(t *testing.T) {
+	for _, l := range []int{48, 600} {
+		ids := make([]timeseries.MeasurementID, l)
+		for k := range ids {
+			ids[k] = timeseries.MeasurementID{Machine: fmt.Sprintf("m%03d", k/8), Metric: fmt.Sprintf("x%d", k%8)}
+		}
+		// A chain of links, each measurement on one or two: every one scores.
+		pairs := make([]manager.Pair, l-1)
+		outcomes := make([]manager.Outcome, l-1)
+		for k := range pairs {
+			pairs[k] = manager.MakePair(ids[k], ids[k+1])
+			outcomes[k] = manager.Outcome{Fitness: 0.9, Scored: true}
+		}
+		pairIdx := manager.BuildPairIndex(ids, pairs)
+		agg := manager.NewAggregator(ids, manager.Config{})
+		e := NewEngine(Config{})
+		row := 0
+		observe := func() {
+			e.Observe(agg.Aggregate(t0.Add(time.Duration(row)*step), pairs, pairIdx, outcomes, nil))
+			row++
+		}
+		observe() // binds the engine to the ids and gives each measurement its ring
+		allocs := testing.AllocsPerRun(50, observe)
+		const rows = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rows; i++ {
+			observe()
+		}
+		runtime.ReadMemStats(&after)
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
+		t.Logf("l=%d: %.1f allocations, %.0f bytes a row", l, allocs, perRow)
+		if allocs > 1 || perRow > float64(8*l+128) {
+			t.Errorf("l=%d: a row allocates %.1f times, %.0f bytes; want at most one slice of %d bytes", l, allocs, perRow, 8*l)
+		}
+		if len(e.meas) != l {
+			t.Errorf("l=%d: the engine knows %d measurements", l, len(e.meas))
+		}
 	}
 }

@@ -127,6 +127,7 @@ func (e *Engine) LoadState(r io.Reader) error {
 	}
 	e.meas = make(map[timeseries.MeasurementID]*measState, len(st.Meas))
 	e.order = e.order[:0]
+	e.bound, e.at = nil, nil // the states they point at are gone
 	for _, rec := range st.Meas {
 		ms := e.measStateLocked(rec.ID)
 		for _, p := range tailPoints(rec.Points, historyRows) {

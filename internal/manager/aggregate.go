@@ -43,37 +43,42 @@ type Outcome struct {
 // identical float addition order and the resulting trajectories match to
 // the last bit.
 //
+// Everything per measurement — the row's sums and counts, the report's
+// Q^a, the running means — is a slice over the fleet's sorted ids, so a
+// row hashes no name; alarms, accessors and checkpoints name them.
+//
 // An Aggregator is safe for concurrent use; Aggregate calls themselves
 // must be serialized by the caller (the Manager's or coordinator's step
 // lock does this), because they share the reused scratch buffers.
 type Aggregator struct {
 	mu  sync.Mutex
 	cfg Config
-	ids []timeseries.MeasurementID
+	ids []timeseries.MeasurementID // sorted; shared read-only with every StepReport
 
-	acc     map[timeseries.MeasurementID]*mathx.Online // running Q^a means
-	pairAcc map[Pair]*mathx.Online                     // running Q^{a,b} means
+	acc     []mathx.Online         // running Q^a means, parallel to ids
+	pairAcc map[Pair]*mathx.Online // running Q^{a,b} means
 	sysAcc  mathx.Online
 	steps   int
 
-	sumBuf    []float64     // per-measurement fitness sums, reused
 	cntBuf    []int         // per-measurement scored-link counts, reused
 	alarmBuf  []alarm.Alarm // alarms gathered during aggregation, reused
 	pairTally *obs.Tally    // the row's pair fitness scores, published once a row
+	measTally *obs.Tally    // the row's measurement fitness scores, likewise
 }
 
-// NewAggregator builds an aggregator over the measurement universe ids.
-// cfg supplies the thresholds, the alarm sink and the TrackPairMeans
-// reporting flag; its model and worker settings are ignored here.
+// NewAggregator builds an aggregator over the measurement universe ids,
+// sorted by MeasurementID.Less as every fleet's IDs() is. cfg supplies the
+// thresholds, the alarm sink and the TrackPairMeans reporting flag; its
+// model and worker settings are ignored here.
 func NewAggregator(ids []timeseries.MeasurementID, cfg Config) *Aggregator {
 	cfg = cfg.withDefaults()
 	return &Aggregator{
 		cfg:       cfg,
 		ids:       append([]timeseries.MeasurementID(nil), ids...),
-		acc:       make(map[timeseries.MeasurementID]*mathx.Online),
-		sumBuf:    make([]float64, len(ids)),
+		acc:       make([]mathx.Online, len(ids)),
 		cntBuf:    make([]int, len(ids)),
 		pairTally: obsFitnessPair.NewTally(),
+		measTally: obsFitnessMeas.NewTally(),
 	}
 }
 
@@ -86,11 +91,13 @@ func NewAggregator(ids []timeseries.MeasurementID, cfg Config) *Aggregator {
 func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outcomes []Outcome, sp *obs.Span) StepReport {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	report := StepReport{Time: t, System: math.NaN()}
+	// The report's own Q^a slice (callers keep reports) holds the sums
+	// until the division below.
+	meas := make([]float64, len(g.ids))
+	report := StepReport{Time: t, System: math.NaN(), IDs: g.ids, Measurements: meas}
 	g.alarmBuf = g.alarmBuf[:0]
 	var gaps, growths uint64
-	for i := range g.sumBuf {
-		g.sumBuf[i] = 0
+	for i := range g.cntBuf {
 		g.cntBuf[i] = 0
 	}
 	for i := range outcomes {
@@ -117,9 +124,9 @@ func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outc
 			g.pairAcc[p].Add(o.Fitness)
 		}
 		ab := pairIdx[i]
-		g.sumBuf[ab[0]] += o.Fitness
+		meas[ab[0]] += o.Fitness
 		g.cntBuf[ab[0]]++
-		g.sumBuf[ab[1]] += o.Fitness
+		meas[ab[1]] += o.Fitness
 		g.cntBuf[ab[1]]++
 		if g.cfg.ProbDelta > 0 && o.Prob < g.cfg.ProbDelta {
 			g.alarmBuf = append(g.alarmBuf, alarm.Alarm{
@@ -131,39 +138,28 @@ func (g *Aggregator) Aggregate(t time.Time, pairs []Pair, pairIdx [][2]int, outc
 		}
 	}
 	g.pairTally.Publish()
-	// Size the map to the measurements with a scored link, not to len(ids):
-	// under a pair budget many measurements have none.
-	scored := 0
-	for _, c := range g.cntBuf {
-		if c > 0 {
-			scored++
-		}
-	}
-	report.Measurements = make(map[timeseries.MeasurementID]float64, scored)
 	var sysSum float64
 	var sysN int
 	for k, c := range g.cntBuf {
 		if c == 0 {
+			meas[k] = math.NaN()
 			continue
 		}
-		id := g.ids[k]
-		q := g.sumBuf[k] / float64(c)
-		report.Measurements[id] = q
-		obsFitnessMeas.Observe(q)
-		if g.acc[id] == nil {
-			g.acc[id] = &mathx.Online{}
-		}
-		g.acc[id].Add(q)
+		q := meas[k] / float64(c)
+		meas[k] = q
+		g.measTally.Observe(q)
+		g.acc[k].Add(q)
 		sysSum += q
 		sysN++
 		if g.cfg.MeasurementThreshold > 0 && q < g.cfg.MeasurementThreshold {
 			g.alarmBuf = append(g.alarmBuf, alarm.Alarm{
 				Time: t, Severity: alarm.SeverityWarning, Scope: alarm.ScopeMeasurement,
-				Measurement: id, Score: q, Threshold: g.cfg.MeasurementThreshold,
+				Measurement: g.ids[k], Score: q, Threshold: g.cfg.MeasurementThreshold,
 				Message: "measurement fitness below threshold",
 			})
 		}
 	}
+	g.measTally.Publish()
 	if sysN > 0 {
 		report.System = sysSum / float64(sysN)
 		obsFitnessSys.Observe(report.System)
@@ -209,9 +205,11 @@ func (g *Aggregator) IDs() []timeseries.MeasurementID {
 func (g *Aggregator) MeasurementMeans() map[timeseries.MeasurementID]float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make(map[timeseries.MeasurementID]float64, len(g.acc))
-	for id, o := range g.acc {
-		out[id] = o.Mean()
+	out := make(map[timeseries.MeasurementID]float64)
+	for k := range g.acc {
+		if g.acc[k].N() > 0 {
+			out[g.ids[k]] = g.acc[k].Mean()
+		}
 	}
 	return out
 }
@@ -235,7 +233,7 @@ func (g *Aggregator) Steps() int {
 func (g *Aggregator) ResetAccumulators() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.acc = make(map[timeseries.MeasurementID]*mathx.Online)
+	clear(g.acc)
 	g.pairAcc = nil
 	g.sysAcc = mathx.Online{}
 	g.steps = 0
@@ -289,20 +287,18 @@ func (g *Aggregator) WorstPairs(k int) []PairScore {
 // ranks them worst-first (the paper's drill-down from Q to the problem
 // source).
 func (g *Aggregator) Localize() Localization {
-	means := g.MeasurementMeans()
 	sums := make(map[string]float64)
 	counts := make(map[string]int)
-	// Fold in the stable measurement order: iterating the means map would
-	// vary the float addition order call to call, making machine scores
-	// differ in the last ulp between otherwise identical runs.
-	for _, id := range g.ids {
-		q, ok := means[id]
-		if !ok || math.IsNaN(q) {
-			continue
+	// Fold in the stable measurement order, so machine scores never differ
+	// in the last ulp between otherwise identical runs.
+	g.mu.Lock()
+	for k, id := range g.ids {
+		if q := g.acc[k].Mean(); !math.IsNaN(q) {
+			sums[id.Machine] += q
+			counts[id.Machine]++
 		}
-		sums[id.Machine] += q
-		counts[id.Machine]++
 	}
+	g.mu.Unlock()
 	var out Localization
 	for machine, s := range sums {
 		out.Machines = append(out.Machines, MachineScore{
@@ -324,20 +320,26 @@ func (g *Aggregator) state() (entries []accEntry, sys [3]float64, steps int) {
 	defer g.mu.Unlock()
 	n, mean, m2 := g.sysAcc.State()
 	sys = [3]float64{float64(n), mean, m2}
-	for id, acc := range g.acc {
-		an, amean, am2 := acc.State()
-		entries = append(entries, accEntry{ID: id, State: [3]float64{float64(an), amean, am2}})
+	// ids order is MeasurementID.Less order, the order entries are saved in.
+	for k, acc := range g.acc {
+		if an, amean, am2 := acc.State(); an > 0 {
+			entries = append(entries, accEntry{ID: g.ids[k], State: [3]float64{float64(an), amean, am2}})
+		}
 	}
-	// Map order is random; saved state must not be.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID.Less(entries[j].ID) })
 	return entries, sys, g.steps
 }
 
-// restore installs persisted accumulator state (see persist.go).
+// restore installs persisted accumulator state (see persist.go). An entry
+// naming a measurement outside the aggregator's ids has nothing to feed.
 func (g *Aggregator) restore(entries []accEntry, sys [3]float64, steps int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.acc = restoreAccumulators(entries)
+	clear(g.acc)
+	for _, e := range entries {
+		if k, ok := searchID(g.ids, e.ID); ok {
+			g.acc[k].Restore(int(e.State[0]), e.State[1], e.State[2])
+		}
+	}
 	g.sysAcc.Restore(int(sys[0]), sys[1], sys[2])
 	g.steps = steps
 }

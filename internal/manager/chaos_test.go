@@ -32,8 +32,8 @@ func compareReports(t *testing.T, step int, got, want StepReport) {
 	if len(got.Measurements) != len(want.Measurements) {
 		t.Fatalf("step %d measurements = %d, want %d", step, len(got.Measurements), len(want.Measurements))
 	}
-	for id, q := range want.Measurements {
-		sameBits(t, fmt.Sprintf("step %d %s", step, id), got.Measurements[id], q)
+	for k, q := range want.Measurements {
+		sameBits(t, fmt.Sprintf("step %d %s", step, want.IDs[k]), got.Measurements[k], q)
 	}
 }
 

@@ -104,9 +104,9 @@ func TestManagerStepDeterministic(t *testing.T) {
 		if !(math.IsNaN(ra.System) && math.IsNaN(rb.System)) && ra.System != rb.System {
 			t.Fatalf("step %d: system %v vs %v (not bit-identical)", i, ra.System, rb.System)
 		}
-		for id, q := range ra.Measurements {
-			if rb.Measurements[id] != q {
-				t.Fatalf("step %d: measurement %s differs", i, id)
+		for k, q := range ra.Measurements {
+			if math.Float64bits(rb.Measurements[k]) != math.Float64bits(q) {
+				t.Fatalf("step %d: measurement %s differs", i, ra.IDs[k])
 			}
 		}
 		sa, sb := a.PairStates(), b.PairStates()

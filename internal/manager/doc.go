@@ -15,7 +15,10 @@
 // reads its two values by index and its model produces an Outcome at the
 // pair's index, and an Aggregator folds the outcomes — always
 // in canonical pair order — into per-measurement and system accumulators,
-// raising alarms through the configured sink. The fold order is what makes
+// raising alarms through the configured sink. Q^a and its running means
+// are slices over IDs() (NaN where no link scored), so names are resolved
+// only at the edges: alarms, MeasurementMeans, Localize, checkpoints and
+// StepReport.Measurement(id). The fold order is what makes
 // trajectories bit-reproducible: the same rows always produce the same
 // float64s, whatever the worker count. The slice stays the caller's — it is
 // read until the call returns and never kept. Manager.Run replays a
@@ -44,8 +47,8 @@
 // canonical order, accumulators — then one core.Model record group per
 // pair, each encoded or decoded straight to or from the caller's writer
 // or reader, so the fleet is never held a second time and two saves of
-// one state are byte-identical. Aggregator.Save/LoadAggregator gob a
-// standalone aggregator (small). WriteCheckpointFile and
+// one state are byte-identical; the header's accumulators name their
+// measurements, in MeasurementID.Less order. WriteCheckpointFile and
 // OpenCheckpointFile define the crash-atomic checkpoint file shared by
 // the durable pipeline and the shardnet workers — a magic, then
 // CRC-framed numbered records grouped into sections (meta, store,

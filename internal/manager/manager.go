@@ -50,11 +50,16 @@ func (p Pair) Less(q Pair) bool {
 // holds a manager's pairs to it, which is what lets a pair read both its
 // values from a dense row by index: the row has a column for each.
 func validPair(ids []timeseries.MeasurementID, p Pair) bool {
-	has := func(id timeseries.MeasurementID) bool {
-		i := sort.Search(len(ids), func(i int) bool { return !ids[i].Less(id) })
-		return i < len(ids) && ids[i] == id
-	}
-	return p.A.Less(p.B) && has(p.A) && has(p.B)
+	_, hasA := searchID(ids, p.A)
+	_, hasB := searchID(ids, p.B)
+	return p.A.Less(p.B) && hasA && hasB
+}
+
+// searchID returns id's index in ids, sorted by MeasurementID.Less, and
+// whether it is there.
+func searchID(ids []timeseries.MeasurementID, id timeseries.MeasurementID) (int, bool) {
+	i := sort.Search(len(ids), func(i int) bool { return !ids[i].Less(id) })
+	return i, i < len(ids) && ids[i] == id
 }
 
 // SortPairs sorts pairs into the canonical global order (Pair.Less).
@@ -167,15 +172,28 @@ type StepReport struct {
 	// System is Q_t: the mean of the per-measurement scores. NaN when
 	// nothing was scored.
 	System float64
-	// Measurements holds Q^a for every measurement with at least one
-	// scored link this step.
-	Measurements map[timeseries.MeasurementID]float64
+	// IDs is the fleet's sorted measurement universe, shared by every
+	// report: read it, never write it.
+	IDs []timeseries.MeasurementID
+	// Measurements[k] is Q^a of IDs[k], NaN when none of its links scored;
+	// Measurement(id) looks one up by name.
+	Measurements []float64
 	// ScoredPairs counts the links that produced a score this step.
 	ScoredPairs int
 	// GrownPairs counts the links whose adaptive grid grew this step —
 	// zero once the fleet has settled on the stream's operating region
 	// (benchmarks warm up until a full pass reports no growth).
 	GrownPairs int
+}
+
+// Measurement returns Q^a of id this step, and false when id is not one
+// of the fleet's measurements or none of its links scored.
+func (r StepReport) Measurement(id timeseries.MeasurementID) (float64, bool) {
+	k, ok := searchID(r.IDs, id)
+	if !ok || math.IsNaN(r.Measurements[k]) {
+		return math.NaN(), false
+	}
+	return r.Measurements[k], true
 }
 
 // Manager owns the model fleet. All methods are safe for concurrent use,
@@ -288,20 +306,17 @@ func (m *Manager) initRuntime() {
 	}
 }
 
-// BuildPairIndex maps each pair to the indices of its endpoints in ids.
-// Both the Manager and the networked coordinator derive their aggregation
-// index from this one helper so the two paths cannot drift. Every
-// constructor, AddModel and LoadManager keep both endpoints of each pair
-// in ids, so an endpoint outside them is a broken invariant and panics.
+// BuildPairIndex maps each pair to the indices of its endpoints in ids,
+// sorted by MeasurementID.Less. Both the Manager and the networked
+// coordinator derive their aggregation index from this one helper so the
+// two paths cannot drift. Every constructor, AddModel and LoadManager
+// keep both endpoints of each pair in ids, so an endpoint outside them is
+// a broken invariant and panics.
 func BuildPairIndex(ids []timeseries.MeasurementID, pairs []Pair) [][2]int {
-	idIndex := make(map[timeseries.MeasurementID]int, len(ids))
-	for i, id := range ids {
-		idIndex[id] = i
-	}
 	out := make([][2]int, len(pairs))
 	for i, p := range pairs {
-		ia, oka := idIndex[p.A]
-		ib, okb := idIndex[p.B]
+		ia, oka := searchID(ids, p.A)
+		ib, okb := searchID(ids, p.B)
 		if !oka || !okb {
 			panic(fmt.Sprintf("manager: pair %s has an endpoint outside the measurement universe", p))
 		}
@@ -446,7 +461,7 @@ func (m *Manager) RemovePair(p Pair) bool {
 // order with NaN for a gap; it is only read, and only until StepValues
 // returns. The fan-out runs on the process's scoring helpers over the cached
 // sorted pair slice and the aggregation scratch is reused, so a step
-// allocates nothing beyond the returned report's maps. The phases (score →
+// allocates nothing beyond the returned report's Q^a slice. The phases (score →
 // aggregate → alarm) are traced via obs.StartSpan and the step latency,
 // gap/growth counts and fitness distributions land on the ops surface.
 func (m *Manager) StepValues(t time.Time, vals []float64) StepReport {

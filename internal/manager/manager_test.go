@@ -112,7 +112,7 @@ func TestStepMissingValuesSkipPairs(t *testing.T) {
 		}
 	}
 	rep := mgr.Step(partial)
-	if _, present := rep.Measurements[ids[0]]; present {
+	if _, present := rep.Measurement(ids[0]); present {
 		t.Error("measurement without a value should have no score")
 	}
 	l := len(ids)

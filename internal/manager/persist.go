@@ -8,7 +8,6 @@ import (
 
 	"mcorr/internal/alarm"
 	"mcorr/internal/core"
-	"mcorr/internal/mathx"
 	"mcorr/internal/timeseries"
 	"mcorr/internal/wal"
 )
@@ -111,17 +110,6 @@ func (m *Manager) Save(w io.Writer) error {
 	obsCheckpointModels.Add(uint64(len(models)))
 	m.refreshModelBytes()
 	return nil
-}
-
-// restoreAccumulators rebuilds the per-measurement running means.
-func restoreAccumulators(entries []accEntry) map[timeseries.MeasurementID]*mathx.Online {
-	out := make(map[timeseries.MeasurementID]*mathx.Online, len(entries))
-	for _, e := range entries {
-		var o mathx.Online
-		o.Restore(int(e.State[0]), e.State[1], e.State[2])
-		out[e.ID] = &o
-	}
-	return out
 }
 
 // LoadManager restores a manager saved by Save, reading exactly its

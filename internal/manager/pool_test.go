@@ -45,8 +45,8 @@ func (tr *poolTrace) step(m *Manager, at time.Time, vals []float64) {
 	rep := m.StepValues(at, vals)
 	tr.system = append(tr.system, math.Float64bits(rep.System))
 	meas := make(map[timeseries.MeasurementID]uint64, len(rep.Measurements))
-	for id, q := range rep.Measurements {
-		meas[id] = math.Float64bits(q)
+	for k, q := range rep.Measurements {
+		meas[rep.IDs[k]] = math.Float64bits(q)
 	}
 	tr.meas = append(tr.meas, meas)
 	tr.outcomes = append(tr.outcomes, append([]Outcome(nil), m.outcomes...))

@@ -78,8 +78,8 @@ func compareReports(t *testing.T, step int, got, want manager.StepReport) {
 	if got.GrownPairs != want.GrownPairs {
 		t.Fatalf("step %d grown pairs = %d, want %d", step, got.GrownPairs, want.GrownPairs)
 	}
-	for id, q := range want.Measurements {
-		sameBits(t, fmt.Sprintf("step %d %s", step, id), got.Measurements[id], q)
+	for k, q := range want.Measurements {
+		sameBits(t, fmt.Sprintf("step %d %s", step, want.IDs[k]), got.Measurements[k], q)
 	}
 }
 

@@ -67,10 +67,53 @@ func sameReport(t *testing.T, what string, got, want mcorr.StepReport) {
 	if len(got.Measurements) != len(want.Measurements) {
 		t.Fatalf("%s: dense scored %d measurements, map %d", what, len(got.Measurements), len(want.Measurements))
 	}
-	for id, q := range want.Measurements {
-		if g, ok := got.Measurements[id]; !ok || math.Float64bits(g) != math.Float64bits(q) {
-			t.Fatalf("%s: Q^a of %s: dense %v (%v), map %v", what, id, g, ok, q)
+	for k, q := range want.Measurements {
+		if g := got.Measurements[k]; math.Float64bits(g) != math.Float64bits(q) {
+			t.Fatalf("%s: Q^a of %s: dense %v, map %v", what, want.IDs[k], g, q)
 		}
+	}
+}
+
+// sameAsPairStates is the oracle for a report's Q^a: Measurements[k] is, by
+// Float64bits, the mean of the scored links' Q^{a,b} that touch IDs[k],
+// summed in pair order from the links' own states, and NaN exactly where
+// none scored; Measurement(id) says the same, and false for an id outside
+// the fleet.
+func sameAsPairStates(t *testing.T, what string, r mcorr.StepReport, states []manager.PairState) {
+	t.Helper()
+	at := make(map[timeseries.MeasurementID]int, len(r.IDs))
+	for k, id := range r.IDs {
+		at[id] = k
+	}
+	sums := make([]float64, len(r.IDs))
+	counts := make([]int, len(r.IDs))
+	for _, s := range states {
+		if s.Scored {
+			for _, id := range [2]timeseries.MeasurementID{s.Pair.A, s.Pair.B} {
+				sums[at[id]] += s.Fitness
+				counts[at[id]]++
+			}
+		}
+	}
+	if len(r.Measurements) != len(r.IDs) {
+		t.Fatalf("%s: %d scores for %d measurements", what, len(r.Measurements), len(r.IDs))
+	}
+	for k, id := range r.IDs {
+		got, ok := r.Measurement(id)
+		if counts[k] == 0 {
+			if !math.IsNaN(r.Measurements[k]) || ok {
+				t.Fatalf("%s: %s has no scored link but reads %v (Measurement ok=%v)", what, id, r.Measurements[k], ok)
+			}
+			continue
+		}
+		want := sums[k] / float64(counts[k])
+		if math.Float64bits(r.Measurements[k]) != math.Float64bits(want) || !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: Q^a of %s reads %v (Measurement %v, ok=%v), its %d scored links give %v",
+				what, id, r.Measurements[k], got, ok, counts[k], want)
+		}
+	}
+	if _, ok := r.Measurement(timeseries.MeasurementID{Machine: "ghost-srv-00", Metric: "cpuUtil"}); ok {
+		t.Fatalf("%s: Measurement of an id outside the fleet reported ok", what)
 	}
 }
 
@@ -116,7 +159,12 @@ func samePairStates(t *testing.T, what string, got, want mcorr.Fleet) {
 // identically built fleets of each shape — one through Step(Row), one
 // through StepValues with a dense row the test assembles itself in IDs()
 // order — with the pair graph changing mid-stream, and requires
-// Float64bits-equal reports, accumulators and graphs. The dense buffer is
+// Float64bits-equal reports, accumulators and graphs, and each report's Q^a
+// to the oracle sameAsPairStates computes from the links' states (for the
+// networked fabric, which keeps its links' states in its workers, those of
+// a manager fed the same rows; a discovery round that changes the graph
+// after its row has scored leaves no states of that row to check it
+// against). The dense buffer is
 // one slice, scribbled over after every call: a fleet that kept a reference
 // to it, or read past the call, diverges.
 func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
@@ -196,6 +244,18 @@ func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
 			defer byValues.Close()
 			ids := byValues.IDs()
 			vals := make([]float64, len(ids))
+			type pairStater interface{ PairStates() []manager.PairState }
+			var ref *manager.Manager
+			states, ok := byValues.(pairStater)
+			if !ok {
+				var err error
+				if ref, err = manager.New(history, cfg); err != nil {
+					t.Fatal(err)
+				}
+				defer ref.Close()
+				states = ref
+			}
+			checked := 0
 			for k, row := range rows {
 				if k == 90 && sh.churn != nil {
 					sh.churn(t, byMap)
@@ -209,12 +269,23 @@ func TestStepValuesMatchesStepOnEveryFleet(t *testing.T) {
 					vals[i] = v
 				}
 				want := byMap.Step(row)
+				graph := byValues.Pairs()
 				got := byValues.StepValues(row.Time, vals)
+				if ref != nil {
+					ref.StepValues(row.Time, vals)
+				}
 				for i := range vals {
 					vals[i] = 1e300
 				}
 				sameReport(t, fmt.Sprintf("row %d", k), got, want)
+				if reflect.DeepEqual(graph, byValues.Pairs()) {
+					sameAsPairStates(t, fmt.Sprintf("row %d", k), got, states.PairStates())
+					checked++
+				}
 				samePairStates(t, fmt.Sprintf("row %d", k), byValues, byMap)
+			}
+			if checked < len(rows)*9/10 {
+				t.Errorf("Q^a checked against the links' states on %d of %d rows", checked, len(rows))
 			}
 			if a, b := byValues.SystemMean(), byMap.SystemMean(); math.Float64bits(a) != math.Float64bits(b) || byValues.Steps() != byMap.Steps() {
 				t.Errorf("accumulators: dense %v over %d steps, map %v over %d", a, byValues.Steps(), b, byMap.Steps())

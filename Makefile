@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race pool-stress collector-stress cross-check check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus crash-test clean
+.PHONY: all build vet fmt-check test race pool-stress collector-stress cross-check check docs-check bench bench-rowpath bench-smoke quality figures examples ops-smoke fuzz-short corpus goldens crash-test clean
 
 all: build check
 
@@ -163,6 +163,14 @@ fuzz-short:
 corpus:
 	$(GO) run gen_checkpoint_corpus.go
 	cd internal/wal && $(GO) run gen_corpus.go
+
+# goldens rewrites mcdetect's golden lines (STEP, INCIDENT, DISCOVER,
+# PAIRGRAPH; durable mode with and without a pair budget) under
+# internal/testkit/testdata from this build. TestMcdetectGoldenLines, part of
+# `go test ./...`, compares every run against them; regenerate them only in
+# a change that means to move those lines, and say so.
+goldens:
+	$(GO) test -count=1 -run '^TestMcdetectGoldenLines$$' ./internal/testkit -update
 
 # crash-test is the durability gate: build mcdetect, SIGKILL it mid-stream,
 # restart from the same -data-dir, and require the per-step fitness

@@ -12,6 +12,7 @@ import (
 	"mcorr/internal/diagnose"
 	"mcorr/internal/discover"
 	"mcorr/internal/manager"
+	"mcorr/internal/obs"
 )
 
 // DiscoveryConfig tunes the correlation-discovery tier (see
@@ -103,7 +104,9 @@ func ParsePairBudget(s string, l int) (int, error) {
 type DiscoveryFleet interface {
 	Fleet
 	// DrainDiscoveryEvents returns the graph changes applied since the
-	// last drain, oldest first, and clears the buffer.
+	// last drain, oldest first, and clears the buffer. The buffer keeps
+	// the newest 1024 (mcorr_discover_events_dropped_total counts the
+	// rest).
 	DrainDiscoveryEvents() []DiscoveryEvent
 	// AdmissionScores returns each admitted pair's last correlation
 	// estimate.
@@ -121,6 +124,14 @@ type DiscoveryFleet interface {
 func NewDiscoveryFleet(history *Dataset, cfg ManagerConfig, dcfg DiscoveryConfig) (DiscoveryFleet, error) {
 	return newDiscoveryFleet(history, cfg, dcfg)
 }
+
+// maxDiscoveryEvents bounds the graph-change events a discovery fleet
+// buffers between two DrainDiscoveryEvents calls: past it the oldest are
+// dropped and counted.
+const maxDiscoveryEvents = 1024
+
+var obsDiscoverEventsDropped = obs.Default().Counter("mcorr_discover_events_dropped_total",
+	"Discovery graph-change events dropped, oldest first, from a buffer nobody drained.")
 
 // discoveryFleet wraps a Manager with the discovery tier: every scored row
 // also feeds the correlation sketches, and round boundaries mutate the live
@@ -232,17 +243,25 @@ func datasetEnd(ds *Dataset) time.Time {
 // discoverer read the same dense conversion of it.
 func (d *discoveryFleet) Step(row Row) StepReport { return d.rows.Step(row) }
 
-// StepValues scores the row on the wrapped fleet, feeds it to the discovery
-// sketches, and applies any round-boundary graph changes before the next
-// row: evictions free the model, admissions train a
-// model from the discoverer's retained history window and graft it in
-// without touching neighbors.
+// StepValues runs the row's two halves in order: the scoring half, the
+// wrapped fleet's StepValues, makes the report, and the learning half
+// (learn) then feeds the row to the discovery tier. A Monitor runs the two
+// itself and delivers the report between them.
 func (d *discoveryFleet) StepValues(t time.Time, vals []float64) StepReport {
 	report := d.Manager.StepValues(t, vals)
+	d.learn(t, vals)
+	return report
+}
+
+// learn is a row's learning half: it feeds the row to the discovery
+// sketches and applies any round-boundary graph changes before the next
+// row is scored: evictions free the model, admissions train a model from
+// the discoverer's retained history window and graft it in without
+// touching neighbors. Nothing in it can change the row's own report.
+func (d *discoveryFleet) learn(t time.Time, vals []float64) {
 	if ch := d.disc.Observe(vals); !ch.Empty() {
 		d.apply(t, ch)
 	}
-	return report
 }
 
 // apply mutates the live pair graph per one round's changes and records
@@ -267,17 +286,25 @@ func (d *discoveryFleet) apply(t time.Time, ch discover.Changes) {
 		}
 		admitted = append(admitted, p)
 	}
-	d.events = append(d.events, DiscoveryEvent{
+	ev := DiscoveryEvent{
 		Time:     t,
 		Round:    ch.Round,
 		Admitted: admitted,
 		Evicted:  append([]Pair(nil), ch.Evict...),
 		Pairs:    len(d.Pairs()),
-	})
+	}
+	if len(d.events) == maxDiscoveryEvents {
+		// Nobody has drained for maxDiscoveryEvents graph changes: drop the
+		// oldest, so an undrained fleet's buffer stays bounded.
+		d.events = d.events[1:]
+		obsDiscoverEventsDropped.Inc()
+	}
+	d.events = append(d.events, ev)
 }
 
 // DrainDiscoveryEvents returns the graph changes applied since the last
-// drain, oldest first, and clears the buffer.
+// drain, oldest first — at most maxDiscoveryEvents of them — and clears
+// the buffer.
 func (d *discoveryFleet) DrainDiscoveryEvents() []DiscoveryEvent {
 	ev := d.events
 	d.events = nil

@@ -273,8 +273,8 @@ type Engine struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// step is the row cadence inferred from consecutive system points;
-	// it converts ring radii (rows) to durations.
+	// step is the row cadence, the smallest gap seen between consecutive
+	// system points; it converts ring radii (rows) to durations.
 	step time.Duration
 
 	sys   *ring
@@ -486,13 +486,16 @@ func (e *Engine) observeLocked(r manager.StepReport) string {
 	return ""
 }
 
-// inferStepLocked learns the row cadence from the newest system point.
+// inferStepLocked learns the row cadence as the smallest positive gap
+// between consecutive system points. A gap that spans rows with no system
+// score (a NaN row) overstates the cadence, so the guess — one restored
+// from state included — is revised down by the next two consecutive rows.
 func (e *Engine) inferStepLocked(t time.Time) {
-	if e.step > 0 || e.sys.n == 0 {
+	if e.sys.n == 0 {
 		return
 	}
 	last := e.sys.buf[(e.sys.next-1+len(e.sys.buf))%len(e.sys.buf)]
-	if d := t.Sub(last.T); d > 0 {
+	if d := t.Sub(last.T); d > 0 && (e.step == 0 || d < e.step) {
 		e.step = d
 	}
 }
@@ -825,12 +828,32 @@ func (e *Engine) History(id timeseries.MeasurementID, window int) ([]FitnessPoin
 func (e *Engine) HistoryByName(name string, window int) ([]FitnessPoint, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, id := range e.order {
-		if id.String() == name {
-			return e.meas[id].ring.tail(window), true
-		}
+	if st := e.byNameLocked(name); st != nil {
+		return st.ring.tail(window), true
 	}
 	return nil, false
+}
+
+// byNameLocked resolves a rendered "metric@machine" name without
+// rendering any: each '@' splits it into one candidate ID, looked up in
+// the map. A metric or a machine may itself hold an '@', so more than one
+// split can name a known measurement; the first in sorted order wins, as
+// a scan of e.order would find it.
+func (e *Engine) byNameLocked(name string) *measState {
+	var (
+		best   *measState
+		bestID timeseries.MeasurementID
+	)
+	for i := 0; i < len(name); i++ {
+		if name[i] != '@' {
+			continue
+		}
+		id := timeseries.MeasurementID{Metric: name[:i], Machine: name[i+1:]}
+		if st := e.meas[id]; st != nil && (best == nil || id.Less(bestID)) {
+			best, bestID = st, id
+		}
+	}
+	return best
 }
 
 // Measurements returns the known measurement IDs in sorted order.

@@ -337,6 +337,11 @@ type Monitor struct {
 	rows  *tsdb.RowReader  // the store, read in ids order
 	diag  *DiagnosisEngine // non-nil iff built with WithDiagnosis
 	api   *diagnose.API    // per-fleet API (nil unless diagnosis is on or a tenant owns the monitor)
+	// A row's step in two halves: score makes its report, learn (nil
+	// without a discovery tier) then feeds the row to the discovery tier.
+	// The report is delivered between them.
+	score func(time.Time, []float64) StepReport
+	learn func(time.Time, []float64)
 	// The durable half, zero in memory: the monitor is durable iff log is
 	// non-nil.
 	log *wal.Log
@@ -351,6 +356,12 @@ type Monitor struct {
 	epoch   uint64          // last committed checkpoint epoch
 
 	replayApplied, replaySkipped int // what OpenDurableMonitor read out of the WAL
+
+	// onReport, when set, receives each row's report as soon as diagnosis
+	// has seen it, before the discovery tier learns from the row. A
+	// Tenant sets it to its OnReport once recovery has re-scored the WAL
+	// tail.
+	onReport func(StepReport)
 }
 
 var errMonitorClosed = errors.New("monitor: closed")
@@ -412,6 +423,10 @@ func assemble(history *Dataset, mcfg ManagerConfig, dur *DurabilityConfig, opts 
 	m.store, m.fleet, m.cursor, m.epoch = st.store, st.fleet, st.meta.Cursor, st.meta.Epoch
 	m.step, m.ids = m.store.Step(), m.fleet.IDs()
 	m.rows, m.rowBuf = m.store.Rows(m.ids), make([]float64, len(m.ids))
+	m.score = m.fleet.StepValues
+	if df, ok := m.fleet.(*discoveryFleet); ok {
+		m.score, m.learn = df.Manager.StepValues, df.learn
+	}
 	fail := func(err error) (*Monitor, []StepReport, error) {
 		if m.log != nil {
 			m.log.Close()
@@ -585,17 +600,27 @@ func (m *Monitor) FlushUpTo(deadline time.Time) ([]StepReport, error) {
 }
 
 // scoreLocked scores every row from the cursor up to until, in time order
-// on the calling goroutine: each is read out of the store into rowBuf,
-// stepped through the fleet and, when diagnosis is attached, its finished
-// report fed to the engine — after scoring, never inside it, so the
-// diagnosis layer stays off the Manager.Step hot path.
+// on the calling goroutine: each is read out of the store into rowBuf and
+// scored; when diagnosis is attached its finished report is fed to the
+// engine — after scoring, never inside it, so the diagnosis layer stays
+// off the Manager.Step hot path; the report goes to onReport; and only
+// then does the discovery tier learn from the row. Its sketch updates and
+// round-end training cannot change the row's own report, so they stay off
+// the sample-to-alarm path, and its graph changes still land before the
+// next row is scored and before any checkpoint.
 func (m *Monitor) scoreLocked(until time.Time) []StepReport {
 	var reports []StepReport
 	for ; m.cursor.Before(until); m.cursor = m.cursor.Add(m.step) {
 		m.rows.ReadRow(m.cursor, m.rowBuf)
-		report := m.fleet.StepValues(m.cursor, m.rowBuf)
+		report := m.score(m.cursor, m.rowBuf)
 		if m.diag != nil {
 			m.diag.Observe(report)
+		}
+		if m.onReport != nil {
+			m.onReport(report)
+		}
+		if m.learn != nil {
+			m.learn(m.cursor, m.rowBuf)
 		}
 		reports = append(reports, report)
 	}

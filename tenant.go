@@ -72,9 +72,13 @@ type TenantConfig struct {
 	// Options customize the monitor (diagnosis, discovery) exactly as for
 	// NewMonitor.
 	Options []MonitorOption
-	// OnReport, when set, receives every finished StepReport (including
-	// rows re-scored during recovery ingest) under the tenant's lock, in
-	// scoring order.
+	// OnReport, when set, receives every finished StepReport once, in row
+	// order: the rows re-scored during recovery when CreateTenant builds
+	// the tenant, then each row as soon as it is scored and diagnosed,
+	// while Ingest or FlushUpTo is still running — under the tenant's and
+	// its monitor's locks, and before the discovery tier learns from the
+	// row. It must not call back into the tenant, its monitor or its
+	// fleet.
 	OnReport func(tenant string, r StepReport)
 }
 
@@ -92,7 +96,6 @@ type Tenant struct {
 	mu        sync.Mutex
 	mon       *Monitor
 	seen      map[MeasurementID]bool
-	onReport  func(string, StepReport)
 	recovered []StepReport
 	closed    bool
 }
@@ -290,10 +293,15 @@ func buildTenant(dataDir, name string, cfg TenantConfig) (*Tenant, error) {
 		quota:     cfg.Quota,
 		mon:       mon,
 		seen:      seen,
-		onReport:  cfg.OnReport,
 		recovered: recovered,
 	}
-	t.noteReportsLocked(recovered) // nobody else holds t yet
+	t.noteReportsLocked(recovered) // nobody else holds t or mon yet
+	if on := cfg.OnReport; on != nil {
+		for _, rep := range recovered {
+			on(name, rep)
+		}
+		mon.onReport = func(rep StepReport) { on(name, rep) }
+	}
 	return t, nil
 }
 
@@ -492,8 +500,8 @@ func (t *Tenant) FlushUpTo(deadline time.Time) ([]StepReport, error) {
 	return reports, err
 }
 
-// noteReportsLocked counts finished rows on the tenant metric families
-// and delivers them to OnReport. Caller holds t.mu.
+// noteReportsLocked counts finished rows on the tenant metric families.
+// Caller holds t.mu.
 func (t *Tenant) noteReportsLocked(reports []StepReport) {
 	if len(reports) == 0 {
 		return
@@ -501,11 +509,6 @@ func (t *Tenant) noteReportsLocked(reports []StepReport) {
 	obsTenantRows.With(t.name).Add(uint64(len(reports)))
 	if diag := t.mon.Diagnosis(); diag != nil {
 		obsTenantOpenIncidents.With(t.name).Set(float64(diag.OpenCount()))
-	}
-	if t.onReport != nil {
-		for _, rep := range reports {
-			t.onReport(t.name, rep)
-		}
 	}
 }
 
